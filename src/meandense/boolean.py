@@ -176,15 +176,11 @@ class BooleanRealization:
         return buf.getvalue()
 
 
-def simulate(
-    f,
-    q: MarkDistribution,
-    window: Box,
-    r_max: float,
-    rng: np.random.Generator,
-    guard_margin: float | None = None,
-) -> BooleanRealization:
-    """Sample one realization covering the window plus guard zone."""
+def checked_guard_margin(
+    q: MarkDistribution, r_max: float, guard_margin: float | None = None
+) -> float:
+    """Guard margin for queries up to r_max, L_max + r_max unless a wider
+    one is given, after checking r_max and the diameter bound."""
     if r_max < 0:
         raise ConfigurationError("r_max must be nonnegative")
     if r_max >= 2.0:
@@ -195,6 +191,19 @@ def simulate(
     margin = guard_margin if guard_margin is not None else l_max + r_max
     if margin < l_max + r_max:
         raise ConfigurationError("guard margin must be at least L_max + r_max")
+    return margin
+
+
+def simulate(
+    f,
+    q: MarkDistribution,
+    window: Box,
+    r_max: float,
+    rng: np.random.Generator,
+    guard_margin: float | None = None,
+) -> BooleanRealization:
+    """Sample one realization covering the window plus guard zone."""
+    margin = checked_guard_margin(q, r_max, guard_margin)
     sample = sample_germs(f, q, window.dilate(margin), rng)
     placed = list(zip(sample.points, sample.grains))
     return BooleanRealization(placed, window, margin, r_max, hausdorff_dim=q.n)

@@ -203,6 +203,8 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(text)
         seed = args.seed if args.seed is not None else cfg.seed
+        if args.threads is not None and args.threads < 1:
+            raise ConfigurationError(f"--threads must be a positive integer, got {args.threads}")
         threads = args.threads if args.threads is not None else default_threads()
         out_dir = Path(args.out) if args.out is not None else Path(cfg.output)
         _RUNNERS[args.command](cfg, seed, threads, out_dir)
@@ -211,7 +213,10 @@ def main(argv=None) -> int:
         print(json.dumps({"error": "validation", "message": str(exc)}), file=sys.stderr)
         return 1
     except NumericError as exc:
-        print(json.dumps({"error": "numeric", "message": str(exc)}), file=sys.stderr)
+        error = {"error": "numeric", "message": str(exc)}
+        if exc.point is not None:
+            error["point"] = [float(c) for c in np.atleast_1d(exc.point)]
+        print(json.dumps(error), file=sys.stderr)
         return 2
     return 0
 

@@ -16,11 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolean import BooleanRealization, simulate
-from .errors import ConfigurationError
-from .geometry import Box, as_point, ball_volume
+from .boolean import BooleanRealization, checked_guard_margin
+from .errors import ConfigurationError, QueryError
+from .geometry import Box, as_point, ball_volume, segment_distances
 from .grains import MarkDistribution
 from .parallel import parallel_map
+from .poisson import expected_germs, sample_germs
 from .streams import derive_stream
 
 # stream index space for the exact-density reference inside studies
@@ -176,20 +177,62 @@ def histogram_reduction(samples, x: float, half_width: float) -> float:
 # streaming engines: simulate-and-count without retaining realizations
 
 
-def _hit_chunk_task(args):
-    """Worker: simulate a chunk of replicates and return integer hit and
-    grain-count matrices of shape (len(xs), len(rs))."""
-    f, q, xs, rs, window, r_max, seed, indices = args
+# A block of replicates is drawn into flat arrays and queried at once.  It
+# holds at most _BLOCK_REPLICATES replicates and about _BLOCK_SEGMENTS
+# segment rows in expectation.  Blocks are the parallel tasks; their size
+# depends on the scenario only, and since every replicate keeps its own
+# stream, the block boundaries cannot change any count.
+_BLOCK_REPLICATES = 4096
+_BLOCK_SEGMENTS = 1 << 16
+
+
+def _block_task(args):
+    """Worker: simulate replicates start..stop-1, replicate i on stream
+    derive_stream(seed, i), and return integer hit and grain-count totals
+    of shape (len(xs), len(rs)).
+
+    The block's grains are stacked with the replicate that owns each.  Per
+    x, only grains whose bounding box dilated by `pad` contains x are
+    measured; per r, the hit grains are counted per owner with bincount.
+    """
+    f, q, xs, rs, box, expected, pad, seed, start, stop = args
+    samples = [
+        sample_germs(f, q, box, derive_stream(seed, i), expected) for i in range(start, stop)
+    ]
+    owner = np.repeat(np.arange(stop - start), [len(s) for s in samples])
+    germs = np.concatenate([s.points for s in samples])
+    d = germs.shape[1]
+    if q.kind == "deterministic" and q.grain.n == 0:
+        lo, hi = germs - pad, germs + pad
+
+        def distances(x, near):
+            return np.linalg.norm(germs[near] - x, axis=1)
+    else:
+        # (grains, segments per grain, d) endpoint arrays, translated as a
+        # realization places them
+        if q.kind == "deterministic":
+            a0, b0 = q.grain.segment_arrays()
+            a = germs[:, None, :] + a0
+            b = germs[:, None, :] + b0
+        else:
+            a = germs[:, None, :]
+            b = (germs + np.concatenate([s.vectors for s in samples]))[:, None, :]
+        lo = np.minimum(a, b).min(axis=1) - pad
+        hi = np.maximum(a, b).max(axis=1) + pad
+
+        def distances(x, near):
+            dist = segment_distances(x, a[near].reshape(-1, d), b[near].reshape(-1, d))
+            return dist.reshape(-1, a.shape[1]).min(axis=1)
+
     ind = np.zeros((len(xs), len(rs)), dtype=np.int64)
     cnt = np.zeros((len(xs), len(rs)), dtype=np.int64)
-    for idx in indices:
-        rng = derive_stream(seed, idx)
-        real = simulate(f, q, window, r_max, rng)
-        for i, x in enumerate(xs):
-            for j, r in enumerate(rs):
-                c = real.hit_count(x, r)
-                cnt[i, j] += c
-                ind[i, j] += 1 if c > 0 else 0
+    for i, x in enumerate(xs):
+        near = np.flatnonzero(np.all((lo <= x) & (x <= hi), axis=1))
+        dist = distances(x, near)
+        for j, r in enumerate(rs):
+            hit_owners = owner[near[dist <= r]]
+            cnt[i, j] = hit_owners.size
+            ind[i, j] = np.count_nonzero(np.bincount(hit_owners, minlength=stop - start))
     return ind, cnt
 
 
@@ -206,20 +249,32 @@ def accumulate_hits(
     """Simulate `n_samples` replicates (streams derived from consecutive
     indices starting at index0) and total the hit indicators and grain
     counts for every (x, r) pair.  Integer reductions make the result
-    independent of the chunking, hence of the thread count."""
+    independent of the blocking, hence of the thread count."""
     xs = [as_point(x, dim=q.dim) for x in np.atleast_2d(np.asarray(xs, dtype=float))]
     rs = [float(r) for r in np.atleast_1d(rs)]
+    if min(rs) < 0:
+        raise QueryError("query radius must be nonnegative")
     r_max = max(rs)
     pts = np.stack(xs)
     window = Box(pts.min(axis=0) - r_max, pts.max(axis=0) + r_max)
-    indices = list(range(index0, index0 + n_samples))
-    chunk = max(1, math.ceil(len(indices) / max(1, threads * 4)))
-    chunks = [indices[i : i + chunk] for i in range(0, len(indices), chunk)]
-    tasks = [(f, q, xs, rs, window, r_max, seed, c) for c in chunks]
-    results = parallel_map(_hit_chunk_task, tasks, threads)
+    box = window.dilate(checked_guard_margin(q, r_max))
+    expected = expected_germs(f, box)
+    per_grain = len(q.grain.segment_arrays()[0]) if q.kind == "deterministic" else 1
+    rows = expected[1] * max(1, per_grain)
+    per_block = _BLOCK_REPLICATES
+    if rows * per_block > _BLOCK_SEGMENTS:
+        per_block = max(1, int(_BLOCK_SEGMENTS // rows))
+    # a hair over r_max, so that rounding in a bounding box never drops a
+    # grain that the distance test would count
+    pad = r_max + 1e-9 * (1.0 + float(np.abs(np.concatenate([box.lo, box.hi])).max()))
+    stop = index0 + n_samples
+    tasks = [
+        (f, q, xs, rs, box, expected, pad, seed, i, min(i + per_block, stop))
+        for i in range(index0, stop, per_block)
+    ]
     ind = np.zeros((len(xs), len(rs)), dtype=np.int64)
     cnt = np.zeros((len(xs), len(rs)), dtype=np.int64)
-    for a, b in results:
+    for a, b in parallel_map(_block_task, tasks, threads):
         ind += a
         cnt += b
     return ind, cnt

@@ -79,7 +79,9 @@ class Box:
         return bool(np.all(other.lo >= self.lo) and np.all(other.hi <= self.hi))
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        return rng.uniform(self.lo, self.hi, size=(count, self.dim))
+        # the draws and values of rng.uniform(lo, hi, (count, d)), without
+        # its per-call argument checks
+        return self.lo + (self.hi - self.lo) * rng.random((count, self.dim))
 
     def corners(self) -> np.ndarray:
         grids = np.meshgrid(*[(self.lo[k], self.hi[k]) for k in range(self.dim)], indexing="ij")

@@ -373,10 +373,15 @@ def sample_marks(q: MarkDistribution, count: int, rng: np.random.Generator) -> l
     """Bulk sampler; a single pair of vectorized draws for segment laws."""
     if q.kind == "deterministic":
         return [q.grain] * count
+    return [SegmentGrain(v) for v in sample_mark_vectors(q, count, rng)]
+
+
+def sample_mark_vectors(q: MarkDistribution, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Segment vectors (count, d) of a segment law: all lengths, then all
+    directions.  This is the one definition of the mark draws."""
     lengths = q.length.sample(rng, count)
     dirs = q.orientation.sample(rng, count)
-    vecs = lengths[:, None] * dirs
-    return [SegmentGrain(v) for v in vecs]
+    return lengths[:, None] * dirs
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .geometry import Box, as_point
-from .grains import Grain, MarkDistribution, sample_marks
+from .grains import Grain, MarkDistribution, SegmentGrain, sample_mark_vectors
 
 INTENSITY_KINDS = ("constant", "quadratic", "affine", "piecewise")
 
@@ -119,15 +119,46 @@ def intensity_bound(f, box: Box) -> float:
     return float(max(vals))
 
 
+# cap on the expected germ count of one realization: a draw allocates a few
+# arrays of that many rows, so a larger mean is refused before drawing
+MAX_EXPECTED_GERMS = 2_000_000
+
+
+def expected_germs(f, box: Box) -> tuple[float, float]:
+    """(intensity bound, expected Poisson proposal count) on the box.
+
+    Checked before anything is drawn: the bound must be finite and the
+    expected count, sup f times the box volume, at most MAX_EXPECTED_GERMS.
+    """
+    m_bound = intensity_bound(f, box)
+    if not np.isfinite(m_bound):
+        raise ConfigurationError("intensity bound is not finite on the sampling box")
+    mean = m_bound * box.volume
+    if mean > MAX_EXPECTED_GERMS:
+        raise ConfigurationError(
+            f"expected germ count {mean:.6g} per realization exceeds the cap "
+            f"{MAX_EXPECTED_GERMS}"
+        )
+    return m_bound, mean
+
+
 @dataclass(frozen=True, eq=False)
 class MarkedGermSample:
-    """Accepted germ locations with their marks."""
+    """Accepted germ locations with their marks, held as arrays; per-grain
+    objects are built only when `grains` is read."""
 
     points: np.ndarray          # (m, d) germ locations
-    grains: list                # m grains
+    marks: MarkDistribution
     window_used: Box
     intensity_bound_used: float
     proposed: int = 0           # number of Poisson proposals before thinning
+    vectors: np.ndarray | None = None  # (m, d) segment vectors; None for a deterministic law
+
+    @property
+    def grains(self) -> list[Grain]:
+        if self.vectors is None:
+            return [self.marks.grain] * len(self)
+        return [SegmentGrain(v) for v in self.vectors]
 
     @property
     def germs(self) -> list[tuple[np.ndarray, Grain]]:
@@ -138,26 +169,29 @@ class MarkedGermSample:
 
 
 def sample_germs(
-    f, q: MarkDistribution, box: Box, rng: np.random.Generator
+    f,
+    q: MarkDistribution,
+    box: Box,
+    rng: np.random.Generator,
+    expected: tuple[float, float] | None = None,
 ) -> MarkedGermSample:
     """Realization of the marked Poisson process restricted to the box.
 
     Draw N ~ Poisson(M vol), place N points uniformly, keep each with
     probability f(y)/M, and attach an independent mark to every survivor.
+    `expected` is expected_germs(f, box) when the caller already has it.
     """
-    m_bound = intensity_bound(f, box)
-    if not np.isfinite(m_bound):
-        raise ConfigurationError("intensity bound is not finite on the sampling box")
+    m_bound, mean = expected_germs(f, box) if expected is None else expected
     if m_bound == 0.0:
-        return MarkedGermSample(np.zeros((0, box.dim)), [], box, 0.0, 0)
-    mean = m_bound * box.volume
+        empty = None if q.kind == "deterministic" else np.zeros((0, box.dim))
+        return MarkedGermSample(np.zeros((0, box.dim)), q, box, 0.0, 0, empty)
     count = int(rng.poisson(mean))
     pts = box.sample(rng, count)
     u = rng.random(count)
     accept = u * m_bound < f.values(pts)
     kept = pts[accept]
-    marks = sample_marks(q, kept.shape[0], rng)
-    return MarkedGermSample(kept, marks, box, m_bound, count)
+    vectors = None if q.kind == "deterministic" else sample_mark_vectors(q, kept.shape[0], rng)
+    return MarkedGermSample(kept, q, box, m_bound, count, vectors)
 
 
 def check_finiteness(

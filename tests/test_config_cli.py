@@ -265,6 +265,33 @@ def test_cli_invalid_config(tmp_path):
     assert main(["exact", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
 
+def test_cli_numeric_error_reports_the_point(tmp_path, capsys):
+    # |y|^2 overflows to inf along a grain placed 1e160 from the origin
+    cfg = write_cfg(tmp_path, MINI_EXACT.replace("0,0; 0.5,0.5", "1e160, 0"))
+    assert main(["exact", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1"]) == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "numeric" and "non-finite" in error["message"]
+    assert len(error["point"]) == 2
+    assert all(isinstance(c, float) and math.isfinite(c) for c in error["point"])
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_cli_rejects_nonpositive_threads(tmp_path, capsys, threads):
+    cfg = write_cfg(tmp_path, MINI_ESTIMATE)
+    out = tmp_path / "run"
+    assert main(["estimate", "--config", cfg, "--out", str(out), "--threads", threads]) == 1
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "validation" and "--threads" in error["message"]
+    assert not out.exists()
+
+
+def test_cli_rejects_nonpositive_environment_threads(tmp_path, capsys, monkeypatch):
+    cfg = write_cfg(tmp_path, MINI_ESTIMATE)
+    monkeypatch.setenv("MEANDENSE_THREADS", "0")
+    assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+    assert "MEANDENSE_THREADS" in json.loads(capsys.readouterr().err)["message"]
+
+
 def test_cli_subcommand_preconditions(tmp_path):
     cfg = write_cfg(tmp_path, MINI_EXACT)  # has no N, no r_grid
     assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "a")]) == 1

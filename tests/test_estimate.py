@@ -15,6 +15,7 @@ from meandense import (
     MarkDistribution,
     OrientationLaw,
     PointGrain,
+    PolylineGrain,
     SegmentGrain,
     contact_derivative,
     convergence_study,
@@ -25,8 +26,9 @@ from meandense import (
     simulate,
     simulate_density_estimate,
 )
+from meandense import estimate as estimate_module
 from meandense.estimate import _indicator_density, accumulate_hits
-from meandense.geometry import Box, ball_volume
+from meandense.geometry import Box, ball_volume, segment_distances
 from meandense.streams import derive_stream
 
 CONSTANT = IntensityField("constant", c=1.0)
@@ -185,6 +187,118 @@ def test_accumulate_hits_blocks_compose():
     h2 = accumulate_hits(CONSTANT, RANDOM_SEGMENTS, xs, rs, 200, seed=11, index0=100)
     assert np.array_equal(full_ind, h1[0] + h2[0])
     assert np.array_equal(full_cnt, h1[1] + h2[1])
+
+
+def _mark_law(kind, d, rng):
+    """A mark law of the given kind in R^d with parameters drawn from rng."""
+    direction = rng.normal(size=d)
+    if kind == "point":
+        return MarkDistribution("deterministic", grain=PointGrain(dim=d))
+    if kind == "segment":
+        return MarkDistribution(
+            "deterministic", grain=SegmentGrain.from_direction(rng.uniform(0.2, 1.0), direction)
+        )
+    if kind == "polyline":
+        steps = rng.uniform(-0.5, 0.5, size=(2, d))
+        vertices = np.vstack([np.zeros(d), np.cumsum(steps, axis=0)])
+        return MarkDistribution("deterministic", grain=PolylineGrain(vertices))
+    if kind == "fixed_law":
+        return MarkDistribution(
+            "segment",
+            length=LengthLaw("fixed", value=0.7),
+            orientation=OrientationLaw("fixed", dim=d, angle=1.0, polar=0.5, azimuth=2.0),
+        )
+    return MarkDistribution(
+        "segment",
+        length=LengthLaw("uniform", lo=0.0, hi=1.0),
+        orientation=OrientationLaw("uniform", dim=d),
+    )
+
+
+def _tie_radii(real, xs, r_top):
+    """Exact distances from each x to the placed grains that lie within
+    r_top, computed with the arithmetic of the realization's own queries."""
+    out = set()
+    for x in xs:
+        for germ, grain in real.placed_grains:
+            if isinstance(grain, PointGrain):
+                dist = np.linalg.norm((germ - x)[None, :], axis=1)
+            else:
+                a, b = grain.segment_arrays()
+                dist = segment_distances(x, germ + a, germ + b)
+            out.update(float(v) for v in dist if v <= r_top)
+    return sorted(out)[:4]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([1, 2, 3]),
+    st.sampled_from(["point", "segment", "polyline", "fixed_law", "random_law"]),
+    st.sampled_from(["constant", "quadratic"]),
+    st.integers(0, 2 ** 32 - 1),
+    st.integers(1, 12),
+    st.integers(0, 50),
+)
+def test_block_engine_matches_realization_reference(d, kind, field, seed, n_samples, index0):
+    """The block engine's integer totals equal those of simulate() plus
+    BooleanRealization.hit_count on the same streams, with blocks of a few
+    replicates so that one call spans several blocks."""
+    rng = np.random.default_rng(seed)
+    q = _mark_law(kind, d, rng)
+    f = CONSTANT if field == "constant" else IntensityField("quadratic")
+    xs = rng.uniform(0.0, 1.0, size=(int(rng.integers(1, 4)), d))
+    r_top = 0.3
+    window = Box(xs.min(axis=0) - r_top, xs.max(axis=0) + r_top)
+    reals = [
+        simulate(f, q, window, r_top, derive_stream(seed, index0 + i)) for i in range(n_samples)
+    ]
+    rs = [0.0, 0.05, r_top] + _tie_radii(reals[0], xs, r_top)
+    ref_ind = np.zeros((len(xs), len(rs)), dtype=np.int64)
+    ref_cnt = np.zeros((len(xs), len(rs)), dtype=np.int64)
+    for real in reals:
+        for i, x in enumerate(xs):
+            for j, r in enumerate(rs):
+                c = real.hit_count(x, r)
+                ref_cnt[i, j] += c
+                ref_ind[i, j] += c > 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimate_module, "_BLOCK_REPLICATES", 3)
+        mp.setattr(estimate_module, "_BLOCK_SEGMENTS", 40)
+        ind, cnt = accumulate_hits(f, q, xs, rs, n_samples, seed, index0)
+    assert np.array_equal(ind, ref_ind)
+    assert np.array_equal(cnt, ref_cnt)
+
+
+def test_block_size_depends_on_the_scenario_only(monkeypatch):
+    """Blocks are the parallel tasks; their split never follows threads."""
+    splits = []
+
+    def recording_map(fn, tasks, threads=1):
+        splits.append([t[-2:] for t in tasks])
+        return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(estimate_module, "parallel_map", recording_map)
+    monkeypatch.setattr(estimate_module, "_BLOCK_SEGMENTS", 100)
+    for threads in (1, 2, 8):
+        accumulate_hits(CONSTANT, RANDOM_SEGMENTS, [[0.5, 0.5]], [0.1], 50, seed=1,
+                        index0=7, threads=threads)
+    # 5.76 expected germs per replicate on the guarded box: 17 replicates a block
+    assert splits[0] == splits[1] == splits[2] == [(7, 24), (24, 41), (41, 57)]
+
+
+def test_expected_germ_count_is_capped_before_drawing():
+    from meandense.poisson import MAX_EXPECTED_GERMS, sample_germs
+
+    huge = IntensityField("constant", c=1e12)
+    box = Box([0.0, 0.0], [1.0, 1.0])
+    message = f"expected germ count 1e\\+12 per realization exceeds the cap {MAX_EXPECTED_GERMS}"
+    # any draw would fail with AttributeError: the cap is checked first
+    with pytest.raises(ConfigurationError, match=message):
+        sample_germs(huge, RANDOM_SEGMENTS, box, rng=object())
+    with pytest.raises(ConfigurationError, match="exceeds the cap"):
+        simulate(huge, RANDOM_SEGMENTS, box, 0.1, rng=object())
+    with pytest.raises(ConfigurationError, match="exceeds the cap"):
+        accumulate_hits(huge, RANDOM_SEGMENTS, [[0.5, 0.5]], [0.1], 10, seed=1)
 
 
 def test_simulate_density_estimate_matches_list_route():
