@@ -5,32 +5,124 @@ window dilated by a guard margin of at least L_max + r_max, so all
 in-window queries with radius <= r_max are exact for the truncated mark
 law: edge effects are eliminated rather than corrected.
 
-Hit queries are accelerated by a uniform grid over segment bounding boxes
-(dilated by r_max); correctness is independent of the cell size and is
-property-tested against brute force.
+Grains are held as arrays (`grain_arrays`): rows (a, b) with the grain
+each row belongs to, a point grain being one row with a = b.  One kernel,
+`count_hits`, answers every hit and count query, for one realization, a
+stacked batch of realizations or a block of the replicate engine alike.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigurationError, QueryError
 from .geometry import Ball, Box, as_point, clipped_lengths, segment_distances
-from .grains import Grain, MarkDistribution, PointGrain, PolylineGrain, SegmentGrain
-from .poisson import sample_germs
+from .grains import MarkDistribution, PointGrain, SegmentGrain
+from .poisson import MarkedGermSample, sample_germs
 
-# below this many segments brute force beats the index
-_INDEX_THRESHOLD = 32
+
+class GrainArrays(NamedTuple):
+    """Translated grains as rows (a, b); a point grain is one row with
+    a = b = its germ.  Grains are numbered 0..count-1."""
+
+    a: np.ndarray      # (rows, d) segment start points
+    b: np.ndarray      # (rows, d) segment end points
+    grain: np.ndarray  # (rows,) grain of each row
+    point: np.ndarray  # (rows,) True where the row is a point grain
+    count: int
+
+
+def grain_arrays(germs: np.ndarray, marks) -> GrainArrays:
+    """Arrays of the grains germs[i] + Z_i for germs of shape (m, d).
+
+    `marks` is the (m, d) array of segment vectors of a segment law, or the
+    one grain of a deterministic law, shared by every germ.
+    """
+    m, d = germs.shape
+    ids = np.arange(m)
+    if isinstance(marks, np.ndarray):
+        return GrainArrays(germs, germs + marks, ids, np.zeros(m, dtype=bool), m)
+    if isinstance(marks, PointGrain):
+        return GrainArrays(germs, germs, ids, np.ones(m, dtype=bool), m)
+    a0, b0 = marks.segment_arrays()
+    a = (germs[:, None, :] + a0).reshape(-1, d)
+    b = (germs[:, None, :] + b0).reshape(-1, d)
+    return GrainArrays(a, b, np.repeat(ids, a0.shape[0]), np.zeros(len(a), dtype=bool), m)
+
+
+def stack_grains(parts: list[GrainArrays]) -> tuple[GrainArrays, np.ndarray]:
+    """One GrainArrays of all parts, grains renumbered in order, and the
+    index of the part each grain comes from."""
+    counts = np.array([p.count for p in parts])
+    first = np.cumsum(counts) - counts
+    stacked = GrainArrays(
+        np.concatenate([p.a for p in parts]),
+        np.concatenate([p.b for p in parts]),
+        np.concatenate([p.grain for p in parts]) + np.repeat(first, [p.grain.size for p in parts]),
+        np.concatenate([p.point for p in parts]),
+        int(counts.sum()),
+    )
+    return stacked, np.repeat(np.arange(len(parts)), counts)
+
+
+def count_hits(grains: GrainArrays, owner: np.ndarray, xs, rs) -> tuple[np.ndarray, np.ndarray]:
+    """Integer totals (ind, cnt) of shape (len(xs), len(rs)): cnt[i, j]
+    counts the grains meeting the closed ball B_rs[j](xs[i]), ind[i, j]
+    the distinct owners among them (owner[g] is the owner of grain g).
+
+    Per x, only rows whose bounding box, dilated by a hair over max(rs),
+    contains x are measured; the hair keeps rounding in a box from
+    dropping a grain that the distance test would count.  Point grains
+    are measured with the germ norm, segments with segment_distances.
+    """
+    a, b, grain, point, _ = grains
+    # boxes as (d, rows): each comparison runs along a contiguous row, many
+    # times faster than reducing (rows, d) along its short axis
+    lo = np.minimum(a.T, b.T, order="C")
+    hi = np.maximum(a.T, b.T, order="C")
+    scale = max(-lo.min(initial=0.0), hi.max(initial=0.0), np.abs(np.asarray(xs)).max())
+    pad = max(rs) + 1e-9 * (1.0 + scale)
+    lo -= pad
+    hi += pad
+    ind = np.zeros((len(xs), len(rs)), dtype=np.int64)
+    cnt = np.zeros((len(xs), len(rs)), dtype=np.int64)
+    for i, x in enumerate(xs):
+        col = x[:, None]
+        near = np.flatnonzero(np.all((lo <= col) & (col <= hi), axis=0))
+        dist = segment_distances(x, a[near], b[near])
+        is_point = point[near]
+        dist[is_point] = np.linalg.norm(a[near[is_point]] - x, axis=1)
+        for j, r in enumerate(rs):
+            hit = np.unique(grain[near[dist <= r]])
+            cnt[i, j] = hit.size
+            ind[i, j] = np.count_nonzero(np.bincount(owner[hit]))
+    return ind, cnt
+
+
+def check_query(window: Box, r_max: float, x: np.ndarray, r: float):
+    """Raise QueryError unless B_r(x) is answerable exactly: 0 <= r <= r_max
+    and the ball lies in the observation window."""
+    if r < 0:
+        raise QueryError("query radius must be nonnegative")
+    if r > r_max:
+        raise QueryError(f"query radius {r} exceeds simulated r_max {r_max}")
+    if not window.contains_box(Ball(x, r).bounding_box()):
+        raise QueryError("query ball is not contained in the observation window")
 
 
 @dataclass(eq=False)
 class BooleanRealization:
-    """One sample of the model: translated grains over a guarded window."""
+    """One sample of the model: translated grains over a guarded window.
 
-    placed_grains: list          # list of (germ: (d,) array, grain)
+    `grains` is the MarkedGermSample that `simulate` draws, or a list of
+    (germ, grain) pairs for a hand-built realization.
+    """
+
+    grains: object
     observation_window: Box
     guard_margin: float
     r_max: float = 0.0
@@ -38,24 +130,24 @@ class BooleanRealization:
 
     def __post_init__(self):
         d = self.observation_window.dim
-        seg_a, seg_b, seg_idx = [], [], []
-        pt_pos, pt_idx = [], []
-        for gi, (germ, grain) in enumerate(self.placed_grains):
-            germ = as_point(germ, dim=d)
-            if isinstance(grain, PointGrain):
-                pt_pos.append(germ)
-                pt_idx.append(gi)
-            else:
-                a, b = grain.segment_arrays()
-                seg_a.append(germ + a)
-                seg_b.append(germ + b)
-                seg_idx.append(np.full(a.shape[0], gi))
-        self._seg_a = np.vstack(seg_a) if seg_a else np.zeros((0, d))
-        self._seg_b = np.vstack(seg_b) if seg_b else np.zeros((0, d))
-        self._seg_grain = np.concatenate(seg_idx) if seg_idx else np.zeros(0, dtype=int)
-        self._pt_pos = np.vstack(pt_pos) if pt_pos else np.zeros((0, d))
-        self._pt_grain = np.asarray(pt_idx, dtype=int)
-        self._index = None
+        if isinstance(self.grains, MarkedGermSample):
+            s = self.grains
+            self._placed = None
+            self.arrays = grain_arrays(s.points, s.marks.grain if s.vectors is None else s.vectors)
+        else:
+            self._placed = list(self.grains)
+            parts = [
+                grain_arrays(as_point(germ, dim=d)[None, :], grain) for germ, grain in self._placed
+            ]
+            empty = np.zeros((0, d))
+            self.arrays = stack_grains(parts or [grain_arrays(empty, empty)])[0]
+
+    @property
+    def placed_grains(self) -> list:
+        """(germ, grain) pairs, built on first read."""
+        if self._placed is None:
+            self._placed = self.grains.germs
+        return self._placed
 
     @property
     def dim(self) -> int:
@@ -66,72 +158,21 @@ class BooleanRealization:
         """Hausdorff dimension n of the grain family."""
         if self.hausdorff_dim is not None:
             return self.hausdorff_dim
-        return 1 if self._seg_a.shape[0] else 0
+        return 0 if self.arrays.point.all() else 1
 
     def __len__(self) -> int:
-        return len(self.placed_grains)
+        return self.arrays.count
 
-    # -- spatial index ------------------------------------------------------
-
-    def _cell_of(self, x: np.ndarray, cell: float) -> tuple:
-        return tuple(np.floor(x / cell).astype(int))
-
-    def _build_index(self, cell_size: float | None = None):
-        cell = cell_size if cell_size else max(self.guard_margin, self.r_max, 1e-9)
-        cells: dict[tuple, list[int]] = {}
-        pad = self.r_max
-        for i in range(self._seg_a.shape[0]):
-            lo = np.minimum(self._seg_a[i], self._seg_b[i]) - pad
-            hi = np.maximum(self._seg_a[i], self._seg_b[i]) + pad
-            lo_c = np.floor(lo / cell).astype(int)
-            hi_c = np.floor(hi / cell).astype(int)
-            for key in np.ndindex(*(hi_c - lo_c + 1)):
-                cells.setdefault(tuple(lo_c + key), []).append(i)
-        self._index = (cell, {k: np.asarray(v) for k, v in cells.items()})
-
-    def _candidate_segments(self, x: np.ndarray) -> np.ndarray:
-        if self._seg_a.shape[0] <= _INDEX_THRESHOLD:
-            return np.arange(self._seg_a.shape[0])
-        if self._index is None:
-            self._build_index()
-        cell, cells = self._index
-        return cells.get(self._cell_of(x, cell), np.zeros(0, dtype=int))
-
-    # -- queries ------------------------------------------------------------
-
-    def _check_query(self, x: np.ndarray, r: float):
-        if r < 0:
-            raise QueryError("query radius must be nonnegative")
-        if r > self.r_max:
-            raise QueryError(f"query radius {r} exceeds simulated r_max {self.r_max}")
-        if not self.observation_window.contains_box(Ball(x, r).bounding_box()):
-            raise QueryError("query ball is not contained in the observation window")
-
-    def _hit_grains(self, x: np.ndarray, r: float) -> np.ndarray:
-        """Indices of placed grains within (closed) distance r of x."""
-        hit = []
-        cand = self._candidate_segments(x)
-        if cand.size:
-            d = segment_distances(x, self._seg_a[cand], self._seg_b[cand])
-            hit.append(self._seg_grain[cand[d <= r]])
-        if self._pt_pos.shape[0]:
-            d = np.linalg.norm(self._pt_pos - x, axis=1)
-            hit.append(self._pt_grain[d <= r])
-        if not hit:
-            return np.zeros(0, dtype=int)
-        return np.unique(np.concatenate(hit))
+    def hit_count(self, x, r: float) -> int:
+        """Number of placed grains meeting the closed ball B_r(x)."""
+        x = as_point(x, dim=self.dim)
+        check_query(self.observation_window, self.r_max, x, r)
+        owner = np.zeros(self.arrays.count, dtype=int)
+        return int(count_hits(self.arrays, owner, [x], [r])[1][0, 0])
 
     def hits(self, x, r: float) -> bool:
         """True iff some grain meets the closed ball B_r(x)."""
-        x = as_point(x, dim=self.dim)
-        self._check_query(x, r)
-        return self._hit_grains(x, r).size > 0
-
-    def hit_count(self, x, r: float) -> int:
-        """Number of placed grains meeting B_r(x)."""
-        x = as_point(x, dim=self.dim)
-        self._check_query(x, r)
-        return int(self._hit_grains(x, r).size)
+        return self.hit_count(x, r) > 0
 
     def measure_in_region(self, region: Box) -> float:
         """H^n of the realization inside the region: summed clipped segment
@@ -145,15 +186,10 @@ class BooleanRealization:
             raise ConfigurationError("region dimension mismatch")
         if not self.observation_window.contains_box(region):
             raise QueryError("region is not contained in the observation window")
-        total = 0.0
-        if self._seg_a.shape[0]:
-            total += float(clipped_lengths(self._seg_a, self._seg_b, region).sum())
-        if self._pt_pos.shape[0]:
-            inside = np.all(
-                (self._pt_pos >= region.lo) & (self._pt_pos < region.hi), axis=1
-            )
-            total += float(inside.sum())
-        return total
+        a, b, _, point, _ = self.arrays
+        pts = a[point]
+        inside = np.all((pts >= region.lo) & (pts < region.hi), axis=1)
+        return float(clipped_lengths(a[~point], b[~point], region).sum()) + float(inside.sum())
 
     def to_csv(self) -> str:
         """One row per grain: germ coordinates, grain kind and parameters."""
@@ -205,5 +241,4 @@ def simulate(
     """Sample one realization covering the window plus guard zone."""
     margin = checked_guard_margin(q, r_max, guard_margin)
     sample = sample_germs(f, q, window.dilate(margin), rng)
-    placed = list(zip(sample.points, sample.grains))
-    return BooleanRealization(placed, window, margin, r_max, hausdorff_dim=q.n)
+    return BooleanRealization(sample, window, margin, r_max, hausdorff_dim=q.n)

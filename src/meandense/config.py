@@ -118,8 +118,11 @@ def _parse_points(text: str) -> np.ndarray:
     return np.array([[float(v) for v in row.split(",")] for row in rows])
 
 
-def _tokenize(text: str) -> dict[str, str]:
+def _tokenize(text: str) -> tuple[dict[str, str], list[str]]:
+    """The key-value pairs and the violations of the line syntax: a line
+    that is not `key = value`, or a key given twice."""
     pairs: dict[str, str] = {}
+    seen: dict[str, int] = {}
     errors = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -129,17 +132,19 @@ def _tokenize(text: str) -> dict[str, str]:
             errors.append(f"line {lineno}: expected 'key = value', got {stripped!r}")
             continue
         key, val = stripped.split("=", 1)
-        pairs[key.strip()] = val.strip()
-    if errors:
-        raise ConfigurationError("\n".join(errors))
-    return pairs
+        key = key.strip()
+        if key in seen:
+            errors.append(f"{key}: repeated on line {lineno}, first given on line {seen[key]}")
+            continue
+        seen[key] = lineno
+        pairs[key] = val.strip()
+    return pairs, errors
 
 
 def parse_config(text: str) -> ScenarioConfig:
     """Parse and validate; raises ConfigurationError listing every
     violation with the offending key and its admissible range."""
-    pairs = _tokenize(text)
-    errors: list[str] = []
+    pairs, errors = _tokenize(text)
 
     for key in pairs:
         if key in _KNOWN_KEYS:

@@ -16,9 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolean import BooleanRealization, checked_guard_margin
+from .boolean import (
+    BooleanRealization,
+    check_query,
+    checked_guard_margin,
+    count_hits,
+    grain_arrays,
+    stack_grains,
+)
 from .errors import ConfigurationError, QueryError
-from .geometry import Box, as_point, ball_volume, segment_distances
+from .geometry import Box, as_point, ball_volume
 from .grains import MarkDistribution
 from .parallel import parallel_map
 from .poisson import expected_germs, sample_germs
@@ -93,12 +100,23 @@ def _check_batch(realizations: list[BooleanRealization]):
     return first
 
 
+def _batch_counts(realizations: list[BooleanRealization], x: np.ndarray, rs):
+    """Hit-indicator and grain-count totals over a checked batch at x, one
+    of each per radius in rs.  Every query is checked once, against the
+    smallest r_max of the batch; one kernel call counts all radii."""
+    r_max = min(real.r_max for real in realizations)
+    for r in rs:
+        check_query(realizations[0].observation_window, r_max, x, r)
+    grains, owner = stack_grains([real.arrays for real in realizations])
+    ind, cnt = count_hits(grains, owner, [x], rs)
+    return ind[0], cnt[0]
+
+
 def empirical_capacity(realizations: list[BooleanRealization], x, r: float) -> float:
     """Fraction of realizations whose set meets the closed ball B_r(x)."""
     first = _check_batch(realizations)
-    x = as_point(x, dim=first.dim)
-    hits = sum(1 for real in realizations if real.hits(x, r))
-    return hits / len(realizations)
+    ind, _ = _batch_counts(realizations, as_point(x, dim=first.dim), [r])
+    return int(ind[0]) / len(realizations)
 
 
 def density_estimate(
@@ -110,10 +128,10 @@ def density_estimate(
         raise ConfigurationError("bandwidth radius must be positive")
     first = _check_batch(realizations)
     x = as_point(x, dim=first.dim)
-    d, n = first.dim, first.grain_dim
-    count = sum(1 for real in realizations if real.hits(x, radius))
-    total = len(realizations)
-    return _report_from_hits(x, count, total, d, n, radius)
+    ind, _ = _batch_counts(realizations, x, [radius])
+    return _report_from_hits(
+        x, int(ind[0]), len(realizations), first.dim, first.grain_dim, radius
+    )
 
 
 def _report_from_hits(
@@ -138,10 +156,8 @@ def count_estimate(realizations: list[BooleanRealization], x, r: float) -> float
     if r <= 0:
         raise ConfigurationError("radius must be positive")
     first = _check_batch(realizations)
-    x = as_point(x, dim=first.dim)
-    d, n = first.dim, first.grain_dim
-    total_hits = sum(real.hit_count(x, r) for real in realizations)
-    return _indicator_density(total_hits, len(realizations), d, n, r)
+    _, cnt = _batch_counts(realizations, as_point(x, dim=first.dim), [r])
+    return _indicator_density(int(cnt[0]), len(realizations), first.dim, first.grain_dim, r)
 
 
 def contact_derivative(
@@ -157,8 +173,8 @@ def contact_derivative(
     r_grid = np.asarray(sorted(r_grid, reverse=True), dtype=float)
     if r_grid.size < 2:
         raise ConfigurationError("need at least two radii to fit a slope")
-    x = as_point(x, dim=first.dim)
-    t_hat = np.array([empirical_capacity(realizations, x, r) for r in r_grid])
+    ind, _ = _batch_counts(realizations, as_point(x, dim=first.dim), [float(r) for r in r_grid])
+    t_hat = ind / len(realizations)
     slope = np.polyfit(r_grid, t_hat, 1)[0]
     return float(slope) / 2.0
 
@@ -188,52 +204,17 @@ _BLOCK_SEGMENTS = 1 << 16
 
 def _block_task(args):
     """Worker: simulate replicates start..stop-1, replicate i on stream
-    derive_stream(seed, i), and return integer hit and grain-count totals
-    of shape (len(xs), len(rs)).
-
-    The block's grains are stacked with the replicate that owns each.  Per
-    x, only grains whose bounding box dilated by `pad` contains x are
-    measured; per r, the hit grains are counted per owner with bincount.
-    """
-    f, q, xs, rs, box, expected, pad, seed, start, stop = args
+    derive_stream(seed, i), stack their grains with the replicate that owns
+    each, and return the kernel's integer hit and grain-count totals of
+    shape (len(xs), len(rs))."""
+    f, q, xs, rs, box, expected, seed, start, stop = args
     samples = [
         sample_germs(f, q, box, derive_stream(seed, i), expected) for i in range(start, stop)
     ]
     owner = np.repeat(np.arange(stop - start), [len(s) for s in samples])
     germs = np.concatenate([s.points for s in samples])
-    d = germs.shape[1]
-    if q.kind == "deterministic" and q.grain.n == 0:
-        lo, hi = germs - pad, germs + pad
-
-        def distances(x, near):
-            return np.linalg.norm(germs[near] - x, axis=1)
-    else:
-        # (grains, segments per grain, d) endpoint arrays, translated as a
-        # realization places them
-        if q.kind == "deterministic":
-            a0, b0 = q.grain.segment_arrays()
-            a = germs[:, None, :] + a0
-            b = germs[:, None, :] + b0
-        else:
-            a = germs[:, None, :]
-            b = (germs + np.concatenate([s.vectors for s in samples]))[:, None, :]
-        lo = np.minimum(a, b).min(axis=1) - pad
-        hi = np.maximum(a, b).max(axis=1) + pad
-
-        def distances(x, near):
-            dist = segment_distances(x, a[near].reshape(-1, d), b[near].reshape(-1, d))
-            return dist.reshape(-1, a.shape[1]).min(axis=1)
-
-    ind = np.zeros((len(xs), len(rs)), dtype=np.int64)
-    cnt = np.zeros((len(xs), len(rs)), dtype=np.int64)
-    for i, x in enumerate(xs):
-        near = np.flatnonzero(np.all((lo <= x) & (x <= hi), axis=1))
-        dist = distances(x, near)
-        for j, r in enumerate(rs):
-            hit_owners = owner[near[dist <= r]]
-            cnt[i, j] = hit_owners.size
-            ind[i, j] = np.count_nonzero(np.bincount(hit_owners, minlength=stop - start))
-    return ind, cnt
+    marks = q.grain if q.kind == "deterministic" else np.concatenate([s.vectors for s in samples])
+    return count_hits(grain_arrays(germs, marks), owner, xs, rs)
 
 
 def accumulate_hits(
@@ -264,12 +245,9 @@ def accumulate_hits(
     per_block = _BLOCK_REPLICATES
     if rows * per_block > _BLOCK_SEGMENTS:
         per_block = max(1, int(_BLOCK_SEGMENTS // rows))
-    # a hair over r_max, so that rounding in a bounding box never drops a
-    # grain that the distance test would count
-    pad = r_max + 1e-9 * (1.0 + float(np.abs(np.concatenate([box.lo, box.hi])).max()))
     stop = index0 + n_samples
     tasks = [
-        (f, q, xs, rs, box, expected, pad, seed, i, min(i + per_block, stop))
+        (f, q, xs, rs, box, expected, seed, i, min(i + per_block, stop))
         for i in range(index0, stop, per_block)
     ]
     ind = np.zeros((len(xs), len(rs)), dtype=np.int64)

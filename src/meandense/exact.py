@@ -13,20 +13,21 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, NumericError
-from .geometry import Box, as_point, ball_volume
+from .geometry import as_point
 from .grains import (
     Grain,
     MarkDistribution,
-    SegmentGrain,
-    grain_distances,
+    ShiftedField,
     integrate_along,
     sample_mark,
+    sample_mark_vectors,
     sample_marks,
+    sausage_integral,
 )
 
 
@@ -50,22 +51,14 @@ class DensityField:
         return buf.getvalue()
 
 
-class _ShiftedField:
-    """f(x - .) as a vectorized field, avoiding reflected geometry."""
-
-    def __init__(self, f, x: np.ndarray):
-        self._f = f
-        self._x = x
-
-    def values(self, pts: np.ndarray) -> np.ndarray:
-        return self._f.values(self._x - np.atleast_2d(pts))
-
-
 def deterministic_density(f, g: Grain, x, order: int = 8) -> float:
     """Mean density for a deterministic typical grain: the line integral of
     f(x - .) over the grain; no Monte Carlo."""
     x = as_point(x, dim=g.dim)
-    return integrate_along(g, _ShiftedField(f, x), order=order)
+    try:
+        return integrate_along(g, ShiftedField(f, x), order=order)
+    except NumericError as exc:
+        raise NumericError(str(exc), point=x) from exc
 
 
 def exact_density(
@@ -89,8 +82,7 @@ def exact_density(
         raise ConfigurationError("random mark law needs a random stream")
     if mark_draws < 2:
         raise ConfigurationError("mark_draws must be at least 2 for a standard error")
-    grains = sample_marks(q, mark_draws, rng)
-    vals = _mark_integrals(f, grains, x)
+    vals = _mark_integrals(f, sample_mark_vectors(q, mark_draws, rng), x)
     if not np.all(np.isfinite(vals)):
         raise NumericError("non-finite inner integral", point=x)
     mean = float(vals.mean())
@@ -98,19 +90,15 @@ def exact_density(
     return mean, se
 
 
-def _mark_integrals(f, grains: list, x: np.ndarray, order: int = 8) -> np.ndarray:
-    """Inner line integrals of f(x - .) for a batch of grains; vectorized
-    across marks when all grains are single segments."""
-    if grains and all(isinstance(g, SegmentGrain) for g in grains):
-        vecs = np.stack([g.vec for g in grains])          # (K, d)
-        lengths = np.linalg.norm(vecs, axis=1)
-        nodes, weights = np.polynomial.legendre.leggauss(order)
-        t = (nodes + 1.0) / 2.0                           # (order,)
-        pts = x[None, None, :] - t[None, :, None] * vecs[:, None, :]
-        vals = f.values(pts.reshape(-1, x.shape[0])).reshape(len(grains), order)
-        return (vals * weights[None, :]).sum(axis=1) * lengths / 2.0
-    shifted = _ShiftedField(f, x)
-    return np.array([integrate_along(g, shifted, order=order) for g in grains])
+def _mark_integrals(f, vecs: np.ndarray, x: np.ndarray, order: int = 8) -> np.ndarray:
+    """Inner line integrals of f(x - .) over the segments from the origin
+    to each row of vecs (K, d), vectorized across marks."""
+    lengths = np.linalg.norm(vecs, axis=1)
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    t = (nodes + 1.0) / 2.0                           # (order,)
+    pts = x[None, None, :] - t[None, :, None] * vecs[:, None, :]
+    vals = f.values(pts.reshape(-1, x.shape[0])).reshape(len(vecs), order)
+    return (vals * weights[None, :]).sum(axis=1) * lengths / 2.0
 
 
 def analytic_segment_density(el: float, el3: float, x) -> float:
@@ -124,24 +112,9 @@ def sausage_intensity_integral(
     f, g: Grain, x: np.ndarray, r: float, mc_points: int, rng: np.random.Generator
 ) -> tuple[float, float]:
     """MC estimate (and SE) of the integral of f over the r-sausage of the
-    reflected translated grain x - Z_0(s).
-
-    Proposals are uniform on the bounding box of x - grain dilated by r; a
-    point y belongs to the sausage iff dist(x - y, grain) <= r.
-    """
-    a, b = g.segment_arrays()
-    if a.shape[0] == 0:
-        rel = np.zeros((1, g.dim))
-    else:
-        rel = np.vstack([a, b])
-    pts = x[None, :] - rel
-    box = Box(pts.min(axis=0) - r, pts.max(axis=0) + r)
-    samples = box.sample(rng, mc_points)
-    inside = grain_distances(g, x[None, :] - samples) <= r
-    vals = f.values(samples) * inside
-    est = float(box.volume * vals.mean())
-    se = float(box.volume * vals.std(ddof=1) / math.sqrt(mc_points))
-    return est, se
+    reflected translated grain x - Z_0(s).  With y = x - z it is the
+    integral of f(x - .) over Z_0⊕r, which sausage_integral draws."""
+    return sausage_integral(g, ShiftedField(f, x), r, mc_points, rng)
 
 
 def capacity_probability(

@@ -4,7 +4,9 @@ A grain is a compact set anchored at the origin: a single point (n = 0), a
 segment from the origin (n = 1), or a polyline whose first vertex is the
 origin (n = 1).  Mark distributions describe the law Q of the typical
 grain; laws with unbounded length support are truncated so that an almost
-sure diameter bound is always available for guard zones.
+sure diameter bound is always available for guard zones.  A field is
+integrated over a grain by quadrature (`integrate_along`) and over its
+r-sausage by chunked Monte Carlo (`sausage_integral`).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 from scipy import special
 
 from .errors import ConfigurationError, NumericError
-from .geometry import as_point, points_segment_distances, segment_distances
+from .geometry import Box, as_point, points_segment_distances, segment_distances
 
 DEFAULT_QUADRATURE_ORDER = 8
 
@@ -190,6 +192,52 @@ def integrate_along(g: Grain, h, order: int = DEFAULT_QUADRATURE_ORDER) -> float
     vals = vals.reshape(len(lengths), order)
     per_seg = (vals * weights[None, :]).sum(axis=1) * lengths / 2.0
     return float(per_seg.sum())
+
+
+# proposals drawn at once by sausage_integral: its memory is bounded by
+# this many points whatever mc_points is
+SAUSAGE_CHUNK = 1_000_000
+
+
+class ShiftedField:
+    """The field f(x - .): integrating it over a grain anchored at the
+    origin integrates f over the reflected, translated grain x - Z."""
+
+    def __init__(self, f, x: np.ndarray):
+        self._f = f
+        self._x = x
+
+    def values(self, pts: np.ndarray) -> np.ndarray:
+        return self._f.values(self._x - np.atleast_2d(pts))
+
+
+def sausage_integral(
+    g: Grain, h, r: float, mc_points: int, rng: np.random.Generator
+) -> tuple[float, float]:
+    """MC estimate (and SE) of the integral of h over the r-sausage Z⊕r of
+    the grain: uniform proposals on the bounding box of the grain dilated
+    by r, drawn SAUSAGE_CHUNK at a time."""
+    if not (0.0 < r < 2.0):
+        raise ConfigurationError("radius must lie in (0, 2)")
+    a, b = g.segment_arrays()
+    pts = np.vstack([a, b]) if a.shape[0] else np.zeros((1, g.dim))
+    box = Box(pts.min(axis=0) - r, pts.max(axis=0) + r)
+    vals_sum = 0.0
+    sq_sum = 0.0
+    done = 0
+    while done < mc_points:
+        m = min(SAUSAGE_CHUNK, mc_points - done)
+        samples = box.sample(rng, m)
+        inside = grain_distances(g, samples) <= r
+        vals = h.values(samples) * inside
+        vals_sum += float(vals.sum())
+        sq_sum += float((vals * vals).sum())
+        done += m
+    mean = vals_sum / mc_points
+    var = max(sq_sum / mc_points - mean * mean, 0.0)
+    est = box.volume * mean
+    se = box.volume * math.sqrt(var / mc_points)
+    return est, se
 
 
 # ---------------------------------------------------------------------------

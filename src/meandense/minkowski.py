@@ -13,19 +13,13 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import Box, ball_volume
-from .grains import (
-    Grain,
-    PointGrain,
-    RegularityCertificate,
-    grain_distances,
-    integrate_along,
-)
+from .geometry import ball_volume
+from .grains import Grain, RegularityCertificate, integrate_along, sausage_integral
 from .parallel import parallel_map
 from .streams import derive_stream
 
@@ -61,35 +55,6 @@ class MinkowskiRun:
                 f"{float(self.target)!r},{float(self.limit_estimate)!r}\n"
             )
         return buf.getvalue()
-
-
-def sausage_integral(
-    shape: Grain, f, r: float, mc_points: int, rng: np.random.Generator
-) -> tuple[float, float]:
-    """MC estimate (and SE) of ∫_{S⊕r} f(y) dy: uniform proposals on the
-    bounding box of the grain dilated by r."""
-    if not (0.0 < r < 2.0):
-        raise ConfigurationError("radius must lie in (0, 2)")
-    a, b = shape.segment_arrays()
-    pts = np.vstack([a, b]) if a.shape[0] else np.zeros((1, shape.dim))
-    box = Box(pts.min(axis=0) - r, pts.max(axis=0) + r)
-    vals_sum = 0.0
-    sq_sum = 0.0
-    done = 0
-    chunk = 1_000_000
-    while done < mc_points:
-        m = min(chunk, mc_points - done)
-        samples = box.sample(rng, m)
-        inside = grain_distances(shape, samples) <= r
-        vals = f.values(samples) * inside
-        vals_sum += float(vals.sum())
-        sq_sum += float((vals * vals).sum())
-        done += m
-    mean = vals_sum / mc_points
-    var = max(sq_sum / mc_points - mean * mean, 0.0)
-    est = box.volume * mean
-    se = box.volume * math.sqrt(var / mc_points)
-    return est, se
 
 
 def _radius_task(args):

@@ -17,7 +17,15 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .geometry import Box, as_point
-from .grains import Grain, MarkDistribution, SegmentGrain, sample_mark_vectors
+from .grains import (
+    Grain,
+    MarkDistribution,
+    SegmentGrain,
+    ShiftedField,
+    sample_mark,
+    sample_mark_vectors,
+    sausage_integral,
+)
 
 INTENSITY_KINDS = ("constant", "quadratic", "affine", "piecewise")
 
@@ -212,24 +220,11 @@ def check_finiteness(
     """
     if q.l_max is None or not np.isfinite(q.l_max):
         raise ConfigurationError("mark law needs a finite diameter bound")
-    from .grains import grain_distances, sample_mark
-
-    totals = np.empty(mark_draws)
-    for i in range(mark_draws):
-        g = sample_mark(q, rng)
-        a, b = g.segment_arrays()
-        if a.shape[0] == 0:
-            lo = np.zeros(g.dim) - radius
-            hi = np.zeros(g.dim) + radius
-        else:
-            # bounding box of -Z_0 dilated by radius
-            pts = np.vstack([-a, -b])
-            lo = pts.min(axis=0) - radius
-            hi = pts.max(axis=0) + radius
-        box = Box(lo, hi)
-        samples = box.sample(rng, points_per_mark)
-        inside = grain_distances(g, -samples) <= radius
-        vals = f.values(samples) * inside
-        totals[i] = box.volume * vals.mean()
+    # the integral of f over (-Z_0)⊕radius is that of f(-.) over Z_0⊕radius
+    reflected = ShiftedField(f, np.zeros(q.dim))
+    totals = np.array([
+        sausage_integral(sample_mark(q, rng), reflected, radius, points_per_mark, rng)[0]
+        for _ in range(mark_draws)
+    ])
     estimate = float(totals.mean())
     return bool(np.isfinite(estimate)), estimate

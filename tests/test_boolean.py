@@ -1,4 +1,4 @@
-"""Boolean realizations: hit queries, the spatial index and region measure."""
+"""Boolean realizations: hit queries, the grain arrays and region measure."""
 
 import math
 
@@ -113,8 +113,8 @@ def test_index_matches_brute_force(seed, count):
         assert real.hits(x, r) == (expected > 0)
 
 
-def test_index_triggers_above_threshold():
-    # more than 32 segments forces the grid index; answers must not change
+def test_many_segments_match_brute_force():
+    # 200 segments: the bounding-box prefilter must not change any answer
     rng = derive_stream(99, 0)
     window = Box([0.0, 0.0], [4.0, 4.0])
     placed = [
@@ -122,12 +122,11 @@ def test_index_triggers_above_threshold():
         for _ in range(200)
     ]
     real = BooleanRealization(placed, window, guard_margin=2.0, r_max=0.4, hausdorff_dim=1)
-    assert real._seg_a.shape[0] > 32
+    assert real.arrays.a.shape[0] > 32
     for _ in range(50):
         x = rng.uniform(0.4, 3.6, size=2)
         r = rng.uniform(0.0, 0.4)
         assert real.hit_count(x, r) == brute_force_hits(real, x, r)
-    assert real._index is not None  # the index was actually used
 
 
 def test_measure_in_region_segments():

@@ -265,6 +265,18 @@ def test_cli_invalid_config(tmp_path):
     assert main(["exact", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
 
+def test_cli_repeated_key_is_a_violation(tmp_path, capsys):
+    # MINI_ESTIMATE's line 16 is "r = 0.1"; line 18 repeats it, line 19 is unknown
+    cfg = write_cfg(tmp_path, MINI_ESTIMATE + "r = 0.2\nbogus_key = 1\n")
+    out = tmp_path / "run"
+    assert main(["estimate", "--config", cfg, "--out", str(out), "--threads", "1"]) == 1
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "validation"
+    assert "r: repeated on line 18, first given on line 16" in error["message"]
+    assert "bogus_key" in error["message"]
+    assert not out.exists()
+
+
 def test_cli_numeric_error_reports_the_point(tmp_path, capsys):
     # |y|^2 overflows to inf along a grain placed 1e160 from the origin
     cfg = write_cfg(tmp_path, MINI_EXACT.replace("0,0; 0.5,0.5", "1e160, 0"))
@@ -273,6 +285,7 @@ def test_cli_numeric_error_reports_the_point(tmp_path, capsys):
     assert error["error"] == "numeric" and "non-finite" in error["message"]
     assert len(error["point"]) == 2
     assert all(isinstance(c, float) and math.isfinite(c) for c in error["point"])
+    assert error["point"] == [1e160, 0.0]  # the grid point, not a quadrature node
 
 
 @pytest.mark.parametrize("threads", ["0", "-2"])

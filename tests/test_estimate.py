@@ -16,6 +16,7 @@ from meandense import (
     OrientationLaw,
     PointGrain,
     PolylineGrain,
+    QueryError,
     SegmentGrain,
     contact_derivative,
     convergence_study,
@@ -137,6 +138,43 @@ def test_contact_derivative_needs_codimension_one():
         contact_derivative(seg_batch, [0.5, 0.5], [0.1])  # one radius only
 
 
+def test_batch_with_mixed_r_max_is_checked_against_the_smallest():
+    window = Box([0.0, 0.0], [1.0, 1.0])
+    batch = [
+        simulate(CONSTANT, RANDOM_SEGMENTS, window, r_max, derive_stream(7, i))
+        for i, r_max in enumerate((0.3, 0.1, 0.2))
+    ]
+    x = [0.5, 0.5]
+    assert 0.0 <= empirical_capacity(batch, x, 0.1) <= 1.0
+    assert count_estimate(batch, x, 0.1) >= density_estimate(batch, x, 0.1).lambda_hat
+    for query in (
+        lambda: empirical_capacity(batch, x, 0.15),
+        lambda: density_estimate(batch, x, 0.15),
+        lambda: count_estimate(batch, x, 0.15),
+        lambda: contact_derivative(batch, x, [0.05, 0.15]),
+    ):
+        with pytest.raises(QueryError, match="exceeds simulated r_max 0.1"):
+            query()
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 30), st.sampled_from(["random_law", "polyline"]))
+def test_list_estimators_equal_per_realization_sums(seed, count, kind):
+    rng = np.random.default_rng(seed)
+    q = _mark_law(kind, 2, rng)
+    batch = make_batch(count, seed, q=q)
+    x = rng.uniform(0.3, 0.7, size=2)
+    r_grid = [0.3, 0.2, 0.1, 0.05]
+    for r in r_grid:
+        hits = sum(real.hits(x, r) for real in batch)
+        grains = sum(real.hit_count(x, r) for real in batch)
+        assert empirical_capacity(batch, x, r) == hits / count
+        assert count_estimate(batch, x, r) == _indicator_density(grains, count, 2, 1, r)
+    t_hat = [sum(real.hits(x, r) for real in batch) / count for r in r_grid]
+    slope = np.polyfit(np.array(r_grid), np.array(t_hat), 1)[0]
+    assert contact_derivative(batch, x, r_grid) == float(slope) / 2.0
+
+
 def test_histogram_reduction_hand_value():
     samples = np.array([0.0, 0.1, 0.2, 0.9])
     # closed interval [0.0, 0.2] catches three of four samples
@@ -215,6 +253,15 @@ def _mark_law(kind, d, rng):
     )
 
 
+def _grain_distance(germ, grain, x):
+    """Distance from x to one placed grain, with the arithmetic of
+    _tie_radii."""
+    if isinstance(grain, PointGrain):
+        return np.linalg.norm((germ - x)[None, :], axis=1)[0]
+    a, b = grain.segment_arrays()
+    return segment_distances(x, germ + a, germ + b).min()
+
+
 def _tie_radii(real, xs, r_top):
     """Exact distances from each x to the placed grains that lie within
     r_top, computed with the arithmetic of the realization's own queries."""
@@ -242,7 +289,8 @@ def _tie_radii(real, xs, r_top):
 def test_block_engine_matches_realization_reference(d, kind, field, seed, n_samples, index0):
     """The block engine's integer totals equal those of simulate() plus
     BooleanRealization.hit_count on the same streams, with blocks of a few
-    replicates so that one call spans several blocks."""
+    replicates so that one call spans several blocks, and both equal a
+    per-grain loop over placed_grains with no prefilter and no bincount."""
     rng = np.random.default_rng(seed)
     q = _mark_law(kind, d, rng)
     f = CONSTANT if field == "constant" else IntensityField("quadratic")
@@ -255,12 +303,20 @@ def test_block_engine_matches_realization_reference(d, kind, field, seed, n_samp
     rs = [0.0, 0.05, r_top] + _tie_radii(reals[0], xs, r_top)
     ref_ind = np.zeros((len(xs), len(rs)), dtype=np.int64)
     ref_cnt = np.zeros((len(xs), len(rs)), dtype=np.int64)
+    loop_ind = np.zeros((len(xs), len(rs)), dtype=np.int64)
+    loop_cnt = np.zeros((len(xs), len(rs)), dtype=np.int64)
     for real in reals:
         for i, x in enumerate(xs):
+            dists = [_grain_distance(germ, grain, x) for germ, grain in real.placed_grains]
             for j, r in enumerate(rs):
                 c = real.hit_count(x, r)
                 ref_cnt[i, j] += c
                 ref_ind[i, j] += c > 0
+                c = sum(1 for dist in dists if dist <= r)
+                loop_cnt[i, j] += c
+                loop_ind[i, j] += c > 0
+    assert np.array_equal(ref_ind, loop_ind)
+    assert np.array_equal(ref_cnt, loop_cnt)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(estimate_module, "_BLOCK_REPLICATES", 3)
         mp.setattr(estimate_module, "_BLOCK_SEGMENTS", 40)

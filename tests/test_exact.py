@@ -127,6 +127,32 @@ def test_capacity_probability_random_marks():
     assert abs(prob - expected) < max(3 * se, 2e-3)
 
 
+def test_sausage_proposals_are_drawn_one_chunk_at_a_time(monkeypatch):
+    """10^6 proposals in d = 2 never take more than one chunk of memory."""
+    from meandense import grains
+
+    chunk = 300_000
+    monkeypatch.setattr(grains, "SAUSAGE_CHUNK", chunk)
+
+    class RecordingRng:
+        def __init__(self):
+            self.sizes = []
+            self._rng = derive_stream(5, 0)
+
+        def random(self, size):
+            assert size[0] <= chunk and size[1] == 2
+            self.sizes.append(size[0])
+            return self._rng.random(size)
+
+    rng = RecordingRng()
+    prob, se = capacity_probability(
+        CONSTANT, UNIT_SEGMENT, [0.0, 0.0], 0.1, mc_points=1_000_000, rng=rng
+    )
+    assert rng.sizes == [chunk, chunk, chunk, 100_000]
+    expected = 1.0 - math.exp(-(0.2 + math.pi * 0.01))
+    assert abs(prob - expected) < 3 * se
+
+
 def test_capacity_probability_radius_validation():
     for r in (0.0, -0.1, 2.0, 2.5):
         with pytest.raises(ConfigurationError):
