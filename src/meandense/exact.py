@@ -5,8 +5,10 @@ f(x - .) over the typical grain.  The mark integral uses Monte Carlo
 (exact single term for a deterministic mark law); the inner line integral
 uses Gauss-Legendre quadrature, so it is exact for the polynomial
 intensities in scope.  The finite-radius route evaluates the Poisson void
-probability P(x in Θ⊕r) = 1 - exp(-Λ(sausage)) with the sausage integral
-estimated by Monte Carlo over a bounding box.
+probability P(x in Θ⊕r) = 1 - exp(-Λ(sausage)), with Λ averaged over
+the mark law: every mark's sausage integral is Monte Carlo over its own
+bounding box, and all marks of one (x, r) go through one batched kernel
+call.
 """
 
 from __future__ import annotations
@@ -24,10 +26,11 @@ from .grains import (
     MarkDistribution,
     ShiftedField,
     integrate_along,
+    mark_segments,
     sample_mark,
     sample_mark_vectors,
-    sample_marks,
     sausage_integral,
+    sausage_integrals,
 )
 
 
@@ -130,7 +133,8 @@ def capacity_probability(
 
     The outer mark integral is Monte Carlo over `mark_draws` samples of Q
     (a single term for a deterministic law); `mc_points` proposals are
-    split evenly across the marks.
+    split evenly across the marks.  All mark vectors are drawn first, then
+    one sausage_integrals call draws every mark's proposals in mark order.
     """
     if r <= 0 or r >= 2.0:
         raise ConfigurationError("radius must lie in (0, 2)")
@@ -143,10 +147,8 @@ def capacity_probability(
     else:
         draws = max(2, mark_draws)
         per_mark = max(16, mc_points // draws)
-        grains = sample_marks(q, draws, rng)
-        ests = np.array(
-            [sausage_intensity_integral(f, g, x, r, per_mark, rng)[0] for g in grains]
-        )
+        a, b = mark_segments(q, draws, rng)
+        ests, _ = sausage_integrals(a, b, ShiftedField(f, x), r, per_mark, rng)
         lam = float(ests.mean())
         lam_se = float(ests.std(ddof=1) / math.sqrt(draws))
     prob = 1.0 - math.exp(-lam)

@@ -150,15 +150,34 @@ def segment_distances(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray
 
 
 def points_segment_distances(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distances from m points (shape (m, d)) to one segment (a, b)."""
+    """Distances from m points (shape (m, d)) to one segment (a, b) of
+    shape (d,), or from a batch of point sets (k, m, d) to k segments
+    (k, d), one set per segment.  Each set gets the arithmetic of a call
+    with that set and segment alone."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    ab = np.asarray(b, dtype=float) - np.asarray(a, dtype=float)
-    denom = float(ab @ ab)
-    if denom == 0.0:
-        return np.linalg.norm(pts - a, axis=1)
-    t = np.clip((pts - a) @ ab / denom, 0.0, 1.0)
-    diff = pts - a - t[:, None] * ab
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    a = np.asarray(a, dtype=float)
+    ab = np.asarray(b, dtype=float) - a
+    d = pts.shape[-1]
+    rel = pts - a[..., None, :]
+    denom = (ab[..., None, :] @ ab[..., :, None])[..., 0, 0]
+    degenerate = denom == 0.0
+    # temporaries are updated in place, so a batch of m points holds at most
+    # two (m, d) arrays (pts, rel) and two (m,) arrays at a time
+    t = (rel @ ab[..., :, None])[..., 0]
+    t /= np.where(degenerate, 1.0, denom)[..., None]
+    np.clip(t, 0.0, 1.0, out=t)
+    # rel becomes the offset from the nearest point of the segment (t = 0
+    # leaves a degenerate segment's rows as they are)
+    for k in range(d):
+        rel[..., k] -= t * ab[..., k, None]
+    flat = rel.reshape(-1, d)
+    dist = np.einsum("ij,ij->i", flat, flat).reshape(rel.shape[:-1])
+    np.sqrt(dist, out=dist)
+    if np.any(degenerate):
+        # a zero-length segment is a point: its distance is the norm
+        norms = np.linalg.norm(rel[degenerate].reshape(-1, d), axis=1)
+        dist[degenerate] = norms.reshape(-1, rel.shape[-2])
+    return dist
 
 
 def clip_segment_box(s: SegmentShape, box: Box) -> SegmentShape | None:

@@ -5,8 +5,9 @@ segment from the origin (n = 1), or a polyline whose first vertex is the
 origin (n = 1).  Mark distributions describe the law Q of the typical
 grain; laws with unbounded length support are truncated so that an almost
 sure diameter bound is always available for guard zones.  A field is
-integrated over a grain by quadrature (`integrate_along`) and over its
-r-sausage by chunked Monte Carlo (`sausage_integral`).
+integrated over a grain by quadrature (`integrate_along`) and over the
+r-sausages of many grains at once by chunked Monte Carlo
+(`sausage_integrals`).
 """
 
 from __future__ import annotations
@@ -15,10 +16,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import ConfigurationError, NumericError
-from .geometry import Box, as_point, points_segment_distances, segment_distances
+from .geometry import as_point, points_segment_distances, segment_distances
 
 DEFAULT_QUADRATURE_ORDER = 8
 
@@ -145,16 +145,6 @@ def grain_distance(g: Grain, x) -> float:
     return float(segment_distances(x, a, b).min())
 
 
-def grain_distances(g: Grain, pts: np.ndarray) -> np.ndarray:
-    """Vectorized grain_distance over points of shape (m, d)."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    if isinstance(g, PointGrain):
-        return np.linalg.norm(pts, axis=1)
-    a, b = g.segment_arrays()
-    dists = np.stack([points_segment_distances(pts, ai, bi) for ai, bi in zip(a, b)])
-    return dists.min(axis=0)
-
-
 def _eval_field(h, pts: np.ndarray) -> np.ndarray:
     """Evaluate a scalar field at pts of shape (m, d); accepts either an
     object with a vectorized .values method or a plain callable."""
@@ -211,33 +201,82 @@ class ShiftedField:
         return self._f.values(self._x - np.atleast_2d(pts))
 
 
+def grain_segments(g: Grain) -> tuple[np.ndarray, np.ndarray]:
+    """Segment rows (a, b) of one grain, each of shape (1, s, d); a point
+    grain is one degenerate row at the origin."""
+    a, b = g.segment_arrays()
+    if a.shape[0] == 0:
+        a = b = np.zeros((1, g.dim))
+    return a[None], b[None]
+
+
+def mark_segments(q: MarkDistribution, count: int, rng: np.random.Generator):
+    """Segment rows (a, b), each of shape (count, s, d), of `count` grains
+    drawn from Q: a segment law's vectors from one sample_mark_vectors call,
+    a deterministic law's grain repeated without a draw."""
+    if q.kind == "deterministic":
+        a, b = grain_segments(q.grain)
+        return tuple(np.broadcast_to(v, (count,) + v.shape[1:]) for v in (a, b))
+    b = sample_mark_vectors(q, count, rng)[:, None, :]
+    return np.zeros_like(b), b
+
+
 def sausage_integral(
     g: Grain, h, r: float, mc_points: int, rng: np.random.Generator
 ) -> tuple[float, float]:
     """MC estimate (and SE) of the integral of h over the r-sausage Z⊕r of
-    the grain: uniform proposals on the bounding box of the grain dilated
-    by r, drawn SAUSAGE_CHUNK at a time."""
+    one grain: sausage_integrals with K = 1."""
+    est, se = sausage_integrals(*grain_segments(g), h, r, mc_points, rng)
+    return float(est[0]), float(se[0])
+
+
+def sausage_integrals(
+    a: np.ndarray, b: np.ndarray, h, r: float, mc_points: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """MC estimates (and SEs) of the integral of h over the r-sausage of
+    each of K grains, given as segment rows a, b of shape (K, s, d).
+
+    Grain k gets `mc_points` uniform proposals on its bounding box dilated
+    by r.  Proposals are drawn in grain order, at most SAUSAGE_CHUNK points
+    per draw: a draw holds several whole grains or a piece of one grain, so
+    the stream yields the same uniforms as one grain at a time would."""
     if not (0.0 < r < 2.0):
         raise ConfigurationError("radius must lie in (0, 2)")
-    a, b = g.segment_arrays()
-    pts = np.vstack([a, b]) if a.shape[0] else np.zeros((1, g.dim))
-    box = Box(pts.min(axis=0) - r, pts.max(axis=0) + r)
-    vals_sum = 0.0
-    sq_sum = 0.0
-    done = 0
-    while done < mc_points:
-        m = min(SAUSAGE_CHUNK, mc_points - done)
-        samples = box.sample(rng, m)
-        inside = grain_distances(g, samples) <= r
-        vals = h.values(samples) * inside
-        vals_sum += float(vals.sum())
-        sq_sum += float((vals * vals).sum())
-        done += m
-    mean = vals_sum / mc_points
-    var = max(sq_sum / mc_points - mean * mean, 0.0)
-    est = box.volume * mean
-    se = box.volume * math.sqrt(var / mc_points)
-    return est, se
+    n_grains, segments, d = a.shape
+    lo = np.minimum(a.min(axis=1), b.min(axis=1)) - r
+    span = (np.maximum(a.max(axis=1), b.max(axis=1)) + r) - lo
+    volume = np.prod(span, axis=1)
+    sums = np.zeros(n_grains)
+    squares = np.zeros(n_grains)
+    piece = min(mc_points, SAUSAGE_CHUNK)
+    per_draw = SAUSAGE_CHUNK // piece
+    for k0 in range(0, n_grains, per_draw):
+        ks = slice(k0, min(n_grains, k0 + per_draw))
+        count = ks.stop - k0
+        lo_k, span_k = lo[ks, None, :], span[ks, None, :]
+        for done in range(0, mc_points, piece):
+            m = min(piece, mc_points - done)
+            # lo + span * u, computed in the uniforms' own array
+            pts = rng.random((count * m, d)).reshape(count, m, d)
+            pts *= span_k
+            pts += lo_k
+            dist = points_segment_distances(pts, a[ks, 0], b[ks, 0])
+            for j in range(1, segments):
+                dist = np.minimum(dist, points_segment_distances(pts, a[ks, j], b[ks, j]))
+            flat = pts.reshape(-1, d)
+            if m > 1:
+                vals = h.values(flat).reshape(count, m)
+            else:
+                # numpy computes a one-row matrix product as a dot product,
+                # whose last bit can differ from the row's share of a
+                # larger product (affine fields): one grain at a time
+                vals = np.stack([h.values(p[None]) for p in flat])
+            vals = vals * (dist <= r)
+            sums[ks] += vals.sum(axis=1)
+            squares[ks] += (vals * vals).sum(axis=1)
+    mean = sums / mc_points
+    var = np.maximum(squares / mc_points - mean * mean, 0.0)
+    return volume * mean, volume * np.sqrt(var / mc_points)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +329,10 @@ class LengthLaw:
             if self.hi == self.lo:
                 return self.lo ** k
             return (self.hi ** (k + 1) - self.lo ** (k + 1)) / ((k + 1) * (self.hi - self.lo))
-        # truncated exponential: E[L^k] = (k!/rate^k) P(k+1, rate*cap) / P(1, rate*cap)
+        # truncated exponential: E[L^k] = (k!/rate^k) P(k+1, rate*cap) / P(1, rate*cap);
+        # scipy is imported here, off the CLI's import path
+        from scipy import special
+
         z = self.rate * self.cap
         num = math.factorial(k) / self.rate ** k * special.gammainc(k + 1, z)
         return num / special.gammainc(1, z)

@@ -22,9 +22,9 @@ from .grains import (
     MarkDistribution,
     SegmentGrain,
     ShiftedField,
-    sample_mark,
+    mark_segments,
     sample_mark_vectors,
-    sausage_integral,
+    sausage_integrals,
 )
 
 INTENSITY_KINDS = ("constant", "quadratic", "affine", "piecewise")
@@ -216,15 +216,14 @@ def check_finiteness(
 
     Estimates E_Q[ ∫_{(-Z_0)⊕radius} f(y) dy ] over the truncated mark law
     and returns (is_finite, estimate); the estimate is a diagnostic value,
-    not just a flag.
+    not just a flag.  All marks are drawn first, then one sausage_integrals
+    call draws `points_per_mark` proposals for each of them.
     """
     if q.l_max is None or not np.isfinite(q.l_max):
         raise ConfigurationError("mark law needs a finite diameter bound")
+    a, b = mark_segments(q, mark_draws, rng)
     # the integral of f over (-Z_0)⊕radius is that of f(-.) over Z_0⊕radius
     reflected = ShiftedField(f, np.zeros(q.dim))
-    totals = np.array([
-        sausage_integral(sample_mark(q, rng), reflected, radius, points_per_mark, rng)[0]
-        for _ in range(mark_draws)
-    ])
+    totals, _ = sausage_integrals(a, b, reflected, radius, points_per_mark, rng)
     estimate = float(totals.mean())
     return bool(np.isfinite(estimate)), estimate

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import meandense
 from meandense import ConfigurationError, parse_config
 from meandense.cli import main
 from meandense.config import lattice_points
@@ -345,3 +350,27 @@ def test_cli_study_runs(tmp_path):
     lines = (out / "study.csv").read_text().strip().splitlines()
     assert lines[0].startswith("scenario_id,x1,x2,N,R_N,lambda_hat")
     assert len(lines) == 3  # 2 sample sizes x 1 point
+
+
+def test_cli_import_and_bundled_configs_do_not_load_scipy():
+    """scipy takes a few hundred ms to import; only the trunc_exp length
+    moment needs it, so importing the CLI and parsing every bundled config
+    must leave it unloaded."""
+    configs = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+    assert configs
+    code = (
+        "import sys\n"
+        "import meandense.cli\n"
+        "from meandense.config import parse_config\n"
+        "for path in sys.argv[1:]:\n"
+        "    with open(path) as fh:\n"
+        "        parse_config(fh.read()).grid_points()\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert 'scipy' not in sys.modules, loaded\n"
+    )
+    src = str(Path(meandense.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code, *map(str, configs)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr

@@ -153,6 +153,40 @@ def test_sausage_proposals_are_drawn_one_chunk_at_a_time(monkeypatch):
     assert abs(prob - expected) < 3 * se
 
 
+@pytest.mark.parametrize("draws, per_mark, sizes", [
+    (10, 300, [900, 900, 900, 300]),   # three whole marks share a draw
+    (3, 2500, [1000, 1000, 500] * 3),  # each mark is split over three draws
+])
+def test_random_mark_oracle_draws_one_chunk_at_a_time(monkeypatch, draws, per_mark, sizes):
+    """The batched mark sum draws its draws × per_mark proposals in calls of
+    at most one chunk, and recording the calls changes no value."""
+    from meandense import grains
+
+    chunk = 1000
+    monkeypatch.setattr(grains, "SAUSAGE_CHUNK", chunk)
+
+    class RecordingRng:
+        def __init__(self):
+            self.sizes = []
+            self._rng = derive_stream(6, 0)
+
+        def uniform(self, *args, **kwargs):
+            return self._rng.uniform(*args, **kwargs)
+
+        def random(self, size):
+            assert size[0] <= chunk and size[1] == 2
+            self.sizes.append(size)
+            return self._rng.random(size)
+
+    rng = RecordingRng()
+    args = (CONSTANT, UNIFORM_SEGMENTS, [0.3, 0.3], 0.1)
+    kwargs = dict(mc_points=draws * per_mark, mark_draws=draws)
+    result = capacity_probability(*args, **kwargs, rng=rng)
+    assert sum(n * d for n, d in rng.sizes) == draws * per_mark * 2
+    assert [n for n, _ in rng.sizes] == sizes
+    assert result == capacity_probability(*args, **kwargs, rng=derive_stream(6, 0))
+
+
 def test_capacity_probability_radius_validation():
     for r in (0.0, -0.1, 2.0, 2.5):
         with pytest.raises(ConfigurationError):

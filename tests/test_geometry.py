@@ -171,6 +171,21 @@ def test_vectorized_distances_match_scalar(segs, x):
         assert many[i] == pytest.approx(dist_point_segment(a[i], seg), abs=1e-9)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_points_segment_distances_batch_equals_single_calls(d):
+    """A batch mixing proper and zero-length segments gives each point set
+    exactly the distances of a call with that set and segment alone."""
+    rng = np.random.default_rng(d)
+    pts = rng.normal(size=(4, 50, d))
+    a = rng.normal(size=(4, d))
+    b = rng.normal(size=(4, d))
+    b[1] = a[1]
+    batch = points_segment_distances(pts, a, b)
+    for k in range(4):
+        assert np.array_equal(batch[k], points_segment_distances(pts[k], a[k], b[k]))
+    assert np.array_equal(batch[1], np.linalg.norm(pts[1] - a[1], axis=1))
+
+
 def test_clip_segment_box_hand_values():
     box = Box([0.0, 0.0], [1.0, 1.0])
     s = SegmentShape([-1.0, 0.5], [2.0, 0.5])

@@ -1,10 +1,11 @@
 """Grain shapes, mark laws and the regularity certificate."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -23,12 +24,16 @@ from meandense import (
     integrate_along,
     sample_mark,
 )
+from meandense import grains
+from meandense.geometry import Box, points_segment_distances
 from meandense.grains import (
+    ShiftedField,
     _ball_intersection_length,
-    grain_distances,
+    mark_segments,
     sample_marks,
+    sausage_integrals,
 )
-from meandense.poisson import CallableField
+from meandense.poisson import CallableField, IntensityField
 from meandense.streams import derive_stream
 
 
@@ -75,7 +80,9 @@ def test_polyline_grain():
 def test_grain_distances_matches_scalar(points):
     g = PolylineGrain([[0.0, 0.0], [1.0, 0.5], [0.5, 2.0]])
     pts = np.array(points)
-    batch = grain_distances(g, pts)
+    # one batched call: the points against every segment, then the nearest
+    a, b = g.segment_arrays()
+    batch = points_segment_distances(pts[None], a, b).min(axis=0)
     for i in range(pts.shape[0]):
         assert batch[i] == pytest.approx(grain_distance(g, pts[i]), abs=1e-9)
 
@@ -316,3 +323,94 @@ def test_certificate_check_sampled():
     # a gamma that is too large must be caught
     greedy = RegularityCertificate(gamma=3.0)
     assert not greedy.check_sampled(q, derive_stream(0, 1), trials=500)
+
+
+# ---------------------------------------------------------------------------
+# batched sausage kernel
+
+
+def _reference_distances(pts, a, b):
+    """Distances from points (m, d) to the one segment (a, b)."""
+    ab = b - a
+    denom = float(ab @ ab)
+    if denom == 0.0:
+        return np.linalg.norm(pts - a, axis=1)
+    t = np.clip((pts - a) @ ab / denom, 0.0, 1.0)
+    diff = pts - a - t[:, None] * ab
+    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+
+def _reference_sausage(g, h, r, mc_points, rng, chunk):
+    """The sausage integral of one grain object on its own: Box.sample at
+    most `chunk` points at a time, the nearest of its segments per point."""
+    a, b = g.segment_arrays()
+    corners = np.vstack([a, b]) if a.shape[0] else np.zeros((1, g.dim))
+    box = Box(corners.min(axis=0) - r, corners.max(axis=0) + r)
+    total = square = 0.0
+    for done in range(0, mc_points, chunk):
+        pts = box.sample(rng, min(chunk, mc_points - done))
+        if a.shape[0]:
+            dist = np.stack([_reference_distances(pts, ai, bi) for ai, bi in zip(a, b)])
+            dist = dist.min(axis=0)
+        else:
+            dist = np.linalg.norm(pts, axis=1)
+        vals = h.values(pts) * (dist <= r)
+        total += float(vals.sum())
+        square += float((vals * vals).sum())
+    mean = total / mc_points
+    var = max(square / mc_points - mean * mean, 0.0)
+    return box.volume * mean, box.volume * math.sqrt(var / mc_points)
+
+
+def _kernel_law(law, d, shape_rng):
+    vertices = np.vstack([np.zeros(d), shape_rng.uniform(-1.5, 1.5, size=(3, d))])
+    uniform = OrientationLaw("uniform", dim=d)
+    return {
+        "point": lambda: MarkDistribution("deterministic", grain=PointGrain(dim=d)),
+        "segment": lambda: MarkDistribution("deterministic", grain=SegmentGrain(vertices[1])),
+        "polyline": lambda: MarkDistribution("deterministic", grain=PolylineGrain(vertices)),
+        "zero_length": lambda: MarkDistribution(
+            "segment", length=LengthLaw("fixed", value=0.0), orientation=uniform),
+        "random": lambda: MarkDistribution(
+            "segment", length=LengthLaw("uniform", lo=0.2, hi=1.5), orientation=uniform),
+    }[law]()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    d=st.sampled_from([1, 2, 3]),
+    law=st.sampled_from(["point", "segment", "polyline", "zero_length", "random"]),
+    field=st.sampled_from(["constant", "quadratic", "affine"]),
+    mc_points=st.integers(1, 2500),
+    count=st.integers(1, 6),
+    r=st.floats(0.01, 1.9),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+@example(d=2, law="random", field="quadratic", mc_points=300, count=5, r=0.3, seed=1)
+@example(d=3, law="polyline", field="affine", mc_points=2300, count=2, r=0.5, seed=2)
+@example(d=1, law="zero_length", field="constant", mc_points=999, count=3, r=0.1, seed=3)
+@example(d=3, law="segment", field="affine", mc_points=1, count=2, r=1.0, seed=0)
+def test_sausage_kernel_equals_per_grain_reference(d, law, field, mc_points, count, r, seed):
+    """With a chunk of 1000 points, grains share a draw (mc_points <= 500)
+    or are split over several (mc_points > 1000); either way every
+    estimate and SE equals, to the bit, that of the grain on its own, and
+    the stream is left in the same state.  One point per grain is the case
+    where a field evaluated on the whole draw would differ in the last bit."""
+    shape_rng = np.random.default_rng(seed)
+    q = _kernel_law(law, d, shape_rng)
+    f = {
+        "constant": IntensityField("constant", c=1.3),
+        "quadratic": IntensityField("quadratic"),
+        "affine": IntensityField("affine", a=0.3, b=shape_rng.normal(size=d)),
+    }[field]
+    h = ShiftedField(f, shape_rng.uniform(-1.0, 1.0, size=d))
+    chunk = 1000
+    with mock.patch.object(grains, "SAUSAGE_CHUNK", chunk):
+        rng = np.random.default_rng(seed)
+        est, se = sausage_integrals(*mark_segments(q, count, rng), h, r, mc_points, rng)
+    ref_rng = np.random.default_rng(seed)
+    ref = [_reference_sausage(g, h, r, mc_points, ref_rng, chunk)
+           for g in sample_marks(q, count, ref_rng)]
+    assert est.tolist() == [e for e, _ in ref]
+    assert se.tolist() == [s for _, s in ref]
+    assert rng.random() == ref_rng.random()
