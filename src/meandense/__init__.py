@@ -31,7 +31,7 @@ from .exact import (
     deterministic_density,
     exact_density,
 )
-from .geometry import Ball, Box, SegmentShape, ball_volume, clip_segment_box, dist_point_segment
+from .geometry import Ball, Box, ball_volume
 from .grains import (
     LengthLaw,
     MarkDistribution,
@@ -40,18 +40,9 @@ from .grains import (
     PolylineGrain,
     RegularityCertificate,
     SegmentGrain,
-    grain_distance,
     hn_measure,
     integrate_along,
-    sample_mark,
 )
 from .minkowski import MinkowskiRun, bound_check, content_limit, sausage_integral
-from .poisson import (
-    CallableField,
-    IntensityField,
-    MarkedGermSample,
-    check_finiteness,
-    intensity_bound,
-    sample_germs,
-)
+from .poisson import IntensityField, MarkedGermSample, check_finiteness, sample_germs
 from .streams import derive_stream

@@ -5,15 +5,15 @@ window dilated by a guard margin of at least L_max + r_max, so all
 in-window queries with radius <= r_max are exact for the truncated mark
 law: edge effects are eliminated rather than corrected.
 
-Grains are held as arrays (`grain_arrays`): rows (a, b) with the grain
-each row belongs to, a point grain being one row with a = b.  One kernel,
+Grains are held as arrays only (`grain_arrays`): rows (a, b) with the
+grain each row belongs to, a point grain being one row with a = b; a
+hand-built realization stacks such arrays with `stack_grains`.  One kernel,
 `count_hits`, answers every hit and count query, for one realization, a
 stacked batch of realizations or a block of the replicate engine alike.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import ConfigurationError, QueryError
 from .geometry import Ball, Box, as_point, clipped_lengths, segment_distances
-from .grains import MarkDistribution, PointGrain, SegmentGrain
-from .poisson import MarkedGermSample, sample_germs
+from .grains import MarkDistribution, PointGrain
+from .poisson import sample_germs
 
 
 class GrainArrays(NamedTuple):
@@ -116,38 +116,18 @@ def check_query(window: Box, r_max: float, x: np.ndarray, r: float):
 
 @dataclass(eq=False)
 class BooleanRealization:
-    """One sample of the model: translated grains over a guarded window.
+    """One sample of the model: translated grains over a guarded window,
+    held as grain arrays (`grain_arrays`, `stack_grains`)."""
 
-    `grains` is the MarkedGermSample that `simulate` draws, or a list of
-    (germ, grain) pairs for a hand-built realization.
-    """
-
-    grains: object
+    arrays: GrainArrays
     observation_window: Box
     guard_margin: float
     r_max: float = 0.0
     hausdorff_dim: int | None = None  # n of the grain family; inferred if None
 
     def __post_init__(self):
-        d = self.observation_window.dim
-        if isinstance(self.grains, MarkedGermSample):
-            s = self.grains
-            self._placed = None
-            self.arrays = grain_arrays(s.points, s.marks.grain if s.vectors is None else s.vectors)
-        else:
-            self._placed = list(self.grains)
-            parts = [
-                grain_arrays(as_point(germ, dim=d)[None, :], grain) for germ, grain in self._placed
-            ]
-            empty = np.zeros((0, d))
-            self.arrays = stack_grains(parts or [grain_arrays(empty, empty)])[0]
-
-    @property
-    def placed_grains(self) -> list:
-        """(germ, grain) pairs, built on first read."""
-        if self._placed is None:
-            self._placed = self.grains.germs
-        return self._placed
+        if self.arrays.a.shape[1] != self.dim:
+            raise ConfigurationError("dimension mismatch between grains and window")
 
     @property
     def dim(self) -> int:
@@ -191,26 +171,6 @@ class BooleanRealization:
         inside = np.all((pts >= region.lo) & (pts < region.hi), axis=1)
         return float(clipped_lengths(a[~point], b[~point], region).sum()) + float(inside.sum())
 
-    def to_csv(self) -> str:
-        """One row per grain: germ coordinates, grain kind and parameters."""
-        buf = io.StringIO()
-        d = self.dim
-        germ_cols = ",".join(f"germ_{k}" for k in range(d))
-        buf.write(f"{germ_cols},kind,params\n")
-        for germ, grain in self.placed_grains:
-            coords = ",".join(repr(float(c)) for c in germ)
-            if isinstance(grain, PointGrain):
-                buf.write(f"{coords},point,\n")
-            elif isinstance(grain, SegmentGrain):
-                params = ";".join(repr(float(c)) for c in grain.vec)
-                buf.write(f"{coords},segment,{params}\n")
-            else:
-                params = ";".join(
-                    " ".join(repr(float(c)) for c in v) for v in grain.vertices
-                )
-                buf.write(f"{coords},polyline,{params}\n")
-        return buf.getvalue()
-
 
 def checked_guard_margin(
     q: MarkDistribution, r_max: float, guard_margin: float | None = None
@@ -240,5 +200,6 @@ def simulate(
 ) -> BooleanRealization:
     """Sample one realization covering the window plus guard zone."""
     margin = checked_guard_margin(q, r_max, guard_margin)
-    sample = sample_germs(f, q, window.dilate(margin), rng)
-    return BooleanRealization(sample, window, margin, r_max, hausdorff_dim=q.n)
+    s = sample_germs(f, q, window.dilate(margin), rng)
+    arrays = grain_arrays(s.points, q.grain if s.vectors is None else s.vectors)
+    return BooleanRealization(arrays, window, margin, r_max, hausdorff_dim=q.n)

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .boolean import simulate
+from .boolean import checked_guard_margin
 from .config import ScenarioConfig, parse_config
 from .errors import ConfigurationError, NumericError, QueryError
 from .estimate import accumulate_hits, convergence_study, _report_from_hits
@@ -29,6 +29,7 @@ from .exact import capacity_probability, density_grid
 from .grains import RegularityCertificate
 from .minkowski import bound_check, content_limit, limit_diagnostics
 from .parallel import default_threads, parallel_map
+from .poisson import sample_germs
 from .streams import derive_stream
 
 SUBCOMMANDS = ("exact", "estimate", "study", "minkowski", "simulate", "oracle")
@@ -133,8 +134,10 @@ def run_minkowski(cfg: ScenarioConfig, seed: int, threads: int, out_dir: Path):
 
 def run_simulate(cfg: ScenarioConfig, seed: int, threads: int, out_dir: Path):
     r_max = cfg.r_max if cfg.r_max is not None else (cfg.fixed_r or 0.0)
-    real = simulate(cfg.intensity, cfg.marks, cfg.window, r_max, derive_stream(seed, 0))
-    _write(out_dir, "realization.csv", real.to_csv())
+    # the germs and marks that simulate() draws, written from their arrays
+    box = cfg.window.dilate(checked_guard_margin(cfg.marks, r_max))
+    sample = sample_germs(cfg.intensity, cfg.marks, box, derive_stream(seed, 0))
+    _write(out_dir, "realization.csv", sample.to_csv())
 
 
 def _oracle_task(args):
@@ -202,6 +205,8 @@ def main(argv=None) -> int:
         return 1
     try:
         cfg = parse_config(text)
+        if args.seed is not None and not 0 <= args.seed < 2 ** 64:
+            raise ConfigurationError(f"--seed must lie in [0, 2^64), got {args.seed}")
         seed = args.seed if args.seed is not None else cfg.seed
         if args.threads is not None and args.threads < 1:
             raise ConfigurationError(f"--threads must be a positive integer, got {args.threads}")

@@ -96,26 +96,20 @@ class ScenarioConfig:
         raise ConfigurationError("config needs either r or bandwidth.{c0,beta} with N")
 
 
-def _parse_value(text: str):
-    text = text.strip()
+def _integer(text: str) -> int:
+    """An integer, also in float notation (1e6), but never a truncation."""
     try:
         return int(text)
     except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    return text
+        value = float(text)
+        if not value.is_integer():
+            raise
+        return int(value)
 
 
-def _parse_list(text: str) -> list:
-    return [_parse_value(t) for t in text.split(",") if t.strip()]
-
-
-def _parse_points(text: str) -> np.ndarray:
-    rows = [t for t in text.split(";") if t.strip()]
-    return np.array([[float(v) for v in row.split(",")] for row in rows])
+def _floats(text: str) -> list[float]:
+    """One point: comma-separated coordinates."""
+    return [float(v) for v in text.split(",")]
 
 
 def _tokenize(text: str) -> tuple[dict[str, str], list[str]]:
@@ -153,20 +147,24 @@ def parse_config(text: str) -> ScenarioConfig:
             continue
         errors.append(f"unknown key {key!r}")
 
-    def get(key, default=None, cast=None):
+    def get(key, default=None, cast=float, sep=None):
+        """Every numeric value goes through here: the value of `key` read
+        with `cast`, or a list of such values split at `sep`; `default` if
+        the key is absent or the value does not parse, which is a violation
+        naming the key."""
         if key not in pairs:
             return default
-        val = _parse_value(pairs[key])
-        if cast is not None:
-            try:
-                return cast(val)
-            except (TypeError, ValueError):
-                errors.append(f"{key}: cannot interpret {pairs[key]!r}")
-                return default
-        return val
+        text = pairs[key]
+        try:
+            if sep is None:
+                return cast(text)
+            return [cast(t) for t in text.split(sep) if t.strip()]
+        except ValueError:
+            errors.append(f"{key}: cannot interpret {text!r}")
+            return default
 
-    d = get("d", cast=int)
-    n = get("n", cast=int)
+    d = get("d", cast=_integer)
+    n = get("n", cast=_integer)
     if d is None or d not in (1, 2, 3):
         errors.append("d: required, must be in {1, 2, 3}")
         d = 2
@@ -175,32 +173,30 @@ def parse_config(text: str) -> ScenarioConfig:
                       "the n = d case is out of estimator scope")
         n = max(0, d - 1)
 
-    intensity = _build_intensity(pairs, d, errors)
-    marks = _build_marks(pairs, d, errors)
+    intensity = _build_intensity(pairs, get, d, errors)
+    marks = _build_marks(pairs, get, d, errors)
 
     if marks is not None and marks.n != n:
         errors.append(f"marks: grain family has Hausdorff dimension {marks.n}, config says n = {n}")
 
-    window = _build_box(pairs, "window", d, errors, required=True)
-    region = _build_box(pairs, "region", d, errors, required=False)
+    window = _build_box(pairs, get, "window", d, errors, required=True)
+    region = _build_box(pairs, get, "region", d, errors, required=False)
 
-    seed = get("seed", 0, cast=int)
-    if seed is not None and seed < 0:
+    seed = get("seed", 0, cast=_integer)
+    if not 0 <= seed < 2 ** 64:
         errors.append("seed: must be a nonnegative 64-bit integer")
 
-    n_samples = get("N", cast=int)
+    n_samples = get("N", cast=_integer)
     if n_samples is not None and n_samples <= 0:
         errors.append("N: must be positive")
-    n_grid = None
-    if "N_grid" in pairs:
-        n_grid = [int(v) for v in _parse_list(pairs["N_grid"])]
-        if any(v <= 0 for v in n_grid) or sorted(n_grid) != n_grid:
-            errors.append("N_grid: must be increasing positive integers")
+    n_grid = get("N_grid", cast=_integer, sep=",")
+    if n_grid is not None and (any(v <= 0 for v in n_grid) or sorted(n_grid) != n_grid):
+        errors.append("N_grid: must be increasing positive integers")
 
     bandwidth = None
     if "bandwidth.c0" in pairs or "bandwidth.beta" in pairs:
-        c0 = get("bandwidth.c0", 1.0, cast=float)
-        beta = get("bandwidth.beta", cast=float)
+        c0 = get("bandwidth.c0", 1.0)
+        beta = get("bandwidth.beta")
         if beta is None:
             errors.append("bandwidth.beta: required when a schedule is given")
         else:
@@ -209,27 +205,25 @@ def parse_config(text: str) -> ScenarioConfig:
             except ConfigurationError as exc:
                 errors.append(f"bandwidth.beta: {exc}")
 
-    fixed_r = get("r", cast=float)
+    fixed_r = get("r")
     if fixed_r is not None and not (0.0 < fixed_r < 2.0):
         errors.append("r: must lie in (0, 2)")
-    r_grid = None
-    if "r_grid" in pairs:
-        r_grid = [float(v) for v in _parse_list(pairs["r_grid"])]
-        if any(not (0.0 < v < 2.0) for v in r_grid):
-            errors.append("r_grid: all radii must lie in (0, 2)")
-    r_max = get("r_max", cast=float)
+    r_grid = get("r_grid", sep=",")
+    if r_grid is not None and any(not (0.0 < v < 2.0) for v in r_grid):
+        errors.append("r_grid: all radii must lie in (0, 2)")
+    r_max = get("r_max")
     if r_max is not None and not (0.0 <= r_max < 2.0):
         errors.append("r_max: must lie in [0, 2)")
 
-    x_grid = _build_x_grid(pairs, d, errors)
+    x_grid = _build_x_grid(pairs, get, d, errors)
 
-    replications = get("replications", 3, cast=int)
+    replications = get("replications", 3, cast=_integer)
     if replications is not None and replications < 1:
         errors.append("replications: must be positive")
-    mc_points = get("mc_points", 1_000_000, cast=int)
+    mc_points = get("mc_points", 1_000_000, cast=_integer)
     if mc_points is not None and mc_points < 2:
         errors.append("mc_points: must be at least 2")
-    mark_draws = get("mark_draws", 2000, cast=int)
+    mark_draws = get("mark_draws", 2000, cast=_integer)
     if mark_draws is not None and mark_draws < 2:
         errors.append("mark_draws: must be at least 2")
     output = pairs.get("output", "out")
@@ -256,30 +250,29 @@ def parse_config(text: str) -> ScenarioConfig:
     )
 
 
-def _build_intensity(pairs, d, errors) -> IntensityField | None:
+def _build_intensity(pairs, get, d, errors) -> IntensityField | None:
     kind = pairs.get("intensity.kind")
     if kind is None:
         errors.append("intensity.kind: required")
         return None
     try:
         if kind == "constant":
-            return IntensityField("constant", c=float(_parse_value(pairs.get("intensity.c", "0"))))
+            return IntensityField("constant", c=get("intensity.c", 0.0))
         if kind == "quadratic":
             return IntensityField("quadratic")
         if kind == "affine":
-            a = float(_parse_value(pairs.get("intensity.a", "0")))
-            b = _parse_list(pairs.get("intensity.b", ""))
+            a = get("intensity.a", 0.0)
+            b = get("intensity.b", [], sep=",")
             if len(b) != d:
                 errors.append(f"intensity.b: needs {d} components")
                 return None
             return IntensityField("affine", a=a, b=np.array(b, dtype=float))
         if kind == "piecewise":
-            count = int(_parse_value(pairs.get("intensity.pieces", "0")))
             pieces = []
-            for k in range(1, count + 1):
-                lo = _parse_list(pairs.get(f"{_PIECE_PREFIX}{k}.lo", ""))
-                hi = _parse_list(pairs.get(f"{_PIECE_PREFIX}{k}.hi", ""))
-                val = float(_parse_value(pairs.get(f"{_PIECE_PREFIX}{k}.value", "0")))
+            for k in range(1, get("intensity.pieces", 0, cast=_integer) + 1):
+                lo = get(f"{_PIECE_PREFIX}{k}.lo", [], sep=",")
+                hi = get(f"{_PIECE_PREFIX}{k}.hi", [], sep=",")
+                val = get(f"{_PIECE_PREFIX}{k}.value", 0.0)
                 if len(lo) != d or len(hi) != d:
                     errors.append(f"intensity.piece{k}: lo/hi need {d} components")
                     return None
@@ -291,17 +284,17 @@ def _build_intensity(pairs, d, errors) -> IntensityField | None:
     return None
 
 
-def _build_marks(pairs, d, errors) -> MarkDistribution | None:
+def _build_marks(pairs, get, d, errors) -> MarkDistribution | None:
     kind = pairs.get("marks.kind")
     if kind is None:
         errors.append("marks.kind: required")
         return None
     try:
         if kind == "deterministic":
-            return MarkDistribution("deterministic", grain=_build_grain(pairs, d, errors))
+            return MarkDistribution("deterministic", grain=_build_grain(pairs, get, d, errors))
         if kind == "segment_law":
-            length = _build_length(pairs, errors)
-            orientation = _build_orientation(pairs, d, errors)
+            length = _build_length(pairs, get, errors)
+            orientation = _build_orientation(pairs, get, d, errors)
             if length is None or orientation is None:
                 return None
             return MarkDistribution("segment", length=length, orientation=orientation)
@@ -311,48 +304,41 @@ def _build_marks(pairs, d, errors) -> MarkDistribution | None:
     return None
 
 
-def _build_grain(pairs, d, errors):
+def _build_grain(pairs, get, d, errors):
     gkind = pairs.get("marks.grain.kind")
     if gkind == "point":
         return PointGrain(dim=d)
     if gkind == "segment":
-        length = float(_parse_value(pairs.get("marks.grain.length", "1")))
+        length = get("marks.grain.length", 1.0)
         if d == 2:
-            return SegmentGrain.from_angle(length, float(_parse_value(pairs.get("marks.grain.angle", "0"))))
+            return SegmentGrain.from_angle(length, get("marks.grain.angle", 0.0))
         law = OrientationLaw(
             "fixed", dim=d,
-            angle=float(_parse_value(pairs.get("marks.grain.angle", "0"))),
-            polar=float(_parse_value(pairs.get("marks.grain.polar", "0"))),
-            azimuth=float(_parse_value(pairs.get("marks.grain.azimuth", "0"))),
+            angle=get("marks.grain.angle", 0.0),
+            polar=get("marks.grain.polar", 0.0),
+            azimuth=get("marks.grain.azimuth", 0.0),
         )
         return SegmentGrain(length * law.fixed_direction())
     if gkind == "polyline":
-        pts = _parse_points(pairs.get("marks.grain.vertices", ""))
-        if pts.size == 0 or pts.shape[1] != d:
+        pts = get("marks.grain.vertices", [], cast=_floats, sep=";")
+        if not pts or any(len(p) != d for p in pts):
             errors.append(f"marks.grain.vertices: needs {d}-d points separated by ';'")
             return PointGrain(dim=d)
-        return PolylineGrain(pts)
+        return PolylineGrain(np.array(pts))
     errors.append("marks.grain.kind: required for deterministic marks (point|segment|polyline)")
     return PointGrain(dim=d)
 
 
-def _build_length(pairs, errors) -> LengthLaw | None:
+def _build_length(pairs, get, errors) -> LengthLaw | None:
     kind = pairs.get("marks.length.kind")
     try:
         if kind == "fixed":
-            return LengthLaw("fixed", value=float(_parse_value(pairs.get("marks.length.value", "1"))))
+            return LengthLaw("fixed", value=get("marks.length.value", 1.0))
         if kind == "uniform":
-            return LengthLaw(
-                "uniform",
-                lo=float(_parse_value(pairs.get("marks.length.lo", "0"))),
-                hi=float(_parse_value(pairs.get("marks.length.hi", "1"))),
-            )
+            return LengthLaw("uniform", lo=get("marks.length.lo", 0.0), hi=get("marks.length.hi", 1.0))
         if kind == "trunc_exp":
-            cap = pairs.get("marks.length.cap")
             return LengthLaw(
-                "trunc_exp",
-                rate=float(_parse_value(pairs.get("marks.length.rate", "1"))),
-                cap=float(_parse_value(cap)) if cap is not None else None,
+                "trunc_exp", rate=get("marks.length.rate", 1.0), cap=get("marks.length.cap")
             )
         errors.append("marks.length.kind: required (fixed|uniform|trunc_exp)")
     except ConfigurationError as exc:
@@ -360,15 +346,15 @@ def _build_length(pairs, errors) -> LengthLaw | None:
     return None
 
 
-def _build_orientation(pairs, d, errors) -> OrientationLaw | None:
+def _build_orientation(pairs, get, d, errors) -> OrientationLaw | None:
     kind = pairs.get("marks.orientation.kind")
     try:
         if kind in ("fixed", "uniform"):
             return OrientationLaw(
                 kind, dim=d,
-                angle=float(_parse_value(pairs.get("marks.orientation.angle", "0"))),
-                polar=float(_parse_value(pairs.get("marks.orientation.polar", "0"))),
-                azimuth=float(_parse_value(pairs.get("marks.orientation.azimuth", "0"))),
+                angle=get("marks.orientation.angle", 0.0),
+                polar=get("marks.orientation.polar", 0.0),
+                azimuth=get("marks.orientation.azimuth", 0.0),
             )
         errors.append("marks.orientation.kind: required (fixed|uniform)")
     except ConfigurationError as exc:
@@ -376,14 +362,14 @@ def _build_orientation(pairs, d, errors) -> OrientationLaw | None:
     return None
 
 
-def _build_box(pairs, prefix, d, errors, required) -> Box | None:
+def _build_box(pairs, get, prefix, d, errors, required) -> Box | None:
     lo_key, hi_key = f"{prefix}.lo", f"{prefix}.hi"
     if lo_key not in pairs and hi_key not in pairs:
         if required:
             errors.append(f"{prefix}.lo / {prefix}.hi: required")
         return None
-    lo = _parse_list(pairs.get(lo_key, ""))
-    hi = _parse_list(pairs.get(hi_key, ""))
+    lo = get(lo_key, [], sep=",")
+    hi = get(hi_key, [], sep=",")
     if len(lo) != d or len(hi) != d:
         errors.append(f"{prefix}: lo and hi need {d} components each")
         return None
@@ -394,24 +380,20 @@ def _build_box(pairs, prefix, d, errors, required) -> Box | None:
         return None
 
 
-def _build_x_grid(pairs, d, errors) -> np.ndarray | None:
+def _build_x_grid(pairs, get, d, errors) -> np.ndarray | None:
     kind = pairs.get("x_grid.kind")
     if kind is None:
         return None
     if kind == "list":
-        try:
-            pts = _parse_points(pairs.get("x_grid.points", ""))
-        except ValueError:
-            errors.append("x_grid.points: malformed point list")
-            return None
-        if pts.size == 0 or pts.shape[1] != d:
+        pts = get("x_grid.points", [], cast=_floats, sep=";")
+        if not pts or any(len(p) != d for p in pts):
             errors.append(f"x_grid.points: needs {d}-d points separated by ';'")
             return None
-        return pts
+        return np.array(pts)
     if kind == "lattice":
-        lo = _parse_list(pairs.get("x_grid.lo", ""))
-        hi = _parse_list(pairs.get("x_grid.hi", ""))
-        shape = [int(v) for v in _parse_list(pairs.get("x_grid.shape", ""))]
+        lo = get("x_grid.lo", [], sep=",")
+        hi = get("x_grid.hi", [], sep=",")
+        shape = get("x_grid.shape", [], cast=_integer, sep=",")
         if len(lo) != d or len(hi) != d or len(shape) != d:
             errors.append(f"x_grid: lo, hi and shape need {d} components each")
             return None

@@ -27,7 +27,7 @@ from .grains import (
     ShiftedField,
     integrate_along,
     mark_segments,
-    sample_mark,
+    sample_marks,
     sample_mark_vectors,
     sausage_integral,
     sausage_integrals,
@@ -79,7 +79,8 @@ def exact_density(
     """
     x = as_point(x, dim=q.dim)
     if q.is_deterministic:
-        g = q.grain if q.kind == "deterministic" else sample_mark(q, np.random.default_rng(0))
+        # a deterministic or fixed segment law: its one grain, no draw
+        g = sample_marks(q, 1, np.random.default_rng(0))[0]
         return deterministic_density(f, g, x), 0.0
     if rng is None:
         raise ConfigurationError("random mark law needs a random stream")
@@ -142,7 +143,7 @@ def capacity_probability(
         rng = np.random.default_rng(0)
     x = as_point(x, dim=q.dim)
     if q.is_deterministic:
-        g = q.grain if q.kind == "deterministic" else sample_mark(q, np.random.default_rng(0))
+        g = sample_marks(q, 1, np.random.default_rng(0))[0]
         lam, lam_se = sausage_intensity_integral(f, g, x, r, mc_points, rng)
     else:
         draws = max(2, mark_draws)

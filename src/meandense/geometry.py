@@ -9,7 +9,7 @@ pure function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,34 +108,6 @@ class Ball:
         return Box(self.center - self.radius, self.center + self.radius)
 
 
-@dataclass(frozen=True, eq=False)
-class SegmentShape:
-    """Closed segment with endpoints a, b (a == b is a degenerate segment)."""
-
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", as_point(self.a))
-        object.__setattr__(self, "b", as_point(self.b, dim=self.a.shape[0]))
-
-    @property
-    def dim(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def length(self) -> float:
-        return float(np.linalg.norm(self.b - self.a))
-
-
-def dist_point_segment(x, s: SegmentShape) -> float:
-    """Euclidean distance from x to the closed segment s."""
-    x = as_point(x)
-    if x.shape[0] != s.dim:
-        raise ConfigurationError(f"dimension mismatch: point is {x.shape[0]}-d, segment is {s.dim}-d")
-    return float(segment_distances(x, s.a[None, :], s.b[None, :])[0])
-
-
 def segment_distances(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Distances from point x (shape (d,)) to m segments given by endpoint
     arrays a, b of shape (m, d)."""
@@ -180,60 +152,23 @@ def points_segment_distances(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> n
     return dist
 
 
-def clip_segment_box(s: SegmentShape, box: Box) -> SegmentShape | None:
-    """Sub-segment s ∩ box (possibly degenerate), or None if empty."""
-    if s.dim != box.dim:
-        raise ConfigurationError("dimension mismatch between segment and box")
-    t0, t1 = _clip_params(s.a, s.b, box)
-    if t0 is None:
-        return None
-    d = s.b - s.a
-    return SegmentShape(s.a + t0 * d, s.a + t1 * d)
-
-
-def _clip_params(a: np.ndarray, b: np.ndarray, box: Box):
-    """Liang-Barsky parameter interval [t0, t1] of the segment inside box."""
-    d = b - a
-    t0, t1 = 0.0, 1.0
-    for k in range(box.dim):
-        if d[k] == 0.0:
-            if a[k] < box.lo[k] or a[k] > box.hi[k]:
-                return None, None
-            continue
-        # a subnormal d[k] overflows to ±inf, which the max/min below handle
-        with np.errstate(over="ignore"):
-            ta = (box.lo[k] - a[k]) / d[k]
-            tb = (box.hi[k] - a[k]) / d[k]
-        if ta > tb:
-            ta, tb = tb, ta
-        t0 = max(t0, ta)
-        t1 = min(t1, tb)
-        if t0 > t1:
-            return None, None
-    return t0, t1
-
-
 def clipped_lengths(a: np.ndarray, b: np.ndarray, box: Box) -> np.ndarray:
     """Lengths of the clipped sub-segments of m segments (a, b) inside box;
-    vectorized Liang-Barsky."""
+    vectorized Liang-Barsky over all axes at once."""
     a = np.atleast_2d(a)
     b = np.atleast_2d(b)
     d = b - a
-    m = a.shape[0]
-    t0 = np.zeros(m)
-    t1 = np.ones(m)
-    inside = np.ones(m, dtype=bool)
-    for k in range(box.dim):
-        dk = d[:, k]
-        par = dk == 0.0
-        inside &= ~par | ((a[:, k] >= box.lo[k]) & (a[:, k] <= box.hi[k]))
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ta = (box.lo[k] - a[:, k]) / dk
-            tb = (box.hi[k] - a[:, k]) / dk
-        lo_t = np.minimum(ta, tb)
-        hi_t = np.maximum(ta, tb)
-        t0 = np.where(par, t0, np.maximum(t0, lo_t))
-        t1 = np.where(par, t1, np.minimum(t1, hi_t))
+    par = d == 0.0
+    # slab parameters of every axis at once; a parallel axis divides by
+    # zero and is masked, a subnormal one overflows to ±inf, which max/min
+    # handle
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ta = (box.lo - a) / d
+        tb = (box.hi - a) / d
+    t0 = np.where(par, 0.0, np.minimum(ta, tb)).max(axis=1, initial=0.0)
+    t1 = np.where(par, 1.0, np.maximum(ta, tb)).min(axis=1, initial=1.0)
+    # a segment parallel to an axis lies in that slab or misses the box
+    inside = np.all(~par | ((a >= box.lo) & (a <= box.hi)), axis=1)
     span = np.clip(t1 - t0, 0.0, None)
     span = np.where(inside & (t1 >= t0), span, 0.0)
     return span * np.linalg.norm(d, axis=1)

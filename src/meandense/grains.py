@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NumericError
-from .geometry import as_point, points_segment_distances, segment_distances
+from .geometry import as_point, points_segment_distances
 
 DEFAULT_QUADRATURE_ORDER = 8
 
@@ -136,33 +136,15 @@ def hn_measure(g: Grain) -> float:
     return float(np.linalg.norm(b - a, axis=1).sum())
 
 
-def grain_distance(g: Grain, x) -> float:
-    """Euclidean distance from x to the grain (anchored at the origin)."""
-    x = as_point(x, dim=g.dim)
-    if isinstance(g, PointGrain):
-        return float(np.linalg.norm(x))
-    a, b = g.segment_arrays()
-    return float(segment_distances(x, a, b).min())
-
-
-def _eval_field(h, pts: np.ndarray) -> np.ndarray:
-    """Evaluate a scalar field at pts of shape (m, d); accepts either an
-    object with a vectorized .values method or a plain callable."""
-    if hasattr(h, "values"):
-        vals = np.asarray(h.values(pts), dtype=float)
-    else:
-        vals = np.array([float(h(p)) for p in pts])
-    return vals
-
-
 def integrate_along(g: Grain, h, order: int = DEFAULT_QUADRATURE_ORDER) -> float:
-    """Line integral of h over the grain with respect to H^n.
+    """Line integral of the field h (its `values`) over the grain with
+    respect to H^n.
 
     Fixed-order Gauss-Legendre per segment (exact for polynomials of degree
     <= 2*order - 1); for a point grain this is h(0).
     """
     if isinstance(g, PointGrain):
-        val = float(_eval_field(h, np.zeros((1, g.dim)))[0])
+        val = float(h.values(np.zeros((1, g.dim)))[0])
         if not math.isfinite(val):
             raise NumericError("non-finite field value", point=np.zeros(g.dim))
         return val
@@ -175,7 +157,7 @@ def integrate_along(g: Grain, h, order: int = DEFAULT_QUADRATURE_ORDER) -> float
     t = (nodes + 1.0) / 2.0
     pts = a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]
     flat = pts.reshape(-1, g.dim)
-    vals = _eval_field(h, flat)
+    vals = h.values(flat)
     if not np.all(np.isfinite(vals)):
         bad = flat[~np.isfinite(vals)][0]
         raise NumericError("non-finite field value", point=bad)
@@ -454,11 +436,6 @@ class MarkDistribution:
         return self.length.moment(k)
 
 
-def sample_mark(q: MarkDistribution, rng: np.random.Generator) -> Grain:
-    """One grain distributed per Q; deterministic given the stream state."""
-    return sample_marks(q, 1, rng)[0]
-
-
 def sample_marks(q: MarkDistribution, count: int, rng: np.random.Generator) -> list[Grain]:
     """Bulk sampler; a single pair of vectorized draws for segment laws."""
     if q.kind == "deterministic":
@@ -526,7 +503,7 @@ class RegularityCertificate:
         x in grain, r in (0,1)), H^n(Z~_0 ∩ B_r(x)) >= gamma r^n exactly
         (ball/segment intersection lengths are computed in closed form)."""
         for _ in range(trials):
-            g = sample_mark(q, rng)
+            g = sample_marks(q, 1, rng)[0]
             if isinstance(g, PointGrain):
                 continue  # trivially satisfied
             x = _random_point_on(g, rng)

@@ -29,21 +29,11 @@ class MinkowskiRun:
     """Inputs and results of one convergence run."""
 
     shape: Grain
-    f: object
     r_grid: np.ndarray           # decreasing radii in (0, 2)
-    mc_points: int
     ratios: np.ndarray           # estimated ratio per radius
     ratio_ses: np.ndarray
     target: float                # ∫_S f dH^n by quadrature
     limit_estimate: float        # linear extrapolation to r = 0
-
-    @property
-    def dim(self) -> int:
-        return self.shape.dim
-
-    @property
-    def codim(self) -> int:
-        return self.dim - self.shape.n
 
     def to_csv(self, bound: float | None = None) -> str:
         buf = io.StringIO()
@@ -94,9 +84,7 @@ def content_limit(
     target = integrate_along(shape, f)
     return MinkowskiRun(
         shape=shape,
-        f=f,
         r_grid=r_grid,
-        mc_points=mc_points,
         ratios=ratios,
         ratio_ses=ses,
         target=target,

@@ -2,11 +2,14 @@
 
 The intensity measure factorizes as f(y) dy ⊗ Q(ds): germ locations follow
 an inhomogeneous Poisson process with density f and every germ carries an
-independent mark.  Thinning (acceptance-rejection against the box
-supremum of f) is exact for any bounded f; the Poisson count itself comes
-from numpy's PCG64 generator, whose count sampler (inversion for small
-means, transformed rejection above) is fixed and reproducible for a given
-seed.
+independent mark.  A field is anything with `values(pts)`, its values at
+the rows of an (m, d) array, and `sup(box)`, an upper bound on a box;
+`IntensityField` is the one implementation.  Thinning (acceptance-rejection
+against the box bound) is exact for any bounded f; the Poisson count
+itself comes from numpy's PCG64 generator, whose count sampler (inversion
+for small means, transformed rejection above) is fixed and reproducible
+for a given seed.  A sample stays arrays: germ points and, for a segment
+law, segment vectors.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ import numpy as np
 from .errors import ConfigurationError
 from .geometry import Box, as_point
 from .grains import (
-    Grain,
     MarkDistribution,
+    PointGrain,
     SegmentGrain,
     ShiftedField,
     mark_segments,
@@ -77,54 +80,25 @@ class IntensityField:
             out = np.where(box.contains(pts), val, out)
         return out
 
-    def __call__(self, pt) -> float:
-        return float(self.values(np.atleast_2d(as_point(pt)))[0])
+    def sup(self, box: Box) -> float:
+        """Upper bound of f on the box, used for thinning: exact, attained
+        at a corner for the polynomial kinds, and the largest value of a
+        piece meeting the box (or 0) for piecewise."""
+        if self.kind == "constant":
+            return float(self.c)
+        if self.kind in ("quadratic", "affine"):
+            return float(self.values(box.corners()).max())
+        vals = [0.0]
+        for piece_box, val in self.pieces:
+            if np.all(piece_box.hi >= box.lo) and np.all(piece_box.lo <= box.hi):
+                vals.append(val)
+        return float(max(vals))
 
     @property
     def discontinuity_description(self) -> str:
         if self.kind == "piecewise":
             return "faces of the piece boxes (H^n-negligible for n < d)"
         return "empty"
-
-
-@dataclass(frozen=True, eq=False)
-class CallableField:
-    """Adapter exposing an arbitrary callable as a field; used by tests and
-    oracles.  A bound callable may be supplied for thinning."""
-
-    fn: object
-    bound_fn: object | None = None
-    kind: str = "callable"
-
-    def values(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        out = np.asarray(self.fn(pts), dtype=float)
-        if out.shape != (pts.shape[0],):
-            out = np.array([float(self.fn(p)) for p in pts])
-        return out
-
-    def __call__(self, pt) -> float:
-        return float(self.values(np.atleast_2d(as_point(pt)))[0])
-
-
-def intensity_bound(f, box: Box) -> float:
-    """Finite upper bound for sup of f over the box; exact (attained at a
-    corner) for the built-in families."""
-    if isinstance(f, CallableField):
-        if f.bound_fn is None:
-            raise ConfigurationError("callable field needs an explicit bound for thinning")
-        return float(f.bound_fn(box))
-    if f.kind == "constant":
-        return float(f.c)
-    if f.kind == "quadratic":
-        return float(f.values(box.corners()).max())
-    if f.kind == "affine":
-        return float(f.values(box.corners()).max())
-    vals = [0.0]
-    for piece_box, val in f.pieces:
-        if np.all(piece_box.hi >= box.lo) and np.all(piece_box.lo <= box.hi):
-            vals.append(val)
-    return float(max(vals))
 
 
 # cap on the expected germ count of one realization: a draw allocates a few
@@ -138,7 +112,7 @@ def expected_germs(f, box: Box) -> tuple[float, float]:
     Checked before anything is drawn: the bound must be finite and the
     expected count, sup f times the box volume, at most MAX_EXPECTED_GERMS.
     """
-    m_bound = intensity_bound(f, box)
+    m_bound = f.sup(box)
     if not np.isfinite(m_bound):
         raise ConfigurationError("intensity bound is not finite on the sampling box")
     mean = m_bound * box.volume
@@ -152,8 +126,9 @@ def expected_germs(f, box: Box) -> tuple[float, float]:
 
 @dataclass(frozen=True, eq=False)
 class MarkedGermSample:
-    """Accepted germ locations with their marks, held as arrays; per-grain
-    objects are built only when `grains` is read."""
+    """Accepted germ locations with their marks, held as arrays: the
+    segment vectors of a segment law, or None when every germ carries the
+    deterministic law's one grain."""
 
     points: np.ndarray          # (m, d) germ locations
     marks: MarkDistribution
@@ -162,18 +137,31 @@ class MarkedGermSample:
     proposed: int = 0           # number of Poisson proposals before thinning
     vectors: np.ndarray | None = None  # (m, d) segment vectors; None for a deterministic law
 
-    @property
-    def grains(self) -> list[Grain]:
-        if self.vectors is None:
-            return [self.marks.grain] * len(self)
-        return [SegmentGrain(v) for v in self.vectors]
-
-    @property
-    def germs(self) -> list[tuple[np.ndarray, Grain]]:
-        return list(zip(self.points, self.grains))
-
     def __len__(self) -> int:
         return self.points.shape[0]
+
+    def to_csv(self) -> str:
+        """realization.csv: one row per germ with its coordinates, the kind
+        of its grain and the grain's parameters, written from the arrays."""
+        header = ",".join(f"germ_{k}" for k in range(self.points.shape[1]))
+        if self.vectors is not None:
+            kind = "segment"
+            params = [";".join(repr(float(c)) for c in v) for v in self.vectors]
+        else:
+            g = self.marks.grain
+            if isinstance(g, PointGrain):
+                kind, one = "point", ""
+            elif isinstance(g, SegmentGrain):
+                kind, one = "segment", ";".join(repr(float(c)) for c in g.vec)
+            else:
+                kind = "polyline"
+                one = ";".join(" ".join(repr(float(c)) for c in v) for v in g.vertices)
+            params = [one] * len(self)
+        rows = [
+            ",".join(repr(float(c)) for c in p) + f",{kind},{ps}\n"
+            for p, ps in zip(self.points, params)
+        ]
+        return f"{header},kind,params\n" + "".join(rows)
 
 
 def sample_germs(

@@ -34,6 +34,7 @@ from meandense import (
     histogram_reduction,
     simulate,
 )
+from meandense.boolean import grain_arrays
 from meandense.cli import main
 from meandense.config import lattice_points
 from meandense.estimate import _report_from_hits, accumulate_hits
@@ -236,7 +237,7 @@ def test_criterion_08_histogram_equivalence():
     samples = rng.random(200)
     window = Box([-1.0], [2.0])
     embedded = [
-        BooleanRealization([(np.array([s]), PointGrain(dim=1))], window,
+        BooleanRealization(grain_arrays(np.array([[s]]), PointGrain(dim=1)), window,
                            guard_margin=1.0, r_max=0.5, hausdorff_dim=0)
         for s in samples
     ]

@@ -18,10 +18,11 @@ from meandense import (
     PolylineGrain,
     QueryError,
     SegmentGrain,
-    grain_distance,
     simulate,
 )
-from meandense.geometry import Box
+from meandense.boolean import grain_arrays, stack_grains
+from meandense.geometry import Box, segment_distances
+from meandense.poisson import MarkedGermSample, sample_germs
 from meandense.streams import derive_stream
 
 UNIT_SEGMENT = MarkDistribution("deterministic", grain=SegmentGrain(np.array([1.0, 0.0])))
@@ -32,9 +33,15 @@ RANDOM_SEGMENTS = MarkDistribution(
 )
 
 
+def arrays_of(placed, d=2):
+    """Grain arrays of (germ, grain) pairs, stacked in order."""
+    parts = [grain_arrays(np.asarray(germ, dtype=float)[None, :], grain) for germ, grain in placed]
+    return stack_grains(parts or [grain_arrays(np.zeros((0, d)), np.zeros((0, d)))])[0]
+
+
 def manual_realization(germs_and_grains, window, r_max=0.5, n=None):
     return BooleanRealization(
-        [(np.asarray(g, dtype=float), gr) for g, gr in germs_and_grains],
+        arrays_of(germs_and_grains, window.dim),
         window,
         guard_margin=2.0,
         r_max=r_max,
@@ -42,11 +49,19 @@ def manual_realization(germs_and_grains, window, r_max=0.5, n=None):
     )
 
 
-def brute_force_hits(real, x, r):
+def grain_distance(g, x) -> float:
+    """Distance from x to the grain anchored at the origin."""
+    if isinstance(g, PointGrain):
+        return float(np.linalg.norm(x))
+    a, b = g.segment_arrays()
+    return float(segment_distances(x, a, b).min())
+
+
+def brute_force_hits(placed, x, r):
     """Reference implementation: scan every placed grain."""
     x = np.asarray(x, dtype=float)
     count = 0
-    for germ, grain in real.placed_grains:
+    for germ, grain in placed:
         if grain_distance(grain, x - germ) <= r:
             count += 1
     return count
@@ -104,11 +119,13 @@ def test_index_matches_brute_force(seed, count):
             grain = PolylineGrain(np.vstack([[0.0, 0.0], np.cumsum(steps, axis=0)]))
     # mixed grain families share n only artificially; fix n = 1 for the query API
         placed.append((germ, grain))
-    real = BooleanRealization(placed, window, guard_margin=2.0, r_max=0.5, hausdorff_dim=1)
+    real = BooleanRealization(
+        arrays_of(placed), window, guard_margin=2.0, r_max=0.5, hausdorff_dim=1
+    )
     for _ in range(10):
         x = rng.uniform(0.5, 3.5, size=2)
         r = rng.uniform(0.0, 0.5)
-        expected = brute_force_hits(real, x, r)
+        expected = brute_force_hits(placed, x, r)
         assert real.hit_count(x, r) == expected
         assert real.hits(x, r) == (expected > 0)
 
@@ -121,12 +138,14 @@ def test_many_segments_match_brute_force():
         (rng.uniform(0.0, 4.0, size=2), SegmentGrain(rng.uniform(-1.0, 1.0, size=2)))
         for _ in range(200)
     ]
-    real = BooleanRealization(placed, window, guard_margin=2.0, r_max=0.4, hausdorff_dim=1)
+    real = BooleanRealization(
+        arrays_of(placed), window, guard_margin=2.0, r_max=0.4, hausdorff_dim=1
+    )
     assert real.arrays.a.shape[0] > 32
     for _ in range(50):
         x = rng.uniform(0.4, 3.6, size=2)
         r = rng.uniform(0.0, 0.4)
-        assert real.hit_count(x, r) == brute_force_hits(real, x, r)
+        assert real.hit_count(x, r) == brute_force_hits(placed, x, r)
 
 
 def test_measure_in_region_segments():
@@ -196,9 +215,8 @@ def test_simulate_deterministic_in_stream():
     a = simulate(f, RANDOM_SEGMENTS, window, 0.2, derive_stream(5, 9))
     b = simulate(f, RANDOM_SEGMENTS, window, 0.2, derive_stream(5, 9))
     assert len(a) == len(b)
-    for (ga, gra), (gb, grb) in zip(a.placed_grains, b.placed_grains):
-        assert np.array_equal(ga, gb)
-        assert np.array_equal(gra.vec, grb.vec)
+    for field in ("a", "b", "grain", "point"):
+        assert np.array_equal(getattr(a.arrays, field), getattr(b.arrays, field))
 
 
 def test_guard_zone_eliminates_edge_effects():
@@ -224,17 +242,62 @@ def test_guard_zone_eliminates_edge_effects():
 
 def test_to_csv_lists_every_grain():
     window = Box([0.0, 0.0], [2.0, 2.0])
-    real = manual_realization(
-        [
-            ([0.5, 0.5], PointGrain(dim=2)),
-            ([1.0, 1.0], SegmentGrain(np.array([0.5, 0.0]))),
-            ([1.5, 1.5], PolylineGrain([[0.0, 0.0], [0.1, 0.0], [0.1, 0.1]])),
-        ],
-        window,
-        n=1,
-    )
-    lines = real.to_csv().strip().splitlines()
-    assert lines[0] == "germ_0,germ_1,kind,params"
-    assert len(lines) == 4
-    kinds = [line.split(",")[2] for line in lines[1:]]
+    kinds = []
+    for germ, grain in (
+        ([0.5, 0.5], PointGrain(dim=2)),
+        ([1.0, 1.0], SegmentGrain(np.array([0.5, 0.0]))),
+        ([1.5, 1.5], PolylineGrain([[0.0, 0.0], [0.1, 0.0], [0.1, 0.1]])),
+    ):
+        q = MarkDistribution("deterministic", grain=grain)
+        sample = MarkedGermSample(np.array([germ]), q, window, 1.0)
+        lines = sample.to_csv().strip().splitlines()
+        assert lines[0] == "germ_0,germ_1,kind,params"
+        assert len(lines) == 2
+        kinds.append(lines[1].split(",")[2])
     assert kinds == ["point", "segment", "polyline"]
+
+
+def reference_csv(sample) -> str:
+    """realization.csv written grain by grain from one object per germ."""
+    if sample.vectors is None:
+        placed = [(p, sample.marks.grain) for p in sample.points]
+    else:
+        placed = [(p, SegmentGrain(v)) for p, v in zip(sample.points, sample.vectors)]
+    germ_cols = ",".join(f"germ_{k}" for k in range(sample.points.shape[1]))
+    out = f"{germ_cols},kind,params\n"
+    for germ, grain in placed:
+        coords = ",".join(repr(float(c)) for c in germ)
+        if isinstance(grain, PointGrain):
+            out += f"{coords},point,\n"
+        elif isinstance(grain, SegmentGrain):
+            params = ";".join(repr(float(c)) for c in grain.vec)
+            out += f"{coords},segment,{params}\n"
+        else:
+            params = ";".join(" ".join(repr(float(c)) for c in v) for v in grain.vertices)
+            out += f"{coords},polyline,{params}\n"
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["point", "segment", "polyline", "random_segments"])
+def test_realization_csv_from_arrays_equals_per_grain_writer(d, kind):
+    rng = np.random.default_rng(d)
+    vertices = np.vstack([np.zeros(d), np.cumsum(rng.uniform(-0.5, 0.5, (3, d)), axis=0)])
+    q = {
+        "point": MarkDistribution("deterministic", grain=PointGrain(dim=d)),
+        "segment": MarkDistribution("deterministic", grain=SegmentGrain(vertices[1])),
+        "polyline": MarkDistribution("deterministic", grain=PolylineGrain(vertices)),
+        "random_segments": MarkDistribution(
+            "segment",
+            length=LengthLaw("uniform", lo=0.0, hi=1.0),
+            orientation=OrientationLaw("uniform", dim=d),
+        ),
+    }[kind]
+    box = Box(-np.ones(d), np.full(d, 2.0))
+    f = IntensityField("constant", c=30.0 / box.volume)
+    for i in range(3):
+        sample = sample_germs(f, q, box, derive_stream(d, i))
+        assert len(sample) > 0
+        assert sample.to_csv() == reference_csv(sample)
+    empty = sample_germs(IntensityField("constant", c=0.0), q, box, derive_stream(d, 0))
+    assert empty.to_csv() == reference_csv(empty)

@@ -121,8 +121,7 @@ window.lo = 0, 0
 window.hi = 2, 1
 """
     cfg = parse_config(text)
-    assert cfg.intensity([0.5, 0.5]) == 2.0
-    assert cfg.intensity([1.5, 0.5]) == 0.5
+    assert cfg.intensity.values([[0.5, 0.5], [1.5, 0.5]]).tolist() == [2.0, 0.5]
 
 
 def test_errors_are_aggregated():
@@ -246,6 +245,58 @@ def test_cli_simulate_runs(tmp_path):
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
     header = (out / "realization.csv").read_text().splitlines()[0]
     assert header == "germ_0,germ_1,kind,params"
+
+
+def _with_line(text, line):
+    """text with `line` in place of the line of the same key, or added."""
+    key = line.split("=")[0].strip()
+    kept = [ln for ln in text.strip().splitlines() if ln.split("=")[0].strip() != key]
+    return "\n".join(kept + [line]) + "\n"
+
+
+@pytest.mark.parametrize("line", [
+    "N_grid = 10, abc",
+    "N_grid = 10.9, 20",
+    "r_grid = 0.1, x",
+    "intensity.c = abc",
+    "x_grid.shape = 2, q",
+    "x_grid.shape = 2.7, 3",
+    "marks.length.value = abc",
+    "window.lo = 0, a",
+])
+def test_cli_unparsable_number_is_a_named_violation(tmp_path, capsys, line):
+    """A value that does not parse as its number (an integer key given a
+    fraction included) is a violation naming the key, and parsing goes on
+    to report the others (here r = 5)."""
+    text = MINI_ESTIMATE
+    for extra in ("x_grid.kind = lattice", "x_grid.lo = 0.4, 0.4", "x_grid.hi = 0.6, 0.6",
+                  "x_grid.shape = 2, 2", "r = 5", line):
+        text = _with_line(text, extra)
+    out = tmp_path / "run"
+    assert main(["estimate", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 1
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "validation"
+    assert f"{line.split(' =')[0]}: cannot interpret" in error["message"]
+    assert "r: must lie in (0, 2)" in error["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_cli_rejects_seeds_outside_64_bits(tmp_path, capsys, seed):
+    """Seeds outside [0, 2^64) used to alias in-range ones (-1 wrote the
+    bytes of 2^64 - 1); the flag and the config key reject them by name."""
+    cfg = write_cfg(tmp_path, MINI_ESTIMATE)
+    out = tmp_path / "run"
+    assert main(["estimate", "--config", cfg, "--out", str(out), "--seed", seed]) == 1
+    message = json.loads(capsys.readouterr().err)["message"]
+    assert "--seed must lie in [0, 2^64)" in message
+    keyed = write_cfg(tmp_path, MINI_ESTIMATE.replace("seed = 6", f"seed = {seed}"), "keyed.cfg")
+    assert main(["estimate", "--config", keyed, "--out", str(out)]) == 1
+    message = json.loads(capsys.readouterr().err)["message"]
+    assert "seed: must be a nonnegative 64-bit integer" in message
+    assert not out.exists()
+    top = ["--threads", "1", "--seed", str(2 ** 64 - 1)]
+    assert main(["estimate", "--config", cfg, "--out", str(out)] + top) == 0
 
 
 def test_cli_seed_override_changes_output(tmp_path):

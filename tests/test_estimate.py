@@ -28,8 +28,10 @@ from meandense import (
     simulate_density_estimate,
 )
 from meandense import estimate as estimate_module
+from meandense.boolean import checked_guard_margin, grain_arrays
 from meandense.estimate import _indicator_density, accumulate_hits
 from meandense.geometry import Box, ball_volume, segment_distances
+from meandense.poisson import sample_germs
 from meandense.streams import derive_stream
 
 CONSTANT = IntensityField("constant", c=1.0)
@@ -191,7 +193,7 @@ def test_histogram_bit_identity_with_point_grain_estimator():
     from meandense import BooleanRealization
 
     realizations = [
-        BooleanRealization([(np.array([s]), PointGrain(dim=1))], window, 1.0, 0.5,
+        BooleanRealization(grain_arrays(np.array([[s]]), PointGrain(dim=1)), window, 1.0, 0.5,
                            hausdorff_dim=0)
         for s in samples
     ]
@@ -262,12 +264,19 @@ def _grain_distance(germ, grain, x):
     return segment_distances(x, germ + a, germ + b).min()
 
 
-def _tie_radii(real, xs, r_top):
+def _placed(sample):
+    """(germ, grain) pairs of a sample: one grain object per germ."""
+    if sample.vectors is None:
+        return [(p, sample.marks.grain) for p in sample.points]
+    return [(p, SegmentGrain(v)) for p, v in zip(sample.points, sample.vectors)]
+
+
+def _tie_radii(placed, xs, r_top):
     """Exact distances from each x to the placed grains that lie within
     r_top, computed with the arithmetic of the realization's own queries."""
     out = set()
     for x in xs:
-        for germ, grain in real.placed_grains:
+        for germ, grain in placed:
             if isinstance(grain, PointGrain):
                 dist = np.linalg.norm((germ - x)[None, :], axis=1)
             else:
@@ -290,7 +299,9 @@ def test_block_engine_matches_realization_reference(d, kind, field, seed, n_samp
     """The block engine's integer totals equal those of simulate() plus
     BooleanRealization.hit_count on the same streams, with blocks of a few
     replicates so that one call spans several blocks, and both equal a
-    per-grain loop over placed_grains with no prefilter and no bincount."""
+    per-grain loop, with no prefilter and no bincount, over the grain
+    objects of the germs and marks that sample_germs draws on those
+    streams."""
     rng = np.random.default_rng(seed)
     q = _mark_law(kind, d, rng)
     f = CONSTANT if field == "constant" else IntensityField("quadratic")
@@ -300,14 +311,18 @@ def test_block_engine_matches_realization_reference(d, kind, field, seed, n_samp
     reals = [
         simulate(f, q, window, r_top, derive_stream(seed, index0 + i)) for i in range(n_samples)
     ]
-    rs = [0.0, 0.05, r_top] + _tie_radii(reals[0], xs, r_top)
+    box = window.dilate(checked_guard_margin(q, r_top))
+    placed = [
+        _placed(sample_germs(f, q, box, derive_stream(seed, index0 + i))) for i in range(n_samples)
+    ]
+    rs = [0.0, 0.05, r_top] + _tie_radii(placed[0], xs, r_top)
     ref_ind = np.zeros((len(xs), len(rs)), dtype=np.int64)
     ref_cnt = np.zeros((len(xs), len(rs)), dtype=np.int64)
     loop_ind = np.zeros((len(xs), len(rs)), dtype=np.int64)
     loop_cnt = np.zeros((len(xs), len(rs)), dtype=np.int64)
-    for real in reals:
+    for real, grains in zip(reals, placed):
         for i, x in enumerate(xs):
-            dists = [_grain_distance(germ, grain, x) for germ, grain in real.placed_grains]
+            dists = [_grain_distance(germ, grain, x) for germ, grain in grains]
             for j, r in enumerate(rs):
                 c = real.hit_count(x, r)
                 ref_cnt[i, j] += c

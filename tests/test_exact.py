@@ -7,7 +7,6 @@ import pytest
 from scipy import integrate
 
 from meandense import (
-    CallableField,
     ConfigurationError,
     IntensityField,
     LengthLaw,
@@ -21,6 +20,14 @@ from meandense import (
     exact_density,
 )
 from meandense.streams import derive_stream
+
+
+class Field:
+    """A field given by a vectorized function of an (m, d) point array."""
+
+    def __init__(self, fn):
+        self.values = fn
+
 
 QUADRATIC = IntensityField("quadratic")
 CONSTANT = IntensityField("constant", c=1.0)
@@ -45,7 +52,7 @@ def test_deterministic_density_closed_form():
 
 def test_deterministic_density_vs_quad_oracle():
     # independent high-order oracle on a non-polynomial intensity
-    f = CallableField(lambda pts: np.exp(-np.atleast_2d(pts)[:, 0] ** 2))
+    f = Field(lambda pts: np.exp(-np.atleast_2d(pts)[:, 0] ** 2))
     x = np.array([0.7, -0.2])
     oracle, _ = integrate.quad(lambda t: math.exp(-((x[0] - t) ** 2)), 0.0, 1.0)
     val = deterministic_density(f, UNIT_SEGMENT.grain, x, order=24)

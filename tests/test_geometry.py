@@ -12,17 +12,41 @@ from meandense import ConfigurationError
 from meandense.geometry import (
     Ball,
     Box,
-    SegmentShape,
     as_point,
     ball_volume,
-    clip_segment_box,
     clipped_lengths,
-    dist_point_segment,
     points_segment_distances,
     segment_distances,
 )
 
 coord = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
+
+
+def dist_point_segment(x, a, b):
+    """Distance from x to the one closed segment (a, b)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return float(segment_distances(np.asarray(x, dtype=float), a[None, :], b[None, :])[0])
+
+
+def clip_length(a, b, box):
+    """Scalar Liang-Barsky reference: the length of segment (a, b) inside
+    the box, with the arithmetic of clipped_lengths."""
+    d = b - a
+    t0, t1 = 0.0, 1.0
+    for k in range(box.dim):
+        if d[k] == 0.0:
+            if a[k] < box.lo[k] or a[k] > box.hi[k]:
+                return 0.0
+            continue
+        # a subnormal d[k] overflows to ±inf, which max/min handle
+        with np.errstate(over="ignore"):
+            ta = (box.lo[k] - a[k]) / d[k]
+            tb = (box.hi[k] - a[k]) / d[k]
+        t0 = max(t0, min(ta, tb))
+        t1 = min(t1, max(ta, tb))
+    if t1 < t0:
+        return 0.0
+    return (t1 - t0) * np.linalg.norm(d[None, :], axis=1)[0]
 
 
 def test_ball_volume_values():
@@ -102,18 +126,13 @@ def test_ball_contains_is_closed():
 
 
 def test_dist_point_segment_hand_values():
-    s = SegmentShape([0.0, 0.0], [1.0, 0.0])
-    assert dist_point_segment([0.5, 0.5], s) == pytest.approx(0.5)
-    assert dist_point_segment([-1.0, 0.0], s) == pytest.approx(1.0)
-    assert dist_point_segment([2.0, 0.0], s) == pytest.approx(1.0)
-    assert dist_point_segment([0.25, 0.0], s) == 0.0
-    degenerate = SegmentShape([1.0, 1.0], [1.0, 1.0])
-    assert dist_point_segment([1.0, 2.0], degenerate) == pytest.approx(1.0)
-
-
-def test_dist_point_segment_dim_mismatch():
-    with pytest.raises(ConfigurationError):
-        dist_point_segment([0.0, 0.0, 0.0], SegmentShape([0.0, 0.0], [1.0, 0.0]))
+    a, b = [0.0, 0.0], [1.0, 0.0]
+    assert dist_point_segment([0.5, 0.5], a, b) == pytest.approx(0.5)
+    assert dist_point_segment([-1.0, 0.0], a, b) == pytest.approx(1.0)
+    assert dist_point_segment([2.0, 0.0], a, b) == pytest.approx(1.0)
+    assert dist_point_segment([0.25, 0.0], a, b) == 0.0
+    # a degenerate segment
+    assert dist_point_segment([1.0, 2.0], [1.0, 1.0], [1.0, 1.0]) == pytest.approx(1.0)
 
 
 @settings(max_examples=100)
@@ -124,10 +143,8 @@ def test_dist_point_segment_dim_mismatch():
 ))
 def test_dist_symmetry_and_bounds(args):
     x, a, b = (np.array(v) for v in args)
-    s1 = SegmentShape(a, b)
-    s2 = SegmentShape(b, a)
-    d1 = dist_point_segment(x, s1)
-    d2 = dist_point_segment(x, s2)
+    d1 = dist_point_segment(x, a, b)
+    d2 = dist_point_segment(x, b, a)
     assert d1 == pytest.approx(d2, abs=1e-9)
     # the endpoint distances bound the segment distance from above
     assert d1 <= np.linalg.norm(x - a) + 1e-12
@@ -144,7 +161,7 @@ def test_dist_symmetry_and_bounds(args):
 def test_dist_zero_on_segment(a, b, t):
     a, b = np.array(a), np.array(b)
     x = a + t * (b - a)
-    assert dist_point_segment(x, SegmentShape(a, b)) == pytest.approx(0.0, abs=1e-7)
+    assert dist_point_segment(x, a, b) == pytest.approx(0.0, abs=1e-7)
 
 
 @settings(max_examples=50)
@@ -161,14 +178,13 @@ def test_vectorized_distances_match_scalar(segs, x):
     x = np.array(x)
     batch = segment_distances(x, a, b)
     for i, (ai, bi) in enumerate(segs):
-        assert batch[i] == pytest.approx(
-            dist_point_segment(x, SegmentShape(ai, bi)), abs=1e-9
-        )
+        assert batch[i] == pytest.approx(dist_point_segment(x, ai, bi), abs=1e-9)
     # transpose orientation: m points against one segment
     many = points_segment_distances(a, x, x + np.array([1.0, 0.0]))
-    seg = SegmentShape(x, x + np.array([1.0, 0.0]))
     for i in range(a.shape[0]):
-        assert many[i] == pytest.approx(dist_point_segment(a[i], seg), abs=1e-9)
+        assert many[i] == pytest.approx(
+            dist_point_segment(a[i], x, x + np.array([1.0, 0.0])), abs=1e-9
+        )
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -188,15 +204,11 @@ def test_points_segment_distances_batch_equals_single_calls(d):
 
 def test_clip_segment_box_hand_values():
     box = Box([0.0, 0.0], [1.0, 1.0])
-    s = SegmentShape([-1.0, 0.5], [2.0, 0.5])
-    clipped = clip_segment_box(s, box)
-    assert clipped.length == pytest.approx(1.0)
-    assert clip_segment_box(SegmentShape([2.0, 2.0], [3.0, 3.0]), box) is None
-    # degenerate but inside
-    inside = clip_segment_box(SegmentShape([0.5, 0.5], [0.5, 0.5]), box)
-    assert inside is not None and inside.length == 0.0
-    with pytest.raises(ConfigurationError):
-        clip_segment_box(SegmentShape([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]), box)
+    a = np.array([[-1.0, 0.5], [2.0, 2.0], [0.5, 0.5]])
+    b = np.array([[2.0, 0.5], [3.0, 3.0], [0.5, 0.5]])
+    # crossing, missing, and degenerate but inside
+    assert clipped_lengths(a, b, box) == pytest.approx([1.0, 0.0, 0.0])
+    assert clip_length(a[0], b[0], box) == pytest.approx(1.0)
 
 
 box_strategy = st.tuples(
@@ -213,27 +225,28 @@ box_strategy = st.tuples(
 )
 def test_clipped_lengths_matches_scalar_clip(a, b, box):
     a, b = np.array(a), np.array(b)
-    batch = clipped_lengths(a[None, :], b[None, :], box)[0]
-    clipped = clip_segment_box(SegmentShape(a, b), box)
-    expected = 0.0 if clipped is None else clipped.length
-    assert batch == pytest.approx(expected, abs=1e-9)
+    assert clipped_lengths(a[None, :], b[None, :], box)[0] == clip_length(a, b, box)
 
 
-@settings(max_examples=50)
-@given(
-    st.lists(coord, min_size=2, max_size=2),
-    st.lists(coord, min_size=2, max_size=2),
-    box_strategy,
-)
-def test_clip_idempotent(a, b, box):
-    first = clip_segment_box(SegmentShape(np.array(a), np.array(b)), box)
-    if first is None:
-        return
-    # endpoint rounding may push a degenerate clip one ulp outside the box,
-    # so a vanished second clip counts as length zero
-    second = clip_segment_box(first, box)
-    second_length = 0.0 if second is None else second.length
-    assert second_length == pytest.approx(first.length, abs=1e-9)
+@settings(max_examples=200)
+@given(st.integers(1, 3), st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
+def test_clipped_lengths_batch_matches_scalar_clip(d, m, seed):
+    """A batch with axis-parallel and subnormal directions and a start on a
+    box corner: every length equals the scalar reference exactly, and no
+    RuntimeWarning is raised."""
+    rng = np.random.default_rng(seed)
+    box = Box(rng.uniform(-2.0, 1.0, d), rng.uniform(1.0, 3.0, d))
+    a = rng.uniform(-3.0, 4.0, (m, d))
+    b = a + rng.uniform(-2.0, 2.0, (m, d))
+    parallel = rng.random((m, d)) < 0.3
+    b[parallel] = a[parallel]
+    tiny = rng.random((m, d)) < 0.1
+    a[tiny], b[tiny] = 0.0, 5e-324
+    a[0] = box.lo
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        batch = clipped_lengths(a, b, box)
+    assert batch.tolist() == [clip_length(a[i], b[i], box) for i in range(m)]
 
 
 @pytest.mark.parametrize("lo, hi, length", [
@@ -247,10 +260,9 @@ def test_clip_subnormal_direction_is_silent(lo, hi, length):
     box = Box(lo, hi)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        clipped = clip_segment_box(SegmentShape(a, b), box)
         batch = clipped_lengths(a[None, :], b[None, :], box)[0]
-    assert (0.0 if clipped is None else clipped.length) == pytest.approx(length)
     assert batch == pytest.approx(length)
+    assert batch == clip_length(a, b, box)
 
 
 def test_clipped_lengths_additive_across_partition():

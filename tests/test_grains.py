@@ -19,13 +19,11 @@ from meandense import (
     PolylineGrain,
     RegularityCertificate,
     SegmentGrain,
-    grain_distance,
     hn_measure,
     integrate_along,
-    sample_mark,
 )
 from meandense import grains
-from meandense.geometry import Box, points_segment_distances
+from meandense.geometry import Box, as_point, points_segment_distances, segment_distances
 from meandense.grains import (
     ShiftedField,
     _ball_intersection_length,
@@ -33,8 +31,24 @@ from meandense.grains import (
     sample_marks,
     sausage_integrals,
 )
-from meandense.poisson import CallableField, IntensityField
+from meandense.poisson import IntensityField
 from meandense.streams import derive_stream
+
+
+class Field:
+    """A field given by a vectorized function of an (m, d) point array."""
+
+    def __init__(self, fn):
+        self.values = fn
+
+
+def grain_distance(g, x) -> float:
+    """Distance from x to the grain anchored at the origin."""
+    x = as_point(x, dim=g.dim)
+    if isinstance(g, PointGrain):
+        return float(np.linalg.norm(x))
+    a, b = g.segment_arrays()
+    return float(segment_distances(x, a, b).min())
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +112,7 @@ def quad_field(coeffs):
         pts = np.atleast_2d(pts)
         return a + b * pts[:, 0] + c * pts[:, 0] ** 2 + pts[:, 1] ** 2
 
-    return CallableField(fn)
+    return Field(fn)
 
 
 def test_integrate_along_matches_quad_oracle():
@@ -124,18 +138,13 @@ def test_integrate_along_point_grain_and_errors():
     g = PointGrain(dim=2)
     f = quad_field((3.0, 0.0, 0.0))
     assert integrate_along(g, f) == pytest.approx(3.0)
-    bad = CallableField(lambda pts: np.full(np.atleast_2d(pts).shape[0], np.nan))
+    bad = Field(lambda pts: np.full(np.atleast_2d(pts).shape[0], np.nan))
     with pytest.raises(NumericError):
         integrate_along(g, bad)
     with pytest.raises(NumericError):
         integrate_along(SegmentGrain(np.array([1.0, 0.0])), bad)
     with pytest.raises(ConfigurationError):
         integrate_along(SegmentGrain(np.array([1.0, 0.0])), f, order=0)
-
-
-def test_integrate_along_accepts_plain_callable():
-    g = SegmentGrain(np.array([2.0, 0.0]))
-    assert integrate_along(g, lambda p: p[0]) == pytest.approx(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +254,7 @@ def test_mark_distribution_deterministic():
     assert q.l_max == pytest.approx(2.0)
     assert q.mean_hn() == pytest.approx(2.0)
     assert q.length_moment(3) == pytest.approx(8.0)
-    g = sample_mark(q, np.random.default_rng(0))
+    g = sample_marks(q, 1, np.random.default_rng(0))[0]
     assert g is q.grain
 
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from meandense import (
-    CallableField,
     ConfigurationError,
     IntensityField,
     LengthLaw,
@@ -15,10 +14,10 @@ from meandense import (
     PointGrain,
     SegmentGrain,
     check_finiteness,
-    intensity_bound,
     sample_germs,
 )
 from meandense.geometry import Box
+from meandense.poisson import expected_germs
 from meandense.streams import derive_stream
 
 UNIT_SEGMENT = MarkDistribution("deterministic", grain=SegmentGrain(np.array([1.0, 0.0])))
@@ -36,14 +35,14 @@ RANDOM_SEGMENTS = MarkDistribution(
 def test_constant_field():
     f = IntensityField("constant", c=2.5)
     assert np.all(f.values(np.zeros((4, 2))) == 2.5)
-    assert f([1.0, 1.0]) == 2.5
+    assert f.values([[1.0, 1.0]])[0] == 2.5
     with pytest.raises(ConfigurationError):
         IntensityField("constant", c=-1.0)
 
 
 def test_quadratic_field():
     f = IntensityField("quadratic")
-    assert f([3.0, 4.0]) == pytest.approx(25.0)
+    assert f.values([[3.0, 4.0]])[0] == pytest.approx(25.0)
     vals = f.values(np.array([[1.0, 0.0], [0.0, 2.0]]))
     assert np.allclose(vals, [1.0, 4.0])
     assert f.discontinuity_description == "empty"
@@ -51,8 +50,8 @@ def test_quadratic_field():
 
 def test_affine_field_clips_at_zero():
     f = IntensityField("affine", a=1.0, b=np.array([-1.0, 0.0]))
-    assert f([0.0, 0.0]) == pytest.approx(1.0)
-    assert f([2.0, 0.0]) == 0.0  # 1 - 2 clipped
+    assert f.values([[0.0, 0.0]])[0] == pytest.approx(1.0)
+    assert f.values([[2.0, 0.0]])[0] == 0.0  # 1 - 2 clipped
     with pytest.raises(ConfigurationError):
         IntensityField("affine", a=1.0)
 
@@ -65,9 +64,9 @@ def test_piecewise_field():
             (Box([1.0, 0.0], [2.0, 1.0]), 5.0),
         ),
     )
-    assert f([0.5, 0.5]) == 2.0
-    assert f([1.5, 0.5]) == 5.0
-    assert f([3.0, 3.0]) == 0.0
+    assert f.values([[0.5, 0.5]])[0] == 2.0
+    assert f.values([[1.5, 0.5]])[0] == 5.0
+    assert f.values([[3.0, 3.0]])[0] == 0.0
     assert "faces" in f.discontinuity_description
     with pytest.raises(ConfigurationError):
         IntensityField("piecewise", pieces=((Box([0, 0], [1, 1]), -1.0),))
@@ -89,20 +88,31 @@ def test_piecewise_field():
 )
 def test_intensity_bound_dominates_samples(f):
     box = Box([-1.0, -1.0], [2.0, 2.0])
-    bound = intensity_bound(f, box)
+    bound = f.sup(box)
     samples = box.sample(np.random.default_rng(0), 5000)
     assert float(f.values(samples).max()) <= bound + 1e-12
 
 
+class Field:
+    """A field with a given vectorized function and box bound."""
+
+    def __init__(self, fn, sup):
+        self.values = fn
+        self.sup = sup
+
+
+def _ones(pts):
+    return np.ones(np.atleast_2d(pts).shape[0])
+
+
 def test_callable_field_needs_bound():
-    f = CallableField(lambda pts: np.ones(np.atleast_2d(pts).shape[0]))
+    # thinning reads the field's own bound, and refuses one that is not finite
+    box = Box([0.0, 0.0], [1.0, 1.0])
+    unbounded = Field(_ones, lambda box: math.inf)
     with pytest.raises(ConfigurationError):
-        intensity_bound(f, Box([0.0, 0.0], [1.0, 1.0]))
-    bounded = CallableField(f.fn, bound_fn=lambda box: 1.0)
-    assert intensity_bound(bounded, Box([0.0, 0.0], [1.0, 1.0])) == 1.0
-    # scalar callables are adapted row by row
-    scalar = CallableField(lambda p: float(np.sum(p)))
-    assert np.allclose(scalar.values(np.array([[1.0, 2.0], [0.0, 1.0]])), [3.0, 1.0])
+        sample_germs(unbounded, UNIT_SEGMENT, box, derive_stream(0, 0))
+    bounded = Field(_ones, lambda box: 1.0)
+    assert expected_germs(bounded, box) == (1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +125,7 @@ def test_sample_germs_deterministic_and_in_box():
     s1 = sample_germs(f, UNIT_SEGMENT, box, derive_stream(3, 0))
     s2 = sample_germs(f, UNIT_SEGMENT, box, derive_stream(3, 0))
     assert np.array_equal(s1.points, s2.points)
-    assert len(s1.grains) == len(s1)
+    assert len(s1.to_csv().splitlines()) == len(s1) + 1  # a header, then one row per grain
     assert box.contains(s1.points).all() or len(s1) == 0
     assert s1.proposed >= len(s1)
 
@@ -148,7 +158,7 @@ def test_sample_germs_acceptance_ratio():
         s = sample_germs(f, UNIT_SEGMENT, box, derive_stream(23, i))
         accepted += len(s)
         proposed += s.proposed
-    m_bound = intensity_bound(f, box)
+    m_bound = f.sup(box)
     p = (8.0 / 3.0) / (m_bound * box.volume)
     se = math.sqrt(p * (1.0 - p) / proposed)
     assert abs(accepted / proposed - p) < 3 * se
