@@ -6,9 +6,10 @@ f(x - .) over the typical grain.  The mark integral uses Monte Carlo
 uses Gauss-Legendre quadrature, so it is exact for the polynomial
 intensities in scope.  The finite-radius route evaluates the Poisson void
 probability P(x in Θ⊕r) = 1 - exp(-Λ(sausage)), with Λ averaged over
-the mark law: every mark's sausage integral is Monte Carlo over its own
-bounding box, and all marks of one (x, r) go through one batched kernel
-call.
+the mark law by Monte Carlo (a single term for a deterministic law).  All
+marks of one (x, r) go through one batched sausage-kernel call: exact
+cubature for segment and point grains under the polynomial intensities,
+Monte Carlo over each mark's bounding box otherwise.
 """
 
 from __future__ import annotations
@@ -115,9 +116,10 @@ def analytic_segment_density(el: float, el3: float, x) -> float:
 def sausage_intensity_integral(
     f, g: Grain, x: np.ndarray, r: float, mc_points: int, rng: np.random.Generator
 ) -> tuple[float, float]:
-    """MC estimate (and SE) of the integral of f over the r-sausage of the
+    """Estimate (and SE) of the integral of f over the r-sausage of the
     reflected translated grain x - Z_0(s).  With y = x - z it is the
-    integral of f(x - .) over Z_0⊕r, which sausage_integral draws."""
+    integral of f(x - .) over Z_0⊕r, which sausage_integral computes
+    (exactly, SE 0, where its cubature applies)."""
     return sausage_integral(g, ShiftedField(f, x), r, mc_points, rng)
 
 
@@ -133,9 +135,11 @@ def capacity_probability(
     """P(x in Θ⊕r) = 1 - exp(-Λ(sausage)) with propagated standard error.
 
     The outer mark integral is Monte Carlo over `mark_draws` samples of Q
-    (a single term for a deterministic law); `mc_points` proposals are
-    split evenly across the marks.  All mark vectors are drawn first, then
-    one sausage_integrals call draws every mark's proposals in mark order.
+    (a single term for a deterministic law).  All mark vectors are drawn
+    first, then one sausage_integrals call integrates over every mark's
+    sausage: exactly where its cubature applies, otherwise with
+    `mc_points` proposals split evenly across the marks, drawn in mark
+    order.
     """
     if r <= 0 or r >= 2.0:
         raise ConfigurationError("radius must lie in (0, 2)")

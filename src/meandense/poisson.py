@@ -4,11 +4,12 @@ The intensity measure factorizes as f(y) dy ⊗ Q(ds): germ locations follow
 an inhomogeneous Poisson process with density f and every germ carries an
 independent mark.  A field is anything with `values(pts)`, its values at
 the rows of an (m, d) array, and `sup(box)`, an upper bound on a box;
-`IntensityField` is the one implementation.  Thinning (acceptance-rejection
-against the box bound) is exact for any bounded f; the Poisson count
-itself comes from numpy's PCG64 generator, whose count sampler (inversion
-for small means, transformed rejection above) is fixed and reproducible
-for a given seed.  A sample stays arrays: germ points and, for a segment
+it may also state `polynomial_on(box)`, which lets the sausage kernel
+integrate it exactly.  `IntensityField` is the one implementation.
+Thinning (acceptance-rejection against the box bound) is exact for any
+bounded f; the Poisson count itself comes from numpy's PCG64 generator,
+whose count sampler (inversion for small means, transformed rejection
+above) is fixed and reproducible for a given seed.  A sample stays arrays: germ points and, for a segment
 law, segment vectors.
 """
 
@@ -93,6 +94,14 @@ class IntensityField:
             if np.all(piece_box.hi >= box.lo) and np.all(piece_box.lo <= box.hi):
                 vals.append(val)
         return float(max(vals))
+
+    def polynomial_on(self, box: Box) -> bool:
+        """True when f is a polynomial of degree <= 2 on the box: constant
+        and quadratic always, affine when positive at every corner (its
+        clip at 0 is inactive there), piecewise never."""
+        if self.kind == "affine":
+            return bool(np.all(self.a + box.corners() @ self.b > 0.0))
+        return self.kind in ("constant", "quadratic")
 
     @property
     def discontinuity_description(self) -> str:
@@ -205,7 +214,8 @@ def check_finiteness(
     Estimates E_Q[ ∫_{(-Z_0)⊕radius} f(y) dy ] over the truncated mark law
     and returns (is_finite, estimate); the estimate is a diagnostic value,
     not just a flag.  All marks are drawn first, then one sausage_integrals
-    call draws `points_per_mark` proposals for each of them.
+    call integrates over each of their sausages (exactly where its cubature
+    applies, otherwise with `points_per_mark` proposals each).
     """
     if q.l_max is None or not np.isfinite(q.l_max):
         raise ConfigurationError("mark law needs a finite diameter bound")

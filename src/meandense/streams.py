@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigurationError
+
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -22,9 +24,12 @@ def _splitmix64(z: int) -> int:
 
 
 def derive_key(seed: int, index: int) -> int:
-    """64-bit stream key for replicate `index` under `seed`."""
-    seed = int(seed) & _MASK
-    index = int(index) & _MASK
+    """64-bit stream key for replicate `index` under `seed`; both must lie
+    in [0, 2^64), so that no two inputs alias one stream."""
+    seed, index = int(seed), int(index)
+    if not (0 <= seed <= _MASK and 0 <= index <= _MASK):
+        name, value = ("index", index) if 0 <= seed <= _MASK else ("seed", seed)
+        raise ConfigurationError(f"stream {name} must lie in [0, 2^64), got {value}")
     return _splitmix64(_splitmix64(seed) ^ ((index * _GOLDEN) & _MASK))
 
 

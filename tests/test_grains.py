@@ -31,7 +31,8 @@ from meandense.grains import (
     sample_marks,
     sausage_integrals,
 )
-from meandense.poisson import IntensityField
+from meandense.exact import capacity_probability
+from meandense.poisson import IntensityField, check_finiteness
 from meandense.streams import derive_stream
 
 
@@ -338,6 +339,15 @@ def test_certificate_check_sampled():
 # batched sausage kernel
 
 
+class MonteCarloField:
+    """A field's values and sup without its polynomial statement, so the
+    sausage kernel integrates it by Monte Carlo."""
+
+    def __init__(self, f):
+        self.values = f.values
+        self.sup = f.sup
+
+
 def _reference_distances(pts, a, b):
     """Distances from points (m, d) to the one segment (a, b)."""
     ab = b - a
@@ -412,7 +422,7 @@ def test_sausage_kernel_equals_per_grain_reference(d, law, field, mc_points, cou
         "quadratic": IntensityField("quadratic"),
         "affine": IntensityField("affine", a=0.3, b=shape_rng.normal(size=d)),
     }[field]
-    h = ShiftedField(f, shape_rng.uniform(-1.0, 1.0, size=d))
+    h = ShiftedField(MonteCarloField(f), shape_rng.uniform(-1.0, 1.0, size=d))
     chunk = 1000
     with mock.patch.object(grains, "SAUSAGE_CHUNK", chunk):
         rng = np.random.default_rng(seed)
@@ -423,3 +433,123 @@ def test_sausage_kernel_equals_per_grain_reference(d, law, field, mc_points, cou
     assert est.tolist() == [e for e, _ in ref]
     assert se.tolist() == [s for _, s in ref]
     assert rng.random() == ref_rng.random()
+
+
+# ---------------------------------------------------------------------------
+# exact sausage cubature
+
+BALL_VOLUME = {0: 1.0, 1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}
+
+
+def _quadratic_sausage(d, length, r):
+    """Integral of |y|² over the r-sausage of a segment of the given length
+    from the origin (any direction: |y|² is rotation invariant)."""
+    L = length
+    if d == 1:
+        return ((L + r) ** 3 + r ** 3) / 3.0
+    if d == 2:
+        return (2 * r * L ** 3 / 3 + 2 * r ** 3 * L / 3 + math.pi * r ** 2 * L ** 2 / 2
+                + 4 * r ** 3 * L / 3 + math.pi * r ** 4 / 2)
+    return (math.pi * r ** 2 * L ** 3 / 3 + math.pi * r ** 4 * L / 2
+            + 2 * math.pi * r ** 3 * L ** 2 / 3 + math.pi * r ** 4 * L / 2
+            + 4 * math.pi * r ** 5 / 5)
+
+
+@pytest.mark.parametrize("r", [0.02, 0.2, 1.5])
+@pytest.mark.parametrize("length", [0.0, 0.7, 1.0])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_sausage_cubature_closed_forms(d, length, r):
+    """Interval L + 2r, stadium 2rL + πr², capsule πr²L + 4πr³/3 and the
+    ball b_d r^d (L = 0) for f ≡ 1; |S|·f(midpoint) for an unclipped affine
+    f; the |y|² integral (2r·m(r) for the unit segment in d = 2): all to
+    1e-12 relative, with SE 0 and no draw (the stream is None)."""
+    direction = np.random.default_rng(d).normal(size=d)
+    vec = length * direction / np.linalg.norm(direction)
+    a, b = np.zeros((1, 1, d)), vec[None, None]
+    volume = length * BALL_VOLUME[d - 1] * r ** (d - 1) + BALL_VOLUME[d] * r ** d
+    affine = IntensityField("affine", a=3.0, b=np.linspace(-0.5, 0.5, d))
+    for f, ref in (
+        (IntensityField("constant", c=1.0), volume),
+        (affine, volume * affine.values(vec / 2.0)[0]),
+        (IntensityField("quadratic"), _quadratic_sausage(d, length, r)),
+    ):
+        est, se = sausage_integrals(a, b, f, r, 10, None)
+        assert se.tolist() == [0.0]
+        assert abs(est[0] - ref) <= 1e-12 * ref
+    if d == 2 and length == 1.0:
+        m = 1.0 / 3.0 + math.pi * r / 4.0 + r ** 2 + math.pi * r ** 3 / 4.0
+        est, _ = sausage_integrals(a, b, IntensityField("quadratic"), r, 10, None)
+        assert abs(est[0] - 2.0 * r * m) <= 1e-12 * 2.0 * r * m
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_point_grain_sausage_is_the_ball(d):
+    est, se = grains.sausage_integral(PointGrain(dim=d), IntensityField("constant", c=2.0),
+                                      0.3, 10, None)
+    assert se == 0.0
+    assert abs(est - 2.0 * BALL_VOLUME[d] * 0.3 ** d) <= 1e-12 * est
+
+
+@pytest.mark.parametrize("field", ["constant", "quadratic", "affine"])
+@pytest.mark.parametrize("law", ["point", "segment", "random"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_sausage_cubature_agrees_with_monte_carlo(d, law, field):
+    """The mean cubature integral over four grains lies within 4 SE of the
+    Monte Carlo kernel's on the same grains (fixed seed 0 per case).  In
+    d = 1 a sausage fills its bounding box, so a constant field has Monte
+    Carlo SE 0 and the two must agree to 1e-12 relative."""
+    shape_rng = np.random.default_rng(0)
+    q = _kernel_law(law, d, shape_rng)
+    f = {
+        "constant": IntensityField("constant", c=1.3),
+        "quadratic": IntensityField("quadratic"),
+        "affine": IntensityField("affine", a=4.0, b=0.2 * shape_rng.normal(size=d)),
+    }[field]
+    x = shape_rng.uniform(-1.0, 1.0, size=d)
+    rng = np.random.default_rng(0)
+    a, b = mark_segments(q, 4, rng)
+    exact, exact_se = sausage_integrals(a, b, ShiftedField(f, x), 0.3, 20_000, rng)
+    mc, mc_se = sausage_integrals(a, b, ShiftedField(MonteCarloField(f), x), 0.3, 20_000, rng)
+    assert exact_se.tolist() == [0.0] * 4
+    se = np.sqrt((mc_se ** 2).sum()) / 4
+    diff = mc.mean() - exact.mean()
+    print(f"cubature vs Monte Carlo d={d} {law} {field}: "
+          + (f"z = {diff / se:+.2f}" if se > 0.0 else f"diff = {diff:+.1e}"))
+    assert abs(diff) <= 4.0 * se + 1e-12 * abs(exact.mean())
+
+
+class RecordingRng:
+    """A stream that records every `random` call."""
+
+    def __init__(self):
+        self.calls = []
+        self._rng = derive_stream(8, 0)
+
+    def random(self, size):
+        self.calls.append(size)
+        return self._rng.random(size)
+
+
+def test_sausage_cubature_makes_no_draw():
+    unit = MarkDistribution("deterministic", grain=SegmentGrain([1.0, 0.0]))
+    f = IntensityField("quadratic")
+    rng = RecordingRng()
+    _, se = capacity_probability(f, unit, [0.2, 0.1], 0.1, mc_points=50_000, rng=rng)
+    _, est = check_finiteness(f, unit, 0.5, rng, mark_draws=100)
+    assert rng.calls == [] and se == 0.0 and est > 0.0
+    # the same calls on a field without the polynomial statement draw
+    capacity_probability(MonteCarloField(f), unit, [0.2, 0.1], 0.1, mc_points=50_000, rng=rng)
+    assert rng.calls == [(50_000, 2)]
+
+
+def test_clipped_affine_field_falls_back_to_monte_carlo():
+    """max(0, y1) changes sign inside the unit segment's sausage: the kernel
+    draws, bit for bit as for a field that makes no polynomial statement."""
+    g = SegmentGrain([1.0, 0.0])
+    clipped = IntensityField("affine", a=0.0, b=[1.0, 0.0])
+    est, se = grains.sausage_integral(g, clipped, 0.2, 30_000, derive_stream(9, 0))
+    ref = grains.sausage_integral(g, MonteCarloField(clipped), 0.2, 30_000, derive_stream(9, 0))
+    assert (est, se) == ref and se > 0.0
+    # shifted to where it is positive on the whole sausage, it is exact
+    shifted = IntensityField("affine", a=0.5, b=[1.0, 0.0])
+    assert grains.sausage_integral(g, shifted, 0.2, 30_000, None)[1] == 0.0

@@ -20,6 +20,15 @@ from meandense.geometry import ball_volume
 from meandense.minkowski import limit_diagnostics, ratio_bound
 from meandense.streams import derive_stream
 
+class MonteCarloField:
+    """A field's values and sup without its polynomial statement, so the
+    sausage kernel integrates it by Monte Carlo."""
+
+    def __init__(self, f):
+        self.values = f.values
+        self.sup = f.sup
+
+
 CONSTANT = IntensityField("constant", c=1.0)
 QUADRATIC = IntensityField("quadratic")
 UNIT_SEGMENT = SegmentGrain(np.array([1.0, 0.0]))
@@ -28,7 +37,8 @@ UNIT_SEGMENT = SegmentGrain(np.array([1.0, 0.0]))
 def test_sausage_integral_matches_stadium_area():
     # f ≡ 1 on a unit segment: area = 2r + πr² exactly
     for r in (0.2, 0.05):
-        est, se = sausage_integral(UNIT_SEGMENT, CONSTANT, r, 400_000, derive_stream(0, 0))
+        est, se = sausage_integral(UNIT_SEGMENT, MonteCarloField(CONSTANT), r, 400_000,
+                                   derive_stream(0, 0))
         expected = 2 * r + math.pi * r * r
         assert se > 0.0
         assert abs(est - expected) < 3.5 * se
@@ -37,7 +47,7 @@ def test_sausage_integral_matches_stadium_area():
 def test_sausage_integral_point_grain_ball():
     # point grain: the sausage is the ball itself
     g = PointGrain(dim=2)
-    est, se = sausage_integral(g, CONSTANT, 0.3, 200_000, derive_stream(1, 0))
+    est, se = sausage_integral(g, MonteCarloField(CONSTANT), 0.3, 200_000, derive_stream(1, 0))
     assert abs(est - math.pi * 0.09) < 3.5 * se
 
 
@@ -50,9 +60,11 @@ def test_sausage_integral_radius_validation():
 def test_content_limit_constant_intensity():
     run = content_limit(UNIT_SEGMENT, CONSTANT, [0.2, 0.1, 0.05, 0.02],
                         mc_points=400_000, seed=2)
-    # exact ratio is 1 + πr/2; estimates must track it closely
+    # exact ratio is 1 + πr/2; the cubature reproduces it with SE 0
     for r, ratio, se in zip(run.r_grid, run.ratios, run.ratio_ses):
-        assert abs(ratio - (1.0 + math.pi * r / 2.0)) < 4 * se
+        ref = 1.0 + math.pi * r / 2.0
+        assert se == 0.0
+        assert abs(ratio - ref) <= 3 * se + 1e-12 * abs(ref)
     assert run.target == pytest.approx(1.0)
     diag = limit_diagnostics(run)
     assert diag["within"]

@@ -17,6 +17,7 @@ from meandense import (
     sample_germs,
 )
 from meandense.geometry import Box
+from meandense.grains import ShiftedField
 from meandense.poisson import expected_germs
 from meandense.streams import derive_stream
 
@@ -72,6 +73,31 @@ def test_piecewise_field():
         IntensityField("piecewise", pieces=((Box([0, 0], [1, 1]), -1.0),))
     with pytest.raises(ConfigurationError):
         IntensityField("gaussian")
+
+
+def test_polynomial_statement():
+    """constant and quadratic are polynomials everywhere, affine where it is
+    positive at every corner of the box, piecewise never; ShiftedField asks
+    its field about the reflected box x - box, and a field without the
+    statement makes none."""
+    box = Box([1.0, -1.0], [2.0, 1.0])
+    assert IntensityField("constant", c=0.0).polynomial_on(box)
+    assert IntensityField("quadratic").polynomial_on(box)
+    ramp = IntensityField("affine", a=0.0, b=np.array([1.0, 0.0]))  # max(0, y1)
+    assert ramp.polynomial_on(box)
+    assert not ramp.polynomial_on(Box([0.0, -1.0], [2.0, 1.0]))   # zero at a corner
+    assert not ramp.polynomial_on(Box([-1.0, -1.0], [2.0, 1.0]))  # clipped inside
+    piecewise = IntensityField("piecewise", pieces=((Box([0.0, -5.0], [5.0, 5.0]), 1.0),))
+    assert not piecewise.polynomial_on(box)
+    # f(x - .) on [1, 2] x [-1, 1] reads f on [x1 - 2, x1 - 1] x [x2 - 1, x2 + 1]
+    assert ShiftedField(ramp, np.array([3.5, 0.0])).polynomial_on(box)
+    assert not ShiftedField(ramp, np.array([0.0, 0.0])).polynomial_on(box)
+    assert not ShiftedField(piecewise, np.array([3.5, 0.0])).polynomial_on(box)
+
+    class ValuesOnly:
+        values = IntensityField("constant", c=1.0).values
+
+    assert not ShiftedField(ValuesOnly(), np.zeros(2)).polynomial_on(box)
 
 
 @pytest.mark.parametrize(
