@@ -28,7 +28,6 @@ from .exact import (
     analytic_segment_density,
     capacity_probability,
     density_grid,
-    deterministic_density,
     exact_density,
 )
 from .geometry import Ball, Box, ball_volume

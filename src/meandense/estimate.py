@@ -75,8 +75,6 @@ class EstimateReport:
     lambda_hat: float
     standard_error: float
     hit_fraction: float
-    exact_lambda: float | None = None
-    finite_r_mean_oracle: float | None = None
 
 
 def _indicator_density(count: int, n_samples: int, d: int, n: int, radius: float) -> float:

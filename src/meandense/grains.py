@@ -4,11 +4,16 @@ A grain is a compact set anchored at the origin: a single point (n = 0), a
 segment from the origin (n = 1), or a polyline whose first vertex is the
 origin (n = 1).  Mark distributions describe the law Q of the typical
 grain; laws with unbounded length support are truncated so that an almost
-sure diameter bound is always available for guard zones.  A field is
-integrated over a grain by quadrature (`integrate_along`) and over the
-r-sausages of many grains at once (`sausage_integrals`): by exact product
-Gauss cubature for segment and point grains under a field that states it
-is a polynomial of degree <= 2 there, by chunked Monte Carlo otherwise.
+sure diameter bound is always available for guard zones.
+
+Kernels take many grains at once as segment rows a, b of shape (K, s, d)
+(`mark_segments` draws them from Q; a deterministic law is its one grain
+repeated).  A field is integrated over each grain with respect to H^n by
+Gauss-Legendre quadrature (`line_integrals`) and over each grain's
+r-sausage (`sausage_integrals`): by exact product Gauss cubature for
+segment and point grains under a field that states it is a polynomial of
+degree <= 2 there, by chunked Monte Carlo otherwise.  `integrate_along` and
+`sausage_integral` are their one-grain calls.
 """
 
 from __future__ import annotations
@@ -138,34 +143,53 @@ def hn_measure(g: Grain) -> float:
     return float(np.linalg.norm(b - a, axis=1).sum())
 
 
-def integrate_along(g: Grain, h, order: int = DEFAULT_QUADRATURE_ORDER) -> float:
-    """Line integral of the field h (its `values`) over the grain with
-    respect to H^n.
-
-    Fixed-order Gauss-Legendre per segment (exact for polynomials of degree
-    <= 2*order - 1); for a point grain this is h(0).
-    """
-    if isinstance(g, PointGrain):
-        val = float(h.values(np.zeros((1, g.dim)))[0])
-        if not math.isfinite(val):
-            raise NumericError("non-finite field value", point=np.zeros(g.dim))
-        return val
-    if order < 1:
-        raise ConfigurationError("quadrature order must be positive")
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+def grain_segments(g: Grain) -> tuple[np.ndarray, np.ndarray]:
+    """Segment rows (a, b) of one grain, each of shape (1, s, d); a point
+    grain is one degenerate row at the origin."""
     a, b = g.segment_arrays()
-    lengths = np.linalg.norm(b - a, axis=1)
-    # map nodes from [-1, 1] to each segment
-    t = (nodes + 1.0) / 2.0
-    pts = a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]
-    flat = pts.reshape(-1, g.dim)
-    vals = h.values(flat)
+    if a.shape[0] == 0:
+        a = b = np.zeros((1, g.dim))
+    return a[None], b[None]
+
+
+def integrate_along(g: Grain, h, order: int = DEFAULT_QUADRATURE_ORDER) -> float:
+    """Line integral of the field h over one grain with respect to H^n:
+    line_integrals with K = 1."""
+    return float(line_integrals(*grain_segments(g), h, g.n, order)[0])
+
+
+def line_integrals(
+    a: np.ndarray, b: np.ndarray, h, n: int, order: int = DEFAULT_QUADRATURE_ORDER
+) -> np.ndarray:
+    """Integrals of the field h (its `values`) with respect to H^n over
+    each of K grains, given as segment rows a, b of shape (K, s, d).
+
+    Fixed-order Gauss-Legendre per row (exact for polynomials of degree
+    <= 2*order - 1), summed over each grain's rows; for n = 0 the grain is
+    the point a[:, 0] and its integral is h there.  A non-finite field
+    value raises NumericError at its node."""
+    n_grains, segments, d = a.shape
+    if n == 0:
+        pts = a[:, 0]
+    else:
+        if order < 1:
+            raise ConfigurationError("quadrature order must be positive")
+        t, weights = _gauss(order, 0.0, 1.0)
+        ab = b - a
+        # node j of a row at a + t_j (b - a), (K, s, order, d); an outer
+        # product swapped is twice as fast as broadcasting over d.  The
+        # nodes go to h in C order: an affine field's matrix product can
+        # round differently on a transposed layout
+        pts = np.multiply.outer(ab, t).swapaxes(2, 3)
+        pts += a[:, :, None, :]
+        pts = np.ascontiguousarray(pts).reshape(-1, d)
+    vals = h.values(pts)
     if not np.all(np.isfinite(vals)):
-        bad = flat[~np.isfinite(vals)][0]
-        raise NumericError("non-finite field value", point=bad)
-    vals = vals.reshape(len(lengths), order)
-    per_seg = (vals * weights[None, :]).sum(axis=1) * lengths / 2.0
-    return float(per_seg.sum())
+        raise NumericError("non-finite field value", point=pts[~np.isfinite(vals)][0])
+    if n == 0:
+        return vals
+    vals = vals.reshape(n_grains, segments, order)
+    return ((vals * weights).sum(axis=2) * np.linalg.norm(ab, axis=2)).sum(axis=1)
 
 
 # proposals drawn at once by sausage_integral: its memory is bounded by
@@ -188,15 +212,6 @@ class ShiftedField:
         """f's statement on the reflected box x - box; False when f makes none."""
         inner = getattr(self._f, "polynomial_on", None)
         return bool(inner and inner(Box(self._x - box.hi, self._x - box.lo)))
-
-
-def grain_segments(g: Grain) -> tuple[np.ndarray, np.ndarray]:
-    """Segment rows (a, b) of one grain, each of shape (1, s, d); a point
-    grain is one degenerate row at the origin."""
-    a, b = g.segment_arrays()
-    if a.shape[0] == 0:
-        a = b = np.zeros((1, g.dim))
-    return a[None], b[None]
 
 
 def mark_segments(q: MarkDistribution, count: int, rng: np.random.Generator):
@@ -228,13 +243,15 @@ def sausage_integrals(
     When every grain is one segment row and h states that it is a
     polynomial of degree <= 2 on the sausages' bounding box
     (`h.polynomial_on(box)`), the integrals are exact cubature: no draw,
-    SE 0.  Otherwise grain k gets `mc_points` uniform proposals on its
-    bounding box dilated by r.  Proposals are drawn in grain order, at most
-    SAUSAGE_CHUNK points per draw: a draw holds several whole grains or a
-    piece of one grain, so the stream yields the same uniforms as one grain
-    at a time would."""
+    SE 0.  Otherwise grain k gets `mc_points` (at least 2) uniform
+    proposals on its bounding box dilated by r.  Proposals are drawn in
+    grain order, at most SAUSAGE_CHUNK points per draw: a draw holds
+    several whole grains or a piece of one grain, so the stream yields the
+    same uniforms as one grain at a time would."""
     if not (0.0 < r < 2.0):
         raise ConfigurationError("radius must lie in (0, 2)")
+    if mc_points < 2:
+        raise ConfigurationError("mc_points must be at least 2 for a standard error")
     n_grains, segments, d = a.shape
     lo = np.minimum(a.min(axis=1), b.min(axis=1)) - r
     hi = np.maximum(a.max(axis=1), b.max(axis=1)) + r
@@ -261,15 +278,7 @@ def sausage_integrals(
             dist = points_segment_distances(pts, a[ks, 0], b[ks, 0])
             for j in range(1, segments):
                 dist = np.minimum(dist, points_segment_distances(pts, a[ks, j], b[ks, j]))
-            flat = pts.reshape(-1, d)
-            if m > 1:
-                vals = h.values(flat).reshape(count, m)
-            else:
-                # numpy computes a one-row matrix product as a dot product,
-                # whose last bit can differ from the row's share of a
-                # larger product (affine fields): one grain at a time
-                vals = np.stack([h.values(p[None]) for p in flat])
-            vals = vals * (dist <= r)
+            vals = h.values(pts.reshape(-1, d)).reshape(count, m) * (dist <= r)
             sums[ks] += vals.sum(axis=1)
             squares[ks] += (vals * vals).sum(axis=1)
     mean = sums / mc_points
@@ -277,10 +286,13 @@ def sausage_integrals(
     return volume * mean, volume * np.sqrt(var / mc_points)
 
 
+@functools.cache  # leggauss takes about 0.2 ms, a tenth of a 4,000-mark density
 def _gauss(n: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss-Legendre nodes and weights on [lo, hi]."""
+    """n-point Gauss-Legendre nodes and weights on [lo, hi], read-only."""
     x, w = np.polynomial.legendre.leggauss(n)
-    return lo + (hi - lo) * (x + 1.0) / 2.0, w * (hi - lo) / 2.0
+    nodes, weights = lo + (hi - lo) * (x + 1.0) / 2.0, w * (hi - lo) / 2.0
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _ball_rule(dim: int, half: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -536,13 +548,6 @@ class MarkDistribution:
         return self.length.moment(k)
 
 
-def sample_marks(q: MarkDistribution, count: int, rng: np.random.Generator) -> list[Grain]:
-    """Bulk sampler; a single pair of vectorized draws for segment laws."""
-    if q.kind == "deterministic":
-        return [q.grain] * count
-    return [SegmentGrain(v) for v in sample_mark_vectors(q, count, rng)]
-
-
 def sample_mark_vectors(q: MarkDistribution, count: int, rng: np.random.Generator) -> np.ndarray:
     """Segment vectors (count, d) of a segment law: all lengths, then all
     directions.  This is the one definition of the mark draws."""
@@ -603,7 +608,10 @@ class RegularityCertificate:
         x in grain, r in (0,1)), H^n(Z~_0 ∩ B_r(x)) >= gamma r^n exactly
         (ball/segment intersection lengths are computed in closed form)."""
         for _ in range(trials):
-            g = sample_marks(q, 1, rng)[0]
+            if q.kind == "deterministic":
+                g = q.grain
+            else:
+                g = SegmentGrain(sample_mark_vectors(q, 1, rng)[0])
             if isinstance(g, PointGrain):
                 continue  # trivially satisfied
             x = _random_point_on(g, rng)

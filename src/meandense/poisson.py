@@ -141,8 +141,6 @@ class MarkedGermSample:
 
     points: np.ndarray          # (m, d) germ locations
     marks: MarkDistribution
-    window_used: Box
-    intensity_bound_used: float
     proposed: int = 0           # number of Poisson proposals before thinning
     vectors: np.ndarray | None = None  # (m, d) segment vectors; None for a deterministic law
 
@@ -189,14 +187,14 @@ def sample_germs(
     m_bound, mean = expected_germs(f, box) if expected is None else expected
     if m_bound == 0.0:
         empty = None if q.kind == "deterministic" else np.zeros((0, box.dim))
-        return MarkedGermSample(np.zeros((0, box.dim)), q, box, 0.0, 0, empty)
+        return MarkedGermSample(np.zeros((0, box.dim)), q, 0, empty)
     count = int(rng.poisson(mean))
     pts = box.sample(rng, count)
     u = rng.random(count)
     accept = u * m_bound < f.values(pts)
     kept = pts[accept]
     vectors = None if q.kind == "deterministic" else sample_mark_vectors(q, kept.shape[0], rng)
-    return MarkedGermSample(kept, q, box, m_bound, count, vectors)
+    return MarkedGermSample(kept, q, count, vectors)
 
 
 def check_finiteness(

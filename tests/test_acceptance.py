@@ -29,17 +29,18 @@ from meandense import (
     count_estimate,
     density_estimate,
     density_grid,
-    deterministic_density,
     empirical_capacity,
+    exact_density,
     histogram_reduction,
+    sausage_integral,
     simulate,
 )
 from meandense.boolean import grain_arrays
 from meandense.cli import main
 from meandense.config import lattice_points
 from meandense.estimate import _report_from_hits, accumulate_hits
-from meandense.exact import sausage_intensity_integral
 from meandense.geometry import Box
+from meandense.grains import ShiftedField
 from meandense.minkowski import limit_diagnostics
 from meandense.streams import derive_stream
 
@@ -158,13 +159,14 @@ def test_criterion_04_stationary_corollary():
 
 
 def test_criterion_05_deterministic_grain_closed_form():
-    """deterministic_density equals x1² - x1 + 1/3 + x2² to 1e-9 at 20
-    random points (unit segment, quadratic intensity)."""
+    """exact_density of the deterministic unit-segment law equals
+    x1² - x1 + 1/3 + x2² to 1e-9 at 20 random points (quadratic intensity)."""
     rng = derive_stream(505, 0)
+    unit_segment = MarkDistribution("deterministic", grain=UNIT_SEGMENT_GRAIN)
     worst = 0.0
     for _ in range(20):
         x = rng.uniform(-2.0, 2.0, size=2)
-        val = deterministic_density(QUADRATIC, UNIT_SEGMENT_GRAIN, x)
+        val, _ = exact_density(QUADRATIC, unit_segment, x)
         closed = x[0] ** 2 - x[0] + 1.0 / 3.0 + x[1] ** 2
         worst = max(worst, abs(val - closed))
     ok = worst <= 1e-9
@@ -302,8 +304,8 @@ def test_criterion_09_grain_count_route():
     means, sausage_devs = [], []
     reference_ok = True
     for j, r in enumerate(rs):
-        lam, lam_se = sausage_intensity_integral(
-            QUADRATIC, UNIT_SEGMENT_GRAIN, np.zeros(2), r, 1_000_000, derive_stream(911, j))
+        lam, lam_se = sausage_integral(UNIT_SEGMENT_GRAIN, ShiftedField(QUADRATIC, np.zeros(2)),
+                                       r, 1_000_000, derive_stream(911, j))
         hand = 2.0 * r * (1.0 / 3.0 + math.pi * r / 4.0 + r ** 2 + math.pi * r ** 3 / 4.0)
         reference_ok = reference_ok and abs(lam - hand) <= 3.0 * lam_se + 1e-12 * hand
         sausage_devs.append((lam - hand) / hand)

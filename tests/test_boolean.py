@@ -241,7 +241,6 @@ def test_guard_zone_eliminates_edge_effects():
 
 
 def test_to_csv_lists_every_grain():
-    window = Box([0.0, 0.0], [2.0, 2.0])
     kinds = []
     for germ, grain in (
         ([0.5, 0.5], PointGrain(dim=2)),
@@ -249,7 +248,7 @@ def test_to_csv_lists_every_grain():
         ([1.5, 1.5], PolylineGrain([[0.0, 0.0], [0.1, 0.0], [0.1, 0.1]])),
     ):
         q = MarkDistribution("deterministic", grain=grain)
-        sample = MarkedGermSample(np.array([germ]), q, window, 1.0)
+        sample = MarkedGermSample(np.array([germ]), q)
         lines = sample.to_csv().strip().splitlines()
         assert lines[0] == "germ_0,germ_1,kind,params"
         assert len(lines) == 2

@@ -334,14 +334,23 @@ def test_cli_repeated_key_is_a_violation(tmp_path, capsys):
 
 
 def test_cli_numeric_error_reports_the_point(tmp_path, capsys):
-    # |y|^2 overflows to inf along a grain placed 1e160 from the origin
-    cfg = write_cfg(tmp_path, MINI_EXACT.replace("0,0; 0.5,0.5", "1e160, 0"))
-    assert main(["exact", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1"]) == 2
-    error = json.loads(capsys.readouterr().err)
-    assert error["error"] == "numeric" and "non-finite" in error["message"]
-    assert len(error["point"]) == 2
-    assert all(isinstance(c, float) and math.isfinite(c) for c in error["point"])
-    assert error["point"] == [1e160, 0.0]  # the grid point, not a quadrature node
+    # |y|^2 overflows to inf along a grain placed 1e160 from the origin,
+    # for the deterministic grain and for a random segment law
+    deterministic = MINI_EXACT.replace("0,0; 0.5,0.5", "1e160, 0")
+    grain = "marks.kind = deterministic\nmarks.grain.kind = segment\nmarks.grain.length = 1\n"
+    segment_law = deterministic.replace(grain, (
+        "marks.kind = segment_law\nmarks.length.kind = fixed\nmarks.length.value = 1\n"
+        "marks.orientation.kind = uniform\nmark_draws = 50\n"))
+    assert segment_law != deterministic
+    for name, text in (("deterministic", deterministic), ("segment_law", segment_law)):
+        cfg = write_cfg(tmp_path, text, f"{name}.cfg")
+        out = str(tmp_path / name)
+        assert main(["exact", "--config", cfg, "--out", out, "--threads", "1"]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "numeric" and "non-finite" in error["message"]
+        assert len(error["point"]) == 2
+        assert all(isinstance(c, float) and math.isfinite(c) for c in error["point"])
+        assert error["point"] == [1e160, 0.0]  # the grid point, not a quadrature node
 
 
 @pytest.mark.parametrize("threads", ["0", "-2"])

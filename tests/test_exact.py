@@ -16,9 +16,10 @@ from meandense import (
     analytic_segment_density,
     capacity_probability,
     density_grid,
-    deterministic_density,
     exact_density,
+    integrate_along,
 )
+from meandense.grains import ShiftedField
 from meandense.streams import derive_stream
 
 
@@ -54,9 +55,7 @@ def test_deterministic_density_closed_form():
     for _ in range(10):
         x = rng.uniform(-2.0, 2.0, size=2)
         expected = x[0] ** 2 - x[0] + 1.0 / 3.0 + x[1] ** 2
-        assert deterministic_density(QUADRATIC, UNIT_SEGMENT.grain, x) == pytest.approx(
-            expected, abs=1e-12
-        )
+        assert exact_density(QUADRATIC, UNIT_SEGMENT, x)[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_deterministic_density_vs_quad_oracle():
@@ -64,7 +63,7 @@ def test_deterministic_density_vs_quad_oracle():
     f = Field(lambda pts: np.exp(-np.atleast_2d(pts)[:, 0] ** 2))
     x = np.array([0.7, -0.2])
     oracle, _ = integrate.quad(lambda t: math.exp(-((x[0] - t) ** 2)), 0.0, 1.0)
-    val = deterministic_density(f, UNIT_SEGMENT.grain, x, order=24)
+    val = integrate_along(UNIT_SEGMENT.grain, ShiftedField(f, x), order=24)
     assert val == pytest.approx(oracle, abs=1e-10)
 
 
@@ -83,6 +82,26 @@ def test_exact_density_fixed_law_is_deterministic():
     val, se = exact_density(QUADRATIC, q, [0.5, 0.0])
     assert se == 0.0
     assert val == pytest.approx(0.25 - 0.5 + 1.0 / 3.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("field", [QUADRATIC, MonteCarloField(QUADRATIC)],
+                         ids=["cubature", "monte_carlo"])
+def test_deterministic_grain_and_fixed_law_are_one_path(field):
+    """A deterministic SegmentGrain law and the fixed segment law with the
+    same vector are one draw of the same row: bit-identical densities and
+    capacity probabilities, with cubature and with Monte Carlo sausages."""
+    grain = MarkDistribution("deterministic", grain=SegmentGrain.from_angle(0.8, 0.3))
+    fixed = MarkDistribution(
+        "segment",
+        length=LengthLaw("fixed", value=0.8),
+        orientation=OrientationLaw("fixed", dim=2, angle=0.3),
+    )
+    x = [0.4, -0.7]
+    assert exact_density(field, grain, x) == exact_density(field, fixed, x)
+    probs = [capacity_probability(field, q, x, 0.2, mc_points=5000, rng=derive_stream(12, 0))
+             for q in (grain, fixed)]
+    assert probs[0] == probs[1]
+    assert (probs[0][1] == 0.0) == (field is QUADRATIC)
 
 
 def test_exact_density_requires_stream_for_random_law():

@@ -27,8 +27,9 @@ from meandense.geometry import Box, as_point, points_segment_distances, segment_
 from meandense.grains import (
     ShiftedField,
     _ball_intersection_length,
+    line_integrals,
     mark_segments,
-    sample_marks,
+    sample_mark_vectors,
     sausage_integrals,
 )
 from meandense.exact import capacity_probability
@@ -255,8 +256,8 @@ def test_mark_distribution_deterministic():
     assert q.l_max == pytest.approx(2.0)
     assert q.mean_hn() == pytest.approx(2.0)
     assert q.length_moment(3) == pytest.approx(8.0)
-    g = sample_marks(q, 1, np.random.default_rng(0))[0]
-    assert g is q.grain
+    a, b = mark_segments(q, 1, np.random.default_rng(0))
+    assert a.tolist() == [[[0.0, 0.0]]] and b.tolist() == [[q.grain.vec.tolist()]]
 
 
 def test_mark_distribution_segment_law():
@@ -268,8 +269,7 @@ def test_mark_distribution_segment_law():
     assert q.n == 1 and q.dim == 2 and not q.is_deterministic
     assert q.l_max == pytest.approx(1.5)
     assert q.mean_hn() == pytest.approx(1.0)
-    grains = sample_marks(q, 1000, np.random.default_rng(5))
-    lengths = np.array([g.length for g in grains])
+    lengths = np.linalg.norm(sample_mark_vectors(q, 1000, np.random.default_rng(5)), axis=1)
     assert lengths.min() >= 0.5 and lengths.max() <= 1.5
 
 
@@ -279,11 +279,11 @@ def test_sample_marks_deterministic_per_stream():
         length=LengthLaw("uniform", lo=0.5, hi=1.5),
         orientation=OrientationLaw("uniform", dim=2),
     )
-    a = sample_marks(q, 10, derive_stream(7, 3))
-    b = sample_marks(q, 10, derive_stream(7, 3))
-    c = sample_marks(q, 10, derive_stream(7, 4))
-    assert all(np.array_equal(x.vec, y.vec) for x, y in zip(a, b))
-    assert any(not np.array_equal(x.vec, y.vec) for x, y in zip(a, c))
+    a = sample_mark_vectors(q, 10, derive_stream(7, 3))
+    b = sample_mark_vectors(q, 10, derive_stream(7, 3))
+    c = sample_mark_vectors(q, 10, derive_stream(7, 4))
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    assert any(not np.array_equal(x, y) for x, y in zip(a, c))
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +381,13 @@ def _reference_sausage(g, h, r, mc_points, rng, chunk):
     return box.volume * mean, box.volume * math.sqrt(var / mc_points)
 
 
+def _sampled_grains(q, count, rng):
+    """`count` grain objects drawn from Q with the draws of mark_segments."""
+    if q.kind == "deterministic":
+        return [q.grain] * count
+    return [SegmentGrain(v) for v in sample_mark_vectors(q, count, rng)]
+
+
 def _kernel_law(law, d, shape_rng):
     vertices = np.vstack([np.zeros(d), shape_rng.uniform(-1.5, 1.5, size=(3, d))])
     uniform = OrientationLaw("uniform", dim=d)
@@ -395,12 +402,20 @@ def _kernel_law(law, d, shape_rng):
     }[law]()
 
 
+def _kernel_field(field, d, shape_rng):
+    return {
+        "constant": IntensityField("constant", c=1.3),
+        "quadratic": IntensityField("quadratic"),
+        "affine": IntensityField("affine", a=0.3, b=shape_rng.normal(size=d)),
+    }[field]
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     d=st.sampled_from([1, 2, 3]),
     law=st.sampled_from(["point", "segment", "polyline", "zero_length", "random"]),
     field=st.sampled_from(["constant", "quadratic", "affine"]),
-    mc_points=st.integers(1, 2500),
+    mc_points=st.integers(2, 2500),
     count=st.integers(1, 6),
     r=st.floats(0.01, 1.9),
     seed=st.integers(0, 2 ** 32 - 1),
@@ -408,20 +423,16 @@ def _kernel_law(law, d, shape_rng):
 @example(d=2, law="random", field="quadratic", mc_points=300, count=5, r=0.3, seed=1)
 @example(d=3, law="polyline", field="affine", mc_points=2300, count=2, r=0.5, seed=2)
 @example(d=1, law="zero_length", field="constant", mc_points=999, count=3, r=0.1, seed=3)
-@example(d=3, law="segment", field="affine", mc_points=1, count=2, r=1.0, seed=0)
+@example(d=3, law="segment", field="affine", mc_points=2001, count=2, r=1.0, seed=0)
 def test_sausage_kernel_equals_per_grain_reference(d, law, field, mc_points, count, r, seed):
     """With a chunk of 1000 points, grains share a draw (mc_points <= 500)
     or are split over several (mc_points > 1000); either way every
     estimate and SE equals, to the bit, that of the grain on its own, and
-    the stream is left in the same state.  One point per grain is the case
-    where a field evaluated on the whole draw would differ in the last bit."""
+    the stream is left in the same state.  A split grain's tail may be one
+    point (mc_points = 2001): one grain in that draw."""
     shape_rng = np.random.default_rng(seed)
     q = _kernel_law(law, d, shape_rng)
-    f = {
-        "constant": IntensityField("constant", c=1.3),
-        "quadratic": IntensityField("quadratic"),
-        "affine": IntensityField("affine", a=0.3, b=shape_rng.normal(size=d)),
-    }[field]
+    f = _kernel_field(field, d, shape_rng)
     h = ShiftedField(MonteCarloField(f), shape_rng.uniform(-1.0, 1.0, size=d))
     chunk = 1000
     with mock.patch.object(grains, "SAUSAGE_CHUNK", chunk):
@@ -429,10 +440,74 @@ def test_sausage_kernel_equals_per_grain_reference(d, law, field, mc_points, cou
         est, se = sausage_integrals(*mark_segments(q, count, rng), h, r, mc_points, rng)
     ref_rng = np.random.default_rng(seed)
     ref = [_reference_sausage(g, h, r, mc_points, ref_rng, chunk)
-           for g in sample_marks(q, count, ref_rng)]
+           for g in _sampled_grains(q, count, ref_rng)]
     assert est.tolist() == [e for e, _ in ref]
     assert se.tolist() == [s for _, s in ref]
     assert rng.random() == ref_rng.random()
+
+
+def test_sausage_kernel_rejects_fewer_than_two_points():
+    """One proposal per grain has no standard error: rejected by name,
+    before any draw, whether the cubature would apply or not."""
+    a, b = mark_segments(_kernel_law("segment", 3, np.random.default_rng(0)), 2, None)
+    rng = RecordingRng()
+    for f in (IntensityField("affine", a=0.3, b=[1.0, 0.0, 0.0]),
+              MonteCarloField(IntensityField("quadratic"))):
+        with pytest.raises(ConfigurationError, match="mc_points"):
+            sausage_integrals(a, b, f, 1.0, 1, rng)
+    assert rng.calls == []
+    with pytest.raises(ConfigurationError, match="mc_points"):
+        grains.sausage_integral(SegmentGrain([1.0, 0.0]), MonteCarloField(IntensityField(
+            "constant", c=1.0)), 0.2, 1, derive_stream(0, 0))
+
+
+# ---------------------------------------------------------------------------
+# batched line kernel
+
+
+def _reference_line_integrals(a, b, h, n, order=8):
+    """The integrals of h over K grains' rows a, b of shape (K, s, d) by
+    the one-grain arithmetic that line_integrals replaced: Gauss-Legendre
+    per row and the sum over the grain's rows, one grain at a time.  For
+    n = 0, h at each grain's point; those K points go in one call, because
+    numpy computes a one-row matrix product (affine fields) as a dot
+    product whose last bit can differ from the row's share of a larger one."""
+    if n == 0:
+        return h.values(a[:, 0]).tolist()
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    t = (nodes + 1.0) / 2.0
+    out = []
+    for ak, bk in zip(a, b):
+        lengths = np.linalg.norm(bk - ak, axis=1)
+        pts = ak[:, None, :] + t[None, :, None] * (bk - ak)[:, None, :]
+        vals = h.values(pts.reshape(-1, ak.shape[1])).reshape(len(lengths), order)
+        per_seg = (vals * weights[None, :]).sum(axis=1) * lengths / 2.0
+        out.append(float(per_seg.sum()))
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    d=st.sampled_from([1, 2, 3]),
+    law=st.sampled_from(["point", "segment", "polyline", "zero_length", "random"]),
+    field=st.sampled_from(["constant", "quadratic", "affine"]),
+    count=st.integers(1, 6),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+@example(d=2, law="polyline", field="quadratic", count=3, seed=1)
+@example(d=3, law="polyline", field="affine", count=1, seed=2)
+@example(d=1, law="random", field="affine", count=5, seed=3)
+@example(d=2, law="point", field="affine", count=2, seed=160697)
+@example(d=3, law="random", field="affine", count=1, seed=49048201)
+def test_line_kernel_equals_per_grain_reference(d, law, field, count, seed):
+    """line_integrals over K grains' rows equals, to the bit, the former
+    one-grain quadrature of each grain (its rows summed per grain)."""
+    shape_rng = np.random.default_rng(seed)
+    q = _kernel_law(law, d, shape_rng)
+    f = _kernel_field(field, d, shape_rng)
+    h = ShiftedField(f, shape_rng.uniform(-1.0, 1.0, size=d))
+    a, b = mark_segments(q, count, np.random.default_rng(seed))
+    assert line_integrals(a, b, h, q.n).tolist() == _reference_line_integrals(a, b, h, q.n)
 
 
 # ---------------------------------------------------------------------------
