@@ -32,13 +32,11 @@ from .exact import (
 )
 from .geometry import Ball, Box, ball_volume
 from .grains import (
+    Grain,
     LengthLaw,
     MarkDistribution,
     OrientationLaw,
-    PointGrain,
-    PolylineGrain,
     RegularityCertificate,
-    SegmentGrain,
     hn_measure,
     integrate_along,
 )

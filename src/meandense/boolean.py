@@ -5,8 +5,8 @@ window dilated by a guard margin of at least L_max + r_max, so all
 in-window queries with radius <= r_max are exact for the truncated mark
 law: edge effects are eliminated rather than corrected.
 
-Grains are held as arrays only (`grain_arrays`): rows (a, b) with the
-grain each row belongs to, a point grain being one row with a = b; a
+Grains are held as arrays only (`grain_arrays`): segment rows (a, b) with
+the grain each row belongs to, a point grain being one zero-length row; a
 hand-built realization stacks such arrays with `stack_grains`.  One kernel,
 `count_hits`, answers every hit and count query, for one realization, a
 stacked batch of realizations or a block of the replicate engine alike.
@@ -21,18 +21,17 @@ import numpy as np
 
 from .errors import ConfigurationError, QueryError
 from .geometry import Ball, Box, as_point, clipped_lengths, segment_distances
-from .grains import MarkDistribution, PointGrain
+from .grains import MarkDistribution
 from .poisson import sample_germs
 
 
 class GrainArrays(NamedTuple):
-    """Translated grains as rows (a, b); a point grain is one row with
-    a = b = its germ.  Grains are numbered 0..count-1."""
+    """Translated grains as segment rows (a, b); a point grain is one row
+    with a = b = its germ.  Grains are numbered 0..count-1."""
 
     a: np.ndarray      # (rows, d) segment start points
     b: np.ndarray      # (rows, d) segment end points
     grain: np.ndarray  # (rows,) grain of each row
-    point: np.ndarray  # (rows,) True where the row is a point grain
     count: int
 
 
@@ -45,13 +44,11 @@ def grain_arrays(germs: np.ndarray, marks) -> GrainArrays:
     m, d = germs.shape
     ids = np.arange(m)
     if isinstance(marks, np.ndarray):
-        return GrainArrays(germs, germs + marks, ids, np.zeros(m, dtype=bool), m)
-    if isinstance(marks, PointGrain):
-        return GrainArrays(germs, germs, ids, np.ones(m, dtype=bool), m)
-    a0, b0 = marks.segment_arrays()
+        return GrainArrays(germs, germs + marks, ids, m)
+    a0, b0 = marks.rows()
     a = (germs[:, None, :] + a0).reshape(-1, d)
     b = (germs[:, None, :] + b0).reshape(-1, d)
-    return GrainArrays(a, b, np.repeat(ids, a0.shape[0]), np.zeros(len(a), dtype=bool), m)
+    return GrainArrays(a, b, np.repeat(ids, a0.shape[0]), m)
 
 
 def stack_grains(parts: list[GrainArrays]) -> tuple[GrainArrays, np.ndarray]:
@@ -63,7 +60,6 @@ def stack_grains(parts: list[GrainArrays]) -> tuple[GrainArrays, np.ndarray]:
         np.concatenate([p.a for p in parts]),
         np.concatenate([p.b for p in parts]),
         np.concatenate([p.grain for p in parts]) + np.repeat(first, [p.grain.size for p in parts]),
-        np.concatenate([p.point for p in parts]),
         int(counts.sum()),
     )
     return stacked, np.repeat(np.arange(len(parts)), counts)
@@ -76,10 +72,9 @@ def count_hits(grains: GrainArrays, owner: np.ndarray, xs, rs) -> tuple[np.ndarr
 
     Per x, only rows whose bounding box, dilated by a hair over max(rs),
     contains x are measured; the hair keeps rounding in a box from
-    dropping a grain that the distance test would count.  Point grains
-    are measured with the germ norm, segments with segment_distances.
+    dropping a grain that the distance test would count.
     """
-    a, b, grain, point, _ = grains
+    a, b, grain, _ = grains
     # boxes as (d, rows): each comparison runs along a contiguous row, many
     # times faster than reducing (rows, d) along its short axis
     lo = np.minimum(a.T, b.T, order="C")
@@ -94,8 +89,6 @@ def count_hits(grains: GrainArrays, owner: np.ndarray, xs, rs) -> tuple[np.ndarr
         col = x[:, None]
         near = np.flatnonzero(np.all((lo <= col) & (col <= hi), axis=0))
         dist = segment_distances(x, a[near], b[near])
-        is_point = point[near]
-        dist[is_point] = np.linalg.norm(a[near[is_point]] - x, axis=1)
         for j, r in enumerate(rs):
             hit = np.unique(grain[near[dist <= r]])
             cnt[i, j] = hit.size
@@ -135,10 +128,11 @@ class BooleanRealization:
 
     @property
     def grain_dim(self) -> int:
-        """Hausdorff dimension n of the grain family."""
+        """Hausdorff dimension n of the grain family: 0 when inferred from
+        rows that all have zero length."""
         if self.hausdorff_dim is not None:
             return self.hausdorff_dim
-        return 0 if self.arrays.point.all() else 1
+        return 0 if np.array_equal(self.arrays.a, self.arrays.b) else 1
 
     def __len__(self) -> int:
         return self.arrays.count
@@ -166,10 +160,10 @@ class BooleanRealization:
             raise ConfigurationError("region dimension mismatch")
         if not self.observation_window.contains_box(region):
             raise QueryError("region is not contained in the observation window")
-        a, b, _, point, _ = self.arrays
-        pts = a[point]
-        inside = np.all((pts >= region.lo) & (pts < region.hi), axis=1)
-        return float(clipped_lengths(a[~point], b[~point], region).sum()) + float(inside.sum())
+        a, b, _, _ = self.arrays
+        if self.grain_dim == 0:
+            return float(np.all((a >= region.lo) & (a < region.hi), axis=1).sum())
+        return float(clipped_lengths(a, b, region).sum())
 
 
 def checked_guard_margin(

@@ -36,9 +36,14 @@ SUBCOMMANDS = ("exact", "estimate", "study", "minkowski", "simulate", "oracle")
 
 
 def _write(out_dir: Path, name: str, text: str) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
-    path.write_text(text)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise ConfigurationError(
+            f"--out (or the config's output key): cannot write {path}: {exc.strerror or exc}"
+        ) from exc
     return path
 
 

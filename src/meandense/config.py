@@ -16,14 +16,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .estimate import BandwidthSchedule
 from .geometry import Box
-from .grains import (
-    LengthLaw,
-    MarkDistribution,
-    OrientationLaw,
-    PointGrain,
-    PolylineGrain,
-    SegmentGrain,
-)
+from .grains import Grain, LengthLaw, MarkDistribution, OrientationLaw
 from .poisson import IntensityField
 
 _KNOWN_KEYS = {
@@ -218,8 +211,8 @@ def parse_config(text: str) -> ScenarioConfig:
     x_grid = _build_x_grid(pairs, get, d, errors)
 
     replications = get("replications", 3, cast=_integer)
-    if replications is not None and replications < 1:
-        errors.append("replications: must be positive")
+    if replications is not None and replications < 2:
+        errors.append("replications: must be at least 2 for a variance")
     mc_points = get("mc_points", 1_000_000, cast=_integer)
     if mc_points is not None and mc_points < 2:
         errors.append("mc_points: must be at least 2")
@@ -307,26 +300,26 @@ def _build_marks(pairs, get, d, errors) -> MarkDistribution | None:
 def _build_grain(pairs, get, d, errors):
     gkind = pairs.get("marks.grain.kind")
     if gkind == "point":
-        return PointGrain(dim=d)
+        return Grain.point(d)
     if gkind == "segment":
         length = get("marks.grain.length", 1.0)
         if d == 2:
-            return SegmentGrain.from_angle(length, get("marks.grain.angle", 0.0))
+            return Grain.from_angle(length, get("marks.grain.angle", 0.0))
         law = OrientationLaw(
             "fixed", dim=d,
             angle=get("marks.grain.angle", 0.0),
             polar=get("marks.grain.polar", 0.0),
             azimuth=get("marks.grain.azimuth", 0.0),
         )
-        return SegmentGrain(length * law.fixed_direction())
+        return Grain.segment(length * law.fixed_direction())
     if gkind == "polyline":
         pts = get("marks.grain.vertices", [], cast=_floats, sep=";")
         if not pts or any(len(p) != d for p in pts):
             errors.append(f"marks.grain.vertices: needs {d}-d points separated by ';'")
-            return PointGrain(dim=d)
-        return PolylineGrain(np.array(pts))
+            return Grain.point(d)
+        return Grain.polyline(np.array(pts))
     errors.append("marks.grain.kind: required for deterministic marks (point|segment|polyline)")
-    return PointGrain(dim=d)
+    return Grain.point(d)
 
 
 def _build_length(pairs, get, errors) -> LengthLaw | None:

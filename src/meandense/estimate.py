@@ -238,8 +238,7 @@ def accumulate_hits(
     window = Box(pts.min(axis=0) - r_max, pts.max(axis=0) + r_max)
     box = window.dilate(checked_guard_margin(q, r_max))
     expected = expected_germs(f, box)
-    per_grain = len(q.grain.segment_arrays()[0]) if q.kind == "deterministic" else 1
-    rows = expected[1] * max(1, per_grain)
+    rows = expected[1] * (len(q.grain.rows()[0]) if q.kind == "deterministic" else 1)
     per_block = _BLOCK_REPLICATES
     if rows * per_block > _BLOCK_SEGMENTS:
         per_block = max(1, int(_BLOCK_SEGMENTS // rows))

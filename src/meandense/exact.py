@@ -104,10 +104,12 @@ def capacity_probability(
     """
     if r <= 0 or r >= 2.0:
         raise ConfigurationError("radius must lie in (0, 2)")
+    if not q.is_deterministic and mark_draws < 2:
+        raise ConfigurationError("mark_draws must be at least 2 for a standard error")
     if rng is None:
         rng = np.random.default_rng(0)
     x = as_point(x, dim=q.dim)
-    draws = 1 if q.is_deterministic else max(2, mark_draws)
+    draws = 1 if q.is_deterministic else mark_draws
     per_mark = mc_points if draws == 1 else max(16, mc_points // draws)
     a, b = mark_segments(q, draws, rng)
     ests, ses = sausage_integrals(a, b, ShiftedField(f, x), r, per_mark, rng)

@@ -108,47 +108,27 @@ class Ball:
         return Box(self.center - self.radius, self.center + self.radius)
 
 
-def segment_distances(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distances from point x (shape (d,)) to m segments given by endpoint
-    arrays a, b of shape (m, d)."""
+def segment_distances(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distances from points to segments (a, b), broadcast over the leading
+    axes: one point (d,) against m segments (m, d), or k point sets
+    (k, m, d) against k segments (k, 1, d).  A zero-length segment is a
+    point, measured with np.linalg.norm."""
     ab = b - a
-    ax = x - a
-    denom = np.einsum("ij,ij->i", ab, ab)
-    safe = np.where(denom > 0.0, denom, 1.0)
-    t = np.clip(np.einsum("ij,ij->i", ax, ab) / safe, 0.0, 1.0)
-    t = np.where(denom > 0.0, t, 0.0)
-    diff = ax - t[:, None] * ab
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
-
-
-def points_segment_distances(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distances from m points (shape (m, d)) to one segment (a, b) of
-    shape (d,), or from a batch of point sets (k, m, d) to k segments
-    (k, d), one set per segment.  Each set gets the arithmetic of a call
-    with that set and segment alone."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    a = np.asarray(a, dtype=float)
-    ab = np.asarray(b, dtype=float) - a
-    d = pts.shape[-1]
-    rel = pts - a[..., None, :]
-    denom = (ab[..., None, :] @ ab[..., :, None])[..., 0, 0]
+    rel = pts - a
+    denom = np.einsum("...j,...j->...", ab, ab)
     degenerate = denom == 0.0
-    # temporaries are updated in place, so a batch of m points holds at most
-    # two (m, d) arrays (pts, rel) and two (m,) arrays at a time
-    t = (rel @ ab[..., :, None])[..., 0]
-    t /= np.where(degenerate, 1.0, denom)[..., None]
+    t = np.einsum("...j,...j->...", rel, ab)
+    t /= np.where(degenerate, 1.0, denom)
     np.clip(t, 0.0, 1.0, out=t)
     # rel becomes the offset from the nearest point of the segment (t = 0
-    # leaves a degenerate segment's rows as they are)
-    for k in range(d):
-        rel[..., k] -= t * ab[..., k, None]
-    flat = rel.reshape(-1, d)
-    dist = np.einsum("ij,ij->i", flat, flat).reshape(rel.shape[:-1])
-    np.sqrt(dist, out=dist)
-    if np.any(degenerate):
-        # a zero-length segment is a point: its distance is the norm
-        norms = np.linalg.norm(rel[degenerate].reshape(-1, d), axis=1)
-        dist[degenerate] = norms.reshape(-1, rel.shape[-2])
+    # leaves a zero-length segment's rows as they are), one axis at a time:
+    # a broadcast (..., d) product would loop over d innermost, several
+    # times slower on a large batch
+    for k in range(rel.shape[-1]):
+        rel[..., k] -= t * ab[..., k]
+    dist = np.sqrt(np.einsum("...j,...j->...", rel, rel))
+    if degenerate.any():
+        return np.where(degenerate, np.linalg.norm(rel, axis=-1), dist)
     return dist
 
 

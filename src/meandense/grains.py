@@ -1,13 +1,14 @@
 """Grain families, mark distributions and the regularity certificate.
 
-A grain is a compact set anchored at the origin: a single point (n = 0), a
-segment from the origin (n = 1), or a polyline whose first vertex is the
-origin (n = 1).  Mark distributions describe the law Q of the typical
-grain; laws with unbounded length support are truncated so that an almost
-sure diameter bound is always available for guard zones.
+A grain is its vertex chain anchored at the origin (`Grain`): one vertex
+is a point (n = 0), two a segment and more a polyline (n = 1).  Mark
+distributions describe the law Q of the typical grain; laws with unbounded
+length support are truncated so that an almost sure diameter bound is
+always available for guard zones.
 
 Kernels take many grains at once as segment rows a, b of shape (K, s, d)
-(`mark_segments` draws them from Q; a deterministic law is its one grain
+(`Grain.rows` gives one grain's, a point being one zero-length row;
+`mark_segments` draws them from Q, a deterministic law being its one grain
 repeated).  A field is integrated over each grain with respect to H^n by
 Gauss-Legendre quadrature (`line_integrals`) and over each grain's
 r-sausage (`sausage_integrals`): by exact product Gauss cubature for
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NumericError
-from .geometry import Box, as_point, points_segment_distances
+from .geometry import Box, as_point, segment_distances
 
 DEFAULT_QUADRATURE_ORDER = 8
 
@@ -35,81 +36,21 @@ DEFAULT_TRUNCATION_QUANTILE = 0.9999
 
 
 # ---------------------------------------------------------------------------
-# grain shapes
+# grains
 
 
 @dataclass(frozen=True, eq=False)
-class PointGrain:
-    """Singleton {0} in R^dim; H^0 counting measure."""
-
-    dim: int = 2
-
-    n = 0
-
-    def __post_init__(self):
-        if self.dim not in (1, 2, 3):
-            raise ConfigurationError(f"unsupported dimension {self.dim}")
-
-    @property
-    def diameter(self) -> float:
-        return 0.0
-
-    def segment_arrays(self):
-        return np.zeros((0, self.dim)), np.zeros((0, self.dim))
-
-
-@dataclass(frozen=True, eq=False)
-class SegmentGrain:
-    """Segment from the origin to `vec`."""
-
-    vec: np.ndarray
-
-    n = 1
-
-    def __post_init__(self):
-        object.__setattr__(self, "vec", as_point(self.vec))
-
-    @classmethod
-    def from_angle(cls, length: float, angle: float) -> "SegmentGrain":
-        """Planar segment of given length and orientation angle."""
-        return cls(length * np.array([math.cos(angle), math.sin(angle)]))
-
-    @classmethod
-    def from_direction(cls, length: float, direction) -> "SegmentGrain":
-        direction = as_point(direction)
-        norm = np.linalg.norm(direction)
-        if norm == 0:
-            raise ConfigurationError("segment direction must be nonzero")
-        return cls(length * direction / norm)
-
-    @property
-    def dim(self) -> int:
-        return self.vec.shape[0]
-
-    @property
-    def length(self) -> float:
-        return float(np.linalg.norm(self.vec))
-
-    @property
-    def diameter(self) -> float:
-        return self.length
-
-    def segment_arrays(self):
-        return np.zeros((1, self.dim)), self.vec[None, :]
-
-
-@dataclass(frozen=True, eq=False)
-class PolylineGrain:
-    """Ordered vertex chain anchored at the origin (first vertex must be 0)."""
+class Grain:
+    """A grain as its (k, d) vertex chain anchored at the origin: one vertex
+    is the point {0} (n = 0, H^0 counting measure), k >= 2 vertices the
+    polyline through them (n = 1), a segment being k = 2."""
 
     vertices: np.ndarray
 
-    n = 1
-
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float)
-        if v.ndim != 2 or v.shape[0] < 2:
-            raise ConfigurationError("polyline needs a (k, d) vertex array with k >= 2")
+        if v.ndim != 2 or v.shape[0] < 1:
+            raise ConfigurationError("grain needs a (k, d) vertex array with k >= 1")
         if v.shape[1] not in (1, 2, 3):
             raise ConfigurationError(f"unsupported dimension {v.shape[1]}")
         if not np.all(np.isfinite(v)):
@@ -118,44 +59,72 @@ class PolylineGrain:
             raise ConfigurationError("polyline must be anchored at the origin")
         object.__setattr__(self, "vertices", v)
 
+    @classmethod
+    def point(cls, dim: int = 2) -> "Grain":
+        return cls(np.zeros((1, dim)))
+
+    @classmethod
+    def segment(cls, vec) -> "Grain":
+        """The segment from the origin to `vec`."""
+        vec = as_point(vec)
+        return cls(np.vstack([np.zeros_like(vec), vec]))
+
+    @classmethod
+    def polyline(cls, vertices) -> "Grain":
+        v = np.asarray(vertices, dtype=float)
+        if v.ndim != 2 or v.shape[0] < 2:
+            raise ConfigurationError("polyline needs a (k, d) vertex array with k >= 2")
+        return cls(v)
+
+    @classmethod
+    def from_angle(cls, length: float, angle: float) -> "Grain":
+        """Planar segment of given length and orientation angle."""
+        return cls.segment(length * np.array([math.cos(angle), math.sin(angle)]))
+
+    @classmethod
+    def from_direction(cls, length: float, direction) -> "Grain":
+        direction = as_point(direction)
+        norm = np.linalg.norm(direction)
+        if norm == 0:
+            raise ConfigurationError("segment direction must be nonzero")
+        return cls.segment(length * direction / norm)
+
     @property
     def dim(self) -> int:
         return self.vertices.shape[1]
 
     @property
+    def n(self) -> int:
+        return 0 if len(self.vertices) == 1 else 1
+
+    @property
     def diameter(self) -> float:
         v = self.vertices
+        if len(v) == 2:
+            return float(np.linalg.norm(v[1]))  # a segment's length
         diffs = v[:, None, :] - v[None, :, :]
         return float(np.sqrt((diffs ** 2).sum(-1)).max())
 
-    def segment_arrays(self):
-        return self.vertices[:-1], self.vertices[1:]
-
-
-Grain = PointGrain | SegmentGrain | PolylineGrain
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Segment rows (a, b), each of shape (s, d); a point is one
+        zero-length row at the origin."""
+        v = self.vertices
+        return (v, v) if len(v) == 1 else (v[:-1], v[1:])
 
 
 def hn_measure(g: Grain) -> float:
     """H^n measure of the grain: 1 for a point, total length otherwise."""
-    if isinstance(g, PointGrain):
+    if g.n == 0:
         return 1.0
-    a, b = g.segment_arrays()
+    a, b = g.rows()
     return float(np.linalg.norm(b - a, axis=1).sum())
-
-
-def grain_segments(g: Grain) -> tuple[np.ndarray, np.ndarray]:
-    """Segment rows (a, b) of one grain, each of shape (1, s, d); a point
-    grain is one degenerate row at the origin."""
-    a, b = g.segment_arrays()
-    if a.shape[0] == 0:
-        a = b = np.zeros((1, g.dim))
-    return a[None], b[None]
 
 
 def integrate_along(g: Grain, h, order: int = DEFAULT_QUADRATURE_ORDER) -> float:
     """Line integral of the field h over one grain with respect to H^n:
     line_integrals with K = 1."""
-    return float(line_integrals(*grain_segments(g), h, g.n, order)[0])
+    a, b = g.rows()
+    return float(line_integrals(a[None], b[None], h, g.n, order)[0])
 
 
 def line_integrals(
@@ -219,8 +188,7 @@ def mark_segments(q: MarkDistribution, count: int, rng: np.random.Generator):
     drawn from Q: a segment law's vectors from one sample_mark_vectors call,
     a deterministic law's grain repeated without a draw."""
     if q.kind == "deterministic":
-        a, b = grain_segments(q.grain)
-        return tuple(np.broadcast_to(v, (count,) + v.shape[1:]) for v in (a, b))
+        return tuple(np.broadcast_to(v, (count,) + v.shape) for v in q.grain.rows())
     b = sample_mark_vectors(q, count, rng)[:, None, :]
     return np.zeros_like(b), b
 
@@ -230,7 +198,8 @@ def sausage_integral(
 ) -> tuple[float, float]:
     """MC estimate (and SE) of the integral of h over the r-sausage Z⊕r of
     one grain: sausage_integrals with K = 1."""
-    est, se = sausage_integrals(*grain_segments(g), h, r, mc_points, rng)
+    a, b = g.rows()
+    est, se = sausage_integrals(a[None], b[None], h, r, mc_points, rng)
     return float(est[0]), float(se[0])
 
 
@@ -275,9 +244,9 @@ def sausage_integrals(
             pts = rng.random((count * m, d)).reshape(count, m, d)
             pts *= span_k
             pts += lo_k
-            dist = points_segment_distances(pts, a[ks, 0], b[ks, 0])
+            dist = segment_distances(pts, a[ks, :1], b[ks, :1])
             for j in range(1, segments):
-                dist = np.minimum(dist, points_segment_distances(pts, a[ks, j], b[ks, j]))
+                dist = np.minimum(dist, segment_distances(pts, a[ks, j:j + 1], b[ks, j:j + 1]))
             vals = h.values(pts.reshape(-1, d)).reshape(count, m) * (dist <= r)
             sums[ks] += vals.sum(axis=1)
             squares[ks] += (vals * vals).sum(axis=1)
@@ -578,29 +547,27 @@ class RegularityCertificate:
             raise ConfigurationError("gamma must be positive")
 
     def extend(self, g: Grain) -> Grain:
-        """The enlarged grain Z~_0 containing g."""
-        if isinstance(g, PointGrain):
-            return g
+        """The enlarged grain Z~_0 containing g: a short segment scaled, a
+        short polyline continued along its last segment."""
         total = hn_measure(g)
-        if total >= self.min_length:
+        if g.n == 0 or total >= self.min_length:
             return g
-        if isinstance(g, SegmentGrain):
+        v = g.vertices
+        if len(v) == 2:
             if total == 0.0:
                 raise ConfigurationError("cannot extend a zero-length segment")
-            return SegmentGrain(g.vec * (self.min_length / total))
-        v = g.vertices
+            return Grain.segment(v[1] * (self.min_length / total))
         d = v[-1] - v[-2]
         norm = np.linalg.norm(d)
         if norm == 0.0:
             raise ConfigurationError("cannot extend a degenerate last segment")
         extra = (self.min_length - total) / norm
-        return PolylineGrain(np.vstack([v, v[-1] + extra * d]))
+        return Grain(np.vstack([v, v[-1] + extra * d]))
 
     def normalized_gamma(self, g: Grain) -> float:
         """gamma after normalizing eta = H^n restricted to Z~_0 to a
-        probability measure (divide by the total mass of eta)."""
-        if isinstance(g, PointGrain):
-            return self.gamma  # eta is already a unit point mass
+        probability measure (divide by the total mass of eta, 1 for a
+        point)."""
         return self.gamma / hn_measure(self.extend(g))
 
     def check_sampled(self, q: MarkDistribution, rng: np.random.Generator, trials: int = 1000) -> bool:
@@ -611,8 +578,8 @@ class RegularityCertificate:
             if q.kind == "deterministic":
                 g = q.grain
             else:
-                g = SegmentGrain(sample_mark_vectors(q, 1, rng)[0])
-            if isinstance(g, PointGrain):
+                g = Grain.segment(sample_mark_vectors(q, 1, rng)[0])
+            if g.n == 0:
                 continue  # trivially satisfied
             x = _random_point_on(g, rng)
             r = rng.uniform(1e-6, 1.0 - 1e-6)
@@ -624,7 +591,7 @@ class RegularityCertificate:
 
 
 def _random_point_on(g: Grain, rng: np.random.Generator) -> np.ndarray:
-    a, b = g.segment_arrays()
+    a, b = g.rows()
     lengths = np.linalg.norm(b - a, axis=1)
     total = lengths.sum()
     if total == 0.0:
@@ -636,7 +603,7 @@ def _random_point_on(g: Grain, rng: np.random.Generator) -> np.ndarray:
 
 def _ball_intersection_length(g: Grain, x: np.ndarray, r: float) -> float:
     """Exact H^1 of (grain ∩ B_r(x)) for segment/polyline grains."""
-    a, b = g.segment_arrays()
+    a, b = g.rows()
     total = 0.0
     for ai, bi in zip(a, b):
         d = bi - ai

@@ -23,8 +23,6 @@ from .errors import ConfigurationError
 from .geometry import Box, as_point
 from .grains import (
     MarkDistribution,
-    PointGrain,
-    SegmentGrain,
     ShiftedField,
     mark_segments,
     sample_mark_vectors,
@@ -155,14 +153,14 @@ class MarkedGermSample:
             kind = "segment"
             params = [";".join(repr(float(c)) for c in v) for v in self.vectors]
         else:
-            g = self.marks.grain
-            if isinstance(g, PointGrain):
+            v = self.marks.grain.vertices
+            if len(v) == 1:
                 kind, one = "point", ""
-            elif isinstance(g, SegmentGrain):
-                kind, one = "segment", ";".join(repr(float(c)) for c in g.vec)
+            elif len(v) == 2:
+                kind, one = "segment", ";".join(repr(float(c)) for c in v[1])
             else:
                 kind = "polyline"
-                one = ";".join(" ".join(repr(float(c)) for c in v) for v in g.vertices)
+                one = ";".join(" ".join(repr(float(c)) for c in vertex) for vertex in v)
             params = [one] * len(self)
         rows = [
             ",".join(repr(float(c)) for c in p) + f",{kind},{ps}\n"

@@ -15,13 +15,12 @@ import pytest
 from meandense import (
     BandwidthSchedule,
     BooleanRealization,
+    Grain,
     IntensityField,
     LengthLaw,
     MarkDistribution,
     OrientationLaw,
-    PointGrain,
     RegularityCertificate,
-    SegmentGrain,
     analytic_segment_density,
     bound_check,
     contact_derivative,
@@ -49,7 +48,7 @@ THREADS = 4
 QUADRATIC = IntensityField("quadratic")
 CONSTANT_1 = IntensityField("constant", c=1.0)
 CONSTANT_2 = IntensityField("constant", c=2.0)
-UNIT_SEGMENT_GRAIN = SegmentGrain(np.array([1.0, 0.0]))
+UNIT_SEGMENT_GRAIN = Grain.segment(np.array([1.0, 0.0]))
 PAPER_MARKS = MarkDistribution(
     "segment",
     length=LengthLaw("fixed", value=1.0),
@@ -240,7 +239,7 @@ def test_criterion_08_histogram_equivalence():
     samples = rng.random(200)
     window = Box([-1.0], [2.0])
     embedded = [
-        BooleanRealization(grain_arrays(np.array([[s]]), PointGrain(dim=1)), window,
+        BooleanRealization(grain_arrays(np.array([[s]]), Grain.point(1)), window,
                            guard_margin=1.0, r_max=0.5, hausdorff_dim=0)
         for s in samples
     ]

@@ -10,14 +10,12 @@ from hypothesis import strategies as st
 from meandense import (
     BooleanRealization,
     ConfigurationError,
+    Grain,
     IntensityField,
     LengthLaw,
     MarkDistribution,
     OrientationLaw,
-    PointGrain,
-    PolylineGrain,
     QueryError,
-    SegmentGrain,
     simulate,
 )
 from meandense.boolean import grain_arrays, stack_grains
@@ -25,7 +23,7 @@ from meandense.geometry import Box, segment_distances
 from meandense.poisson import MarkedGermSample, sample_germs
 from meandense.streams import derive_stream
 
-UNIT_SEGMENT = MarkDistribution("deterministic", grain=SegmentGrain(np.array([1.0, 0.0])))
+UNIT_SEGMENT = MarkDistribution("deterministic", grain=Grain.segment(np.array([1.0, 0.0])))
 RANDOM_SEGMENTS = MarkDistribution(
     "segment",
     length=LengthLaw("fixed", value=1.0),
@@ -51,9 +49,7 @@ def manual_realization(germs_and_grains, window, r_max=0.5, n=None):
 
 def grain_distance(g, x) -> float:
     """Distance from x to the grain anchored at the origin."""
-    if isinstance(g, PointGrain):
-        return float(np.linalg.norm(x))
-    a, b = g.segment_arrays()
+    a, b = g.rows()
     return float(segment_distances(x, a, b).min())
 
 
@@ -70,7 +66,7 @@ def brute_force_hits(placed, x, r):
 def test_hits_hand_case():
     window = Box([0.0, 0.0], [4.0, 4.0])
     real = manual_realization(
-        [([1.0, 1.0], SegmentGrain(np.array([1.0, 0.0])))], window, r_max=0.5
+        [([1.0, 1.0], Grain.segment(np.array([1.0, 0.0])))], window, r_max=0.5
     )
     assert real.hits([1.5, 1.2], 0.3)
     assert real.hit_count([1.5, 1.2], 0.3) == 1
@@ -93,9 +89,9 @@ def test_query_validation():
 
 def test_grain_dim_inference_and_override():
     window = Box([0.0, 0.0], [2.0, 2.0])
-    seg = manual_realization([([1.0, 1.0], SegmentGrain(np.array([0.5, 0.0])))], window)
+    seg = manual_realization([([1.0, 1.0], Grain.segment(np.array([0.5, 0.0])))], window)
     assert seg.grain_dim == 1
-    pts = manual_realization([([1.0, 1.0], PointGrain(dim=2))], window)
+    pts = manual_realization([([1.0, 1.0], Grain.point(2))], window)
     assert pts.grain_dim == 0
     empty = manual_realization([], window, n=1)
     assert empty.grain_dim == 1 and len(empty) == 0
@@ -111,12 +107,12 @@ def test_index_matches_brute_force(seed, count):
         germ = rng.uniform(-1.0, 5.0, size=2)
         kind = rng.integers(0, 3)
         if kind == 0:
-            grain = SegmentGrain(rng.uniform(-1.0, 1.0, size=2))
+            grain = Grain.segment(rng.uniform(-1.0, 1.0, size=2))
         elif kind == 1:
-            grain = PointGrain(dim=2)
+            grain = Grain.point(2)
         else:
             steps = rng.uniform(-0.5, 0.5, size=(2, 2))
-            grain = PolylineGrain(np.vstack([[0.0, 0.0], np.cumsum(steps, axis=0)]))
+            grain = Grain.polyline(np.vstack([[0.0, 0.0], np.cumsum(steps, axis=0)]))
     # mixed grain families share n only artificially; fix n = 1 for the query API
         placed.append((germ, grain))
     real = BooleanRealization(
@@ -135,7 +131,7 @@ def test_many_segments_match_brute_force():
     rng = derive_stream(99, 0)
     window = Box([0.0, 0.0], [4.0, 4.0])
     placed = [
-        (rng.uniform(0.0, 4.0, size=2), SegmentGrain(rng.uniform(-1.0, 1.0, size=2)))
+        (rng.uniform(0.0, 4.0, size=2), Grain.segment(rng.uniform(-1.0, 1.0, size=2)))
         for _ in range(200)
     ]
     real = BooleanRealization(
@@ -152,8 +148,8 @@ def test_measure_in_region_segments():
     window = Box([0.0, 0.0], [4.0, 4.0])
     real = manual_realization(
         [
-            ([1.0, 1.0], SegmentGrain(np.array([1.0, 0.0]))),   # fully inside
-            ([3.5, 1.0], SegmentGrain(np.array([1.0, 0.0]))),   # half clipped
+            ([1.0, 1.0], Grain.segment(np.array([1.0, 0.0]))),   # fully inside
+            ([3.5, 1.0], Grain.segment(np.array([1.0, 0.0]))),   # half clipped
         ],
         window,
     )
@@ -187,7 +183,7 @@ def test_measure_additivity_over_partition():
 def test_point_counting_is_half_open():
     # a germ on the shared face of two cells is counted exactly once
     window = Box([0.0, 0.0], [2.0, 2.0])
-    real = manual_realization([([1.0, 0.5], PointGrain(dim=2))], window, n=0)
+    real = manual_realization([([1.0, 0.5], Grain.point(2))], window, n=0)
     left = Box([0.0, 0.0], [1.0, 1.0])
     right = Box([1.0, 0.0], [2.0, 1.0])
     assert real.measure_in_region(left) == 0.0
@@ -215,7 +211,7 @@ def test_simulate_deterministic_in_stream():
     a = simulate(f, RANDOM_SEGMENTS, window, 0.2, derive_stream(5, 9))
     b = simulate(f, RANDOM_SEGMENTS, window, 0.2, derive_stream(5, 9))
     assert len(a) == len(b)
-    for field in ("a", "b", "grain", "point"):
+    for field in ("a", "b", "grain"):
         assert np.array_equal(getattr(a.arrays, field), getattr(b.arrays, field))
 
 
@@ -243,9 +239,9 @@ def test_guard_zone_eliminates_edge_effects():
 def test_to_csv_lists_every_grain():
     kinds = []
     for germ, grain in (
-        ([0.5, 0.5], PointGrain(dim=2)),
-        ([1.0, 1.0], SegmentGrain(np.array([0.5, 0.0]))),
-        ([1.5, 1.5], PolylineGrain([[0.0, 0.0], [0.1, 0.0], [0.1, 0.1]])),
+        ([0.5, 0.5], Grain.point(2)),
+        ([1.0, 1.0], Grain.segment(np.array([0.5, 0.0]))),
+        ([1.5, 1.5], Grain.polyline([[0.0, 0.0], [0.1, 0.0], [0.1, 0.1]])),
     ):
         q = MarkDistribution("deterministic", grain=grain)
         sample = MarkedGermSample(np.array([germ]), q)
@@ -261,15 +257,15 @@ def reference_csv(sample) -> str:
     if sample.vectors is None:
         placed = [(p, sample.marks.grain) for p in sample.points]
     else:
-        placed = [(p, SegmentGrain(v)) for p, v in zip(sample.points, sample.vectors)]
+        placed = [(p, Grain.segment(v)) for p, v in zip(sample.points, sample.vectors)]
     germ_cols = ",".join(f"germ_{k}" for k in range(sample.points.shape[1]))
     out = f"{germ_cols},kind,params\n"
     for germ, grain in placed:
         coords = ",".join(repr(float(c)) for c in germ)
-        if isinstance(grain, PointGrain):
+        if grain.n == 0:
             out += f"{coords},point,\n"
-        elif isinstance(grain, SegmentGrain):
-            params = ";".join(repr(float(c)) for c in grain.vec)
+        elif len(grain.vertices) == 2:
+            params = ";".join(repr(float(c)) for c in grain.vertices[1])
             out += f"{coords},segment,{params}\n"
         else:
             params = ";".join(" ".join(repr(float(c)) for c in v) for v in grain.vertices)
@@ -283,9 +279,9 @@ def test_realization_csv_from_arrays_equals_per_grain_writer(d, kind):
     rng = np.random.default_rng(d)
     vertices = np.vstack([np.zeros(d), np.cumsum(rng.uniform(-0.5, 0.5, (3, d)), axis=0)])
     q = {
-        "point": MarkDistribution("deterministic", grain=PointGrain(dim=d)),
-        "segment": MarkDistribution("deterministic", grain=SegmentGrain(vertices[1])),
-        "polyline": MarkDistribution("deterministic", grain=PolylineGrain(vertices)),
+        "point": MarkDistribution("deterministic", grain=Grain.point(d)),
+        "segment": MarkDistribution("deterministic", grain=Grain.segment(vertices[1])),
+        "polyline": MarkDistribution("deterministic", grain=Grain.polyline(vertices)),
         "random_segments": MarkDistribution(
             "segment",
             length=LengthLaw("uniform", lo=0.0, hi=1.0),

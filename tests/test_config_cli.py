@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import meandense
-from meandense import ConfigurationError, parse_config
+from meandense import ConfigurationError, hn_measure, parse_config
 from meandense.cli import main
 from meandense.config import lattice_points
 from meandense.geometry import Box
@@ -93,7 +93,7 @@ window.hi = 1, 1
 marks.kind = deterministic
 """
     seg = parse_config(base + "marks.grain.kind = segment\nmarks.grain.length = 2\n")
-    assert seg.marks.grain.length == pytest.approx(2.0)
+    assert hn_measure(seg.marks.grain) == pytest.approx(2.0)
     poly = parse_config(
         base + "marks.grain.kind = polyline\nmarks.grain.vertices = 0,0; 1,0; 1,1\n"
     )
@@ -133,11 +133,12 @@ marks.kind = deterministic
 marks.grain.kind = segment
 bogus_key = 1
 r = 3.0
+replications = 1
 """
     with pytest.raises(ConfigurationError) as exc:
         parse_config(bad)
     message = str(exc.value)
-    for fragment in ("d:", "intensity.kind", "bogus_key", "r:", "window"):
+    for fragment in ("d:", "intensity.kind", "bogus_key", "r:", "window", "replications:"):
         assert fragment in message, f"missing {fragment!r} in:\n{message}"
 
 
@@ -247,6 +248,58 @@ def test_cli_simulate_runs(tmp_path):
     assert header == "germ_0,germ_1,kind,params"
 
 
+TWO_VERTEX = """
+d = 2
+n = 1
+seed = 3
+intensity.kind = constant
+intensity.c = 2
+marks.kind = deterministic
+{grain}
+window.lo = 0, 0
+window.hi = 1, 1
+x_grid.kind = list
+x_grid.points = 0.5, 0.5; 0.3, 0.6
+N = 200
+r = 0.1
+r_grid = 0.2, 0.1, 0.05
+N_grid = 50, 100
+replications = 2
+bandwidth.c0 = 1
+bandwidth.beta = 0.25
+mc_points = 2000
+"""
+
+
+def test_cli_two_vertex_polyline_is_the_segment(tmp_path):
+    """A polyline config with two vertices is the segment it describes:
+    every sub-command writes the bytes of the equivalent segment config
+    (study.csv but for its scenario_id, a hash of the config text), and
+    realization.csv labels it a segment.  At this vector a segment's
+    diameter (its norm, which sets the guard margin) and its extension by
+    the certificate (scaled, which sets the Minkowski bound) differ in the
+    last bit from a polyline's pairwise diameter and appended vertex."""
+    grains = {
+        "segment": "marks.grain.kind = segment\nmarks.grain.length = 0.6\nmarks.grain.angle = 1.5",
+        # 0.6 (cos 1.5, sin 1.5), written exactly
+        "polyline": "marks.grain.kind = polyline\n"
+                    "marks.grain.vertices = 0,0; 0.042442321000621744,0.5984969919624327",
+    }
+    for command in ("exact", "estimate", "study", "minkowski", "oracle", "simulate"):
+        outputs = {}
+        for name, grain in grains.items():
+            cfg = write_cfg(tmp_path, TWO_VERTEX.format(grain=grain), f"{name}.cfg")
+            out = tmp_path / f"{command}-{name}"
+            assert main([command, "--config", cfg, "--out", str(out), "--threads", "1"]) == 0
+            outputs[name] = {p.name: p.read_text() for p in out.glob("*.csv")}
+            if command == "study":
+                lines = outputs[name]["study.csv"].splitlines()
+                outputs[name]["study.csv"] = [line.split(",", 1)[1] for line in lines]
+        assert outputs["polyline"] == outputs["segment"] and outputs["segment"], command
+    rows = outputs["segment"]["realization.csv"].splitlines()[1:]
+    assert rows and all(row.split(",")[2] == "segment" for row in rows)
+
+
 def _with_line(text, line):
     """text with `line` in place of the line of the same key, or added."""
     key = line.split("=")[0].strip()
@@ -314,6 +367,27 @@ def test_cli_seed_override_changes_output(tmp_path):
 
 def test_cli_missing_config_file():
     assert main(["exact", "--config", "/nonexistent/x.cfg"]) == 1
+
+
+def test_cli_unwritable_out_is_a_validation_error(tmp_path, capsys, monkeypatch):
+    """An --out below a regular file cannot be created: exit 1 with the
+    JSON error line naming --out and the path.  Only the writes are
+    caught: an OSError from the worker pool still propagates."""
+    cfg = write_cfg(tmp_path, MINI_EXACT)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "run"
+    assert main(["exact", "--config", cfg, "--out", str(out), "--threads", "1"]) == 1
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "validation"
+    assert "--out" in error["message"] and str(out) in error["message"]
+
+    def failing_pool(*args, **kwargs):
+        raise OSError("pool failed")
+
+    monkeypatch.setattr("meandense.parallel.parallel_map", failing_pool)
+    with pytest.raises(OSError, match="pool failed"):
+        main(["exact", "--config", cfg, "--out", str(tmp_path / "ok"), "--threads", "1"])
 
 
 def test_cli_invalid_config(tmp_path):

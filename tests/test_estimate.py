@@ -10,14 +10,12 @@ from hypothesis import strategies as st
 from meandense import (
     BandwidthSchedule,
     ConfigurationError,
+    Grain,
     IntensityField,
     LengthLaw,
     MarkDistribution,
     OrientationLaw,
-    PointGrain,
-    PolylineGrain,
     QueryError,
-    SegmentGrain,
     contact_derivative,
     convergence_study,
     count_estimate,
@@ -35,7 +33,7 @@ from meandense.poisson import sample_germs
 from meandense.streams import derive_stream
 
 CONSTANT = IntensityField("constant", c=1.0)
-UNIT_SEGMENT = MarkDistribution("deterministic", grain=SegmentGrain(np.array([1.0, 0.0])))
+UNIT_SEGMENT = MarkDistribution("deterministic", grain=Grain.segment(np.array([1.0, 0.0])))
 RANDOM_SEGMENTS = MarkDistribution(
     "segment",
     length=LengthLaw("fixed", value=1.0),
@@ -128,7 +126,7 @@ def test_count_estimate_validation():
 
 
 def test_contact_derivative_needs_codimension_one():
-    q = MarkDistribution("deterministic", grain=PointGrain(dim=2))
+    q = MarkDistribution("deterministic", grain=Grain.point(2))
     batch = [
         simulate(CONSTANT, q, Box([0.0, 0.0], [1.0, 1.0]), 0.3, derive_stream(5, i))
         for i in range(20)
@@ -193,7 +191,7 @@ def test_histogram_bit_identity_with_point_grain_estimator():
     from meandense import BooleanRealization
 
     realizations = [
-        BooleanRealization(grain_arrays(np.array([[s]]), PointGrain(dim=1)), window, 1.0, 0.5,
+        BooleanRealization(grain_arrays(np.array([[s]]), Grain.point(1)), window, 1.0, 0.5,
                            hausdorff_dim=0)
         for s in samples
     ]
@@ -233,15 +231,15 @@ def _mark_law(kind, d, rng):
     """A mark law of the given kind in R^d with parameters drawn from rng."""
     direction = rng.normal(size=d)
     if kind == "point":
-        return MarkDistribution("deterministic", grain=PointGrain(dim=d))
+        return MarkDistribution("deterministic", grain=Grain.point(d))
     if kind == "segment":
         return MarkDistribution(
-            "deterministic", grain=SegmentGrain.from_direction(rng.uniform(0.2, 1.0), direction)
+            "deterministic", grain=Grain.from_direction(rng.uniform(0.2, 1.0), direction)
         )
     if kind == "polyline":
         steps = rng.uniform(-0.5, 0.5, size=(2, d))
         vertices = np.vstack([np.zeros(d), np.cumsum(steps, axis=0)])
-        return MarkDistribution("deterministic", grain=PolylineGrain(vertices))
+        return MarkDistribution("deterministic", grain=Grain.polyline(vertices))
     if kind == "fixed_law":
         return MarkDistribution(
             "segment",
@@ -258,9 +256,7 @@ def _mark_law(kind, d, rng):
 def _grain_distance(germ, grain, x):
     """Distance from x to one placed grain, with the arithmetic of
     _tie_radii."""
-    if isinstance(grain, PointGrain):
-        return np.linalg.norm((germ - x)[None, :], axis=1)[0]
-    a, b = grain.segment_arrays()
+    a, b = grain.rows()
     return segment_distances(x, germ + a, germ + b).min()
 
 
@@ -268,7 +264,7 @@ def _placed(sample):
     """(germ, grain) pairs of a sample: one grain object per germ."""
     if sample.vectors is None:
         return [(p, sample.marks.grain) for p in sample.points]
-    return [(p, SegmentGrain(v)) for p, v in zip(sample.points, sample.vectors)]
+    return [(p, Grain.segment(v)) for p, v in zip(sample.points, sample.vectors)]
 
 
 def _tie_radii(placed, xs, r_top):
@@ -277,11 +273,8 @@ def _tie_radii(placed, xs, r_top):
     out = set()
     for x in xs:
         for germ, grain in placed:
-            if isinstance(grain, PointGrain):
-                dist = np.linalg.norm((germ - x)[None, :], axis=1)
-            else:
-                a, b = grain.segment_arrays()
-                dist = segment_distances(x, germ + a, germ + b)
+            a, b = grain.rows()
+            dist = segment_distances(x, germ + a, germ + b)
             out.update(float(v) for v in dist if v <= r_top)
     return sorted(out)[:4]
 

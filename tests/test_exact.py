@@ -8,11 +8,11 @@ from scipy import integrate
 
 from meandense import (
     ConfigurationError,
+    Grain,
     IntensityField,
     LengthLaw,
     MarkDistribution,
     OrientationLaw,
-    SegmentGrain,
     analytic_segment_density,
     capacity_probability,
     density_grid,
@@ -41,7 +41,7 @@ class MonteCarloField:
 
 QUADRATIC = IntensityField("quadratic")
 CONSTANT = IntensityField("constant", c=1.0)
-UNIT_SEGMENT = MarkDistribution("deterministic", grain=SegmentGrain(np.array([1.0, 0.0])))
+UNIT_SEGMENT = MarkDistribution("deterministic", grain=Grain.segment(np.array([1.0, 0.0])))
 UNIFORM_SEGMENTS = MarkDistribution(
     "segment",
     length=LengthLaw("fixed", value=1.0),
@@ -87,10 +87,10 @@ def test_exact_density_fixed_law_is_deterministic():
 @pytest.mark.parametrize("field", [QUADRATIC, MonteCarloField(QUADRATIC)],
                          ids=["cubature", "monte_carlo"])
 def test_deterministic_grain_and_fixed_law_are_one_path(field):
-    """A deterministic SegmentGrain law and the fixed segment law with the
+    """A deterministic segment grain law and the fixed segment law with the
     same vector are one draw of the same row: bit-identical densities and
     capacity probabilities, with cubature and with Monte Carlo sausages."""
-    grain = MarkDistribution("deterministic", grain=SegmentGrain.from_angle(0.8, 0.3))
+    grain = MarkDistribution("deterministic", grain=Grain.from_angle(0.8, 0.3))
     fixed = MarkDistribution(
         "segment",
         length=LengthLaw("fixed", value=0.8),
@@ -226,6 +226,10 @@ def test_capacity_probability_radius_validation():
     for r in (0.0, -0.1, 2.0, 2.5):
         with pytest.raises(ConfigurationError):
             capacity_probability(CONSTANT, UNIT_SEGMENT, [0.0, 0.0], r)
+    # a random law needs two mark draws for a standard error, as in exact_density
+    with pytest.raises(ConfigurationError, match="mark_draws"):
+        capacity_probability(CONSTANT, UNIFORM_SEGMENTS, [0.0, 0.0], 0.1, mark_draws=1,
+                             rng=derive_stream(0, 0))
 
 
 def test_density_grid_thread_invariance():

@@ -15,7 +15,6 @@ from meandense.geometry import (
     as_point,
     ball_volume,
     clipped_lengths,
-    points_segment_distances,
     segment_distances,
 )
 
@@ -180,7 +179,7 @@ def test_vectorized_distances_match_scalar(segs, x):
     for i, (ai, bi) in enumerate(segs):
         assert batch[i] == pytest.approx(dist_point_segment(x, ai, bi), abs=1e-9)
     # transpose orientation: m points against one segment
-    many = points_segment_distances(a, x, x + np.array([1.0, 0.0]))
+    many = segment_distances(a, x, x + np.array([1.0, 0.0]))
     for i in range(a.shape[0]):
         assert many[i] == pytest.approx(
             dist_point_segment(a[i], x, x + np.array([1.0, 0.0])), abs=1e-9
@@ -188,18 +187,26 @@ def test_vectorized_distances_match_scalar(segs, x):
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_points_segment_distances_batch_equals_single_calls(d):
-    """A batch mixing proper and zero-length segments gives each point set
-    exactly the distances of a call with that set and segment alone."""
+def test_segment_distances_batch_equals_single_calls(d):
+    """A batch of point sets against segments mixing proper and zero-length
+    ones gives each set exactly the distances of a call with that set and
+    segment alone, and each point exactly those of a one-point call; a
+    zero-length segment's distances are np.linalg.norm's."""
     rng = np.random.default_rng(d)
     pts = rng.normal(size=(4, 50, d))
-    a = rng.normal(size=(4, d))
-    b = rng.normal(size=(4, d))
+    a = rng.normal(size=(4, 1, d))
+    b = rng.normal(size=(4, 1, d))
     b[1] = a[1]
-    batch = points_segment_distances(pts, a, b)
+    batch = segment_distances(pts, a, b)
     for k in range(4):
-        assert np.array_equal(batch[k], points_segment_distances(pts[k], a[k], b[k]))
+        assert np.array_equal(batch[k], segment_distances(pts[k], a[k, 0], b[k, 0]))
+        for i in range(0, 50, 7):
+            assert batch[k, i] == segment_distances(pts[k, i], a[k], b[k])[0]
     assert np.array_equal(batch[1], np.linalg.norm(pts[1] - a[1], axis=1))
+    # one point against rows mixing both kinds, as the hit kernel calls it
+    rows_a, rows_b = a[:, 0], b[:, 0]
+    one = segment_distances(pts[0, 0], rows_a, rows_b)
+    assert one[1] == np.linalg.norm(rows_a[1:2] - pts[0, 0], axis=1)[0]
 
 
 def test_clip_segment_box_hand_values():

@@ -11,19 +11,17 @@ from scipy import integrate
 
 from meandense import (
     ConfigurationError,
+    Grain,
     LengthLaw,
     MarkDistribution,
     NumericError,
     OrientationLaw,
-    PointGrain,
-    PolylineGrain,
     RegularityCertificate,
-    SegmentGrain,
     hn_measure,
     integrate_along,
 )
 from meandense import grains
-from meandense.geometry import Box, as_point, points_segment_distances, segment_distances
+from meandense.geometry import Box, as_point, segment_distances
 from meandense.grains import (
     ShiftedField,
     _ball_intersection_length,
@@ -47,9 +45,7 @@ class Field:
 def grain_distance(g, x) -> float:
     """Distance from x to the grain anchored at the origin."""
     x = as_point(x, dim=g.dim)
-    if isinstance(g, PointGrain):
-        return float(np.linalg.norm(x))
-    a, b = g.segment_arrays()
+    a, b = g.rows()
     return float(segment_distances(x, a, b).min())
 
 
@@ -58,34 +54,34 @@ def grain_distance(g, x) -> float:
 
 
 def test_point_grain():
-    g = PointGrain(dim=2)
+    g = Grain.point(2)
     assert g.n == 0 and g.diameter == 0.0 and hn_measure(g) == 1.0
     assert grain_distance(g, [3.0, 4.0]) == pytest.approx(5.0)
     with pytest.raises(ConfigurationError):
-        PointGrain(dim=4)
+        Grain.point(4)
 
 
 def test_segment_grain():
-    g = SegmentGrain.from_angle(2.0, math.pi / 2)
-    assert g.length == pytest.approx(2.0)
-    assert np.allclose(g.vec, [0.0, 2.0], atol=1e-12)
+    g = Grain.from_angle(2.0, math.pi / 2)
+    assert g.n == 1 and g.diameter == pytest.approx(2.0)
+    assert np.allclose(g.vertices[1], [0.0, 2.0], atol=1e-12)
     assert hn_measure(g) == pytest.approx(2.0)
     assert grain_distance(g, [1.0, 1.0]) == pytest.approx(1.0)
-    d = SegmentGrain.from_direction(3.0, [0.0, 4.0])
-    assert np.allclose(d.vec, [0.0, 3.0])
+    d = Grain.from_direction(3.0, [0.0, 4.0])
+    assert np.allclose(d.vertices[1], [0.0, 3.0])
     with pytest.raises(ConfigurationError):
-        SegmentGrain.from_direction(1.0, [0.0, 0.0])
+        Grain.from_direction(1.0, [0.0, 0.0])
 
 
 def test_polyline_grain():
-    g = PolylineGrain([[0.0, 0.0], [1.0, 0.0], [1.0, 2.0]])
+    g = Grain.polyline([[0.0, 0.0], [1.0, 0.0], [1.0, 2.0]])
     assert hn_measure(g) == pytest.approx(3.0)
     assert g.diameter == pytest.approx(math.hypot(1.0, 2.0))
     assert grain_distance(g, [2.0, 0.0]) == pytest.approx(1.0)
     with pytest.raises(ConfigurationError):
-        PolylineGrain([[1.0, 0.0], [2.0, 0.0]])  # not anchored at origin
+        Grain.polyline([[1.0, 0.0], [2.0, 0.0]])  # not anchored at origin
     with pytest.raises(ConfigurationError):
-        PolylineGrain([[0.0, 0.0]])
+        Grain.polyline([[0.0, 0.0]])
 
 
 @settings(max_examples=50)
@@ -94,11 +90,11 @@ def test_polyline_grain():
     min_size=1, max_size=10,
 ))
 def test_grain_distances_matches_scalar(points):
-    g = PolylineGrain([[0.0, 0.0], [1.0, 0.5], [0.5, 2.0]])
+    g = Grain.polyline([[0.0, 0.0], [1.0, 0.5], [0.5, 2.0]])
     pts = np.array(points)
     # one batched call: the points against every segment, then the nearest
-    a, b = g.segment_arrays()
-    batch = points_segment_distances(pts[None], a, b).min(axis=0)
+    a, b = g.rows()
+    batch = segment_distances(pts[None], a[:, None], b[:, None]).min(axis=0)
     for i in range(pts.shape[0]):
         assert batch[i] == pytest.approx(grain_distance(g, pts[i]), abs=1e-9)
 
@@ -118,7 +114,7 @@ def quad_field(coeffs):
 
 
 def test_integrate_along_matches_quad_oracle():
-    g = SegmentGrain(np.array([1.0, 1.0]))
+    g = Grain.segment(np.array([1.0, 1.0]))
     f = quad_field((0.5, -1.0, 2.0))
     # parameterize: y(t) = t * (1, 1), speed sqrt(2)
     oracle, err = integrate.quad(
@@ -128,25 +124,25 @@ def test_integrate_along_matches_quad_oracle():
 
 
 def test_integrate_along_polyline_additive():
-    poly = PolylineGrain([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
+    poly = Grain.polyline([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
     f = quad_field((1.0, 0.0, 1.0))
-    leg1 = integrate_along(SegmentGrain(np.array([1.0, 0.0])), f)
+    leg1 = integrate_along(Grain.segment(np.array([1.0, 0.0])), f)
     # second leg from (1,0) to (1,1): f = 1 + x^2 + y^2 = 2 + t^2 along it
     leg2, _ = integrate.quad(lambda t: 2.0 + t ** 2, 0.0, 1.0)
     assert integrate_along(poly, f) == pytest.approx(leg1 + leg2, abs=1e-10)
 
 
 def test_integrate_along_point_grain_and_errors():
-    g = PointGrain(dim=2)
+    g = Grain.point(2)
     f = quad_field((3.0, 0.0, 0.0))
     assert integrate_along(g, f) == pytest.approx(3.0)
     bad = Field(lambda pts: np.full(np.atleast_2d(pts).shape[0], np.nan))
     with pytest.raises(NumericError):
         integrate_along(g, bad)
     with pytest.raises(NumericError):
-        integrate_along(SegmentGrain(np.array([1.0, 0.0])), bad)
+        integrate_along(Grain.segment(np.array([1.0, 0.0])), bad)
     with pytest.raises(ConfigurationError):
-        integrate_along(SegmentGrain(np.array([1.0, 0.0])), f, order=0)
+        integrate_along(Grain.segment(np.array([1.0, 0.0])), f, order=0)
 
 
 # ---------------------------------------------------------------------------
@@ -251,13 +247,13 @@ def test_mark_distribution_validation():
 
 
 def test_mark_distribution_deterministic():
-    q = MarkDistribution("deterministic", grain=SegmentGrain(np.array([0.0, 2.0])))
+    q = MarkDistribution("deterministic", grain=Grain.segment(np.array([0.0, 2.0])))
     assert q.dim == 2 and q.n == 1 and q.is_deterministic
     assert q.l_max == pytest.approx(2.0)
     assert q.mean_hn() == pytest.approx(2.0)
     assert q.length_moment(3) == pytest.approx(8.0)
     a, b = mark_segments(q, 1, np.random.default_rng(0))
-    assert a.tolist() == [[[0.0, 0.0]]] and b.tolist() == [[q.grain.vec.tolist()]]
+    assert a.tolist() == [[[0.0, 0.0]]] and b.tolist() == [[q.grain.vertices[1].tolist()]]
 
 
 def test_mark_distribution_segment_law():
@@ -291,7 +287,7 @@ def test_sample_marks_deterministic_per_stream():
 
 
 def test_ball_intersection_length_hand_values():
-    g = SegmentGrain(np.array([2.0, 0.0]))
+    g = Grain.segment(np.array([2.0, 0.0]))
     # ball centered mid-segment, radius small: chord length 2r
     assert _ball_intersection_length(g, np.array([1.0, 0.0]), 0.25) == pytest.approx(0.5)
     # ball at the endpoint: half chord
@@ -302,24 +298,83 @@ def test_ball_intersection_length_hand_values():
 
 def test_certificate_extend():
     cert = RegularityCertificate()
-    short = SegmentGrain(np.array([0.25, 0.0]))
+    short = Grain.segment(np.array([0.25, 0.0]))
     assert hn_measure(cert.extend(short)) == pytest.approx(1.0)
-    long = SegmentGrain(np.array([3.0, 0.0]))
+    long = Grain.segment(np.array([3.0, 0.0]))
     assert cert.extend(long) is long
-    poly = PolylineGrain([[0.0, 0.0], [0.2, 0.0], [0.2, 0.2]])
+    poly = Grain.polyline([[0.0, 0.0], [0.2, 0.0], [0.2, 0.2]])
     assert hn_measure(cert.extend(poly)) == pytest.approx(1.0)
-    assert cert.extend(PointGrain(dim=2)).n == 0
+    assert cert.extend(Grain.point(2)).n == 0
     with pytest.raises(ConfigurationError):
-        cert.extend(SegmentGrain(np.array([0.0, 0.0])))
+        cert.extend(Grain.segment(np.array([0.0, 0.0])))
     with pytest.raises(ConfigurationError):
         RegularityCertificate(gamma=0.0)
 
 
 def test_certificate_normalized_gamma():
     cert = RegularityCertificate()
-    assert cert.normalized_gamma(SegmentGrain(np.array([1.0, 0.0]))) == pytest.approx(1.0)
-    assert cert.normalized_gamma(SegmentGrain(np.array([2.0, 0.0]))) == pytest.approx(0.5)
-    assert cert.normalized_gamma(PointGrain(dim=2)) == pytest.approx(1.0)
+    assert cert.normalized_gamma(Grain.segment(np.array([1.0, 0.0]))) == pytest.approx(1.0)
+    assert cert.normalized_gamma(Grain.segment(np.array([2.0, 0.0]))) == pytest.approx(0.5)
+    assert cert.normalized_gamma(Grain.point(2)) == pytest.approx(1.0)
+
+
+def _v020_rows(kind, v):
+    """Segment rows of a 0.2.0 grain object: none for a point, (0, vec)
+    for a segment, consecutive vertices for a polyline."""
+    if kind == "segment":
+        return np.zeros((1, v.shape[1])), v[1][None, :]
+    return v[:-1], v[1:]
+
+
+def _v020_diameter(kind, v) -> float:
+    """The guard-margin diameter as 0.2.0 computed it."""
+    if kind == "point":
+        return 0.0
+    if kind == "segment":
+        return float(np.linalg.norm(v[1]))
+    diffs = v[:, None, :] - v[None, :, :]
+    return float(np.sqrt((diffs ** 2).sum(-1)).max())
+
+
+def _v020_extended_measure(kind, v, min_length=1.0) -> float:
+    """hn_measure(RegularityCertificate().extend(g)) as 0.2.0 computed it:
+    a short segment scaled, a short polyline given one more vertex."""
+    if kind == "point":
+        return 1.0
+    a, b = _v020_rows(kind, v)
+    total = float(np.linalg.norm(b - a, axis=1).sum())
+    if total >= min_length:
+        return total
+    if kind == "segment":
+        v = np.vstack([np.zeros(v.shape[1]), v[1] * (min_length / total)])
+    else:
+        d = v[-1] - v[-2]
+        v = np.vstack([v, v[-1] + (min_length - total) / np.linalg.norm(d) * d])
+    a, b = _v020_rows(kind, v)
+    return float(np.linalg.norm(b - a, axis=1).sum())
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["point", "segment", "polyline"])
+def test_grain_diameter_and_extension_keep_020_arithmetic(kind, d):
+    """The diameter (it sets the guard margin) and the extended grain's
+    measure (it feeds ratio_bound) equal 0.2.0's to the bit.  For a segment
+    that is its norm and a scaled vector, not the pairwise vertex distance
+    and an appended vertex, which differ in the last bit on a share of
+    short segments."""
+    rng = np.random.default_rng(d)
+    cert = RegularityCertificate()
+    for _ in range(300):
+        if kind == "point":
+            g = Grain.point(d)
+        elif kind == "segment":
+            g = Grain.from_direction(rng.uniform(0.01, 1.5), rng.normal(size=d))
+        else:
+            steps = rng.uniform(-0.4, 0.4, size=(rng.integers(2, 4), d))
+            g = Grain.polyline(np.vstack([np.zeros(d), np.cumsum(steps, axis=0)]))
+        v = g.vertices
+        assert g.diameter == _v020_diameter(kind, v)
+        assert hn_measure(cert.extend(g)) == _v020_extended_measure(kind, v)
 
 
 def test_certificate_check_sampled():
@@ -362,17 +417,14 @@ def _reference_distances(pts, a, b):
 def _reference_sausage(g, h, r, mc_points, rng, chunk):
     """The sausage integral of one grain object on its own: Box.sample at
     most `chunk` points at a time, the nearest of its segments per point."""
-    a, b = g.segment_arrays()
-    corners = np.vstack([a, b]) if a.shape[0] else np.zeros((1, g.dim))
+    a, b = g.rows()
+    corners = np.vstack([a, b])
     box = Box(corners.min(axis=0) - r, corners.max(axis=0) + r)
     total = square = 0.0
     for done in range(0, mc_points, chunk):
         pts = box.sample(rng, min(chunk, mc_points - done))
-        if a.shape[0]:
-            dist = np.stack([_reference_distances(pts, ai, bi) for ai, bi in zip(a, b)])
-            dist = dist.min(axis=0)
-        else:
-            dist = np.linalg.norm(pts, axis=1)
+        dist = np.stack([_reference_distances(pts, ai, bi) for ai, bi in zip(a, b)])
+        dist = dist.min(axis=0)
         vals = h.values(pts) * (dist <= r)
         total += float(vals.sum())
         square += float((vals * vals).sum())
@@ -385,16 +437,16 @@ def _sampled_grains(q, count, rng):
     """`count` grain objects drawn from Q with the draws of mark_segments."""
     if q.kind == "deterministic":
         return [q.grain] * count
-    return [SegmentGrain(v) for v in sample_mark_vectors(q, count, rng)]
+    return [Grain.segment(v) for v in sample_mark_vectors(q, count, rng)]
 
 
 def _kernel_law(law, d, shape_rng):
     vertices = np.vstack([np.zeros(d), shape_rng.uniform(-1.5, 1.5, size=(3, d))])
     uniform = OrientationLaw("uniform", dim=d)
     return {
-        "point": lambda: MarkDistribution("deterministic", grain=PointGrain(dim=d)),
-        "segment": lambda: MarkDistribution("deterministic", grain=SegmentGrain(vertices[1])),
-        "polyline": lambda: MarkDistribution("deterministic", grain=PolylineGrain(vertices)),
+        "point": lambda: MarkDistribution("deterministic", grain=Grain.point(d)),
+        "segment": lambda: MarkDistribution("deterministic", grain=Grain.segment(vertices[1])),
+        "polyline": lambda: MarkDistribution("deterministic", grain=Grain.polyline(vertices)),
         "zero_length": lambda: MarkDistribution(
             "segment", length=LengthLaw("fixed", value=0.0), orientation=uniform),
         "random": lambda: MarkDistribution(
@@ -457,7 +509,7 @@ def test_sausage_kernel_rejects_fewer_than_two_points():
             sausage_integrals(a, b, f, 1.0, 1, rng)
     assert rng.calls == []
     with pytest.raises(ConfigurationError, match="mc_points"):
-        grains.sausage_integral(SegmentGrain([1.0, 0.0]), MonteCarloField(IntensityField(
+        grains.sausage_integral(Grain.segment([1.0, 0.0]), MonteCarloField(IntensityField(
             "constant", c=1.0)), 0.2, 1, derive_stream(0, 0))
 
 
@@ -559,7 +611,7 @@ def test_sausage_cubature_closed_forms(d, length, r):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_point_grain_sausage_is_the_ball(d):
-    est, se = grains.sausage_integral(PointGrain(dim=d), IntensityField("constant", c=2.0),
+    est, se = grains.sausage_integral(Grain.point(d), IntensityField("constant", c=2.0),
                                       0.3, 10, None)
     assert se == 0.0
     assert abs(est - 2.0 * BALL_VOLUME[d] * 0.3 ** d) <= 1e-12 * est
@@ -606,7 +658,7 @@ class RecordingRng:
 
 
 def test_sausage_cubature_makes_no_draw():
-    unit = MarkDistribution("deterministic", grain=SegmentGrain([1.0, 0.0]))
+    unit = MarkDistribution("deterministic", grain=Grain.segment([1.0, 0.0]))
     f = IntensityField("quadratic")
     rng = RecordingRng()
     _, se = capacity_probability(f, unit, [0.2, 0.1], 0.1, mc_points=50_000, rng=rng)
@@ -620,7 +672,7 @@ def test_sausage_cubature_makes_no_draw():
 def test_clipped_affine_field_falls_back_to_monte_carlo():
     """max(0, y1) changes sign inside the unit segment's sausage: the kernel
     draws, bit for bit as for a field that makes no polynomial statement."""
-    g = SegmentGrain([1.0, 0.0])
+    g = Grain.segment([1.0, 0.0])
     clipped = IntensityField("affine", a=0.0, b=[1.0, 0.0])
     est, se = grains.sausage_integral(g, clipped, 0.2, 30_000, derive_stream(9, 0))
     ref = grains.sausage_integral(g, MonteCarloField(clipped), 0.2, 30_000, derive_stream(9, 0))

@@ -7,11 +7,9 @@ import pytest
 
 from meandense import (
     ConfigurationError,
+    Grain,
     IntensityField,
-    PointGrain,
-    PolylineGrain,
     RegularityCertificate,
-    SegmentGrain,
     bound_check,
     content_limit,
     sausage_integral,
@@ -31,7 +29,7 @@ class MonteCarloField:
 
 CONSTANT = IntensityField("constant", c=1.0)
 QUADRATIC = IntensityField("quadratic")
-UNIT_SEGMENT = SegmentGrain(np.array([1.0, 0.0]))
+UNIT_SEGMENT = Grain.segment(np.array([1.0, 0.0]))
 
 
 def test_sausage_integral_matches_stadium_area():
@@ -46,7 +44,7 @@ def test_sausage_integral_matches_stadium_area():
 
 def test_sausage_integral_point_grain_ball():
     # point grain: the sausage is the ball itself
-    g = PointGrain(dim=2)
+    g = Grain.point(2)
     est, se = sausage_integral(g, MonteCarloField(CONSTANT), 0.3, 200_000, derive_stream(1, 0))
     assert abs(est - math.pi * 0.09) < 3.5 * se
 
@@ -81,7 +79,7 @@ def test_content_limit_quadratic_intensity():
 
 
 def test_content_limit_polyline():
-    poly = PolylineGrain([[0.0, 0.0], [0.5, 0.0], [0.5, 0.5]])
+    poly = Grain.polyline([[0.0, 0.0], [0.5, 0.0], [0.5, 0.5]])
     run = content_limit(poly, CONSTANT, [0.1, 0.05, 0.02], mc_points=300_000, seed=4)
     assert run.target == pytest.approx(1.0)
     assert abs(run.limit_estimate - 1.0) < 0.05
@@ -108,9 +106,9 @@ def test_ratio_bound_formula():
     # d=2, n=1, unit segment: gamma' = 1, bound = 2·16·π/2 = 16π
     assert ratio_bound(UNIT_SEGMENT, cert) == pytest.approx(16.0 * math.pi)
     # a length-2 segment halves gamma' and doubles the bound
-    assert ratio_bound(SegmentGrain(np.array([2.0, 0.0])), cert) == pytest.approx(32.0 * math.pi)
+    assert ratio_bound(Grain.segment(np.array([2.0, 0.0])), cert) == pytest.approx(32.0 * math.pi)
     # point grain in d=2 (n=0): 1·16·π/π = 16
-    assert ratio_bound(PointGrain(dim=2), cert) == pytest.approx(16.0)
+    assert ratio_bound(Grain.point(2), cert) == pytest.approx(16.0)
 
 
 def test_bound_check_positive_margin():

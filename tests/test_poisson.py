@@ -7,12 +7,11 @@ import pytest
 
 from meandense import (
     ConfigurationError,
+    Grain,
     IntensityField,
     LengthLaw,
     MarkDistribution,
     OrientationLaw,
-    PointGrain,
-    SegmentGrain,
     check_finiteness,
     sample_germs,
 )
@@ -21,7 +20,7 @@ from meandense.grains import ShiftedField
 from meandense.poisson import expected_germs
 from meandense.streams import derive_stream
 
-UNIT_SEGMENT = MarkDistribution("deterministic", grain=SegmentGrain(np.array([1.0, 0.0])))
+UNIT_SEGMENT = MarkDistribution("deterministic", grain=Grain.segment(np.array([1.0, 0.0])))
 RANDOM_SEGMENTS = MarkDistribution(
     "segment",
     length=LengthLaw("uniform", lo=0.5, hi=1.5),
@@ -220,7 +219,7 @@ def test_check_finiteness_matches_stadium_area():
 
 def test_check_finiteness_point_grain():
     f = IntensityField("constant", c=2.0)
-    q = MarkDistribution("deterministic", grain=PointGrain(dim=2))
+    q = MarkDistribution("deterministic", grain=Grain.point(2))
     finite, est = check_finiteness(f, q, 0.5, derive_stream(1, 0), mark_draws=500)
     assert finite
     assert est == pytest.approx(2.0 * math.pi * 0.25, rel=0.05)
