@@ -26,8 +26,9 @@ from .config import ScenarioConfig, parse_config
 from .errors import ConfigurationError, NumericError, QueryError
 from .estimate import accumulate_hits, convergence_study, _report_from_hits
 from .exact import capacity_probability, density_grid
+from .geometry import ball_volume
 from .grains import RegularityCertificate
-from .minkowski import bound_check, content_limit, limit_diagnostics
+from .minkowski import bound_check, content_limit, ratio_bound
 from .parallel import default_threads, parallel_map
 from .poisson import sample_germs
 from .streams import derive_stream
@@ -60,17 +61,50 @@ def _manifest(out_dir: Path, command: str, cfg: ScenarioConfig, seed: int, threa
     _write(out_dir, "manifest.json", json.dumps(manifest, indent=2) + "\n")
 
 
-def _coord_header(d: int) -> str:
-    return ",".join(f"x{k + 1}" for k in range(d))
+def _cell(v) -> str:
+    """A float cell is its shortest round-trip repr; any other cell (an
+    integer, a label, an empty bound) is its str."""
+    return repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+
+
+def _write_csv(out_dir: Path, name: str, header, rows) -> Path:
+    """Every CSV of the CLI: the header and each row of cells joined with
+    commas, one line each, ending with a newline."""
+    lines = [",".join(header)] + [",".join(_cell(v) for v in row) for row in rows]
+    return _write(out_dir, name, "\n".join(lines) + "\n")
+
+
+def _realization_csv(sample) -> tuple[list[str], list[list]]:
+    """realization.csv's header and rows: per germ its coordinates, the kind
+    of its grain and the grain's parameters (a segment's vector, a
+    polyline's vertices; ';' between coordinates or vertices), written from
+    the sample's arrays."""
+    if sample.vectors is not None:
+        kind = "segment"
+        params = [";".join(map(_cell, v)) for v in sample.vectors]
+    else:
+        v = sample.marks.grain.vertices
+        if len(v) == 1:
+            kind, one = "point", ""
+        elif len(v) == 2:
+            kind, one = "segment", ";".join(map(_cell, v[1]))
+        else:
+            kind, one = "polyline", ";".join(" ".join(map(_cell, vertex)) for vertex in v)
+        params = [one] * len(sample)
+    header = [f"germ_{k}" for k in range(sample.points.shape[1])] + ["kind", "params"]
+    return header, [[*p, kind, ps] for p, ps in zip(sample.points, params)]
 
 
 def run_exact(cfg: ScenarioConfig, seed: int, threads: int, out_dir: Path):
     grid = cfg.grid_points()
-    fieldvals = density_grid(
+    field = density_grid(
         cfg.intensity, cfg.marks, grid,
         mark_draws=cfg.mark_draws, seed=seed, threads=threads,
     )
-    _write(out_dir, "exact.csv", fieldvals.to_csv())
+    header = [f"x{k + 1}" for k in range(cfg.d)] + ["value", "standard_error", "method"]
+    _write_csv(out_dir, "exact.csv", header, [
+        [*x, v, se, field.method] for x, v, se in zip(grid, field.values, field.standard_errors)
+    ])
 
 
 def run_estimate(cfg: ScenarioConfig, seed: int, threads: int, out_dir: Path):
@@ -81,39 +115,30 @@ def run_estimate(cfg: ScenarioConfig, seed: int, threads: int, out_dir: Path):
     ind, _ = accumulate_hits(
         cfg.intensity, cfg.marks, xs, [radius], cfg.n_samples, seed, 0, threads
     )
-    lines = [f"{_coord_header(cfg.d)},N,R_N,lambda_hat,se"]
-    for i in range(xs.shape[0]):
-        rep = _report_from_hits(xs[i], int(ind[i, 0]), cfg.n_samples, cfg.d, cfg.n, radius)
-        coords = ",".join(repr(float(c)) for c in xs[i])
-        lines.append(
-            f"{coords},{cfg.n_samples},{float(radius)!r},"
-            f"{float(rep.lambda_hat)!r},{float(rep.standard_error)!r}"
-        )
-    _write(out_dir, "estimate.csv", "\n".join(lines) + "\n")
+    header = [f"x{k + 1}" for k in range(cfg.d)] + ["N", "R_N", "lambda_hat", "se"]
+    rows = []
+    for x, hits in zip(xs, ind[:, 0]):
+        rep = _report_from_hits(x, int(hits), cfg.n_samples, cfg.d, cfg.n, radius)
+        rows.append([*x, cfg.n_samples, radius, rep.lambda_hat, rep.standard_error])
+    _write_csv(out_dir, "estimate.csv", header, rows)
 
 
 def run_study(cfg: ScenarioConfig, seed: int, threads: int, out_dir: Path):
     if cfg.n_grid is None or cfg.bandwidth is None:
         raise ConfigurationError("study needs N_grid and a bandwidth schedule")
+    for n_samples in cfg.n_grid:  # refuse a radius of 2 or more before any work
+        cfg.bandwidth_radius(n_samples)
     rows = convergence_study(
         cfg.intensity, cfg.marks, cfg.grid_points(), cfg.bandwidth, cfg.n_grid,
         cfg.replications, seed, region=cfg.region,
         mark_draws=cfg.mark_draws, threads=threads,
     )
-    lines = [
-        f"scenario_id,{_coord_header(cfg.d)},N,R_N,lambda_hat,se,exact,bias,variance,mse,"
-        "region_hat,region_exact"
-    ]
-    sid = cfg.scenario_id
-    for row in rows:
-        coords = ",".join(repr(float(c)) for c in row["x"])
-        cells = ",".join(
-            repr(float(row[k]))
-            for k in ("R_N", "lambda_hat", "se", "exact", "bias", "variance",
-                      "mse", "region_hat", "region_exact")
-        )
-        lines.append(f"{sid},{coords},{row['N']},{cells}")
-    _write(out_dir, "study.csv", "\n".join(lines) + "\n")
+    values = ("R_N", "lambda_hat", "se", "exact", "bias", "variance", "mse",
+              "region_hat", "region_exact")
+    header = ["scenario_id", *(f"x{k + 1}" for k in range(cfg.d)), "N", *values]
+    _write_csv(out_dir, "study.csv", header, [
+        [cfg.scenario_id, *row["x"], row["N"], *(row[k] for k in values)] for row in rows
+    ])
 
 
 def run_minkowski(cfg: ScenarioConfig, seed: int, threads: int, out_dir: Path):
@@ -125,16 +150,18 @@ def run_minkowski(cfg: ScenarioConfig, seed: int, threads: int, out_dir: Path):
         cfg.marks.grain, cfg.intensity, cfg.r_grid,
         mc_points=cfg.mc_points, seed=seed, threads=threads,
     )
-    bound = None
+    bound = ""
     if cfg.intensity.kind == "constant" and cfg.intensity.c > 0:
         cert = RegularityCertificate()
         ok, margin = bound_check(run, cert, constant_value=cfg.intensity.c)
         if not ok:
             raise NumericError(f"uniform ratio bound violated (margin {margin})")
-        from .minkowski import ratio_bound
-
         bound = ratio_bound(run.shape, cert)
-    _write(out_dir, "minkowski.csv", run.to_csv(bound))
+    header = ["r", "ratio", "se", "bound", "target", "limit_estimate"]
+    _write_csv(out_dir, "minkowski.csv", header, [
+        [r, ratio, se, bound, run.target, run.limit_estimate]
+        for r, ratio, se in zip(run.r_grid, run.ratios, run.ratio_ses)
+    ])
 
 
 def run_simulate(cfg: ScenarioConfig, seed: int, threads: int, out_dir: Path):
@@ -142,43 +169,33 @@ def run_simulate(cfg: ScenarioConfig, seed: int, threads: int, out_dir: Path):
     # the germs and marks that simulate() draws, written from their arrays
     box = cfg.window.dilate(checked_guard_margin(cfg.marks, r_max))
     sample = sample_germs(cfg.intensity, cfg.marks, box, derive_stream(seed, 0))
-    _write(out_dir, "realization.csv", sample.to_csv())
+    _write_csv(out_dir, "realization.csv", *_realization_csv(sample))
 
 
 def _oracle_task(args):
     f, q, x, r, mc_points, mark_draws, seed, index = args
-    prob, se = capacity_probability(
+    return capacity_probability(
         f, q, x, r, mc_points=mc_points, mark_draws=mark_draws,
         rng=derive_stream(seed, index),
     )
-    return prob, se
 
 
 def run_oracle(cfg: ScenarioConfig, seed: int, threads: int, out_dir: Path):
     if cfg.r_grid is None:
         raise ConfigurationError("oracle needs r_grid")
-    from .geometry import ball_volume
-
     xs = cfg.grid_points()
-    tasks = []
-    coords = []
-    index = 0
-    for i in range(xs.shape[0]):
-        for r in cfg.r_grid:
-            tasks.append(
-                (cfg.intensity, cfg.marks, xs[i], float(r),
-                 cfg.mc_points, cfg.mark_draws, seed, index)
-            )
-            coords.append((xs[i], float(r)))
-            index += 1
+    cells = [(x, float(r)) for x in xs for r in cfg.r_grid]
+    tasks = [
+        (cfg.intensity, cfg.marks, x, r, cfg.mc_points, cfg.mark_draws, seed, index)
+        for index, (x, r) in enumerate(cells)
+    ]
     results = parallel_map(_oracle_task, tasks, threads)
     norm = ball_volume(cfg.d - cfg.n)
-    lines = [f"{_coord_header(cfg.d)},r,prob,se,ratio"]
-    for (x, r), (prob, se) in zip(coords, results):
-        cs = ",".join(repr(float(c)) for c in x)
-        ratio = prob / (norm * r ** (cfg.d - cfg.n))
-        lines.append(f"{cs},{float(r)!r},{float(prob)!r},{float(se)!r},{float(ratio)!r}")
-    _write(out_dir, "oracle.csv", "\n".join(lines) + "\n")
+    header = [f"x{k + 1}" for k in range(cfg.d)] + ["r", "prob", "se", "ratio"]
+    _write_csv(out_dir, "oracle.csv", header, [
+        [*x, r, prob, se, prob / (norm * r ** (cfg.d - cfg.n))]
+        for (x, r), (prob, se) in zip(cells, results)
+    ])
 
 
 _RUNNERS = {

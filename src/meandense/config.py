@@ -85,8 +85,18 @@ class ScenarioConfig:
         if self.fixed_r is not None:
             return self.fixed_r
         if self.bandwidth is not None and self.n_samples is not None:
-            return self.bandwidth.radius(self.n_samples)
+            return self.bandwidth_radius(self.n_samples)
         raise ConfigurationError("config needs either r or bandwidth.{c0,beta} with N")
+
+    def bandwidth_radius(self, n_samples: int) -> float:
+        """c0 N^(-beta) at N = n_samples; like every radius it must be below 2."""
+        radius = self.bandwidth.radius(n_samples)
+        if radius >= 2.0:
+            raise ConfigurationError(
+                f"bandwidth.c0: the radius c0 N^(-beta) = {radius!r} at N = {n_samples} "
+                "must be below 2"
+            )
+        return radius
 
 
 def _integer(text: str) -> int:
@@ -100,9 +110,20 @@ def _integer(text: str) -> int:
         return int(value)
 
 
+class _NotFinite(ValueError):
+    """A number that parses but is nan or infinite."""
+
+
+def _float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise _NotFinite
+    return value
+
+
 def _floats(text: str) -> list[float]:
     """One point: comma-separated coordinates."""
-    return [float(v) for v in text.split(",")]
+    return [_float(v) for v in text.split(",")]
 
 
 def _tokenize(text: str) -> tuple[dict[str, str], list[str]]:
@@ -140,11 +161,11 @@ def parse_config(text: str) -> ScenarioConfig:
             continue
         errors.append(f"unknown key {key!r}")
 
-    def get(key, default=None, cast=float, sep=None):
+    def get(key, default=None, cast=_float, sep=None):
         """Every numeric value goes through here: the value of `key` read
         with `cast`, or a list of such values split at `sep`; `default` if
-        the key is absent or the value does not parse, which is a violation
-        naming the key."""
+        the key is absent or the value does not parse or is not finite
+        (nan, inf), which is a violation naming the key."""
         if key not in pairs:
             return default
         text = pairs[key]
@@ -152,9 +173,11 @@ def parse_config(text: str) -> ScenarioConfig:
             if sep is None:
                 return cast(text)
             return [cast(t) for t in text.split(sep) if t.strip()]
+        except _NotFinite:
+            errors.append(f"{key}: must be finite, got {text!r}")
         except ValueError:
             errors.append(f"{key}: cannot interpret {text!r}")
-            return default
+        return default
 
     d = get("d", cast=_integer)
     n = get("n", cast=_integer)
@@ -190,9 +213,11 @@ def parse_config(text: str) -> ScenarioConfig:
     if "bandwidth.c0" in pairs or "bandwidth.beta" in pairs:
         c0 = get("bandwidth.c0", 1.0)
         beta = get("bandwidth.beta")
+        if c0 <= 0:
+            errors.append("bandwidth.c0: must be positive")
         if beta is None:
             errors.append("bandwidth.beta: required when a schedule is given")
-        else:
+        elif c0 > 0:
             try:
                 bandwidth = BandwidthSchedule(c0, beta, d, n)
             except ConfigurationError as exc:

@@ -15,7 +15,6 @@ those intensities and Monte Carlo over each mark's bounding box otherwise.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -28,22 +27,11 @@ from .grains import MarkDistribution, ShiftedField, line_integrals, mark_segment
 
 @dataclass(eq=False)
 class DensityField:
-    """Exact or estimated density values on a point grid."""
+    """Exact or estimated density values at the points of a grid, in order."""
 
-    grid: np.ndarray            # (m, d)
     values: np.ndarray          # (m,)
     standard_errors: np.ndarray  # (m,)
     method: str
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        d = self.grid.shape[1]
-        cols = ",".join(f"x{k + 1}" for k in range(d))
-        buf.write(f"{cols},value,standard_error,method\n")
-        for pt, v, se in zip(self.grid, self.values, self.standard_errors):
-            coords = ",".join(repr(float(c)) for c in pt)
-            buf.write(f"{coords},{float(v)!r},{float(se)!r},{self.method}\n")
-        return buf.getvalue()
 
 
 def exact_density(
@@ -141,7 +129,7 @@ def density_grid(
     values = np.array([v for v, _ in results])
     ses = np.array([s for _, s in results])
     method = "exact_quadrature" if q.is_deterministic else "exact_quadrature_mark_mc"
-    return DensityField(grid, values, ses, method)
+    return DensityField(values, ses, method)
 
 
 def _density_point_task(args):

@@ -14,7 +14,6 @@ normalized density witness) is checked with its margin.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -38,17 +37,6 @@ class MinkowskiRun:
     target: float                # ∫_S f dH^n by quadrature
     limit_estimate: float        # linear extrapolation to r = 0
 
-    def to_csv(self, bound: float | None = None) -> str:
-        buf = io.StringIO()
-        buf.write("r,ratio,se,bound,target,limit_estimate\n")
-        bound_s = "" if bound is None else repr(float(bound))
-        for r, ratio, se in zip(self.r_grid, self.ratios, self.ratio_ses):
-            buf.write(
-                f"{float(r)!r},{float(ratio)!r},{float(se)!r},{bound_s},"
-                f"{float(self.target)!r},{float(self.limit_estimate)!r}\n"
-            )
-        return buf.getvalue()
-
 
 def _radius_task(args):
     shape, f, r, mc_points, seed, index = args
@@ -69,7 +57,7 @@ def content_limit(
     from quadrature, independent of the sausage route."""
     r_grid = np.asarray(sorted(r_grid, reverse=True), dtype=float)
     if r_grid.size < 3:
-        raise ConfigurationError("need at least three radii for the extrapolation")
+        raise ConfigurationError("r_grid: need at least three radii for the extrapolation")
     if np.any(r_grid <= 0.0) or np.any(r_grid >= 2.0):
         raise ConfigurationError("all radii must lie in (0, 2)")
     codim = shape.dim - shape.n

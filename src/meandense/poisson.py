@@ -54,6 +54,8 @@ class IntensityField:
     def __post_init__(self):
         if self.kind not in INTENSITY_KINDS:
             raise ConfigurationError(f"unknown intensity kind {self.kind!r}")
+        if not np.all(np.isfinite([self.c, self.a, *(val for _, val in self.pieces)])):
+            raise ConfigurationError("intensity c, a and piece values must be finite")
         if self.kind == "constant" and self.c < 0:
             raise ConfigurationError("constant intensity must be nonnegative")
         if self.kind == "affine":
@@ -144,29 +146,6 @@ class MarkedGermSample:
 
     def __len__(self) -> int:
         return self.points.shape[0]
-
-    def to_csv(self) -> str:
-        """realization.csv: one row per germ with its coordinates, the kind
-        of its grain and the grain's parameters, written from the arrays."""
-        header = ",".join(f"germ_{k}" for k in range(self.points.shape[1]))
-        if self.vectors is not None:
-            kind = "segment"
-            params = [";".join(repr(float(c)) for c in v) for v in self.vectors]
-        else:
-            v = self.marks.grain.vertices
-            if len(v) == 1:
-                kind, one = "point", ""
-            elif len(v) == 2:
-                kind, one = "segment", ";".join(repr(float(c)) for c in v[1])
-            else:
-                kind = "polyline"
-                one = ";".join(" ".join(repr(float(c)) for c in vertex) for vertex in v)
-            params = [one] * len(self)
-        rows = [
-            ",".join(repr(float(c)) for c in p) + f",{kind},{ps}\n"
-            for p, ps in zip(self.points, params)
-        ]
-        return f"{header},kind,params\n" + "".join(rows)
 
 
 def sample_germs(

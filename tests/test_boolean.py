@@ -19,6 +19,7 @@ from meandense import (
     simulate,
 )
 from meandense.boolean import grain_arrays, stack_grains
+from meandense.cli import _realization_csv, _write_csv
 from meandense.geometry import Box, segment_distances
 from meandense.poisson import MarkedGermSample, sample_germs
 from meandense.streams import derive_stream
@@ -236,7 +237,12 @@ def test_guard_zone_eliminates_edge_effects():
     assert abs(p1 - p2) < 3.5 * se
 
 
-def test_to_csv_lists_every_grain():
+def realization_text(sample, out_dir) -> str:
+    """realization.csv as the CLI writes it for the sample."""
+    return _write_csv(out_dir, "realization.csv", *_realization_csv(sample)).read_text()
+
+
+def test_to_csv_lists_every_grain(tmp_path):
     kinds = []
     for germ, grain in (
         ([0.5, 0.5], Grain.point(2)),
@@ -245,7 +251,7 @@ def test_to_csv_lists_every_grain():
     ):
         q = MarkDistribution("deterministic", grain=grain)
         sample = MarkedGermSample(np.array([germ]), q)
-        lines = sample.to_csv().strip().splitlines()
+        lines = realization_text(sample, tmp_path).strip().splitlines()
         assert lines[0] == "germ_0,germ_1,kind,params"
         assert len(lines) == 2
         kinds.append(lines[1].split(",")[2])
@@ -275,7 +281,7 @@ def reference_csv(sample) -> str:
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("kind", ["point", "segment", "polyline", "random_segments"])
-def test_realization_csv_from_arrays_equals_per_grain_writer(d, kind):
+def test_realization_csv_from_arrays_equals_per_grain_writer(d, kind, tmp_path):
     rng = np.random.default_rng(d)
     vertices = np.vstack([np.zeros(d), np.cumsum(rng.uniform(-0.5, 0.5, (3, d)), axis=0)])
     q = {
@@ -293,6 +299,6 @@ def test_realization_csv_from_arrays_equals_per_grain_writer(d, kind):
     for i in range(3):
         sample = sample_germs(f, q, box, derive_stream(d, i))
         assert len(sample) > 0
-        assert sample.to_csv() == reference_csv(sample)
+        assert realization_text(sample, tmp_path) == reference_csv(sample)
     empty = sample_germs(IntensityField("constant", c=0.0), q, box, derive_stream(d, 0))
-    assert empty.to_csv() == reference_csv(empty)
+    assert realization_text(empty, tmp_path) == reference_csv(empty)

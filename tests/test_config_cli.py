@@ -12,9 +12,16 @@ import pytest
 
 import meandense
 from meandense import ConfigurationError, hn_measure, parse_config
+from meandense.boolean import checked_guard_margin
 from meandense.cli import main
 from meandense.config import lattice_points
-from meandense.geometry import Box
+from meandense.estimate import _report_from_hits, accumulate_hits, convergence_study
+from meandense.exact import capacity_probability, density_grid
+from meandense.geometry import Box, ball_volume
+from meandense.grains import RegularityCertificate
+from meandense.minkowski import content_limit, ratio_bound
+from meandense.poisson import sample_germs
+from meandense.streams import derive_stream
 
 FULL_CONFIG = """
 # exercise every common key
@@ -158,6 +165,11 @@ def test_beta_out_of_range_rejected():
     text = FULL_CONFIG.replace("bandwidth.beta = 0.25", "bandwidth.beta = 1.5")
     with pytest.raises(ConfigurationError, match="beta"):
         parse_config(text)
+    # each schedule error is filed under the key that caused it
+    text = FULL_CONFIG.replace("bandwidth.c0 = 0.8", "bandwidth.c0 = -1")
+    with pytest.raises(ConfigurationError, match="bandwidth.c0: must be positive") as exc:
+        parse_config(text)
+    assert "bandwidth.beta" not in str(exc.value)
 
 
 def test_malformed_line_reports_lineno():
@@ -217,6 +229,96 @@ def write_cfg(tmp_path, text, name="scenario.cfg"):
     return str(path)
 
 
+# The 0.2.0 CSV writers, copied as references: DensityField.to_csv,
+# MinkowskiRun.to_csv, MarkedGermSample.to_csv and the CLI's estimate,
+# study and oracle loops, each applied to the library results of a run.
+
+
+def _coord_header(d: int) -> str:
+    return ",".join(f"x{k + 1}" for k in range(d))
+
+
+def exact_csv_020(grid, field) -> str:
+    d = grid.shape[1]
+    cols = ",".join(f"x{k + 1}" for k in range(d))
+    out = f"{cols},value,standard_error,method\n"
+    for pt, v, se in zip(grid, field.values, field.standard_errors):
+        coords = ",".join(repr(float(c)) for c in pt)
+        out += f"{coords},{float(v)!r},{float(se)!r},{field.method}\n"
+    return out
+
+
+def estimate_csv_020(cfg, xs, ind, radius) -> str:
+    lines = [f"{_coord_header(cfg.d)},N,R_N,lambda_hat,se"]
+    for i in range(xs.shape[0]):
+        rep = _report_from_hits(xs[i], int(ind[i, 0]), cfg.n_samples, cfg.d, cfg.n, radius)
+        coords = ",".join(repr(float(c)) for c in xs[i])
+        lines.append(
+            f"{coords},{cfg.n_samples},{float(radius)!r},"
+            f"{float(rep.lambda_hat)!r},{float(rep.standard_error)!r}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def study_csv_020(cfg, rows) -> str:
+    lines = [
+        f"scenario_id,{_coord_header(cfg.d)},N,R_N,lambda_hat,se,exact,bias,variance,mse,"
+        "region_hat,region_exact"
+    ]
+    for row in rows:
+        coords = ",".join(repr(float(c)) for c in row["x"])
+        cells = ",".join(
+            repr(float(row[k]))
+            for k in ("R_N", "lambda_hat", "se", "exact", "bias", "variance",
+                      "mse", "region_hat", "region_exact")
+        )
+        lines.append(f"{cfg.scenario_id},{coords},{row['N']},{cells}")
+    return "\n".join(lines) + "\n"
+
+
+def minkowski_csv_020(run, bound=None) -> str:
+    out = "r,ratio,se,bound,target,limit_estimate\n"
+    bound_s = "" if bound is None else repr(float(bound))
+    for r, ratio, se in zip(run.r_grid, run.ratios, run.ratio_ses):
+        out += (
+            f"{float(r)!r},{float(ratio)!r},{float(se)!r},{bound_s},"
+            f"{float(run.target)!r},{float(run.limit_estimate)!r}\n"
+        )
+    return out
+
+
+def oracle_csv_020(cfg, coords, results) -> str:
+    norm = ball_volume(cfg.d - cfg.n)
+    lines = [f"{_coord_header(cfg.d)},r,prob,se,ratio"]
+    for (x, r), (prob, se) in zip(coords, results):
+        cs = ",".join(repr(float(c)) for c in x)
+        ratio = prob / (norm * r ** (cfg.d - cfg.n))
+        lines.append(f"{cs},{float(r)!r},{float(prob)!r},{float(se)!r},{float(ratio)!r}")
+    return "\n".join(lines) + "\n"
+
+
+def realization_csv_020(sample) -> str:
+    header = ",".join(f"germ_{k}" for k in range(sample.points.shape[1]))
+    if sample.vectors is not None:
+        kind = "segment"
+        params = [";".join(repr(float(c)) for c in v) for v in sample.vectors]
+    else:
+        v = sample.marks.grain.vertices
+        if len(v) == 1:
+            kind, one = "point", ""
+        elif len(v) == 2:
+            kind, one = "segment", ";".join(repr(float(c)) for c in v[1])
+        else:
+            kind = "polyline"
+            one = ";".join(" ".join(repr(float(c)) for c in vertex) for vertex in v)
+        params = [one] * len(sample)
+    rows = [
+        ",".join(repr(float(c)) for c in p) + f",{kind},{ps}\n"
+        for p, ps in zip(sample.points, params)
+    ]
+    return f"{header},kind,params\n" + "".join(rows)
+
+
 def test_cli_exact_writes_csv_and_manifest(tmp_path):
     cfg = write_cfg(tmp_path, MINI_EXACT)
     out = tmp_path / "run"
@@ -224,6 +326,10 @@ def test_cli_exact_writes_csv_and_manifest(tmp_path):
     text = (out / "exact.csv").read_text()
     lines = text.strip().splitlines()
     assert len(lines) == 3 and "np." not in text
+    sc = parse_config(MINI_EXACT)
+    grid = sc.grid_points()
+    field = density_grid(sc.intensity, sc.marks, grid, mark_draws=sc.mark_draws, seed=5)
+    assert text == exact_csv_020(grid, field)
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "exact"
     assert manifest["seed"] == 5
@@ -234,18 +340,28 @@ def test_cli_estimate_runs(tmp_path):
     cfg = write_cfg(tmp_path, MINI_ESTIMATE)
     out = tmp_path / "run"
     assert main(["estimate", "--config", cfg, "--out", str(out), "--threads", "1"]) == 0
-    lines = (out / "estimate.csv").read_text().strip().splitlines()
+    text = (out / "estimate.csv").read_text()
+    lines = text.strip().splitlines()
     assert lines[0] == "x1,x2,N,R_N,lambda_hat,se"
     cells = lines[1].split(",")
     assert float(cells[4]) >= 0.0
+    sc = parse_config(MINI_ESTIMATE)
+    xs, radius = sc.grid_points(), sc.query_radius()
+    ind, _ = accumulate_hits(sc.intensity, sc.marks, xs, [radius], sc.n_samples, sc.seed)
+    assert text == estimate_csv_020(sc, xs, ind, radius)
 
 
 def test_cli_simulate_runs(tmp_path):
     cfg = write_cfg(tmp_path, MINI_ESTIMATE)
     out = tmp_path / "run"
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
-    header = (out / "realization.csv").read_text().splitlines()[0]
-    assert header == "germ_0,germ_1,kind,params"
+    text = (out / "realization.csv").read_text()
+    assert text.splitlines()[0] == "germ_0,germ_1,kind,params"
+    sc = parse_config(MINI_ESTIMATE)
+    box = sc.window.dilate(checked_guard_margin(sc.marks, sc.fixed_r))
+    sample = sample_germs(sc.intensity, sc.marks, box, derive_stream(sc.seed, 0))
+    assert len(sample) > 0
+    assert text == realization_csv_020(sample)
 
 
 TWO_VERTEX = """
@@ -307,6 +423,13 @@ def _with_line(text, line):
     return "\n".join(kept + [line]) + "\n"
 
 
+# the lines a key needs in the estimate config below before it is read
+_READ_WITH = {
+    "marks.grain.angle": ("marks.kind = deterministic", "marks.grain.kind = segment"),
+    "x_grid.points": ("x_grid.kind = list",),
+}
+
+
 @pytest.mark.parametrize("line", [
     "N_grid = 10, abc",
     "N_grid = 10.9, 20",
@@ -316,20 +439,31 @@ def _with_line(text, line):
     "x_grid.shape = 2.7, 3",
     "marks.length.value = abc",
     "window.lo = 0, a",
+    "intensity.c = nan",
+    "intensity.c = inf",
+    "marks.grain.angle = inf",
+    "marks.orientation.polar = inf",
+    "x_grid.points = nan, 0.5",
+    "x_grid.lo = 0.4, -inf",
+    "bandwidth.c0 = nan",
+    "r_grid = 0.1, nan",
 ])
 def test_cli_unparsable_number_is_a_named_violation(tmp_path, capsys, line):
     """A value that does not parse as its number (an integer key given a
-    fraction included) is a violation naming the key, and parsing goes on
-    to report the others (here r = 5)."""
+    fraction included), or parses to nan or an infinity, is a violation
+    naming the key, and parsing goes on to report the others (here r = 5)."""
+    key, value = (part.strip() for part in line.split("="))
     text = MINI_ESTIMATE
     for extra in ("x_grid.kind = lattice", "x_grid.lo = 0.4, 0.4", "x_grid.hi = 0.6, 0.6",
-                  "x_grid.shape = 2, 2", "r = 5", line):
+                  "x_grid.shape = 2, 2", "r = 5", *_READ_WITH.get(key, ()), line):
         text = _with_line(text, extra)
     out = tmp_path / "run"
     assert main(["estimate", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 1
     error = json.loads(capsys.readouterr().err)
     assert error["error"] == "validation"
-    assert f"{line.split(' =')[0]}: cannot interpret" in error["message"]
+    non_finite = any(word in value for word in ("nan", "inf"))
+    reason = f"must be finite, got {value!r}" if non_finite else "cannot interpret"
+    assert f"{key}: {reason}" in error["message"]
     assert "r: must lie in (0, 2)" in error["message"]
     assert not out.exists()
 
@@ -444,32 +578,85 @@ def test_cli_rejects_nonpositive_environment_threads(tmp_path, capsys, monkeypat
     assert "MEANDENSE_THREADS" in json.loads(capsys.readouterr().err)["message"]
 
 
-def test_cli_subcommand_preconditions(tmp_path):
+def test_cli_subcommand_preconditions(tmp_path, capsys):
     cfg = write_cfg(tmp_path, MINI_EXACT)  # has no N, no r_grid
     assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "a")]) == 1
     est = write_cfg(tmp_path, MINI_ESTIMATE, "est.cfg")  # random marks
     assert main(["minkowski", "--config", est, "--out", str(tmp_path / "b")]) == 1
     assert main(["study", "--config", est, "--out", str(tmp_path / "c")]) == 1
+    capsys.readouterr()
+    two_radii = write_cfg(tmp_path, MINI_EXACT + "r_grid = 0.2, 0.1\n", "two.cfg")
+    assert main(["minkowski", "--config", two_radii, "--out", str(tmp_path / "d")]) == 1
+    assert "r_grid: need at least three radii" in json.loads(capsys.readouterr().err)["message"]
+    # c0 N^(-beta) = 50 * 100^(-0.3) = 12.6 is no radius in scope: estimate and
+    # study name bandwidth.c0 and the N; exact never uses the radius
+    text = _with_line(_with_line(MINI_ESTIMATE, "N = 100"), "bandwidth.c0 = 50")
+    text = text.replace("r = 0.1\n", "") + (
+        "bandwidth.beta = 0.3\nN_grid = 100, 200\nreplications = 2\nmark_draws = 10\n"
+    )
+    cfg = write_cfg(tmp_path, text, "wide.cfg")
+    for command in ("estimate", "study"):
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out), "--threads", "1"]) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "validation"
+        assert error["message"].startswith("bandwidth.c0: the radius c0 N^(-beta)")
+        assert "at N = 100 must be below 2" in error["message"]
+        assert not out.exists()
+    assert main(["exact", "--config", cfg, "--out", str(tmp_path / "exact"),
+                 "--threads", "1"]) == 0
 
 
 def test_cli_minkowski_runs(tmp_path):
-    text = MINI_EXACT + "r_grid = 0.2, 0.1, 0.05\nmc_points = 20000\n"
-    cfg = write_cfg(tmp_path, text)
+    text_cfg = MINI_EXACT + "r_grid = 0.2, 0.1, 0.05\nmc_points = 20000\n"
+    cfg = write_cfg(tmp_path, text_cfg)
     out = tmp_path / "run"
     assert main(["minkowski", "--config", cfg, "--out", str(out), "--threads", "1"]) == 0
-    lines = (out / "minkowski.csv").read_text().strip().splitlines()
+    text = (out / "minkowski.csv").read_text()
+    lines = text.strip().splitlines()
     assert lines[0] == "r,ratio,se,bound,target,limit_estimate"
     assert len(lines) == 4
+    sc = parse_config(text_cfg)
+    run = content_limit(sc.marks.grain, sc.intensity, sc.r_grid, mc_points=sc.mc_points,
+                        seed=sc.seed)
+    assert text == minkowski_csv_020(run)  # no bound: the intensity is not constant
+    constant = text_cfg.replace("intensity.kind = quadratic",
+                                "intensity.kind = constant\nintensity.c = 2")
+    out = tmp_path / "constant"
+    assert main(["minkowski", "--config", write_cfg(tmp_path, constant, "constant.cfg"),
+                 "--out", str(out), "--threads", "1"]) == 0
+    sc = parse_config(constant)
+    run = content_limit(sc.marks.grain, sc.intensity, sc.r_grid, mc_points=sc.mc_points,
+                        seed=sc.seed)
+    bound = ratio_bound(run.shape, RegularityCertificate())
+    assert (out / "minkowski.csv").read_text() == minkowski_csv_020(run, bound)
 
 
-def test_cli_oracle_runs(tmp_path):
+def test_cli_oracle_runs(tmp_path, capsys):
     text = MINI_EXACT + "r_grid = 0.2, 0.1\nmc_points = 20000\nmark_draws = 10\n"
     cfg = write_cfg(tmp_path, text)
     out = tmp_path / "run"
     assert main(["oracle", "--config", cfg, "--out", str(out), "--threads", "1"]) == 0
-    lines = (out / "oracle.csv").read_text().strip().splitlines()
+    csv = (out / "oracle.csv").read_text()
+    lines = csv.strip().splitlines()
     assert lines[0] == "x1,x2,r,prob,se,ratio"
     assert len(lines) == 5  # 2 points x 2 radii
+    sc = parse_config(text)
+    coords = [(x, r) for x in sc.grid_points() for r in sc.r_grid]
+    results = [  # the task of (point i, radius j) draws on stream index i * len(r_grid) + j
+        capacity_probability(sc.intensity, sc.marks, x, r, mc_points=sc.mc_points,
+                             mark_draws=sc.mark_draws, rng=derive_stream(sc.seed, index))
+        for index, (x, r) in enumerate(coords)
+    ]
+    assert csv == oracle_csv_020(sc, coords, results)
+    # a nan intensity used to write nan in every prob, se and ratio cell and exit 0
+    nan = text.replace("intensity.kind = quadratic", "intensity.kind = constant\nintensity.c = nan")
+    out = tmp_path / "nan"
+    assert main(["oracle", "--config", write_cfg(tmp_path, nan, "nan.cfg"), "--out", str(out),
+                 "--threads", "1"]) == 1
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "validation" and "intensity.c: must be finite" in error["message"]
+    assert not out.exists()
 
 
 def test_cli_study_runs(tmp_path):
@@ -481,9 +668,15 @@ def test_cli_study_runs(tmp_path):
     cfg = write_cfg(tmp_path, text)
     out = tmp_path / "run"
     assert main(["study", "--config", cfg, "--out", str(out), "--threads", "1"]) == 0
-    lines = (out / "study.csv").read_text().strip().splitlines()
+    csv = (out / "study.csv").read_text()
+    lines = csv.strip().splitlines()
     assert lines[0].startswith("scenario_id,x1,x2,N,R_N,lambda_hat")
     assert len(lines) == 3  # 2 sample sizes x 1 point
+    sc = parse_config(text)
+    rows = convergence_study(sc.intensity, sc.marks, sc.grid_points(), sc.bandwidth,
+                             sc.n_grid, sc.replications, sc.seed, region=sc.region,
+                             mark_draws=sc.mark_draws)
+    assert csv == study_csv_020(sc, rows)
 
 
 def test_cli_import_and_bundled_configs_do_not_load_scipy():

@@ -19,6 +19,7 @@ from meandense import (
     exact_density,
     integrate_along,
 )
+from meandense.cli import main
 from meandense.grains import ShiftedField
 from meandense.streams import derive_stream
 
@@ -241,10 +242,19 @@ def test_density_grid_thread_invariance():
     assert one.method == "exact_quadrature_mark_mc"
 
 
-def test_density_grid_csv_format():
-    grid = np.array([[0.25, -0.5]])
-    field = density_grid(QUADRATIC, UNIT_SEGMENT, grid, seed=0, threads=1)
-    text = field.to_csv()
+def test_density_grid_csv_format(tmp_path):
+    """The CLI writes density_grid's field for a unit segment under |y|^2."""
+    config = tmp_path / "exact.cfg"
+    config.write_text(
+        "d = 2\nn = 1\nseed = 0\nintensity.kind = quadratic\n"
+        "marks.kind = deterministic\nmarks.grain.kind = segment\nmarks.grain.length = 1\n"
+        "window.lo = -1, -1\nwindow.hi = 1, 1\nx_grid.kind = list\nx_grid.points = 0.25, -0.5\n"
+    )
+    out = tmp_path / "run"
+    assert main(["exact", "--config", str(config), "--out", str(out), "--threads", "1"]) == 0
+    text = (out / "exact.csv").read_text()
+    field = density_grid(QUADRATIC, UNIT_SEGMENT, np.array([[0.25, -0.5]]), seed=0, threads=1)
+    assert float(text.splitlines()[1].split(",")[2]) == field.values[0]
     lines = text.strip().splitlines()
     assert lines[0] == "x1,x2,value,standard_error,method"
     cells = lines[1].split(",")

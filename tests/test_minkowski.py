@@ -14,6 +14,7 @@ from meandense import (
     content_limit,
     sausage_integral,
 )
+from meandense.cli import main
 from meandense.geometry import ball_volume
 from meandense.minkowski import limit_diagnostics, ratio_bound
 from meandense.streams import derive_stream
@@ -119,9 +120,20 @@ def test_bound_check_positive_margin():
         bound_check(run, RegularityCertificate(), constant_value=0.0)
 
 
-def test_minkowski_csv_format():
+def test_minkowski_csv_format(tmp_path):
+    """The CLI writes content_limit's run for a unit segment under f = 1,
+    with the uniform ratio bound 16 pi."""
+    config = tmp_path / "minkowski.cfg"
+    config.write_text(
+        "d = 2\nn = 1\nseed = 7\nintensity.kind = constant\nintensity.c = 1\n"
+        "marks.kind = deterministic\nmarks.grain.kind = segment\nmarks.grain.length = 1\n"
+        "window.lo = 0, 0\nwindow.hi = 1, 1\nr_grid = 0.2, 0.1, 0.05\nmc_points = 20000\n"
+    )
+    out = tmp_path / "run"
+    assert main(["minkowski", "--config", str(config), "--out", str(out), "--threads", "1"]) == 0
+    text = (out / "minkowski.csv").read_text()
     run = content_limit(UNIT_SEGMENT, CONSTANT, [0.2, 0.1, 0.05], mc_points=20_000, seed=7)
-    text = run.to_csv(bound=16.0 * math.pi)
+    assert [float(line.split(",")[1]) for line in text.splitlines()[1:]] == run.ratios.tolist()
     lines = text.strip().splitlines()
     assert lines[0] == "r,ratio,se,bound,target,limit_estimate"
     assert len(lines) == 4

@@ -15,6 +15,7 @@ from meandense import (
     check_finiteness,
     sample_germs,
 )
+from meandense.cli import _realization_csv, _write_csv
 from meandense.geometry import Box
 from meandense.grains import ShiftedField
 from meandense.poisson import expected_germs
@@ -38,6 +39,9 @@ def test_constant_field():
     assert f.values([[1.0, 1.0]])[0] == 2.5
     with pytest.raises(ConfigurationError):
         IntensityField("constant", c=-1.0)
+    for c in (math.nan, math.inf):
+        with pytest.raises(ConfigurationError, match="finite"):
+            IntensityField("constant", c=c)
 
 
 def test_quadratic_field():
@@ -54,6 +58,8 @@ def test_affine_field_clips_at_zero():
     assert f.values([[2.0, 0.0]])[0] == 0.0  # 1 - 2 clipped
     with pytest.raises(ConfigurationError):
         IntensityField("affine", a=1.0)
+    with pytest.raises(ConfigurationError, match="finite"):
+        IntensityField("affine", a=math.inf, b=np.array([-1.0, 0.0]))
 
 
 def test_piecewise_field():
@@ -72,6 +78,8 @@ def test_piecewise_field():
         IntensityField("piecewise", pieces=((Box([0, 0], [1, 1]), -1.0),))
     with pytest.raises(ConfigurationError):
         IntensityField("gaussian")
+    with pytest.raises(ConfigurationError, match="finite"):
+        IntensityField("piecewise", pieces=((Box([0, 0], [1, 1]), math.nan),))
 
 
 def test_polynomial_statement():
@@ -144,13 +152,14 @@ def test_callable_field_needs_bound():
 # germ sampling
 
 
-def test_sample_germs_deterministic_and_in_box():
+def test_sample_germs_deterministic_and_in_box(tmp_path):
     f = IntensityField("quadratic")
     box = Box([-1.0, -1.0], [1.0, 1.0])
     s1 = sample_germs(f, UNIT_SEGMENT, box, derive_stream(3, 0))
     s2 = sample_germs(f, UNIT_SEGMENT, box, derive_stream(3, 0))
     assert np.array_equal(s1.points, s2.points)
-    assert len(s1.to_csv().splitlines()) == len(s1) + 1  # a header, then one row per grain
+    text = _write_csv(tmp_path, "realization.csv", *_realization_csv(s1)).read_text()
+    assert len(text.splitlines()) == len(s1) + 1  # a header, then one row per grain
     assert box.contains(s1.points).all() or len(s1) == 0
     assert s1.proposed >= len(s1)
 
