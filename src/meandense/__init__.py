@@ -9,7 +9,7 @@ Minkowski-content limit of sausage integrals.
 
 __version__ = "0.2.0"
 
-from .boolean import BooleanRealization, simulate
+from .boolean import Realizations, simulate
 from .config import ScenarioConfig, parse_config
 from .errors import ConfigurationError, NumericError, QueryError
 from .estimate import (

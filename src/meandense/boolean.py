@@ -6,10 +6,11 @@ in-window queries with radius <= r_max are exact for the truncated mark
 law: edge effects are eliminated rather than corrected.
 
 Grains are held as arrays only (`grain_arrays`): segment rows (a, b) with
-the grain each row belongs to, a point grain being one zero-length row; a
-hand-built realization stacks such arrays with `stack_grains`.  One kernel,
-`count_hits`, answers every hit and count query, for one realization, a
-stacked batch of realizations or a block of the replicate engine alike.
+the grain each row belongs to, a point grain being one zero-length row.
+One sampler, `_sample_block`, draws a block of replicates into such arrays
+with the replicate that owns each grain; it builds both a `Realizations`
+batch (`simulate`) and the streaming engine's blocks.  One kernel,
+`count_hits`, answers every hit and count query on either.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ import numpy as np
 from .errors import ConfigurationError, QueryError
 from .geometry import Ball, Box, as_point, clipped_lengths, segment_distances
 from .grains import MarkDistribution
-from .poisson import sample_germs
+from .poisson import expected_germs, sample_germs
+from .streams import derive_stream
 
 
 class GrainArrays(NamedTuple):
@@ -49,20 +51,6 @@ def grain_arrays(germs: np.ndarray, marks) -> GrainArrays:
     a = (germs[:, None, :] + a0).reshape(-1, d)
     b = (germs[:, None, :] + b0).reshape(-1, d)
     return GrainArrays(a, b, np.repeat(ids, a0.shape[0]), m)
-
-
-def stack_grains(parts: list[GrainArrays]) -> tuple[GrainArrays, np.ndarray]:
-    """One GrainArrays of all parts, grains renumbered in order, and the
-    index of the part each grain comes from."""
-    counts = np.array([p.count for p in parts])
-    first = np.cumsum(counts) - counts
-    stacked = GrainArrays(
-        np.concatenate([p.a for p in parts]),
-        np.concatenate([p.b for p in parts]),
-        np.concatenate([p.grain for p in parts]) + np.repeat(first, [p.grain.size for p in parts]),
-        int(counts.sum()),
-    )
-    return stacked, np.repeat(np.arange(len(parts)), counts)
 
 
 def count_hits(grains: GrainArrays, owner: np.ndarray, xs, rs) -> tuple[np.ndarray, np.ndarray]:
@@ -108,48 +96,37 @@ def check_query(window: Box, r_max: float, x: np.ndarray, r: float):
 
 
 @dataclass(eq=False)
-class BooleanRealization:
-    """One sample of the model: translated grains over a guarded window,
-    held as grain arrays (`grain_arrays`, `stack_grains`)."""
+class Realizations:
+    """A batch of `count` realizations over one guarded window: the grains
+    of all of them as one GrainArrays, and the realization (0..count-1)
+    that owns each grain.  n is the Hausdorff dimension of the grains."""
 
-    arrays: GrainArrays
-    observation_window: Box
+    grains: GrainArrays
+    owner: np.ndarray
+    count: int
+    window: Box
     guard_margin: float
-    r_max: float = 0.0
-    hausdorff_dim: int | None = None  # n of the grain family; inferred if None
-
-    def __post_init__(self):
-        if self.arrays.a.shape[1] != self.dim:
-            raise ConfigurationError("dimension mismatch between grains and window")
+    r_max: float
+    n: int
 
     @property
     def dim(self) -> int:
-        return self.observation_window.dim
+        return self.window.dim
 
-    @property
-    def grain_dim(self) -> int:
-        """Hausdorff dimension n of the grain family: 0 when inferred from
-        rows that all have zero length."""
-        if self.hausdorff_dim is not None:
-            return self.hausdorff_dim
-        return 0 if np.array_equal(self.arrays.a, self.arrays.b) else 1
-
-    def __len__(self) -> int:
-        return self.arrays.count
-
-    def hit_count(self, x, r: float) -> int:
-        """Number of placed grains meeting the closed ball B_r(x)."""
+    def counts(self, x, rs) -> tuple[np.ndarray, np.ndarray]:
+        """Hit-indicator and grain-count totals over the batch at x, one of
+        each per radius in rs, from one kernel call after every query is
+        checked."""
+        if self.count == 0:
+            raise ConfigurationError("need at least one realization")
         x = as_point(x, dim=self.dim)
-        check_query(self.observation_window, self.r_max, x, r)
-        owner = np.zeros(self.arrays.count, dtype=int)
-        return int(count_hits(self.arrays, owner, [x], [r])[1][0, 0])
+        for r in rs:
+            check_query(self.window, self.r_max, x, r)
+        ind, cnt = count_hits(self.grains, self.owner, [x], rs)
+        return ind[0], cnt[0]
 
-    def hits(self, x, r: float) -> bool:
-        """True iff some grain meets the closed ball B_r(x)."""
-        return self.hit_count(x, r) > 0
-
-    def measure_in_region(self, region: Box) -> float:
-        """H^n of the realization inside the region: summed clipped segment
+    def measure_in_region(self, region: Box) -> np.ndarray:
+        """H^n of each realization inside the region: summed clipped segment
         lengths (n = 1) or contained germ count (n = 0).
 
         Overlaps of distinct grains on sets of positive H^n measure occur
@@ -158,12 +135,14 @@ class BooleanRealization:
         """
         if region.dim != self.dim:
             raise ConfigurationError("region dimension mismatch")
-        if not self.observation_window.contains_box(region):
+        if not self.window.contains_box(region):
             raise QueryError("region is not contained in the observation window")
-        a, b, _, _ = self.arrays
-        if self.grain_dim == 0:
-            return float(np.all((a >= region.lo) & (a < region.hi), axis=1).sum())
-        return float(clipped_lengths(a, b, region).sum())
+        a, b, grain, _ = self.grains
+        if self.n == 0:
+            weights = np.all((a >= region.lo) & (a < region.hi), axis=1)
+        else:
+            weights = clipped_lengths(a, b, region)
+        return np.bincount(self.owner[grain], weights=weights, minlength=self.count)
 
 
 def checked_guard_margin(
@@ -184,16 +163,37 @@ def checked_guard_margin(
     return margin
 
 
+def _sample_block(f, q: MarkDistribution, box: Box, expected, seed: int, start: int, stop: int):
+    """Replicates start..stop-1 on the box, replicate i drawn by sample_germs
+    on stream derive_stream(seed, i): their grains stacked in order, and the
+    replicate (counted from start) that owns each grain.  `expected` is
+    expected_germs(f, box)."""
+    samples = [
+        sample_germs(f, q, box, derive_stream(seed, i), expected) for i in range(start, stop)
+    ]
+    owner = np.repeat(np.arange(stop - start), [len(s) for s in samples])
+    empty = [np.zeros((0, q.dim))]  # a batch of no replicates
+    germs = np.concatenate(empty + [s.points for s in samples])
+    if q.kind == "deterministic":
+        return grain_arrays(germs, q.grain), owner
+    return grain_arrays(germs, np.concatenate(empty + [s.vectors for s in samples])), owner
+
+
 def simulate(
     f,
     q: MarkDistribution,
     window: Box,
     r_max: float,
-    rng: np.random.Generator,
+    n_samples: int,
+    seed: int,
+    index0: int = 0,
     guard_margin: float | None = None,
-) -> BooleanRealization:
-    """Sample one realization covering the window plus guard zone."""
+) -> Realizations:
+    """Sample `n_samples` realizations covering the window plus guard zone,
+    realization i on stream derive_stream(seed, index0 + i)."""
     margin = checked_guard_margin(q, r_max, guard_margin)
-    s = sample_germs(f, q, window.dilate(margin), rng)
-    arrays = grain_arrays(s.points, q.grain if s.vectors is None else s.vectors)
-    return BooleanRealization(arrays, window, margin, r_max, hausdorff_dim=q.n)
+    box = window.dilate(margin)
+    grains, owner = _sample_block(
+        f, q, box, expected_germs(f, box), seed, index0, index0 + n_samples
+    )
+    return Realizations(grains, owner, n_samples, window, margin, r_max, q.n)

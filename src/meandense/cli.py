@@ -117,8 +117,8 @@ def run_estimate(cfg: ScenarioConfig, seed: int, threads: int, out_dir: Path):
     )
     header = [f"x{k + 1}" for k in range(cfg.d)] + ["N", "R_N", "lambda_hat", "se"]
     rows = []
-    for x, hits in zip(xs, ind[:, 0]):
-        rep = _report_from_hits(x, int(hits), cfg.n_samples, cfg.d, cfg.n, radius)
+    for x, count in zip(xs, ind[:, 0]):
+        rep = _report_from_hits(x, int(count), cfg.n_samples, cfg.d, cfg.n, radius)
         rows.append([*x, cfg.n_samples, radius, rep.lambda_hat, rep.standard_error])
     _write_csv(out_dir, "estimate.csv", header, rows)
 
@@ -146,17 +146,21 @@ def run_minkowski(cfg: ScenarioConfig, seed: int, threads: int, out_dir: Path):
         raise ConfigurationError("minkowski needs a deterministic grain (marks.kind = deterministic)")
     if cfg.r_grid is None:
         raise ConfigurationError("minkowski needs r_grid")
+    grain, cert, bound = cfg.marks.grain, RegularityCertificate(), ""
+    checked = cfg.intensity.kind == "constant" and cfg.intensity.c > 0
+    if checked:
+        try:  # the bound extends the grain: refuse a degenerate one before any work
+            bound = ratio_bound(grain, cert)
+        except ConfigurationError as exc:
+            key = "marks.grain.length" if len(grain.vertices) == 2 else "marks.grain.vertices"
+            raise ConfigurationError(f"{key}: {exc}") from None
     run = content_limit(
-        cfg.marks.grain, cfg.intensity, cfg.r_grid,
-        mc_points=cfg.mc_points, seed=seed, threads=threads,
+        grain, cfg.intensity, cfg.r_grid, mc_points=cfg.mc_points, seed=seed, threads=threads,
     )
-    bound = ""
-    if cfg.intensity.kind == "constant" and cfg.intensity.c > 0:
-        cert = RegularityCertificate()
+    if checked:
         ok, margin = bound_check(run, cert, constant_value=cfg.intensity.c)
         if not ok:
             raise NumericError(f"uniform ratio bound violated (margin {margin})")
-        bound = ratio_bound(run.shape, cert)
     header = ["r", "ratio", "se", "bound", "target", "limit_estimate"]
     _write_csv(out_dir, "minkowski.csv", header, [
         [r, ratio, se, bound, run.target, run.limit_estimate]

@@ -126,6 +126,20 @@ def _floats(text: str) -> list[float]:
     return [_float(v) for v in text.split(",")]
 
 
+class _Violations(list):
+    """Violation lines, one per fault.  Once `get` has reported a key, a
+    later line about that key or its section follows from the default that
+    `get` returned, and is dropped."""
+
+    def __init__(self, lines):
+        super().__init__(lines)
+        self.reported = set()
+
+    def append(self, line):
+        if line.split(":", 1)[0] not in self.reported:
+            super().append(line)
+
+
 def _tokenize(text: str) -> tuple[dict[str, str], list[str]]:
     """The key-value pairs and the violations of the line syntax: a line
     that is not `key = value`, or a key given twice."""
@@ -153,6 +167,7 @@ def parse_config(text: str) -> ScenarioConfig:
     """Parse and validate; raises ConfigurationError listing every
     violation with the offending key and its admissible range."""
     pairs, errors = _tokenize(text)
+    errors = _Violations(errors)
 
     for key in pairs:
         if key in _KNOWN_KEYS:
@@ -177,6 +192,7 @@ def parse_config(text: str) -> ScenarioConfig:
             errors.append(f"{key}: must be finite, got {text!r}")
         except ValueError:
             errors.append(f"{key}: cannot interpret {text!r}")
+        errors.reported.update((key, key.rsplit(".", 1)[0]))
         return default
 
     d = get("d", cast=_integer)
@@ -309,7 +325,8 @@ def _build_marks(pairs, get, d, errors) -> MarkDistribution | None:
         return None
     try:
         if kind == "deterministic":
-            return MarkDistribution("deterministic", grain=_build_grain(pairs, get, d, errors))
+            grain = _build_grain(pairs, get, d, errors)
+            return None if grain is None else MarkDistribution("deterministic", grain=grain)
         if kind == "segment_law":
             length = _build_length(pairs, get, errors)
             orientation = _build_orientation(pairs, get, d, errors)
@@ -341,10 +358,10 @@ def _build_grain(pairs, get, d, errors):
         pts = get("marks.grain.vertices", [], cast=_floats, sep=";")
         if not pts or any(len(p) != d for p in pts):
             errors.append(f"marks.grain.vertices: needs {d}-d points separated by ';'")
-            return Grain.point(d)
+            return None
         return Grain.polyline(np.array(pts))
     errors.append("marks.grain.kind: required for deterministic marks (point|segment|polyline)")
-    return Grain.point(d)
+    return None
 
 
 def _build_length(pairs, get, errors) -> LengthLaw | None:

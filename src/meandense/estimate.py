@@ -16,20 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolean import (
-    BooleanRealization,
-    check_query,
-    checked_guard_margin,
-    count_hits,
-    grain_arrays,
-    stack_grains,
-)
+from .boolean import Realizations, _sample_block, checked_guard_margin, count_hits
 from .errors import ConfigurationError, QueryError
 from .geometry import Box, as_point, ball_volume
 from .grains import MarkDistribution
 from .parallel import parallel_map
-from .poisson import expected_germs, sample_germs
-from .streams import derive_stream
+from .poisson import expected_germs
 
 # stream index space for the exact-density reference inside studies
 _EXACT_STREAM_SALT = 0x45584143
@@ -83,53 +75,20 @@ def _indicator_density(count: int, n_samples: int, d: int, n: int, radius: float
     return count / n_samples / (ball_volume(d - n) * radius ** (d - n))
 
 
-def _check_batch(realizations: list[BooleanRealization]):
-    if not realizations:
-        raise ConfigurationError("need at least one realization")
-    first = realizations[0]
-    for r in realizations[1:]:
-        if (
-            r.dim != first.dim
-            or r.grain_dim != first.grain_dim
-            or not np.array_equal(r.observation_window.lo, first.observation_window.lo)
-            or not np.array_equal(r.observation_window.hi, first.observation_window.hi)
-        ):
-            raise ConfigurationError("realizations do not share a scenario")
-    return first
-
-
-def _batch_counts(realizations: list[BooleanRealization], x: np.ndarray, rs):
-    """Hit-indicator and grain-count totals over a checked batch at x, one
-    of each per radius in rs.  Every query is checked once, against the
-    smallest r_max of the batch; one kernel call counts all radii."""
-    r_max = min(real.r_max for real in realizations)
-    for r in rs:
-        check_query(realizations[0].observation_window, r_max, x, r)
-    grains, owner = stack_grains([real.arrays for real in realizations])
-    ind, cnt = count_hits(grains, owner, [x], rs)
-    return ind[0], cnt[0]
-
-
-def empirical_capacity(realizations: list[BooleanRealization], x, r: float) -> float:
+def empirical_capacity(batch: Realizations, x, r: float) -> float:
     """Fraction of realizations whose set meets the closed ball B_r(x)."""
-    first = _check_batch(realizations)
-    ind, _ = _batch_counts(realizations, as_point(x, dim=first.dim), [r])
-    return int(ind[0]) / len(realizations)
+    ind, _ = batch.counts(x, [r])
+    return int(ind[0]) / batch.count
 
 
-def density_estimate(
-    realizations: list[BooleanRealization], x, radius: float
-) -> EstimateReport:
+def density_estimate(batch: Realizations, x, radius: float) -> EstimateReport:
     """Indicator estimator: hit fraction over b_{d-n} R^{d-n}; the plug-in
     standard error uses the binomial variance of the hit fraction."""
     if radius <= 0:
         raise ConfigurationError("bandwidth radius must be positive")
-    first = _check_batch(realizations)
-    x = as_point(x, dim=first.dim)
-    ind, _ = _batch_counts(realizations, x, [radius])
-    return _report_from_hits(
-        x, int(ind[0]), len(realizations), first.dim, first.grain_dim, radius
-    )
+    ind, _ = batch.counts(x, [radius])
+    x = as_point(x, dim=batch.dim)
+    return _report_from_hits(x, int(ind[0]), batch.count, batch.dim, batch.n, radius)
 
 
 def _report_from_hits(
@@ -148,31 +107,29 @@ def _report_from_hits(
     )
 
 
-def count_estimate(realizations: list[BooleanRealization], x, r: float) -> float:
+def count_estimate(batch: Realizations, x, r: float) -> float:
     """Grain-count estimator: mean number of grains hitting B_r(x) over the
     same normalizer; dominates the indicator estimator pointwise."""
     if r <= 0:
         raise ConfigurationError("radius must be positive")
-    first = _check_batch(realizations)
-    _, cnt = _batch_counts(realizations, as_point(x, dim=first.dim), [r])
-    return _indicator_density(int(cnt[0]), len(realizations), first.dim, first.grain_dim, r)
+    _, cnt = batch.counts(x, [r])
+    return _indicator_density(int(cnt[0]), batch.count, batch.dim, batch.n, r)
 
 
-def contact_derivative(
-    realizations: list[BooleanRealization], x, r_grid
-) -> float:
+def contact_derivative(batch: Realizations, x, r_grid) -> float:
     """Half the least-squares slope at r = 0 of the empirical contact
     distribution r -> T^(r); valid for codimension-1 grains only."""
-    first = _check_batch(realizations)
-    if first.grain_dim != first.dim - 1:
+    if batch.n != batch.dim - 1:
         raise ConfigurationError(
-            f"contact-distribution route needs n = d - 1 (got n={first.grain_dim}, d={first.dim})"
+            f"contact-distribution route needs n = d - 1 (got n={batch.n}, d={batch.dim})"
         )
     r_grid = np.asarray(sorted(r_grid, reverse=True), dtype=float)
     if r_grid.size < 2:
-        raise ConfigurationError("need at least two radii to fit a slope")
-    ind, _ = _batch_counts(realizations, as_point(x, dim=first.dim), [float(r) for r in r_grid])
-    t_hat = ind / len(realizations)
+        raise ConfigurationError("r_grid: need at least two radii to fit a slope")
+    if np.unique(r_grid).size < r_grid.size:
+        raise ConfigurationError(f"r_grid: radii must be distinct, got {r_grid.tolist()}")
+    ind, _ = batch.counts(x, [float(r) for r in r_grid])
+    t_hat = ind / batch.count
     slope = np.polyfit(r_grid, t_hat, 1)[0]
     return float(slope) / 2.0
 
@@ -183,6 +140,8 @@ def histogram_reduction(samples, x: float, half_width: float) -> float:
     if half_width <= 0:
         raise ConfigurationError("half_width must be positive")
     samples = np.asarray(samples, dtype=float)
+    if samples.size == 0:
+        raise ConfigurationError("need at least one sample")
     count = int(np.count_nonzero(np.abs(samples - x) <= half_width))
     return _indicator_density(count, samples.size, 1, 0, half_width)
 
@@ -201,18 +160,10 @@ _BLOCK_SEGMENTS = 1 << 16
 
 
 def _block_task(args):
-    """Worker: simulate replicates start..stop-1, replicate i on stream
-    derive_stream(seed, i), stack their grains with the replicate that owns
-    each, and return the kernel's integer hit and grain-count totals of
-    shape (len(xs), len(rs))."""
+    """Worker: the block of replicates start..stop-1 and the kernel's
+    integer hit and grain-count totals on it, of shape (len(xs), len(rs))."""
     f, q, xs, rs, box, expected, seed, start, stop = args
-    samples = [
-        sample_germs(f, q, box, derive_stream(seed, i), expected) for i in range(start, stop)
-    ]
-    owner = np.repeat(np.arange(stop - start), [len(s) for s in samples])
-    germs = np.concatenate([s.points for s in samples])
-    marks = q.grain if q.kind == "deterministic" else np.concatenate([s.vectors for s in samples])
-    return count_hits(grain_arrays(germs, marks), owner, xs, rs)
+    return count_hits(*_sample_block(f, q, box, expected, seed, start, stop), xs, rs)
 
 
 def accumulate_hits(

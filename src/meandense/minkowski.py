@@ -58,6 +58,8 @@ def content_limit(
     r_grid = np.asarray(sorted(r_grid, reverse=True), dtype=float)
     if r_grid.size < 3:
         raise ConfigurationError("r_grid: need at least three radii for the extrapolation")
+    if np.unique(r_grid).size < r_grid.size:
+        raise ConfigurationError(f"r_grid: radii must be distinct, got {r_grid.tolist()}")
     if np.any(r_grid <= 0.0) or np.any(r_grid >= 2.0):
         raise ConfigurationError("all radii must lie in (0, 2)")
     codim = shape.dim - shape.n

@@ -14,12 +14,12 @@ import pytest
 
 from meandense import (
     BandwidthSchedule,
-    BooleanRealization,
     Grain,
     IntensityField,
     LengthLaw,
     MarkDistribution,
     OrientationLaw,
+    Realizations,
     RegularityCertificate,
     analytic_segment_density,
     bound_check,
@@ -34,7 +34,7 @@ from meandense import (
     sausage_integral,
     simulate,
 )
-from meandense.boolean import grain_arrays
+from meandense.boolean import GrainArrays
 from meandense.cli import main
 from meandense.config import lattice_points
 from meandense.estimate import _report_from_hits, accumulate_hits
@@ -198,10 +198,7 @@ def test_criterion_06_minkowski_content():
 
 
 def _region_measure_mean(f, marks, region, replicates, seed):
-    vals = np.empty(replicates)
-    for i in range(replicates):
-        real = simulate(f, marks, region, 0.0, derive_stream(seed, i))
-        vals[i] = real.measure_in_region(region)
+    vals = simulate(f, marks, region, 0.0, replicates, seed).measure_in_region(region)
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(replicates))
 
 
@@ -238,11 +235,10 @@ def test_criterion_08_histogram_equivalence():
     rng = derive_stream(808, 0)
     samples = rng.random(200)
     window = Box([-1.0], [2.0])
-    embedded = [
-        BooleanRealization(grain_arrays(np.array([[s]]), Grain.point(1)), window,
-                           guard_margin=1.0, r_max=0.5, hausdorff_dim=0)
-        for s in samples
-    ]
+    # one point grain per realization, at its sample
+    germs, m = samples[:, None], samples.size
+    embedded = Realizations(GrainArrays(germs, germs, np.arange(m), m), np.arange(m), m,
+                            window, guard_margin=1.0, r_max=0.5, n=0)
     identical = True
     for _ in range(1000):
         x = float(rng.uniform(0.0, 1.0))
@@ -289,8 +285,7 @@ def test_criterion_09_grain_count_route():
 
     # small-batch cross-check through the public list-based API
     window = Box([-0.25, -0.25], [0.25, 0.25])
-    batch = [simulate(QUADRATIC, PAPER_MARKS, window, 0.2, derive_stream(910, i))
-             for i in range(500)]
+    batch = simulate(QUADRATIC, PAPER_MARKS, window, 0.2, 500, seed=910)
     for r in rs:
         dominates = dominates and (
             count_estimate(batch, [0.0, 0.0], r)
@@ -331,8 +326,7 @@ def test_criterion_10_contact_distribution_route():
     the exact density (= 1) at two grid points of the stationary model."""
     window = Box([0.0, 0.0], [1.0, 1.0])
     r_grid = np.linspace(0.02, 0.1, 5)
-    batch = [simulate(CONSTANT_1, PAPER_MARKS, window, float(r_grid.max()),
-                      derive_stream(1010, i)) for i in range(6000)]
+    batch = simulate(CONSTANT_1, PAPER_MARKS, window, float(r_grid.max()), 6000, seed=1010)
     details = []
     ok = True
     for x in ([0.5, 0.5], [0.3, 0.6]):

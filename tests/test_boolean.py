@@ -1,4 +1,5 @@
-"""Boolean realizations: hit queries, the grain arrays and region measure."""
+"""Boolean realizations: hit queries, the grain arrays, region measure and
+the one sampler behind batches and the streaming engine's blocks."""
 
 import math
 
@@ -8,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meandense import (
-    BooleanRealization,
     ConfigurationError,
     Grain,
     IntensityField,
@@ -16,11 +16,12 @@ from meandense import (
     MarkDistribution,
     OrientationLaw,
     QueryError,
+    Realizations,
     simulate,
 )
-from meandense.boolean import grain_arrays, stack_grains
+from meandense.boolean import GrainArrays, grain_arrays
 from meandense.cli import _realization_csv, _write_csv
-from meandense.geometry import Box, segment_distances
+from meandense.geometry import Box, clipped_lengths, segment_distances
 from meandense.poisson import MarkedGermSample, sample_germs
 from meandense.streams import derive_stream
 
@@ -32,20 +33,41 @@ RANDOM_SEGMENTS = MarkDistribution(
 )
 
 
+def stack_grains(parts: list[GrainArrays]) -> tuple[GrainArrays, np.ndarray]:
+    """One GrainArrays of all parts, grains renumbered in order, and the
+    index of the part each grain comes from."""
+    counts = np.array([p.count for p in parts])
+    first = np.cumsum(counts) - counts
+    stacked = GrainArrays(
+        np.concatenate([p.a for p in parts]),
+        np.concatenate([p.b for p in parts]),
+        np.concatenate([p.grain for p in parts]) + np.repeat(first, [p.grain.size for p in parts]),
+        int(counts.sum()),
+    )
+    return stacked, np.repeat(np.arange(len(parts)), counts)
+
+
 def arrays_of(placed, d=2):
     """Grain arrays of (germ, grain) pairs, stacked in order."""
     parts = [grain_arrays(np.asarray(germ, dtype=float)[None, :], grain) for germ, grain in placed]
     return stack_grains(parts or [grain_arrays(np.zeros((0, d)), np.zeros((0, d)))])[0]
 
 
-def manual_realization(germs_and_grains, window, r_max=0.5, n=None):
-    return BooleanRealization(
-        arrays_of(germs_and_grains, window.dim),
-        window,
-        guard_margin=2.0,
-        r_max=r_max,
-        hausdorff_dim=n,
-    )
+def manual_realization(germs_and_grains, window, r_max=0.5, n=1):
+    """A batch of one hand-built realization."""
+    arrays = arrays_of(germs_and_grains, window.dim)
+    owner = np.zeros(arrays.count, dtype=int)
+    return Realizations(arrays, owner, 1, window, guard_margin=2.0, r_max=r_max, n=n)
+
+
+def hit_count(batch, x, r) -> int:
+    """Grains of the batch meeting the closed ball B_r(x)."""
+    return int(batch.counts(x, [r])[1][0])
+
+
+def hits(batch, x, r) -> int:
+    """Realizations of the batch meeting the closed ball B_r(x)."""
+    return int(batch.counts(x, [r])[0][0])
 
 
 def grain_distance(g, x) -> float:
@@ -69,33 +91,23 @@ def test_hits_hand_case():
     real = manual_realization(
         [([1.0, 1.0], Grain.segment(np.array([1.0, 0.0])))], window, r_max=0.5
     )
-    assert real.hits([1.5, 1.2], 0.3)
-    assert real.hit_count([1.5, 1.2], 0.3) == 1
-    assert not real.hits([1.5, 1.6], 0.3)
+    assert hits(real, [1.5, 1.2], 0.3)
+    assert hit_count(real, [1.5, 1.2], 0.3) == 1
+    assert not hits(real, [1.5, 1.6], 0.3)
     # closed semantics: distance exactly r is a hit (dyadic values, exact)
-    assert real.hits([1.5, 1.25], 0.25)
+    assert hits(real, [1.5, 1.25], 0.25)
 
 
 def test_query_validation():
     window = Box([0.0, 0.0], [2.0, 2.0])
     real = manual_realization([], window, r_max=0.5, n=1)
     with pytest.raises(QueryError):
-        real.hits([1.0, 1.0], -0.1)
+        hits(real, [1.0, 1.0], -0.1)
     with pytest.raises(QueryError):
-        real.hits([1.0, 1.0], 0.6)  # above r_max
+        hits(real, [1.0, 1.0], 0.6)  # above r_max
     with pytest.raises(QueryError):
-        real.hits([0.1, 1.0], 0.5)  # ball pokes out of the window
-    assert not real.hits([1.0, 1.0], 0.5)
-
-
-def test_grain_dim_inference_and_override():
-    window = Box([0.0, 0.0], [2.0, 2.0])
-    seg = manual_realization([([1.0, 1.0], Grain.segment(np.array([0.5, 0.0])))], window)
-    assert seg.grain_dim == 1
-    pts = manual_realization([([1.0, 1.0], Grain.point(2))], window)
-    assert pts.grain_dim == 0
-    empty = manual_realization([], window, n=1)
-    assert empty.grain_dim == 1 and len(empty) == 0
+        hits(real, [0.1, 1.0], 0.5)  # ball pokes out of the window
+    assert not hits(real, [1.0, 1.0], 0.5)
 
 
 @settings(max_examples=30, deadline=None)
@@ -116,15 +128,13 @@ def test_index_matches_brute_force(seed, count):
             grain = Grain.polyline(np.vstack([[0.0, 0.0], np.cumsum(steps, axis=0)]))
     # mixed grain families share n only artificially; fix n = 1 for the query API
         placed.append((germ, grain))
-    real = BooleanRealization(
-        arrays_of(placed), window, guard_margin=2.0, r_max=0.5, hausdorff_dim=1
-    )
+    real = manual_realization(placed, window, r_max=0.5)
     for _ in range(10):
         x = rng.uniform(0.5, 3.5, size=2)
         r = rng.uniform(0.0, 0.5)
         expected = brute_force_hits(placed, x, r)
-        assert real.hit_count(x, r) == expected
-        assert real.hits(x, r) == (expected > 0)
+        assert hit_count(real, x, r) == expected
+        assert hits(real, x, r) == (expected > 0)
 
 
 def test_many_segments_match_brute_force():
@@ -135,14 +145,12 @@ def test_many_segments_match_brute_force():
         (rng.uniform(0.0, 4.0, size=2), Grain.segment(rng.uniform(-1.0, 1.0, size=2)))
         for _ in range(200)
     ]
-    real = BooleanRealization(
-        arrays_of(placed), window, guard_margin=2.0, r_max=0.4, hausdorff_dim=1
-    )
-    assert real.arrays.a.shape[0] > 32
+    real = manual_realization(placed, window, r_max=0.4)
+    assert real.grains.a.shape[0] > 32
     for _ in range(50):
         x = rng.uniform(0.4, 3.6, size=2)
         r = rng.uniform(0.0, 0.4)
-        assert real.hit_count(x, r) == brute_force_hits(placed, x, r)
+        assert hit_count(real, x, r) == brute_force_hits(placed, x, r)
 
 
 def test_measure_in_region_segments():
@@ -154,13 +162,13 @@ def test_measure_in_region_segments():
         ],
         window,
     )
-    assert real.measure_in_region(window) == pytest.approx(1.5)
-    assert real.measure_in_region(Box([0.0, 0.0], [2.5, 2.0])) == pytest.approx(1.0)
+    assert real.measure_in_region(window) == pytest.approx([1.5])
+    assert real.measure_in_region(Box([0.0, 0.0], [2.5, 2.0])) == pytest.approx([1.0])
 
 
 def test_measure_in_region_validation():
     window = Box([0.0, 0.0], [2.0, 2.0])
-    real = manual_realization([], window, n=1)
+    real = manual_realization([], window)
     with pytest.raises(QueryError):
         real.measure_in_region(Box([0.0, 0.0], [3.0, 3.0]))
     with pytest.raises(ConfigurationError):
@@ -170,7 +178,7 @@ def test_measure_in_region_validation():
 def test_measure_additivity_over_partition():
     f = IntensityField("constant", c=3.0)
     window = Box([0.0, 0.0], [2.0, 2.0])
-    real = simulate(f, RANDOM_SEGMENTS, window, 0.0, derive_stream(17, 0))
+    real = simulate(f, RANDOM_SEGMENTS, window, 0.0, 1, seed=17)
     quads = [
         Box([0.0, 0.0], [1.0, 1.0]),
         Box([1.0, 0.0], [2.0, 1.0]),
@@ -179,6 +187,7 @@ def test_measure_additivity_over_partition():
     ]
     total = sum(real.measure_in_region(b) for b in quads)
     assert total == pytest.approx(real.measure_in_region(window), abs=1e-9)
+    assert real.count == 1 and total.shape == (1,)
 
 
 def test_point_counting_is_half_open():
@@ -187,33 +196,34 @@ def test_point_counting_is_half_open():
     real = manual_realization([([1.0, 0.5], Grain.point(2))], window, n=0)
     left = Box([0.0, 0.0], [1.0, 1.0])
     right = Box([1.0, 0.0], [2.0, 1.0])
-    assert real.measure_in_region(left) == 0.0
-    assert real.measure_in_region(right) == 1.0
-    assert real.measure_in_region(window) == 1.0
+    assert real.measure_in_region(left).tolist() == [0.0]
+    assert real.measure_in_region(right).tolist() == [1.0]
+    assert real.measure_in_region(window).tolist() == [1.0]
 
 
 def test_simulate_guard_margin_and_validation():
     f = IntensityField("constant", c=1.0)
     window = Box([0.0, 0.0], [1.0, 1.0])
-    real = simulate(f, UNIT_SEGMENT, window, 0.3, derive_stream(0, 0))
+    real = simulate(f, UNIT_SEGMENT, window, 0.3, 1, seed=0)
     assert real.guard_margin == pytest.approx(1.3)
     assert real.r_max == 0.3
     with pytest.raises(ConfigurationError):
-        simulate(f, UNIT_SEGMENT, window, -0.1, derive_stream(0, 0))
+        simulate(f, UNIT_SEGMENT, window, -0.1, 1, seed=0)
     with pytest.raises(ConfigurationError):
-        simulate(f, UNIT_SEGMENT, window, 2.0, derive_stream(0, 0))
+        simulate(f, UNIT_SEGMENT, window, 2.0, 1, seed=0)
     with pytest.raises(ConfigurationError):
-        simulate(f, UNIT_SEGMENT, window, 0.3, derive_stream(0, 0), guard_margin=0.5)
+        simulate(f, UNIT_SEGMENT, window, 0.3, 1, seed=0, guard_margin=0.5)
 
 
 def test_simulate_deterministic_in_stream():
     f = IntensityField("quadratic")
     window = Box([-1.0, -1.0], [1.0, 1.0])
-    a = simulate(f, RANDOM_SEGMENTS, window, 0.2, derive_stream(5, 9))
-    b = simulate(f, RANDOM_SEGMENTS, window, 0.2, derive_stream(5, 9))
-    assert len(a) == len(b)
+    a = simulate(f, RANDOM_SEGMENTS, window, 0.2, 1, seed=5, index0=9)
+    b = simulate(f, RANDOM_SEGMENTS, window, 0.2, 1, seed=5, index0=9)
+    assert a.grains.count == b.grains.count
     for field in ("a", "b", "grain"):
-        assert np.array_equal(getattr(a.arrays, field), getattr(b.arrays, field))
+        assert np.array_equal(getattr(a.grains, field), getattr(b.grains, field))
+    assert np.array_equal(a.owner, b.owner)
 
 
 def test_guard_zone_eliminates_edge_effects():
@@ -225,16 +235,63 @@ def test_guard_zone_eliminates_edge_effects():
     big_window = Box([-0.5, -0.5], [1.5, 1.5])
     x = np.array([0.15, 0.5])   # near the small window's edge
     r = 0.1
-    hits_small = 0
-    hits_big = 0
-    for i in range(4000):
-        small = simulate(f, RANDOM_SEGMENTS, window, r, derive_stream(31, i))
-        big = simulate(f, RANDOM_SEGMENTS, big_window, r, derive_stream(77, i))
-        hits_small += small.hits(x, r)
-        hits_big += big.hits(x, r)
+    hits_small = hits(simulate(f, RANDOM_SEGMENTS, window, r, 4000, seed=31), x, r)
+    hits_big = hits(simulate(f, RANDOM_SEGMENTS, big_window, r, 4000, seed=77), x, r)
     p1, p2 = hits_small / 4000, hits_big / 4000
     se = math.sqrt(p1 * (1 - p1) / 4000 + p2 * (1 - p2) / 4000)
     assert abs(p1 - p2) < 3.5 * se
+
+
+def _law(kind):
+    return {
+        "segment_law": RANDOM_SEGMENTS,
+        "polyline": MarkDistribution(
+            "deterministic", grain=Grain.polyline([[0.0, 0.0], [0.3, 0.1], [0.2, 0.4]])
+        ),
+        "point": MarkDistribution("deterministic", grain=Grain.point(2)),
+    }[kind]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 2 ** 32 - 1),
+    st.integers(1, 6),
+    st.integers(0, 50),
+    st.sampled_from(["segment_law", "polyline", "point"]),
+)
+def test_batch_equals_concatenated_one_replicate_batches(seed, k, index0, kind):
+    """A batch of k realizations is the k one-realization batches at
+    index0..index0+k-1, concatenated: the sampler draws replicate by
+    replicate on its own stream, and block boundaries change nothing."""
+    f = IntensityField("quadratic")
+    window = Box([-0.5, -0.5], [0.5, 0.5])
+    batch = simulate(f, _law(kind), window, 0.2, k, seed, index0)
+    ones = [simulate(f, _law(kind), window, 0.2, 1, seed, index0 + i) for i in range(k)]
+    grains, owner = stack_grains([one.grains for one in ones])
+    assert batch.count == k and batch.grains.count == grains.count
+    for field in ("a", "b", "grain"):
+        assert np.array_equal(getattr(batch.grains, field), getattr(grains, field))
+    assert np.array_equal(batch.owner, owner)
+
+
+@pytest.mark.parametrize("kind", ["segment_law", "polyline", "point"])
+def test_batched_measure_equals_per_realization_reference(kind):
+    """measure_in_region's one bincount over the batch equals each
+    realization's own clipped-length sum within 1e-12, and its own germ
+    count exactly for point grains."""
+    batch = simulate(IntensityField("constant", c=3.0), _law(kind), Box([0.0, 0.0], [2.0, 2.0]),
+                     0.0, 40, seed=18)
+    region = Box([0.3, 0.2], [1.7, 1.1])
+    got = batch.measure_in_region(region)
+    a, b, grain, _ = batch.grains
+    rows = batch.owner[grain]
+    assert got.shape == (40,) and got.max() > 0.0
+    for i in range(40):
+        ai, bi = a[rows == i], b[rows == i]
+        if batch.n == 0:
+            assert got[i] == float(np.all((ai >= region.lo) & (ai < region.hi), axis=1).sum())
+        else:
+            assert abs(got[i] - clipped_lengths(ai, bi, region).sum()) <= 1e-12
 
 
 def realization_text(sample, out_dir) -> str:

@@ -423,10 +423,18 @@ def _with_line(text, line):
     return "\n".join(kept + [line]) + "\n"
 
 
-# the lines a key needs in the estimate config below before it is read
+# the lines a key needs in the estimate config below before it is read, or
+# to be the only fault besides r
 _READ_WITH = {
+    "bandwidth.c0": ("bandwidth.beta = 0.3",),
     "marks.grain.angle": ("marks.kind = deterministic", "marks.grain.kind = segment"),
+    "marks.grain.kind": ("marks.kind = deterministic",),
     "x_grid.points": ("x_grid.kind = list",),
+}
+
+# lines whose violation is not their own key's: the grain kind's vertices
+_REPORTED_AS = {
+    "marks.grain.kind = polyline": "marks.grain.vertices: needs 2-d points separated by ';'",
 }
 
 
@@ -447,11 +455,17 @@ _READ_WITH = {
     "x_grid.lo = 0.4, -inf",
     "bandwidth.c0 = nan",
     "r_grid = 0.1, nan",
+    "bandwidth.beta = abc",
+    "x_grid.hi = 1, inf",
+    "marks.grain.kind = polyline",
 ])
 def test_cli_unparsable_number_is_a_named_violation(tmp_path, capsys, line):
     """A value that does not parse as its number (an integer key given a
     fraction included), or parses to nan or an infinity, is a violation
-    naming the key, and parsing goes on to report the others (here r = 5)."""
+    naming the key, and parsing goes on to report the others (here r = 5).
+    Each fault is one line: a check that the default left behind by a bad
+    value fails (a missing component, a missing schedule, a grain of the
+    wrong dimension) does not report the key again."""
     key, value = (part.strip() for part in line.split("="))
     text = MINI_ESTIMATE
     for extra in ("x_grid.kind = lattice", "x_grid.lo = 0.4, 0.4", "x_grid.hi = 0.6, 0.6",
@@ -463,8 +477,11 @@ def test_cli_unparsable_number_is_a_named_violation(tmp_path, capsys, line):
     assert error["error"] == "validation"
     non_finite = any(word in value for word in ("nan", "inf"))
     reason = f"must be finite, got {value!r}" if non_finite else "cannot interpret"
-    assert f"{key}: {reason}" in error["message"]
-    assert "r: must lie in (0, 2)" in error["message"]
+    expected = _REPORTED_AS.get(line, f"{key}: {reason}")
+    heading, *faults = error["message"].splitlines()
+    assert heading == "invalid configuration:" and len(faults) == 2, faults
+    assert "  r: must lie in (0, 2)" in faults
+    assert any(fault.startswith(f"  {expected}") for fault in faults)
     assert not out.exists()
 
 
@@ -588,6 +605,17 @@ def test_cli_subcommand_preconditions(tmp_path, capsys):
     two_radii = write_cfg(tmp_path, MINI_EXACT + "r_grid = 0.2, 0.1\n", "two.cfg")
     assert main(["minkowski", "--config", two_radii, "--out", str(tmp_path / "d")]) == 1
     assert "r_grid: need at least three radii" in json.loads(capsys.readouterr().err)["message"]
+    repeated = write_cfg(tmp_path, MINI_EXACT + "r_grid = 0.2, 0.05, 0.05\n", "repeated.cfg")
+    assert main(["minkowski", "--config", repeated, "--out", str(tmp_path / "e")]) == 1
+    assert json.loads(capsys.readouterr().err)["message"].startswith(
+        "r_grid: radii must be distinct")
+    # the ratio bound of a constant field cannot extend a zero-length segment
+    point_like = _with_line(MINI_EXACT, "marks.grain.length = 0").replace(
+        "intensity.kind = quadratic", "intensity.kind = constant\nintensity.c = 1")
+    cfg = write_cfg(tmp_path, point_like + "r_grid = 0.2, 0.1, 0.05\n", "zero.cfg")
+    assert main(["minkowski", "--config", cfg, "--out", str(tmp_path / "f")]) == 1
+    assert json.loads(capsys.readouterr().err)["message"] == (
+        "marks.grain.length: cannot extend a zero-length segment")
     # c0 N^(-beta) = 50 * 100^(-0.3) = 12.6 is no radius in scope: estimate and
     # study name bandwidth.c0 and the N; exact never uses the radius
     text = _with_line(_with_line(MINI_ESTIMATE, "N = 100"), "bandwidth.c0 = 50")

@@ -16,6 +16,7 @@ from meandense import (
     MarkDistribution,
     OrientationLaw,
     QueryError,
+    Realizations,
     contact_derivative,
     convergence_study,
     count_estimate,
@@ -26,7 +27,7 @@ from meandense import (
     simulate_density_estimate,
 )
 from meandense import estimate as estimate_module
-from meandense.boolean import checked_guard_margin, grain_arrays
+from meandense.boolean import GrainArrays, checked_guard_margin
 from meandense.estimate import _indicator_density, accumulate_hits
 from meandense.geometry import Box, ball_volume, segment_distances
 from meandense.poisson import sample_germs
@@ -43,7 +44,12 @@ RANDOM_SEGMENTS = MarkDistribution(
 
 def make_batch(count, seed, window=Box([0.0, 0.0], [1.0, 1.0]), r_max=0.3,
                f=CONSTANT, q=RANDOM_SEGMENTS):
-    return [simulate(f, q, window, r_max, derive_stream(seed, i)) for i in range(count)]
+    return simulate(f, q, window, r_max, count, seed)
+
+
+def hits(batch, x, r) -> int:
+    """Realizations of the batch meeting the closed ball B_r(x)."""
+    return int(batch.counts(x, [r])[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -92,9 +98,9 @@ def test_density_estimate_matches_manual_count():
     batch = make_batch(300, seed=2)
     x, r = [0.5, 0.5], 0.1
     rep = density_estimate(batch, x, r)
-    hits = sum(real.hits(np.array(x), r) for real in batch)
-    assert rep.lambda_hat == _indicator_density(hits, 300, 2, 1, r)
-    assert rep.hit_fraction == pytest.approx(hits / 300)
+    hit = hits(batch, np.array(x), r)
+    assert rep.lambda_hat == _indicator_density(hit, 300, 2, 1, r)
+    assert rep.hit_fraction == pytest.approx(hit / 300)
     assert rep.n_samples == 300
     se = math.sqrt(rep.hit_fraction * (1 - rep.hit_fraction) / 300) / (2 * r)
     assert rep.standard_error == pytest.approx(se)
@@ -104,11 +110,15 @@ def test_density_estimate_validation():
     batch = make_batch(5, seed=3)
     with pytest.raises(ConfigurationError):
         density_estimate(batch, [0.5, 0.5], 0.0)
-    with pytest.raises(ConfigurationError):
-        density_estimate([], [0.5, 0.5], 0.1)
-    other = make_batch(2, seed=3, window=Box([0.0, 0.0], [2.0, 2.0]))
-    with pytest.raises(ConfigurationError):
-        density_estimate(batch + other, [0.5, 0.5], 0.1)
+    empty = make_batch(0, seed=3)
+    for query in (
+        lambda: density_estimate(empty, [0.5, 0.5], 0.1),
+        lambda: empirical_capacity(empty, [0.5, 0.5], 0.1),
+        lambda: count_estimate(empty, [0.5, 0.5], 0.1),
+        lambda: contact_derivative(empty, [0.5, 0.5], [0.1, 0.05]),
+    ):
+        with pytest.raises(ConfigurationError, match="need at least one realization"):
+            query()
 
 
 @settings(max_examples=10, deadline=None)
@@ -127,23 +137,22 @@ def test_count_estimate_validation():
 
 def test_contact_derivative_needs_codimension_one():
     q = MarkDistribution("deterministic", grain=Grain.point(2))
-    batch = [
-        simulate(CONSTANT, q, Box([0.0, 0.0], [1.0, 1.0]), 0.3, derive_stream(5, i))
-        for i in range(20)
-    ]
+    batch = make_batch(20, seed=5, q=q)
     with pytest.raises(ConfigurationError):
         contact_derivative(batch, [0.5, 0.5], [0.1, 0.05])
     seg_batch = make_batch(20, seed=6)
     with pytest.raises(ConfigurationError):
         contact_derivative(seg_batch, [0.5, 0.5], [0.1])  # one radius only
+    # a repeated radius made the fit rank-deficient: a RankWarning and a number
+    for r_grid in ([0.1, 0.1], [0.2, 0.05, 0.05]):
+        with pytest.raises(ConfigurationError, match="r_grid: radii must be distinct"):
+            contact_derivative(seg_batch, [0.5, 0.5], r_grid)
 
 
-def test_batch_with_mixed_r_max_is_checked_against_the_smallest():
+def test_batch_queries_are_checked_against_its_r_max():
+    # a guard zone wide enough for r = 0.3 does not lift the batch's r_max
     window = Box([0.0, 0.0], [1.0, 1.0])
-    batch = [
-        simulate(CONSTANT, RANDOM_SEGMENTS, window, r_max, derive_stream(7, i))
-        for i, r_max in enumerate((0.3, 0.1, 0.2))
-    ]
+    batch = simulate(CONSTANT, RANDOM_SEGMENTS, window, 0.1, 3, seed=7, guard_margin=1.3)
     x = [0.5, 0.5]
     assert 0.0 <= empirical_capacity(batch, x, 0.1) <= 1.0
     assert count_estimate(batch, x, 0.1) >= density_estimate(batch, x, 0.1).lambda_hat
@@ -157,6 +166,19 @@ def test_batch_with_mixed_r_max_is_checked_against_the_smallest():
             query()
 
 
+def one_realization_batches(batch):
+    """Each realization of the batch as a batch of one."""
+    a, b, grain, _ = batch.grains
+    out = []
+    for i in range(batch.count):
+        mine = np.flatnonzero(batch.owner == i)
+        rows = np.isin(grain, mine)
+        arrays = GrainArrays(a[rows], b[rows], np.searchsorted(mine, grain[rows]), mine.size)
+        out.append(Realizations(arrays, np.zeros(mine.size, dtype=int), 1, batch.window,
+                                batch.guard_margin, batch.r_max, batch.n))
+    return out
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 30), st.sampled_from(["random_law", "polyline"]))
 def test_list_estimators_equal_per_realization_sums(seed, count, kind):
@@ -165,12 +187,13 @@ def test_list_estimators_equal_per_realization_sums(seed, count, kind):
     batch = make_batch(count, seed, q=q)
     x = rng.uniform(0.3, 0.7, size=2)
     r_grid = [0.3, 0.2, 0.1, 0.05]
+    per_realization = one_realization_batches(batch)
     for r in r_grid:
-        hits = sum(real.hits(x, r) for real in batch)
-        grains = sum(real.hit_count(x, r) for real in batch)
-        assert empirical_capacity(batch, x, r) == hits / count
+        hit = sum(hits(real, x, r) for real in per_realization)
+        grains = sum(int(real.counts(x, [r])[1][0]) for real in per_realization)
+        assert empirical_capacity(batch, x, r) == hit / count
         assert count_estimate(batch, x, r) == _indicator_density(grains, count, 2, 1, r)
-    t_hat = [sum(real.hits(x, r) for real in batch) / count for r in r_grid]
+    t_hat = [sum(hits(real, x, r) for real in per_realization) / count for r in r_grid]
     slope = np.polyfit(np.array(r_grid), np.array(t_hat), 1)[0]
     assert contact_derivative(batch, x, r_grid) == float(slope) / 2.0
 
@@ -182,19 +205,22 @@ def test_histogram_reduction_hand_value():
     assert val == pytest.approx(3 / 4 / 0.2)
     with pytest.raises(ConfigurationError):
         histogram_reduction(samples, 0.1, 0.0)
+    with pytest.raises(ConfigurationError, match="need at least one sample"):
+        histogram_reduction([], 0.1, 0.1)
+
+
+def point_batch(samples, window):
+    """A batch of one point grain at each sample of the line (n = 0)."""
+    m = samples.size
+    germs = samples[:, None]
+    return Realizations(GrainArrays(germs, germs, np.arange(m), m), np.arange(m), m, window,
+                        guard_margin=1.0, r_max=0.5, n=0)
 
 
 def test_histogram_bit_identity_with_point_grain_estimator():
     rng = derive_stream(8, 0)
     samples = rng.random(500)
-    window = Box([-1.0], [2.0])
-    from meandense import BooleanRealization
-
-    realizations = [
-        BooleanRealization(grain_arrays(np.array([[s]]), Grain.point(1)), window, 1.0, 0.5,
-                           hausdorff_dim=0)
-        for s in samples
-    ]
+    realizations = point_batch(samples, Box([-1.0], [2.0]))
     for x, r in ((0.5, 0.1), (0.25, 0.05), (0.8, 0.2)):
         assert histogram_reduction(samples, x, r) == density_estimate(
             realizations, [x], r
@@ -289,8 +315,8 @@ def _tie_radii(placed, xs, r_top):
     st.integers(0, 50),
 )
 def test_block_engine_matches_realization_reference(d, kind, field, seed, n_samples, index0):
-    """The block engine's integer totals equal those of simulate() plus
-    BooleanRealization.hit_count on the same streams, with blocks of a few
+    """The block engine's integer totals equal Realizations.counts on a
+    simulate() batch over the same window and streams, with blocks of a few
     replicates so that one call spans several blocks, and both equal a
     per-grain loop, with no prefilter and no bincount, over the grain
     objects of the germs and marks that sample_germs draws on those
@@ -301,9 +327,7 @@ def test_block_engine_matches_realization_reference(d, kind, field, seed, n_samp
     xs = rng.uniform(0.0, 1.0, size=(int(rng.integers(1, 4)), d))
     r_top = 0.3
     window = Box(xs.min(axis=0) - r_top, xs.max(axis=0) + r_top)
-    reals = [
-        simulate(f, q, window, r_top, derive_stream(seed, index0 + i)) for i in range(n_samples)
-    ]
+    batch = simulate(f, q, window, r_top, n_samples, seed, index0)
     box = window.dilate(checked_guard_margin(q, r_top))
     placed = [
         _placed(sample_germs(f, q, box, derive_stream(seed, index0 + i))) for i in range(n_samples)
@@ -313,13 +337,12 @@ def test_block_engine_matches_realization_reference(d, kind, field, seed, n_samp
     ref_cnt = np.zeros((len(xs), len(rs)), dtype=np.int64)
     loop_ind = np.zeros((len(xs), len(rs)), dtype=np.int64)
     loop_cnt = np.zeros((len(xs), len(rs)), dtype=np.int64)
-    for real, grains in zip(reals, placed):
+    for i, x in enumerate(xs):
+        ref_ind[i], ref_cnt[i] = batch.counts(x, rs)
+    for grains in placed:
         for i, x in enumerate(xs):
             dists = [_grain_distance(germ, grain, x) for germ, grain in grains]
             for j, r in enumerate(rs):
-                c = real.hit_count(x, r)
-                ref_cnt[i, j] += c
-                ref_ind[i, j] += c > 0
                 c = sum(1 for dist in dists if dist <= r)
                 loop_cnt[i, j] += c
                 loop_ind[i, j] += c > 0
@@ -360,7 +383,7 @@ def test_expected_germ_count_is_capped_before_drawing():
     with pytest.raises(ConfigurationError, match=message):
         sample_germs(huge, RANDOM_SEGMENTS, box, rng=object())
     with pytest.raises(ConfigurationError, match="exceeds the cap"):
-        simulate(huge, RANDOM_SEGMENTS, box, 0.1, rng=object())
+        simulate(huge, RANDOM_SEGMENTS, box, 0.1, 10, seed=1)
     with pytest.raises(ConfigurationError, match="exceeds the cap"):
         accumulate_hits(huge, RANDOM_SEGMENTS, [[0.5, 0.5]], [0.1], 10, seed=1)
 
@@ -371,10 +394,7 @@ def test_simulate_density_estimate_matches_list_route():
     x, r, n = np.array([0.5, 0.5]), 0.1, 250
     rep = simulate_density_estimate(CONSTANT, RANDOM_SEGMENTS, x, n, r, seed=12)
     window = Box(x - r, x + r)
-    batch = [
-        simulate(CONSTANT, RANDOM_SEGMENTS, window, r, derive_stream(12, i))
-        for i in range(n)
-    ]
+    batch = simulate(CONSTANT, RANDOM_SEGMENTS, window, r, n, seed=12)
     direct = density_estimate(batch, x, r)
     assert rep.lambda_hat == direct.lambda_hat
     assert rep.standard_error == direct.standard_error

@@ -91,6 +91,9 @@ def test_content_limit_validation():
         content_limit(UNIT_SEGMENT, CONSTANT, [0.2, 0.1], mc_points=100)
     with pytest.raises(ConfigurationError):
         content_limit(UNIT_SEGMENT, CONSTANT, [0.2, 0.1, 2.5], mc_points=100)
+    # two equal smallest radii made the extrapolation 0/0 (nan, a RuntimeWarning)
+    with pytest.raises(ConfigurationError, match="r_grid: radii must be distinct"):
+        content_limit(UNIT_SEGMENT, CONSTANT, [0.2, 0.05, 0.05], mc_points=100)
 
 
 def test_content_limit_thread_invariance():
