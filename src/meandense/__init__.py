@@ -29,8 +29,9 @@ from .exact import (
     capacity_probability,
     density_grid,
     exact_density,
+    hitting_intensity,
 )
-from .geometry import Ball, Box, ball_volume
+from .geometry import Box, ball_volume
 from .grains import (
     Grain,
     LengthLaw,
@@ -41,5 +42,5 @@ from .grains import (
     integrate_along,
 )
 from .minkowski import MinkowskiRun, bound_check, content_limit, sausage_integral
-from .poisson import IntensityField, MarkedGermSample, check_finiteness, sample_germs
+from .poisson import IntensityField, MarkedGermSample, sample_germs
 from .streams import derive_stream

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, QueryError
-from .geometry import Ball, Box, as_point, clipped_lengths, segment_distances
+from .geometry import Box, as_point, clipped_lengths, segment_distances
 from .grains import MarkDistribution
 from .poisson import expected_germs, sample_germs
 from .streams import derive_stream
@@ -87,11 +87,11 @@ def count_hits(grains: GrainArrays, owner: np.ndarray, xs, rs) -> tuple[np.ndarr
 def check_query(window: Box, r_max: float, x: np.ndarray, r: float):
     """Raise QueryError unless B_r(x) is answerable exactly: 0 <= r <= r_max
     and the ball lies in the observation window."""
-    if r < 0:
+    if not r >= 0:
         raise QueryError("query radius must be nonnegative")
     if r > r_max:
         raise QueryError(f"query radius {r} exceeds simulated r_max {r_max}")
-    if not window.contains_box(Ball(x, r).bounding_box()):
+    if not window.contains_box(Box(x - r, x + r)):
         raise QueryError("query ball is not contained in the observation window")
 
 
@@ -191,6 +191,8 @@ def simulate(
 ) -> Realizations:
     """Sample `n_samples` realizations covering the window plus guard zone,
     realization i on stream derive_stream(seed, index0 + i)."""
+    if n_samples < 0:
+        raise ConfigurationError(f"n_samples must be nonnegative, got {n_samples}")
     margin = checked_guard_margin(q, r_max, guard_margin)
     box = window.dilate(margin)
     grains, owner = _sample_block(

@@ -18,6 +18,7 @@ import numpy as np
 
 from .boolean import Realizations, _sample_block, checked_guard_margin, count_hits
 from .errors import ConfigurationError, QueryError
+from .exact import density_grid
 from .geometry import Box, as_point, ball_volume
 from .grains import MarkDistribution
 from .parallel import parallel_map
@@ -38,7 +39,7 @@ class BandwidthSchedule:
     n: int
 
     def __post_init__(self):
-        if self.c0 <= 0:
+        if not self.c0 > 0:
             raise ConfigurationError("bandwidth c0 must be positive")
         codim = self.d - self.n
         if codim <= 0:
@@ -84,7 +85,7 @@ def empirical_capacity(batch: Realizations, x, r: float) -> float:
 def density_estimate(batch: Realizations, x, radius: float) -> EstimateReport:
     """Indicator estimator: hit fraction over b_{d-n} R^{d-n}; the plug-in
     standard error uses the binomial variance of the hit fraction."""
-    if radius <= 0:
+    if not radius > 0:
         raise ConfigurationError("bandwidth radius must be positive")
     ind, _ = batch.counts(x, [radius])
     x = as_point(x, dim=batch.dim)
@@ -110,7 +111,7 @@ def _report_from_hits(
 def count_estimate(batch: Realizations, x, r: float) -> float:
     """Grain-count estimator: mean number of grains hitting B_r(x) over the
     same normalizer; dominates the indicator estimator pointwise."""
-    if r <= 0:
+    if not r > 0:
         raise ConfigurationError("radius must be positive")
     _, cnt = batch.counts(x, [r])
     return _indicator_density(int(cnt[0]), batch.count, batch.dim, batch.n, r)
@@ -137,7 +138,7 @@ def contact_derivative(batch: Realizations, x, r_grid) -> float:
 def histogram_reduction(samples, x: float, half_width: float) -> float:
     """Classical histogram density value: the fraction of samples in the
     closed interval [x - R, x + R] divided by its length 2R (d=1, n=0)."""
-    if half_width <= 0:
+    if not half_width > 0:
         raise ConfigurationError("half_width must be positive")
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
@@ -180,9 +181,15 @@ def accumulate_hits(
     indices starting at index0) and total the hit indicators and grain
     counts for every (x, r) pair.  Integer reductions make the result
     independent of the blocking, hence of the thread count."""
+    if n_samples < 0:
+        raise ConfigurationError(f"n_samples must be nonnegative, got {n_samples}")
     xs = [as_point(x, dim=q.dim) for x in np.atleast_2d(np.asarray(xs, dtype=float))]
     rs = [float(r) for r in np.atleast_1d(rs)]
-    if min(rs) < 0:
+    if not xs:
+        raise ConfigurationError("xs: need at least one query point")
+    if not rs:
+        raise ConfigurationError("rs: need at least one radius")
+    if not all(r >= 0 for r in rs):
         raise QueryError("query radius must be nonnegative")
     r_max = max(rs)
     pts = np.stack(xs)
@@ -219,6 +226,10 @@ def simulate_density_estimate(
     """Streaming version of density_estimate: simulates its own replicates
     on a window just covering the query ball, then applies the identical
     estimator arithmetic."""
+    if n_samples < 1:
+        raise ConfigurationError(f"n_samples must be at least 1, got {n_samples}")
+    if not radius > 0:
+        raise ConfigurationError("bandwidth radius must be positive")
     x = as_point(x, dim=q.dim)
     ind, _ = accumulate_hits(f, q, [x], [radius], n_samples, seed, index0, threads)
     return _report_from_hits(x, int(ind[0, 0]), n_samples, q.dim, q.n, radius)
@@ -253,6 +264,8 @@ def convergence_study(
     if replications < 2:
         raise ConfigurationError("need at least two replications for a variance")
     n_grid = [int(n) for n in n_grid]
+    if any(n < 1 for n in n_grid):
+        raise ConfigurationError(f"n_grid: sample sizes must be positive, got {n_grid}")
     if sorted(n_grid) != n_grid:
         raise ConfigurationError("n_grid must be increasing")
     xs = np.atleast_2d(np.asarray(x_grid, dtype=float))
@@ -260,8 +273,6 @@ def convergence_study(
         raise ConfigurationError("x_grid dimension mismatch")
     if schedule.d != q.dim or schedule.n != q.n:
         raise ConfigurationError("bandwidth schedule does not match the scenario")
-
-    from .exact import density_grid
 
     exact = density_grid(
         f, q, xs, mark_draws=mark_draws, seed=seed ^ _EXACT_STREAM_SALT, threads=threads

@@ -4,13 +4,14 @@ The mean density at x is the mark expectation of the line integral of
 f(x - .) over the typical grain, E_Q[∫_{Z_0} f(x - y) H^n(dy)].  The
 finite-radius route evaluates the Poisson void probability
 P(x in Θ⊕r) = 1 - exp(-Λ(sausage)) with Λ = E_Q[∫_{Z_0⊕r} f(x - y) dy].
-Both routes take one path for every mark law: draw the marks' segment rows
-once (one draw for a deterministic or fixed law), integrate over all of
-them in one kernel call on f(x - .), and return the single term or the
-Monte Carlo mark mean with its standard error.  The line kernel is
-Gauss-Legendre quadrature, exact for the polynomial intensities in scope;
-the sausage kernel is exact cubature for segment and point grains under
-those intensities and Monte Carlo over each mark's bounding box otherwise.
+Both are mark averages of one kernel on f(x - .), taken by `_mark_mean`:
+draw the marks' segment rows once (without a draw for a deterministic or
+fixed law), integrate over all of them in one kernel call, and return the
+single term or the Monte Carlo mark mean with its standard error.  The
+line kernel is Gauss-Legendre quadrature, exact for the polynomial
+intensities in scope; the sausage kernel is exact cubature for segment
+and point grains under those intensities and Monte Carlo over each mark's
+bounding box otherwise.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ import numpy as np
 from .errors import ConfigurationError, NumericError
 from .geometry import as_point
 from .grains import MarkDistribution, ShiftedField, line_integrals, mark_segments, sausage_integrals
+from .parallel import parallel_map
+from .streams import derive_stream
 
 
 @dataclass(eq=False)
@@ -34,6 +37,25 @@ class DensityField:
     method: str
 
 
+def _mark_mean(q: MarkDistribution, mark_draws: int, rng, integrate) -> tuple[float, float]:
+    """The mark average E_Q of a per-grain integral, with its standard error.
+
+    `integrate(a, b)` returns (values, ses) for the segment rows of
+    mark_segments.  A deterministic or fixed law is one term, made without
+    a draw, with that term's own SE.  A random law is the Monte Carlo mean
+    over `mark_draws` marks drawn from `rng`, with the SE of that mean.
+    """
+    if q.is_deterministic:
+        vals, ses = integrate(*mark_segments(q, 1, rng))
+        return float(vals[0]), float(ses[0])
+    if rng is None:
+        raise ConfigurationError("random mark law needs a random stream")
+    if mark_draws < 2:
+        raise ConfigurationError("mark_draws must be at least 2 for a standard error")
+    vals, _ = integrate(*mark_segments(q, mark_draws, rng))
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(mark_draws))
+
+
 def exact_density(
     f,
     q: MarkDistribution,
@@ -41,28 +63,24 @@ def exact_density(
     mark_draws: int = 2000,
     rng: np.random.Generator | None = None,
 ) -> tuple[float, float]:
-    """Mean density at x with its Monte Carlo standard error.
-
-    The mark integral is a Monte Carlo average over `mark_draws` samples of
-    Q; a deterministic or fixed law is one draw, an exact single term with
-    zero standard error.  A non-finite value raises NumericError at x.
+    """Mean density at x with its Monte Carlo standard error: the mark mean
+    of the line integral of f(x - .) over the grain.  A deterministic or
+    fixed law is an exact single term with zero standard error.  A
+    non-finite value raises NumericError at x.
     """
     x = as_point(x, dim=q.dim)
-    if not q.is_deterministic:
-        if rng is None:
-            raise ConfigurationError("random mark law needs a random stream")
-        if mark_draws < 2:
-            raise ConfigurationError("mark_draws must be at least 2 for a standard error")
-    draws = 1 if q.is_deterministic else mark_draws
-    try:
-        vals = line_integrals(*mark_segments(q, draws, rng), ShiftedField(f, x), q.n)
+    h = ShiftedField(f, x)
+
+    def line(a, b):
+        vals = line_integrals(a, b, h, q.n)
         if not np.all(np.isfinite(vals)):
             raise NumericError("non-finite inner integral")
+        return vals, np.zeros(vals.shape)
+
+    try:
+        return _mark_mean(q, mark_draws, rng, line)
     except NumericError as exc:
         raise NumericError(str(exc), point=x) from exc
-    if draws == 1:
-        return float(vals[0]), 0.0
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(draws))
 
 
 def analytic_segment_density(el: float, el3: float, x) -> float:
@@ -70,6 +88,35 @@ def analytic_segment_density(el: float, el3: float, x) -> float:
     |y|^2 and uniform orientation: (x1^2 + x2^2) E[L] + E[L^3]/3."""
     x = as_point(x, dim=2)
     return float((x[0] ** 2 + x[1] ** 2) * el + el3 / 3.0)
+
+
+def hitting_intensity(
+    f,
+    q: MarkDistribution,
+    x,
+    r: float,
+    mc_points: int = 200_000,
+    mark_draws: int = 200,
+    rng: np.random.Generator | None = None,
+) -> tuple[float, float]:
+    """Λ = E_Q[∫_{Z_0⊕r} f(x - y) dy], the mean number of germs whose grain
+    meets the closed ball B_r(x), with its standard error.  Finite Λ is
+    the hitting-intensity condition.
+
+    The sausage integrals of all marks come from one sausage_integrals
+    call: exact where its cubature applies, otherwise with `mc_points`
+    proposals for the single term, or max(16, mc_points // mark_draws) per
+    mark, drawn in mark order.
+    """
+    if not 0.0 < r < 2.0:
+        raise ConfigurationError("radius must lie in (0, 2)")
+    h = ShiftedField(f, as_point(x, dim=q.dim))
+
+    def sausage(a, b):
+        per_mark = mc_points if len(a) == 1 else max(16, mc_points // len(a))
+        return sausage_integrals(a, b, h, r, per_mark, rng)
+
+    return _mark_mean(q, mark_draws, rng, sausage)
 
 
 def capacity_probability(
@@ -81,34 +128,10 @@ def capacity_probability(
     mark_draws: int = 200,
     rng: np.random.Generator | None = None,
 ) -> tuple[float, float]:
-    """P(x in Θ⊕r) = 1 - exp(-Λ(sausage)) with propagated standard error.
-
-    The outer mark integral is Monte Carlo over `mark_draws` samples of Q
-    (a deterministic or fixed law is one draw, a single term).  All marks
-    are drawn first, then one sausage_integrals call integrates over every
-    mark's sausage: exactly where its cubature applies, otherwise with
-    `mc_points` proposals split evenly across the marks (all of them for
-    the single term), drawn in mark order.
-    """
-    if r <= 0 or r >= 2.0:
-        raise ConfigurationError("radius must lie in (0, 2)")
-    if not q.is_deterministic and mark_draws < 2:
-        raise ConfigurationError("mark_draws must be at least 2 for a standard error")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    x = as_point(x, dim=q.dim)
-    draws = 1 if q.is_deterministic else mark_draws
-    per_mark = mc_points if draws == 1 else max(16, mc_points // draws)
-    a, b = mark_segments(q, draws, rng)
-    ests, ses = sausage_integrals(a, b, ShiftedField(f, x), r, per_mark, rng)
-    if draws == 1:
-        lam, lam_se = float(ests[0]), float(ses[0])
-    else:
-        lam = float(ests.mean())
-        lam_se = float(ests.std(ddof=1) / math.sqrt(draws))
-    prob = 1.0 - math.exp(-lam)
-    prob_se = math.exp(-lam) * lam_se
-    return prob, prob_se
+    """P(x in Θ⊕r) = 1 - exp(-Λ) for Λ = hitting_intensity(...), with the
+    propagated standard error exp(-Λ) SE_Λ."""
+    lam, lam_se = hitting_intensity(f, q, x, r, mc_points, mark_draws, rng)
+    return 1.0 - math.exp(-lam), math.exp(-lam) * lam_se
 
 
 def density_grid(
@@ -121,8 +144,6 @@ def density_grid(
 ) -> DensityField:
     """Evaluate exact_density on a grid of points; grid points get
     independent derived streams so results are thread-count invariant."""
-    from .parallel import parallel_map  # late import: parallel depends on nothing here
-
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     tasks = [(f, q, grid[i], mark_draws, seed, i) for i in range(grid.shape[0])]
     results = parallel_map(_density_point_task, tasks, threads)
@@ -133,7 +154,5 @@ def density_grid(
 
 
 def _density_point_task(args):
-    from .streams import derive_stream
-
     f, q, x, mark_draws, seed, index = args
     return exact_density(f, q, x, mark_draws=mark_draws, rng=derive_stream(seed, index))

@@ -88,26 +88,6 @@ class Box:
         return np.stack([g.ravel() for g in grids], axis=1)
 
 
-@dataclass(frozen=True, eq=False)
-class Ball:
-    """Closed ball: |x - center| <= radius."""
-
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", as_point(self.center))
-        if self.radius < 0:
-            raise ConfigurationError("ball radius must be nonnegative")
-
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return np.linalg.norm(pts - self.center, axis=1) <= self.radius
-
-    def bounding_box(self) -> Box:
-        return Box(self.center - self.radius, self.center + self.radius)
-
-
 def segment_distances(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Distances from points to segments (a, b), broadcast over the leading
     axes: one point (d,) against m segments (m, d), or k point sets

@@ -228,6 +228,8 @@ def sausage_integrals(
     if (segments == 1 and n_grains and statement
             and statement(Box(lo.min(axis=0), hi.max(axis=0)))):
         return _sausage_cubature(a[:, 0], b[:, 0], h, r), np.zeros(n_grains)
+    if rng is None:
+        raise ConfigurationError("Monte Carlo sausage integral needs a random stream")
     span = hi - lo
     volume = np.prod(span, axis=1)
     sums = np.zeros(n_grains)
@@ -369,13 +371,13 @@ class LengthLaw:
             if not (0 <= self.lo <= self.hi):
                 raise ConfigurationError("uniform length law needs 0 <= lo <= hi")
         elif self.kind == "trunc_exp":
-            if self.rate <= 0:
+            if not self.rate > 0:
                 raise ConfigurationError("trunc_exp length law needs rate > 0")
             if self.cap is None:
                 object.__setattr__(
                     self, "cap", -math.log(1.0 - DEFAULT_TRUNCATION_QUANTILE) / self.rate
                 )
-            elif self.cap <= 0:
+            elif not self.cap > 0:
                 raise ConfigurationError("trunc_exp cap must be positive")
         else:
             raise ConfigurationError(f"unknown length law {self.kind!r}")
@@ -543,7 +545,7 @@ class RegularityCertificate:
     min_length: float = 1.0
 
     def __post_init__(self):
-        if self.gamma <= 0:
+        if not self.gamma > 0:
             raise ConfigurationError("gamma must be positive")
 
     def extend(self, g: Grain) -> Grain:

@@ -111,7 +111,7 @@ def bound_check(
 ) -> tuple[bool, float]:
     """True iff every estimated ratio (rescaled to f ≡ 1) stays below the
     uniform bound; also returns the worst margin (bound - ratio)."""
-    if constant_value <= 0:
+    if not constant_value > 0:
         raise ConfigurationError("constant intensity value must be positive")
     bound = ratio_bound(run.shape, cert)
     scaled = run.ratios / constant_value

@@ -21,13 +21,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .geometry import Box, as_point
-from .grains import (
-    MarkDistribution,
-    ShiftedField,
-    mark_segments,
-    sample_mark_vectors,
-    sausage_integrals,
-)
+from .grains import MarkDistribution, sample_mark_vectors
 
 INTENSITY_KINDS = ("constant", "quadratic", "affine", "piecewise")
 
@@ -103,12 +97,6 @@ class IntensityField:
             return bool(np.all(self.a + box.corners() @ self.b > 0.0))
         return self.kind in ("constant", "quadratic")
 
-    @property
-    def discontinuity_description(self) -> str:
-        if self.kind == "piecewise":
-            return "faces of the piece boxes (H^n-negligible for n < d)"
-        return "empty"
-
 
 # cap on the expected germ count of one realization: a draw allocates a few
 # arrays of that many rows, so a larger mean is refused before drawing
@@ -172,31 +160,3 @@ def sample_germs(
     kept = pts[accept]
     vectors = None if q.kind == "deterministic" else sample_mark_vectors(q, kept.shape[0], rng)
     return MarkedGermSample(kept, q, count, vectors)
-
-
-def check_finiteness(
-    f,
-    q: MarkDistribution,
-    radius: float,
-    rng: np.random.Generator,
-    mark_draws: int = 10_000,
-    points_per_mark: int = 64,
-) -> tuple[bool, float]:
-    """Monte Carlo check of the hitting-intensity condition: the expected
-    number of germs whose translated grain meets a ball of the given radius
-    must be finite.
-
-    Estimates E_Q[ ∫_{(-Z_0)⊕radius} f(y) dy ] over the truncated mark law
-    and returns (is_finite, estimate); the estimate is a diagnostic value,
-    not just a flag.  All marks are drawn first, then one sausage_integrals
-    call integrates over each of their sausages (exactly where its cubature
-    applies, otherwise with `points_per_mark` proposals each).
-    """
-    if q.l_max is None or not np.isfinite(q.l_max):
-        raise ConfigurationError("mark law needs a finite diameter bound")
-    a, b = mark_segments(q, mark_draws, rng)
-    # the integral of f over (-Z_0)⊕radius is that of f(-.) over Z_0⊕radius
-    reflected = ShiftedField(f, np.zeros(q.dim))
-    totals, _ = sausage_integrals(a, b, reflected, radius, points_per_mark, rng)
-    estimate = float(totals.mean())
-    return bool(np.isfinite(estimate)), estimate

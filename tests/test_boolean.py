@@ -101,8 +101,9 @@ def test_hits_hand_case():
 def test_query_validation():
     window = Box([0.0, 0.0], [2.0, 2.0])
     real = manual_realization([], window, r_max=0.5, n=1)
-    with pytest.raises(QueryError):
-        hits(real, [1.0, 1.0], -0.1)
+    for r in (-0.1, math.nan):
+        with pytest.raises(QueryError, match="nonnegative"):
+            hits(real, [1.0, 1.0], r)
     with pytest.raises(QueryError):
         hits(real, [1.0, 1.0], 0.6)  # above r_max
     with pytest.raises(QueryError):
@@ -213,6 +214,10 @@ def test_simulate_guard_margin_and_validation():
         simulate(f, UNIT_SEGMENT, window, 2.0, 1, seed=0)
     with pytest.raises(ConfigurationError):
         simulate(f, UNIT_SEGMENT, window, 0.3, 1, seed=0, guard_margin=0.5)
+    # no replicates is an empty batch; fewer are refused by name
+    assert simulate(f, UNIT_SEGMENT, window, 0.1, 0, seed=1).count == 0
+    with pytest.raises(ConfigurationError, match="n_samples"):
+        simulate(f, UNIT_SEGMENT, window, 0.1, -3, seed=1)
 
 
 def test_simulate_deterministic_in_stream():

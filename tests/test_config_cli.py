@@ -536,7 +536,7 @@ def test_cli_unwritable_out_is_a_validation_error(tmp_path, capsys, monkeypatch)
     def failing_pool(*args, **kwargs):
         raise OSError("pool failed")
 
-    monkeypatch.setattr("meandense.parallel.parallel_map", failing_pool)
+    monkeypatch.setattr("meandense.exact.parallel_map", failing_pool)
     with pytest.raises(OSError, match="pool failed"):
         main(["exact", "--config", cfg, "--out", str(tmp_path / "ok"), "--threads", "1"])
 

@@ -73,6 +73,8 @@ def test_bandwidth_schedule_validation():
         BandwidthSchedule(1.0, 0.6, 2, 0)    # beta must be < 1/2 here
     with pytest.raises(ConfigurationError):
         BandwidthSchedule(1.0, 0.3, 2, 2)
+    with pytest.raises(ConfigurationError, match="c0"):
+        BandwidthSchedule(float("nan"), 0.3, 2, 1)
 
 
 def test_bandwidth_default_is_admissible():
@@ -108,8 +110,25 @@ def test_density_estimate_matches_manual_count():
 
 def test_density_estimate_validation():
     batch = make_batch(5, seed=3)
-    with pytest.raises(ConfigurationError):
-        density_estimate(batch, [0.5, 0.5], 0.0)
+    for radius in (0.0, math.nan):
+        with pytest.raises(ConfigurationError, match="radius"):
+            density_estimate(batch, [0.5, 0.5], radius)
+    # the streaming twin refuses the same radius, and no replicates, by name
+    x = [0.5, 0.5]
+    for n_samples, radius, name in ((10, 0.0, "radius"), (10, math.nan, "radius"),
+                                    (0, 0.1, "n_samples")):
+        with pytest.raises(ConfigurationError, match=name):
+            simulate_density_estimate(CONSTANT, RANDOM_SEGMENTS, x, n_samples, radius, seed=1)
+    # the streaming counter: zero replicates are zero totals, fewer are refused
+    zero = accumulate_hits(CONSTANT, RANDOM_SEGMENTS, [x], [0.1], 0, seed=1)
+    assert [t.tolist() for t in zero] == [[[0]], [[0]]]
+    for xs, rs, n_samples, name in (([x], [0.1], -5, "n_samples"),
+                                    (np.zeros((0, 2)), [0.1], 5, "xs"),
+                                    ([x], [], 5, "rs")):
+        with pytest.raises(ConfigurationError, match=name):
+            accumulate_hits(CONSTANT, RANDOM_SEGMENTS, xs, rs, n_samples, seed=1)
+    with pytest.raises(QueryError, match="nonnegative"):
+        accumulate_hits(CONSTANT, RANDOM_SEGMENTS, [x], [0.1, math.nan], 5, seed=1)
     empty = make_batch(0, seed=3)
     for query in (
         lambda: density_estimate(empty, [0.5, 0.5], 0.1),
@@ -131,8 +150,9 @@ def test_count_dominates_indicator(seed, r):
 
 def test_count_estimate_validation():
     batch = make_batch(3, seed=4)
-    with pytest.raises(ConfigurationError):
-        count_estimate(batch, [0.5, 0.5], -0.1)
+    for r in (-0.1, math.nan):
+        with pytest.raises(ConfigurationError, match="radius"):
+            count_estimate(batch, [0.5, 0.5], r)
 
 
 def test_contact_derivative_needs_codimension_one():
@@ -207,6 +227,8 @@ def test_histogram_reduction_hand_value():
         histogram_reduction(samples, 0.1, 0.0)
     with pytest.raises(ConfigurationError, match="need at least one sample"):
         histogram_reduction([], 0.1, 0.1)
+    with pytest.raises(ConfigurationError, match="half_width"):
+        histogram_reduction([0.1], 0.0, float("nan"))
 
 
 def point_batch(samples, window):
@@ -441,6 +463,9 @@ def test_convergence_study_validation():
     bad_sched = BandwidthSchedule(1.0, 0.25, 3, 1)
     with pytest.raises(ConfigurationError):
         convergence_study(CONSTANT, RANDOM_SEGMENTS, [[0.5, 0.5]], bad_sched, [100],
+                          replications=2, seed=0)
+    with pytest.raises(ConfigurationError, match="n_grid"):
+        convergence_study(CONSTANT, RANDOM_SEGMENTS, [[0.5, 0.5]], sched, [0, 10],
                           replications=2, seed=0)
 
 

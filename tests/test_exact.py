@@ -17,10 +17,11 @@ from meandense import (
     capacity_probability,
     density_grid,
     exact_density,
+    hitting_intensity,
     integrate_along,
 )
 from meandense.cli import main
-from meandense.grains import ShiftedField
+from meandense.grains import ShiftedField, mark_segments, sausage_integrals
 from meandense.streams import derive_stream
 
 
@@ -231,6 +232,77 @@ def test_capacity_probability_radius_validation():
     with pytest.raises(ConfigurationError, match="mark_draws"):
         capacity_probability(CONSTANT, UNIFORM_SEGMENTS, [0.0, 0.0], 0.1, mark_draws=1,
                              rng=derive_stream(0, 0))
+
+
+def _former_check_finiteness(f, q, radius, rng, mark_draws, points_per_mark):
+    """The finiteness check that hitting_intensity at the origin replaced:
+    the mean sausage integral of f(-.) over `mark_draws` marks of Q (a
+    deterministic law's grain repeated), `points_per_mark` proposals each."""
+    a, b = mark_segments(q, mark_draws, rng)
+    totals, _ = sausage_integrals(a, b, ShiftedField(f, np.zeros(q.dim)), radius,
+                                  points_per_mark, rng)
+    return float(totals.mean())
+
+
+def _finiteness_law(law, d):
+    if law == "random":
+        return MarkDistribution("segment", length=LengthLaw("uniform", lo=0.2, hi=0.9),
+                                orientation=OrientationLaw("uniform", dim=d))
+    grain = {
+        "point": Grain.point(d),
+        "segment": Grain.segment(np.linspace(0.3, 0.7, d)),
+        "polyline": Grain.polyline([np.zeros(d), np.full(d, 0.4), np.linspace(0.8, -0.2, d)]),
+    }[law]
+    return MarkDistribution("deterministic", grain=grain)
+
+
+@pytest.mark.parametrize("law", ["point", "segment", "polyline", "random"])
+@pytest.mark.parametrize("field", [QUADRATIC, MonteCarloField(QUADRATIC)],
+                         ids=["cubature", "monte_carlo"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_hitting_intensity_at_origin_equals_former_finiteness_check(d, field, law):
+    """With mc_points = mark_draws × points_per_mark, a random law makes the
+    former check's draws and gets its value bit for bit; a deterministic
+    law is one term over the same uniforms, equal within 1e-15 relative."""
+    q = _finiteness_law(law, d)
+    draws, per_mark = 50, 64
+    rng, ref_rng = derive_stream(21, d), derive_stream(21, d)
+    est, _ = hitting_intensity(field, q, np.zeros(d), 0.3, mc_points=draws * per_mark,
+                               mark_draws=draws, rng=rng)
+    ref = _former_check_finiteness(field, q, 0.3, ref_rng, draws, per_mark)
+    if q.is_deterministic:
+        assert abs(est - ref) <= 1e-15 * abs(ref)
+    else:
+        assert est == ref
+    assert rng.random() == ref_rng.random()
+
+
+def test_capacity_probability_is_one_minus_exp_of_hitting_intensity():
+    for field in (QUADRATIC, MonteCarloField(QUADRATIC)):
+        for q in (UNIT_SEGMENT, UNIFORM_SEGMENTS):
+            args = (field, q, [0.3, -0.2], 0.15, 4000, 40)
+            lam, lam_se = hitting_intensity(*args, rng=derive_stream(22, 0))
+            prob = capacity_probability(*args, rng=derive_stream(22, 0))
+            assert prob == (1.0 - math.exp(-lam), math.exp(-lam) * lam_se)
+
+
+def test_hitting_intensity_refusals():
+    """A random law needs at least two mark draws and a stream; the
+    refusal comes before any draw."""
+    for draws in (0, 1):
+        with pytest.raises(ConfigurationError, match="mark_draws"):
+            hitting_intensity(CONSTANT, UNIFORM_SEGMENTS, [0.0, 0.0], 0.1, mark_draws=draws,
+                              rng=derive_stream(0, 0))
+    with pytest.raises(ConfigurationError, match="random mark law needs a random stream"):
+        hitting_intensity(CONSTANT, UNIFORM_SEGMENTS, [0.0, 0.0], 0.1)
+    with pytest.raises(ConfigurationError, match="random mark law needs a random stream"):
+        capacity_probability(CONSTANT, UNIFORM_SEGMENTS, [0.0, 0.0], 0.1)
+    for r in (0.0, math.nan, 2.0):
+        with pytest.raises(ConfigurationError, match="radius"):
+            hitting_intensity(CONSTANT, UNIT_SEGMENT, [0.0, 0.0], r)
+    # a deterministic law off the cubature draws its sausage proposals
+    with pytest.raises(ConfigurationError, match="needs a random stream"):
+        capacity_probability(MonteCarloField(CONSTANT), UNIT_SEGMENT, [0.0, 0.0], 0.1)
 
 
 def test_density_grid_thread_invariance():

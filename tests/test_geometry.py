@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from meandense import ConfigurationError
 from meandense.geometry import (
-    Ball,
     Box,
     as_point,
     ball_volume,
@@ -112,16 +111,6 @@ def test_box_sample_draws_exactly_what_uniform_draws(d):
         assert np.array_equal(box.sample(rng, 5000), expected)
         # the stream is left where uniform leaves it
         assert rng.random() == np.random.default_rng(seed).random(5000 * d + 1)[-1]
-
-
-def test_ball_contains_is_closed():
-    ball = Ball([0.0, 0.0], 1.0)
-    assert ball.contains([[1.0, 0.0]])[0]
-    assert not ball.contains([[1.0 + 1e-9, 0.0]])[0]
-    bb = ball.bounding_box()
-    assert np.allclose(bb.lo, [-1, -1]) and np.allclose(bb.hi, [1, 1])
-    with pytest.raises(ConfigurationError):
-        Ball([0.0], -1.0)
 
 
 def test_dist_point_segment_hand_values():

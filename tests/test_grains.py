@@ -29,8 +29,8 @@ from meandense.grains import (
     sample_mark_vectors,
     sausage_integrals,
 )
-from meandense.exact import capacity_probability
-from meandense.poisson import IntensityField, check_finiteness
+from meandense.exact import capacity_probability, hitting_intensity
+from meandense.poisson import IntensityField
 from meandense.streams import derive_stream
 
 
@@ -182,6 +182,10 @@ def test_length_law_trunc_exp_moments_vs_quad():
         LengthLaw("trunc_exp", rate=0.0)
     with pytest.raises(ConfigurationError):
         LengthLaw("trunc_exp", rate=1.0, cap=-1.0)
+    with pytest.raises(ConfigurationError, match="rate"):
+        LengthLaw("trunc_exp", rate=math.nan)
+    with pytest.raises(ConfigurationError, match="cap"):
+        LengthLaw("trunc_exp", rate=1.0, cap=math.nan)
 
 
 def test_length_law_samples_match_first_moment():
@@ -362,8 +366,9 @@ def test_certificate_extend():
     assert cert.extend(Grain.point(2)).n == 0
     with pytest.raises(ConfigurationError):
         cert.extend(Grain.segment(np.array([0.0, 0.0])))
-    with pytest.raises(ConfigurationError):
-        RegularityCertificate(gamma=0.0)
+    for gamma in (0.0, math.nan):
+        with pytest.raises(ConfigurationError, match="gamma"):
+            RegularityCertificate(gamma=gamma)
 
 
 def test_certificate_normalized_gamma():
@@ -713,12 +718,18 @@ class RecordingRng:
 
 
 def test_sausage_cubature_makes_no_draw():
+    """A deterministic law under the cubature is one term: no draw, any
+    mark_draws (0 included), and no stream needed."""
     unit = MarkDistribution("deterministic", grain=Grain.segment([1.0, 0.0]))
     f = IntensityField("quadratic")
     rng = RecordingRng()
     _, se = capacity_probability(f, unit, [0.2, 0.1], 0.1, mc_points=50_000, rng=rng)
-    _, est = check_finiteness(f, unit, 0.5, rng, mark_draws=100)
+    est, _ = hitting_intensity(f, unit, [0.0, 0.0], 0.5, mc_points=100 * 64, mark_draws=100,
+                               rng=rng)
     assert rng.calls == [] and se == 0.0 and est > 0.0
+    for stream in (rng, None):
+        assert hitting_intensity(f, unit, [0.0, 0.0], 0.5, mark_draws=0, rng=stream) == (est, 0.0)
+    assert rng.calls == []
     # the same calls on a field without the polynomial statement draw
     capacity_probability(MonteCarloField(f), unit, [0.2, 0.1], 0.1, mc_points=50_000, rng=rng)
     assert rng.calls == [(50_000, 2)]

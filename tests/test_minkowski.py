@@ -119,8 +119,9 @@ def test_bound_check_positive_margin():
     run = content_limit(UNIT_SEGMENT, CONSTANT, [0.2, 0.1, 0.05], mc_points=100_000, seed=6)
     ok, margin = bound_check(run, RegularityCertificate())
     assert ok and margin > 0.0
-    with pytest.raises(ConfigurationError):
-        bound_check(run, RegularityCertificate(), constant_value=0.0)
+    for value in (0.0, math.nan):
+        with pytest.raises(ConfigurationError, match="constant intensity"):
+            bound_check(run, RegularityCertificate(), constant_value=value)
 
 
 def test_minkowski_csv_format(tmp_path):

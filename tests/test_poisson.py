@@ -12,7 +12,7 @@ from meandense import (
     LengthLaw,
     MarkDistribution,
     OrientationLaw,
-    check_finiteness,
+    hitting_intensity,
     sample_germs,
 )
 from meandense.cli import _realization_csv, _write_csv
@@ -49,7 +49,6 @@ def test_quadratic_field():
     assert f.values([[3.0, 4.0]])[0] == pytest.approx(25.0)
     vals = f.values(np.array([[1.0, 0.0], [0.0, 2.0]]))
     assert np.allclose(vals, [1.0, 4.0])
-    assert f.discontinuity_description == "empty"
 
 
 def test_affine_field_clips_at_zero():
@@ -73,7 +72,6 @@ def test_piecewise_field():
     assert f.values([[0.5, 0.5]])[0] == 2.0
     assert f.values([[1.5, 0.5]])[0] == 5.0
     assert f.values([[3.0, 3.0]])[0] == 0.0
-    assert "faces" in f.discontinuity_description
     with pytest.raises(ConfigurationError):
         IntensityField("piecewise", pieces=((Box([0, 0], [1, 1]), -1.0),))
     with pytest.raises(ConfigurationError):
@@ -212,31 +210,34 @@ def test_sample_germs_spatial_density_follows_f():
 
 
 # ---------------------------------------------------------------------------
-# finiteness diagnostic
+# finiteness of the hitting intensity at the origin
 
 
 def test_check_finiteness_matches_stadium_area():
     # constant f = 1, deterministic unit segment: the sausage integral is
     # the stadium area 2 l r + π r²
     f = IntensityField("constant", c=1.0)
-    finite, est = check_finiteness(
-        f, UNIT_SEGMENT, 1.0, derive_stream(0, 0), mark_draws=2000, points_per_mark=64
+    est, _ = hitting_intensity(
+        f, UNIT_SEGMENT, [0.0, 0.0], 1.0, mc_points=2000 * 64, mark_draws=2000,
+        rng=derive_stream(0, 0),
     )
-    assert finite
+    assert math.isfinite(est)
     assert est == pytest.approx(2.0 + math.pi, rel=0.02)
 
 
 def test_check_finiteness_point_grain():
     f = IntensityField("constant", c=2.0)
     q = MarkDistribution("deterministic", grain=Grain.point(2))
-    finite, est = check_finiteness(f, q, 0.5, derive_stream(1, 0), mark_draws=500)
-    assert finite
+    est, _ = hitting_intensity(f, q, [0.0, 0.0], 0.5, mc_points=500 * 64, mark_draws=500,
+                               rng=derive_stream(1, 0))
+    assert math.isfinite(est)
     assert est == pytest.approx(2.0 * math.pi * 0.25, rel=0.05)
 
 
 def test_check_finiteness_random_marks():
     f = IntensityField("constant", c=1.0)
-    finite, est = check_finiteness(f, RANDOM_SEGMENTS, 0.1, derive_stream(2, 0), mark_draws=4000)
+    est, _ = hitting_intensity(f, RANDOM_SEGMENTS, [0.0, 0.0], 0.1, mc_points=4000 * 64,
+                               mark_draws=4000, rng=derive_stream(2, 0))
     # E[2 L r + π r²] with E[L] = 1
-    assert finite
+    assert math.isfinite(est)
     assert est == pytest.approx(0.2 + math.pi * 0.01, rel=0.05)

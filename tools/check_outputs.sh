@@ -1,0 +1,93 @@
+#!/usr/bin/env bash
+# Run the CLI on 35 (sub-command, bundled config) pairs at --threads 1 and
+# 2, with RuntimeWarnings as errors, and check that every CSV is
+# byte-identical across the two thread counts.
+#
+# With --against REV, also unpack `git archive REV` into a temporary
+# directory, run the same pairs with that tree's package (on this tree's
+# configs) and check that every CSV is byte-identical to its counterpart
+# there.  That comparison is skipped, with a message, when the two trees
+# declare different __version__s: a version bump is how a change declares
+# that it changes the output bytes.
+#
+# usage: tools/check_outputs.sh [--against REV]
+set -euo pipefail
+
+root=$(cd "$(dirname "$0")/.." && pwd)
+cd "$root"
+against=
+if [ $# -eq 2 ] && [ "$1" = --against ]; then
+  against=$2
+elif [ $# -ne 0 ]; then
+  echo "usage: $0 [--against REV]" >&2
+  exit 2
+fi
+
+# a 0/0 on a row with standard error 0 would warn, and fails here
+export PYTHONWARNINGS=error::RuntimeWarning
+out=$(mktemp -d)
+trap 'rm -rf "$out"' EXIT
+
+pairs() {  # one "sub-command config" line per pair
+  printf '%s\n' \
+    "exact segment_quadratic.cfg" "exact minkowski_segment.cfg" \
+    "estimate stationary_segment.cfg" "study study_quadratic.cfg" \
+    "minkowski minkowski_segment.cfg" "simulate minkowski_segment.cfg" \
+    "oracle stationary_segment.cfg" "oracle segment_quadratic.cfg" \
+    "oracle minkowski_segment.cfg" "simulate stationary_segment.cfg"
+  # a polyline under a piecewise field (Monte Carlo sausages), spatial
+  # point grains, and the line (d = 1) with the paper's n = 0 histogram
+  # case, on every sub-command that applies
+  for cfg in polyline_piecewise.cfg point_quadratic.cfg points_1d.cfg; do
+    for cmd in exact estimate oracle minkowski simulate; do echo "$cmd $cfg"; done
+  done
+  # random segment lengths under a piecewise field (mark Monte Carlo in
+  # the exact route and the oracle), and random segments in space (d = 3)
+  for cfg in uniform_piecewise.cfg segments_3d.cfg; do
+    for cmd in exact estimate study oracle simulate; do echo "$cmd $cfg"; done
+  done
+}
+
+run_all() {  # package tree, output label
+  local cmd cfg t
+  while read -r cmd cfg; do
+    for t in 1 2; do
+      PYTHONPATH="$1/src" python -m meandense.cli "$cmd" --config "configs/$cfg" \
+        --threads "$t" --out "$out/$2/$cmd-$cfg-$t" >/dev/null
+    done
+  done < <(pairs)
+}
+
+compare() {  # label a, label b, thread count of b's runs (default: as a's)
+  local cmd cfg t csv status=0
+  while read -r cmd cfg; do
+    for t in 1 2; do
+      for csv in "$out/$1/$cmd-$cfg-$t"/*.csv; do
+        cmp "$csv" "$out/$2/$cmd-$cfg-${3:-$t}/$(basename "$csv")" || status=1
+      done
+    done
+  done < <(pairs)
+  return $status
+}
+
+version() {
+  sed -n 's/^__version__ = "\(.*\)"$/\1/p' "$1/src/meandense/__init__.py"
+}
+
+count=$(pairs | wc -l)
+run_all "$root" new
+compare new new 1
+echo "$count pairs: every CSV identical at --threads 1 and 2"
+
+if [ -n "$against" ]; then
+  mkdir "$out/tree"
+  git archive "$against" | tar -x -C "$out/tree"
+  if [ "$(version "$out/tree")" != "$(version "$root")" ]; then
+    echo "skipped the comparison with $against: __version__ $(version "$out/tree") there," \
+      "$(version "$root") here"
+    exit 0
+  fi
+  run_all "$out/tree" old
+  compare new old
+  echo "$count pairs: every CSV identical to $against at --threads 1 and 2"
+fi
