@@ -5,18 +5,18 @@ window dilated by a guard margin of at least L_max + r_max, so all
 in-window queries with radius <= r_max are exact for the truncated mark
 law: edge effects are eliminated rather than corrected.
 
-Grains are held as arrays only (`grain_arrays`): segment rows (a, b) with
-the grain each row belongs to, a point grain being one zero-length row.
-One sampler, `_sample_block`, draws a block of replicates into such arrays
-with the replicate that owns each grain; it builds both a `Realizations`
-batch (`simulate`) and the streaming engine's blocks.  One kernel,
-`count_hits`, answers every hit and count query on either.
+Grains are held as the segment rows of `grains.mark_segments`, translated
+to their germs: a, b of shape (K, s, d), a point grain being one
+zero-length row.  One sampler, `_sample_block`, draws a block of
+replicates into such rows with the replicate that owns each grain; it
+builds both a `Realizations` batch (`simulate`) and the streaming
+engine's blocks.  One kernel, `count_hits`, answers every hit and count
+query on either.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -27,42 +27,18 @@ from .poisson import expected_germs, sample_germs
 from .streams import derive_stream
 
 
-class GrainArrays(NamedTuple):
-    """Translated grains as segment rows (a, b); a point grain is one row
-    with a = b = its germ.  Grains are numbered 0..count-1."""
-
-    a: np.ndarray      # (rows, d) segment start points
-    b: np.ndarray      # (rows, d) segment end points
-    grain: np.ndarray  # (rows,) grain of each row
-    count: int
-
-
-def grain_arrays(germs: np.ndarray, marks) -> GrainArrays:
-    """Arrays of the grains germs[i] + Z_i for germs of shape (m, d).
-
-    `marks` is the (m, d) array of segment vectors of a segment law, or the
-    one grain of a deterministic law, shared by every germ.
-    """
-    m, d = germs.shape
-    ids = np.arange(m)
-    if isinstance(marks, np.ndarray):
-        return GrainArrays(germs, germs + marks, ids, m)
-    a0, b0 = marks.rows()
-    a = (germs[:, None, :] + a0).reshape(-1, d)
-    b = (germs[:, None, :] + b0).reshape(-1, d)
-    return GrainArrays(a, b, np.repeat(ids, a0.shape[0]), m)
-
-
-def count_hits(grains: GrainArrays, owner: np.ndarray, xs, rs) -> tuple[np.ndarray, np.ndarray]:
-    """Integer totals (ind, cnt) of shape (len(xs), len(rs)): cnt[i, j]
-    counts the grains meeting the closed ball B_rs[j](xs[i]), ind[i, j]
-    the distinct owners among them (owner[g] is the owner of grain g).
+def count_hits(a: np.ndarray, b: np.ndarray, owner, xs, rs) -> tuple[np.ndarray, np.ndarray]:
+    """Integer totals (ind, cnt) of shape (len(xs), len(rs)) over K grains
+    given as segment rows a, b of shape (K, s, d): cnt[i, j] counts the
+    grains meeting the closed ball B_rs[j](xs[i]), ind[i, j] the distinct
+    owners among them (owner[k] is the owner of grain k).
 
     Per x, only rows whose bounding box, dilated by a hair over max(rs),
     contains x are measured; the hair keeps rounding in a box from
     dropping a grain that the distance test would count.
     """
-    a, b, grain, _ = grains
+    _, s, d = a.shape
+    a, b = a.reshape(-1, d), b.reshape(-1, d)
     # boxes as (d, rows): each comparison runs along a contiguous row, many
     # times faster than reducing (rows, d) along its short axis
     lo = np.minimum(a.T, b.T, order="C")
@@ -78,7 +54,7 @@ def count_hits(grains: GrainArrays, owner: np.ndarray, xs, rs) -> tuple[np.ndarr
         near = np.flatnonzero(np.all((lo <= col) & (col <= hi), axis=0))
         dist = segment_distances(x, a[near], b[near])
         for j, r in enumerate(rs):
-            hit = np.unique(grain[near[dist <= r]])
+            hit = np.unique(near[dist <= r] // s)
             cnt[i, j] = hit.size
             ind[i, j] = np.count_nonzero(np.bincount(owner[hit]))
     return ind, cnt
@@ -98,10 +74,12 @@ def check_query(window: Box, r_max: float, x: np.ndarray, r: float):
 @dataclass(eq=False)
 class Realizations:
     """A batch of `count` realizations over one guarded window: the grains
-    of all of them as one GrainArrays, and the realization (0..count-1)
-    that owns each grain.  n is the Hausdorff dimension of the grains."""
+    of all of them as segment rows a, b of shape (K, s, d), translated to
+    their germs, and the realization (0..count-1) that owns each grain.
+    n is the Hausdorff dimension of the grains."""
 
-    grains: GrainArrays
+    a: np.ndarray
+    b: np.ndarray
     owner: np.ndarray
     count: int
     window: Box
@@ -120,9 +98,11 @@ class Realizations:
         if self.count == 0:
             raise ConfigurationError("need at least one realization")
         x = as_point(x, dim=self.dim)
+        if len(rs) == 0:
+            raise ConfigurationError("rs: need at least one radius")
         for r in rs:
             check_query(self.window, self.r_max, x, r)
-        ind, cnt = count_hits(self.grains, self.owner, [x], rs)
+        ind, cnt = count_hits(self.a, self.b, self.owner, [x], rs)
         return ind[0], cnt[0]
 
     def measure_in_region(self, region: Box) -> np.ndarray:
@@ -137,12 +117,13 @@ class Realizations:
             raise ConfigurationError("region dimension mismatch")
         if not self.window.contains_box(region):
             raise QueryError("region is not contained in the observation window")
-        a, b, grain, _ = self.grains
+        a = self.a.reshape(-1, self.dim)
         if self.n == 0:
             weights = np.all((a >= region.lo) & (a < region.hi), axis=1)
         else:
-            weights = clipped_lengths(a, b, region)
-        return np.bincount(self.owner[grain], weights=weights, minlength=self.count)
+            weights = clipped_lengths(a, self.b.reshape(-1, self.dim), region)
+        return np.bincount(np.repeat(self.owner, self.a.shape[1]), weights=weights,
+                           minlength=self.count)
 
 
 def checked_guard_margin(
@@ -165,18 +146,21 @@ def checked_guard_margin(
 
 def _sample_block(f, q: MarkDistribution, box: Box, expected, seed: int, start: int, stop: int):
     """Replicates start..stop-1 on the box, replicate i drawn by sample_germs
-    on stream derive_stream(seed, i): their grains stacked in order, and the
+    on stream derive_stream(seed, i): the segment rows (a, b) of their
+    grains, stacked in order and translated to the germs, and the
     replicate (counted from start) that owns each grain.  `expected` is
     expected_germs(f, box)."""
     samples = [
         sample_germs(f, q, box, derive_stream(seed, i), expected) for i in range(start, stop)
     ]
     owner = np.repeat(np.arange(stop - start), [len(s) for s in samples])
-    empty = [np.zeros((0, q.dim))]  # a batch of no replicates
-    germs = np.concatenate(empty + [s.points for s in samples])
-    if q.kind == "deterministic":
-        return grain_arrays(germs, q.grain), owner
-    return grain_arrays(germs, np.concatenate(empty + [s.vectors for s in samples])), owner
+    germs = np.concatenate([np.zeros((0, q.dim))] + [s.points for s in samples])
+    empty = [np.zeros((0, q.segments, q.dim))]  # shapes for a batch of no replicates
+    a = np.concatenate(empty + [s.a for s in samples])
+    b = np.concatenate(empty + [s.b for s in samples])
+    a += germs[:, None, :]
+    b += germs[:, None, :]
+    return a, b, owner
 
 
 def simulate(
@@ -195,7 +179,7 @@ def simulate(
         raise ConfigurationError(f"n_samples must be nonnegative, got {n_samples}")
     margin = checked_guard_margin(q, r_max, guard_margin)
     box = window.dilate(margin)
-    grains, owner = _sample_block(
+    a, b, owner = _sample_block(
         f, q, box, expected_germs(f, box), seed, index0, index0 + n_samples
     )
-    return Realizations(grains, owner, n_samples, window, margin, r_max, q.n)
+    return Realizations(a, b, owner, n_samples, window, margin, r_max, q.n)

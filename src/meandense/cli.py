@@ -74,23 +74,19 @@ def _write_csv(out_dir: Path, name: str, header, rows) -> Path:
     return _write(out_dir, name, "\n".join(lines) + "\n")
 
 
-def _realization_csv(sample) -> tuple[list[str], list[list]]:
+def _realization_csv(sample, n: int) -> tuple[list[str], list[list]]:
     """realization.csv's header and rows: per germ its coordinates, the kind
     of its grain and the grain's parameters (a segment's vector, a
     polyline's vertices; ';' between coordinates or vertices), written from
-    the sample's arrays."""
-    if sample.vectors is not None:
-        kind = "segment"
-        params = [";".join(map(_cell, v)) for v in sample.vectors]
+    the rows of the sample's marks; n is the grains' Hausdorff dimension."""
+    if n == 0:
+        kind, params = "point", [""] * len(sample)
+    elif sample.b.shape[1] == 1:
+        kind, params = "segment", [";".join(map(_cell, v)) for v in sample.b[:, 0]]
     else:
-        v = sample.marks.grain.vertices
-        if len(v) == 1:
-            kind, one = "point", ""
-        elif len(v) == 2:
-            kind, one = "segment", ";".join(map(_cell, v[1]))
-        else:
-            kind, one = "polyline", ";".join(" ".join(map(_cell, vertex)) for vertex in v)
-        params = [one] * len(sample)
+        kind = "polyline"
+        params = [";".join(" ".join(map(_cell, vertex)) for vertex in (a[0], *b))
+                  for a, b in zip(sample.a, sample.b)]
     header = [f"germ_{k}" for k in range(sample.points.shape[1])] + ["kind", "params"]
     return header, [[*p, kind, ps] for p, ps in zip(sample.points, params)]
 
@@ -173,7 +169,7 @@ def run_simulate(cfg: ScenarioConfig, seed: int, threads: int, out_dir: Path):
     # the germs and marks that simulate() draws, written from their arrays
     box = cfg.window.dilate(checked_guard_margin(cfg.marks, r_max))
     sample = sample_germs(cfg.intensity, cfg.marks, box, derive_stream(seed, 0))
-    _write_csv(out_dir, "realization.csv", *_realization_csv(sample))
+    _write_csv(out_dir, "realization.csv", *_realization_csv(sample, cfg.marks.n))
 
 
 def _oracle_task(args):

@@ -345,8 +345,6 @@ def _build_grain(pairs, get, d, errors):
         return Grain.point(d)
     if gkind == "segment":
         length = get("marks.grain.length", 1.0)
-        if d == 2:
-            return Grain.from_angle(length, get("marks.grain.angle", 0.0))
         law = OrientationLaw(
             "fixed", dim=d,
             angle=get("marks.grain.angle", 0.0),

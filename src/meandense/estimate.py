@@ -140,6 +140,8 @@ def histogram_reduction(samples, x: float, half_width: float) -> float:
     closed interval [x - R, x + R] divided by its length 2R (d=1, n=0)."""
     if not half_width > 0:
         raise ConfigurationError("half_width must be positive")
+    if not math.isfinite(x):
+        raise ConfigurationError(f"x must be finite, got {x}")
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise ConfigurationError("need at least one sample")
@@ -196,7 +198,7 @@ def accumulate_hits(
     window = Box(pts.min(axis=0) - r_max, pts.max(axis=0) + r_max)
     box = window.dilate(checked_guard_margin(q, r_max))
     expected = expected_germs(f, box)
-    rows = expected[1] * (len(q.grain.rows()[0]) if q.kind == "deterministic" else 1)
+    rows = expected[1] * q.segments
     per_block = _BLOCK_REPLICATES
     if rows * per_block > _BLOCK_SEGMENTS:
         per_block = max(1, int(_BLOCK_SEGMENTS // rows))

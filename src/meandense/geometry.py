@@ -91,8 +91,8 @@ class Box:
 def segment_distances(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Distances from points to segments (a, b), broadcast over the leading
     axes: one point (d,) against m segments (m, d), or k point sets
-    (k, m, d) against k segments (k, 1, d).  A zero-length segment is a
-    point, measured with np.linalg.norm."""
+    (k, 1, m, d) against the s rows (k, s, 1, d) of k grains.  A
+    zero-length segment is a point, measured with np.linalg.norm."""
     ab = b - a
     rel = pts - a
     denom = np.einsum("...j,...j->...", ab, ab)

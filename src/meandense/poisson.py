@@ -9,8 +9,8 @@ integrate it exactly.  `IntensityField` is the one implementation.
 Thinning (acceptance-rejection against the box bound) is exact for any
 bounded f; the Poisson count itself comes from numpy's PCG64 generator,
 whose count sampler (inversion for small means, transformed rejection
-above) is fixed and reproducible for a given seed.  A sample stays arrays: germ points and, for a segment
-law, segment vectors.
+above) is fixed and reproducible for a given seed.  A sample stays arrays:
+germ points and the segment rows that `mark_segments` draws for them.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .geometry import Box, as_point
-from .grains import MarkDistribution, sample_mark_vectors
+from .grains import MarkDistribution, mark_segments
 
 INTENSITY_KINDS = ("constant", "quadratic", "affine", "piecewise")
 
@@ -108,11 +108,12 @@ def expected_germs(f, box: Box) -> tuple[float, float]:
 
     Checked before anything is drawn: the bound must be finite and the
     expected count, sup f times the box volume, at most MAX_EXPECTED_GERMS.
+    A zero bound expects no germ, also on a box whose volume overflows.
     """
     m_bound = f.sup(box)
     if not np.isfinite(m_bound):
         raise ConfigurationError("intensity bound is not finite on the sampling box")
-    mean = m_bound * box.volume
+    mean = m_bound * box.volume if m_bound else 0.0
     if mean > MAX_EXPECTED_GERMS:
         raise ConfigurationError(
             f"expected germ count {mean:.6g} per realization exceeds the cap "
@@ -123,14 +124,14 @@ def expected_germs(f, box: Box) -> tuple[float, float]:
 
 @dataclass(frozen=True, eq=False)
 class MarkedGermSample:
-    """Accepted germ locations with their marks, held as arrays: the
-    segment vectors of a segment law, or None when every germ carries the
-    deterministic law's one grain."""
+    """Accepted germ locations with their marks, held as the segment rows
+    of mark_segments: germ i carries the grain with rows (a[i], b[i]),
+    anchored at the origin."""
 
-    points: np.ndarray          # (m, d) germ locations
-    marks: MarkDistribution
-    proposed: int = 0           # number of Poisson proposals before thinning
-    vectors: np.ndarray | None = None  # (m, d) segment vectors; None for a deterministic law
+    points: np.ndarray  # (m, d) germ locations
+    a: np.ndarray       # (m, s, d) segment start points of the marks
+    b: np.ndarray       # (m, s, d) segment end points of the marks
+    proposed: int = 0   # number of Poisson proposals before thinning
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -150,13 +151,9 @@ def sample_germs(
     `expected` is expected_germs(f, box) when the caller already has it.
     """
     m_bound, mean = expected_germs(f, box) if expected is None else expected
-    if m_bound == 0.0:
-        empty = None if q.kind == "deterministic" else np.zeros((0, box.dim))
-        return MarkedGermSample(np.zeros((0, box.dim)), q, 0, empty)
     count = int(rng.poisson(mean))
     pts = box.sample(rng, count)
     u = rng.random(count)
     accept = u * m_bound < f.values(pts)
     kept = pts[accept]
-    vectors = None if q.kind == "deterministic" else sample_mark_vectors(q, kept.shape[0], rng)
-    return MarkedGermSample(kept, q, count, vectors)
+    return MarkedGermSample(kept, *mark_segments(q, kept.shape[0], rng), count)

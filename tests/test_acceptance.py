@@ -34,7 +34,6 @@ from meandense import (
     sausage_integral,
     simulate,
 )
-from meandense.boolean import GrainArrays
 from meandense.cli import main
 from meandense.config import lattice_points
 from meandense.estimate import _report_from_hits, accumulate_hits
@@ -236,9 +235,9 @@ def test_criterion_08_histogram_equivalence():
     samples = rng.random(200)
     window = Box([-1.0], [2.0])
     # one point grain per realization, at its sample
-    germs, m = samples[:, None], samples.size
-    embedded = Realizations(GrainArrays(germs, germs, np.arange(m), m), np.arange(m), m,
-                            window, guard_margin=1.0, r_max=0.5, n=0)
+    germs, m = samples[:, None, None], samples.size
+    embedded = Realizations(germs, germs, np.arange(m), m, window, guard_margin=1.0, r_max=0.5,
+                            n=0)
     identical = True
     for _ in range(1000):
         x = float(rng.uniform(0.0, 1.0))

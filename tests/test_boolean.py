@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from meandense import (
@@ -19,9 +19,9 @@ from meandense import (
     Realizations,
     simulate,
 )
-from meandense.boolean import GrainArrays, grain_arrays
 from meandense.cli import _realization_csv, _write_csv
 from meandense.geometry import Box, clipped_lengths, segment_distances
+from meandense.grains import mark_segments
 from meandense.poisson import MarkedGermSample, sample_germs
 from meandense.streams import derive_stream
 
@@ -33,31 +33,34 @@ RANDOM_SEGMENTS = MarkDistribution(
 )
 
 
-def stack_grains(parts: list[GrainArrays]) -> tuple[GrainArrays, np.ndarray]:
-    """One GrainArrays of all parts, grains renumbered in order, and the
-    index of the part each grain comes from."""
-    counts = np.array([p.count for p in parts])
-    first = np.cumsum(counts) - counts
-    stacked = GrainArrays(
-        np.concatenate([p.a for p in parts]),
-        np.concatenate([p.b for p in parts]),
-        np.concatenate([p.grain for p in parts]) + np.repeat(first, [p.grain.size for p in parts]),
-        int(counts.sum()),
-    )
-    return stacked, np.repeat(np.arange(len(parts)), counts)
+def stack_rows(batches) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows (a, b) of all batches' grains, stacked in order, and the
+    index of the batch each grain comes from."""
+    a = np.concatenate([batch.a for batch in batches])
+    b = np.concatenate([batch.b for batch in batches])
+    return a, b, np.repeat(np.arange(len(batches)), [len(batch.a) for batch in batches])
 
 
-def arrays_of(placed, d=2):
-    """Grain arrays of (germ, grain) pairs, stacked in order."""
-    parts = [grain_arrays(np.asarray(germ, dtype=float)[None, :], grain) for germ, grain in placed]
-    return stack_grains(parts or [grain_arrays(np.zeros((0, d)), np.zeros((0, d)))])[0]
+def rows_of(placed, d=2, s=None):
+    """Segment rows (a, b), each of shape (K, s, d), of (germ, grain) pairs
+    in order.  Grains with fewer than s rows are padded with zero-length
+    rows at their last vertex; s defaults to the most rows of any grain."""
+    grains = [(np.asarray(germ, dtype=float), grain.rows()) for germ, grain in placed]
+    s = s or max([len(a) for _, (a, _) in grains], default=1)
+    a = np.zeros((len(grains), s, d))
+    b = np.zeros((len(grains), s, d))
+    for k, (germ, (ga, gb)) in enumerate(grains):
+        a[k] = b[k] = germ + gb[-1]
+        a[k, :len(ga)] = germ + ga
+        b[k, :len(gb)] = germ + gb
+    return a, b
 
 
-def manual_realization(germs_and_grains, window, r_max=0.5, n=1):
+def manual_realization(germs_and_grains, window, r_max=0.5, n=1, s=None):
     """A batch of one hand-built realization."""
-    arrays = arrays_of(germs_and_grains, window.dim)
-    owner = np.zeros(arrays.count, dtype=int)
-    return Realizations(arrays, owner, 1, window, guard_margin=2.0, r_max=r_max, n=n)
+    a, b = rows_of(germs_and_grains, window.dim, s)
+    owner = np.zeros(len(a), dtype=int)
+    return Realizations(a, b, owner, 1, window, guard_margin=2.0, r_max=r_max, n=n)
 
 
 def hit_count(batch, x, r) -> int:
@@ -109,29 +112,36 @@ def test_query_validation():
     with pytest.raises(QueryError):
         hits(real, [0.1, 1.0], 0.5)  # ball pokes out of the window
     assert not hits(real, [1.0, 1.0], 0.5)
+    # no radius is refused by name, as the streaming engine refuses it
+    with pytest.raises(ConfigurationError, match="rs: need at least one radius"):
+        real.counts([1.0, 1.0], [])
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 60))
-def test_index_matches_brute_force(seed, count):
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 60), st.sampled_from([1, 2, 3]))
+@example(seed=1, count=40, d=1)
+@example(seed=2, count=40, d=3)
+def test_index_matches_brute_force(seed, count, d):
     rng = derive_stream(seed, 0)
-    window = Box([0.0, 0.0], [4.0, 4.0])
+    window = Box(np.zeros(d), np.full(d, 4.0))
     placed = []
     for _ in range(count):
-        germ = rng.uniform(-1.0, 5.0, size=2)
+        germ = rng.uniform(-1.0, 5.0, size=d)
         kind = rng.integers(0, 3)
         if kind == 0:
-            grain = Grain.segment(rng.uniform(-1.0, 1.0, size=2))
+            grain = Grain.segment(rng.uniform(-1.0, 1.0, size=d))
         elif kind == 1:
-            grain = Grain.point(2)
+            grain = Grain.point(d)
         else:
-            steps = rng.uniform(-0.5, 0.5, size=(2, 2))
-            grain = Grain.polyline(np.vstack([[0.0, 0.0], np.cumsum(steps, axis=0)]))
+            steps = rng.uniform(-0.5, 0.5, size=(2, d))
+            grain = Grain.polyline(np.vstack([np.zeros(d), np.cumsum(steps, axis=0)]))
     # mixed grain families share n only artificially; fix n = 1 for the query API
         placed.append((germ, grain))
-    real = manual_realization(placed, window, r_max=0.5)
+    # every grain padded to the polyline's two rows, so rows map to grains
+    # by // 2
+    real = manual_realization(placed, window, r_max=0.5, s=2)
     for _ in range(10):
-        x = rng.uniform(0.5, 3.5, size=2)
+        x = rng.uniform(0.5, 3.5, size=d)
         r = rng.uniform(0.0, 0.5)
         expected = brute_force_hits(placed, x, r)
         assert hit_count(real, x, r) == expected
@@ -147,7 +157,7 @@ def test_many_segments_match_brute_force():
         for _ in range(200)
     ]
     real = manual_realization(placed, window, r_max=0.4)
-    assert real.grains.a.shape[0] > 32
+    assert real.a.shape[0] > 32
     for _ in range(50):
         x = rng.uniform(0.4, 3.6, size=2)
         r = rng.uniform(0.0, 0.4)
@@ -225,9 +235,9 @@ def test_simulate_deterministic_in_stream():
     window = Box([-1.0, -1.0], [1.0, 1.0])
     a = simulate(f, RANDOM_SEGMENTS, window, 0.2, 1, seed=5, index0=9)
     b = simulate(f, RANDOM_SEGMENTS, window, 0.2, 1, seed=5, index0=9)
-    assert a.grains.count == b.grains.count
-    for field in ("a", "b", "grain"):
-        assert np.array_equal(getattr(a.grains, field), getattr(b.grains, field))
+    assert a.a.shape == b.a.shape
+    for field in ("a", "b"):
+        assert np.array_equal(getattr(a, field), getattr(b, field))
     assert np.array_equal(a.owner, b.owner)
 
 
@@ -272,10 +282,9 @@ def test_batch_equals_concatenated_one_replicate_batches(seed, k, index0, kind):
     window = Box([-0.5, -0.5], [0.5, 0.5])
     batch = simulate(f, _law(kind), window, 0.2, k, seed, index0)
     ones = [simulate(f, _law(kind), window, 0.2, 1, seed, index0 + i) for i in range(k)]
-    grains, owner = stack_grains([one.grains for one in ones])
-    assert batch.count == k and batch.grains.count == grains.count
-    for field in ("a", "b", "grain"):
-        assert np.array_equal(getattr(batch.grains, field), getattr(grains, field))
+    a, b, owner = stack_rows(ones)
+    assert batch.count == k and batch.a.shape == a.shape
+    assert np.array_equal(batch.a, a) and np.array_equal(batch.b, b)
     assert np.array_equal(batch.owner, owner)
 
 
@@ -288,20 +297,20 @@ def test_batched_measure_equals_per_realization_reference(kind):
                      0.0, 40, seed=18)
     region = Box([0.3, 0.2], [1.7, 1.1])
     got = batch.measure_in_region(region)
-    a, b, grain, _ = batch.grains
-    rows = batch.owner[grain]
+    d = batch.dim
     assert got.shape == (40,) and got.max() > 0.0
     for i in range(40):
-        ai, bi = a[rows == i], b[rows == i]
+        ai = batch.a[batch.owner == i].reshape(-1, d)
+        bi = batch.b[batch.owner == i].reshape(-1, d)
         if batch.n == 0:
             assert got[i] == float(np.all((ai >= region.lo) & (ai < region.hi), axis=1).sum())
         else:
             assert abs(got[i] - clipped_lengths(ai, bi, region).sum()) <= 1e-12
 
 
-def realization_text(sample, out_dir) -> str:
-    """realization.csv as the CLI writes it for the sample."""
-    return _write_csv(out_dir, "realization.csv", *_realization_csv(sample)).read_text()
+def realization_text(sample, q, out_dir) -> str:
+    """realization.csv as the CLI writes it for the sample of law q."""
+    return _write_csv(out_dir, "realization.csv", *_realization_csv(sample, q.n)).read_text()
 
 
 def test_to_csv_lists_every_grain(tmp_path):
@@ -312,20 +321,21 @@ def test_to_csv_lists_every_grain(tmp_path):
         ([1.5, 1.5], Grain.polyline([[0.0, 0.0], [0.1, 0.0], [0.1, 0.1]])),
     ):
         q = MarkDistribution("deterministic", grain=grain)
-        sample = MarkedGermSample(np.array([germ]), q)
-        lines = realization_text(sample, tmp_path).strip().splitlines()
+        sample = MarkedGermSample(np.array([germ]), *mark_segments(q, 1, None))
+        lines = realization_text(sample, q, tmp_path).strip().splitlines()
         assert lines[0] == "germ_0,germ_1,kind,params"
         assert len(lines) == 2
         kinds.append(lines[1].split(",")[2])
     assert kinds == ["point", "segment", "polyline"]
 
 
-def reference_csv(sample) -> str:
-    """realization.csv written grain by grain from one object per germ."""
-    if sample.vectors is None:
-        placed = [(p, sample.marks.grain) for p in sample.points]
+def reference_csv(sample, q) -> str:
+    """realization.csv written grain by grain from one object per germ: the
+    law's grain, or each segment law mark's vector."""
+    if q.kind == "deterministic":
+        placed = [(p, q.grain) for p in sample.points]
     else:
-        placed = [(p, Grain.segment(v)) for p, v in zip(sample.points, sample.vectors)]
+        placed = [(p, Grain.segment(v)) for p, v in zip(sample.points, sample.b[:, 0])]
     germ_cols = ",".join(f"germ_{k}" for k in range(sample.points.shape[1]))
     out = f"{germ_cols},kind,params\n"
     for germ, grain in placed:
@@ -361,6 +371,6 @@ def test_realization_csv_from_arrays_equals_per_grain_writer(d, kind, tmp_path):
     for i in range(3):
         sample = sample_germs(f, q, box, derive_stream(d, i))
         assert len(sample) > 0
-        assert realization_text(sample, tmp_path) == reference_csv(sample)
+        assert realization_text(sample, q, tmp_path) == reference_csv(sample, q)
     empty = sample_germs(IntensityField("constant", c=0.0), q, box, derive_stream(d, 0))
-    assert realization_text(empty, tmp_path) == reference_csv(empty)
+    assert realization_text(empty, q, tmp_path) == reference_csv(empty, q)

@@ -297,13 +297,15 @@ def oracle_csv_020(cfg, coords, results) -> str:
     return "\n".join(lines) + "\n"
 
 
-def realization_csv_020(sample) -> str:
+def realization_csv_020(sample, q) -> str:
+    """0.2.0's writer, fed the law's grain for a deterministic law and each
+    mark's vector for a segment law."""
     header = ",".join(f"germ_{k}" for k in range(sample.points.shape[1]))
-    if sample.vectors is not None:
+    if q.kind != "deterministic":
         kind = "segment"
-        params = [";".join(repr(float(c)) for c in v) for v in sample.vectors]
+        params = [";".join(repr(float(c)) for c in v) for v in sample.b[:, 0]]
     else:
-        v = sample.marks.grain.vertices
+        v = q.grain.vertices
         if len(v) == 1:
             kind, one = "point", ""
         elif len(v) == 2:
@@ -361,7 +363,7 @@ def test_cli_simulate_runs(tmp_path):
     box = sc.window.dilate(checked_guard_margin(sc.marks, sc.fixed_r))
     sample = sample_germs(sc.intensity, sc.marks, box, derive_stream(sc.seed, 0))
     assert len(sample) > 0
-    assert text == realization_csv_020(sample)
+    assert text == realization_csv_020(sample, sc.marks)
 
 
 TWO_VERTEX = """

@@ -27,7 +27,7 @@ from meandense import (
     simulate_density_estimate,
 )
 from meandense import estimate as estimate_module
-from meandense.boolean import GrainArrays, checked_guard_margin
+from meandense.boolean import checked_guard_margin
 from meandense.estimate import _indicator_density, accumulate_hits
 from meandense.geometry import Box, ball_volume, segment_distances
 from meandense.poisson import sample_germs
@@ -188,14 +188,11 @@ def test_batch_queries_are_checked_against_its_r_max():
 
 def one_realization_batches(batch):
     """Each realization of the batch as a batch of one."""
-    a, b, grain, _ = batch.grains
     out = []
     for i in range(batch.count):
-        mine = np.flatnonzero(batch.owner == i)
-        rows = np.isin(grain, mine)
-        arrays = GrainArrays(a[rows], b[rows], np.searchsorted(mine, grain[rows]), mine.size)
-        out.append(Realizations(arrays, np.zeros(mine.size, dtype=int), 1, batch.window,
-                                batch.guard_margin, batch.r_max, batch.n))
+        mine = batch.owner == i
+        out.append(Realizations(batch.a[mine], batch.b[mine], np.zeros(mine.sum(), dtype=int), 1,
+                                batch.window, batch.guard_margin, batch.r_max, batch.n))
     return out
 
 
@@ -229,14 +226,16 @@ def test_histogram_reduction_hand_value():
         histogram_reduction([], 0.1, 0.1)
     with pytest.raises(ConfigurationError, match="half_width"):
         histogram_reduction([0.1], 0.0, float("nan"))
+    for x in (math.nan, math.inf):
+        with pytest.raises(ConfigurationError, match="x must be finite"):
+            histogram_reduction(samples, x, 0.1)
 
 
 def point_batch(samples, window):
     """A batch of one point grain at each sample of the line (n = 0)."""
     m = samples.size
-    germs = samples[:, None]
-    return Realizations(GrainArrays(germs, germs, np.arange(m), m), np.arange(m), m, window,
-                        guard_margin=1.0, r_max=0.5, n=0)
+    germs = samples[:, None, None]
+    return Realizations(germs, germs, np.arange(m), m, window, guard_margin=1.0, r_max=0.5, n=0)
 
 
 def test_histogram_bit_identity_with_point_grain_estimator():
@@ -282,7 +281,8 @@ def _mark_law(kind, d, rng):
         return MarkDistribution("deterministic", grain=Grain.point(d))
     if kind == "segment":
         return MarkDistribution(
-            "deterministic", grain=Grain.from_direction(rng.uniform(0.2, 1.0), direction)
+            "deterministic",
+            grain=Grain.segment(rng.uniform(0.2, 1.0) * direction / np.linalg.norm(direction)),
         )
     if kind == "polyline":
         steps = rng.uniform(-0.5, 0.5, size=(2, d))
@@ -308,11 +308,11 @@ def _grain_distance(germ, grain, x):
     return segment_distances(x, germ + a, germ + b).min()
 
 
-def _placed(sample):
-    """(germ, grain) pairs of a sample: one grain object per germ."""
-    if sample.vectors is None:
-        return [(p, sample.marks.grain) for p in sample.points]
-    return [(p, Grain.segment(v)) for p, v in zip(sample.points, sample.vectors)]
+def _placed(sample, q):
+    """(germ, grain) pairs of a sample of law q: one grain object per germ."""
+    if q.kind == "deterministic":
+        return [(p, q.grain) for p in sample.points]
+    return [(p, Grain.segment(v)) for p, v in zip(sample.points, sample.b[:, 0])]
 
 
 def _tie_radii(placed, xs, r_top):
@@ -352,7 +352,8 @@ def test_block_engine_matches_realization_reference(d, kind, field, seed, n_samp
     batch = simulate(f, q, window, r_top, n_samples, seed, index0)
     box = window.dilate(checked_guard_margin(q, r_top))
     placed = [
-        _placed(sample_germs(f, q, box, derive_stream(seed, index0 + i))) for i in range(n_samples)
+        _placed(sample_germs(f, q, box, derive_stream(seed, index0 + i)), q)
+        for i in range(n_samples)
     ]
     rs = [0.0, 0.05, r_top] + _tie_radii(placed[0], xs, r_top)
     ref_ind = np.zeros((len(xs), len(rs)), dtype=np.int64)

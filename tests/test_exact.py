@@ -92,7 +92,10 @@ def test_deterministic_grain_and_fixed_law_are_one_path(field):
     """A deterministic segment grain law and the fixed segment law with the
     same vector are one draw of the same row: bit-identical densities and
     capacity probabilities, with cubature and with Monte Carlo sausages."""
-    grain = MarkDistribution("deterministic", grain=Grain.from_angle(0.8, 0.3))
+    grain = MarkDistribution(
+        "deterministic",
+        grain=Grain.segment(0.8 * OrientationLaw("fixed", angle=0.3).fixed_direction()),
+    )
     fixed = MarkDistribution(
         "segment",
         length=LengthLaw("fixed", value=0.8),

@@ -26,7 +26,6 @@ from meandense.grains import (
     ShiftedField,
     line_integrals,
     mark_segments,
-    sample_mark_vectors,
     sausage_integrals,
 )
 from meandense.exact import capacity_probability, hitting_intensity
@@ -61,15 +60,13 @@ def test_point_grain():
 
 
 def test_segment_grain():
-    g = Grain.from_angle(2.0, math.pi / 2)
+    g = Grain.segment(2.0 * OrientationLaw("fixed", angle=math.pi / 2).fixed_direction())
     assert g.n == 1 and g.diameter == pytest.approx(2.0)
     assert np.allclose(g.vertices[1], [0.0, 2.0], atol=1e-12)
     assert hn_measure(g) == pytest.approx(2.0)
     assert grain_distance(g, [1.0, 1.0]) == pytest.approx(1.0)
-    d = Grain.from_direction(3.0, [0.0, 4.0])
+    d = Grain.segment(3.0 * np.array([0.0, 4.0]) / 4.0)
     assert np.allclose(d.vertices[1], [0.0, 3.0])
-    with pytest.raises(ConfigurationError):
-        Grain.from_direction(1.0, [0.0, 0.0])
 
 
 def test_polyline_grain():
@@ -205,6 +202,18 @@ def test_unknown_length_law():
         LengthLaw("gamma")
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_mark_laws_refuse_non_finite_parameters_by_name(value):
+    """A non-finite parameter is refused by name, whatever the law's kind:
+    a NaN angle would otherwise make the estimators count no hit at all."""
+    for name in ("value", "lo", "hi", "rate"):
+        with pytest.raises(ConfigurationError, match=f"length law {name} must be finite"):
+            LengthLaw("fixed", **{name: value})
+    for name in ("angle", "polar", "azimuth"):
+        with pytest.raises(ConfigurationError, match=f"orientation law {name} must be finite"):
+            OrientationLaw("fixed", dim=3, **{name: value})
+
+
 # ---------------------------------------------------------------------------
 # orientation laws
 
@@ -259,6 +268,26 @@ def test_mark_distribution_deterministic():
     assert a.tolist() == [[[0.0, 0.0]]] and b.tolist() == [[q.grain.vertices[1].tolist()]]
 
 
+@pytest.mark.parametrize("count", [0, 1, 7, 300])
+def test_deterministic_rows_are_read_only_copies_of_the_grain(count):
+    """A deterministic law's rows are its grain's rows, `count` times, with
+    no draw, and read-only also when a second call reuses them."""
+    grain = Grain.polyline([[0.0, 0.0, 0.0], [0.4, 0.2, 0.1], [0.5, 0.6, 0.0]])
+    q = MarkDistribution("deterministic", grain=grain)
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    for _ in range(2):
+        a, b = mark_segments(q, count, rng)
+        assert rng.bit_generator.state == state
+        assert a.shape == b.shape == (count, 2, 3)
+        assert np.array_equal(a, np.broadcast_to(grain.vertices[:-1], a.shape))
+        assert np.array_equal(b, np.broadcast_to(grain.vertices[1:], b.shape))
+        for rows in (a, b):
+            with pytest.raises(ValueError):
+                rows[...] = 0.0
+    assert grain.vertices.tolist() == [[0.0, 0.0, 0.0], [0.4, 0.2, 0.1], [0.5, 0.6, 0.0]]
+
+
 def test_mark_distribution_segment_law():
     q = MarkDistribution(
         "segment",
@@ -268,7 +297,7 @@ def test_mark_distribution_segment_law():
     assert q.n == 1 and q.dim == 2 and not q.is_deterministic
     assert q.l_max == pytest.approx(1.5)
     assert q.mean_hn() == pytest.approx(1.0)
-    lengths = np.linalg.norm(sample_mark_vectors(q, 1000, np.random.default_rng(5)), axis=1)
+    lengths = np.linalg.norm(mark_segments(q, 1000, np.random.default_rng(5))[1][:, 0], axis=1)
     assert lengths.min() >= 0.5 and lengths.max() <= 1.5
 
 
@@ -278,9 +307,9 @@ def test_sample_marks_deterministic_per_stream():
         length=LengthLaw("uniform", lo=0.5, hi=1.5),
         orientation=OrientationLaw("uniform", dim=2),
     )
-    a = sample_mark_vectors(q, 10, derive_stream(7, 3))
-    b = sample_mark_vectors(q, 10, derive_stream(7, 3))
-    c = sample_mark_vectors(q, 10, derive_stream(7, 4))
+    a = mark_segments(q, 10, derive_stream(7, 3))[1][:, 0]
+    b = mark_segments(q, 10, derive_stream(7, 3))[1][:, 0]
+    c = mark_segments(q, 10, derive_stream(7, 4))[1][:, 0]
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
     assert any(not np.array_equal(x, y) for x, y in zip(a, c))
 
@@ -334,7 +363,7 @@ def check_sampled(cert: RegularityCertificate, q: MarkDistribution, rng: np.rand
         if q.kind == "deterministic":
             g = q.grain
         else:
-            g = Grain.segment(sample_mark_vectors(q, 1, rng)[0])
+            g = Grain.segment(mark_segments(q, 1, rng)[1][0, 0])
         if g.n == 0:
             continue  # trivially satisfied
         x = _random_point_on(g, rng)
@@ -428,7 +457,8 @@ def test_grain_diameter_and_extension_keep_020_arithmetic(kind, d):
         if kind == "point":
             g = Grain.point(d)
         elif kind == "segment":
-            g = Grain.from_direction(rng.uniform(0.01, 1.5), rng.normal(size=d))
+            length, direction = rng.uniform(0.01, 1.5), rng.normal(size=d)
+            g = Grain.segment(length * direction / np.linalg.norm(direction))
         else:
             steps = rng.uniform(-0.4, 0.4, size=(rng.integers(2, 4), d))
             g = Grain.polyline(np.vstack([np.zeros(d), np.cumsum(steps, axis=0)]))
@@ -476,11 +506,13 @@ def _reference_distances(pts, a, b):
 
 def _reference_sausage(g, h, r, mc_points, rng, chunk):
     """The sausage integral of one grain object on its own: Box.sample at
-    most `chunk` points at a time, the nearest of its segments per point."""
+    most `chunk` point-segment pairs at a time, the nearest of its segments
+    per point."""
     a, b = g.rows()
     corners = np.vstack([a, b])
     box = Box(corners.min(axis=0) - r, corners.max(axis=0) + r)
     total = square = 0.0
+    chunk //= len(a)
     for done in range(0, mc_points, chunk):
         pts = box.sample(rng, min(chunk, mc_points - done))
         dist = np.stack([_reference_distances(pts, ai, bi) for ai, bi in zip(a, b)])
@@ -497,7 +529,7 @@ def _sampled_grains(q, count, rng):
     """`count` grain objects drawn from Q with the draws of mark_segments."""
     if q.kind == "deterministic":
         return [q.grain] * count
-    return [Grain.segment(v) for v in sample_mark_vectors(q, count, rng)]
+    return [Grain.segment(v) for v in mark_segments(q, count, rng)[1][:, 0]]
 
 
 def _kernel_law(law, d, shape_rng):
@@ -537,8 +569,9 @@ def _kernel_field(field, d, shape_rng):
 @example(d=1, law="zero_length", field="constant", mc_points=999, count=3, r=0.1, seed=3)
 @example(d=3, law="segment", field="affine", mc_points=2001, count=2, r=1.0, seed=0)
 def test_sausage_kernel_equals_per_grain_reference(d, law, field, mc_points, count, r, seed):
-    """With a chunk of 1000 points, grains share a draw (mc_points <= 500)
-    or are split over several (mc_points > 1000); either way every
+    """With a chunk of 1000 point-row pairs, 1000 // s points of a grain of
+    s rows, grains share a draw (mc_points <= 500 // s) or are split over
+    several (mc_points > 1000 // s); either way every
     estimate and SE equals, to the bit, that of the grain on its own, and
     the stream is left in the same state.  A split grain's tail may be one
     point (mc_points = 2001): one grain in that draw."""

@@ -156,7 +156,7 @@ def test_sample_germs_deterministic_and_in_box(tmp_path):
     s1 = sample_germs(f, UNIT_SEGMENT, box, derive_stream(3, 0))
     s2 = sample_germs(f, UNIT_SEGMENT, box, derive_stream(3, 0))
     assert np.array_equal(s1.points, s2.points)
-    text = _write_csv(tmp_path, "realization.csv", *_realization_csv(s1)).read_text()
+    text = _write_csv(tmp_path, "realization.csv", *_realization_csv(s1, 1)).read_text()
     assert len(text.splitlines()) == len(s1) + 1  # a header, then one row per grain
     assert box.contains(s1.points).all() or len(s1) == 0
     assert s1.proposed >= len(s1)
@@ -164,8 +164,16 @@ def test_sample_germs_deterministic_and_in_box(tmp_path):
 
 def test_sample_germs_zero_intensity():
     f = IntensityField("constant", c=0.0)
-    s = sample_germs(f, UNIT_SEGMENT, Box([0.0, 0.0], [1.0, 1.0]), derive_stream(0, 0))
+    rng = derive_stream(0, 0)
+    state = rng.bit_generator.state
+    s = sample_germs(f, UNIT_SEGMENT, Box([0.0, 0.0], [1.0, 1.0]), rng)
     assert len(s) == 0 and s.proposed == 0
+    # a count of 0 draws nothing: the stream is where it was
+    assert s.a.shape == (0, 1, 2) and rng.bit_generator.state == state
+    # no germ either on a box whose volume overflows to inf
+    huge = Box([-1e200, -1e200], [1e200, 1e200])
+    with np.errstate(over="ignore"):
+        assert len(sample_germs(f, UNIT_SEGMENT, huge, rng)) == 0
 
 
 def test_sample_germs_count_matches_intensity_integral():

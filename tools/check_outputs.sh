@@ -6,9 +6,11 @@
 # With --against REV, also unpack `git archive REV` into a temporary
 # directory, run the same pairs with that tree's package (on this tree's
 # configs) and check that every CSV is byte-identical to its counterpart
-# there.  That comparison is skipped, with a message, when the two trees
-# declare different __version__s: a version bump is how a change declares
-# that it changes the output bytes.
+# there.  That comparison is skipped, with a message, when REV names no
+# commit in the clone (the zero SHA of a branch's first push, or a commit
+# that a force push dropped), and when the two trees declare different
+# __version__s: a version bump is how a change declares that it changes
+# the output bytes.
 #
 # usage: tools/check_outputs.sh [--against REV]
 set -euo pipefail
@@ -80,6 +82,10 @@ compare new new 1
 echo "$count pairs: every CSV identical at --threads 1 and 2"
 
 if [ -n "$against" ]; then
+  if ! git cat-file -e "$against^{commit}" 2>/dev/null; then
+    echo "skipped the comparison with $against: no such commit in the clone"
+    exit 0
+  fi
   mkdir "$out/tree"
   git archive "$against" | tar -x -C "$out/tree"
   if [ "$(version "$out/tree")" != "$(version "$root")" ]; then
