@@ -42,5 +42,5 @@ from .grains import (
     integrate_along,
 )
 from .minkowski import MinkowskiRun, bound_check, content_limit, sausage_integral
-from .poisson import IntensityField, MarkedGermSample, sample_germs
+from .poisson import IntensityField, sample_block
 from .streams import derive_stream

@@ -7,11 +7,11 @@ law: edge effects are eliminated rather than corrected.
 
 Grains are held as the segment rows of `grains.mark_segments`, translated
 to their germs: a, b of shape (K, s, d), a point grain being one
-zero-length row.  One sampler, `_sample_block`, draws a block of
-replicates into such rows with the replicate that owns each grain; it
-builds both a `Realizations` batch (`simulate`) and the streaming
-engine's blocks.  One kernel, `count_hits`, answers every hit and count
-query on either.
+zero-length row.  `_sample_block` places the grains of a block of
+`poisson.sample_block` replicates on their germs, with the replicate that
+owns each grain; it builds both a `Realizations` batch (`simulate`) and
+the streaming engine's blocks.  One kernel, `count_hits`, answers every
+hit and count query on either.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ import numpy as np
 from .errors import ConfigurationError, QueryError
 from .geometry import Box, as_point, clipped_lengths, segment_distances
 from .grains import MarkDistribution
-from .poisson import expected_germs, sample_germs
-from .streams import derive_stream
+from .poisson import sample_block
 
 
 def count_hits(a: np.ndarray, b: np.ndarray, owner, xs, rs) -> tuple[np.ndarray, np.ndarray]:
@@ -144,23 +143,12 @@ def checked_guard_margin(
     return margin
 
 
-def _sample_block(f, q: MarkDistribution, box: Box, expected, seed: int, start: int, stop: int):
-    """Replicates start..stop-1 on the box, replicate i drawn by sample_germs
-    on stream derive_stream(seed, i): the segment rows (a, b) of their
-    grains, stacked in order and translated to the germs, and the
-    replicate (counted from start) that owns each grain.  `expected` is
-    expected_germs(f, box)."""
-    samples = [
-        sample_germs(f, q, box, derive_stream(seed, i), expected) for i in range(start, stop)
-    ]
-    owner = np.repeat(np.arange(stop - start), [len(s) for s in samples])
-    germs = np.concatenate([np.zeros((0, q.dim))] + [s.points for s in samples])
-    empty = [np.zeros((0, q.segments, q.dim))]  # shapes for a batch of no replicates
-    a = np.concatenate(empty + [s.a for s in samples])
-    b = np.concatenate(empty + [s.b for s in samples])
-    a += germs[:, None, :]
-    b += germs[:, None, :]
-    return a, b, owner
+def _sample_block(f, q: MarkDistribution, box: Box, seed: int, start: int, stop: int):
+    """The grains of poisson.sample_block's replicates start..stop-1 as
+    segment rows (a, b) translated to their germs, and the replicate
+    (counted from start) that owns each grain."""
+    germs, a, b, owner = sample_block(f, q, box, seed, start, stop)
+    return a + germs[:, None, :], b + germs[:, None, :], owner
 
 
 def simulate(
@@ -174,12 +162,10 @@ def simulate(
     guard_margin: float | None = None,
 ) -> Realizations:
     """Sample `n_samples` realizations covering the window plus guard zone,
-    realization i on stream derive_stream(seed, index0 + i)."""
+    realization i being replicate index0 + i of poisson.sample_block."""
     if n_samples < 0:
         raise ConfigurationError(f"n_samples must be nonnegative, got {n_samples}")
     margin = checked_guard_margin(q, r_max, guard_margin)
     box = window.dilate(margin)
-    a, b, owner = _sample_block(
-        f, q, box, expected_germs(f, box), seed, index0, index0 + n_samples
-    )
+    a, b, owner = _sample_block(f, q, box, seed, index0, index0 + n_samples)
     return Realizations(a, b, owner, n_samples, window, margin, r_max, q.n)

@@ -30,7 +30,7 @@ from .geometry import ball_volume
 from .grains import RegularityCertificate
 from .minkowski import bound_check, content_limit, ratio_bound
 from .parallel import default_threads, parallel_map
-from .poisson import sample_germs
+from .poisson import sample_block
 from .streams import derive_stream
 
 SUBCOMMANDS = ("exact", "estimate", "study", "minkowski", "simulate", "oracle")
@@ -74,21 +74,22 @@ def _write_csv(out_dir: Path, name: str, header, rows) -> Path:
     return _write(out_dir, name, "\n".join(lines) + "\n")
 
 
-def _realization_csv(sample, n: int) -> tuple[list[str], list[list]]:
-    """realization.csv's header and rows: per germ its coordinates, the kind
-    of its grain and the grain's parameters (a segment's vector, a
-    polyline's vertices; ';' between coordinates or vertices), written from
-    the rows of the sample's marks; n is the grains' Hausdorff dimension."""
+def _realization_csv(points, a, b, n: int) -> tuple[list[str], list[list]]:
+    """realization.csv's header and rows: per germ (a row of points) its
+    coordinates, the kind of its grain and the grain's parameters (a
+    segment's vector, a polyline's vertices; ';' between coordinates or
+    vertices), written from its mark's rows a, b anchored at the origin;
+    n is the grains' Hausdorff dimension."""
     if n == 0:
-        kind, params = "point", [""] * len(sample)
-    elif sample.b.shape[1] == 1:
-        kind, params = "segment", [";".join(map(_cell, v)) for v in sample.b[:, 0]]
+        kind, params = "point", [""] * len(points)
+    elif b.shape[1] == 1:
+        kind, params = "segment", [";".join(map(_cell, v)) for v in b[:, 0]]
     else:
         kind = "polyline"
-        params = [";".join(" ".join(map(_cell, vertex)) for vertex in (a[0], *b))
-                  for a, b in zip(sample.a, sample.b)]
-    header = [f"germ_{k}" for k in range(sample.points.shape[1])] + ["kind", "params"]
-    return header, [[*p, kind, ps] for p, ps in zip(sample.points, params)]
+        params = [";".join(" ".join(map(_cell, vertex)) for vertex in (ai[0], *bi))
+                  for ai, bi in zip(a, b)]
+    header = [f"germ_{k}" for k in range(points.shape[1])] + ["kind", "params"]
+    return header, [[*p, kind, ps] for p, ps in zip(points, params)]
 
 
 def run_exact(cfg: ScenarioConfig, seed: int, threads: int, out_dir: Path):
@@ -168,8 +169,8 @@ def run_simulate(cfg: ScenarioConfig, seed: int, threads: int, out_dir: Path):
     r_max = cfg.r_max if cfg.r_max is not None else (cfg.fixed_r or 0.0)
     # the germs and marks that simulate() draws, written from their arrays
     box = cfg.window.dilate(checked_guard_margin(cfg.marks, r_max))
-    sample = sample_germs(cfg.intensity, cfg.marks, box, derive_stream(seed, 0))
-    _write_csv(out_dir, "realization.csv", *_realization_csv(sample, cfg.marks.n))
+    points, a, b, _ = sample_block(cfg.intensity, cfg.marks, box, seed, 0, 1)
+    _write_csv(out_dir, "realization.csv", *_realization_csv(points, a, b, cfg.marks.n))
 
 
 def _oracle_task(args):

@@ -55,6 +55,8 @@ class BandwidthSchedule:
         return cls(c0, 1.0 / (d - n + 2), d, n)
 
     def radius(self, n_samples: int) -> float:
+        if not n_samples >= 1:
+            raise ConfigurationError(f"n_samples must be at least 1, got {n_samples}")
         return self.c0 * float(n_samples) ** (-self.beta)
 
 
@@ -145,6 +147,9 @@ def histogram_reduction(samples, x: float, half_width: float) -> float:
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise ConfigurationError("need at least one sample")
+    bad = samples[~np.isfinite(samples)]
+    if bad.size:
+        raise ConfigurationError(f"samples must be finite, got {bad[0]}")
     count = int(np.count_nonzero(np.abs(samples - x) <= half_width))
     return _indicator_density(count, samples.size, 1, 0, half_width)
 
@@ -165,8 +170,8 @@ _BLOCK_SEGMENTS = 1 << 16
 def _block_task(args):
     """Worker: the block of replicates start..stop-1 and the kernel's
     integer hit and grain-count totals on it, of shape (len(xs), len(rs))."""
-    f, q, xs, rs, box, expected, seed, start, stop = args
-    return count_hits(*_sample_block(f, q, box, expected, seed, start, stop), xs, rs)
+    f, q, xs, rs, box, seed, start, stop = args
+    return count_hits(*_sample_block(f, q, box, seed, start, stop), xs, rs)
 
 
 def accumulate_hits(
@@ -197,14 +202,14 @@ def accumulate_hits(
     pts = np.stack(xs)
     window = Box(pts.min(axis=0) - r_max, pts.max(axis=0) + r_max)
     box = window.dilate(checked_guard_margin(q, r_max))
-    expected = expected_germs(f, box)
-    rows = expected[1] * q.segments
+    # the germ cap is refused here, before the pool starts
+    rows = expected_germs(f, box)[1] * q.segments
     per_block = _BLOCK_REPLICATES
     if rows * per_block > _BLOCK_SEGMENTS:
         per_block = max(1, int(_BLOCK_SEGMENTS // rows))
     stop = index0 + n_samples
     tasks = [
-        (f, q, xs, rs, box, expected, seed, i, min(i + per_block, stop))
+        (f, q, xs, rs, box, seed, i, min(i + per_block, stop))
         for i in range(index0, stop, per_block)
     ]
     ind = np.zeros((len(xs), len(rs)), dtype=np.int64)

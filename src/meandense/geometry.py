@@ -63,7 +63,9 @@ class Box:
 
     @property
     def volume(self) -> float:
-        return float(np.prod(self.hi - self.lo))
+        # a box wider than about 1e154 per side in d = 2 has volume inf
+        with np.errstate(over="ignore"):
+            return float(np.prod(self.hi - self.lo))
 
     def dilate(self, margin: float) -> "Box":
         if margin < 0:

@@ -9,14 +9,14 @@ always available for guard zones.
 Every layer takes many grains at once as segment rows a, b of shape
 (K, s, d), s rows per grain (`Grain.rows` gives one grain's, a point being
 one zero-length row).  `mark_segments` is the one mark draw: it draws
-these rows from Q, a segment law's starting at the origin and a
-deterministic law's being its one grain repeated.  A field is integrated
-over each grain with respect to H^n by Gauss-Legendre quadrature
-(`line_integrals`) and over each grain's r-sausage (`sausage_integrals`):
-by exact product Gauss cubature for segment and point grains under a field
-that states it is a polynomial of degree <= 2 there, by chunked Monte
-Carlo otherwise.  `integrate_along` and `sausage_integral` are their
-one-grain calls.
+these rows from Q on a list of streams, a segment law's starting at the
+origin and a deterministic law's being one read-only view of its grain
+repeated.  A field is integrated over each grain with respect to H^n by
+Gauss-Legendre quadrature (`line_integrals`) and over each grain's
+r-sausage (`sausage_integrals`): by exact product Gauss cubature for
+segment and point grains under a field that states it is a polynomial of
+degree <= 2 there, by chunked Monte Carlo otherwise.  `integrate_along`
+and `sausage_integral` are their one-grain calls.
 """
 
 from __future__ import annotations
@@ -172,21 +172,20 @@ class ShiftedField:
         return bool(inner and inner(Box(self._x - box.hi, self._x - box.lo)))
 
 
-def mark_segments(q: MarkDistribution, count: int, rng: np.random.Generator):
-    """Segment rows (a, b), each of shape (count, s, d), of `count` grains
-    drawn from Q.  This is the one definition of the mark draws: a segment
-    law draws all lengths, then all directions, and its rows start at the
-    origin; a deterministic law's grain is repeated without a draw."""
+def mark_segments(q: MarkDistribution, counts, rngs):
+    """Segment rows (a, b), each of shape (sum(counts), s, d), of grains
+    drawn from Q, counts[j] of them on rngs[j].  This is the one definition
+    of the mark draws: a segment law draws each stream's lengths, then its
+    directions, and its rows start at the origin; a deterministic law's
+    grain is repeated, as read-only views, without a draw."""
     if q.kind == "deterministic":
-        return _repeated_rows(q.grain, count)
-    b = (q.length.sample(rng, count)[:, None] * q.orientation.sample(rng, count))[:, None, :]
-    # np.zeros, not zeros_like: this runs once per replicate, and is 4x cheaper
+        return tuple(np.broadcast_to(v, (sum(counts),) + v.shape) for v in q.grain.rows())
+    lengths, directions = [np.zeros(0)], [np.zeros((0, q.dim))]
+    for count, rng in zip(counts, rngs):
+        lengths.append(q.length.sample(rng, count))
+        directions.append(q.orientation.sample(rng, count))
+    b = (np.concatenate(lengths)[:, None] * np.concatenate(directions))[:, None, :]
     return np.zeros(b.shape), b
-
-
-@functools.lru_cache(maxsize=256)  # a fresh broadcast_to pair costs 15 us a replicate
-def _repeated_rows(g: Grain, count: int) -> tuple[np.ndarray, np.ndarray]:
-    return tuple(np.broadcast_to(v, (count,) + v.shape) for v in g.rows())
 
 
 def sausage_integral(

@@ -9,8 +9,10 @@ integrate it exactly.  `IntensityField` is the one implementation.
 Thinning (acceptance-rejection against the box bound) is exact for any
 bounded f; the Poisson count itself comes from numpy's PCG64 generator,
 whose count sampler (inversion for small means, transformed rejection
-above) is fixed and reproducible for a given seed.  A sample stays arrays:
-germ points and the segment rows that `mark_segments` draws for them.
+above) is fixed and reproducible for a given seed.  `sample_block` is the
+one replicate draw: a block of replicates, each on its own stream, as
+arrays of germ points, the segment rows that `mark_segments` draws for
+them and the replicate that owns each germ.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .geometry import Box, as_point
 from .grains import MarkDistribution, mark_segments
+from .streams import derive_stream
 
 INTENSITY_KINDS = ("constant", "quadratic", "affine", "piecewise")
 
@@ -122,38 +125,26 @@ def expected_germs(f, box: Box) -> tuple[float, float]:
     return m_bound, mean
 
 
-@dataclass(frozen=True, eq=False)
-class MarkedGermSample:
-    """Accepted germ locations with their marks, held as the segment rows
-    of mark_segments: germ i carries the grain with rows (a[i], b[i]),
-    anchored at the origin."""
+def sample_block(f, q: MarkDistribution, box: Box, seed: int, start: int, stop: int):
+    """Replicates start..stop-1 of the marked Poisson process on the box.
 
-    points: np.ndarray  # (m, d) germ locations
-    a: np.ndarray       # (m, s, d) segment start points of the marks
-    b: np.ndarray       # (m, s, d) segment end points of the marks
-    proposed: int = 0   # number of Poisson proposals before thinning
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-
-def sample_germs(
-    f,
-    q: MarkDistribution,
-    box: Box,
-    rng: np.random.Generator,
-    expected: tuple[float, float] | None = None,
-) -> MarkedGermSample:
-    """Realization of the marked Poisson process restricted to the box.
-
-    Draw N ~ Poisson(M vol), place N points uniformly, keep each with
-    probability f(y)/M, and attach an independent mark to every survivor.
-    `expected` is expected_germs(f, box) when the caller already has it.
+    Replicate i is drawn on stream derive_stream(seed, i): N ~ Poisson(M
+    vol), N points uniform on the box and N thinning uniforms, of which
+    the points with u M < f(y) are kept, and then a mark for every kept
+    point.  Returns the germs (m, d) in replicate order, their marks' rows
+    a, b of shape (m, s, d) anchored at the origin, and the replicate
+    (counted from start) that owns each germ.  The germ cap is checked
+    before any stream is derived.
     """
-    m_bound, mean = expected_germs(f, box) if expected is None else expected
-    count = int(rng.poisson(mean))
-    pts = box.sample(rng, count)
-    u = rng.random(count)
+    m_bound, mean = expected_germs(f, box)
+    rngs = [derive_stream(seed, i) for i in range(start, stop)]
+    proposed = [int(rng.poisson(mean)) for rng in rngs]
+    # per stream: its count, then its points, then its thinning uniforms
+    pts = np.concatenate(
+        [np.zeros((0, box.dim))] + [box.sample(rng, n) for rng, n in zip(rngs, proposed)]
+    )
+    u = np.concatenate([np.zeros(0)] + [rng.random(n) for rng, n in zip(rngs, proposed)])
     accept = u * m_bound < f.values(pts)
-    kept = pts[accept]
-    return MarkedGermSample(kept, *mark_segments(q, kept.shape[0], rng), count)
+    owner = np.repeat(np.arange(stop - start), proposed)[accept]
+    counts = np.bincount(owner, minlength=stop - start).tolist()
+    return (pts[accept], *mark_segments(q, counts, rngs), owner)

@@ -22,7 +22,7 @@ from meandense import (
 from meandense.cli import _realization_csv, _write_csv
 from meandense.geometry import Box, clipped_lengths, segment_distances
 from meandense.grains import mark_segments
-from meandense.poisson import MarkedGermSample, sample_germs
+from meandense.poisson import sample_block
 from meandense.streams import derive_stream
 
 UNIT_SEGMENT = MarkDistribution("deterministic", grain=Grain.segment(np.array([1.0, 0.0])))
@@ -308,9 +308,11 @@ def test_batched_measure_equals_per_realization_reference(kind):
             assert abs(got[i] - clipped_lengths(ai, bi, region).sum()) <= 1e-12
 
 
-def realization_text(sample, q, out_dir) -> str:
-    """realization.csv as the CLI writes it for the sample of law q."""
-    return _write_csv(out_dir, "realization.csv", *_realization_csv(sample, q.n)).read_text()
+def realization_text(points, a, b, q, out_dir) -> str:
+    """realization.csv as the CLI writes it for germs of law q with their
+    marks' rows a, b."""
+    rows = _realization_csv(points, a, b, q.n)
+    return _write_csv(out_dir, "realization.csv", *rows).read_text()
 
 
 def test_to_csv_lists_every_grain(tmp_path):
@@ -321,22 +323,22 @@ def test_to_csv_lists_every_grain(tmp_path):
         ([1.5, 1.5], Grain.polyline([[0.0, 0.0], [0.1, 0.0], [0.1, 0.1]])),
     ):
         q = MarkDistribution("deterministic", grain=grain)
-        sample = MarkedGermSample(np.array([germ]), *mark_segments(q, 1, None))
-        lines = realization_text(sample, q, tmp_path).strip().splitlines()
+        a, b = mark_segments(q, [1], [None])
+        lines = realization_text(np.array([germ]), a, b, q, tmp_path).strip().splitlines()
         assert lines[0] == "germ_0,germ_1,kind,params"
         assert len(lines) == 2
         kinds.append(lines[1].split(",")[2])
     assert kinds == ["point", "segment", "polyline"]
 
 
-def reference_csv(sample, q) -> str:
+def reference_csv(points, b, q) -> str:
     """realization.csv written grain by grain from one object per germ: the
     law's grain, or each segment law mark's vector."""
     if q.kind == "deterministic":
-        placed = [(p, q.grain) for p in sample.points]
+        placed = [(p, q.grain) for p in points]
     else:
-        placed = [(p, Grain.segment(v)) for p, v in zip(sample.points, sample.b[:, 0])]
-    germ_cols = ",".join(f"germ_{k}" for k in range(sample.points.shape[1]))
+        placed = [(p, Grain.segment(v)) for p, v in zip(points, b[:, 0])]
+    germ_cols = ",".join(f"germ_{k}" for k in range(points.shape[1]))
     out = f"{germ_cols},kind,params\n"
     for germ, grain in placed:
         coords = ",".join(repr(float(c)) for c in germ)
@@ -369,8 +371,8 @@ def test_realization_csv_from_arrays_equals_per_grain_writer(d, kind, tmp_path):
     box = Box(-np.ones(d), np.full(d, 2.0))
     f = IntensityField("constant", c=30.0 / box.volume)
     for i in range(3):
-        sample = sample_germs(f, q, box, derive_stream(d, i))
-        assert len(sample) > 0
-        assert realization_text(sample, q, tmp_path) == reference_csv(sample, q)
-    empty = sample_germs(IntensityField("constant", c=0.0), q, box, derive_stream(d, 0))
-    assert realization_text(empty, q, tmp_path) == reference_csv(empty, q)
+        points, a, b, _ = sample_block(f, q, box, d, i, i + 1)
+        assert len(points) > 0
+        assert realization_text(points, a, b, q, tmp_path) == reference_csv(points, b, q)
+    points, a, b, _ = sample_block(IntensityField("constant", c=0.0), q, box, d, 0, 1)
+    assert realization_text(points, a, b, q, tmp_path) == reference_csv(points, b, q)

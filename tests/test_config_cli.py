@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from meandense.exact import capacity_probability, density_grid
 from meandense.geometry import Box, ball_volume
 from meandense.grains import RegularityCertificate
 from meandense.minkowski import content_limit, ratio_bound
-from meandense.poisson import sample_germs
+from meandense.poisson import sample_block
 from meandense.streams import derive_stream
 
 FULL_CONFIG = """
@@ -297,13 +298,13 @@ def oracle_csv_020(cfg, coords, results) -> str:
     return "\n".join(lines) + "\n"
 
 
-def realization_csv_020(sample, q) -> str:
+def realization_csv_020(points, b, q) -> str:
     """0.2.0's writer, fed the law's grain for a deterministic law and each
-    mark's vector for a segment law."""
-    header = ",".join(f"germ_{k}" for k in range(sample.points.shape[1]))
+    mark's vector (its end row b) for a segment law."""
+    header = ",".join(f"germ_{k}" for k in range(points.shape[1]))
     if q.kind != "deterministic":
         kind = "segment"
-        params = [";".join(repr(float(c)) for c in v) for v in sample.b[:, 0]]
+        params = [";".join(repr(float(c)) for c in v) for v in b[:, 0]]
     else:
         v = q.grain.vertices
         if len(v) == 1:
@@ -313,10 +314,10 @@ def realization_csv_020(sample, q) -> str:
         else:
             kind = "polyline"
             one = ";".join(" ".join(repr(float(c)) for c in vertex) for vertex in v)
-        params = [one] * len(sample)
+        params = [one] * len(points)
     rows = [
         ",".join(repr(float(c)) for c in p) + f",{kind},{ps}\n"
-        for p, ps in zip(sample.points, params)
+        for p, ps in zip(points, params)
     ]
     return f"{header},kind,params\n" + "".join(rows)
 
@@ -361,9 +362,9 @@ def test_cli_simulate_runs(tmp_path):
     assert text.splitlines()[0] == "germ_0,germ_1,kind,params"
     sc = parse_config(MINI_ESTIMATE)
     box = sc.window.dilate(checked_guard_margin(sc.marks, sc.fixed_r))
-    sample = sample_germs(sc.intensity, sc.marks, box, derive_stream(sc.seed, 0))
-    assert len(sample) > 0
-    assert text == realization_csv_020(sample, sc.marks)
+    points, _, b, _ = sample_block(sc.intensity, sc.marks, box, sc.seed, 0, 1)
+    assert len(points) > 0
+    assert text == realization_csv_020(points, b, sc.marks)
 
 
 TWO_VERTEX = """
@@ -578,6 +579,23 @@ def test_cli_numeric_error_reports_the_point(tmp_path, capsys):
         assert len(error["point"]) == 2
         assert all(isinstance(c, float) and math.isfinite(c) for c in error["point"])
         assert error["point"] == [1e160, 0.0]  # the grid point, not a quadrature node
+
+
+def test_cli_window_of_overflowing_volume_hits_the_germ_cap(tmp_path, capsys):
+    # the guarded window's volume overflows to inf: refused by the germ
+    # cap, with no RuntimeWarning on the way
+    text = MINI_ESTIMATE.replace("window.lo = 0, 0\nwindow.hi = 1, 1",
+                                 "window.lo = -1e200, -1e200\nwindow.hi = 1e200, 1e200")
+    assert text != MINI_ESTIMATE
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "validation"
+    assert error["message"] == "expected germ count inf per realization exceeds the cap 2000000"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("threads", ["0", "-2"])

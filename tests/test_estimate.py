@@ -30,7 +30,7 @@ from meandense import estimate as estimate_module
 from meandense.boolean import checked_guard_margin
 from meandense.estimate import _indicator_density, accumulate_hits
 from meandense.geometry import Box, ball_volume, segment_distances
-from meandense.poisson import sample_germs
+from meandense.poisson import sample_block
 from meandense.streams import derive_stream
 
 CONSTANT = IntensityField("constant", c=1.0)
@@ -60,6 +60,10 @@ def test_bandwidth_schedule_radius():
     sched = BandwidthSchedule(1.0, 1.0 / 3.0, 2, 1)
     assert sched.radius(1000) == pytest.approx(0.1)
     assert sched.radius(8) == pytest.approx(0.5)
+    # no sample size below 1 has a radius: 0 divided by zero, -5 gave a complex number
+    for bad in (0, -5, 0.5, math.nan):
+        with pytest.raises(ConfigurationError, match=f"n_samples must be at least 1, got {bad}"):
+            sched.radius(bad)
 
 
 def test_bandwidth_schedule_validation():
@@ -229,6 +233,10 @@ def test_histogram_reduction_hand_value():
     for x in (math.nan, math.inf):
         with pytest.raises(ConfigurationError, match="x must be finite"):
             histogram_reduction(samples, x, 0.1)
+    # a non-finite sample would count in the denominator only
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigurationError, match=f"samples must be finite, got {bad}"):
+            histogram_reduction([0.1, bad], 0.1, 0.05)
 
 
 def point_batch(samples, window):
@@ -308,11 +316,12 @@ def _grain_distance(germ, grain, x):
     return segment_distances(x, germ + a, germ + b).min()
 
 
-def _placed(sample, q):
-    """(germ, grain) pairs of a sample of law q: one grain object per germ."""
+def _placed(points, b, q):
+    """(germ, grain) pairs of germs of law q with their marks' end rows b:
+    one grain object per germ."""
     if q.kind == "deterministic":
-        return [(p, q.grain) for p in sample.points]
-    return [(p, Grain.segment(v)) for p, v in zip(sample.points, sample.b[:, 0])]
+        return [(p, q.grain) for p in points]
+    return [(p, Grain.segment(v)) for p, v in zip(points, b[:, 0])]
 
 
 def _tie_radii(placed, xs, r_top):
@@ -341,8 +350,8 @@ def test_block_engine_matches_realization_reference(d, kind, field, seed, n_samp
     simulate() batch over the same window and streams, with blocks of a few
     replicates so that one call spans several blocks, and both equal a
     per-grain loop, with no prefilter and no bincount, over the grain
-    objects of the germs and marks that sample_germs draws on those
-    streams."""
+    objects of the germs and marks that sample_block draws on those
+    streams, one replicate at a time."""
     rng = np.random.default_rng(seed)
     q = _mark_law(kind, d, rng)
     f = CONSTANT if field == "constant" else IntensityField("quadratic")
@@ -351,10 +360,10 @@ def test_block_engine_matches_realization_reference(d, kind, field, seed, n_samp
     window = Box(xs.min(axis=0) - r_top, xs.max(axis=0) + r_top)
     batch = simulate(f, q, window, r_top, n_samples, seed, index0)
     box = window.dilate(checked_guard_margin(q, r_top))
-    placed = [
-        _placed(sample_germs(f, q, box, derive_stream(seed, index0 + i)), q)
-        for i in range(n_samples)
-    ]
+    placed = []
+    for i in range(index0, index0 + n_samples):
+        points, _, b, _ = sample_block(f, q, box, seed, i, i + 1)
+        placed.append(_placed(points, b, q))
     rs = [0.0, 0.05, r_top] + _tie_radii(placed[0], xs, r_top)
     ref_ind = np.zeros((len(xs), len(rs)), dtype=np.int64)
     ref_cnt = np.zeros((len(xs), len(rs)), dtype=np.int64)
@@ -396,15 +405,16 @@ def test_block_size_depends_on_the_scenario_only(monkeypatch):
     assert splits[0] == splits[1] == splits[2] == [(7, 24), (24, 41), (41, 57)]
 
 
-def test_expected_germ_count_is_capped_before_drawing():
-    from meandense.poisson import MAX_EXPECTED_GERMS, sample_germs
+def test_expected_germ_count_is_capped_before_drawing(monkeypatch):
+    from meandense.poisson import MAX_EXPECTED_GERMS
 
     huge = IntensityField("constant", c=1e12)
     box = Box([0.0, 0.0], [1.0, 1.0])
     message = f"expected germ count 1e\\+12 per realization exceeds the cap {MAX_EXPECTED_GERMS}"
     # any draw would fail with AttributeError: the cap is checked first
+    monkeypatch.setattr("meandense.poisson.derive_stream", lambda seed, index: object())
     with pytest.raises(ConfigurationError, match=message):
-        sample_germs(huge, RANDOM_SEGMENTS, box, rng=object())
+        sample_block(huge, RANDOM_SEGMENTS, box, 1, 0, 10)
     with pytest.raises(ConfigurationError, match="exceeds the cap"):
         simulate(huge, RANDOM_SEGMENTS, box, 0.1, 10, seed=1)
     with pytest.raises(ConfigurationError, match="exceeds the cap"):

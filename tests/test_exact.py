@@ -241,7 +241,7 @@ def _former_check_finiteness(f, q, radius, rng, mark_draws, points_per_mark):
     """The finiteness check that hitting_intensity at the origin replaced:
     the mean sausage integral of f(-.) over `mark_draws` marks of Q (a
     deterministic law's grain repeated), `points_per_mark` proposals each."""
-    a, b = mark_segments(q, mark_draws, rng)
+    a, b = mark_segments(q, [mark_draws], [rng])
     totals, _ = sausage_integrals(a, b, ShiftedField(f, np.zeros(q.dim)), radius,
                                   points_per_mark, rng)
     return float(totals.mean())

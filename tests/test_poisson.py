@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from meandense import (
     ConfigurationError,
@@ -13,7 +15,7 @@ from meandense import (
     MarkDistribution,
     OrientationLaw,
     hitting_intensity,
-    sample_germs,
+    sample_block,
 )
 from meandense.cli import _realization_csv, _write_csv
 from meandense.geometry import Box
@@ -141,7 +143,7 @@ def test_callable_field_needs_bound():
     box = Box([0.0, 0.0], [1.0, 1.0])
     unbounded = Field(_ones, lambda box: math.inf)
     with pytest.raises(ConfigurationError):
-        sample_germs(unbounded, UNIT_SEGMENT, box, derive_stream(0, 0))
+        sample_block(unbounded, UNIT_SEGMENT, box, 0, 0, 1)
     bounded = Field(_ones, lambda box: 1.0)
     assert expected_germs(bounded, box) == (1.0, 1.0)
 
@@ -153,27 +155,41 @@ def test_callable_field_needs_bound():
 def test_sample_germs_deterministic_and_in_box(tmp_path):
     f = IntensityField("quadratic")
     box = Box([-1.0, -1.0], [1.0, 1.0])
-    s1 = sample_germs(f, UNIT_SEGMENT, box, derive_stream(3, 0))
-    s2 = sample_germs(f, UNIT_SEGMENT, box, derive_stream(3, 0))
-    assert np.array_equal(s1.points, s2.points)
-    text = _write_csv(tmp_path, "realization.csv", *_realization_csv(s1, 1)).read_text()
-    assert len(text.splitlines()) == len(s1) + 1  # a header, then one row per grain
-    assert box.contains(s1.points).all() or len(s1) == 0
-    assert s1.proposed >= len(s1)
+    points, a, b, _ = sample_block(f, UNIT_SEGMENT, box, 3, 0, 1)
+    again = sample_block(f, UNIT_SEGMENT, box, 3, 0, 1)[0]
+    assert np.array_equal(points, again)
+    text = _write_csv(tmp_path, "realization.csv", *_realization_csv(points, a, b, 1)).read_text()
+    assert len(text.splitlines()) == len(points) + 1  # a header, then one row per grain
+    assert box.contains(points).all() or len(points) == 0
+    # the replicate's first draw on its stream is its proposal count
+    assert derive_stream(3, 0).poisson(expected_germs(f, box)[1]) >= len(points)
 
 
-def test_sample_germs_zero_intensity():
+def _recorded_streams(monkeypatch) -> list:
+    """The generators that sample_block derives from now on, in order."""
+    made = []
+
+    def record(seed, index):
+        made.append(derive_stream(seed, index))
+        return made[-1]
+
+    monkeypatch.setattr("meandense.poisson.derive_stream", record)
+    return made
+
+
+def test_sample_germs_zero_intensity(monkeypatch):
     f = IntensityField("constant", c=0.0)
-    rng = derive_stream(0, 0)
-    state = rng.bit_generator.state
-    s = sample_germs(f, UNIT_SEGMENT, Box([0.0, 0.0], [1.0, 1.0]), rng)
-    assert len(s) == 0 and s.proposed == 0
-    # a count of 0 draws nothing: the stream is where it was
-    assert s.a.shape == (0, 1, 2) and rng.bit_generator.state == state
-    # no germ either on a box whose volume overflows to inf
     huge = Box([-1e200, -1e200], [1e200, 1e200])
-    with np.errstate(over="ignore"):
-        assert len(sample_germs(f, UNIT_SEGMENT, huge, rng)) == 0
+    for q in (UNIT_SEGMENT, RANDOM_SEGMENTS):
+        streams = _recorded_streams(monkeypatch)
+        germs, a, b, owner = sample_block(f, q, Box([0.0, 0.0], [1.0, 1.0]), 0, 4, 7)
+        assert len(germs) == len(owner) == 0
+        # a count of 0 draws nothing: every stream is where it was
+        assert a.shape == b.shape == (0, 1, 2) and len(streams) == 3
+        for i, rng in enumerate(streams, start=4):
+            assert rng.bit_generator.state == derive_stream(0, i).bit_generator.state
+        # no germ either on a box whose volume overflows to inf
+        assert len(sample_block(f, q, huge, 0, 0, 3)[0]) == 0
 
 
 def test_sample_germs_count_matches_intensity_integral():
@@ -181,10 +197,8 @@ def test_sample_germs_count_matches_intensity_integral():
     f = IntensityField("quadratic")
     box = Box([-1.0, -1.0], [1.0, 1.0])
     target = 8.0 / 3.0  # ∫∫ (x² + y²) over [-1,1]²
-    counts = [
-        len(sample_germs(f, UNIT_SEGMENT, box, derive_stream(11, i))) for i in range(3000)
-    ]
-    counts = np.asarray(counts, dtype=float)
+    owner = sample_block(f, UNIT_SEGMENT, box, 11, 0, 3000)[3]
+    counts = np.bincount(owner, minlength=3000).astype(float)
     se = counts.std(ddof=1) / math.sqrt(counts.size)
     assert abs(counts.mean() - target) < 4 * se
 
@@ -193,15 +207,57 @@ def test_sample_germs_acceptance_ratio():
     # accepted/proposed -> (∫ f)/(M vol) within 3 standard errors
     f = IntensityField("quadratic")
     box = Box([-1.0, -1.0], [1.0, 1.0])
-    accepted = proposed = 0
-    for i in range(2000):
-        s = sample_germs(f, UNIT_SEGMENT, box, derive_stream(23, i))
-        accepted += len(s)
-        proposed += s.proposed
+    accepted = len(sample_block(f, UNIT_SEGMENT, box, 23, 0, 2000)[0])
+    # each replicate's proposal count is the first draw on its stream
+    mean = expected_germs(f, box)[1]
+    proposed = sum(int(derive_stream(23, i).poisson(mean)) for i in range(2000))
     m_bound = f.sup(box)
     p = (8.0 / 3.0) / (m_bound * box.volume)
     se = math.sqrt(p * (1.0 - p) / proposed)
     assert abs(accepted / proposed - p) < 3 * se
+
+
+def _block_law(kind: str, d: int) -> MarkDistribution:
+    steps = np.random.default_rng(d).uniform(-0.5, 0.5, (3, d))
+    vertices = np.vstack([np.zeros(d), np.cumsum(steps, axis=0)])
+    if kind == "random_segments":
+        return MarkDistribution("segment", length=LengthLaw("uniform", lo=0.0, hi=1.0),
+                                orientation=OrientationLaw("uniform", dim=d))
+    grain = {"point": Grain.point(d), "segment": Grain.segment(vertices[1]),
+             "polyline": Grain.polyline(vertices)}[kind]
+    return MarkDistribution("deterministic", grain=grain)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([1, 2, 3]),
+    st.sampled_from(["point", "segment", "polyline", "random_segments"]),
+    st.sampled_from([0.0, 0.5, 4.0]),
+    st.integers(0, 2 ** 64 - 1),
+    st.integers(0, 1000),
+    st.integers(0, 9),
+)
+@example(d=1, kind="point", proposals=0.5, seed=0, start=0, size=9)
+@example(d=3, kind="random_segments", proposals=0.5, seed=5, start=2, size=9)
+def test_block_is_its_one_replicate_blocks_concatenated(d, kind, proposals, seed, start, size):
+    """A block of replicates is, to the bit, the concatenation of the
+    blocks of its replicates one at a time, replicates with no germ
+    included: a replicate's draws do not depend on the block it is in."""
+    q = _block_law(kind, d)
+    box = Box(-np.ones(d), np.ones(d))
+    # f = c (1 + sum y), clipped at 0: thinning keeps about half the proposals
+    c = proposals / (box.volume * (1 + d))
+    f = IntensityField("affine", a=c, b=np.full(d, c))
+    germs, a, b, owner = sample_block(f, q, box, seed, start, start + size)
+    parts = [sample_block(f, q, box, seed, i, i + 1) for i in range(start, start + size)]
+    s = q.segments
+    assert germs.shape == (len(owner), d) and a.shape == b.shape == (len(owner), s, d)
+    for got, k in ((germs, 0), (a, 1), (b, 2)):
+        want = np.concatenate([np.zeros((0,) + got.shape[1:])] + [p[k] for p in parts])
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    want = np.concatenate([np.zeros(0, dtype=np.int64)] + [p[3] + j for j, p in enumerate(parts)])
+    assert np.array_equal(owner, want)
+    assert all(np.array_equal(p[3], np.zeros(len(p[0]))) for p in parts)
 
 
 def test_sample_germs_spatial_density_follows_f():
@@ -209,9 +265,7 @@ def test_sample_germs_spatial_density_follows_f():
     # P(|y|_inf <= 0.5) = ∫_inner f / ∫ f = (1/6)/(8/3) = 1/16
     f = IntensityField("quadratic")
     box = Box([-1.0, -1.0], [1.0, 1.0])
-    pts = np.vstack(
-        [sample_germs(f, UNIT_SEGMENT, box, derive_stream(5, i)).points for i in range(4000)]
-    )
+    pts = sample_block(f, UNIT_SEGMENT, box, 5, 0, 4000)[0]
     inner = np.all(np.abs(pts) <= 0.5, axis=1).mean()
     se = math.sqrt((1 / 16) * (15 / 16) / pts.shape[0])
     assert abs(inner - 1.0 / 16.0) < 4 * se
