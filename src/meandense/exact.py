@@ -43,16 +43,17 @@ def _mark_mean(q: MarkDistribution, mark_draws: int, rng, integrate) -> tuple[fl
     `integrate(a, b)` returns (values, ses) for the segment rows of
     mark_segments.  A deterministic or fixed law is one term, made without
     a draw, with that term's own SE.  A random law is the Monte Carlo mean
-    over `mark_draws` marks drawn from `rng`, with the SE of that mean.
+    over `mark_draws` marks on rng.random((q.uniforms, mark_draws)), with
+    the SE of that mean.
     """
     if q.is_deterministic:
-        vals, ses = integrate(*mark_segments(q, [1], [rng]))
+        vals, ses = integrate(*mark_segments(q, np.empty((1, 0))))
         return float(vals[0]), float(ses[0])
     if rng is None:
         raise ConfigurationError("random mark law needs a random stream")
     if mark_draws < 2:
         raise ConfigurationError("mark_draws must be at least 2 for a standard error")
-    vals, _ = integrate(*mark_segments(q, [mark_draws], [rng]))
+    vals, _ = integrate(*mark_segments(q, rng.random((q.uniforms, mark_draws)).T))
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(mark_draws))
 
 

@@ -80,10 +80,10 @@ class Box:
     def contains_box(self, other: "Box") -> bool:
         return bool(np.all(other.lo >= self.lo) and np.all(other.hi <= self.hi))
 
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        # the draws and values of rng.uniform(lo, hi, (count, d)), without
-        # its per-call argument checks
-        return self.lo + (self.hi - self.lo) * rng.random((count, self.dim))
+    def sample(self, u: np.ndarray) -> np.ndarray:
+        """The points lo + (hi - lo) u for uniforms u of shape (m, d): the
+        values of rng.uniform(lo, hi, (m, d)) on those uniforms."""
+        return self.lo + (self.hi - self.lo) * u
 
     def corners(self) -> np.ndarray:
         grids = np.meshgrid(*[(self.lo[k], self.hi[k]) for k in range(self.dim)], indexing="ij")

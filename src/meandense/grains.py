@@ -8,9 +8,9 @@ always available for guard zones.
 
 Every layer takes many grains at once as segment rows a, b of shape
 (K, s, d), s rows per grain (`Grain.rows` gives one grain's, a point being
-one zero-length row).  `mark_segments` is the one mark draw: it draws
-these rows from Q on a list of streams, a segment law's starting at the
-origin and a deterministic law's being one read-only view of its grain
+one zero-length row).  `mark_segments` is the one mark draw: it maps
+rows of uniforms to these rows, a segment law's starting at the origin
+and a deterministic law's being one read-only view of its grain
 repeated.  A field is integrated over each grain with respect to H^n by
 Gauss-Legendre quadrature (`line_integrals`) and over each grain's
 r-sausage (`sausage_integrals`): by exact product Gauss cubature for
@@ -172,19 +172,16 @@ class ShiftedField:
         return bool(inner and inner(Box(self._x - box.hi, self._x - box.lo)))
 
 
-def mark_segments(q: MarkDistribution, counts, rngs):
-    """Segment rows (a, b), each of shape (sum(counts), s, d), of grains
-    drawn from Q, counts[j] of them on rngs[j].  This is the one definition
-    of the mark draws: a segment law draws each stream's lengths, then its
-    directions, and its rows start at the origin; a deterministic law's
-    grain is repeated, as read-only views, without a draw."""
+def mark_segments(q: MarkDistribution, u: np.ndarray):
+    """Segment rows (a, b), each of shape (m, s, d), of m grains from Q,
+    grain k from the row u[k] of an (m, q.uniforms) array of uniforms.
+    The one definition of the mark draws: a segment law maps a row to its
+    length, then its direction, and its rows start at the origin; a
+    deterministic law's grain is repeated as read-only views."""
     if q.kind == "deterministic":
-        return tuple(np.broadcast_to(v, (sum(counts),) + v.shape) for v in q.grain.rows())
-    lengths, directions = [np.zeros(0)], [np.zeros((0, q.dim))]
-    for count, rng in zip(counts, rngs):
-        lengths.append(q.length.sample(rng, count))
-        directions.append(q.orientation.sample(rng, count))
-    b = (np.concatenate(lengths)[:, None] * np.concatenate(directions))[:, None, :]
+        return tuple(np.broadcast_to(v, (len(u),) + v.shape) for v in q.grain.rows())
+    k = q.length.uniforms
+    b = (q.length.sample(u[:, :k])[:, None] * q.orientation.sample(u[:, k:]))[:, None, :]
     return np.zeros(b.shape), b
 
 
@@ -401,14 +398,18 @@ class LengthLaw:
         num = math.factorial(k) / self.rate ** k * special.gammainc(k + 1, z)
         return num / special.gammainc(1, z)
 
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
+    @property
+    def uniforms(self) -> int:
+        return 0 if self.kind == "fixed" else 1
+
+    def sample(self, u: np.ndarray) -> np.ndarray:
+        """Lengths from the rows of an (m, uniforms) array of uniforms with
+        numpy's arithmetic: lo + (hi - lo) u as rng.uniform, or inversion."""
         if self.kind == "fixed":
-            return np.full(count, self.value)
+            return np.full(len(u), self.value)
         if self.kind == "uniform":
-            return rng.uniform(self.lo, self.hi, size=count)
-        # inversion restricted to [0, F(cap)]
-        u = rng.random(count) * (1.0 - math.exp(-self.rate * self.cap))
-        return -np.log1p(-u) / self.rate
+            return self.lo + (self.hi - self.lo) * u[:, 0]
+        return -np.log1p(-(u[:, 0] * (1.0 - math.exp(-self.rate * self.cap)))) / self.rate
 
 
 @dataclass(frozen=True)
@@ -445,18 +446,25 @@ class OrientationLaw:
             [st * math.cos(self.azimuth), st * math.sin(self.azimuth), math.cos(self.polar)]
         )
 
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
+    @property
+    def uniforms(self) -> int:
+        """A sign in d = 1, an angle in d = 2, (z, azimuth) in d = 3."""
+        return 0 if self.kind == "fixed" else max(1, self.dim - 1)
+
+    def sample(self, u: np.ndarray) -> np.ndarray:
+        """Unit directions (m, d) from an (m, uniforms) array of uniforms,
+        each angle as rng.uniform(lo, hi) computes it."""
         if self.kind == "fixed":
-            return np.tile(self.fixed_direction(), (count, 1))
+            return np.tile(self.fixed_direction(), (len(u), 1))
         if self.dim == 1:
-            return np.where(rng.random(count) < 0.5, 1.0, -1.0)[:, None]
-        out = np.empty((count, self.dim))  # np.stack costs 6 us, once per replicate
+            return np.where(u < 0.5, 1.0, -1.0)
+        out = np.empty((len(u), self.dim))
         if self.dim == 2:
-            ang = rng.uniform(0.0, 2.0 * math.pi, size=count)
+            ang = 2.0 * math.pi * u[:, 0]
             out[:, 0], out[:, 1] = np.cos(ang), np.sin(ang)
             return out
-        z = rng.uniform(-1.0, 1.0, size=count)
-        phi = rng.uniform(0.0, 2.0 * math.pi, size=count)
+        z = -1.0 + 2.0 * u[:, 0]
+        phi = 2.0 * math.pi * u[:, 1]
         s = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
         out[:, 0], out[:, 1], out[:, 2] = s * np.cos(phi), s * np.sin(phi), z
         return out
@@ -496,6 +504,13 @@ class MarkDistribution:
     @property
     def n(self) -> int:
         return self.grain.n if self.kind == "deterministic" else 1
+
+    @property
+    def uniforms(self) -> int:
+        """Uniforms per grain that mark_segments reads: length's, direction's."""
+        if self.kind == "deterministic":
+            return 0
+        return self.length.uniforms + self.orientation.uniforms
 
     @property
     def segments(self) -> int:

@@ -1,9 +1,13 @@
 """Deterministic derivation of independent random streams.
 
-A 64-bit seed and a replicate/task index are mixed through splitmix64
-(two finalization rounds) and the result keys a PCG64 generator.  The
-derivation is a pure function of (seed, index), so any parallel schedule
-that assigns work by index reproduces the serial results exactly.
+A 64-bit seed and a replicate/task index are mixed through splitmix64 into
+a stream key, so any schedule that assigns work by index reproduces the
+serial results.  The replicate engine reads counter-based uniforms of the
+keys of a whole block at once (Salmon, Moraes, Dror and Shaw, SC 2011, on
+the mixer of Steele, Lea and Flood, OOPSLA 2014); the exact, oracle and
+Minkowski routes draw from a PCG64 generator on the key.  uint64 products
+wrap modulo 2^64: silently on arrays, and on numpy scalars only under
+np.errstate(over="ignore"), since a wrapping scalar product warns.
 """
 
 from __future__ import annotations
@@ -13,27 +17,65 @@ import numpy as np
 from .errors import ConfigurationError
 
 _MASK = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 
-def _splitmix64(z: int) -> int:
-    z = (z + _GOLDEN) & _MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    return (z ^ (z >> 31)) & _MASK
+def _mix(z: np.ndarray) -> np.ndarray:
+    """The splitmix64 step of a uint64 array (in place) or scalar: add gamma,
+    then finalize."""
+    z += _GOLDEN
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _check(seed: int, *indices: int) -> None:
+    """Refuse a seed or index outside [0, 2^64), naming it: masking would
+    alias it with an in-range one."""
+    for name, value in (("seed", seed), *(("index", i) for i in indices)):
+        if not 0 <= value <= _MASK:
+            raise ConfigurationError(f"stream {name} must lie in [0, 2^64), got {value}")
 
 
 def derive_key(seed: int, index: int) -> int:
-    """64-bit stream key for replicate `index` under `seed`; both must lie
-    in [0, 2^64), so that no two inputs alias one stream."""
+    """The stream key splitmix64(splitmix64(seed) ^ index gamma) of task
+    `index` under `seed`."""
     seed, index = int(seed), int(index)
-    if not (0 <= seed <= _MASK and 0 <= index <= _MASK):
-        name, value = ("index", index) if 0 <= seed <= _MASK else ("seed", seed)
-        raise ConfigurationError(f"stream {name} must lie in [0, 2^64), got {value}")
-    return _splitmix64(_splitmix64(seed) ^ ((index * _GOLDEN) & _MASK))
+    _check(seed, index)
+    with np.errstate(over="ignore"):
+        return int(_mix(_mix(np.uint64(seed)) ^ (np.uint64(index) * _GOLDEN)))
+
+
+def block_keys(seed: int, start: int, stop: int) -> np.ndarray:
+    """uint64 keys of replicates start..stop-1 under `seed`, entry i - start
+    being derive_key(seed, i); the seed and every index are checked before
+    anything is allocated."""
+    seed, start, stop = int(seed), int(start), int(stop)
+    _check(seed, start, max(start, stop - 1))
+    index = np.arange(max(0, stop - start), dtype=np.uint64) + np.uint64(start)
+    index *= _GOLDEN
+    with np.errstate(over="ignore"):
+        index ^= _mix(np.uint64(seed))
+    return _mix(index)
+
+
+def uniforms(keys, k) -> np.ndarray:
+    """Output k of the splitmix64 stream of each key, finalize(key + (k + 1)
+    gamma) >> 11 times 2^-53, a uniform in [0, 1 - 2^-53]; keys and
+    counters broadcast to at least one dimension.  Replicates that read at
+    most K counters each share no state unless two keys lie within K
+    gamma-steps of each other, which for R replicates has probability
+    below R^2 K / 2^64."""
+    z = np.atleast_1d(np.asarray(k, dtype=np.uint64)) * _GOLDEN
+    z = _mix(z + np.asarray(keys, dtype=np.uint64))
+    z >>= np.uint64(11)
+    return z.view(np.int64) * 2.0 ** -53  # below 2^53: a signed view converts faster
 
 
 def derive_stream(seed: int, index: int) -> np.random.Generator:
-    """Independent generator for replicate `index`; identical inputs give
+    """Independent PCG64 generator for task `index`; identical inputs give
     an identical stream."""
     return np.random.Generator(np.random.PCG64(derive_key(seed, index)))

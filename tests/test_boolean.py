@@ -323,7 +323,7 @@ def test_to_csv_lists_every_grain(tmp_path):
         ([1.5, 1.5], Grain.polyline([[0.0, 0.0], [0.1, 0.0], [0.1, 0.1]])),
     ):
         q = MarkDistribution("deterministic", grain=grain)
-        a, b = mark_segments(q, [1], [None])
+        a, b = mark_segments(q, np.empty((1, 0)))
         lines = realization_text(np.array([germ]), a, b, q, tmp_path).strip().splitlines()
         assert lines[0] == "germ_0,germ_1,kind,params"
         assert len(lines) == 2

@@ -411,8 +411,9 @@ def test_expected_germ_count_is_capped_before_drawing(monkeypatch):
     huge = IntensityField("constant", c=1e12)
     box = Box([0.0, 0.0], [1.0, 1.0])
     message = f"expected germ count 1e\\+12 per realization exceeds the cap {MAX_EXPECTED_GERMS}"
-    # any draw would fail with AttributeError: the cap is checked first
-    monkeypatch.setattr("meandense.poisson.derive_stream", lambda seed, index: object())
+    # any key or uniform would fail with AttributeError: the cap is checked first
+    for name in ("block_keys", "uniforms"):
+        monkeypatch.setattr(f"meandense.poisson.{name}", lambda *args: object())
     with pytest.raises(ConfigurationError, match=message):
         sample_block(huge, RANDOM_SEGMENTS, box, 1, 0, 10)
     with pytest.raises(ConfigurationError, match="exceeds the cap"):

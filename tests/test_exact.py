@@ -208,12 +208,13 @@ def test_random_mark_oracle_draws_one_chunk_at_a_time(monkeypatch, draws, per_ma
     class RecordingRng:
         def __init__(self):
             self.sizes = []
+            self.marks = None
             self._rng = derive_stream(6, 0)
 
-        def uniform(self, *args, **kwargs):
-            return self._rng.uniform(*args, **kwargs)
-
         def random(self, size):
+            if self.marks is None:  # the first call draws the marks' uniforms
+                self.marks = size
+                return self._rng.random(size)
             assert size[0] <= chunk and size[1] == 2
             self.sizes.append(size)
             return self._rng.random(size)
@@ -222,6 +223,7 @@ def test_random_mark_oracle_draws_one_chunk_at_a_time(monkeypatch, draws, per_ma
     args = (MonteCarloField(CONSTANT), UNIFORM_SEGMENTS, [0.3, 0.3], 0.1)
     kwargs = dict(mc_points=draws * per_mark, mark_draws=draws)
     result = capacity_probability(*args, **kwargs, rng=rng)
+    assert rng.marks == (UNIFORM_SEGMENTS.uniforms, draws)
     assert sum(n * d for n, d in rng.sizes) == draws * per_mark * 2
     assert [n for n, _ in rng.sizes] == sizes
     assert result == capacity_probability(*args, **kwargs, rng=derive_stream(6, 0))
@@ -241,7 +243,7 @@ def _former_check_finiteness(f, q, radius, rng, mark_draws, points_per_mark):
     """The finiteness check that hitting_intensity at the origin replaced:
     the mean sausage integral of f(-.) over `mark_draws` marks of Q (a
     deterministic law's grain repeated), `points_per_mark` proposals each."""
-    a, b = mark_segments(q, [mark_draws], [rng])
+    a, b = mark_segments(q, rng.random((q.uniforms, mark_draws)).T)
     totals, _ = sausage_integrals(a, b, ShiftedField(f, np.zeros(q.dim)), radius,
                                   points_per_mark, rng)
     return float(totals.mean())

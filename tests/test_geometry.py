@@ -95,20 +95,20 @@ def test_box_corners_and_sample():
     corners = box.corners()
     assert corners.shape == (4, 2)
     rng = np.random.default_rng(0)
-    samples = box.sample(rng, 100)
+    samples = box.sample(rng.random((100, 2)))
     assert samples.shape == (100, 2)
     assert box.contains(samples).all()
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_box_sample_draws_exactly_what_uniform_draws(d):
-    """Box.sample keeps the stream and the values of Generator.uniform, so
-    germ locations and every CSV built on them stay as they were."""
+    """Box.sample maps uniforms to the values of Generator.uniform on
+    them, the arithmetic that germ locations are placed with."""
     box = Box([-1.7, -0.3, 2.2][:d], [2.9, 1.1, 7.5][:d])
     for seed in range(3):
         expected = np.random.default_rng(seed).uniform(box.lo, box.hi, size=(5000, d))
         rng = np.random.default_rng(seed)
-        assert np.array_equal(box.sample(rng, 5000), expected)
+        assert np.array_equal(box.sample(rng.random((5000, d))), expected)
         # the stream is left where uniform leaves it
         assert rng.random() == np.random.default_rng(seed).random(5000 * d + 1)[-1]
 

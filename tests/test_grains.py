@@ -150,7 +150,7 @@ def test_length_law_fixed():
     assert law.l_max == 1.5
     assert law.moment(3) == pytest.approx(1.5 ** 3)
     rng = np.random.default_rng(0)
-    assert np.all(law.sample(rng, 10) == 1.5)
+    assert np.all(law.sample(rng.random((10, law.uniforms))) == 1.5)
     with pytest.raises(ConfigurationError):
         LengthLaw("fixed", value=-1.0)
 
@@ -191,7 +191,7 @@ def test_length_law_samples_match_first_moment():
         LengthLaw("uniform", lo=0.5, hi=1.5),
         LengthLaw("trunc_exp", rate=1.0, cap=4.0),
     ):
-        draws = law.sample(rng, 200_000)
+        draws = law.sample(rng.random((200_000, law.uniforms)))
         assert draws.max() <= law.l_max + 1e-12
         se = draws.std(ddof=1) / math.sqrt(draws.size)
         assert abs(draws.mean() - law.moment(1)) < 4 * se
@@ -233,13 +233,13 @@ def test_orientation_fixed_directions():
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_orientation_uniform_unit_norm(dim):
     law = OrientationLaw("uniform", dim=dim)
-    dirs = law.sample(np.random.default_rng(1), 500)
+    dirs = law.sample(np.random.default_rng(1).random((500, law.uniforms)))
     assert dirs.shape == (500, dim)
     assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-9)
 
 
 def test_orientation_uniform_is_balanced():
-    dirs = OrientationLaw("uniform", dim=2).sample(np.random.default_rng(2), 100_000)
+    dirs = OrientationLaw("uniform", dim=2).sample(np.random.default_rng(2).random((100_000, 1)))
     # each coordinate has mean 0 and variance 1/2
     assert abs(dirs.mean(axis=0)).max() < 0.02
     assert np.allclose((dirs ** 2).mean(axis=0), 0.5, atol=0.02)
@@ -264,7 +264,7 @@ def test_mark_distribution_deterministic():
     assert q.l_max == pytest.approx(2.0)
     assert q.mean_hn() == pytest.approx(2.0)
     assert q.length_moment(3) == pytest.approx(8.0)
-    a, b = mark_segments(q, [1], [np.random.default_rng(0)])
+    a, b = mark_segments(q, np.empty((1, q.uniforms)))
     assert a.tolist() == [[[0.0, 0.0]]] and b.tolist() == [[q.grain.vertices[1].tolist()]]
 
 
@@ -277,7 +277,7 @@ def test_deterministic_rows_are_read_only_copies_of_the_grain(count):
     rng = np.random.default_rng(3)
     state = rng.bit_generator.state
     for _ in range(2):
-        a, b = mark_segments(q, [count], [rng])
+        a, b = mark_segments(q, rng.random((q.uniforms, count)).T)
         assert rng.bit_generator.state == state
         assert a.shape == b.shape == (count, 2, 3)
         assert np.array_equal(a, np.broadcast_to(grain.vertices[:-1], a.shape))
@@ -297,7 +297,8 @@ def test_mark_distribution_segment_law():
     assert q.n == 1 and q.dim == 2 and not q.is_deterministic
     assert q.l_max == pytest.approx(1.5)
     assert q.mean_hn() == pytest.approx(1.0)
-    lengths = np.linalg.norm(mark_segments(q, [1000], [np.random.default_rng(5)])[1][:, 0], axis=1)
+    b = mark_segments(q, np.random.default_rng(5).random((1000, q.uniforms)))[1]
+    lengths = np.linalg.norm(b[:, 0], axis=1)
     assert lengths.min() >= 0.5 and lengths.max() <= 1.5
 
 
@@ -307,9 +308,9 @@ def test_sample_marks_deterministic_per_stream():
         length=LengthLaw("uniform", lo=0.5, hi=1.5),
         orientation=OrientationLaw("uniform", dim=2),
     )
-    a = mark_segments(q, [10], [derive_stream(7, 3)])[1][:, 0]
-    b = mark_segments(q, [10], [derive_stream(7, 3)])[1][:, 0]
-    c = mark_segments(q, [10], [derive_stream(7, 4)])[1][:, 0]
+    a = mark_segments(q, derive_stream(7, 3).random((10, q.uniforms)))[1][:, 0]
+    b = mark_segments(q, derive_stream(7, 3).random((10, q.uniforms)))[1][:, 0]
+    c = mark_segments(q, derive_stream(7, 4).random((10, q.uniforms)))[1][:, 0]
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
     assert any(not np.array_equal(x, y) for x, y in zip(a, c))
 
@@ -363,7 +364,7 @@ def check_sampled(cert: RegularityCertificate, q: MarkDistribution, rng: np.rand
         if q.kind == "deterministic":
             g = q.grain
         else:
-            g = Grain.segment(mark_segments(q, [1], [rng])[1][0, 0])
+            g = Grain.segment(mark_segments(q, rng.random((1, q.uniforms)))[1][0, 0])
         if g.n == 0:
             continue  # trivially satisfied
         x = _random_point_on(g, rng)
@@ -514,7 +515,7 @@ def _reference_sausage(g, h, r, mc_points, rng, chunk):
     total = square = 0.0
     chunk //= len(a)
     for done in range(0, mc_points, chunk):
-        pts = box.sample(rng, min(chunk, mc_points - done))
+        pts = box.sample(rng.random((min(chunk, mc_points - done), box.dim)))
         dist = np.stack([_reference_distances(pts, ai, bi) for ai, bi in zip(a, b)])
         dist = dist.min(axis=0)
         vals = h.values(pts) * (dist <= r)
@@ -529,7 +530,7 @@ def _sampled_grains(q, count, rng):
     """`count` grain objects drawn from Q with the draws of mark_segments."""
     if q.kind == "deterministic":
         return [q.grain] * count
-    return [Grain.segment(v) for v in mark_segments(q, [count], [rng])[1][:, 0]]
+    return [Grain.segment(v) for v in mark_segments(q, rng.random((q.uniforms, count)).T)[1][:, 0]]
 
 
 def _kernel_law(law, d, shape_rng):
@@ -582,7 +583,8 @@ def test_sausage_kernel_equals_per_grain_reference(d, law, field, mc_points, cou
     chunk = 1000
     with mock.patch.object(grains, "SAUSAGE_CHUNK", chunk):
         rng = np.random.default_rng(seed)
-        est, se = sausage_integrals(*mark_segments(q, [count], [rng]), h, r, mc_points, rng)
+        est, se = sausage_integrals(*mark_segments(q, rng.random((q.uniforms, count)).T), h, r,
+                                     mc_points, rng)
     ref_rng = np.random.default_rng(seed)
     ref = [_reference_sausage(g, h, r, mc_points, ref_rng, chunk)
            for g in _sampled_grains(q, count, ref_rng)]
@@ -594,7 +596,7 @@ def test_sausage_kernel_equals_per_grain_reference(d, law, field, mc_points, cou
 def test_sausage_kernel_rejects_fewer_than_two_points():
     """One proposal per grain has no standard error: rejected by name,
     before any draw, whether the cubature would apply or not."""
-    a, b = mark_segments(_kernel_law("segment", 3, np.random.default_rng(0)), [2], [None])
+    a, b = mark_segments(_kernel_law("segment", 3, np.random.default_rng(0)), np.empty((2, 0)))
     rng = RecordingRng()
     for f in (IntensityField("affine", a=0.3, b=[1.0, 0.0, 0.0]),
               MonteCarloField(IntensityField("quadratic"))):
@@ -651,7 +653,7 @@ def test_line_kernel_equals_per_grain_reference(d, law, field, count, seed):
     q = _kernel_law(law, d, shape_rng)
     f = _kernel_field(field, d, shape_rng)
     h = ShiftedField(f, shape_rng.uniform(-1.0, 1.0, size=d))
-    a, b = mark_segments(q, [count], [np.random.default_rng(seed)])
+    a, b = mark_segments(q, np.random.default_rng(seed).random((q.uniforms, count)).T)
     assert line_integrals(a, b, h, q.n).tolist() == _reference_line_integrals(a, b, h, q.n)
 
 
@@ -727,7 +729,7 @@ def test_sausage_cubature_agrees_with_monte_carlo(d, law, field):
     }[field]
     x = shape_rng.uniform(-1.0, 1.0, size=d)
     rng = np.random.default_rng(0)
-    a, b = mark_segments(q, [4], [rng])
+    a, b = mark_segments(q, rng.random((q.uniforms, 4)).T)
     exact, exact_se = sausage_integrals(a, b, ShiftedField(f, x), 0.3, 20_000, rng)
     mc, mc_se = sausage_integrals(a, b, ShiftedField(MonteCarloField(f), x), 0.3, 20_000, rng)
     assert exact_se.tolist() == [0.0] * 4

@@ -1,9 +1,12 @@
 """Stream derivation: keys are a pure function of an in-range (seed, index)."""
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from meandense import ConfigurationError
-from meandense.streams import derive_key, derive_stream
+from meandense.streams import block_keys, derive_key, derive_stream, uniforms
 
 MASK = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -34,3 +37,41 @@ def test_out_of_range_seed_or_index_is_rejected(seed, index, name):
         derive_key(seed, index)
     with pytest.raises(ConfigurationError, match=name):
         derive_stream(seed, index)
+
+
+ENDS = st.sampled_from([0, 1, MASK]) | st.integers(0, MASK)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ENDS, ENDS, st.integers(0, 40))
+@example(seed=MASK, start=MASK - 3, size=4)
+@example(seed=0, start=0, size=0)
+def test_block_keys_are_the_derived_keys(seed, start, size):
+    start = min(start, MASK + 1 - size)
+    keys = block_keys(seed, start, start + size)
+    assert keys.dtype == np.uint64 and keys.shape == (size,)
+    for i in range(start, start + size):
+        key = _splitmix64(_splitmix64(seed) ^ ((i * GOLDEN) & MASK))
+        assert int(keys[i - start]) == derive_key(seed, i) == key
+
+
+@pytest.mark.parametrize("seed, start, stop", [(0, MASK, MASK + 2), (0, -1, 3), (-1, 0, 3)])
+def test_block_keys_refuse_a_range_past_the_last_key(seed, start, stop):
+    name = "seed" if seed < 0 else "index"
+    with pytest.raises(ConfigurationError, match=f"stream {name} must lie in"):
+        block_keys(seed, start, stop)
+
+
+@pytest.mark.parametrize("key", [0, 1, 12345, MASK])
+def test_uniforms_are_splitmix64_outputs(key):
+    """Output k of the splitmix64 stream started at the key, top 53 bits;
+    a scalar key or counter wraps without a RuntimeWarning."""
+    want = []
+    for k in range(6):
+        z = _splitmix64((key + k * GOLDEN) & MASK)
+        want.append((z >> 11) * 2.0 ** -53)
+    assert uniforms(np.uint64(key), np.arange(6)).tolist() == want
+    assert uniforms(key, 5).tolist() == want[5:]
+    keys = np.full((2, 1), key, dtype=np.uint64)
+    assert uniforms(keys, np.arange(6)).tolist() == [want, want]
+    assert 0.0 <= min(want) and max(want) <= 1.0 - 2.0 ** -53
