@@ -176,12 +176,11 @@ def mark_segments(q: MarkDistribution, u: np.ndarray):
     """Segment rows (a, b), each of shape (m, s, d), of m grains from Q,
     grain k from the row u[k] of an (m, q.uniforms) array of uniforms.
     The one definition of the mark draws: a segment law maps a row to its
-    length, then its direction, and its rows start at the origin; a
+    length and its direction, and its rows start at the origin; a
     deterministic law's grain is repeated as read-only views."""
     if q.kind == "deterministic":
         return tuple(np.broadcast_to(v, (len(u),) + v.shape) for v in q.grain.rows())
-    k = q.length.uniforms
-    b = (q.length.sample(u[:, :k])[:, None] * q.orientation.sample(u[:, k:]))[:, None, :]
+    b = (q.length.sample(u)[:, None] * q.orientation.sample(u))[:, None, :]
     return np.zeros(b.shape), b
 
 
@@ -398,13 +397,10 @@ class LengthLaw:
         num = math.factorial(k) / self.rate ** k * special.gammainc(k + 1, z)
         return num / special.gammainc(1, z)
 
-    @property
-    def uniforms(self) -> int:
-        return 0 if self.kind == "fixed" else 1
-
     def sample(self, u: np.ndarray) -> np.ndarray:
-        """Lengths from the rows of an (m, uniforms) array of uniforms with
-        numpy's arithmetic: lo + (hi - lo) u as rng.uniform, or inversion."""
+        """Lengths from the first column of an (m, k) array of uniforms (none
+        read when fixed) with numpy's arithmetic: lo + (hi - lo) u as
+        rng.uniform, or inversion."""
         if self.kind == "fixed":
             return np.full(len(u), self.value)
         if self.kind == "uniform":
@@ -446,25 +442,21 @@ class OrientationLaw:
             [st * math.cos(self.azimuth), st * math.sin(self.azimuth), math.cos(self.polar)]
         )
 
-    @property
-    def uniforms(self) -> int:
-        """A sign in d = 1, an angle in d = 2, (z, azimuth) in d = 3."""
-        return 0 if self.kind == "fixed" else max(1, self.dim - 1)
-
     def sample(self, u: np.ndarray) -> np.ndarray:
-        """Unit directions (m, d) from an (m, uniforms) array of uniforms,
-        each angle as rng.uniform(lo, hi) computes it."""
+        """Unit directions (m, d) from the last columns of an (m, k) array of
+        uniforms (none read when fixed): a sign in d = 1, an angle in d = 2,
+        (z, azimuth) in d = 3, each as rng.uniform(lo, hi) computes it."""
         if self.kind == "fixed":
             return np.tile(self.fixed_direction(), (len(u), 1))
         if self.dim == 1:
-            return np.where(u < 0.5, 1.0, -1.0)
+            return np.where(u[:, -1:] < 0.5, 1.0, -1.0)
         out = np.empty((len(u), self.dim))
         if self.dim == 2:
-            ang = 2.0 * math.pi * u[:, 0]
+            ang = 2.0 * math.pi * u[:, -1]
             out[:, 0], out[:, 1] = np.cos(ang), np.sin(ang)
             return out
-        z = -1.0 + 2.0 * u[:, 0]
-        phi = 2.0 * math.pi * u[:, 1]
+        z = -1.0 + 2.0 * u[:, -2]
+        phi = 2.0 * math.pi * u[:, -1]
         s = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
         out[:, 0], out[:, 1], out[:, 2] = s * np.cos(phi), s * np.sin(phi), z
         return out
@@ -507,10 +499,12 @@ class MarkDistribution:
 
     @property
     def uniforms(self) -> int:
-        """Uniforms per grain that mark_segments reads: length's, direction's."""
+        """Uniforms per grain that mark_segments reads: one for a random
+        length, then the direction's, d - 1 (a sign in d = 1) when random."""
         if self.kind == "deterministic":
             return 0
-        return self.length.uniforms + self.orientation.uniforms
+        direction = max(1, self.dim - 1) if self.orientation.kind != "fixed" else 0
+        return (self.length.kind != "fixed") + direction
 
     @property
     def segments(self) -> int:

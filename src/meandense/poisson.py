@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .geometry import Box, as_point
 from .grains import MarkDistribution, mark_segments
-from .streams import block_keys, uniforms
+from .streams import GAMMA, block_keys, uniforms
 
 INTENSITY_KINDS = ("constant", "quadratic", "affine", "piecewise")
 
@@ -157,19 +157,22 @@ def sample_block(f, q: MarkDistribution, box: Box, seed: int, start: int, stop: 
     else:  # no proposal, and no count to draw
         proposed = np.zeros(len(keys), dtype=np.int64)
     owner = np.repeat(np.arange(len(keys)), proposed)
-    j = np.arange(len(owner)) - np.repeat(np.cumsum(proposed) - proposed, proposed)
-    # each proposal's key and the counter of its first uniform; uniforms are
-    # drawn as (columns, proposals), so that every operation runs along the
-    # proposals, and the points are made C-ordered for the field
-    key = np.repeat(keys, proposed)
-    first = (1 + j * (d + 1 + q.uniforms)).astype(np.uint64)
-    column = np.arange(d + 1 + q.uniforms, dtype=np.uint64)[:, None]
-    pts = np.ascontiguousarray(box.sample(uniforms(key, first + column[:d]).T))
+    # proposal j of replicate i, the t-th of the block, reads counters
+    # 1 + j W + c of key_i: output c of key_i + (1 + j W) gamma, that is of
+    # its replicate's base plus t W gamma.  Uniforms come as (columns,
+    # proposals), so every operation runs along the proposals
+    w = d + 1 + q.uniforms
+    step = np.full(1, w, dtype=np.uint64) * GAMMA  # an array: a wrapping scalar warns
+    base = keys + GAMMA - (np.cumsum(proposed) - proposed).astype(np.uint64) * step
+    key = np.repeat(base, proposed) + np.arange(len(owner), dtype=np.uint64) * step
+    column = np.arange(w, dtype=np.uint64)[:, None]
+    pts = np.ascontiguousarray(box.sample(uniforms(key, column[:d]).T))  # C order for f
     vals = f.values(pts)
     accept = vals >= m_bound  # u M < M <= f(y) for every u < 1
     thin = np.flatnonzero(~accept)
     if thin.size:
-        accept[thin] = uniforms(key[thin], first[thin] + column[d]) * m_bound < vals[thin]
+        thin = thin if thin.size < len(accept) else slice(None)  # all thinned: no gather
+        accept[thin] = uniforms(key[thin], column[d]) * m_bound < vals[thin]
         kept = np.flatnonzero(accept)
-        pts, owner, key, first = pts[kept], owner[kept], key[kept], first[kept]
-    return pts, *mark_segments(q, uniforms(key, first + column[d + 1:]).T), owner
+        pts, owner, key = pts[kept], owner[kept], key[kept]
+    return pts, *mark_segments(q, uniforms(key, column[d + 1:]).T), owner

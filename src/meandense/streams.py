@@ -5,9 +5,9 @@ a stream key, so any schedule that assigns work by index reproduces the
 serial results.  The replicate engine reads counter-based uniforms of the
 keys of a whole block at once (Salmon, Moraes, Dror and Shaw, SC 2011, on
 the mixer of Steele, Lea and Flood, OOPSLA 2014); the exact, oracle and
-Minkowski routes draw from a PCG64 generator on the key.  uint64 products
-wrap modulo 2^64: silently on arrays, and on numpy scalars only under
-np.errstate(over="ignore"), since a wrapping scalar product warns.
+Minkowski routes draw from a PCG64 generator on the key.  Every uint64
+product runs on an array, where it wraps modulo 2^64 silently: on a numpy
+scalar it would warn.
 """
 
 from __future__ import annotations
@@ -17,13 +17,15 @@ import numpy as np
 from .errors import ConfigurationError
 
 _MASK = (1 << 64) - 1
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+# splitmix64's increment: output k of a key's stream mixes key + (k + 1) GAMMA
+GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_PIECE = 1 << 14  # uniforms mixed per pass, so that a pass stays in cache
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
-    """The splitmix64 step of a uint64 array (in place) or scalar: add gamma,
-    then finalize."""
-    z += _GOLDEN
+    """The splitmix64 step of a uint64 array, in place: add gamma, then
+    finalize."""
+    z += GAMMA
     z ^= z >> np.uint64(30)
     z *= np.uint64(0xBF58476D1CE4E5B9)
     z ^= z >> np.uint64(27)
@@ -43,10 +45,7 @@ def _check(seed: int, *indices: int) -> None:
 def derive_key(seed: int, index: int) -> int:
     """The stream key splitmix64(splitmix64(seed) ^ index gamma) of task
     `index` under `seed`."""
-    seed, index = int(seed), int(index)
-    _check(seed, index)
-    with np.errstate(over="ignore"):
-        return int(_mix(_mix(np.uint64(seed)) ^ (np.uint64(index) * _GOLDEN)))
+    return int(block_keys(seed, index, int(index) + 1)[0])
 
 
 def block_keys(seed: int, start: int, stop: int) -> np.ndarray:
@@ -56,9 +55,8 @@ def block_keys(seed: int, start: int, stop: int) -> np.ndarray:
     seed, start, stop = int(seed), int(start), int(stop)
     _check(seed, start, max(start, stop - 1))
     index = np.arange(max(0, stop - start), dtype=np.uint64) + np.uint64(start)
-    index *= _GOLDEN
-    with np.errstate(over="ignore"):
-        index ^= _mix(np.uint64(seed))
+    index *= GAMMA
+    index ^= _mix(np.array([seed], dtype=np.uint64))
     return _mix(index)
 
 
@@ -69,10 +67,15 @@ def uniforms(keys, k) -> np.ndarray:
     most K counters each share no state unless two keys lie within K
     gamma-steps of each other, which for R replicates has probability
     below R^2 K / 2^64."""
-    z = np.atleast_1d(np.asarray(k, dtype=np.uint64)) * _GOLDEN
-    z = _mix(z + np.asarray(keys, dtype=np.uint64))
-    z >>= np.uint64(11)
-    return z.view(np.int64) * 2.0 ** -53  # below 2^53: a signed view converts faster
+    z = np.atleast_1d(np.asarray(k, dtype=np.uint64)) * GAMMA
+    z = z + np.asarray(keys, dtype=np.uint64)
+    out = np.empty(z.shape)
+    z, flat = z.reshape(-1), out.reshape(-1)
+    for i in range(0, z.size, _PIECE):
+        part = _mix(z[i:i + _PIECE])
+        part >>= np.uint64(11)  # below 2^53: the signed view converts faster
+        np.multiply(part.view(np.int64), 2.0 ** -53, out=flat[i:i + _PIECE])
+    return out
 
 
 def derive_stream(seed: int, index: int) -> np.random.Generator:

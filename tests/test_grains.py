@@ -150,7 +150,7 @@ def test_length_law_fixed():
     assert law.l_max == 1.5
     assert law.moment(3) == pytest.approx(1.5 ** 3)
     rng = np.random.default_rng(0)
-    assert np.all(law.sample(rng.random((10, law.uniforms))) == 1.5)
+    assert np.all(law.sample(rng.random((10, 0))) == 1.5)
     with pytest.raises(ConfigurationError):
         LengthLaw("fixed", value=-1.0)
 
@@ -191,7 +191,7 @@ def test_length_law_samples_match_first_moment():
         LengthLaw("uniform", lo=0.5, hi=1.5),
         LengthLaw("trunc_exp", rate=1.0, cap=4.0),
     ):
-        draws = law.sample(rng.random((200_000, law.uniforms)))
+        draws = law.sample(rng.random((200_000, 1)))
         assert draws.max() <= law.l_max + 1e-12
         se = draws.std(ddof=1) / math.sqrt(draws.size)
         assert abs(draws.mean() - law.moment(1)) < 4 * se
@@ -233,7 +233,7 @@ def test_orientation_fixed_directions():
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_orientation_uniform_unit_norm(dim):
     law = OrientationLaw("uniform", dim=dim)
-    dirs = law.sample(np.random.default_rng(1).random((500, law.uniforms)))
+    dirs = law.sample(np.random.default_rng(1).random((500, max(1, dim - 1))))
     assert dirs.shape == (500, dim)
     assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-9)
 
