@@ -7,7 +7,7 @@ empirical capacity functional of simulated realizations, and the weighted
 Minkowski-content limit of sausage integrals.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .boolean import Realizations, simulate
 from .config import ScenarioConfig, parse_config
@@ -21,7 +21,6 @@ from .estimate import (
     density_estimate,
     empirical_capacity,
     histogram_reduction,
-    simulate_density_estimate,
 )
 from .exact import (
     DensityField,
@@ -43,4 +42,3 @@ from .grains import (
 )
 from .minkowski import MinkowskiRun, bound_check, content_limit, sausage_integral
 from .poisson import IntensityField, sample_block
-from .streams import derive_stream

@@ -31,7 +31,7 @@ from .grains import RegularityCertificate
 from .minkowski import bound_check, content_limit, ratio_bound
 from .parallel import default_threads, parallel_map
 from .poisson import sample_block
-from .streams import derive_stream
+from .streams import block_keys
 
 SUBCOMMANDS = ("exact", "estimate", "study", "minkowski", "simulate", "oracle")
 
@@ -174,11 +174,7 @@ def run_simulate(cfg: ScenarioConfig, seed: int, threads: int, out_dir: Path):
 
 
 def _oracle_task(args):
-    f, q, x, r, mc_points, mark_draws, seed, index = args
-    return capacity_probability(
-        f, q, x, r, mc_points=mc_points, mark_draws=mark_draws,
-        rng=derive_stream(seed, index),
-    )
+    return capacity_probability(*args)
 
 
 def run_oracle(cfg: ScenarioConfig, seed: int, threads: int, out_dir: Path):
@@ -186,10 +182,9 @@ def run_oracle(cfg: ScenarioConfig, seed: int, threads: int, out_dir: Path):
         raise ConfigurationError("oracle needs r_grid")
     xs = cfg.grid_points()
     cells = [(x, float(r)) for x in xs for r in cfg.r_grid]
-    tasks = [
-        (cfg.intensity, cfg.marks, x, r, cfg.mc_points, cfg.mark_draws, seed, index)
-        for index, (x, r) in enumerate(cells)
-    ]
+    keys = block_keys(seed, 0, len(cells))
+    tasks = [(cfg.intensity, cfg.marks, x, r, cfg.mc_points, cfg.mark_draws, int(k))
+             for (x, r), k in zip(cells, keys)]
     results = parallel_map(_oracle_task, tasks, threads)
     norm = ball_volume(cfg.d - cfg.n)
     header = [f"x{k + 1}" for k in range(cfg.d)] + ["r", "prob", "se", "ratio"]

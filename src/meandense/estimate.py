@@ -220,28 +220,6 @@ def accumulate_hits(
     return ind, cnt
 
 
-def simulate_density_estimate(
-    f,
-    q: MarkDistribution,
-    x,
-    n_samples: int,
-    radius: float,
-    seed: int,
-    index0: int = 0,
-    threads: int = 1,
-) -> EstimateReport:
-    """Streaming version of density_estimate: simulates its own replicates
-    on a window just covering the query ball, then applies the identical
-    estimator arithmetic."""
-    if n_samples < 1:
-        raise ConfigurationError(f"n_samples must be at least 1, got {n_samples}")
-    if not radius > 0:
-        raise ConfigurationError("bandwidth radius must be positive")
-    x = as_point(x, dim=q.dim)
-    ind, _ = accumulate_hits(f, q, [x], [radius], n_samples, seed, index0, threads)
-    return _report_from_hits(x, int(ind[0, 0]), n_samples, q.dim, q.n, radius)
-
-
 # ---------------------------------------------------------------------------
 # convergence study
 

@@ -81,8 +81,7 @@ class Box:
         return bool(np.all(other.lo >= self.lo) and np.all(other.hi <= self.hi))
 
     def sample(self, u: np.ndarray) -> np.ndarray:
-        """The points lo + (hi - lo) u for uniforms u of shape (m, d): the
-        values of rng.uniform(lo, hi, (m, d)) on those uniforms."""
+        """The points lo + (hi - lo) u for uniforms u of shape (m, d)."""
         return self.lo + (self.hi - self.lo) * u
 
     def corners(self) -> np.ndarray:
@@ -114,11 +113,10 @@ def segment_distances(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarr
     return dist
 
 
-def clipped_lengths(a: np.ndarray, b: np.ndarray, box: Box) -> np.ndarray:
-    """Lengths of the clipped sub-segments of m segments (a, b) inside box;
-    vectorized Liang-Barsky over all axes at once."""
-    a = np.atleast_2d(a)
-    b = np.atleast_2d(b)
+def clip_parameters(a: np.ndarray, b: np.ndarray, box: Box) -> tuple[np.ndarray, np.ndarray]:
+    """Liang-Barsky entry and exit parameters t0, t1 in [0, 1] of segments
+    (a, b), broadcast over the leading axes, with the box: the clipped
+    segment is a + [t0, t1] (b - a) unless t0 > t1 or it misses a slab."""
     d = b - a
     par = d == 0.0
     # slab parameters of every axis at once; a parallel axis divides by
@@ -127,10 +125,16 @@ def clipped_lengths(a: np.ndarray, b: np.ndarray, box: Box) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ta = (box.lo - a) / d
         tb = (box.hi - a) / d
-    t0 = np.where(par, 0.0, np.minimum(ta, tb)).max(axis=1, initial=0.0)
-    t1 = np.where(par, 1.0, np.maximum(ta, tb)).min(axis=1, initial=1.0)
+    t0 = np.where(par, 0.0, np.minimum(ta, tb)).max(axis=-1, initial=0.0)
+    t1 = np.where(par, 1.0, np.maximum(ta, tb)).min(axis=-1, initial=1.0)
+    return t0, t1
+
+
+def clipped_lengths(a: np.ndarray, b: np.ndarray, box: Box) -> np.ndarray:
+    """Lengths of the clipped sub-segments of m segments (a, b) inside box."""
+    a, b = np.atleast_2d(a), np.atleast_2d(b)
+    d = b - a
+    t0, t1 = clip_parameters(a, b, box)
     # a segment parallel to an axis lies in that slab or misses the box
-    inside = np.all(~par | ((a >= box.lo) & (a <= box.hi)), axis=1)
-    span = np.clip(t1 - t0, 0.0, None)
-    span = np.where(inside & (t1 >= t0), span, 0.0)
-    return span * np.linalg.norm(d, axis=1)
+    inside = np.all((d != 0.0) | ((a >= box.lo) & (a <= box.hi)), axis=1)
+    return np.where(inside & (t1 >= t0), t1 - t0, 0.0) * np.linalg.norm(d, axis=1)

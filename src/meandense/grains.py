@@ -12,11 +12,12 @@ one zero-length row).  `mark_segments` is the one mark draw: it maps
 rows of uniforms to these rows, a segment law's starting at the origin
 and a deterministic law's being one read-only view of its grain
 repeated.  A field is integrated over each grain with respect to H^n by
-Gauss-Legendre quadrature (`line_integrals`) and over each grain's
-r-sausage (`sausage_integrals`): by exact product Gauss cubature for
-segment and point grains under a field that states it is a polynomial of
-degree <= 2 there, by chunked Monte Carlo otherwise.  `integrate_along`
-and `sausage_integral` are their one-grain calls.
+Gauss-Legendre quadrature between the points where it states it is not
+smooth (`line_integrals`) and over each grain's r-sausage
+(`sausage_integrals`): by exact product Gauss cubature for segment and
+point grains under a field that states it is a polynomial of degree <= 2
+there, by chunked Monte Carlo on the uniforms of one key otherwise.
+`integrate_along` and `sausage_integral` are their one-grain calls.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericError
 from .geometry import Box, as_point, segment_distances
+from .streams import skip, uniforms
 
 DEFAULT_QUADRATURE_ORDER = 8
 
@@ -122,10 +124,12 @@ def line_integrals(
     """Integrals of the field h (its `values`) with respect to H^n over
     each of K grains, given as segment rows a, b of shape (K, s, d).
 
-    Fixed-order Gauss-Legendre per row (exact for polynomials of degree
-    <= 2*order - 1), summed over each grain's rows; for n = 0 the grain is
-    the point a[:, 0] and its integral is h there.  A non-finite field
-    value raises NumericError at its node."""
+    Fixed-order Gauss-Legendre (exact for polynomials of degree <= 2*order
+    - 1) on each piece of a row between the parameters in [0, 1] where h
+    states that it is not smooth along it (`h.splits(a, b)`, none when h
+    makes no statement), summed over each grain's rows; for n = 0 the
+    grain is the point a[:, 0] and its integral is h there.  A non-finite
+    field value raises NumericError at its node."""
     n_grains, segments, d = a.shape
     if n == 0:
         pts = a[:, 0]
@@ -133,12 +137,20 @@ def line_integrals(
         if order < 1:
             raise ConfigurationError("quadrature order must be positive")
         t, weights = _gauss(order, 0.0, 1.0)
+        statement = getattr(h, "splits", None)
+        cuts = statement(a, b) if statement else None
+        if cuts is not None:  # the rule on each piece [edge_i, edge_i+1]
+            edges = np.sort(np.pad(np.clip(cuts, 0.0, 1.0), ((0, 0), (0, 0), (1, 1)),
+                                   constant_values=(0.0, 1.0)), axis=-1)
+            width = np.diff(edges, axis=-1)[..., None]
+            t = (edges[..., :-1, None] + width * t).reshape(n_grains, segments, -1)
+            weights = (width * weights).reshape(n_grains, segments, -1)
         ab = b - a
-        # node j of a row at a + t_j (b - a), (K, s, order, d); an outer
-        # product swapped is twice as fast as broadcasting over d.  The
-        # nodes go to h in C order: an affine field's matrix product can
-        # round differently on a transposed layout
-        pts = np.multiply.outer(ab, t).swapaxes(2, 3)
+        # node j of a row at a + t_j (b - a), (K, s, nodes, d); a product
+        # swapped is twice as fast as broadcasting over d.  The nodes go to
+        # h in C order: an affine field's matrix product can round
+        # differently on a transposed layout
+        pts = (ab[..., None] * t[..., None, :]).swapaxes(2, 3)
         pts += a[:, :, None, :]
         pts = np.ascontiguousarray(pts).reshape(-1, d)
     vals = h.values(pts)
@@ -146,7 +158,7 @@ def line_integrals(
         raise NumericError("non-finite field value", point=pts[~np.isfinite(vals)][0])
     if n == 0:
         return vals
-    vals = vals.reshape(n_grains, segments, order)
+    vals = vals.reshape(n_grains, segments, -1)
     return ((vals * weights).sum(axis=2) * np.linalg.norm(ab, axis=2)).sum(axis=1)
 
 
@@ -171,6 +183,12 @@ class ShiftedField:
         inner = getattr(self._f, "polynomial_on", None)
         return bool(inner and inner(Box(self._x - box.hi, self._x - box.lo)))
 
+    def splits(self, a: np.ndarray, b: np.ndarray):
+        """f's split parameters of the rows x - a, x - b, the same points of
+        the rows; None when f states none."""
+        inner = getattr(self._f, "splits", None)
+        return inner(self._x - a, self._x - b) if inner else None
+
 
 def mark_segments(q: MarkDistribution, u: np.ndarray):
     """Segment rows (a, b), each of shape (m, s, d), of m grains from Q,
@@ -184,18 +202,16 @@ def mark_segments(q: MarkDistribution, u: np.ndarray):
     return np.zeros(b.shape), b
 
 
-def sausage_integral(
-    g: Grain, h, r: float, mc_points: int, rng: np.random.Generator
-) -> tuple[float, float]:
+def sausage_integral(g: Grain, h, r: float, mc_points: int, key) -> tuple[float, float]:
     """MC estimate (and SE) of the integral of h over the r-sausage Z⊕r of
     one grain: sausage_integrals with K = 1."""
     a, b = g.rows()
-    est, se = sausage_integrals(a[None], b[None], h, r, mc_points, rng)
+    est, se = sausage_integrals(a[None], b[None], h, r, mc_points, key)
     return float(est[0]), float(se[0])
 
 
 def sausage_integrals(
-    a: np.ndarray, b: np.ndarray, h, r: float, mc_points: int, rng: np.random.Generator
+    a: np.ndarray, b: np.ndarray, h, r: float, mc_points: int, key
 ) -> tuple[np.ndarray, np.ndarray]:
     """Estimates (and SEs) of the integral of h over the r-sausage of
     each of K grains, given as segment rows a, b of shape (K, s, d).
@@ -204,11 +220,11 @@ def sausage_integrals(
     polynomial of degree <= 2 on the sausages' bounding box
     (`h.polynomial_on(box)`), the integrals are exact cubature: no draw,
     SE 0.  Otherwise grain k gets `mc_points` (at least 2) uniform
-    proposals on its bounding box dilated by r.  Proposals are drawn in
-    grain order, at most SAUSAGE_CHUNK // s points per draw, each measured
-    against all s rows of its grain at once: a draw holds several whole
-    grains or a piece of one grain, so the stream yields the same uniforms
-    as one grain at a time would."""
+    proposals on its bounding box dilated by r, coordinate c of proposal j
+    on counter (k mc_points + j) d + c of `key`.  A chunk holds whole
+    grains or a piece of one, at most SAUSAGE_CHUNK // s proposals, each
+    measured against all s rows of its grain at once; a grain's sums add
+    its pieces' sums, so a chunk that splits no grain changes no bit."""
     if not (0.0 < r < 2.0):
         raise ConfigurationError("radius must lie in (0, 2)")
     if mc_points < 2:
@@ -220,7 +236,7 @@ def sausage_integrals(
     if (segments == 1 and n_grains and statement
             and statement(Box(lo.min(axis=0), hi.max(axis=0)))):
         return _sausage_cubature(a[:, 0], b[:, 0], h, r), np.zeros(n_grains)
-    if rng is None:
+    if key is None:
         raise ConfigurationError("Monte Carlo sausage integral needs a random stream")
     span = hi - lo
     volume = np.prod(span, axis=1)
@@ -228,15 +244,16 @@ def sausage_integrals(
     squares = np.zeros(n_grains)
     chunk = max(1, SAUSAGE_CHUNK // segments)
     piece = min(mc_points, chunk)
-    per_draw = chunk // piece
-    for k0 in range(0, n_grains, per_draw):
-        ks = slice(k0, min(n_grains, k0 + per_draw))
+    per_chunk = chunk // piece
+    for k0 in range(0, n_grains, per_chunk):
+        ks = slice(k0, min(n_grains, k0 + per_chunk))
         count = ks.stop - k0
         lo_k, span_k = lo[ks, None, :], span[ks, None, :]
         for done in range(0, mc_points, piece):
             m = min(piece, mc_points - done)
+            keys = skip(key, (np.arange(k0, ks.stop) * mc_points + done) * d)[:, None]
             # lo + span * u, computed in the uniforms' own array
-            pts = rng.random((count * m, d)).reshape(count, m, d)
+            pts = uniforms(keys, np.arange(m * d)).reshape(count, m, d)
             pts *= span_k
             pts += lo_k
             # (count, s, m): a min over a trailing s axis is 1.6x slower
@@ -399,8 +416,7 @@ class LengthLaw:
 
     def sample(self, u: np.ndarray) -> np.ndarray:
         """Lengths from the first column of an (m, k) array of uniforms (none
-        read when fixed) with numpy's arithmetic: lo + (hi - lo) u as
-        rng.uniform, or inversion."""
+        read when fixed): lo + (hi - lo) u, or inversion."""
         if self.kind == "fixed":
             return np.full(len(u), self.value)
         if self.kind == "uniform":
@@ -445,7 +461,7 @@ class OrientationLaw:
     def sample(self, u: np.ndarray) -> np.ndarray:
         """Unit directions (m, d) from the last columns of an (m, k) array of
         uniforms (none read when fixed): a sign in d = 1, an angle in d = 2,
-        (z, azimuth) in d = 3, each as rng.uniform(lo, hi) computes it."""
+        (z, azimuth) in d = 3, each as lo + (hi - lo) u."""
         if self.kind == "fixed":
             return np.tile(self.fixed_direction(), (len(u), 1))
         if self.dim == 1:

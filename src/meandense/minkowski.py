@@ -23,7 +23,7 @@ from .errors import ConfigurationError
 from .geometry import ball_volume
 from .grains import Grain, RegularityCertificate, integrate_along, sausage_integral
 from .parallel import parallel_map
-from .streams import derive_stream
+from .streams import block_keys
 
 
 @dataclass(eq=False)
@@ -39,9 +39,7 @@ class MinkowskiRun:
 
 
 def _radius_task(args):
-    shape, f, r, mc_points, seed, index = args
-    est, se = sausage_integral(shape, f, r, mc_points, derive_stream(seed, index))
-    return est, se
+    return sausage_integral(*args)
 
 
 def content_limit(
@@ -54,7 +52,8 @@ def content_limit(
 ) -> MinkowskiRun:
     """Estimate the ratio at every radius and extrapolate linearly in r to
     zero using the two smallest radii; the target side ∫_S f dH^n comes
-    from quadrature, independent of the sausage route."""
+    from quadrature, independent of the sausage route; radius i (largest
+    first) reads the key derive_key(seed, i)."""
     r_grid = np.asarray(sorted(r_grid, reverse=True), dtype=float)
     if r_grid.size < 3:
         raise ConfigurationError("r_grid: need at least three radii for the extrapolation")
@@ -64,9 +63,8 @@ def content_limit(
         raise ConfigurationError("all radii must lie in (0, 2)")
     codim = shape.dim - shape.n
     norm = ball_volume(codim)
-    tasks = [
-        (shape, f, float(r), mc_points, seed, i) for i, r in enumerate(r_grid)
-    ]
+    keys = block_keys(seed, 0, len(r_grid))
+    tasks = [(shape, f, float(r), mc_points, int(k)) for r, k in zip(r_grid, keys)]
     results = parallel_map(_radius_task, tasks, threads)
     ratios = np.array([est / (norm * r ** codim) for (est, _), r in zip(results, r_grid)])
     ses = np.array([se / (norm * r ** codim) for (_, se), r in zip(results, r_grid)])

@@ -5,7 +5,9 @@ an inhomogeneous Poisson process with density f and every germ carries an
 independent mark.  A field is anything with `values(pts)`, its values at
 the rows of an (m, d) array, and `sup(box)`, an upper bound on a box;
 it may also state `polynomial_on(box)`, which lets the sausage kernel
-integrate it exactly.  `IntensityField` is the one implementation.
+integrate it exactly, and `splits(a, b)`, where it is not smooth along
+segment rows, which keeps the line kernel exact.  `IntensityField` is the
+one implementation.
 Thinning (acceptance-rejection against the box bound) is exact for any
 bounded f.  `sample_block` is the one replicate draw: a block of
 replicates, each on counter-based uniforms of its own key, as arrays of
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import Box, as_point
+from .geometry import Box, as_point, clip_parameters
 from .grains import MarkDistribution, mark_segments
 from .streams import GAMMA, block_keys, uniforms
 
@@ -98,6 +100,20 @@ class IntensityField:
         if self.kind == "affine":
             return bool(np.all(self.a + box.corners() @ self.b > 0.0))
         return self.kind in ("constant", "quadratic")
+
+    def splits(self, a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+        """Parameters t, shape (..., m), of the rows a + t (b - a), shape
+        (..., d), between which f is smooth (one outside [0, 1] splits
+        nothing): each piece's entry and exit for piecewise, the zero of
+        a + b·y for affine, None for constant and quadratic."""
+        if self.kind == "piecewise" and self.pieces:
+            return np.stack([t for box, _ in self.pieces
+                             for t in clip_parameters(a, b, box)], axis=-1)
+        if self.kind != "affine":
+            return None
+        with np.errstate(divide="ignore", invalid="ignore"):  # a row along a level set
+            zero = -(self.a + a @ self.b) / ((b - a) @ self.b)
+        return np.nan_to_num(zero, nan=0.0)[..., None]
 
 
 # cap on the expected germ count of one realization: a draw allocates a few

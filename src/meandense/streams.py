@@ -2,12 +2,12 @@
 
 A 64-bit seed and a replicate/task index are mixed through splitmix64 into
 a stream key, so any schedule that assigns work by index reproduces the
-serial results.  The replicate engine reads counter-based uniforms of the
-keys of a whole block at once (Salmon, Moraes, Dror and Shaw, SC 2011, on
-the mixer of Steele, Lea and Flood, OOPSLA 2014); the exact, oracle and
-Minkowski routes draw from a PCG64 generator on the key.  Every uint64
-product runs on an array, where it wraps modulo 2^64 silently: on a numpy
-scalar it would warn.
+serial results.  `uniforms`, the program's one source of randomness, is
+output k of a key's splitmix64 stream, a pure function of the key and the
+counter k (Salmon, Moraes, Dror and Shaw, SC 2011, on the mixer of Steele,
+Lea and Flood, OOPSLA 2014): each task documents the counters it reads.
+Every uint64 product runs on an array, where it wraps modulo 2^64
+silently: on a numpy scalar it would warn.
 """
 
 from __future__ import annotations
@@ -60,6 +60,15 @@ def block_keys(seed: int, start: int, stop: int) -> np.ndarray:
     return _mix(index)
 
 
+def skip(keys, counters) -> np.ndarray:
+    """The uint64 keys + counters gamma, whose counter k is counter
+    `counters` + k of `keys`; both broadcast to at least one dimension."""
+    if isinstance(keys, int) and not 0 <= keys <= _MASK:  # a caller's key, named
+        raise ConfigurationError(f"stream key must lie in [0, 2^64), got {keys}")
+    counters = np.atleast_1d(np.asarray(counters, dtype=np.uint64))
+    return counters * GAMMA + np.asarray(keys, dtype=np.uint64)
+
+
 def uniforms(keys, k) -> np.ndarray:
     """Output k of the splitmix64 stream of each key, finalize(key + (k + 1)
     gamma) >> 11 times 2^-53, a uniform in [0, 1 - 2^-53]; keys and
@@ -67,8 +76,7 @@ def uniforms(keys, k) -> np.ndarray:
     most K counters each share no state unless two keys lie within K
     gamma-steps of each other, which for R replicates has probability
     below R^2 K / 2^64."""
-    z = np.atleast_1d(np.asarray(k, dtype=np.uint64)) * GAMMA
-    z = z + np.asarray(keys, dtype=np.uint64)
+    z = skip(keys, k)
     out = np.empty(z.shape)
     z, flat = z.reshape(-1), out.reshape(-1)
     for i in range(0, z.size, _PIECE):
@@ -76,9 +84,3 @@ def uniforms(keys, k) -> np.ndarray:
         part >>= np.uint64(11)  # below 2^53: the signed view converts faster
         np.multiply(part.view(np.int64), 2.0 ** -53, out=flat[i:i + _PIECE])
     return out
-
-
-def derive_stream(seed: int, index: int) -> np.random.Generator:
-    """Independent PCG64 generator for task `index`; identical inputs give
-    an identical stream."""
-    return np.random.Generator(np.random.PCG64(derive_key(seed, index)))

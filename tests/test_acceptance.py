@@ -40,7 +40,7 @@ from meandense.estimate import _report_from_hits, accumulate_hits
 from meandense.geometry import Box
 from meandense.grains import ShiftedField
 from meandense.minkowski import limit_diagnostics
-from meandense.streams import derive_stream
+from meandense.streams import derive_key
 
 THREADS = 4
 
@@ -159,7 +159,7 @@ def test_criterion_04_stationary_corollary():
 def test_criterion_05_deterministic_grain_closed_form():
     """exact_density of the deterministic unit-segment law equals
     x1² - x1 + 1/3 + x2² to 1e-9 at 20 random points (quadratic intensity)."""
-    rng = derive_stream(505, 0)
+    rng = np.random.default_rng(derive_key(505, 0))
     unit_segment = MarkDistribution("deterministic", grain=UNIT_SEGMENT_GRAIN)
     worst = 0.0
     for _ in range(20):
@@ -231,7 +231,7 @@ def test_criterion_07_measure_level_identity():
 def test_criterion_08_histogram_equivalence():
     """n = 0 reduction: bit-identical to the point-grain estimator for 1e3
     random queries; a 1e5-sample uniform histogram is consistent at 0.5."""
-    rng = derive_stream(808, 0)
+    rng = np.random.default_rng(derive_key(808, 0))
     samples = rng.random(200)
     window = Box([-1.0], [2.0])
     # one point grain per realization, at its sample
@@ -246,7 +246,7 @@ def test_criterion_08_histogram_equivalence():
         b = density_estimate(embedded, [x], r).lambda_hat
         identical = identical and (a == b)
 
-    big = derive_stream(808, 1).random(100_000)
+    big = np.random.default_rng(derive_key(808, 1)).random(100_000)
     r = 0.02
     val = histogram_reduction(big, 0.5, r)
     p_hat = val * 2.0 * r
@@ -298,7 +298,7 @@ def test_criterion_09_grain_count_route():
     reference_ok = True
     for j, r in enumerate(rs):
         lam, lam_se = sausage_integral(UNIT_SEGMENT_GRAIN, ShiftedField(QUADRATIC, np.zeros(2)),
-                                       r, 1_000_000, derive_stream(911, j))
+                                       r, 1_000_000, derive_key(911, j))
         hand = 2.0 * r * (1.0 / 3.0 + math.pi * r / 4.0 + r ** 2 + math.pi * r ** 3 / 4.0)
         reference_ok = reference_ok and abs(lam - hand) <= 3.0 * lam_se + 1e-12 * hand
         sausage_devs.append((lam - hand) / hand)

@@ -22,7 +22,7 @@ from meandense.geometry import Box, ball_volume
 from meandense.grains import RegularityCertificate
 from meandense.minkowski import content_limit, ratio_bound
 from meandense.poisson import sample_block
-from meandense.streams import derive_stream
+from meandense.streams import derive_key
 
 FULL_CONFIG = """
 # exercise every common key
@@ -693,7 +693,7 @@ def test_cli_oracle_runs(tmp_path, capsys):
     coords = [(x, r) for x in sc.grid_points() for r in sc.r_grid]
     results = [  # the task of (point i, radius j) draws on stream index i * len(r_grid) + j
         capacity_probability(sc.intensity, sc.marks, x, r, mc_points=sc.mc_points,
-                             mark_draws=sc.mark_draws, rng=derive_stream(sc.seed, index))
+                             mark_draws=sc.mark_draws, key=derive_key(sc.seed, index))
         for index, (x, r) in enumerate(coords)
     ]
     assert csv == oracle_csv_020(sc, coords, results)

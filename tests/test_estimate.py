@@ -24,14 +24,13 @@ from meandense import (
     empirical_capacity,
     histogram_reduction,
     simulate,
-    simulate_density_estimate,
 )
 from meandense import estimate as estimate_module
 from meandense.boolean import checked_guard_margin
-from meandense.estimate import _indicator_density, accumulate_hits
+from meandense.estimate import _indicator_density, _report_from_hits, accumulate_hits
 from meandense.geometry import Box, ball_volume, segment_distances
 from meandense.poisson import sample_block
-from meandense.streams import derive_stream
+from meandense.streams import derive_key
 
 CONSTANT = IntensityField("constant", c=1.0)
 UNIT_SEGMENT = MarkDistribution("deterministic", grain=Grain.segment(np.array([1.0, 0.0])))
@@ -117,12 +116,7 @@ def test_density_estimate_validation():
     for radius in (0.0, math.nan):
         with pytest.raises(ConfigurationError, match="radius"):
             density_estimate(batch, [0.5, 0.5], radius)
-    # the streaming twin refuses the same radius, and no replicates, by name
     x = [0.5, 0.5]
-    for n_samples, radius, name in ((10, 0.0, "radius"), (10, math.nan, "radius"),
-                                    (0, 0.1, "n_samples")):
-        with pytest.raises(ConfigurationError, match=name):
-            simulate_density_estimate(CONSTANT, RANDOM_SEGMENTS, x, n_samples, radius, seed=1)
     # the streaming counter: zero replicates are zero totals, fewer are refused
     zero = accumulate_hits(CONSTANT, RANDOM_SEGMENTS, [x], [0.1], 0, seed=1)
     assert [t.tolist() for t in zero] == [[[0]], [[0]]]
@@ -247,7 +241,7 @@ def point_batch(samples, window):
 
 
 def test_histogram_bit_identity_with_point_grain_estimator():
-    rng = derive_stream(8, 0)
+    rng = np.random.default_rng(derive_key(8, 0))
     samples = rng.random(500)
     realizations = point_batch(samples, Box([-1.0], [2.0]))
     for x, r in ((0.5, 0.1), (0.25, 0.05), (0.8, 0.2)):
@@ -422,11 +416,18 @@ def test_expected_germ_count_is_capped_before_drawing(monkeypatch):
         accumulate_hits(huge, RANDOM_SEGMENTS, [[0.5, 0.5]], [0.1], 10, seed=1)
 
 
-def test_simulate_density_estimate_matches_list_route():
+def _streaming_report(x, n, r, seed):
+    """The CLI's estimate at one point: accumulate_hits on a window just
+    covering the query ball, then the estimator arithmetic."""
+    ind, _ = accumulate_hits(CONSTANT, RANDOM_SEGMENTS, [x], [r], n, seed)
+    return _report_from_hits(x, int(ind[0, 0]), n, 2, 1, r)
+
+
+def test_streaming_hits_match_list_route():
     """The streaming estimator must agree exactly with the list-based one
     when both consume identical realizations (same streams and window)."""
     x, r, n = np.array([0.5, 0.5]), 0.1, 250
-    rep = simulate_density_estimate(CONSTANT, RANDOM_SEGMENTS, x, n, r, seed=12)
+    rep = _streaming_report(x, n, r, seed=12)
     window = Box(x - r, x + r)
     batch = simulate(CONSTANT, RANDOM_SEGMENTS, window, r, n, seed=12)
     direct = density_estimate(batch, x, r)
@@ -437,7 +438,7 @@ def test_simulate_density_estimate_matches_list_route():
 def test_streaming_estimator_is_consistent_oracle():
     # stationary model: λ = c E[L] = 1; expectation of λ̂ is P(r)/(2r)
     x, r, n = np.array([0.5, 0.5]), 0.05, 4000
-    rep = simulate_density_estimate(CONSTANT, RANDOM_SEGMENTS, x, n, r, seed=13)
+    rep = _streaming_report(x, n, r, seed=13)
     expected = (1.0 - math.exp(-(2 * r + math.pi * r * r))) / (2 * r)
     assert abs(rep.lambda_hat - expected) < 3 * rep.standard_error
 

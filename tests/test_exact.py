@@ -1,6 +1,7 @@
 """Exact density routes: quadrature, mark Monte Carlo and void probability."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,8 +22,10 @@ from meandense import (
     integrate_along,
 )
 from meandense.cli import main
+from meandense.config import parse_config
+from meandense.geometry import clipped_lengths
 from meandense.grains import ShiftedField, mark_segments, sausage_integrals
-from meandense.streams import derive_stream
+from meandense.streams import derive_key, skip, uniforms
 
 
 class Field:
@@ -103,7 +106,7 @@ def test_deterministic_grain_and_fixed_law_are_one_path(field):
     )
     x = [0.4, -0.7]
     assert exact_density(field, grain, x) == exact_density(field, fixed, x)
-    probs = [capacity_probability(field, q, x, 0.2, mc_points=5000, rng=derive_stream(12, 0))
+    probs = [capacity_probability(field, q, x, 0.2, mc_points=5000, key=derive_key(12, 0))
              for q in (grain, fixed)]
     assert probs[0] == probs[1]
     assert (probs[0][1] == 0.0) == (field is QUADRATIC)
@@ -114,14 +117,14 @@ def test_exact_density_requires_stream_for_random_law():
         exact_density(QUADRATIC, UNIFORM_SEGMENTS, [0.0, 0.0])
     with pytest.raises(ConfigurationError):
         exact_density(QUADRATIC, UNIFORM_SEGMENTS, [0.0, 0.0], mark_draws=1,
-                      rng=derive_stream(0, 0))
+                      key=derive_key(0, 0))
 
 
 def test_exact_density_matches_closed_form():
     # (x1² + x2²) E[L] + E[L³]/3 for unit-length uniform-orientation segments
     for x in ([0.0, 0.0], [1.0, 0.0], [0.5, -0.5]):
         val, se = exact_density(QUADRATIC, UNIFORM_SEGMENTS, x, mark_draws=4000,
-                                rng=derive_stream(1, 0))
+                                key=derive_key(1, 0))
         expected = analytic_segment_density(1.0, 1.0, x)
         assert abs(val - expected) < max(3 * se, 1e-3)
 
@@ -135,7 +138,7 @@ def test_exact_density_random_lengths():
     el = q.length.moment(1)
     el3 = q.length.moment(3)
     x = [0.5, 0.5]
-    val, se = exact_density(QUADRATIC, q, x, mark_draws=20_000, rng=derive_stream(2, 0))
+    val, se = exact_density(QUADRATIC, q, x, mark_draws=20_000, key=derive_key(2, 0))
     assert se > 0.0
     assert abs(val - analytic_segment_density(el, el3, x)) < 3 * se
 
@@ -150,7 +153,7 @@ def test_capacity_probability_stationary_oracle():
     # c = 1, L ≡ 1: Λ(sausage) = 2r + πr², P = 1 - exp(-Λ)
     r = 0.1
     prob, se = capacity_probability(
-        CONSTANT, UNIT_SEGMENT, [0.0, 0.0], r, mc_points=400_000, rng=derive_stream(3, 0)
+        CONSTANT, UNIT_SEGMENT, [0.0, 0.0], r, mc_points=400_000, key=derive_key(3, 0)
     )
     expected = 1.0 - math.exp(-(2 * r + math.pi * r * r))
     assert se == 0.0
@@ -161,72 +164,62 @@ def test_capacity_probability_random_marks():
     r = 0.1
     prob, se = capacity_probability(
         CONSTANT, UNIFORM_SEGMENTS, [0.3, 0.3], r,
-        mc_points=200_000, mark_draws=100, rng=derive_stream(4, 0),
+        mc_points=200_000, mark_draws=100, key=derive_key(4, 0),
     )
     expected = 1.0 - math.exp(-(2 * r + math.pi * r * r))
     assert abs(prob - expected) < max(3 * se, 2e-3)
 
 
+def _recording_uniforms(monkeypatch, module):
+    """The sizes of the uniforms arrays that `module` reads, call by call."""
+    sizes = []
+
+    def recording(keys, k):
+        out = uniforms(keys, k)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(module, "uniforms", recording)
+    return sizes
+
+
 def test_sausage_proposals_are_drawn_one_chunk_at_a_time(monkeypatch):
-    """10^6 proposals in d = 2 never take more than one chunk of memory."""
+    """10^6 proposals in d = 2 never take more than one chunk of memory,
+    and the chunk changes no value: the proposals sit on fixed counters,
+    and under f ≡ 1 every piece's sums are whole numbers."""
     from meandense import grains
 
+    args = (MonteCarloField(CONSTANT), UNIT_SEGMENT, [0.0, 0.0], 0.1)
+    whole = capacity_probability(*args, mc_points=1_000_000, key=derive_key(5, 0))
     chunk = 300_000
     monkeypatch.setattr(grains, "SAUSAGE_CHUNK", chunk)
-
-    class RecordingRng:
-        def __init__(self):
-            self.sizes = []
-            self._rng = derive_stream(5, 0)
-
-        def random(self, size):
-            assert size[0] <= chunk and size[1] == 2
-            self.sizes.append(size[0])
-            return self._rng.random(size)
-
-    rng = RecordingRng()
-    prob, se = capacity_probability(
-        MonteCarloField(CONSTANT), UNIT_SEGMENT, [0.0, 0.0], 0.1, mc_points=1_000_000, rng=rng
-    )
-    assert rng.sizes == [chunk, chunk, chunk, 100_000]
+    sizes = _recording_uniforms(monkeypatch, grains)
+    prob, se = capacity_probability(*args, mc_points=1_000_000, key=derive_key(5, 0))
+    assert [n // 2 for n in sizes] == [chunk, chunk, chunk, 100_000]
+    assert (prob, se) == whole
     expected = 1.0 - math.exp(-(0.2 + math.pi * 0.01))
     assert abs(prob - expected) < 3 * se
 
 
 @pytest.mark.parametrize("draws, per_mark, sizes", [
-    (10, 300, [900, 900, 900, 300]),   # three whole marks share a draw
-    (3, 2500, [1000, 1000, 500] * 3),  # each mark is split over three draws
+    (10, 300, [900, 900, 900, 300]),   # three whole marks share a chunk
+    (3, 2500, [1000, 1000, 500] * 3),  # each mark is split over three chunks
 ])
 def test_random_mark_oracle_draws_one_chunk_at_a_time(monkeypatch, draws, per_mark, sizes):
-    """The batched mark sum draws its draws × per_mark proposals in calls of
-    at most one chunk, and recording the calls changes no value."""
-    from meandense import grains
+    """The batched mark sum reads its marks' uniforms in one call and its
+    draws × per_mark proposals in calls of at most one chunk, and a small
+    chunk changes no value (under f ≡ 1 also where it splits a mark)."""
+    from meandense import exact, grains
 
-    chunk = 1000
-    monkeypatch.setattr(grains, "SAUSAGE_CHUNK", chunk)
-
-    class RecordingRng:
-        def __init__(self):
-            self.sizes = []
-            self.marks = None
-            self._rng = derive_stream(6, 0)
-
-        def random(self, size):
-            if self.marks is None:  # the first call draws the marks' uniforms
-                self.marks = size
-                return self._rng.random(size)
-            assert size[0] <= chunk and size[1] == 2
-            self.sizes.append(size)
-            return self._rng.random(size)
-
-    rng = RecordingRng()
     args = (MonteCarloField(CONSTANT), UNIFORM_SEGMENTS, [0.3, 0.3], 0.1)
-    kwargs = dict(mc_points=draws * per_mark, mark_draws=draws)
-    result = capacity_probability(*args, **kwargs, rng=rng)
-    assert rng.marks == (UNIFORM_SEGMENTS.uniforms, draws)
-    assert sum(n * d for n, d in rng.sizes) == draws * per_mark * 2
-    assert [n for n, _ in rng.sizes] == sizes
-    assert result == capacity_probability(*args, **kwargs, rng=derive_stream(6, 0))
+    kwargs = dict(mc_points=draws * per_mark, mark_draws=draws, key=derive_key(6, 0))
+    whole = capacity_probability(*args, **kwargs)
+    monkeypatch.setattr(grains, "SAUSAGE_CHUNK", 1000)
+    marks = _recording_uniforms(monkeypatch, exact)
+    proposals = _recording_uniforms(monkeypatch, grains)
+    assert capacity_probability(*args, **kwargs) == whole
+    assert marks == [UNIFORM_SEGMENTS.uniforms * draws]
+    assert [n // 2 for n in proposals] == sizes
 
 
 def test_capacity_probability_radius_validation():
@@ -236,16 +229,19 @@ def test_capacity_probability_radius_validation():
     # a random law needs two mark draws for a standard error, as in exact_density
     with pytest.raises(ConfigurationError, match="mark_draws"):
         capacity_probability(CONSTANT, UNIFORM_SEGMENTS, [0.0, 0.0], 0.1, mark_draws=1,
-                             rng=derive_stream(0, 0))
+                             key=derive_key(0, 0))
 
 
-def _former_check_finiteness(f, q, radius, rng, mark_draws, points_per_mark):
+def _former_check_finiteness(f, q, radius, key, mark_draws, points_per_mark):
     """The finiteness check that hitting_intensity at the origin replaced:
     the mean sausage integral of f(-.) over `mark_draws` marks of Q (a
-    deterministic law's grain repeated), `points_per_mark` proposals each."""
-    a, b = mark_segments(q, rng.random((q.uniforms, mark_draws)).T)
+    deterministic law's grain repeated), `points_per_mark` proposals each,
+    the marks on the first mark_draws × U counters of the key and the
+    proposals on the ones after."""
+    counters = np.arange(mark_draws * q.uniforms).reshape(mark_draws, q.uniforms)
+    a, b = mark_segments(q, uniforms(key, counters))
     totals, _ = sausage_integrals(a, b, ShiftedField(f, np.zeros(q.dim)), radius,
-                                  points_per_mark, rng)
+                                  points_per_mark, skip(key, counters.size))
     return float(totals.mean())
 
 
@@ -268,26 +264,26 @@ def _finiteness_law(law, d):
 def test_hitting_intensity_at_origin_equals_former_finiteness_check(d, field, law):
     """With mc_points = mark_draws × points_per_mark, a random law makes the
     former check's draws and gets its value bit for bit; a deterministic
-    law is one term over the same uniforms, equal within 1e-15 relative."""
+    law is one term over the same uniforms (proposal j of mark k is
+    proposal k points_per_mark + j of the one grain), equal within 1e-15
+    relative."""
     q = _finiteness_law(law, d)
     draws, per_mark = 50, 64
-    rng, ref_rng = derive_stream(21, d), derive_stream(21, d)
     est, _ = hitting_intensity(field, q, np.zeros(d), 0.3, mc_points=draws * per_mark,
-                               mark_draws=draws, rng=rng)
-    ref = _former_check_finiteness(field, q, 0.3, ref_rng, draws, per_mark)
+                               mark_draws=draws, key=derive_key(21, d))
+    ref = _former_check_finiteness(field, q, 0.3, derive_key(21, d), draws, per_mark)
     if q.is_deterministic:
         assert abs(est - ref) <= 1e-15 * abs(ref)
     else:
         assert est == ref
-    assert rng.random() == ref_rng.random()
 
 
 def test_capacity_probability_is_one_minus_exp_of_hitting_intensity():
     for field in (QUADRATIC, MonteCarloField(QUADRATIC)):
         for q in (UNIT_SEGMENT, UNIFORM_SEGMENTS):
             args = (field, q, [0.3, -0.2], 0.15, 4000, 40)
-            lam, lam_se = hitting_intensity(*args, rng=derive_stream(22, 0))
-            prob = capacity_probability(*args, rng=derive_stream(22, 0))
+            lam, lam_se = hitting_intensity(*args, key=derive_key(22, 0))
+            prob = capacity_probability(*args, key=derive_key(22, 0))
             assert prob == (1.0 - math.exp(-lam), math.exp(-lam) * lam_se)
 
 
@@ -297,7 +293,7 @@ def test_hitting_intensity_refusals():
     for draws in (0, 1):
         with pytest.raises(ConfigurationError, match="mark_draws"):
             hitting_intensity(CONSTANT, UNIFORM_SEGMENTS, [0.0, 0.0], 0.1, mark_draws=draws,
-                              rng=derive_stream(0, 0))
+                              key=derive_key(0, 0))
     with pytest.raises(ConfigurationError, match="random mark law needs a random stream"):
         hitting_intensity(CONSTANT, UNIFORM_SEGMENTS, [0.0, 0.0], 0.1)
     with pytest.raises(ConfigurationError, match="random mark law needs a random stream"):
@@ -342,3 +338,22 @@ def test_density_grid_csv_format(tmp_path):
         0.25 ** 2 - 0.25 + 1.0 / 3.0 + 0.25, abs=1e-12
     )
     assert cells[4] == "exact_quadrature"
+
+
+def test_exact_rows_of_polyline_piecewise_equal_clipped_lengths(tmp_path):
+    """The field of polyline_piecewise.cfg is constant on each piece, so
+    each exact.csv value is the sum of value × clipped length of the
+    reflected grain rows x - a, x - b over the pieces, within 1e-12 (one
+    8-node rule across the jump at x1 = 0.5 wrote 0.98458 for 1.00978 at
+    (0.75, 0.5))."""
+    path = Path(__file__).resolve().parents[1] / "configs" / "polyline_piecewise.cfg"
+    cfg = parse_config(path.read_text())
+    out = tmp_path / "run"
+    assert main(["exact", "--config", str(path), "--out", str(out), "--threads", "1"]) == 0
+    rows = [line.split(",") for line in (out / "exact.csv").read_text().splitlines()[1:]]
+    a, b = cfg.marks.grain.rows()
+    assert len(rows) == len(cfg.grid_points()) == 2
+    for row, x in zip(rows, cfg.grid_points()):
+        ref = sum(value * clipped_lengths(x - a, x - b, box).sum()
+                  for box, value in cfg.intensity.pieces)
+        assert abs(float(row[2]) - ref) <= 1e-12 * ref and float(row[3]) == 0.0

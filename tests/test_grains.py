@@ -1,5 +1,6 @@
 """Grain shapes, mark laws and the regularity certificate."""
 
+import contextlib
 import math
 from unittest import mock
 
@@ -21,16 +22,16 @@ from meandense import (
     integrate_along,
 )
 from meandense import grains
-from meandense.geometry import Box, as_point, segment_distances
+from meandense.geometry import Box, as_point, clipped_lengths, segment_distances
 from meandense.grains import (
     ShiftedField,
     line_integrals,
     mark_segments,
     sausage_integrals,
 )
-from meandense.exact import capacity_probability, hitting_intensity
+from meandense.exact import capacity_probability, exact_density, hitting_intensity
 from meandense.poisson import IntensityField
-from meandense.streams import derive_stream
+from meandense.streams import derive_key, skip, uniforms
 
 
 class Field:
@@ -308,9 +309,10 @@ def test_sample_marks_deterministic_per_stream():
         length=LengthLaw("uniform", lo=0.5, hi=1.5),
         orientation=OrientationLaw("uniform", dim=2),
     )
-    a = mark_segments(q, derive_stream(7, 3).random((10, q.uniforms)))[1][:, 0]
-    b = mark_segments(q, derive_stream(7, 3).random((10, q.uniforms)))[1][:, 0]
-    c = mark_segments(q, derive_stream(7, 4).random((10, q.uniforms)))[1][:, 0]
+    counters = np.arange(10 * q.uniforms).reshape(10, q.uniforms)
+    a = mark_segments(q, uniforms(derive_key(7, 3), counters))[1][:, 0]
+    b = mark_segments(q, uniforms(derive_key(7, 3), counters))[1][:, 0]
+    c = mark_segments(q, uniforms(derive_key(7, 4), counters))[1][:, 0]
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
     assert any(not np.array_equal(x, y) for x, y in zip(a, c))
 
@@ -475,10 +477,10 @@ def test_certificate_check_sampled():
         length=LengthLaw("uniform", lo=0.5, hi=1.5),
         orientation=OrientationLaw("uniform", dim=2),
     )
-    assert check_sampled(cert, q, derive_stream(0, 0), trials=500)
+    assert check_sampled(cert, q, np.random.default_rng(derive_key(0, 0)), trials=500)
     # a gamma that is too large must be caught
     greedy = RegularityCertificate(gamma=3.0)
-    assert not check_sampled(greedy, q, derive_stream(0, 1), trials=500)
+    assert not check_sampled(greedy, q, np.random.default_rng(derive_key(0, 1)), trials=500)
 
 
 # ---------------------------------------------------------------------------
@@ -505,32 +507,62 @@ def _reference_distances(pts, a, b):
     return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
-def _reference_sausage(g, h, r, mc_points, rng, chunk):
-    """The sausage integral of one grain object on its own: Box.sample at
-    most `chunk` point-segment pairs at a time, the nearest of its segments
-    per point."""
+MASK = (1 << 64) - 1
+
+
+def _uniform(key: int, k: int) -> float:
+    """Output k of the splitmix64 stream of `key`, in pure Python."""
+    z = (key + (k + 1) * 0x9E3779B97F4A7C15) & MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
+    return ((z ^ (z >> 31)) >> 11) * 2.0 ** -53
+
+
+def _reference_sausage(g, h, r, mc_points, key, first, chunk=10 ** 6):
+    """The sausage integral of one grain object on its own, on the
+    documented counters: coordinate c of proposal j reads counter
+    (first + j) d + c of `key` (first = k mc_points for grain k), one
+    uniform at a time, the nearest of its segments per point, and its sums
+    add the sums of pieces of chunk // s proposals."""
     a, b = g.rows()
     corners = np.vstack([a, b])
-    box = Box(corners.min(axis=0) - r, corners.max(axis=0) + r)
+    lo, hi = corners.min(axis=0) - r, corners.max(axis=0) + r
+    d = len(lo)
+    u = np.array([[_uniform(key, (first + j) * d + c) for c in range(d)]
+                  for j in range(mc_points)])
+    pts = u * (hi - lo) + lo
+    dist = np.stack([_reference_distances(pts, ai, bi) for ai, bi in zip(a, b)]).min(axis=0)
+    vals = h.values(pts) * (dist <= r)
     total = square = 0.0
-    chunk //= len(a)
-    for done in range(0, mc_points, chunk):
-        pts = box.sample(rng.random((min(chunk, mc_points - done), box.dim)))
-        dist = np.stack([_reference_distances(pts, ai, bi) for ai, bi in zip(a, b)])
-        dist = dist.min(axis=0)
-        vals = h.values(pts) * (dist <= r)
-        total += float(vals.sum())
-        square += float((vals * vals).sum())
+    step = chunk // len(a)
+    for done in range(0, mc_points, step):
+        total += float(vals[done:done + step].sum())
+        square += float((vals[done:done + step] * vals[done:done + step]).sum())
     mean = total / mc_points
     var = max(square / mc_points - mean * mean, 0.0)
-    return box.volume * mean, box.volume * math.sqrt(var / mc_points)
+    volume = float(np.prod(hi - lo))
+    return volume * mean, volume * math.sqrt(var / mc_points)
+
+
+@contextlib.contextmanager
+def _recording_uniforms(module=grains):
+    """The sizes of the uniforms arrays that `module` reads, call by call."""
+    sizes = []
+
+    def recording(keys, k):
+        out = uniforms(keys, k)
+        sizes.append(out.size)
+        return out
+
+    with mock.patch.object(module, "uniforms", recording):
+        yield sizes
 
 
 def _sampled_grains(q, count, rng):
     """`count` grain objects drawn from Q with the draws of mark_segments."""
     if q.kind == "deterministic":
         return [q.grain] * count
-    return [Grain.segment(v) for v in mark_segments(q, rng.random((q.uniforms, count)).T)[1][:, 0]]
+    return [Grain.segment(v) for v in mark_segments(q, rng.random((count, q.uniforms)))[1][:, 0]]
 
 
 def _kernel_law(law, d, shape_rng):
@@ -560,52 +592,83 @@ def _kernel_field(field, d, shape_rng):
     d=st.sampled_from([1, 2, 3]),
     law=st.sampled_from(["point", "segment", "polyline", "zero_length", "random"]),
     field=st.sampled_from(["constant", "quadratic", "affine"]),
-    mc_points=st.integers(2, 2500),
+    mc_points=st.integers(2, 250),
     count=st.integers(1, 6),
     r=st.floats(0.01, 1.9),
-    seed=st.integers(0, 2 ** 32 - 1),
+    seed=st.integers(0, 2 ** 64 - 1),
 )
-@example(d=2, law="random", field="quadratic", mc_points=300, count=5, r=0.3, seed=1)
-@example(d=3, law="polyline", field="affine", mc_points=2300, count=2, r=0.5, seed=2)
-@example(d=1, law="zero_length", field="constant", mc_points=999, count=3, r=0.1, seed=3)
-@example(d=3, law="segment", field="affine", mc_points=2001, count=2, r=1.0, seed=0)
+@example(d=2, law="random", field="quadratic", mc_points=30, count=5, r=0.3, seed=1)
+@example(d=3, law="polyline", field="affine", mc_points=230, count=2, r=0.5, seed=2)
+@example(d=1, law="zero_length", field="constant", mc_points=99, count=3, r=0.1, seed=3)
+@example(d=3, law="segment", field="affine", mc_points=201, count=2, r=1.0, seed=2 ** 64 - 1)
 def test_sausage_kernel_equals_per_grain_reference(d, law, field, mc_points, count, r, seed):
-    """With a chunk of 1000 point-row pairs, 1000 // s points of a grain of
-    s rows, grains share a draw (mc_points <= 500 // s) or are split over
-    several (mc_points > 1000 // s); either way every
-    estimate and SE equals, to the bit, that of the grain on its own, and
-    the stream is left in the same state.  A split grain's tail may be one
-    point (mc_points = 2001): one grain in that draw."""
-    shape_rng = np.random.default_rng(seed)
+    """With a chunk of 100 point-row pairs, 100 // s points of a grain of s
+    rows, grains share a chunk (mc_points <= 50 // s) or are split over
+    several (mc_points > 100 // s), and no uniforms call reads more than one
+    chunk; either way every estimate and SE equals, to the bit, the scalar
+    reference of the grain on its own on the documented counters of the
+    key `seed`, and a chunk that splits no grain changes no bit.  A split
+    grain's tail may be one point (mc_points = 201): one grain in that
+    chunk."""
+    shape_rng = np.random.default_rng(seed % 2 ** 32)
     q = _kernel_law(law, d, shape_rng)
     f = _kernel_field(field, d, shape_rng)
     h = ShiftedField(MonteCarloField(f), shape_rng.uniform(-1.0, 1.0, size=d))
-    chunk = 1000
-    with mock.patch.object(grains, "SAUSAGE_CHUNK", chunk):
-        rng = np.random.default_rng(seed)
-        est, se = sausage_integrals(*mark_segments(q, rng.random((q.uniforms, count)).T), h, r,
-                                     mc_points, rng)
-    ref_rng = np.random.default_rng(seed)
-    ref = [_reference_sausage(g, h, r, mc_points, ref_rng, chunk)
-           for g in _sampled_grains(q, count, ref_rng)]
+    chunk = 100
+    marks = np.random.default_rng(seed % 2 ** 32)
+    a, b = mark_segments(q, marks.random((count, q.uniforms)))
+    with mock.patch.object(grains, "SAUSAGE_CHUNK", chunk), _recording_uniforms() as sizes:
+        est, se = sausage_integrals(a, b, h, r, mc_points, seed)
+    assert sum(sizes) == count * mc_points * d
+    assert max(sizes) <= chunk // q.segments * d
+    if mc_points <= chunk // q.segments:
+        assert (est.tolist(), se.tolist()) == tuple(
+            x.tolist() for x in sausage_integrals(a, b, h, r, mc_points, seed))
+    marks = np.random.default_rng(seed % 2 ** 32)
+    ref = [_reference_sausage(g, h, r, mc_points, seed, k * mc_points, chunk)
+           for k, g in enumerate(_sampled_grains(q, count, marks))]
     assert est.tolist() == [e for e, _ in ref]
     assert se.tolist() == [s for _, s in ref]
-    assert rng.random() == ref_rng.random()
 
 
 def test_sausage_kernel_rejects_fewer_than_two_points():
     """One proposal per grain has no standard error: rejected by name,
     before any draw, whether the cubature would apply or not."""
     a, b = mark_segments(_kernel_law("segment", 3, np.random.default_rng(0)), np.empty((2, 0)))
-    rng = RecordingRng()
-    for f in (IntensityField("affine", a=0.3, b=[1.0, 0.0, 0.0]),
-              MonteCarloField(IntensityField("quadratic"))):
-        with pytest.raises(ConfigurationError, match="mc_points"):
-            sausage_integrals(a, b, f, 1.0, 1, rng)
-    assert rng.calls == []
+    with _recording_uniforms() as sizes:
+        for f in (IntensityField("affine", a=0.3, b=[1.0, 0.0, 0.0]),
+                  MonteCarloField(IntensityField("quadratic"))):
+            with pytest.raises(ConfigurationError, match="mc_points"):
+                sausage_integrals(a, b, f, 1.0, 1, derive_key(0, 0))
+    assert sizes == []
     with pytest.raises(ConfigurationError, match="mc_points"):
         grains.sausage_integral(Grain.segment([1.0, 0.0]), MonteCarloField(IntensityField(
-            "constant", c=1.0)), 0.2, 1, derive_stream(0, 0))
+            "constant", c=1.0)), 0.2, 1, derive_key(0, 0))
+
+
+def test_mark_mean_reads_the_documented_counters():
+    """exact_density and hitting_intensity under a random law equal, to
+    the bit, the scalar reference on the documented counters of the key:
+    column c of mark k at counter k U + c, then, for the Monte Carlo
+    sausages, coordinate c of proposal j of mark k at counter
+    K U + (k m + j) d + c, m = max(16, mc_points // K) per mark."""
+    q = _kernel_law("random", 3, np.random.default_rng(0))
+    f = IntensityField("affine", a=0.3, b=[1.0, -0.5, 0.25])
+    x, key, draws, per_mark = np.array([0.2, -0.1, 0.4]), derive_key(31, 2), 5, 16
+    u = np.array([[_uniform(key, k * q.uniforms + c) for c in range(q.uniforms)]
+                  for k in range(draws)])
+    a, b = mark_segments(q, u)
+    h = ShiftedField(f, x)
+    vals = line_integrals(a, b, h, 1)
+    assert exact_density(f, q, x, mark_draws=draws, key=key) == (
+        float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(draws)))
+    sampled = [Grain.segment(row) for row in b[:, 0]]
+    vals = np.array([_reference_sausage(g, ShiftedField(MonteCarloField(f), x), 0.3, per_mark,
+                                        int(skip(key, u.size)[0]), k * per_mark)[0]
+                     for k, g in enumerate(sampled)])
+    assert hitting_intensity(MonteCarloField(f), q, x, 0.3, mc_points=draws * per_mark,
+                             mark_draws=draws, key=key) == (
+        float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(draws)))
 
 
 # ---------------------------------------------------------------------------
@@ -615,21 +678,30 @@ def test_sausage_kernel_rejects_fewer_than_two_points():
 def _reference_line_integrals(a, b, h, n, order=8):
     """The integrals of h over K grains' rows a, b of shape (K, s, d) by
     the one-grain arithmetic that line_integrals replaced: Gauss-Legendre
-    per row and the sum over the grain's rows, one grain at a time.  For
-    n = 0, h at each grain's point; those K points go in one call, because
-    numpy computes a one-row matrix product (affine fields) as a dot
-    product whose last bit can differ from the row's share of a larger one."""
+    on each piece of a row between 0, the split parameters that h states
+    for the rows (clipped to [0, 1]) and 1, and the sum over the grain's
+    rows, one grain at a time.  For n = 0, h at each grain's point; those
+    K points go in one call, and so do the split parameters, because numpy
+    computes a one-row matrix product (affine fields) as a dot product
+    whose last bit can differ from the row's share of a larger one."""
     if n == 0:
         return h.values(a[:, 0]).tolist()
     nodes, weights = np.polynomial.legendre.leggauss(order)
     t = (nodes + 1.0) / 2.0
+    cuts = h.splits(a, b) if hasattr(h, "splits") else None
+    if cuts is None:
+        cuts = np.zeros(a.shape[:2] + (0,))
     out = []
-    for ak, bk in zip(a, b):
+    for ak, bk, ck in zip(a, b, cuts):
         lengths = np.linalg.norm(bk - ak, axis=1)
-        pts = ak[:, None, :] + t[None, :, None] * (bk - ak)[:, None, :]
-        vals = h.values(pts.reshape(-1, ak.shape[1])).reshape(len(lengths), order)
-        per_seg = (vals * weights[None, :]).sum(axis=1) * lengths / 2.0
-        out.append(float(per_seg.sum()))
+        total = 0.0
+        for ai, bi, ci, length in zip(ak, bk, ck, lengths):
+            edges = np.sort(np.concatenate([[0.0], np.clip(ci, 0.0, 1.0), [1.0]]))
+            width = np.diff(edges)[:, None]
+            params = (edges[:-1, None] + width * t).ravel()
+            vals = h.values(ai + params[:, None] * (bi - ai))
+            total += (vals * (width * weights).ravel()).sum() * length / 2.0
+        out.append(total)
     return out
 
 
@@ -655,6 +727,68 @@ def test_line_kernel_equals_per_grain_reference(d, law, field, count, seed):
     h = ShiftedField(f, shape_rng.uniform(-1.0, 1.0, size=d))
     a, b = mark_segments(q, np.random.default_rng(seed).random((q.uniforms, count)).T)
     assert line_integrals(a, b, h, q.n).tolist() == _reference_line_integrals(a, b, h, q.n)
+
+
+def _clipped_affine_integral(f, a, b):
+    """The closed form of the integral of max(0, f.a + f.b·y) over the
+    segment (a, b): g(t) = g0 + g1 t integrated over the t in [0, 1]
+    where it is positive, times the length."""
+    g0, g1 = f.a + a @ f.b, (b - a) @ f.b
+    if g1 == 0.0:
+        lo, hi = (0.0, 1.0) if g0 > 0.0 else (0.0, 0.0)
+    elif g1 > 0.0:
+        lo, hi = min(1.0, max(0.0, -g0 / g1)), 1.0
+    else:
+        lo, hi = 0.0, max(0.0, min(1.0, -g0 / g1))
+    return (g0 * (hi - lo) + g1 * (hi * hi - lo * lo) / 2.0) * np.linalg.norm(b - a)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    d=st.sampled_from([1, 2, 3]),
+    law=st.sampled_from(["segment", "polyline", "random"]),
+    field=st.sampled_from(["piecewise", "affine"]),
+    count=st.integers(1, 6),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+@example(d=2, law="polyline", field="piecewise", count=1, seed=0)
+@example(d=3, law="polyline", field="affine", count=1, seed=2)
+def test_line_kernel_is_exact_across_jumps_and_kinks(d, law, field, count, seed):
+    """Under a piecewise field (slabs along the first axis with random
+    values) line_integrals equals the values times the clipped lengths
+    of the reflected rows, and under a clipped affine field the closed
+    form of the clipped linear function, within 1e-12 relative: the rule
+    runs on each piece between the field's split points."""
+    rng = np.random.default_rng(seed)
+    q = _kernel_law(law, d, rng)
+    if field == "piecewise":
+        cuts = np.sort(rng.uniform(-1.5, 1.5, size=4))
+        pieces = tuple((Box(np.r_[lo, np.full(d - 1, -3.0)], np.r_[hi, np.full(d - 1, 3.0)]),
+                        float(rng.uniform(0.0, 3.0))) for lo, hi in zip(cuts[:-1], cuts[1:]))
+        f = IntensityField("piecewise", pieces=pieces)
+    else:
+        f = IntensityField("affine", a=float(rng.normal()), b=rng.normal(size=d))
+    x = rng.uniform(-1.0, 1.0, size=d)
+    a, b = mark_segments(q, rng.random((count, q.uniforms)))
+    got = line_integrals(a, b, ShiftedField(f, x), 1)
+    for k in range(count):
+        if field == "piecewise":
+            ref = sum(value * clipped_lengths(x - a[k], x - b[k], box).sum()
+                      for box, value in pieces)
+            scale = max(value for _, value in pieces) * np.linalg.norm(b[k] - a[k], axis=1).sum()
+        else:
+            ref = sum(_clipped_affine_integral(f, x - ak, x - bk) for ak, bk in zip(a[k], b[k]))
+            scale = sum(_clipped_affine_integral(f, x - ak, x - bk) + _clipped_affine_integral(
+                IntensityField("affine", a=-f.a, b=-f.b), x - ak, x - bk)
+                for ak, bk in zip(a[k], b[k]))
+        assert abs(got[k] - ref) <= 1e-12 * max(abs(ref), scale), (k, got[k], ref)
+
+
+def test_piecewise_field_without_pieces_states_no_split():
+    """A piecewise field with no piece is 0 everywhere and splits no row."""
+    f = IntensityField("piecewise", pieces=())
+    assert f.splits(np.zeros((1, 1, 2)), np.ones((1, 1, 2))) is None
+    assert integrate_along(Grain.segment([1.0, 0.0]), f) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -717,7 +851,8 @@ def test_point_grain_sausage_is_the_ball(d):
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_sausage_cubature_agrees_with_monte_carlo(d, law, field):
     """The mean cubature integral over four grains lies within 4 SE of the
-    Monte Carlo kernel's on the same grains (fixed seed 0 per case).  In
+    Monte Carlo kernel's on the same grains (marks from seed 0, proposals
+    on key 0, per case).  In
     d = 1 a sausage fills its bounding box, so a constant field has Monte
     Carlo SE 0 and the two must agree to 1e-12 relative."""
     shape_rng = np.random.default_rng(0)
@@ -728,10 +863,9 @@ def test_sausage_cubature_agrees_with_monte_carlo(d, law, field):
         "affine": IntensityField("affine", a=4.0, b=0.2 * shape_rng.normal(size=d)),
     }[field]
     x = shape_rng.uniform(-1.0, 1.0, size=d)
-    rng = np.random.default_rng(0)
-    a, b = mark_segments(q, rng.random((q.uniforms, 4)).T)
-    exact, exact_se = sausage_integrals(a, b, ShiftedField(f, x), 0.3, 20_000, rng)
-    mc, mc_se = sausage_integrals(a, b, ShiftedField(MonteCarloField(f), x), 0.3, 20_000, rng)
+    a, b = mark_segments(q, np.random.default_rng(0).random((q.uniforms, 4)).T)
+    exact, exact_se = sausage_integrals(a, b, ShiftedField(f, x), 0.3, 20_000, 0)
+    mc, mc_se = sausage_integrals(a, b, ShiftedField(MonteCarloField(f), x), 0.3, 20_000, 0)
     assert exact_se.tolist() == [0.0] * 4
     se = np.sqrt((mc_se ** 2).sum()) / 4
     diff = mc.mean() - exact.mean()
@@ -740,34 +874,25 @@ def test_sausage_cubature_agrees_with_monte_carlo(d, law, field):
     assert abs(diff) <= 4.0 * se + 1e-12 * abs(exact.mean())
 
 
-class RecordingRng:
-    """A stream that records every `random` call."""
-
-    def __init__(self):
-        self.calls = []
-        self._rng = derive_stream(8, 0)
-
-    def random(self, size):
-        self.calls.append(size)
-        return self._rng.random(size)
-
-
 def test_sausage_cubature_makes_no_draw():
     """A deterministic law under the cubature is one term: no draw, any
-    mark_draws (0 included), and no stream needed."""
+    mark_draws (0 included), and no key needed."""
     unit = MarkDistribution("deterministic", grain=Grain.segment([1.0, 0.0]))
     f = IntensityField("quadratic")
-    rng = RecordingRng()
-    _, se = capacity_probability(f, unit, [0.2, 0.1], 0.1, mc_points=50_000, rng=rng)
-    est, _ = hitting_intensity(f, unit, [0.0, 0.0], 0.5, mc_points=100 * 64, mark_draws=100,
-                               rng=rng)
-    assert rng.calls == [] and se == 0.0 and est > 0.0
-    for stream in (rng, None):
-        assert hitting_intensity(f, unit, [0.0, 0.0], 0.5, mark_draws=0, rng=stream) == (est, 0.0)
-    assert rng.calls == []
-    # the same calls on a field without the polynomial statement draw
-    capacity_probability(MonteCarloField(f), unit, [0.2, 0.1], 0.1, mc_points=50_000, rng=rng)
-    assert rng.calls == [(50_000, 2)]
+    key = derive_key(8, 0)
+    with _recording_uniforms() as sizes:
+        _, se = capacity_probability(f, unit, [0.2, 0.1], 0.1, mc_points=50_000, key=key)
+        est, _ = hitting_intensity(f, unit, [0.0, 0.0], 0.5, mc_points=100 * 64, mark_draws=100,
+                                   key=key)
+        assert sizes == [] and se == 0.0 and est > 0.0
+        for stream in (key, None):
+            assert hitting_intensity(f, unit, [0.0, 0.0], 0.5, mark_draws=0,
+                                     key=stream) == (est, 0.0)
+        assert sizes == []
+        # the same calls on a field without the polynomial statement draw
+        capacity_probability(MonteCarloField(f), unit, [0.2, 0.1], 0.1, mc_points=50_000,
+                             key=key)
+        assert sizes == [50_000 * 2]
 
 
 def test_clipped_affine_field_falls_back_to_monte_carlo():
@@ -775,8 +900,8 @@ def test_clipped_affine_field_falls_back_to_monte_carlo():
     draws, bit for bit as for a field that makes no polynomial statement."""
     g = Grain.segment([1.0, 0.0])
     clipped = IntensityField("affine", a=0.0, b=[1.0, 0.0])
-    est, se = grains.sausage_integral(g, clipped, 0.2, 30_000, derive_stream(9, 0))
-    ref = grains.sausage_integral(g, MonteCarloField(clipped), 0.2, 30_000, derive_stream(9, 0))
+    est, se = grains.sausage_integral(g, clipped, 0.2, 30_000, derive_key(9, 0))
+    ref = grains.sausage_integral(g, MonteCarloField(clipped), 0.2, 30_000, derive_key(9, 0))
     assert (est, se) == ref and se > 0.0
     # shifted to where it is positive on the whole sausage, it is exact
     shifted = IntensityField("affine", a=0.5, b=[1.0, 0.0])

@@ -17,7 +17,7 @@ from meandense import (
 from meandense.cli import main
 from meandense.geometry import ball_volume
 from meandense.minkowski import limit_diagnostics, ratio_bound
-from meandense.streams import derive_stream
+from meandense.streams import derive_key
 
 class MonteCarloField:
     """A field's values and sup without its polynomial statement, so the
@@ -37,7 +37,7 @@ def test_sausage_integral_matches_stadium_area():
     # f ≡ 1 on a unit segment: area = 2r + πr² exactly
     for r in (0.2, 0.05):
         est, se = sausage_integral(UNIT_SEGMENT, MonteCarloField(CONSTANT), r, 400_000,
-                                   derive_stream(0, 0))
+                                   derive_key(0, 0))
         expected = 2 * r + math.pi * r * r
         assert se > 0.0
         assert abs(est - expected) < 3.5 * se
@@ -46,14 +46,14 @@ def test_sausage_integral_matches_stadium_area():
 def test_sausage_integral_point_grain_ball():
     # point grain: the sausage is the ball itself
     g = Grain.point(2)
-    est, se = sausage_integral(g, MonteCarloField(CONSTANT), 0.3, 200_000, derive_stream(1, 0))
+    est, se = sausage_integral(g, MonteCarloField(CONSTANT), 0.3, 200_000, derive_key(1, 0))
     assert abs(est - math.pi * 0.09) < 3.5 * se
 
 
 def test_sausage_integral_radius_validation():
     for r in (0.0, -0.5, 2.0):
         with pytest.raises(ConfigurationError):
-            sausage_integral(UNIT_SEGMENT, CONSTANT, r, 100, derive_stream(0, 0))
+            sausage_integral(UNIT_SEGMENT, CONSTANT, r, 100, derive_key(0, 0))
 
 
 def test_content_limit_constant_intensity():

@@ -23,7 +23,7 @@ from meandense.cli import _realization_csv, _write_csv
 from meandense.geometry import Box
 from meandense.grains import ShiftedField, mark_segments
 from meandense.poisson import MAX_EXPECTED_GERMS, expected_germs, poisson_table
-from meandense.streams import block_keys, derive_key, derive_stream, uniforms
+from meandense.streams import block_keys, derive_key, uniforms
 
 UNIT_SEGMENT = MarkDistribution("deterministic", grain=Grain.segment(np.array([1.0, 0.0])))
 RANDOM_SEGMENTS = MarkDistribution(
@@ -402,7 +402,7 @@ def test_check_finiteness_matches_stadium_area():
     f = IntensityField("constant", c=1.0)
     est, _ = hitting_intensity(
         f, UNIT_SEGMENT, [0.0, 0.0], 1.0, mc_points=2000 * 64, mark_draws=2000,
-        rng=derive_stream(0, 0),
+        key=derive_key(0, 0),
     )
     assert math.isfinite(est)
     assert est == pytest.approx(2.0 + math.pi, rel=0.02)
@@ -412,7 +412,7 @@ def test_check_finiteness_point_grain():
     f = IntensityField("constant", c=2.0)
     q = MarkDistribution("deterministic", grain=Grain.point(2))
     est, _ = hitting_intensity(f, q, [0.0, 0.0], 0.5, mc_points=500 * 64, mark_draws=500,
-                               rng=derive_stream(1, 0))
+                               key=derive_key(1, 0))
     assert math.isfinite(est)
     assert est == pytest.approx(2.0 * math.pi * 0.25, rel=0.05)
 
@@ -420,7 +420,7 @@ def test_check_finiteness_point_grain():
 def test_check_finiteness_random_marks():
     f = IntensityField("constant", c=1.0)
     est, _ = hitting_intensity(f, RANDOM_SEGMENTS, [0.0, 0.0], 0.1, mc_points=4000 * 64,
-                               mark_draws=4000, rng=derive_stream(2, 0))
+                               mark_draws=4000, key=derive_key(2, 0))
     # E[2 L r + π r²] with E[L] = 1
     assert math.isfinite(est)
     assert est == pytest.approx(0.2 + math.pi * 0.01, rel=0.05)

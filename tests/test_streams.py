@@ -1,12 +1,18 @@
 """Stream derivation: keys are a pure function of an in-range (seed, index)."""
 
+import importlib
+import inspect
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from meandense import ConfigurationError
-from meandense.streams import block_keys, derive_key, derive_stream, uniforms
+import meandense
+from meandense import (ConfigurationError, Grain, IntensityField, LengthLaw, MarkDistribution,
+                       OrientationLaw, exact_density, sausage_integral)
+from meandense.streams import block_keys, derive_key, uniforms
 
 MASK = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -35,8 +41,6 @@ def test_out_of_range_seed_or_index_is_rejected(seed, index, name):
     2^64 + 5 with 5): they are refused instead, naming the input."""
     with pytest.raises(ConfigurationError, match=f"stream {name} must lie in"):
         derive_key(seed, index)
-    with pytest.raises(ConfigurationError, match=name):
-        derive_stream(seed, index)
 
 
 ENDS = st.sampled_from([0, 1, MASK]) | st.integers(0, MASK)
@@ -75,3 +79,34 @@ def test_uniforms_are_splitmix64_outputs(key):
     keys = np.full((2, 1), key, dtype=np.uint64)
     assert uniforms(keys, np.arange(6)).tolist() == [want, want]
     assert 0.0 <= min(want) and max(want) <= 1.0 - 2.0 ** -53
+
+
+@pytest.mark.parametrize("key", [-1, 2 ** 64])
+def test_out_of_range_key_is_rejected(key):
+    """A caller's key outside [0, 2^64) is refused by name, by uniforms
+    and by every route that reads it, not wrapped or overflowed."""
+    with pytest.raises(ConfigurationError, match="stream key must lie in"):
+        uniforms(key, 0)
+    q = MarkDistribution("segment", length=LengthLaw("fixed", value=1.0),
+                         orientation=OrientationLaw("uniform", dim=2))
+    with pytest.raises(ConfigurationError, match="stream key must lie in"):
+        exact_density(IntensityField("quadratic"), q, [0.0, 0.0], mark_draws=10, key=key)
+    with pytest.raises(ConfigurationError, match="stream key must lie in"):
+        sausage_integral(Grain.polyline([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]),
+                         IntensityField("constant", c=1.0), 0.1, 100, key)
+
+
+def test_uniforms_are_the_only_random_source():
+    """No module of the package refers to numpy's generators, and no
+    function takes a generator: every random number is read from
+    streams.uniforms on a key."""
+    package = Path(meandense.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert len(modules) > 10
+    for path in modules:
+        text = path.read_text()
+        assert "np.random" not in text and "numpy.random" not in text, path.name
+    for path in modules:
+        module = importlib.import_module(f"meandense.{path.stem}".removesuffix(".__init__"))
+        for name, fn in inspect.getmembers(module, inspect.isfunction):
+            assert "rng" not in inspect.signature(fn).parameters, name
