@@ -147,9 +147,8 @@ def line_integrals(
             weights = (width * weights).reshape(n_grains, segments, -1)
         ab = b - a
         # node j of a row at a + t_j (b - a), (K, s, nodes, d); a product
-        # swapped is twice as fast as broadcasting over d.  The nodes go to
-        # h in C order: an affine field's matrix product can round
-        # differently on a transposed layout
+        # swapped is twice as fast as broadcasting over d.  The nodes go to h
+        # in C order: a quadratic field's einsum rounds by layout in d = 3
         pts = (ab[..., None] * t[..., None, :]).swapaxes(2, 3)
         pts += a[:, :, None, :]
         pts = np.ascontiguousarray(pts).reshape(-1, d)

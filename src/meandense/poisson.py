@@ -70,10 +70,10 @@ class IntensityField:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if self.kind == "constant":
             return np.full(pts.shape[0], self.c)
-        if self.kind == "quadratic":
+        if self.kind == "quadratic":  # rounds by layout in d = 3: pass C order
             return np.einsum("ij,ij->i", pts, pts)
-        if self.kind == "affine":
-            return np.clip(self.a + pts @ self.b, 0.0, None)
+        if self.kind == "affine":  # per coordinate: `pts @ b` rounds by layout and rows
+            return np.clip(sum((pts[:, k] * bk for k, bk in enumerate(self.b)), self.a), 0.0, None)
         out = np.zeros(pts.shape[0])
         for box, val in self.pieces:
             out = np.where(box.contains(pts), val, out)

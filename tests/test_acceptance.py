@@ -371,14 +371,45 @@ output = out
 """
 
 
-def test_criterion_11_thread_determinism(tmp_path):
-    """Identical CSV bytes from 1-thread and 8-thread runs of the CLI."""
+ORACLE_CFG = ESTIMATE_CFG + """
+r_grid = 0.2, 0.1
+mc_points = 20000
+mark_draws = 100
+"""
+
+STUDY_CFG = """
+d = 2
+n = 1
+seed = 23
+intensity.kind = quadratic
+marks.kind = segment_law
+marks.length.kind = fixed
+marks.length.value = 1
+marks.orientation.kind = uniform
+window.lo = -1, -1
+window.hi = 1, 1
+x_grid.kind = list
+x_grid.points = 0,0; 0.5,0.5
+N_grid = 500, 1000
+replications = 2
+bandwidth.c0 = 1.0
+bandwidth.beta = 0.25
+mark_draws = 200
+output = out
+"""
+
+
+def test_criterion_11_thread_determinism(tmp_path, always_pool):
+    """Identical CSV bytes from 1-thread and 8-thread runs of the CLI; the
+    8-thread runs fork their workers however light the tasks."""
     ok = True
     details = []
     for name, cfg_text, command, csv_name in (
         ("estimate", ESTIMATE_CFG, "estimate", "estimate.csv"),
         ("minkowski", MINKOWSKI_CFG, "minkowski", "minkowski.csv"),
         ("exact", ESTIMATE_CFG, "exact", "exact.csv"),
+        ("oracle", ORACLE_CFG, "oracle", "oracle.csv"),
+        ("study", STUDY_CFG, "study", "study.csv"),
     ):
         cfg = tmp_path / f"{name}.cfg"
         cfg.write_text(cfg_text)

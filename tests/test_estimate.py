@@ -254,7 +254,9 @@ def test_histogram_bit_identity_with_point_grain_estimator():
 # streaming counters
 
 
-def test_accumulate_hits_thread_invariance():
+def test_accumulate_hits_thread_invariance(monkeypatch, always_pool):
+    """Blocks of about 40 replicates: ten tasks for a real pool."""
+    monkeypatch.setattr(estimate_module, "_BLOCK_SEGMENTS", 256)
     xs = [[0.3, 0.3], [0.7, 0.7]]
     rs = [0.05, 0.1]
     a_ind, a_cnt = accumulate_hits(CONSTANT, RANDOM_SEGMENTS, xs, rs, 400, seed=10, threads=1)

@@ -1,5 +1,5 @@
-"""Worker-pool sizing: thread requests are validated and clamped before any
-pool starts."""
+"""Worker pools: thread requests are validated and clamped before any pool
+starts, and a pool starts only where the tasks can pay for it."""
 
 import os
 
@@ -30,14 +30,40 @@ def test_pool_size_rejects_nonpositive_threads(threads):
         parallel_map(abs, [1, -2], threads)
 
 
-def test_parallel_map_starts_the_clamped_pool(two_cpus, monkeypatch):
-    """An oversized request starts a pool of the computed size only; the
-    pool here is a stand-in that runs in-process."""
+class FakeClock:
+    """parallel's clock: it moves only when a task says it took time."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self):
+        return self.now
+
+    def task(self, seconds):
+        """abs(x) that takes `seconds` on this clock."""
+        def fn(x):
+            self.now += seconds
+            return abs(x)
+        return fn
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    fake = FakeClock()
+    monkeypatch.setattr(parallel, "perf_counter", fake)
+    return fake
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Stand-in for ProcessPoolExecutor that runs in-process; records the
+    size of every pool started and the tasks it was given."""
     started = []
 
     class RecordingPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
+        def __init__(self, max_workers, initializer=None):
+            self.record = {"workers": max_workers, "tasks": []}
+            started.append(self.record)
 
         def __enter__(self):
             return self
@@ -46,12 +72,77 @@ def test_parallel_map_starts_the_clamped_pool(two_cpus, monkeypatch):
             return False
 
         def map(self, fn, tasks, chunksize=1):
+            self.record["tasks"] = list(tasks)
             return map(fn, tasks)
 
     monkeypatch.setattr(parallel, "ProcessPoolExecutor", RecordingPool)
-    assert parallel_map(abs, [-1, 2, -3], threads=1000) == [1, 2, 3]
-    assert parallel_map(abs, [-4], threads=1000) == [4]
+    return started
+
+
+def test_parallel_map_starts_the_clamped_pool(two_cpus, clock, pools):
+    """Heavy tasks and an oversized request start a pool of the computed
+    size only; the pool here is a stand-in that runs in-process."""
+    heavy = clock.task(2 * parallel.POOL_COST_S)
+    assert parallel_map(heavy, [-1, 2, -3], threads=1000) == [1, 2, 3]
+    assert parallel_map(heavy, [-4], threads=1000) == [4]
+    started = [p["workers"] for p in pools]
     assert started == [2]
+
+
+def test_light_tasks_never_start_a_pool(two_cpus, clock, pools):
+    light = clock.task(parallel.POOL_COST_S / 40)
+    assert parallel_map(light, range(-10, 10), threads=2) == [abs(x) for x in range(-10, 10)]
+    assert pools == []
+    assert clock.now < parallel.POOL_COST_S
+
+
+def test_heavy_tasks_start_one_pool_for_the_rest(monkeypatch, clock, pools):
+    """The head runs in-process until it has cost a pool's price; one pool
+    of min(threads, rest, CPUs) workers takes the rest, and results come
+    back in task order."""
+    heavy = clock.task(parallel.POOL_COST_S * 0.4)
+    tasks = [-5, 4, -3, 2, -1, 0, 7, -8, 9, -10]
+    for cpus, threads, workers in ((2, 8, 2), (8, 3, 3), (8, 64, 7)):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+        pools.clear()
+        assert parallel_map(heavy, tasks, threads) == [abs(x) for x in tasks]
+        assert pools == [{"workers": workers, "tasks": tasks[3:]}]
+
+
+def test_a_rest_too_short_to_pay_stays_in_process(two_cpus, clock, pools):
+    """Two heavy tasks after the head would save one task at two workers,
+    less than the pool costs."""
+    heavy = clock.task(parallel.POOL_COST_S * 0.6)
+    assert parallel_map(heavy, [1, -2, 3, -4], threads=2) == [1, 2, 3, 4]
+    assert pools == []
+
+
+def test_an_error_in_the_head_propagates_unchanged(two_cpus, clock, pools):
+    error = ValueError("task 1 failed")
+
+    def fn(x):
+        clock.now += parallel.POOL_COST_S / 10
+        if x == 1:
+            raise error
+        return x
+
+    with pytest.raises(ValueError) as raised:
+        parallel_map(fn, range(10), threads=2)
+    assert raised.value is error
+    assert pools == []
+
+
+def _blas_threads(_):
+    return parallel.openblas().scipy_openblas_get_num_threads64_()
+
+
+def test_pool_workers_run_one_blas_thread(always_pool):
+    lib = parallel.openblas()
+    if lib is None or not hasattr(lib, "scipy_openblas_get_num_threads64_"):
+        pytest.skip("numpy has no bundled OpenBLAS (numpy.libs/libscipy_openblas*)")
+    if usable_cpus() < 2:
+        pytest.skip("one usable CPU: parallel_map starts no pool")
+    assert parallel_map(_blas_threads, range(4), threads=2) == [1, 1, 1, 1]
 
 
 def test_default_threads_reads_a_positive_environment_value(two_cpus, monkeypatch):

@@ -65,6 +65,18 @@ def test_affine_field_clips_at_zero():
         IntensityField("affine", a=math.inf, b=np.array([-1.0, 0.0]))
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_affine_field_does_not_depend_on_the_array_layout(d):
+    """The same point gives the same bits alone, in a C-ordered batch and
+    in an F-ordered array."""
+    rng = np.random.default_rng(d)
+    f = IntensityField("affine", a=0.3, b=rng.normal(size=d))
+    batch = rng.uniform(-2.0, 2.0, size=(64, d))
+    by_row = np.array([f.values(row[None, :])[0] for row in batch])
+    assert np.array_equal(f.values(np.ascontiguousarray(batch)), by_row)
+    assert np.array_equal(f.values(np.asfortranarray(batch)), by_row)
+
+
 def test_piecewise_field():
     f = IntensityField(
         "piecewise",

@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Run the CLI on 35 (sub-command, bundled config) pairs at --threads 1 and
 # 2, with RuntimeWarnings as errors, and check that every CSV is
-# byte-identical across the two thread counts.
+# byte-identical across the two thread counts.  parallel_map starts a pool
+# only for work that can pay for one, so most --threads 2 runs here stay
+# in-process; the tier-1 thread-invariance tests (criterion 11 and
+# test_accumulate_hits_thread_invariance) force a real pool instead.
 #
 # With --against REV, also unpack `git archive REV` into a temporary
 # directory, run the same pairs with that tree's package (on this tree's
