@@ -14,7 +14,7 @@ from .config import ScenarioConfig, parse_config
 from .errors import ConfigurationError, NumericError, QueryError
 from .estimate import (
     BandwidthSchedule,
-    EstimateReport,
+    capacity_estimate,
     contact_derivative,
     convergence_study,
     count_estimate,

@@ -1,7 +1,7 @@
 """Boolean-model realizations and hit/count/measure queries.
 
 A realization holds every grain whose germ falls in the observation
-window dilated by a guard margin of at least L_max + r_max, so all
+window dilated by the guard margin L_max + r_max, so all
 in-window queries with radius <= r_max are exact for the truncated mark
 law: edge effects are eliminated rather than corrected.
 
@@ -59,17 +59,6 @@ def count_hits(a: np.ndarray, b: np.ndarray, owner, xs, rs) -> tuple[np.ndarray,
     return ind, cnt
 
 
-def check_query(window: Box, r_max: float, x: np.ndarray, r: float):
-    """Raise QueryError unless B_r(x) is answerable exactly: 0 <= r <= r_max
-    and the ball lies in the observation window."""
-    if not r >= 0:
-        raise QueryError("query radius must be nonnegative")
-    if r > r_max:
-        raise QueryError(f"query radius {r} exceeds simulated r_max {r_max}")
-    if not window.contains_box(Box(x - r, x + r)):
-        raise QueryError("query ball is not contained in the observation window")
-
-
 @dataclass(eq=False)
 class Realizations:
     """A batch of `count` realizations over one guarded window: the grains
@@ -82,7 +71,6 @@ class Realizations:
     owner: np.ndarray
     count: int
     window: Box
-    guard_margin: float
     r_max: float
     n: int
 
@@ -93,14 +81,20 @@ class Realizations:
     def counts(self, x, rs) -> tuple[np.ndarray, np.ndarray]:
         """Hit-indicator and grain-count totals over the batch at x, one of
         each per radius in rs, from one kernel call after every query is
-        checked."""
+        checked to be answerable exactly: 0 <= r <= r_max and B_r(x) in the
+        observation window."""
         if self.count == 0:
             raise ConfigurationError("need at least one realization")
         x = as_point(x, dim=self.dim)
         if len(rs) == 0:
             raise ConfigurationError("rs: need at least one radius")
         for r in rs:
-            check_query(self.window, self.r_max, x, r)
+            if not r >= 0:
+                raise QueryError("query radius must be nonnegative")
+            if r > self.r_max:
+                raise QueryError(f"query radius {r} exceeds simulated r_max {self.r_max}")
+            if not self.window.contains_box(Box(x - r, x + r)):
+                raise QueryError("query ball is not contained in the observation window")
         ind, cnt = count_hits(self.a, self.b, self.owner, [x], rs)
         return ind[0], cnt[0]
 
@@ -125,11 +119,9 @@ class Realizations:
                            minlength=self.count)
 
 
-def checked_guard_margin(
-    q: MarkDistribution, r_max: float, guard_margin: float | None = None
-) -> float:
-    """Guard margin for queries up to r_max, L_max + r_max unless a wider
-    one is given, after checking r_max and the diameter bound."""
+def checked_guard_margin(q: MarkDistribution, r_max: float) -> float:
+    """Guard margin L_max + r_max for queries up to r_max, after checking
+    r_max and the diameter bound."""
     if r_max < 0:
         raise ConfigurationError("r_max must be nonnegative")
     if r_max >= 2.0:
@@ -137,10 +129,7 @@ def checked_guard_margin(
     l_max = q.l_max
     if not np.isfinite(l_max):
         raise ConfigurationError("mark law needs a finite diameter bound")
-    margin = guard_margin if guard_margin is not None else l_max + r_max
-    if margin < l_max + r_max:
-        raise ConfigurationError("guard margin must be at least L_max + r_max")
-    return margin
+    return l_max + r_max
 
 
 def _sample_block(f, q: MarkDistribution, box: Box, seed: int, start: int, stop: int):
@@ -159,13 +148,11 @@ def simulate(
     n_samples: int,
     seed: int,
     index0: int = 0,
-    guard_margin: float | None = None,
 ) -> Realizations:
     """Sample `n_samples` realizations covering the window plus guard zone,
     realization i being replicate index0 + i of poisson.sample_block."""
     if n_samples < 0:
         raise ConfigurationError(f"n_samples must be nonnegative, got {n_samples}")
-    margin = checked_guard_margin(q, r_max, guard_margin)
-    box = window.dilate(margin)
+    box = window.dilate(checked_guard_margin(q, r_max))
     a, b, owner = _sample_block(f, q, box, seed, index0, index0 + n_samples)
-    return Realizations(a, b, owner, n_samples, window, margin, r_max, q.n)
+    return Realizations(a, b, owner, n_samples, window, r_max, q.n)

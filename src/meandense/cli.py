@@ -24,16 +24,14 @@ from . import __version__
 from .boolean import checked_guard_margin
 from .config import ScenarioConfig, parse_config
 from .errors import ConfigurationError, NumericError, QueryError
-from .estimate import accumulate_hits, convergence_study, _report_from_hits
+from .estimate import accumulate_hits, capacity_estimate, convergence_study
 from .exact import capacity_probability, density_grid
 from .geometry import ball_volume
 from .grains import RegularityCertificate
 from .minkowski import bound_check, content_limit, ratio_bound
-from .parallel import default_threads, parallel_map
+from .parallel import parallel_map, usable_cpus
 from .poisson import sample_block
 from .streams import block_keys
-
-SUBCOMMANDS = ("exact", "estimate", "study", "minkowski", "simulate", "oracle")
 
 
 def _write(out_dir: Path, name: str, text: str) -> Path:
@@ -112,12 +110,11 @@ def run_estimate(cfg: ScenarioConfig, seed: int, threads: int, out_dir: Path):
     ind, _ = accumulate_hits(
         cfg.intensity, cfg.marks, xs, [radius], cfg.n_samples, seed, 0, threads
     )
+    lam, se = capacity_estimate(ind[:, 0], cfg.n_samples, cfg.d, cfg.n, radius)
     header = [f"x{k + 1}" for k in range(cfg.d)] + ["N", "R_N", "lambda_hat", "se"]
-    rows = []
-    for x, count in zip(xs, ind[:, 0]):
-        rep = _report_from_hits(x, int(count), cfg.n_samples, cfg.d, cfg.n, radius)
-        rows.append([*x, cfg.n_samples, radius, rep.lambda_hat, rep.standard_error])
-    _write_csv(out_dir, "estimate.csv", header, rows)
+    _write_csv(out_dir, "estimate.csv", header, [
+        [*x, cfg.n_samples, radius, v, e] for x, v, e in zip(xs, lam, se)
+    ])
 
 
 def run_study(cfg: ScenarioConfig, seed: int, threads: int, out_dir: Path):
@@ -186,10 +183,9 @@ def run_oracle(cfg: ScenarioConfig, seed: int, threads: int, out_dir: Path):
     tasks = [(cfg.intensity, cfg.marks, x, r, cfg.mc_points, cfg.mark_draws, int(k))
              for (x, r), k in zip(cells, keys)]
     results = parallel_map(_oracle_task, tasks, threads)
-    norm = ball_volume(cfg.d - cfg.n)
     header = [f"x{k + 1}" for k in range(cfg.d)] + ["r", "prob", "se", "ratio"]
     _write_csv(out_dir, "oracle.csv", header, [
-        [*x, r, prob, se, prob / (norm * r ** (cfg.d - cfg.n))]
+        [*x, r, prob, se, prob / ball_volume(cfg.d - cfg.n, r)]
         for (x, r), (prob, se) in zip(cells, results)
     ])
 
@@ -206,7 +202,7 @@ _RUNNERS = {
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="meandense")
-    parser.add_argument("command", choices=SUBCOMMANDS)
+    parser.add_argument("command", choices=_RUNNERS)
     parser.add_argument("--config", required=True)
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--threads", type=int, default=None)
@@ -228,7 +224,7 @@ def main(argv=None) -> int:
         seed = args.seed if args.seed is not None else cfg.seed
         if args.threads is not None and args.threads < 1:
             raise ConfigurationError(f"--threads must be a positive integer, got {args.threads}")
-        threads = args.threads if args.threads is not None else default_threads()
+        threads = args.threads if args.threads is not None else usable_cpus()
         out_dir = Path(args.out) if args.out is not None else Path(cfg.output)
         _RUNNERS[args.command](cfg, seed, threads, out_dir)
         _manifest(out_dir, args.command, cfg, seed, threads)

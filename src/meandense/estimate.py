@@ -12,6 +12,7 @@ compensated sums, so results do not depend on aggregation order.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,22 +61,18 @@ class BandwidthSchedule:
         return self.c0 * float(n_samples) ** (-self.beta)
 
 
-@dataclass
-class EstimateReport:
-    """Density estimate at one point from N realizations."""
-
-    x: np.ndarray
-    n_samples: int
-    radius: float
-    lambda_hat: float
-    standard_error: float
-    hit_fraction: float
-
-
-def _indicator_density(count: int, n_samples: int, d: int, n: int, radius: float) -> float:
-    """Shared arithmetic for indicator-based densities; the histogram
-    reduction reuses it verbatim so the two routes are bit-identical."""
-    return count / n_samples / (ball_volume(d - n) * radius ** (d - n))
+def capacity_estimate(hits, n_samples: int, d: int, n: int, radius: float):
+    """λ̂ = hits / N / (b_{d-n} R^{d-n}) from the number of N realizations
+    meeting B_R(x), a scalar or an array of totals, and its plug-in
+    standard error sqrt(p (1 - p) / N) / (b_{d-n} R^{d-n}), p = hits / N."""
+    if not n_samples >= 1:
+        raise ConfigurationError(f"n_samples must be at least 1, got {n_samples}")
+    norm = ball_volume(d - n, radius)
+    if norm < sys.float_info.min:  # 1 / norm would overflow or divide by zero
+        raise ConfigurationError(
+            f"radius {radius!r} is too small: b_{d - n} R^{d - n} = {norm!r}")
+    p_hat = hits / n_samples
+    return p_hat / norm, np.sqrt(p_hat * (1.0 - p_hat) / n_samples) / norm
 
 
 def empirical_capacity(batch: Realizations, x, r: float) -> float:
@@ -84,39 +81,22 @@ def empirical_capacity(batch: Realizations, x, r: float) -> float:
     return int(ind[0]) / batch.count
 
 
-def density_estimate(batch: Realizations, x, radius: float) -> EstimateReport:
-    """Indicator estimator: hit fraction over b_{d-n} R^{d-n}; the plug-in
-    standard error uses the binomial variance of the hit fraction."""
+def density_estimate(batch: Realizations, x, radius: float) -> tuple[float, float]:
+    """Indicator estimator at x and its standard error (capacity_estimate)."""
     if not radius > 0:
         raise ConfigurationError("bandwidth radius must be positive")
     ind, _ = batch.counts(x, [radius])
-    x = as_point(x, dim=batch.dim)
-    return _report_from_hits(x, int(ind[0]), batch.count, batch.dim, batch.n, radius)
-
-
-def _report_from_hits(
-    x: np.ndarray, count: int, total: int, d: int, n: int, radius: float
-) -> EstimateReport:
-    lam = _indicator_density(count, total, d, n, radius)
-    p_hat = count / total
-    se = math.sqrt(p_hat * (1.0 - p_hat) / total) / (ball_volume(d - n) * radius ** (d - n))
-    return EstimateReport(
-        x=x,
-        n_samples=total,
-        radius=radius,
-        lambda_hat=lam,
-        standard_error=se,
-        hit_fraction=p_hat,
-    )
+    return capacity_estimate(int(ind[0]), batch.count, batch.dim, batch.n, radius)
 
 
 def count_estimate(batch: Realizations, x, r: float) -> float:
     """Grain-count estimator: mean number of grains hitting B_r(x) over the
-    same normalizer; dominates the indicator estimator pointwise."""
+    same normalizer; dominates the indicator estimator pointwise.  The
+    total can exceed N, so it has no binomial standard error."""
     if not r > 0:
         raise ConfigurationError("radius must be positive")
     _, cnt = batch.counts(x, [r])
-    return _indicator_density(int(cnt[0]), batch.count, batch.dim, batch.n, r)
+    return int(cnt[0]) / batch.count / ball_volume(batch.dim - batch.n, r)
 
 
 def contact_derivative(batch: Realizations, x, r_grid) -> float:
@@ -151,7 +131,7 @@ def histogram_reduction(samples, x: float, half_width: float) -> float:
     if bad.size:
         raise ConfigurationError(f"samples must be finite, got {bad[0]}")
     count = int(np.count_nonzero(np.abs(samples - x) <= half_width))
-    return _indicator_density(count, samples.size, 1, 0, half_width)
+    return capacity_estimate(count, samples.size, 1, 0, half_width)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +242,6 @@ def convergence_study(
     exact = density_grid(
         f, q, xs, mark_draws=mark_draws, seed=seed ^ _EXACT_STREAM_SALT, threads=threads
     )
-    norm = ball_volume(q.dim - q.n)
-
     rows = []
     base_index = 0
     for n_samples in n_grid:
@@ -274,7 +252,7 @@ def convergence_study(
                 f, q, xs, [radius], n_samples, seed, base_index, threads
             )
             base_index += n_samples
-            lam_hats[rep] = ind[:, 0] / n_samples / (norm * radius ** (q.dim - q.n))
+            lam_hats[rep] = capacity_estimate(ind[:, 0], n_samples, q.dim, q.n, radius)[0]
         region_hat = region_exact = float("nan")
         if region is not None:
             inside = region.contains(xs)

@@ -20,10 +20,10 @@ SUPPORTED_DIMS = (1, 2, 3)
 _BALL_VOLUMES = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}
 
 
-def ball_volume(k: int) -> float:
-    """Volume of the unit ball in R^k, k in {1, 2, 3}."""
+def ball_volume(k: int, r: float = 1.0) -> float:
+    """Volume b_k r^k of a ball of radius r in R^k, k in {1, 2, 3}."""
     try:
-        return _BALL_VOLUMES[k]
+        return _BALL_VOLUMES[k] * r ** k
     except KeyError:
         raise ConfigurationError(f"ball_volume: unsupported dimension {k}; must be in {SUPPORTED_DIMS}")
 

@@ -62,12 +62,12 @@ def content_limit(
     if np.any(r_grid <= 0.0) or np.any(r_grid >= 2.0):
         raise ConfigurationError("all radii must lie in (0, 2)")
     codim = shape.dim - shape.n
-    norm = ball_volume(codim)
     keys = block_keys(seed, 0, len(r_grid))
     tasks = [(shape, f, float(r), mc_points, int(k)) for r, k in zip(r_grid, keys)]
     results = parallel_map(_radius_task, tasks, threads)
-    ratios = np.array([est / (norm * r ** codim) for (est, _), r in zip(results, r_grid)])
-    ses = np.array([se / (norm * r ** codim) for (_, se), r in zip(results, r_grid)])
+    norms = [ball_volume(codim, r) for r in r_grid]
+    ratios = np.array([est / norm for (est, _), norm in zip(results, norms)])
+    ses = np.array([se / norm for (_, se), norm in zip(results, norms)])
     # linear extrapolation through the two smallest radii
     r1, r0 = r_grid[-2], r_grid[-1]
     v1, v0 = ratios[-2], ratios[-1]

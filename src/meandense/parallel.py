@@ -26,20 +26,6 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def default_threads() -> int:
-    """MEANDENSE_THREADS if set (a positive integer), else the usable CPUs."""
-    env = os.environ.get("MEANDENSE_THREADS")
-    if not env:
-        return usable_cpus()
-    try:
-        threads = int(env)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ConfigurationError(f"MEANDENSE_THREADS must be a positive integer, got {env!r}")
-    return threads
-
-
 def pool_size(threads: int, tasks: int) -> int:
     """Workers for `tasks` tasks: min(threads, tasks, usable CPUs), at least 1."""
     if threads < 1:

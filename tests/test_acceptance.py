@@ -23,6 +23,7 @@ from meandense import (
     RegularityCertificate,
     analytic_segment_density,
     bound_check,
+    capacity_estimate,
     contact_derivative,
     content_limit,
     count_estimate,
@@ -36,7 +37,7 @@ from meandense import (
 )
 from meandense.cli import main
 from meandense.config import lattice_points
-from meandense.estimate import _report_from_hits, accumulate_hits
+from meandense.estimate import accumulate_hits
 from meandense.geometry import Box
 from meandense.grains import ShiftedField
 from meandense.minkowski import limit_diagnostics
@@ -98,9 +99,9 @@ def test_criterion_02_estimator_consistency():
     details = []
     ok = True
     for i, target in enumerate(targets):
-        rep = _report_from_hits(xs[i], int(ind[i, 0]), n_samples, 2, 1, radius)
-        z = (rep.lambda_hat - target) / rep.standard_error
-        details.append(f"x={tuple(xs[i])}: lambda_hat={rep.lambda_hat:.4f}, z={z:+.2f}")
+        lam, se = capacity_estimate(int(ind[i, 0]), n_samples, 2, 1, radius)
+        z = (lam - target) / se
+        details.append(f"x={tuple(xs[i])}: lambda_hat={lam:.4f}, z={z:+.2f}")
         ok = ok and abs(z) <= 3.0
     report(2, "estimator consistent at (0,0) and (1,0)", ok, "; ".join(details))
 
@@ -148,8 +149,8 @@ def test_criterion_04_stationary_corollary():
                              n_samples, seed=405, threads=THREADS)
     zs = []
     for i in range(grid.shape[0]):
-        rep = _report_from_hits(grid[i], int(ind[i, 0]), n_samples, 2, 1, radius)
-        zs.append((rep.lambda_hat - target) / rep.standard_error)
+        lam, se = capacity_estimate(int(ind[i, 0]), n_samples, 2, 1, radius)
+        zs.append((lam - target) / se)
         ok = ok and abs(zs[-1]) <= 3.0
     report(4, "stationary corollary: density = c E[L] = 2 by both routes", ok,
            f"exact spread={spread:.4f} (tol {spread_tol:.4f}), "
@@ -236,14 +237,13 @@ def test_criterion_08_histogram_equivalence():
     window = Box([-1.0], [2.0])
     # one point grain per realization, at its sample
     germs, m = samples[:, None, None], samples.size
-    embedded = Realizations(germs, germs, np.arange(m), m, window, guard_margin=1.0, r_max=0.5,
-                            n=0)
+    embedded = Realizations(germs, germs, np.arange(m), m, window, r_max=0.5, n=0)
     identical = True
     for _ in range(1000):
         x = float(rng.uniform(0.0, 1.0))
         r = float(rng.uniform(0.01, 0.5))
         a = histogram_reduction(samples, x, r)
-        b = density_estimate(embedded, [x], r).lambda_hat
+        b = density_estimate(embedded, [x], r)[0]
         identical = identical and (a == b)
 
     big = np.random.default_rng(derive_key(808, 1)).random(100_000)
@@ -288,7 +288,7 @@ def test_criterion_09_grain_count_route():
     for r in rs:
         dominates = dominates and (
             count_estimate(batch, [0.0, 0.0], r)
-            >= density_estimate(batch, [0.0, 0.0], r).lambda_hat
+            >= density_estimate(batch, [0.0, 0.0], r)[0]
         )
 
     # m(r) from the exact route, independent of the simulator; |y|² is

@@ -19,6 +19,7 @@ from meandense import (
     Realizations,
     simulate,
 )
+from meandense.boolean import checked_guard_margin
 from meandense.cli import _realization_csv, _write_csv
 from meandense.geometry import Box, clipped_lengths, segment_distances
 from meandense.grains import mark_segments
@@ -60,7 +61,7 @@ def manual_realization(germs_and_grains, window, r_max=0.5, n=1, s=None):
     """A batch of one hand-built realization."""
     a, b = rows_of(germs_and_grains, window.dim, s)
     owner = np.zeros(len(a), dtype=int)
-    return Realizations(a, b, owner, 1, window, guard_margin=2.0, r_max=r_max, n=n)
+    return Realizations(a, b, owner, 1, window, r_max=r_max, n=n)
 
 
 def hit_count(batch, x, r) -> int:
@@ -216,14 +217,12 @@ def test_simulate_guard_margin_and_validation():
     f = IntensityField("constant", c=1.0)
     window = Box([0.0, 0.0], [1.0, 1.0])
     real = simulate(f, UNIT_SEGMENT, window, 0.3, 1, seed=0)
-    assert real.guard_margin == pytest.approx(1.3)
+    assert checked_guard_margin(UNIT_SEGMENT, 0.3) == 1.3
     assert real.r_max == 0.3
     with pytest.raises(ConfigurationError):
         simulate(f, UNIT_SEGMENT, window, -0.1, 1, seed=0)
     with pytest.raises(ConfigurationError):
         simulate(f, UNIT_SEGMENT, window, 2.0, 1, seed=0)
-    with pytest.raises(ConfigurationError):
-        simulate(f, UNIT_SEGMENT, window, 0.3, 1, seed=0, guard_margin=0.5)
     # no replicates is an empty batch; fewer are refused by name
     assert simulate(f, UNIT_SEGMENT, window, 0.1, 0, seed=1).count == 0
     with pytest.raises(ConfigurationError, match="n_samples"):

@@ -16,7 +16,7 @@ from meandense import ConfigurationError, hn_measure, parse_config
 from meandense.boolean import checked_guard_margin
 from meandense.cli import main
 from meandense.config import lattice_points
-from meandense.estimate import _report_from_hits, accumulate_hits, convergence_study
+from meandense.estimate import accumulate_hits, convergence_study
 from meandense.exact import capacity_probability, density_grid
 from meandense.geometry import Box, ball_volume
 from meandense.grains import RegularityCertificate
@@ -251,13 +251,14 @@ def exact_csv_020(grid, field) -> str:
 
 def estimate_csv_020(cfg, xs, ind, radius) -> str:
     lines = [f"{_coord_header(cfg.d)},N,R_N,lambda_hat,se"]
+    n_samples, codim = cfg.n_samples, cfg.d - cfg.n
     for i in range(xs.shape[0]):
-        rep = _report_from_hits(xs[i], int(ind[i, 0]), cfg.n_samples, cfg.d, cfg.n, radius)
+        count = int(ind[i, 0])
+        lam = count / n_samples / (ball_volume(codim) * radius ** codim)
+        p = count / n_samples
+        se = math.sqrt(p * (1 - p) / n_samples) / (ball_volume(codim) * radius ** codim)
         coords = ",".join(repr(float(c)) for c in xs[i])
-        lines.append(
-            f"{coords},{cfg.n_samples},{float(radius)!r},"
-            f"{float(rep.lambda_hat)!r},{float(rep.standard_error)!r}"
-        )
+        lines.append(f"{coords},{n_samples},{float(radius)!r},{lam!r},{se!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -606,13 +607,6 @@ def test_cli_rejects_nonpositive_threads(tmp_path, capsys, threads):
     error = json.loads(capsys.readouterr().err)
     assert error["error"] == "validation" and "--threads" in error["message"]
     assert not out.exists()
-
-
-def test_cli_rejects_nonpositive_environment_threads(tmp_path, capsys, monkeypatch):
-    cfg = write_cfg(tmp_path, MINI_ESTIMATE)
-    monkeypatch.setenv("MEANDENSE_THREADS", "0")
-    assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
-    assert "MEANDENSE_THREADS" in json.loads(capsys.readouterr().err)["message"]
 
 
 def test_cli_subcommand_preconditions(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Capacity-functional estimators: bandwidths, streaming counts, studies."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from meandense import (
     OrientationLaw,
     QueryError,
     Realizations,
+    capacity_estimate,
     contact_derivative,
     convergence_study,
     count_estimate,
@@ -27,7 +29,7 @@ from meandense import (
 )
 from meandense import estimate as estimate_module
 from meandense.boolean import checked_guard_margin
-from meandense.estimate import _indicator_density, _report_from_hits, accumulate_hits
+from meandense.estimate import accumulate_hits
 from meandense.geometry import Box, ball_volume, segment_distances
 from meandense.poisson import sample_block
 from meandense.streams import derive_key
@@ -102,13 +104,11 @@ def test_empirical_capacity_monotone_in_radius():
 def test_density_estimate_matches_manual_count():
     batch = make_batch(300, seed=2)
     x, r = [0.5, 0.5], 0.1
-    rep = density_estimate(batch, x, r)
+    lam, se = density_estimate(batch, x, r)
     hit = hits(batch, np.array(x), r)
-    assert rep.lambda_hat == _indicator_density(hit, 300, 2, 1, r)
-    assert rep.hit_fraction == pytest.approx(hit / 300)
-    assert rep.n_samples == 300
-    se = math.sqrt(rep.hit_fraction * (1 - rep.hit_fraction) / 300) / (2 * r)
-    assert rep.standard_error == pytest.approx(se)
+    assert lam == capacity_estimate(hit, 300, 2, 1, r)[0]
+    p = hit / 300
+    assert se == pytest.approx(math.sqrt(p * (1 - p) / 300) / (2 * r))
 
 
 def test_density_estimate_validation():
@@ -143,7 +143,7 @@ def test_density_estimate_validation():
 def test_count_dominates_indicator(seed, r):
     batch = make_batch(100, seed=seed)
     x = [0.5, 0.5]
-    assert count_estimate(batch, x, r) >= density_estimate(batch, x, r).lambda_hat
+    assert count_estimate(batch, x, r) >= density_estimate(batch, x, r)[0]
 
 
 def test_count_estimate_validation():
@@ -168,12 +168,11 @@ def test_contact_derivative_needs_codimension_one():
 
 
 def test_batch_queries_are_checked_against_its_r_max():
-    # a guard zone wide enough for r = 0.3 does not lift the batch's r_max
     window = Box([0.0, 0.0], [1.0, 1.0])
-    batch = simulate(CONSTANT, RANDOM_SEGMENTS, window, 0.1, 3, seed=7, guard_margin=1.3)
+    batch = simulate(CONSTANT, RANDOM_SEGMENTS, window, 0.1, 3, seed=7)
     x = [0.5, 0.5]
     assert 0.0 <= empirical_capacity(batch, x, 0.1) <= 1.0
-    assert count_estimate(batch, x, 0.1) >= density_estimate(batch, x, 0.1).lambda_hat
+    assert count_estimate(batch, x, 0.1) >= density_estimate(batch, x, 0.1)[0]
     for query in (
         lambda: empirical_capacity(batch, x, 0.15),
         lambda: density_estimate(batch, x, 0.15),
@@ -190,7 +189,7 @@ def one_realization_batches(batch):
     for i in range(batch.count):
         mine = batch.owner == i
         out.append(Realizations(batch.a[mine], batch.b[mine], np.zeros(mine.sum(), dtype=int), 1,
-                                batch.window, batch.guard_margin, batch.r_max, batch.n))
+                                batch.window, batch.r_max, batch.n))
     return out
 
 
@@ -207,7 +206,7 @@ def test_list_estimators_equal_per_realization_sums(seed, count, kind):
         hit = sum(hits(real, x, r) for real in per_realization)
         grains = sum(int(real.counts(x, [r])[1][0]) for real in per_realization)
         assert empirical_capacity(batch, x, r) == hit / count
-        assert count_estimate(batch, x, r) == _indicator_density(grains, count, 2, 1, r)
+        assert count_estimate(batch, x, r) == grains / count / ball_volume(1, r)
     t_hat = [sum(hits(real, x, r) for real in per_realization) / count for r in r_grid]
     slope = np.polyfit(np.array(r_grid), np.array(t_hat), 1)[0]
     assert contact_derivative(batch, x, r_grid) == float(slope) / 2.0
@@ -237,7 +236,7 @@ def point_batch(samples, window):
     """A batch of one point grain at each sample of the line (n = 0)."""
     m = samples.size
     germs = samples[:, None, None]
-    return Realizations(germs, germs, np.arange(m), m, window, guard_margin=1.0, r_max=0.5, n=0)
+    return Realizations(germs, germs, np.arange(m), m, window, r_max=0.5, n=0)
 
 
 def test_histogram_bit_identity_with_point_grain_estimator():
@@ -245,9 +244,7 @@ def test_histogram_bit_identity_with_point_grain_estimator():
     samples = rng.random(500)
     realizations = point_batch(samples, Box([-1.0], [2.0]))
     for x, r in ((0.5, 0.1), (0.25, 0.05), (0.8, 0.2)):
-        assert histogram_reduction(samples, x, r) == density_estimate(
-            realizations, [x], r
-        ).lambda_hat
+        assert histogram_reduction(samples, x, r) == density_estimate(realizations, [x], r)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +419,7 @@ def _streaming_report(x, n, r, seed):
     """The CLI's estimate at one point: accumulate_hits on a window just
     covering the query ball, then the estimator arithmetic."""
     ind, _ = accumulate_hits(CONSTANT, RANDOM_SEGMENTS, [x], [r], n, seed)
-    return _report_from_hits(x, int(ind[0, 0]), n, 2, 1, r)
+    return capacity_estimate(int(ind[0, 0]), n, 2, 1, r)
 
 
 def test_streaming_hits_match_list_route():
@@ -433,16 +430,16 @@ def test_streaming_hits_match_list_route():
     window = Box(x - r, x + r)
     batch = simulate(CONSTANT, RANDOM_SEGMENTS, window, r, n, seed=12)
     direct = density_estimate(batch, x, r)
-    assert rep.lambda_hat == direct.lambda_hat
-    assert rep.standard_error == direct.standard_error
+    assert rep[0] == direct[0]
+    assert rep[1] == direct[1]
 
 
 def test_streaming_estimator_is_consistent_oracle():
     # stationary model: λ = c E[L] = 1; expectation of λ̂ is P(r)/(2r)
     x, r, n = np.array([0.5, 0.5]), 0.05, 4000
-    rep = _streaming_report(x, n, r, seed=13)
+    lam, se = _streaming_report(x, n, r, seed=13)
     expected = (1.0 - math.exp(-(2 * r + math.pi * r * r))) / (2 * r)
-    assert abs(rep.lambda_hat - expected) < 3 * rep.standard_error
+    assert abs(lam - expected) < 3 * se
 
 
 # ---------------------------------------------------------------------------
@@ -485,8 +482,42 @@ def test_convergence_study_validation():
 
 
 def test_indicator_density_arithmetic():
-    assert _indicator_density(10, 100, 2, 1, 0.1) == pytest.approx(10 / 100 / 0.2)
-    assert _indicator_density(5, 50, 1, 0, 0.25) == pytest.approx(5 / 50 / 0.5)
-    assert _indicator_density(3, 10, 3, 1, 0.5) == pytest.approx(
+    assert capacity_estimate(10, 100, 2, 1, 0.1)[0] == pytest.approx(10 / 100 / 0.2)
+    assert capacity_estimate(5, 50, 1, 0, 0.25)[0] == pytest.approx(5 / 50 / 0.5)
+    assert capacity_estimate(3, 10, 3, 1, 0.5)[0] == pytest.approx(
         3 / 10 / (ball_volume(2) * 0.25)
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 10 ** 6).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(0, n), min_size=1, max_size=8))
+    ),
+    st.sampled_from([(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]),
+    st.floats(0.0, 2.0, exclude_min=True, exclude_max=True),
+)
+def test_capacity_estimate_array_equals_scalar_arithmetic(totals, dims, radius):
+    """One array call equals the elementwise scalar calls, and both equal
+    the per-point arithmetic of 0.2.0, bit for bit."""
+    n_samples, hits = totals
+    d, n = dims
+    norm = ball_volume(d - n) * radius ** (d - n)
+    if norm < sys.float_info.min:  # 0.2.0 could divide by zero or overflow
+        for arg in (hits[0], np.array(hits, dtype=np.int64)):
+            with pytest.raises(ConfigurationError, match="radius .* is too small"):
+                capacity_estimate(arg, n_samples, d, n, radius)
+        return
+    lam, se = capacity_estimate(np.array(hits, dtype=np.int64), n_samples, d, n, radius)
+    for count, lam_i, se_i in zip(hits, lam, se):
+        p = count / n_samples
+        assert (lam_i, se_i) == capacity_estimate(count, n_samples, d, n, radius)
+        assert lam_i == count / n_samples / norm
+        assert se_i == math.sqrt(p * (1 - p) / n_samples) / norm
+
+
+def test_capacity_estimate_refuses_no_samples():
+    for n_samples in (0, -3):
+        message = f"n_samples must be at least 1, got {n_samples}"
+        with pytest.raises(ConfigurationError, match=message):
+            capacity_estimate(0, n_samples, 2, 1, 0.1)

@@ -6,7 +6,7 @@ import os
 import pytest
 
 from meandense import ConfigurationError, parallel
-from meandense.parallel import default_threads, parallel_map, pool_size, usable_cpus
+from meandense.parallel import parallel_map, pool_size, usable_cpus
 
 
 @pytest.fixture
@@ -143,14 +143,3 @@ def test_pool_workers_run_one_blas_thread(always_pool):
     if usable_cpus() < 2:
         pytest.skip("one usable CPU: parallel_map starts no pool")
     assert parallel_map(_blas_threads, range(4), threads=2) == [1, 1, 1, 1]
-
-
-def test_default_threads_reads_a_positive_environment_value(two_cpus, monkeypatch):
-    monkeypatch.delenv("MEANDENSE_THREADS", raising=False)
-    assert default_threads() == 2
-    monkeypatch.setenv("MEANDENSE_THREADS", "3")
-    assert default_threads() == 3
-    for bad in ("0", "-1", "many"):
-        monkeypatch.setenv("MEANDENSE_THREADS", bad)
-        with pytest.raises(ConfigurationError, match="MEANDENSE_THREADS"):
-            default_threads()

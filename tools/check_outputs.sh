@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
-# Run the CLI on 35 (sub-command, bundled config) pairs at --threads 1 and
+# Run the CLI on 36 (sub-command, bundled config) pairs at --threads 1 and
 # 2, with RuntimeWarnings as errors, and check that every CSV is
-# byte-identical across the two thread counts.  parallel_map starts a pool
-# only for work that can pay for one, so most --threads 2 runs here stay
-# in-process; the tier-1 thread-invariance tests (criterion 11 and
-# test_accumulate_hits_thread_invariance) force a real pool instead.
+# byte-identical across the two thread counts.  segment_quadratic.cfg sets
+# no r, so its estimate pair is the one that runs the bandwidth radius
+# R_N = c0 N^(-beta); every other estimate config sets r, which wins.
+# parallel_map starts a pool only for work that can pay for one, so most
+# --threads 2 runs here stay in-process; the tier-1 thread-invariance
+# tests (criterion 11 and test_accumulate_hits_thread_invariance) force a
+# real pool instead.
 #
 # With --against REV, also unpack `git archive REV` into a temporary
 # directory, run the same pairs with that tree's package (on this tree's
@@ -37,7 +40,8 @@ trap 'rm -rf "$out"' EXIT
 pairs() {  # one "sub-command config" line per pair
   printf '%s\n' \
     "exact segment_quadratic.cfg" "exact minkowski_segment.cfg" \
-    "estimate stationary_segment.cfg" "study study_quadratic.cfg" \
+    "estimate stationary_segment.cfg" "estimate segment_quadratic.cfg" \
+    "study study_quadratic.cfg" \
     "minkowski minkowski_segment.cfg" "simulate minkowski_segment.cfg" \
     "oracle stationary_segment.cfg" "oracle segment_quadratic.cfg" \
     "oracle minkowski_segment.cfg" "simulate stationary_segment.cfg"
