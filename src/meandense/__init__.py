@@ -7,7 +7,7 @@ empirical capacity functional of simulated realizations, and the weighted
 Minkowski-content limit of sausage integrals.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .boolean import Realizations, simulate
 from .config import ScenarioConfig, parse_config

@@ -7,15 +7,17 @@ the whole file and reports every violation, not just the first.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .estimate import BandwidthSchedule
-from .geometry import Box
+from .geometry import Box, ball_volume
 from .grains import Grain, LengthLaw, MarkDistribution, OrientationLaw
 from .poisson import IntensityField
 
@@ -89,13 +91,13 @@ class ScenarioConfig:
         raise ConfigurationError("config needs either r or bandwidth.{c0,beta} with N")
 
     def bandwidth_radius(self, n_samples: int) -> float:
-        """c0 N^(-beta) at N = n_samples; like every radius it must be below 2."""
-        radius = self.bandwidth.radius(n_samples)
+        """c0 N^(-beta) at N = n_samples, a radius below 2 that _underflow passes."""
+        radius, codim = self.bandwidth.radius(n_samples), self.d - self.n
+        where = f"bandwidth.c0: the radius c0 N^(-beta) = {radius!r} at N = {n_samples}"
         if radius >= 2.0:
-            raise ConfigurationError(
-                f"bandwidth.c0: the radius c0 N^(-beta) = {radius!r} at N = {n_samples} "
-                "must be below 2"
-            )
+            raise ConfigurationError(f"{where} must be below 2")
+        if _underflow("bandwidth.c0", [radius], codim):
+            raise ConfigurationError(f"{where} is too small: b_{codim} R^{codim} underflows")
         return radius
 
 
@@ -108,6 +110,13 @@ def _integer(text: str) -> int:
         if not value.is_integer():
             raise
         return int(value)
+
+
+def _underflow(key: str, radii, codim: int) -> list[str]:
+    """Violations of the radii whose normalizer b_k r^k, k = d - n, is below
+    the smallest normal float (its inverse overflows)."""
+    return [f"{key}: radius {r!r} is too small: b_{codim} r^{codim} = {norm!r}"
+            for r in radii if (norm := ball_volume(codim, r)) < sys.float_info.min]
 
 
 class _NotFinite(ValueError):
@@ -242,9 +251,13 @@ def parse_config(text: str) -> ScenarioConfig:
     fixed_r = get("r")
     if fixed_r is not None and not (0.0 < fixed_r < 2.0):
         errors.append("r: must lie in (0, 2)")
+    elif fixed_r is not None:
+        errors.extend(_underflow("r", [fixed_r], d - n))
     r_grid = get("r_grid", sep=",")
     if r_grid is not None and any(not (0.0 < v < 2.0) for v in r_grid):
         errors.append("r_grid: all radii must lie in (0, 2)")
+    elif r_grid is not None:
+        errors.extend(_underflow("r_grid", r_grid, d - n))
     r_max = get("r_max")
     if r_max is not None and not (0.0 <= r_max < 2.0):
         errors.append("r_max: must lie in [0, 2)")
@@ -262,15 +275,20 @@ def parse_config(text: str) -> ScenarioConfig:
         errors.append("mark_draws: must be at least 2")
     output = pairs.get("output", "out")
 
-    # moment conditions on the mark law
+    # moment conditions on the mark law; a moment past the float range is inf
     if marks is not None:
+        key = "marks.length" if marks.kind == "segment" else "marks.grain"
+        quadratic = intensity is not None and intensity.kind == "quadratic" and marks.n == 1
+        mean = third = math.inf
+        with contextlib.suppress(OverflowError, ZeroDivisionError):
+            mean = marks.mean_hn()
+            third = marks.length_moment(3) if quadratic else 0.0
         if not math.isfinite(marks.l_max):
-            errors.append("marks: the law needs a finite diameter bound L_max")
-        elif not math.isfinite(marks.mean_hn()):
-            errors.append("marks: E_Q[H^n(Z_0)] must be finite")
-        elif intensity is not None and intensity.kind == "quadratic" and marks.n == 1:
-            if not math.isfinite(marks.length_moment(3)):
-                errors.append("marks: quadratic intensity needs E[L^3] < infinity")
+            errors.append(f"{key}: the law needs a finite diameter bound L_max")
+        elif not math.isfinite(mean):
+            errors.append(f"{key}: E_Q[H^n(Z_0)] must be finite")
+        elif not math.isfinite(third):
+            errors.append(f"{key}: quadratic intensity needs E[L^3] < infinity")
 
     if errors:
         raise ConfigurationError("invalid configuration:\n  " + "\n  ".join(errors))

@@ -10,8 +10,8 @@ draw the marks' segment rows once on the uniforms of the task's key
 them in one kernel call, and return the single term or the Monte Carlo
 mark mean with its standard error.  The line kernel is Gauss-Legendre
 quadrature between the field's split points, exact for the intensities
-in scope; the sausage kernel is exact cubature for segment and point
-grains under polynomial intensities and Monte Carlo otherwise.
+in scope; the sausage kernel is an exact moment rule for segment and
+point grains under polynomial intensities and Monte Carlo otherwise.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ def hitting_intensity(f, q: MarkDistribution, x, r: float, mc_points: int = 200_
     the hitting-intensity condition.
 
     The sausage integrals of all marks come from one sausage_integrals
-    call: exact where its cubature applies, otherwise with `mc_points`
+    call: exact where its moment rule applies, otherwise with `mc_points`
     proposals for the single term, or max(16, mc_points // mark_draws) per
     mark, on the counters of `key` after the marks' (see _mark_mean and
     sausage_integrals).

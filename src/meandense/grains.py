@@ -14,7 +14,7 @@ and a deterministic law's being one read-only view of its grain
 repeated.  A field is integrated over each grain with respect to H^n by
 Gauss-Legendre quadrature between the points where it states it is not
 smooth (`line_integrals`) and over each grain's r-sausage
-(`sausage_integrals`): by exact product Gauss cubature for segment and
+(`sausage_integrals`): exactly, from 2d + 3 field values, for segment and
 point grains under a field that states it is a polynomial of degree <= 2
 there, by chunked Monte Carlo on the uniforms of one key otherwise.
 `integrate_along` and `sausage_integral` are their one-grain calls.
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NumericError
-from .geometry import Box, as_point, segment_distances
+from .geometry import Box, as_point, ball_volume, segment_distances
 from .streams import skip, uniforms
 
 DEFAULT_QUADRATURE_ORDER = 8
@@ -274,81 +274,42 @@ def _gauss(n: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _ball_rule(dim: int, half: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes (m, dim) and weights on the unit ball of R^dim, or on its half
-    with first coordinate >= 0, exact for polynomials of degree <= 2: Gauss
-    in the radius (Jacobian rho^(dim-1)) times a rule on the sphere.  The
-    sphere rules: both signs (dim 1), three azimuths on the circle or 12
-    Gauss angles on the half circle (exact to rounding; dim 2), Gauss in
-    the polar cosine times three azimuths on the hemisphere (dim 3)."""
-    if dim == 0:
-        return np.zeros((1, 0)), np.ones(1)
-    turn = 2.0 * math.pi * np.arange(3) / 3.0
-    if dim == 1:
-        dirs = np.array([[1.0]] if half else [[1.0], [-1.0]])
-        dir_w = np.ones(len(dirs))
-    elif dim == 2:
-        if half:
-            theta, dir_w = _gauss(12, -math.pi / 2.0, math.pi / 2.0)
-        else:
-            theta, dir_w = turn, np.full(3, 2.0 * math.pi / 3.0)
-        dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    else:
-        c, c_w = _gauss(2, 0.0, 1.0)
-        s = np.sqrt(1.0 - c * c)[:, None]
-        dirs = np.stack([np.repeat(c, 3), (s * np.cos(turn)).ravel(),
-                         (s * np.sin(turn)).ravel()], axis=1)
-        dir_w = np.repeat(c_w, 3) * (2.0 * math.pi / 3.0)
-    rho, rho_w = _gauss((dim + 3) // 2, 0.0, 1.0)
-    nodes = (rho[:, None, None] * dirs[None]).reshape(-1, dim)
-    return nodes, np.outer(rho_w * rho ** (dim - 1), dir_w).ravel()
-
-
-@functools.cache  # building a rule costs about 0.7 ms, as much as ~500 grains
-def _sausage_rule(d: int):
-    """The unit-radius sausage of a segment in its own frame (axis first):
-    a cylinder of Gauss axial nodes times the cross-section ball, a
-    half-ball cap at b and its mirror image at a.  Node n sits at
-    coeffs[n] @ (a, b - a, frame rows) with coeffs = (1, t, offset); the
-    first n_cyl weights are per unit length."""
-    t_ax, w_ax = _gauss(2, 0.0, 1.0)
-    cross, w_cross = _ball_rule(d - 1, half=False)
-    cap, w_cap = _ball_rule(d, half=True)
-    cyl = np.hstack([np.zeros((len(cross), 1)), cross])
-    n_cyl, n_cap = len(t_ax) * len(cross), len(cap)
-    t = np.concatenate([np.repeat(t_ax, len(cross)), np.ones(n_cap), np.zeros(n_cap)])
-    offset = np.vstack([np.tile(cyl, (len(t_ax), 1)), cap, cap * np.r_[-1.0, np.ones(d - 1)]])
-    coeffs = np.column_stack([np.ones_like(t), t, offset])
-    return coeffs, np.concatenate([np.outer(w_ax, w_cross).ravel(), w_cap, w_cap]), n_cyl
-
-
 def _sausage_cubature(a: np.ndarray, b: np.ndarray, h, r: float) -> np.ndarray:
     """Exact integrals of a polynomial h of degree <= 2 over the r-sausages
-    of K segments (a, b), each of shape (K, d); a zero-length segment's
-    sausage is the ball.  Grains go SAUSAGE_CHUNK field points at a time."""
+    of K segments (a, b), each of shape (K, d), a point's being the ball.
+    A sausage is symmetric about its midpoint m, so ∫ h = V h(m) + (B tr H
+    + (A - B) u'Hu) / 2 for h's Hessian H, its volume V and its second
+    moments A along the axis u and B across it.  The Hessian terms are
+    second differences at m ± r e_i and m ± s u, s² = A / V <= (L/2 + r)²:
+    2d + 3 nodes in the grain's r-dilated bounding box.  Grains go
+    SAUSAGE_CHUNK field points at a time."""
     n_grains, d = a.shape
-    coeffs, weights, n_cyl = _sausage_rule(d)
-    w_cyl, w_caps = weights[:n_cyl] * r ** (d - 1), weights[n_cyl:] * r ** d
     ab = b - a
     length = np.linalg.norm(ab, axis=1)
-    axis = np.divide(ab, length[:, None], out=np.eye(1, d).repeat(n_grains, 0),
-                     where=length[:, None] > 0.0)
-    # the Householder reflection H with H e_1 = -sign·axis is symmetric:
-    # -sign·H is an orthonormal frame whose first row is the axis
-    sign = np.where(axis[:, 0] >= 0.0, 1.0, -1.0)
-    w = axis.copy()
-    w[:, 0] += sign
-    frame = 2.0 * w[:, :, None] * w[:, None, :] / (w * w).sum(axis=1)[:, None, None]
-    frame = (sign * r)[:, None, None] * (frame - np.eye(d))
-    # basis rows (a, b - a, r·frame) of every grain, grains along the columns
-    basis = np.concatenate([a[:, None], ab[:, None], frame], axis=1).transpose(1, 0, 2)
+    # cross-section b_{d-1} r^{d-1} (1 in d = 1) and ball b_d r^d
+    cross, ball = ball_volume(d - 1, r) if d > 1 else 1.0, ball_volume(d, r)
+    volume = length * cross + ball
+    across = (length * cross / (d + 1) + ball / (d + 2)) * r * r
+    excess = length * (cross * (length * length / 12.0 + r * r / (d + 1)) + ball * length / 4.0)
+    # s u with s² = A / V, A = B + excess; a ball has A = B and takes u = 0
+    step = (np.sqrt((across + excess) / volume) / np.where(length > 0.0, length, 1.0))[:, None] * ab
+    # weights of the second differences: B / r² at each e_i, V (A - B) / A at u
+    w_cross, w_axis = across / (r * r), volume * excess / (across + excess)
+    offsets = np.kron(np.eye(d), [[r], [-r]])  # m ± r e_i, in pairs
     out = np.empty(n_grains)
-    step = max(1, SAUSAGE_CHUNK // len(coeffs))
-    for k in range(0, n_grains, step):
-        ks = slice(k, k + step)
-        pts = coeffs @ basis[:, ks].reshape(d + 2, -1)
-        vals = h.values(pts.reshape(-1, d)).reshape(len(coeffs), -1)
-        out[ks] = length[ks] * (w_cyl @ vals[:n_cyl]) + w_caps @ vals[n_cyl:]
+    per_chunk = max(1, SAUSAGE_CHUNK // (2 * d + 3))
+    for k in range(0, n_grains, per_chunk):
+        ks = slice(k, k + per_chunk)
+        mid = 0.5 * (a[ks] + b[ks])
+        pts = np.concatenate([mid[:, None], mid[:, None] + offsets, (mid + step[ks])[:, None],
+                              (mid - step[ks])[:, None]], axis=1)
+        vals = h.values(pts.reshape(-1, d)).reshape(len(mid), 2 * d + 3)
+        centre = vals[:, :1]
+        with np.errstate(invalid="ignore"):  # inf - inf and inf·0 where h overflows
+            diffs = (vals[:, 1::2] - centre) + (vals[:, 2::2] - centre)  # one per pair
+            sums = volume[ks] * centre[:, 0] + 0.5 * (
+                w_cross[ks] * diffs[:, :-1].sum(axis=1) + w_axis[ks] * diffs[:, -1])
+        out[ks] = np.where(np.isinf(vals).any(axis=1), np.inf, sums)  # an intensity is >= 0
     return out
 
 

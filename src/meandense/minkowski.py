@@ -3,13 +3,13 @@
 For a compact rectifiable set S (a grain used deterministically) and a
 weighted measure with density f, the ratio of the sausage integral
 ∫_{S⊕r} f to b_{d-n} r^{d-n} converges, as r shrinks, to the line
-integral of f over S.  The sausage integral is exact cubature (SE 0) for
-a segment or point grain under a polynomial intensity and chunked Monte
-Carlo otherwise (polylines, piecewise or clipped fields), so on the
-exact rows the ratios show the convergence itself, free of noise.  The
-limit target is computed by quadrature, independently of the sausage
-route, and the uniform ratio bound (2^n 4^d b_d / (gamma' b_{d-n}) with a
-normalized density witness) is checked with its margin.
+integral of f over S.  The sausage integral is exact (SE 0) by a moment
+rule for a segment or point grain under a polynomial intensity and
+chunked Monte Carlo otherwise (polylines, piecewise or clipped fields),
+so on the exact rows the ratios show the convergence itself, free of
+noise.  The limit target is computed by quadrature, independently of the
+sausage route, and the uniform ratio bound (2^n 4^d b_d / (gamma'
+b_{d-n}) with a normalized density witness) is checked with its margin.
 """
 
 from __future__ import annotations

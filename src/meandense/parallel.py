@@ -5,7 +5,7 @@ returned in task order, so output never depends on the worker count or on
 scheduling.  Tasks run in-process until they have taken POOL_COST_S, the
 price of a pool (36-72 ms over half the in-process time of 4-24 exact-route
 tasks on 2 cores); the rest go to min(threads, tasks left, usable CPUs)
-workers, one BLAS thread each, if (w − 1)/w of their predicted time exceeds it.
+workers if (w − 1)/w of their predicted time exceeds it.
 """
 
 from __future__ import annotations
@@ -33,20 +33,6 @@ def pool_size(threads: int, tasks: int) -> int:
     return max(1, min(threads, tasks, usable_cpus()))
 
 
-def openblas():
-    """numpy's bundled OpenBLAS (a wheel's numpy.libs) through ctypes, or None."""
-    import ctypes
-    import glob
-    import numpy
-    found = glob.glob(os.path.dirname(numpy.__file__) + "/../numpy.libs/libscipy_openblas*")
-    return ctypes.CDLL(found[0]) if found else None
-
-
-def _one_blas_thread():
-    """Pool initializer: a forked worker keeps the parent's BLAS threads."""
-    getattr(openblas(), "scipy_openblas_set_num_threads64_", lambda n: None)(1)
-
-
 def parallel_map(fn, tasks, threads: int = 1) -> list:
     tasks = list(tasks)
     if pool_size(threads, len(tasks)) == 1:
@@ -59,5 +45,5 @@ def parallel_map(fn, tasks, threads: int = 1) -> list:
     saved = (perf_counter() - start) * len(rest) * (workers - 1) / (workers * max(1, len(results)))
     if workers == 1 or saved < POOL_COST_S:
         return results + [fn(t) for t in rest]
-    with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return results + list(pool.map(fn, rest, chunksize=max(1, len(rest) // (4 * workers))))

@@ -599,6 +599,71 @@ def test_cli_window_of_overflowing_volume_hits_the_germ_cap(tmp_path, capsys):
     assert not out.exists()
 
 
+def _validation_error(capsys, command, cfg, out):
+    """Run `command` on the config file under RuntimeWarnings as errors,
+    check that it exits 1 writing nothing, and return the JSON message."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([command, "--config", cfg, "--out", str(out), "--threads", "1"]) == 1
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "validation"
+    assert not out.exists()
+    return error["message"]
+
+
+@pytest.mark.parametrize("base, lines, key", [
+    (MINI_ESTIMATE, ("marks.length.value = 1e200",), "marks.length"),
+    (MINI_ESTIMATE, ("marks.length.kind = uniform", "marks.length.hi = 1e120"), "marks.length"),
+    (MINI_ESTIMATE, ("marks.length.kind = trunc_exp", "marks.length.rate = 1e-200"),
+     "marks.length"),
+    (MINI_EXACT, ("marks.grain.length = 1e150",), "marks.grain"),
+], ids=["fixed", "uniform", "trunc_exp", "deterministic"])
+def test_cli_length_moment_past_the_float_range_is_a_named_violation(
+        tmp_path, capsys, base, lines, key):
+    """Under a quadratic field E[L^3] must be finite.  For these laws it is
+    past the float range: L^3 overflows (fixed, the deterministic grain),
+    hi^4 does in the uniform moment, and rate^3 underflows to 0 under
+    3! / rate^3 (trunc_exp).  Each is a violation naming the law's key,
+    not a traceback."""
+    text = _with_line(base, "intensity.kind = quadratic")
+    for line in lines:
+        text = _with_line(text, line)
+    message = _validation_error(capsys, "exact", write_cfg(tmp_path, text), tmp_path / "run")
+    assert message.splitlines() == [
+        "invalid configuration:", f"  {key}: quadratic intensity needs E[L^3] < infinity"]
+
+
+def test_cli_radius_whose_normalizer_underflows_is_a_named_violation(tmp_path, capsys):
+    """b_{d-n} r^{d-n} below the smallest normal float cannot divide a
+    probability: an r or r_grid entry that makes it so is a violation
+    naming the key, and so is a bandwidth radius under bandwidth.c0 in
+    estimate and study.  exact never uses the radius and still runs."""
+    configs = Path(__file__).parents[1] / "configs"
+    three_d = _with_line((configs / "segments_3d.cfg").read_text(), "r_grid = 0.2, 0.1, 1e-200")
+    segment = _with_line((configs / "minkowski_segment.cfg").read_text(),
+                         "r_grid = 0.2, 1e-320, 0.05")
+    for command, text, fault in (
+        ("oracle", three_d, "r_grid: radius 1e-200 is too small: b_2 r^2 = 0.0"),
+        ("minkowski", segment, "r_grid: radius 1e-320 is too small: b_1 r^1 = 2e-320"),
+        ("estimate", _with_line(MINI_ESTIMATE, "r = 1e-320"),
+         "r: radius 1e-320 is too small: b_1 r^1 = 2e-320"),
+    ):
+        cfg = write_cfg(tmp_path, text, f"{command}.cfg")
+        message = _validation_error(capsys, command, cfg, tmp_path / command)
+        assert message.splitlines() == ["invalid configuration:", f"  {fault}"]
+    text = _with_line(_with_line(MINI_ESTIMATE, "N = 100"), "bandwidth.c0 = 1e-320")
+    text = text.replace("r = 0.1\n", "") + (
+        "bandwidth.beta = 0.3\nN_grid = 100, 200\nreplications = 2\nmark_draws = 10\n"
+    )
+    cfg = write_cfg(tmp_path, text, "narrow.cfg")
+    for command in ("estimate", "study"):
+        message = _validation_error(capsys, command, cfg, tmp_path / command)
+        assert message.startswith("bandwidth.c0: the radius c0 N^(-beta) = ")
+        assert message.endswith(" at N = 100 is too small: b_1 R^1 underflows")
+    assert main(["exact", "--config", cfg, "--out", str(tmp_path / "exact"),
+                 "--threads", "1"]) == 0
+
+
 @pytest.mark.parametrize("threads", ["0", "-2"])
 def test_cli_rejects_nonpositive_threads(tmp_path, capsys, threads):
     cfg = write_cfg(tmp_path, MINI_ESTIMATE)

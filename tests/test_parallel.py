@@ -61,7 +61,7 @@ def pools(monkeypatch):
     started = []
 
     class RecordingPool:
-        def __init__(self, max_workers, initializer=None):
+        def __init__(self, max_workers):
             self.record = {"workers": max_workers, "tasks": []}
             started.append(self.record)
 
@@ -130,16 +130,3 @@ def test_an_error_in_the_head_propagates_unchanged(two_cpus, clock, pools):
         parallel_map(fn, range(10), threads=2)
     assert raised.value is error
     assert pools == []
-
-
-def _blas_threads(_):
-    return parallel.openblas().scipy_openblas_get_num_threads64_()
-
-
-def test_pool_workers_run_one_blas_thread(always_pool):
-    lib = parallel.openblas()
-    if lib is None or not hasattr(lib, "scipy_openblas_get_num_threads64_"):
-        pytest.skip("numpy has no bundled OpenBLAS (numpy.libs/libscipy_openblas*)")
-    if usable_cpus() < 2:
-        pytest.skip("one usable CPU: parallel_map starts no pool")
-    assert parallel_map(_blas_threads, range(4), threads=2) == [1, 1, 1, 1]

@@ -17,7 +17,9 @@
 # that a force push dropped).  When the two trees declare different
 # __version__s, the comparison still runs and lists every CSV that
 # differs, but does not fail: a version bump is how a change declares that
-# it changes the output bytes.
+# it changes the output bytes.  Under each CSV that differs, here or across
+# thread counts, go the columns that differ, each with its largest
+# relative difference |a - b| / max(|a|, |b|) over the rows.
 #
 # usage: tools/check_outputs.sh [--against REV]
 set -euo pipefail
@@ -68,13 +70,52 @@ run_all() {  # package tree, output label
   done < <(pairs)
 }
 
+columns() {  # CSV a, CSV b: each column that differs, and by how much
+  python - "$1" "$2" <<'PY'
+import csv
+import sys
+
+
+def report(a_path, b_path):
+    tables = []
+    for path in (a_path, b_path):
+        try:
+            with open(path, newline="") as f:
+                tables.append(list(csv.reader(f)))
+        except OSError:
+            return print(f"  no {path}")
+    a, b = tables
+    if a[:1] != b[:1] or len(a) != len(b):
+        return print(f"  header or row count differs: {len(a) - 1} against {len(b) - 1} rows")
+    for k, name in enumerate(a[0]):
+        worst, text = 0.0, False
+        for x, y in ((ra[k], rb[k]) for ra, rb in zip(a[1:], b[1:]) if ra[k] != rb[k]):
+            try:
+                x, y = float(x), float(y)
+            except ValueError:
+                text = True
+                continue
+            scale = max(abs(x), abs(y))
+            worst = max(worst, abs(x - y) / scale if scale else 0.0)
+        if text:
+            print(f"  {name}: text cells differ")
+        elif worst:
+            print(f"  {name}: largest relative difference {worst:.2g}")
+
+
+report(*sys.argv[1:])
+PY
+}
+
 compare() {  # label a, label b, thread count of b's runs (default: as a's)
-  local cmd cfg t csv status=0
+  local cmd cfg t csv other status=0
   while read -r cmd cfg; do
     for t in 1 2; do
       for csv in "$out/$1/$cmd-$cfg-$t"/*.csv; do
-        if ! cmp -s "$csv" "$out/$2/$cmd-$cfg-${3:-$t}/$(basename "$csv")"; then
+        other="$out/$2/$cmd-$cfg-${3:-$t}/$(basename "$csv")"
+        if ! cmp -s "$csv" "$other"; then
           echo "differs: $(basename "$csv") of $cmd $cfg at --threads $t"
+          columns "$other" "$csv"
           status=1
         fi
       done
