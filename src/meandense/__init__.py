@@ -13,7 +13,6 @@ from .boolean import Realizations, simulate
 from .config import ScenarioConfig, parse_config
 from .errors import ConfigurationError, NumericError, QueryError
 from .estimate import (
-    BandwidthSchedule,
     capacity_estimate,
     contact_derivative,
     convergence_study,

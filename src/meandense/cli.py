@@ -120,10 +120,9 @@ def run_estimate(cfg: ScenarioConfig, seed: int, threads: int, out_dir: Path):
 def run_study(cfg: ScenarioConfig, seed: int, threads: int, out_dir: Path):
     if cfg.n_grid is None or cfg.bandwidth is None:
         raise ConfigurationError("study needs N_grid and a bandwidth schedule")
-    for n_samples in cfg.n_grid:  # refuse a radius of 2 or more before any work
-        cfg.bandwidth_radius(n_samples)
+    radii = [cfg.bandwidth_radius(n_samples) for n_samples in cfg.n_grid]
     rows = convergence_study(
-        cfg.intensity, cfg.marks, cfg.grid_points(), cfg.bandwidth, cfg.n_grid,
+        cfg.intensity, cfg.marks, cfg.grid_points(), radii, cfg.n_grid,
         cfg.replications, seed, region=cfg.region,
         mark_draws=cfg.mark_draws, threads=threads,
     )

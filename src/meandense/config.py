@@ -10,13 +10,13 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .estimate import BandwidthSchedule
 from .geometry import Box, ball_volume
 from .grains import Grain, LengthLaw, MarkDistribution, OrientationLaw
 from .poisson import IntensityField
@@ -38,8 +38,11 @@ _KNOWN_KEYS = {
     "bandwidth.c0", "bandwidth.beta",
 }
 
-# intensity.pieceK.{lo,hi,value} are matched dynamically
-_PIECE_PREFIX = "intensity.piece"
+# intensity.pieceK.{lo,hi,value}, K = 1..intensity.pieces, are matched here
+_PIECE_KEY = re.compile(r"intensity\.piece([1-9][0-9]*)\.(lo|hi|value)")
+
+# lattice points x_grid may hold, checked before the lattice is built
+MAX_GRID_POINTS = 1_000_000
 
 
 @dataclass(eq=False)
@@ -54,7 +57,7 @@ class ScenarioConfig:
     seed: int = 0
     n_samples: int | None = None
     n_grid: list[int] | None = None
-    bandwidth: BandwidthSchedule | None = None
+    bandwidth: tuple[float, float] | None = None  # (c0, beta)
     fixed_r: float | None = None
     r_grid: list[float] | None = None
     r_max: float | None = None
@@ -91,8 +94,11 @@ class ScenarioConfig:
         raise ConfigurationError("config needs either r or bandwidth.{c0,beta} with N")
 
     def bandwidth_radius(self, n_samples: int) -> float:
-        """c0 N^(-beta) at N = n_samples, a radius below 2 that _underflow passes."""
-        radius, codim = self.bandwidth.radius(n_samples), self.d - self.n
+        """The bandwidth R_N = c0 N^(-beta) at N = n_samples, a radius below
+        2 that _underflow passes.  With 0 < beta < 1/(d-n), R_N -> 0 while
+        N R_N^(d-n) -> infinity."""
+        (c0, beta), codim = self.bandwidth, self.d - self.n
+        radius = c0 * float(n_samples) ** (-beta)
         where = f"bandwidth.c0: the radius c0 N^(-beta) = {radius!r} at N = {n_samples}"
         if radius >= 2.0:
             raise ConfigurationError(f"{where} must be below 2")
@@ -179,24 +185,23 @@ def parse_config(text: str) -> ScenarioConfig:
     errors = _Violations(errors)
 
     for key in pairs:
-        if key in _KNOWN_KEYS:
-            continue
-        if key.startswith(_PIECE_PREFIX) and key.rsplit(".", 1)[-1] in ("lo", "hi", "value"):
-            continue
-        errors.append(f"unknown key {key!r}")
+        if key not in _KNOWN_KEYS and not _PIECE_KEY.fullmatch(key):
+            errors.append(f"unknown key {key!r}")
 
     def get(key, default=None, cast=_float, sep=None):
         """Every numeric value goes through here: the value of `key` read
-        with `cast`, or a list of such values split at `sep`; `default` if
-        the key is absent or the value does not parse or is not finite
-        (nan, inf), which is a violation naming the key."""
+        with `cast`, or a nonempty list of them split at `sep`; `default` if
+        the key is absent or its value does not parse, is nan, inf or an
+        empty list, which is a violation naming the key."""
         if key not in pairs:
             return default
         text = pairs[key]
         try:
             if sep is None:
                 return cast(text)
-            return [cast(t) for t in text.split(sep) if t.strip()]
+            if values := [cast(t) for t in text.split(sep) if t.strip()]:
+                return values
+            errors.append(f"{key}: needs at least one value, got {text!r}")
         except _NotFinite:
             errors.append(f"{key}: must be finite, got {text!r}")
         except ValueError:
@@ -242,11 +247,11 @@ def parse_config(text: str) -> ScenarioConfig:
             errors.append("bandwidth.c0: must be positive")
         if beta is None:
             errors.append("bandwidth.beta: required when a schedule is given")
+        elif c0 > 0 and not 0.0 < beta < 1.0 / (d - n):
+            errors.append(f"bandwidth.beta: beta must lie in (0, {1.0 / (d - n)}) "
+                          f"for d={d}, n={n}; got {beta}")
         elif c0 > 0:
-            try:
-                bandwidth = BandwidthSchedule(c0, beta, d, n)
-            except ConfigurationError as exc:
-                errors.append(f"bandwidth.beta: {exc}")
+            bandwidth = (c0, beta)
 
     fixed_r = get("r")
     if fixed_r is not None and not (0.0 < fixed_r < 2.0):
@@ -289,6 +294,8 @@ def parse_config(text: str) -> ScenarioConfig:
             errors.append(f"{key}: E_Q[H^n(Z_0)] must be finite")
         elif not math.isfinite(third):
             errors.append(f"{key}: quadratic intensity needs E[L^3] < infinity")
+        elif marks.l_max >= 1e75:  # the sausage moment rule's products grow like L^4
+            errors.append(f"{key}: L_max = {marks.l_max!r} must be below 1e75")
 
     if errors:
         raise ConfigurationError("invalid configuration:\n  " + "\n  ".join(errors))
@@ -320,11 +327,16 @@ def _build_intensity(pairs, get, d, errors) -> IntensityField | None:
                 return None
             return IntensityField("affine", a=a, b=np.array(b, dtype=float))
         if kind == "piecewise":
+            count = get("intensity.pieces", 0, cast=_integer)
+            if count < 1:
+                errors.append("intensity.pieces: must be a positive integer")
+            errors.extend(f"{key}: beyond intensity.pieces = {count}" for key in pairs
+                          if (piece := _PIECE_KEY.fullmatch(key)) and int(piece[1]) > count >= 1)
             pieces = []
-            for k in range(1, get("intensity.pieces", 0, cast=_integer) + 1):
-                lo = get(f"{_PIECE_PREFIX}{k}.lo", [], sep=",")
-                hi = get(f"{_PIECE_PREFIX}{k}.hi", [], sep=",")
-                val = get(f"{_PIECE_PREFIX}{k}.value", 0.0)
+            for k in range(1, count + 1):
+                lo = get(f"intensity.piece{k}.lo", [], sep=",")
+                hi = get(f"intensity.piece{k}.hi", [], sep=",")
+                val = get(f"intensity.piece{k}.value", 0.0)
                 if len(lo) != d or len(hi) != d:
                     errors.append(f"intensity.piece{k}: lo/hi need {d} components")
                     return None
@@ -376,7 +388,8 @@ def _build_grain(pairs, get, d, errors):
             errors.append(f"marks.grain.vertices: needs {d}-d points separated by ';'")
             return None
         return Grain.polyline(np.array(pts))
-    errors.append("marks.grain.kind: required for deterministic marks (point|segment|polyline)")
+    fault = "required for deterministic marks" if gkind is None else f"unknown kind {gkind!r}"
+    errors.append(f"marks.grain.kind: {fault} (point|segment|polyline)")
     return None
 
 
@@ -391,7 +404,8 @@ def _build_length(pairs, get, errors) -> LengthLaw | None:
             return LengthLaw(
                 "trunc_exp", rate=get("marks.length.rate", 1.0), cap=get("marks.length.cap")
             )
-        errors.append("marks.length.kind: required (fixed|uniform|trunc_exp)")
+        fault = "required" if kind is None else f"unknown kind {kind!r}"
+        errors.append(f"marks.length.kind: {fault} (fixed|uniform|trunc_exp)")
     except ConfigurationError as exc:
         errors.append(f"marks.length: {exc}")
     return None
@@ -407,7 +421,8 @@ def _build_orientation(pairs, get, d, errors) -> OrientationLaw | None:
                 polar=get("marks.orientation.polar", 0.0),
                 azimuth=get("marks.orientation.azimuth", 0.0),
             )
-        errors.append("marks.orientation.kind: required (fixed|uniform)")
+        fault = "required" if kind is None else f"unknown kind {kind!r}"
+        errors.append(f"marks.orientation.kind: {fault} (fixed|uniform)")
     except ConfigurationError as exc:
         errors.append(f"marks.orientation: {exc}")
     return None
@@ -450,6 +465,9 @@ def _build_x_grid(pairs, get, d, errors) -> np.ndarray | None:
             return None
         if any(s < 1 for s in shape):
             errors.append("x_grid.shape: all counts must be >= 1")
+            return None
+        if (count := math.prod(shape)) > MAX_GRID_POINTS:
+            errors.append(f"x_grid.shape: {count} lattice points exceed the cap {MAX_GRID_POINTS}")
             return None
         axes = [np.linspace(lo[k], hi[k], shape[k]) for k in range(d)]
         grids = np.meshgrid(*axes, indexing="ij")

@@ -12,15 +12,13 @@ compensated sums, so results do not depend on aggregation order.
 from __future__ import annotations
 
 import math
-import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .boolean import Realizations, _sample_block, checked_guard_margin, count_hits
 from .errors import ConfigurationError, QueryError
 from .exact import density_grid
-from .geometry import Box, as_point, ball_volume
+from .geometry import Box, as_point, checked_ball_volume
 from .grains import MarkDistribution
 from .parallel import parallel_map
 from .poisson import expected_germs
@@ -29,48 +27,13 @@ from .poisson import expected_germs
 _EXACT_STREAM_SALT = 0x45584143
 
 
-@dataclass(frozen=True)
-class BandwidthSchedule:
-    """Bandwidth R_N = c0 * N^(-beta) with 0 < beta < 1/(d-n), so that
-    R_N -> 0 while N R_N^(d-n) -> infinity."""
-
-    c0: float
-    beta: float
-    d: int
-    n: int
-
-    def __post_init__(self):
-        if not self.c0 > 0:
-            raise ConfigurationError("bandwidth c0 must be positive")
-        codim = self.d - self.n
-        if codim <= 0:
-            raise ConfigurationError("bandwidth schedule needs n < d")
-        if not (0.0 < self.beta < 1.0 / codim):
-            raise ConfigurationError(
-                f"beta must lie in (0, {1.0 / codim}) for d={self.d}, n={self.n}; got {self.beta}"
-            )
-
-    @classmethod
-    def default(cls, d: int, n: int, c0: float = 1.0) -> "BandwidthSchedule":
-        # kernel-density rate heuristic; the optimal exponent is open
-        return cls(c0, 1.0 / (d - n + 2), d, n)
-
-    def radius(self, n_samples: int) -> float:
-        if not n_samples >= 1:
-            raise ConfigurationError(f"n_samples must be at least 1, got {n_samples}")
-        return self.c0 * float(n_samples) ** (-self.beta)
-
-
 def capacity_estimate(hits, n_samples: int, d: int, n: int, radius: float):
     """λ̂ = hits / N / (b_{d-n} R^{d-n}) from the number of N realizations
     meeting B_R(x), a scalar or an array of totals, and its plug-in
     standard error sqrt(p (1 - p) / N) / (b_{d-n} R^{d-n}), p = hits / N."""
     if not n_samples >= 1:
         raise ConfigurationError(f"n_samples must be at least 1, got {n_samples}")
-    norm = ball_volume(d - n, radius)
-    if norm < sys.float_info.min:  # 1 / norm would overflow or divide by zero
-        raise ConfigurationError(
-            f"radius {radius!r} is too small: b_{d - n} R^{d - n} = {norm!r}")
+    norm = checked_ball_volume(d - n, radius)
     p_hat = hits / n_samples
     return p_hat / norm, np.sqrt(p_hat * (1.0 - p_hat) / n_samples) / norm
 
@@ -95,8 +58,9 @@ def count_estimate(batch: Realizations, x, r: float) -> float:
     total can exceed N, so it has no binomial standard error."""
     if not r > 0:
         raise ConfigurationError("radius must be positive")
+    norm = checked_ball_volume(batch.dim - batch.n, r)
     _, cnt = batch.counts(x, [r])
-    return int(cnt[0]) / batch.count / ball_volume(batch.dim - batch.n, r)
+    return int(cnt[0]) / batch.count / norm
 
 
 def contact_derivative(batch: Realizations, x, r_grid) -> float:
@@ -208,7 +172,7 @@ def convergence_study(
     f,
     q: MarkDistribution,
     x_grid,
-    schedule: BandwidthSchedule,
+    radii,
     n_grid,
     replications: int,
     seed: int,
@@ -217,7 +181,7 @@ def convergence_study(
     threads: int = 1,
 ) -> list[dict]:
     """Empirical bias/variance/MSE of the estimator against the exact
-    density for each sample size in n_grid.
+    density for each sample size in n_grid, at its bandwidth R_N in radii.
 
     Each (sample size, replication) pair is an independent experiment of
     that many replicates, with streams derived from a running index so the
@@ -236,16 +200,16 @@ def convergence_study(
     xs = np.atleast_2d(np.asarray(x_grid, dtype=float))
     if xs.shape[1] != q.dim:
         raise ConfigurationError("x_grid dimension mismatch")
-    if schedule.d != q.dim or schedule.n != q.n:
-        raise ConfigurationError("bandwidth schedule does not match the scenario")
+    radii = [float(r) for r in radii]
+    if len(radii) != len(n_grid) or not all(0.0 < r < 2.0 for r in radii):
+        raise ConfigurationError(f"radii: need one in (0, 2) per sample size, got {radii}")
 
     exact = density_grid(
         f, q, xs, mark_draws=mark_draws, seed=seed ^ _EXACT_STREAM_SALT, threads=threads
     )
     rows = []
     base_index = 0
-    for n_samples in n_grid:
-        radius = schedule.radius(n_samples)
+    for n_samples, radius in zip(n_grid, radii):
         lam_hats = np.zeros((replications, xs.shape[0]))
         for rep in range(replications):
             ind, _ = accumulate_hits(

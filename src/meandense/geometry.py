@@ -9,6 +9,7 @@ pure function.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,15 @@ def ball_volume(k: int, r: float = 1.0) -> float:
         return _BALL_VOLUMES[k] * r ** k
     except KeyError:
         raise ConfigurationError(f"ball_volume: unsupported dimension {k}; must be in {SUPPORTED_DIMS}")
+
+
+def checked_ball_volume(k: int, r: float) -> float:
+    """The normalizer b_k r^k of a ratio, refused where it is below the
+    smallest normal float: dividing by it would overflow or divide by 0."""
+    norm = float(ball_volume(k, r))
+    if norm < sys.float_info.min:
+        raise ConfigurationError(f"radius {float(r)!r} is too small: b_{k} R^{k} = {norm!r}")
+    return norm
 
 
 def as_point(p, dim: int | None = None) -> np.ndarray:

@@ -59,7 +59,7 @@ class Grain:
             raise ConfigurationError(f"unsupported dimension {v.shape[1]}")
         if not np.all(np.isfinite(v)):
             raise ConfigurationError("non-finite polyline vertices")
-        if np.linalg.norm(v[0]) != 0.0:
+        if np.any(v[0] != 0.0):
             raise ConfigurationError("polyline must be anchored at the origin")
         object.__setattr__(self, "vertices", v)
 
@@ -92,9 +92,9 @@ class Grain:
     def diameter(self) -> float:
         v = self.vertices
         if len(v) == 2:
-            return float(np.linalg.norm(v[1]))  # a segment's length
+            return _unsquared(np.linalg.norm, v[1])  # a segment's length
         diffs = v[:, None, :] - v[None, :, :]
-        return float(np.sqrt((diffs ** 2).sum(-1)).max())
+        return _unsquared(lambda x: np.sqrt((x ** 2).sum(-1)).max(), diffs)
 
     def rows(self) -> tuple[np.ndarray, np.ndarray]:
         """Segment rows (a, b), each of shape (s, d); a point is one
@@ -103,12 +103,22 @@ class Grain:
         return (v, v) if len(v) == 1 else (v[:-1], v[1:])
 
 
+def _unsquared(norm, x: np.ndarray) -> float:
+    """norm(x), which squares the entries of x, or where a square overflows
+    s norm(x / s), s the largest |entry|: finite up to the float range."""
+    with np.errstate(over="ignore"):
+        out = norm(x)
+        if np.isinf(out) and (s := np.abs(x).max()) < np.inf:
+            out = s * norm(x / s)
+    return float(out)
+
+
 def hn_measure(g: Grain) -> float:
     """H^n measure of the grain: 1 for a point, total length otherwise."""
     if g.n == 0:
         return 1.0
     a, b = g.rows()
-    return float(np.linalg.norm(b - a, axis=1).sum())
+    return _unsquared(lambda x: np.linalg.norm(x, axis=1).sum(), b - a)
 
 
 def integrate_along(g: Grain, h, order: int = DEFAULT_QUADRATURE_ORDER) -> float:

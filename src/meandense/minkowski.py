@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import ball_volume
+from .geometry import ball_volume, checked_ball_volume
 from .grains import Grain, RegularityCertificate, integrate_along, sausage_integral
 from .parallel import parallel_map
 from .streams import block_keys
@@ -61,11 +61,10 @@ def content_limit(
         raise ConfigurationError(f"r_grid: radii must be distinct, got {r_grid.tolist()}")
     if np.any(r_grid <= 0.0) or np.any(r_grid >= 2.0):
         raise ConfigurationError("all radii must lie in (0, 2)")
-    codim = shape.dim - shape.n
+    norms = [checked_ball_volume(shape.dim - shape.n, r) for r in r_grid]
     keys = block_keys(seed, 0, len(r_grid))
     tasks = [(shape, f, float(r), mc_points, int(k)) for r, k in zip(r_grid, keys)]
     results = parallel_map(_radius_task, tasks, threads)
-    norms = [ball_volume(codim, r) for r in r_grid]
     ratios = np.array([est / norm for (est, _), norm in zip(results, norms)])
     ses = np.array([se / norm for (_, se), norm in zip(results, norms)])
     # linear extrapolation through the two smallest radii

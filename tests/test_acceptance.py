@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from meandense import (
-    BandwidthSchedule,
     Grain,
     IntensityField,
     LengthLaw,

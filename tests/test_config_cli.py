@@ -74,7 +74,7 @@ def test_parse_full_config():
     assert cfg.x_grid.shape == (9, 2)
     assert cfg.n_samples == 1000
     assert cfg.n_grid == [100, 200]
-    assert cfg.bandwidth.radius(256) == pytest.approx(0.8 * 256 ** -0.25)
+    assert cfg.bandwidth_radius(256) == pytest.approx(0.8 * 256 ** -0.25)
     assert cfg.fixed_r == 0.1
     assert cfg.r_grid == [0.2, 0.1, 0.05]
     assert cfg.replications == 4
@@ -633,6 +633,50 @@ def test_cli_length_moment_past_the_float_range_is_a_named_violation(
         "invalid configuration:", f"  {key}: quadratic intensity needs E[L^3] < infinity"]
 
 
+CONFIGS = Path(__file__).parents[1] / "configs"
+PIECEWISE = (CONFIGS / "uniform_piecewise.cfg").read_text()
+LATTICE = ("x_grid.kind = lattice", "x_grid.lo = 0.4, 0.4", "x_grid.hi = 0.6, 0.6")
+
+
+def _edited(text, lines):
+    """text with each `key = value` line in place of its key's, and each
+    `-key` line's key removed."""
+    for line in lines:
+        if line.startswith("-"):
+            text = "\n".join(ln for ln in text.splitlines()
+                             if ln.split("=")[0].strip() != line[1:]) + "\n"
+        else:
+            text = _with_line(text, line)
+    return text
+
+
+def _assert_fault(tmp_path, capsys, command, text, faults):
+    """`command` on text exits 1, writing nothing, with exactly these
+    violation lines (one line without a heading when the sub-command
+    refuses a valid config)."""
+    message = _validation_error(capsys, command, write_cfg(tmp_path, text), tmp_path / "run")
+    if message.startswith("invalid configuration:"):
+        assert message.splitlines() == ["invalid configuration:", *(f"  {f}" for f in faults)]
+    else:
+        assert [message] == faults
+
+
+@pytest.mark.parametrize("name, line, key", [
+    ("minkowski_segment.cfg", "marks.grain.length = 1e200", "marks.grain"),
+    ("stationary_segment.cfg", "marks.length.value = 1e200", "marks.length"),
+])
+@pytest.mark.parametrize("command", ["exact", "estimate", "study", "oracle", "minkowski",
+                                     "simulate"])
+def test_cli_length_past_the_kernel_bound_is_a_named_violation(
+        tmp_path, capsys, name, line, key, command):
+    """A grain length of 1e200 used to end in an overflow RuntimeWarning:
+    in the grain's diameter, its H^1 measure, or the norms of the line and
+    sausage kernels.  L_max must lie below 1e75, where the sausage moment
+    rule's products (about L^4) stay finite."""
+    _assert_fault(tmp_path, capsys, command, _edited((CONFIGS / name).read_text(), [line]),
+                  [f"{key}: L_max = 1e+200 must be below 1e75"])
+
+
 def test_cli_radius_whose_normalizer_underflows_is_a_named_violation(tmp_path, capsys):
     """b_{d-n} r^{d-n} below the smallest normal float cannot divide a
     probability: an r or r_grid entry that makes it so is a violation
@@ -714,6 +758,108 @@ def test_cli_subcommand_preconditions(tmp_path, capsys):
                  "--threads", "1"]) == 0
 
 
+@pytest.mark.parametrize("command, base, lines, faults", [
+    ("study", MINI_ESTIMATE, ("N_grid = ,", "bandwidth.c0 = 1", "bandwidth.beta = 0.3"),
+     ["N_grid: needs at least one value, got ','"]),
+    ("oracle", MINI_ESTIMATE, ("r_grid = ,",), ["r_grid: needs at least one value, got ','"]),
+    ("estimate", PIECEWISE, ("intensity.pieces = -3",),
+     ["intensity.pieces: must be a positive integer"]),
+    ("estimate", PIECEWISE, ("intensity.pieces = 1",),
+     [f"intensity.piece2.{part}: beyond intensity.pieces = 1" for part in ("lo", "hi", "value")]),
+    ("estimate", PIECEWISE, ("intensity.pieceX.lo = 0, 0",),
+     ["unknown key 'intensity.pieceX.lo'"]),
+    ("estimate", PIECEWISE, ("intensity.pieces.hi = 1, 1",),
+     ["unknown key 'intensity.pieces.hi'"]),
+    ("estimate", MINI_ESTIMATE, ("marks.length.kind = normal",),
+     ["marks.length.kind: unknown kind 'normal' (fixed|uniform|trunc_exp)"]),
+    ("estimate", MINI_ESTIMATE, ("marks.orientation.kind = isotropic",),
+     ["marks.orientation.kind: unknown kind 'isotropic' (fixed|uniform)"]),
+    ("exact", MINI_EXACT, ("marks.grain.kind = circle",),
+     ["marks.grain.kind: unknown kind 'circle' (point|segment|polyline)"]),
+    # one point over the cap: an unchecked parser builds a 16 MB lattice
+    ("estimate", MINI_ESTIMATE, LATTICE + ("x_grid.shape = 1001, 1000",),
+     ["x_grid.shape: 1001000 lattice points exceed the cap 1000000"]),
+], ids=["empty-N_grid", "empty-r_grid", "negative-pieces", "piece-beyond-pieces",
+        "piece-number-not-an-integer", "pieces-with-a-part", "unknown-length-kind",
+        "unknown-orientation-kind", "unknown-grain-kind", "lattice-over-the-cap"])
+def test_cli_input_that_passed_silently_is_a_named_violation(
+        tmp_path, capsys, command, base, lines, faults):
+    """Each of these used to run: an empty N_grid or r_grid wrote a
+    header-only CSV, intensity.pieces = -3 made f = 0, piece keys beyond
+    the count or not of the form intensity.pieceK.{lo,hi,value} were
+    ignored, and an unknown length, orientation or grain kind was reported
+    as missing.  A lattice over MAX_GRID_POINTS was built before any check."""
+    _assert_fault(tmp_path, capsys, command, _edited(base, lines), faults)
+
+
+POINT_GRAIN = ("n = 0", "marks.kind = deterministic", "marks.grain.kind = point")
+
+
+@pytest.mark.parametrize("command, base, lines, fault", [
+    ("estimate", MINI_ESTIMATE, ("N = 0",), "N: must be positive"),
+    ("estimate", MINI_ESTIMATE, ("N = -5",), "N: must be positive"),
+    ("study", MINI_ESTIMATE, ("N_grid = 200, 100",), "N_grid: must be increasing positive integers"),
+    ("study", MINI_ESTIMATE, ("N_grid = 0, 100",), "N_grid: must be increasing positive integers"),
+    ("oracle", MINI_ESTIMATE, ("r_grid = 0.1, 2",), "r_grid: all radii must lie in (0, 2)"),
+    ("simulate", MINI_ESTIMATE, ("r_max = 2",), "r_max: must lie in [0, 2)"),
+    ("simulate", MINI_ESTIMATE, ("r_max = -0.1",), "r_max: must lie in [0, 2)"),
+    ("oracle", MINI_ESTIMATE, ("mc_points = 1",), "mc_points: must be at least 2"),
+    ("exact", MINI_ESTIMATE, ("mark_draws = 1",), "mark_draws: must be at least 2"),
+    ("estimate", MINI_ESTIMATE, ("marks.length.kind = trunc_exp", "marks.length.rate = 5e-324"),
+     "marks.length: the law needs a finite diameter bound L_max"),
+    ("estimate", MINI_ESTIMATE, ("intensity.kind = affine", "intensity.a = 1", "intensity.b = 1"),
+     "intensity.b: needs 2 components"),
+    ("estimate", PIECEWISE, ("intensity.piece1.lo = -2",),
+     "intensity.piece1: lo/hi need 2 components"),
+    ("estimate", PIECEWISE, ("intensity.piece2.value = -0.5",),
+     "intensity: piecewise intensity values must be nonnegative"),
+    ("estimate", MINI_ESTIMATE, ("marks.kind = random",),
+     "marks.kind: unknown kind 'random'; use deterministic or segment_law"),
+    ("estimate", MINI_ESTIMATE, ("marks.kind = deterministic",),
+     "marks.grain.kind: required for deterministic marks (point|segment|polyline)"),
+    ("estimate", MINI_ESTIMATE, ("-marks.length.kind",),
+     "marks.length.kind: required (fixed|uniform|trunc_exp)"),
+    ("estimate", MINI_ESTIMATE, ("-marks.orientation.kind",),
+     "marks.orientation.kind: required (fixed|uniform)"),
+    ("estimate", MINI_ESTIMATE,
+     ("marks.length.kind = uniform", "marks.length.lo = 2", "marks.length.hi = 1"),
+     "marks.length: uniform length law needs 0 <= lo <= hi"),
+    ("estimate", MINI_ESTIMATE, ("window.lo = 1, 0", "window.hi = 0, 1"),
+     "window: box with lo > hi: [1. 0.] / [0. 1.]"),
+    ("estimate", MINI_ESTIMATE, LATTICE + ("x_grid.shape = 0, 2",),
+     "x_grid.shape: all counts must be >= 1"),
+    ("estimate", MINI_ESTIMATE, ("x_grid.kind = grid",), "x_grid.kind: must be lattice or list"),
+    ("estimate", MINI_ESTIMATE, ("-r",), "config needs either r or bandwidth.{c0,beta} with N"),
+    ("oracle", MINI_ESTIMATE, (), "oracle needs r_grid"),
+    ("minkowski", MINI_EXACT, (), "minkowski needs r_grid"),
+    # the cases of the bandwidth schedule class that this check replaced
+    ("estimate", MINI_ESTIMATE, ("bandwidth.c0 = 1", "bandwidth.beta = 0"),
+     "bandwidth.beta: beta must lie in (0, 1.0) for d=2, n=1; got 0.0"),
+    ("estimate", MINI_ESTIMATE, ("bandwidth.c0 = 1", "bandwidth.beta = 1.0"),
+     "bandwidth.beta: beta must lie in (0, 1.0) for d=2, n=1; got 1.0"),
+    ("estimate", MINI_ESTIMATE, POINT_GRAIN + ("bandwidth.c0 = 1", "bandwidth.beta = 0.6"),
+     "bandwidth.beta: beta must lie in (0, 0.5) for d=2, n=0; got 0.6"),
+])
+def test_cli_config_violation_names_its_key(tmp_path, capsys, command, base, lines, fault):
+    """Each check of the config and of the sub-commands' preconditions
+    exits 1 with the one line that names its key."""
+    _assert_fault(tmp_path, capsys, command, _edited(base, lines), [fault])
+
+
+def test_config_defaults_and_bandwidth_radius():
+    """N in float notation is an integer, a config without x_grid queries
+    the window's centre, and R_N = c0 N^(-beta) is computed in the config."""
+    cfg = parse_config(_edited(MINI_ESTIMATE, (
+        "N = 1e3", "-x_grid.kind", "-x_grid.points", "window.lo = 0, 1", "window.hi = 1, 3",
+        "bandwidth.c0 = 1", "bandwidth.beta = 0.3333333333333333")))
+    assert cfg.n_samples == 1000 and isinstance(cfg.n_samples, int)
+    assert cfg.grid_points().tolist() == [[0.5, 2.0]]
+    assert cfg.bandwidth == (1.0, 1.0 / 3.0)
+    assert cfg.bandwidth_radius(1000) == pytest.approx(0.1)
+    assert cfg.bandwidth_radius(8) == pytest.approx(0.5)
+    assert cfg.bandwidth_radius(1000) == 1.0 * float(1000) ** (-1.0 / 3.0)
+
+
 def test_cli_minkowski_runs(tmp_path):
     text_cfg = MINI_EXACT + "r_grid = 0.2, 0.1, 0.05\nmc_points = 20000\n"
     cfg = write_cfg(tmp_path, text_cfg)
@@ -780,7 +926,8 @@ def test_cli_study_runs(tmp_path):
     assert lines[0].startswith("scenario_id,x1,x2,N,R_N,lambda_hat")
     assert len(lines) == 3  # 2 sample sizes x 1 point
     sc = parse_config(text)
-    rows = convergence_study(sc.intensity, sc.marks, sc.grid_points(), sc.bandwidth,
+    radii = [sc.bandwidth_radius(n_samples) for n_samples in sc.n_grid]
+    rows = convergence_study(sc.intensity, sc.marks, sc.grid_points(), radii,
                              sc.n_grid, sc.replications, sc.seed, region=sc.region,
                              mark_draws=sc.mark_draws)
     assert csv == study_csv_020(sc, rows)

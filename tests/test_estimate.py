@@ -1,6 +1,7 @@
-"""Capacity-functional estimators: bandwidths, streaming counts, studies."""
+"""Capacity-functional estimators: streaming counts and studies."""
 
 import math
+import re
 import sys
 
 import numpy as np
@@ -9,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meandense import (
-    BandwidthSchedule,
     ConfigurationError,
     Grain,
     IntensityField,
@@ -51,42 +51,6 @@ def make_batch(count, seed, window=Box([0.0, 0.0], [1.0, 1.0]), r_max=0.3,
 def hits(batch, x, r) -> int:
     """Realizations of the batch meeting the closed ball B_r(x)."""
     return int(batch.counts(x, [r])[0][0])
-
-
-# ---------------------------------------------------------------------------
-# bandwidth schedules
-
-
-def test_bandwidth_schedule_radius():
-    sched = BandwidthSchedule(1.0, 1.0 / 3.0, 2, 1)
-    assert sched.radius(1000) == pytest.approx(0.1)
-    assert sched.radius(8) == pytest.approx(0.5)
-    # no sample size below 1 has a radius: 0 divided by zero, -5 gave a complex number
-    for bad in (0, -5, 0.5, math.nan):
-        with pytest.raises(ConfigurationError, match=f"n_samples must be at least 1, got {bad}"):
-            sched.radius(bad)
-
-
-def test_bandwidth_schedule_validation():
-    with pytest.raises(ConfigurationError):
-        BandwidthSchedule(0.0, 0.5, 2, 1)
-    with pytest.raises(ConfigurationError):
-        BandwidthSchedule(1.0, 1.0, 2, 1)    # beta must be < 1/(d-n) = 1
-    with pytest.raises(ConfigurationError):
-        BandwidthSchedule(1.0, 0.0, 2, 1)
-    with pytest.raises(ConfigurationError):
-        BandwidthSchedule(1.0, 0.6, 2, 0)    # beta must be < 1/2 here
-    with pytest.raises(ConfigurationError):
-        BandwidthSchedule(1.0, 0.3, 2, 2)
-    with pytest.raises(ConfigurationError, match="c0"):
-        BandwidthSchedule(float("nan"), 0.3, 2, 1)
-
-
-def test_bandwidth_default_is_admissible():
-    for d in (1, 2, 3):
-        for n in range(d):
-            sched = BandwidthSchedule.default(d, n)
-            assert 0.0 < sched.beta < 1.0 / (d - n)
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +115,17 @@ def test_count_estimate_validation():
     for r in (-0.1, math.nan):
         with pytest.raises(ConfigurationError, match="radius"):
             count_estimate(batch, [0.5, 0.5], r)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_count_estimate_refuses_a_radius_whose_normalizer_underflows():
+    # b_2 r^2 underflows to 0 at r = 1e-200 in d = 3: a ZeroDivisionError
+    segment = MarkDistribution("deterministic", grain=Grain.segment([1.0, 0.0, 0.0]))
+    batch = simulate(IntensityField("constant", c=5.0), segment, Box([0, 0, 0], [1, 1, 1]),
+                     0.5, 5, seed=1)
+    with pytest.raises(ConfigurationError,
+                       match=re.escape("radius 1e-200 is too small: b_2 R^2 = 0.0")):
+        count_estimate(batch, [0.5, 0.5, 0.5], 1e-200)
 
 
 def test_contact_derivative_needs_codimension_one():
@@ -447,16 +422,16 @@ def test_streaming_estimator_is_consistent_oracle():
 
 
 def test_convergence_study_rows_and_identities():
-    sched = BandwidthSchedule(1.0, 0.25, 2, 1)
+    radii = {200: 200 ** -0.25, 400: 400 ** -0.25}
     xs = [[0.4, 0.4], [0.6, 0.6]]
     region = Box([0.25, 0.25], [0.75, 0.75])
     rows = convergence_study(
-        CONSTANT, RANDOM_SEGMENTS, xs, sched, [200, 400], replications=3,
+        CONSTANT, RANDOM_SEGMENTS, xs, list(radii.values()), list(radii), replications=3,
         seed=14, region=region, mark_draws=200,
     )
     assert len(rows) == 4  # 2 sample sizes x 2 points
     for row in rows:
-        assert row["R_N"] == pytest.approx(sched.radius(row["N"]))
+        assert row["R_N"] == pytest.approx(radii[row["N"]])
         # mse = bias² + (1 - 1/m) var with m replications
         assert row["mse"] == pytest.approx(
             row["bias"] ** 2 + row["variance"] * (3 - 1) / 3, rel=1e-9, abs=1e-12
@@ -465,20 +440,21 @@ def test_convergence_study_rows_and_identities():
 
 
 def test_convergence_study_validation():
-    sched = BandwidthSchedule(1.0, 0.25, 2, 1)
     with pytest.raises(ConfigurationError):
-        convergence_study(CONSTANT, RANDOM_SEGMENTS, [[0.5, 0.5]], sched, [100],
+        convergence_study(CONSTANT, RANDOM_SEGMENTS, [[0.5, 0.5]], [0.3], [100],
                           replications=1, seed=0)
     with pytest.raises(ConfigurationError):
-        convergence_study(CONSTANT, RANDOM_SEGMENTS, [[0.5, 0.5]], sched, [400, 100],
-                          replications=2, seed=0)
-    bad_sched = BandwidthSchedule(1.0, 0.25, 3, 1)
-    with pytest.raises(ConfigurationError):
-        convergence_study(CONSTANT, RANDOM_SEGMENTS, [[0.5, 0.5]], bad_sched, [100],
+        convergence_study(CONSTANT, RANDOM_SEGMENTS, [[0.5, 0.5]], [0.2, 0.3], [400, 100],
                           replications=2, seed=0)
     with pytest.raises(ConfigurationError, match="n_grid"):
-        convergence_study(CONSTANT, RANDOM_SEGMENTS, [[0.5, 0.5]], sched, [0, 10],
+        convergence_study(CONSTANT, RANDOM_SEGMENTS, [[0.5, 0.5]], [1.0, 0.5], [0, 10],
                           replications=2, seed=0)
+    # one radius in (0, 2) per sample size, refused before the exact reference
+    for radii in ([0.3], [0.3, 2.0], [0.0, 0.2]):
+        fault = f"radii: need one in (0, 2) per sample size, got {radii}"
+        with pytest.raises(ConfigurationError, match=re.escape(fault)):
+            convergence_study(CONSTANT, RANDOM_SEGMENTS, [[0.5, 0.5]], radii, [100, 200],
+                              replications=2, seed=0, mark_draws=0)
 
 
 def test_indicator_density_arithmetic():

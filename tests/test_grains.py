@@ -70,6 +70,22 @@ def test_segment_grain():
     assert np.allclose(d.vertices[1], [0.0, 3.0])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_lengths_whose_squares_overflow_are_finite():
+    # np.linalg.norm squares the coordinates: 1e200 read inf, with an
+    # overflow RuntimeWarning, in the diameter and in hn_measure
+    assert Grain.segment([1e200, 0.0]).diameter == 1e200
+    poly = Grain.polyline([[0.0, 0.0], [1e200, 0.0], [1e200, 1e200]])
+    assert hn_measure(poly) == 2e200
+    assert poly.diameter == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
+    assert hn_measure(Grain.polyline([[0.0, 0.0], [1e200, 0.0]])) == 1e200
+    assert Grain.segment([1e300, 0.0, 0.0]).diameter == 1e300
+    # the anchoring check squared the first vertex too
+    for first in ([1e200, 0.0], [1e-200, 0.0]):
+        with pytest.raises(ConfigurationError, match="anchored at the origin"):
+            Grain.polyline([first, [1.0, 0.0]])
+
+
 def test_polyline_grain():
     g = Grain.polyline([[0.0, 0.0], [1.0, 0.0], [1.0, 2.0]])
     assert hn_measure(g) == pytest.approx(3.0)

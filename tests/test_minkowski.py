@@ -1,6 +1,7 @@
 """Weighted Minkowski-content verification: sausage MC, limits and bounds."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -94,6 +95,16 @@ def test_content_limit_validation():
     # two equal smallest radii made the extrapolation 0/0 (nan, a RuntimeWarning)
     with pytest.raises(ConfigurationError, match="r_grid: radii must be distinct"):
         content_limit(UNIT_SEGMENT, CONSTANT, [0.2, 0.05, 0.05], mc_points=100)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_content_limit_refuses_a_radius_whose_normalizer_underflows():
+    # b_2 r^2 underflows to 0 at r = 1e-200 in d = 3: the ratio was nan, with
+    # an "invalid value encountered in divide" RuntimeWarning
+    segment = Grain.segment([1.0, 0.0, 0.0])
+    with pytest.raises(ConfigurationError,
+                       match=re.escape("radius 1e-200 is too small: b_2 R^2 = 0.0")):
+        content_limit(segment, CONSTANT, [0.2, 0.1, 1e-200], mc_points=100)
 
 
 def test_content_limit_thread_invariance():
