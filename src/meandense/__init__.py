@@ -7,7 +7,7 @@ empirical capacity functional of simulated realizations, and the weighted
 Minkowski-content limit of sausage integrals.
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .boolean import Realizations, simulate
 from .config import ScenarioConfig, parse_config
@@ -24,6 +24,7 @@ from .estimate import (
 from .exact import (
     DensityField,
     analytic_segment_density,
+    capacity_grid,
     capacity_probability,
     density_grid,
     exact_density,

@@ -25,13 +25,12 @@ from .boolean import checked_guard_margin
 from .config import ScenarioConfig, parse_config
 from .errors import ConfigurationError, NumericError, QueryError
 from .estimate import accumulate_hits, capacity_estimate, convergence_study
-from .exact import capacity_probability, density_grid
+from .exact import capacity_grid, density_grid
 from .geometry import ball_volume
 from .grains import RegularityCertificate
 from .minkowski import bound_check, content_limit, ratio_bound
-from .parallel import parallel_map, usable_cpus
+from .parallel import usable_cpus
 from .poisson import sample_block
-from .streams import block_keys
 
 
 def _write(out_dir: Path, name: str, text: str) -> Path:
@@ -169,23 +168,17 @@ def run_simulate(cfg: ScenarioConfig, seed: int, threads: int, out_dir: Path):
     _write_csv(out_dir, "realization.csv", *_realization_csv(points, a, b, cfg.marks.n))
 
 
-def _oracle_task(args):
-    return capacity_probability(*args)
-
-
 def run_oracle(cfg: ScenarioConfig, seed: int, threads: int, out_dir: Path):
     if cfg.r_grid is None:
         raise ConfigurationError("oracle needs r_grid")
     xs = cfg.grid_points()
-    cells = [(x, float(r)) for x in xs for r in cfg.r_grid]
-    keys = block_keys(seed, 0, len(cells))
-    tasks = [(cfg.intensity, cfg.marks, x, r, cfg.mc_points, cfg.mark_draws, int(k))
-             for (x, r), k in zip(cells, keys)]
-    results = parallel_map(_oracle_task, tasks, threads)
+    probs, ses = capacity_grid(cfg.intensity, cfg.marks, xs, cfg.r_grid, cfg.mc_points,
+                               cfg.mark_draws, seed, threads)
     header = [f"x{k + 1}" for k in range(cfg.d)] + ["r", "prob", "se", "ratio"]
     _write_csv(out_dir, "oracle.csv", header, [
         [*x, r, prob, se, prob / ball_volume(cfg.d - cfg.n, r)]
-        for (x, r), (prob, se) in zip(cells, results)
+        for x, row_probs, row_ses in zip(xs, probs, ses)
+        for r, prob, se in zip(cfg.r_grid, row_probs, row_ses)
     ])
 
 

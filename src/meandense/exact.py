@@ -4,14 +4,11 @@ The mean density at x is the mark expectation of the line integral of
 f(x - .) over the typical grain, E_Q[∫_{Z_0} f(x - y) H^n(dy)].  The
 finite-radius route evaluates the Poisson void probability
 P(x in Θ⊕r) = 1 - exp(-Λ(sausage)) with Λ = E_Q[∫_{Z_0⊕r} f(x - y) dy].
-Both are mark averages of one kernel on f(x - .), taken by `_mark_mean`:
-draw the marks' segment rows once on the uniforms of the task's key
-(without a draw for a deterministic or fixed law), integrate over all of
-them in one kernel call, and return the single term or the Monte Carlo
-mark mean with its standard error.  The line kernel is Gauss-Legendre
-quadrature between the field's split points, exact for the intensities
-in scope; the sausage kernel is an exact moment rule for segment and
-point grains under polynomial intensities and Monte Carlo otherwise.
+Both are mark means of one kernel on the translated rows x - a, x - b
+against f itself, since ∫_{Z⊕r} f(x - y) dy = ∫_{(x - Z)⊕r} f.  Where the
+rule of `grains.mark_rule` is exact (`_rule_holds`) the mean is its
+weighted sum, one kernel call for all (point, node) rows of a grid, SE 0;
+elsewhere `_mark_mean` takes the Monte Carlo mean per point on its key.
 """
 
 from __future__ import annotations
@@ -22,10 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NumericError
-from .geometry import as_point
-from .grains import MarkDistribution, ShiftedField, line_integrals, mark_segments, sausage_integrals
+from .geometry import Box, as_point
+from .grains import MarkDistribution, line_integrals, mark_rule, mark_segments, sausage_integrals
 from .parallel import parallel_map
 from .streams import block_keys, skip, uniforms
+
+# grains per kernel call of a mark mean, marks or (point, rule node) rows:
+# its memory is bounded whatever mark_draws or the grid's size is
+MARK_CHUNK = 10_000
 
 
 @dataclass(eq=False)
@@ -37,49 +38,126 @@ class DensityField:
     method: str
 
 
-def _mark_mean(q: MarkDistribution, mark_draws: int, key, integrate) -> tuple[float, float]:
-    """The mark average E_Q of a per-grain integral, with its standard error.
+def _kernel(f, n: int, r: float | None, mc_points: int):
+    """integrate(a, b, key) -> (values, ses) over segment rows: the H^n
+    line integrals of f when r is None, else its r-sausage integrals with
+    mc_points proposals per grain where they are Monte Carlo."""
+    if r is not None:
+        return lambda a, b, key: sausage_integrals(a, b, f, r, mc_points, key)
 
-    `integrate(a, b, key)` returns (values, ses) for the segment rows of
-    mark_segments.  A deterministic or fixed law is one term, made without
-    a draw, with that term's own SE.  A random law is the Monte Carlo mean
-    over K = `mark_draws` marks, with the SE of that mean: column c < U =
-    q.uniforms of mark k reads counter k U + c, and `integrate` gets the
-    key whose counter t is counter K U + t of this one.
-    """
-    if q.is_deterministic:
-        vals, ses = integrate(*mark_segments(q, np.empty((1, 0))), key)
-        return float(vals[0]), float(ses[0])
-    if key is None:
-        raise ConfigurationError("random mark law needs a random stream")
-    if mark_draws < 2:
+    def line(a, b, _):
+        vals = line_integrals(a, b, f, n)
+        if not np.all(np.isfinite(vals)):
+            raise NumericError("non-finite inner integral")
+        return vals, np.zeros(vals.shape)
+    return line
+
+
+def _rule_holds(f, q: MarkDistribution, grid: np.ndarray, r: float | None) -> bool:
+    """Whether mark_rule(q) is exact at every point of the grid: for the
+    line kernel under a deterministic law, and where f states that it is a
+    polynomial of degree <= 2 on the box grid ± (l_max + r) that the marks
+    reach, the sausage kernel needing one segment row per grain."""
+    if r is None and q.is_deterministic:
+        return True
+    statement = getattr(f, "polynomial_on", None)
+    if statement is None or (r is not None and q.segments > 1):
+        return False
+    reach = q.l_max + (r or 0.0)
+    return bool(statement(Box(grid.min(axis=0) - reach, grid.max(axis=0) + reach)))
+
+
+def _rule_means(integrate, q: MarkDistribution, grid: np.ndarray) -> np.ndarray:
+    """Σ_k w_k integrate(x - a_k, x - b_k) over mark_rule(q) at every point
+    x of the grid, one call per MARK_CHUNK (point, node) rows.  A
+    NumericError names the first point whose own rows raise it."""
+    a, b, w = mark_rule(q)
+    per_call = max(1, MARK_CHUNK // len(w))
+    out = np.empty(len(grid))
+    for i in range(0, len(grid), per_call):
+        xs = grid[i:i + per_call, None, None]
+        try:
+            vals, _ = integrate((xs - a).reshape(-1, *a.shape[1:]),
+                                (xs - b).reshape(-1, *b.shape[1:]), None)
+        except NumericError as exc:
+            for x in xs[:, 0, 0]:
+                try:
+                    integrate(x - a, x - b, None)
+                except NumericError:
+                    raise NumericError(str(exc), point=x) from exc
+            raise
+        out[i:i + per_call] = (vals.reshape(len(xs), -1) * w).sum(axis=1)
+    return out
+
+
+def _mark_mean(args) -> tuple[float, float]:
+    """The Monte Carlo mark mean and its SE of the line (r None) or
+    r-sausage integral of f over x - Z, args = (f, q, x, r, mc_points,
+    mark_draws, key).  A deterministic law is one term, with mc_points
+    sausage proposals and its own SE.  Otherwise mark k < K = mark_draws
+    reads counters k U + c, c < U = q.uniforms, of the key and gets
+    m = max(16, mc_points // K) proposals, coordinate c of proposal j on
+    counter K U + (k m + j) d + c; marks go MARK_CHUNK at a time, their
+    means and squared deviations merged (Chan, Golub and LeVeque, 1979).
+    A NumericError names x."""
+    f, q, x, r, mc_points, mark_draws, key = args
+    per_grain = mc_points if q.is_deterministic else max(16, mc_points // mark_draws)
+    integrate = _kernel(f, q.n, r, per_grain)
+    try:
+        if q.is_deterministic:
+            a, b = mark_segments(q, np.empty((1, 0)))
+            vals, ses = integrate(x - a, x - b, key)
+            return float(vals[0]), float(ses[0])
+        if key is None:
+            raise ConfigurationError("random mark law needs a random stream")
+        after, stride = skip(key, mark_draws * q.uniforms), 0 if r is None else per_grain * q.dim
+        count = mean = m2 = 0.0
+        for k in range(0, mark_draws, MARK_CHUNK):
+            u = np.arange(k * q.uniforms, min(mark_draws, k + MARK_CHUNK) * q.uniforms)
+            a, b = mark_segments(q, uniforms(key, u.reshape(-1, q.uniforms)))
+            vals, _ = integrate(x - a, x - b, skip(after, k * stride))
+            part, n = vals.mean(), len(vals)
+            delta, count = part - mean, count + n
+            mean += delta * (n / count)
+            m2 += ((vals - part) ** 2).sum() + delta * delta * n * (count - n) / count
+    except NumericError as exc:
+        raise NumericError(str(exc), point=x) from exc
+    return float(mean), math.sqrt(m2 / (mark_draws - 1)) / math.sqrt(mark_draws)
+
+
+def _means(f, q: MarkDistribution, grid, radii, mc_points: int, mark_draws: int, keys,
+           threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Mark means and SEs, each (m, R), of the line (radius None) or
+    sausage integral at every (point, radius) cell: _rule_means at a
+    radius where _rule_holds on the grid, else a _mark_mean task per cell,
+    cell (i, j) on keys[i][j], so no value depends on the thread count."""
+    grid = np.atleast_2d(np.asarray(grid, dtype=float))
+    if grid.shape[1] != q.dim or not np.all(np.isfinite(grid)):
+        raise ConfigurationError(f"points must be finite and of dimension {q.dim}")
+    if any(r is not None and not 0.0 < r < 2.0 for r in radii):
+        raise ConfigurationError("radius must lie in (0, 2)")
+    if not q.is_deterministic and mark_draws < 2:  # also where the rule draws none
         raise ConfigurationError("mark_draws must be at least 2 for a standard error")
-    u = uniforms(key, np.arange(mark_draws * q.uniforms).reshape(mark_draws, q.uniforms))
-    vals, _ = integrate(*mark_segments(q, u), skip(key, u.size))
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(mark_draws))
+    values, ses = np.empty((len(grid), len(radii))), np.zeros((len(grid), len(radii)))
+    cells = []
+    for j, r in enumerate(radii):
+        if _rule_holds(f, q, grid, r):
+            values[:, j] = _rule_means(_kernel(f, q.n, r, mc_points), q, grid)
+        else:
+            cells += [(i, j) for i in range(len(grid))]
+    tasks = [(f, q, grid[i], radii[j], mc_points, mark_draws, keys[i][j]) for i, j in cells]
+    for (i, j), (v, s) in zip(cells, parallel_map(_mark_mean, tasks, threads)):
+        values[i, j], ses[i, j] = v, s
+    return values, ses
 
 
 def exact_density(f, q: MarkDistribution, x, mark_draws: int = 2000,
                   key: int | None = None) -> tuple[float, float]:
-    """Mean density at x with its Monte Carlo standard error: the mark mean
-    of the line integral of f(x - .) over the grain, the marks on the
-    counters of `key` that _mark_mean documents.  A deterministic or fixed
-    law is an exact single term with zero standard error.  A non-finite
-    value raises NumericError at x.
-    """
-    x = as_point(x, dim=q.dim)
-    h = ShiftedField(f, x)
-
-    def line(a, b, _):
-        vals = line_integrals(a, b, h, q.n)
-        if not np.all(np.isfinite(vals)):
-            raise NumericError("non-finite inner integral")
-        return vals, np.zeros(vals.shape)
-
-    try:
-        return _mark_mean(q, mark_draws, key, line)
-    except NumericError as exc:
-        raise NumericError(str(exc), point=x) from exc
+    """Mean density at x with its standard error: exact (SE 0) where the
+    mark rule holds, else the Monte Carlo mean of _mark_mean on `key`.  A
+    non-finite value raises NumericError at x."""
+    vals, ses = _means(f, q, [x], [None], 0, mark_draws, [[key]])
+    return float(vals[0, 0]), float(ses[0, 0])
 
 
 def analytic_segment_density(el: float, el3: float, x) -> float:
@@ -92,32 +170,38 @@ def analytic_segment_density(el: float, el3: float, x) -> float:
 def hitting_intensity(f, q: MarkDistribution, x, r: float, mc_points: int = 200_000,
                       mark_draws: int = 200, key: int | None = None) -> tuple[float, float]:
     """Λ = E_Q[∫_{Z_0⊕r} f(x - y) dy], the mean number of germs whose grain
-    meets the closed ball B_r(x), with its standard error.  Finite Λ is
-    the hitting-intensity condition.
+    meets the closed ball B_r(x), with its standard error; finite Λ is the
+    hitting-intensity condition.  Exact where the mark rule holds, else
+    _mark_mean's on `key`, each sausage exact where sausage_integrals'
+    moment rule applies."""
+    vals, ses = _means(f, q, [x], [r], mc_points, mark_draws, [[key]])
+    return float(vals[0, 0]), float(ses[0, 0])
 
-    The sausage integrals of all marks come from one sausage_integrals
-    call: exact where its moment rule applies, otherwise with `mc_points`
-    proposals for the single term, or max(16, mc_points // mark_draws) per
-    mark, on the counters of `key` after the marks' (see _mark_mean and
-    sausage_integrals).
-    """
-    if not 0.0 < r < 2.0:
-        raise ConfigurationError("radius must lie in (0, 2)")
-    h = ShiftedField(f, as_point(x, dim=q.dim))
 
-    def sausage(a, b, after_marks):
-        per_mark = mc_points if len(a) == 1 else max(16, mc_points // len(a))
-        return sausage_integrals(a, b, h, r, per_mark, after_marks)
-
-    return _mark_mean(q, mark_draws, key, sausage)
+def _void(lam: float, lam_se: float) -> tuple[float, float]:
+    """1 - exp(-Λ) with the propagated standard error exp(-Λ) SE_Λ."""
+    survival = math.exp(-lam)
+    return 1.0 - survival, survival * lam_se
 
 
 def capacity_probability(f, q: MarkDistribution, x, r: float, mc_points: int = 200_000,
                          mark_draws: int = 200, key: int | None = None) -> tuple[float, float]:
     """P(x in Θ⊕r) = 1 - exp(-Λ) for Λ = hitting_intensity(...), with the
     propagated standard error exp(-Λ) SE_Λ."""
-    lam, lam_se = hitting_intensity(f, q, x, r, mc_points, mark_draws, key)
-    return 1.0 - math.exp(-lam), math.exp(-lam) * lam_se
+    return _void(*hitting_intensity(f, q, x, r, mc_points, mark_draws, key))
+
+
+def capacity_grid(f, q: MarkDistribution, grid, radii, mc_points: int = 200_000,
+                  mark_draws: int = 200, seed: int = 0,
+                  threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """capacity_probability at every (point i, radius j) cell, as (m, R)
+    probabilities and SEs: one sausage kernel call per radius where the
+    mark rule holds, else cell (i, j) on derive_key(seed, i R + j)."""
+    grid, radii = np.atleast_2d(np.asarray(grid, dtype=float)), [float(r) for r in radii]
+    keys = block_keys(seed, 0, len(grid) * len(radii)).reshape(len(grid), -1).tolist()
+    lam, lam_se = _means(f, q, grid, radii, mc_points, mark_draws, keys, threads)
+    probs, ses = np.array([_void(*cell) for cell in zip(lam.ravel(), lam_se.ravel())]).T
+    return probs.reshape(lam.shape), ses.reshape(lam.shape)
 
 
 def density_grid(
@@ -128,16 +212,16 @@ def density_grid(
     seed: int = 0,
     threads: int = 1,
 ) -> DensityField:
-    """Evaluate exact_density on a grid of points; point i reads the key
-    derive_key(seed, i), so results are thread-count invariant."""
+    """exact_density at every point of the grid: one line kernel call per
+    MARK_CHUNK (point, node) rows where the mark rule holds, else point i
+    on derive_key(seed, i), so results are thread-count invariant."""
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    tasks = [(f, q, x, mark_draws, int(k)) for x, k in zip(grid, block_keys(seed, 0, len(grid)))]
-    results = parallel_map(_density_point_task, tasks, threads)
-    values = np.array([v for v, _ in results])
-    ses = np.array([s for _, s in results])
-    method = "exact_quadrature" if q.is_deterministic else "exact_quadrature_mark_mc"
-    return DensityField(values, ses, method)
-
-
-def _density_point_task(args):
-    return exact_density(*args)
+    keys = block_keys(seed, 0, len(grid)).reshape(-1, 1).tolist()
+    values, ses = _means(f, q, grid, [None], 0, mark_draws, keys, threads)
+    if q.is_deterministic:
+        method = "exact_quadrature"
+    elif _rule_holds(f, q, grid, None):
+        method = "exact_quadrature_mark_rule"
+    else:
+        method = "exact_quadrature_mark_mc"
+    return DensityField(values[:, 0], ses[:, 0], method)

@@ -11,7 +11,9 @@ Every layer takes many grains at once as segment rows a, b of shape
 one zero-length row).  `mark_segments` is the one mark draw: it maps
 rows of uniforms to these rows, a segment law's starting at the origin
 and a deterministic law's being one read-only view of its grain
-repeated.  A field is integrated over each grain with respect to H^n by
+repeated; `mark_rule` is the one mark quadrature, rows and weights whose
+weighted sum is exact for integrands of low degree in the length and the
+direction.  A field is integrated over each grain with respect to H^n by
 Gauss-Legendre quadrature between the points where it states it is not
 smooth (`line_integrals`) and over each grain's r-sausage
 (`sausage_integrals`): exactly, from 2d + 3 field values, for segment and
@@ -157,11 +159,10 @@ def line_integrals(
             weights = (width * weights).reshape(n_grains, segments, -1)
         ab = b - a
         # node j of a row at a + t_j (b - a), (K, s, nodes, d); a product
-        # swapped is twice as fast as broadcasting over d.  The nodes go to h
-        # in C order: a quadratic field's einsum rounds by layout in d = 3
+        # swapped is twice as fast as broadcasting over d
         pts = (ab[..., None] * t[..., None, :]).swapaxes(2, 3)
         pts += a[:, :, None, :]
-        pts = np.ascontiguousarray(pts).reshape(-1, d)
+        pts = pts.reshape(-1, d)
     vals = h.values(pts)
     if not np.all(np.isfinite(vals)):
         raise NumericError("non-finite field value", point=pts[~np.isfinite(vals)][0])
@@ -176,29 +177,6 @@ def line_integrals(
 SAUSAGE_CHUNK = 1_000_000
 
 
-class ShiftedField:
-    """The field f(x - .): integrating it over a grain anchored at the
-    origin integrates f over the reflected, translated grain x - Z."""
-
-    def __init__(self, f, x: np.ndarray):
-        self._f = f
-        self._x = x
-
-    def values(self, pts: np.ndarray) -> np.ndarray:
-        return self._f.values(self._x - np.atleast_2d(pts))
-
-    def polynomial_on(self, box: Box) -> bool:
-        """f's statement on the reflected box x - box; False when f makes none."""
-        inner = getattr(self._f, "polynomial_on", None)
-        return bool(inner and inner(Box(self._x - box.hi, self._x - box.lo)))
-
-    def splits(self, a: np.ndarray, b: np.ndarray):
-        """f's split parameters of the rows x - a, x - b, the same points of
-        the rows; None when f states none."""
-        inner = getattr(self._f, "splits", None)
-        return inner(self._x - a, self._x - b) if inner else None
-
-
 def mark_segments(q: MarkDistribution, u: np.ndarray):
     """Segment rows (a, b), each of shape (m, s, d), of m grains from Q,
     grain k from the row u[k] of an (m, q.uniforms) array of uniforms.
@@ -209,6 +187,29 @@ def mark_segments(q: MarkDistribution, u: np.ndarray):
         return tuple(np.broadcast_to(v, (len(u),) + v.shape) for v in q.grain.rows())
     b = (q.length.sample(u)[:, None] * q.orientation.sample(u))[:, None, :]
     return np.zeros(b.shape), b
+
+
+def mark_rule(q: MarkDistribution):
+    """Segment rows (a, b), each of shape (k, s, d), and weights (k,) of a
+    product rule over Q: the weighted sum of a per-grain integral over
+    these rows is its mark mean E_Q wherever the integral is a polynomial
+    of degree <= 3 in the length and <= 2 in the direction.  Lengths: the
+    fixed value, 2-node Gauss-Legendre on a uniform law, the 2-node Gauss
+    rule of a truncated exponential law from its moments.  Directions:
+    the fixed one, or ±e_i with weight 1/(2d): the two signs in d = 1,
+    four equal angles in d = 2 (exact below trigonometric degree 4), and
+    in d = 3 exact for spherical polynomials of degree <= 3.  A
+    deterministic law is its grain with weight 1."""
+    if q.is_deterministic:
+        return *mark_segments(q, np.empty((1, 0))), np.ones(1)
+    lengths, length_weights = _length_rule(q.length)
+    d = q.dim
+    if q.orientation.kind == "fixed":
+        directions, direction_weights = q.orientation.fixed_direction()[None], np.ones(1)
+    else:
+        directions, direction_weights = np.kron(np.eye(d), [[1.0], [-1.0]]), np.full(2 * d, 0.5 / d)
+    b = (lengths[:, None, None] * directions).reshape(-1, 1, d)
+    return np.zeros(b.shape), b, np.outer(length_weights, direction_weights).ravel()
 
 
 def sausage_integral(g: Grain, h, r: float, mc_points: int, key) -> tuple[float, float]:
@@ -280,6 +281,28 @@ def _gauss(n: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
     """n-point Gauss-Legendre nodes and weights on [lo, hi], read-only."""
     x, w = np.polynomial.legendre.leggauss(n)
     nodes, weights = lo + (hi - lo) * (x + 1.0) / 2.0, w * (hi - lo) / 2.0
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+@functools.cache
+def _length_rule(law: LengthLaw) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and probability weights of a rule on the length law that is
+    exact for polynomials of degree <= 3, read-only.  The truncated
+    exponential's is the eigen-decomposition of its 2 x 2 Jacobi matrix
+    from E[L^k], k <= 3 (Golub and Welsch, Math. Comp., 1969)."""
+    if law.kind == "fixed":
+        nodes, weights = np.array([law.value]), np.ones(1)
+    elif law.kind == "uniform":
+        t, weights = _gauss(2, 0.0, 1.0)
+        nodes = law.lo + (law.hi - law.lo) * t
+    else:
+        m1, m2, m3 = (law.moment(k) for k in (1, 2, 3))
+        var = m2 - m1 * m1
+        third = m3 - 3.0 * m1 * m2 + 2.0 * m1 ** 3  # E[(L - m1)^3]
+        off = math.sqrt(var)
+        nodes, vectors = np.linalg.eigh([[m1, off], [off, m1 + third / var]])
+        weights = vectors[0] ** 2
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 

@@ -70,9 +70,11 @@ class IntensityField:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if self.kind == "constant":
             return np.full(pts.shape[0], self.c)
-        if self.kind == "quadratic":  # rounds by layout in d = 3: pass C order
-            return np.einsum("ij,ij->i", pts, pts)
-        if self.kind == "affine":  # per coordinate: `pts @ b` rounds by layout and rows
+        # per coordinate: einsum and `pts @ b` round by layout and rows
+        if self.kind == "quadratic":  # inf past the float range, as einsum gave
+            with np.errstate(over="ignore"):
+                return sum(pts[:, k] * pts[:, k] for k in range(pts.shape[1]))
+        if self.kind == "affine":
             return np.clip(sum((pts[:, k] * bk for k, bk in enumerate(self.b)), self.a), 0.0, None)
         out = np.zeros(pts.shape[0])
         for box, val in self.pieces:
@@ -182,7 +184,7 @@ def sample_block(f, q: MarkDistribution, box: Box, seed: int, start: int, stop: 
     base = keys + GAMMA - (np.cumsum(proposed) - proposed).astype(np.uint64) * step
     key = np.repeat(base, proposed) + np.arange(len(owner), dtype=np.uint64) * step
     column = np.arange(w, dtype=np.uint64)[:, None]
-    pts = np.ascontiguousarray(box.sample(uniforms(key, column[:d]).T))  # C order for f
+    pts = box.sample(uniforms(key, column[:d]).T)
     vals = f.values(pts)
     accept = vals >= m_bound  # u M < M <= f(y) for every u < 1
     thin = np.flatnonzero(~accept)

@@ -38,7 +38,6 @@ from meandense.cli import main
 from meandense.config import lattice_points
 from meandense.estimate import accumulate_hits
 from meandense.geometry import Box
-from meandense.grains import ShiftedField
 from meandense.minkowski import limit_diagnostics
 from meandense.streams import derive_key
 
@@ -127,7 +126,8 @@ def test_criterion_03_fixed_radius_mean_and_variance():
 
 def test_criterion_04_stationary_corollary():
     """c = 2, L ~ U(0.5, 1.5): both routes within 3 SE of c·E[L] = 2 at
-    three points, and the exact route is flat across the grid."""
+    three points, and the exact route, the mark rule, is flat across the
+    grid: spread 0, SE 0."""
     grid = np.array([[0.3, 0.3], [0.5, 0.7], [0.8, 0.4]])
     target = 2.0
 
@@ -140,7 +140,7 @@ def test_criterion_04_stationary_corollary():
     spread = float(exact.values.max() - exact.values.min())
     hi, lo = int(exact.values.argmax()), int(exact.values.argmin())
     spread_tol = 3.0 * math.hypot(exact.standard_errors[hi], exact.standard_errors[lo])
-    ok = ok and spread <= spread_tol
+    ok = ok and spread <= spread_tol and spread == 0.0 and not exact.standard_errors.any()
 
     n_samples = 20_000
     radius = 0.5 * float(n_samples) ** (-1.0 / 3.0)
@@ -296,8 +296,8 @@ def test_criterion_09_grain_count_route():
     means, sausage_devs = [], []
     reference_ok = True
     for j, r in enumerate(rs):
-        lam, lam_se = sausage_integral(UNIT_SEGMENT_GRAIN, ShiftedField(QUADRATIC, np.zeros(2)),
-                                       r, 1_000_000, derive_key(911, j))
+        lam, lam_se = sausage_integral(UNIT_SEGMENT_GRAIN, QUADRATIC, r, 1_000_000,
+                                       derive_key(911, j))
         hand = 2.0 * r * (1.0 / 3.0 + math.pi * r / 4.0 + r ** 2 + math.pi * r ** 3 / 4.0)
         reference_ok = reference_ok and abs(lam - hand) <= 3.0 * lam_se + 1e-12 * hand
         sausage_devs.append((lam - hand) / hand)

@@ -8,6 +8,7 @@ import pytest
 from scipy import integrate
 
 from meandense import (
+    Box,
     ConfigurationError,
     Grain,
     IntensityField,
@@ -15,6 +16,7 @@ from meandense import (
     MarkDistribution,
     OrientationLaw,
     analytic_segment_density,
+    capacity_grid,
     capacity_probability,
     density_grid,
     exact_density,
@@ -24,7 +26,7 @@ from meandense import (
 from meandense.cli import main
 from meandense.config import parse_config
 from meandense.geometry import clipped_lengths
-from meandense.grains import ShiftedField, mark_segments, sausage_integrals
+from meandense.grains import line_integrals, mark_segments, sausage_integrals
 from meandense.streams import derive_key, skip, uniforms
 
 
@@ -68,7 +70,8 @@ def test_deterministic_density_vs_quad_oracle():
     f = Field(lambda pts: np.exp(-np.atleast_2d(pts)[:, 0] ** 2))
     x = np.array([0.7, -0.2])
     oracle, _ = integrate.quad(lambda t: math.exp(-((x[0] - t) ** 2)), 0.0, 1.0)
-    val = integrate_along(UNIT_SEGMENT.grain, ShiftedField(f, x), order=24)
+    a, b = UNIT_SEGMENT.grain.rows()
+    val = line_integrals((x - a)[None], (x - b)[None], f, 1, order=24)[0]
     assert val == pytest.approx(oracle, abs=1e-10)
 
 
@@ -114,9 +117,9 @@ def test_deterministic_grain_and_fixed_law_are_one_path(field):
 
 def test_exact_density_requires_stream_for_random_law():
     with pytest.raises(ConfigurationError):
-        exact_density(QUADRATIC, UNIFORM_SEGMENTS, [0.0, 0.0])
+        exact_density(MonteCarloField(QUADRATIC), UNIFORM_SEGMENTS, [0.0, 0.0])
     with pytest.raises(ConfigurationError):
-        exact_density(QUADRATIC, UNIFORM_SEGMENTS, [0.0, 0.0], mark_draws=1,
+        exact_density(MonteCarloField(QUADRATIC), UNIFORM_SEGMENTS, [0.0, 0.0], mark_draws=1,
                       key=derive_key(0, 0))
 
 
@@ -138,7 +141,8 @@ def test_exact_density_random_lengths():
     el = q.length.moment(1)
     el3 = q.length.moment(3)
     x = [0.5, 0.5]
-    val, se = exact_density(QUADRATIC, q, x, mark_draws=20_000, key=derive_key(2, 0))
+    val, se = exact_density(MonteCarloField(QUADRATIC), q, x, mark_draws=20_000,
+                            key=derive_key(2, 0))
     assert se > 0.0
     assert abs(val - analytic_segment_density(el, el3, x)) < 3 * se
 
@@ -234,15 +238,17 @@ def test_capacity_probability_radius_validation():
 
 def _former_check_finiteness(f, q, radius, key, mark_draws, points_per_mark):
     """The finiteness check that hitting_intensity at the origin replaced:
-    the mean sausage integral of f(-.) over `mark_draws` marks of Q (a
-    deterministic law's grain repeated), `points_per_mark` proposals each,
-    the marks on the first mark_draws × U counters of the key and the
-    proposals on the ones after."""
+    the mean sausage integral of f over the reflected grains -Z of
+    `mark_draws` marks of Q (a deterministic law's grain repeated),
+    `points_per_mark` proposals each, the marks on the first
+    mark_draws × U counters of the key and the proposals on the ones
+    after; with the SE of that mean."""
     counters = np.arange(mark_draws * q.uniforms).reshape(mark_draws, q.uniforms)
     a, b = mark_segments(q, uniforms(key, counters))
-    totals, _ = sausage_integrals(a, b, ShiftedField(f, np.zeros(q.dim)), radius,
-                                  points_per_mark, skip(key, counters.size))
-    return float(totals.mean())
+    x = np.zeros(q.dim)
+    totals, _ = sausage_integrals(x - a, x - b, f, radius, points_per_mark,
+                                  skip(key, counters.size))
+    return float(totals.mean()), float(totals.std(ddof=1) / math.sqrt(mark_draws))
 
 
 def _finiteness_law(law, d):
@@ -262,18 +268,22 @@ def _finiteness_law(law, d):
                          ids=["cubature", "monte_carlo"])
 @pytest.mark.parametrize("d", [2, 3])
 def test_hitting_intensity_at_origin_equals_former_finiteness_check(d, field, law):
-    """With mc_points = mark_draws × points_per_mark, a random law makes the
-    former check's draws and gets its value bit for bit; a deterministic
-    law is one term over the same uniforms (proposal j of mark k is
-    proposal k points_per_mark + j of the one grain), equal within 1e-15
-    relative."""
+    """With mc_points = mark_draws × points_per_mark, a random law off the
+    mark rule makes the former check's draws and gets its value bit for
+    bit; on the rule (|y|² is a polynomial) it is exact, within 4 SE of
+    the check's mark mean.  A deterministic law is one term over the same
+    uniforms (proposal j of mark k is proposal k points_per_mark + j of the
+    one grain), equal within 1e-15 relative."""
     q = _finiteness_law(law, d)
     draws, per_mark = 50, 64
-    est, _ = hitting_intensity(field, q, np.zeros(d), 0.3, mc_points=draws * per_mark,
-                               mark_draws=draws, key=derive_key(21, d))
-    ref = _former_check_finiteness(field, q, 0.3, derive_key(21, d), draws, per_mark)
+    est, est_se = hitting_intensity(field, q, np.zeros(d), 0.3, mc_points=draws * per_mark,
+                                    mark_draws=draws, key=derive_key(21, d))
+    ref, ref_se = _former_check_finiteness(field, q, 0.3, derive_key(21, d), draws, per_mark)
     if q.is_deterministic:
         assert abs(est - ref) <= 1e-15 * abs(ref)
+    elif field is QUADRATIC:
+        print(f"rule against the former check, d = {d}: z = {(est - ref) / ref_se:+.2f}")
+        assert est_se == 0.0 and abs(est - ref) <= 4.0 * ref_se
     else:
         assert est == ref
 
@@ -295,9 +305,9 @@ def test_hitting_intensity_refusals():
             hitting_intensity(CONSTANT, UNIFORM_SEGMENTS, [0.0, 0.0], 0.1, mark_draws=draws,
                               key=derive_key(0, 0))
     with pytest.raises(ConfigurationError, match="random mark law needs a random stream"):
-        hitting_intensity(CONSTANT, UNIFORM_SEGMENTS, [0.0, 0.0], 0.1)
+        hitting_intensity(MonteCarloField(CONSTANT), UNIFORM_SEGMENTS, [0.0, 0.0], 0.1)
     with pytest.raises(ConfigurationError, match="random mark law needs a random stream"):
-        capacity_probability(CONSTANT, UNIFORM_SEGMENTS, [0.0, 0.0], 0.1)
+        capacity_probability(MonteCarloField(CONSTANT), UNIFORM_SEGMENTS, [0.0, 0.0], 0.1)
     for r in (0.0, math.nan, 2.0):
         with pytest.raises(ConfigurationError, match="radius"):
             hitting_intensity(CONSTANT, UNIT_SEGMENT, [0.0, 0.0], r)
@@ -308,8 +318,9 @@ def test_hitting_intensity_refusals():
 
 def test_density_grid_thread_invariance():
     grid = np.array([[0.0, 0.0], [0.5, 0.5], [1.0, 0.0], [-0.5, 0.25]])
-    one = density_grid(QUADRATIC, UNIFORM_SEGMENTS, grid, mark_draws=500, seed=9, threads=1)
-    two = density_grid(QUADRATIC, UNIFORM_SEGMENTS, grid, mark_draws=500, seed=9, threads=2)
+    f = MonteCarloField(QUADRATIC)
+    one = density_grid(f, UNIFORM_SEGMENTS, grid, mark_draws=500, seed=9, threads=1)
+    two = density_grid(f, UNIFORM_SEGMENTS, grid, mark_draws=500, seed=9, threads=2)
     assert np.array_equal(one.values, two.values)
     assert np.array_equal(one.standard_errors, two.standard_errors)
     assert one.method == "exact_quadrature_mark_mc"
@@ -357,3 +368,178 @@ def test_exact_rows_of_polyline_piecewise_equal_clipped_lengths(tmp_path):
         ref = sum(value * clipped_lengths(x - a, x - b, box).sum()
                   for box, value in cfg.intensity.pieces)
         assert abs(float(row[2]) - ref) <= 1e-12 * ref and float(row[3]) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the mark rule
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize("name", ["segment_quadratic.cfg", "study_quadratic.cfg"])
+def test_rule_rows_are_the_closed_form_on_the_quadratic_configs(name):
+    """Under |y|² the exact route is the mark rule: every row equals
+    (x1² + x2²) E[L] + E[L³]/3 within 1e-12 relative, with SE 0."""
+    cfg = parse_config((CONFIGS / name).read_text())
+    field = density_grid(cfg.intensity, cfg.marks, cfg.grid_points(), cfg.mark_draws, cfg.seed)
+    assert field.method == "exact_quadrature_mark_rule"
+    assert field.standard_errors.tolist() == [0.0] * len(field.values)
+    el, el3 = cfg.marks.length_moment(1), cfg.marks.length_moment(3)
+    for x, value in zip(cfg.grid_points(), field.values):
+        ref = analytic_segment_density(el, el3, x)
+        assert abs(value - ref) <= 1e-12 * ref, (x, value, ref)
+
+
+def test_study_exact_column_is_the_closed_form(tmp_path):
+    """The `exact` column of study_quadratic's study.csv, which the mark
+    Monte Carlo once put 0.0058 off at (-0.5, -0.5), is the closed form."""
+    path = CONFIGS / "study_quadratic.cfg"
+    assert main(["study", "--config", str(path), "--out", str(tmp_path), "--threads", "1"]) == 0
+    lines = (tmp_path / "study.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    assert len(rows) == 27
+    for row in rows:
+        ref = analytic_segment_density(1.0, 1.0, [float(row["x1"]), float(row["x2"])])
+        assert abs(float(row["exact"]) - ref) <= 1e-12 * ref
+
+
+def _length_reference(law, nodes=64):
+    """A 64-node Gauss-Legendre rule on the support of the length law,
+    weighted by its density."""
+    if law.kind == "uniform":
+        lengths, weights = np.polynomial.legendre.leggauss(nodes)
+        return law.lo + (law.hi - law.lo) * (lengths + 1.0) / 2.0, weights / 2.0
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    lengths = law.cap * (t + 1.0) / 2.0
+    density = law.rate * np.exp(-law.rate * lengths) / -math.expm1(-law.rate * law.cap)
+    return lengths, w * law.cap / 2.0 * density
+
+
+def _direction_reference(d):
+    """Unit directions and weights of a 64-node rule for the uniform law:
+    the two signs in d = 1, 64 equal angles in d = 2, and in d = 3 an
+    8-node Gauss rule in the height times 8 equal angles."""
+    if d == 1:
+        return np.array([[1.0], [-1.0]]), np.full(2, 0.5)
+    angles = 2.0 * math.pi * (np.arange(64 if d == 2 else 8) + 0.5) / (64 if d == 2 else 8)
+    if d == 2:
+        return np.stack([np.cos(angles), np.sin(angles)], axis=1), np.full(64, 1.0 / 64)
+    z, w = np.polynomial.legendre.leggauss(8)
+    s = np.sqrt(1.0 - z * z)[:, None]
+    dirs = np.stack([(s * np.cos(angles)).ravel(), (s * np.sin(angles)).ravel(),
+                     np.repeat(z, 8)], axis=1)
+    return dirs, np.repeat(w / 2.0, 8) / 8.0
+
+
+@pytest.mark.parametrize("law", [LengthLaw("uniform", lo=0.2, hi=1.5),
+                                 LengthLaw("trunc_exp", rate=2.0),
+                                 LengthLaw("trunc_exp", rate=0.5, cap=3.0)],
+                         ids=["uniform", "trunc_exp", "trunc_exp_capped"])
+@pytest.mark.parametrize("field", ["constant", "quadratic", "affine"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_mark_rule_equals_a_64_node_reference(d, field, law):
+    """exact_density and hitting_intensity on the rule (no key: no draw)
+    equal the mark means over a 64-node length rule times a 64-node
+    direction rule within 1e-12 relative: the integrands are polynomials
+    of degree <= 3 in L and <= 2 in the direction."""
+    q = MarkDistribution("segment", length=law, orientation=OrientationLaw("uniform", dim=d))
+    x = np.linspace(0.4, -0.3, d)
+    f = {"constant": CONSTANT, "quadratic": QUADRATIC,
+         "affine": IntensityField("affine", a=12.0, b=np.linspace(1.0, -0.5, d))}[field]
+    lengths, length_weights = _length_reference(law)
+    dirs, dir_weights = _direction_reference(d)
+    b = (lengths[:, None, None] * dirs).reshape(-1, 1, d)
+    weights = np.outer(length_weights, dir_weights).ravel()
+    a = np.zeros(b.shape)
+    line = line_integrals(x - a, x - b, f, 1) @ weights
+    sausage = sausage_integrals(x - a, x - b, f, 0.3, 10, None)[0] @ weights
+    assert exact_density(f, q, x)[1] == hitting_intensity(f, q, x, 0.3)[1] == 0.0
+    assert abs(exact_density(f, q, x)[0] - line) <= 1e-12 * line
+    assert abs(hitting_intensity(f, q, x, 0.3)[0] - sausage) <= 1e-12 * sausage
+
+
+def test_density_grid_makes_one_line_kernel_call_per_chunk(monkeypatch):
+    """On the rule a grid costs one line_integrals call per chunk of
+    (point, node) rows, whatever its size: the unit segment law has 4
+    nodes in d = 2, so a chunk of 40 rows holds 10 points.  No pool is
+    started."""
+    from meandense import exact, parallel
+
+    calls = []
+
+    def counting(a, b, h, n, order=8):
+        calls.append(len(a))
+        return line_integrals(a, b, h, n, order)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(exact, "line_integrals", counting)
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
+    rng = np.random.default_rng(0)
+    for chunk, points, expected in ((40, 1, 1), (40, 10, 1), (40, 11, 2), (40, 95, 10),
+                                    (exact.MARK_CHUNK, 2500, 1)):
+        monkeypatch.setattr(exact, "MARK_CHUNK", chunk)
+        calls.clear()
+        grid = rng.uniform(-1.0, 1.0, size=(points, 2))
+        field = density_grid(QUADRATIC, UNIFORM_SEGMENTS, grid, seed=0, threads=2)
+        assert len(calls) == expected and max(calls) <= chunk
+        ref = [analytic_segment_density(1.0, 1.0, x) for x in grid]
+        assert np.allclose(field.values, ref, rtol=1e-12, atol=0.0)
+
+
+def test_capacity_grid_is_capacity_probability_per_cell():
+    """capacity_grid's cells equal capacity_probability at each (point,
+    radius), on the rule (SE 0) and off it (cell i R + j on the key
+    derive_key(seed, i R + j)), to the bit."""
+    grid = np.array([[0.3, 0.3], [-0.5, 0.2]])
+    radii = [0.2, 0.05]
+    for f in (QUADRATIC, MonteCarloField(QUADRATIC)):
+        probs, ses = capacity_grid(f, UNIFORM_SEGMENTS, grid, radii, 2000, 20, seed=3)
+        for i, x in enumerate(grid):
+            for j, r in enumerate(radii):
+                cell = capacity_probability(f, UNIFORM_SEGMENTS, x, r, 2000, 20,
+                                            key=derive_key(3, i * len(radii) + j))
+                assert (probs[i, j], ses[i, j]) == cell
+                assert (cell[1] == 0.0) == (f is QUADRATIC)
+
+
+@pytest.mark.parametrize("route", ["line", "sausage"])
+def test_mark_draws_go_one_chunk_at_a_time(monkeypatch, route):
+    """A chunk of 100 marks bounds the memory of a 4,000-mark mean off the
+    rule (a piecewise field): its tracemalloc peak is within twice that of
+    100 marks, and a tenth of the unchunked one; the mean and SE equal the
+    unchunked ones within 1e-12 relative, the marks on their counters."""
+    import tracemalloc
+
+    from meandense import exact
+
+    f = IntensityField("piecewise", pieces=((Box([-2.0, -2.0], [0.5, 3.0]), 2.0),
+                                            (Box([0.5, -2.0], [3.0, 3.0]), 0.75)))
+    q = MarkDistribution("segment", length=LengthLaw("uniform", lo=0.0, hi=0.7),
+                         orientation=OrientationLaw("uniform", dim=2))
+    x, key = [0.25, 0.75], derive_key(41, 0)
+
+    def mean(draws):
+        if route == "line":
+            return exact_density(f, q, x, mark_draws=draws, key=key)
+        return hitting_intensity(f, q, x, 0.1, mc_points=draws * 16, mark_draws=draws, key=key)
+
+    def peak(draws):
+        tracemalloc.start()
+        try:
+            result = mean(draws)
+            return tracemalloc.get_traced_memory()[1], result
+        finally:
+            tracemalloc.stop()
+
+    whole_peak, whole = peak(4000)
+    monkeypatch.setattr(exact, "MARK_CHUNK", 100)
+    one_chunk_peak, _ = peak(100)
+    chunked_peak, chunked = peak(4000)
+    assert chunked_peak <= 2 * one_chunk_peak and 10 * chunked_peak <= whole_peak
+    assert whole[1] > 0.0
+    for got, ref in zip(chunked, whole):
+        assert abs(got - ref) <= 1e-12 * ref

@@ -24,7 +24,6 @@ from meandense import (
 from meandense import grains
 from meandense.geometry import Box, as_point, clipped_lengths, segment_distances
 from meandense.grains import (
-    ShiftedField,
     line_integrals,
     mark_segments,
     sausage_integrals,
@@ -39,6 +38,20 @@ class Field:
 
     def __init__(self, fn):
         self.values = fn
+
+
+class ShiftedField:
+    """The field f(x - .), as the exact routes integrated it before they
+    took translated rows: integrating it over a grain anchored at the
+    origin integrates f over x - Z.  It forwards f's statements on the
+    reflected box and rows, and makes none that f does not make."""
+
+    def __init__(self, f, x):
+        self.values = lambda pts: f.values(x - np.atleast_2d(pts))
+        if hasattr(f, "polynomial_on"):
+            self.polynomial_on = lambda box: f.polynomial_on(Box(x - box.hi, x - box.lo))
+        if hasattr(f, "splits"):
+            self.splits = lambda a, b: f.splits(x - a, x - b)
 
 
 def grain_distance(g, x) -> float:
@@ -534,13 +547,13 @@ def _uniform(key: int, k: int) -> float:
     return ((z ^ (z >> 31)) >> 11) * 2.0 ** -53
 
 
-def _reference_sausage(g, h, r, mc_points, key, first, chunk=10 ** 6):
-    """The sausage integral of one grain object on its own, on the
-    documented counters: coordinate c of proposal j reads counter
-    (first + j) d + c of `key` (first = k mc_points for grain k), one
-    uniform at a time, the nearest of its segments per point, and its sums
-    add the sums of pieces of chunk // s proposals."""
-    a, b = g.rows()
+def _reference_sausage(rows, h, r, mc_points, key, first, chunk=10 ** 6):
+    """The sausage integral of one grain on its own, given as its segment
+    rows (a, b), on the documented counters: coordinate c of proposal j
+    reads counter (first + j) d + c of `key` (first = k mc_points for
+    grain k), one uniform at a time, the nearest of its segments per point,
+    and its sums add the sums of pieces of chunk // s proposals."""
+    a, b = rows
     corners = np.vstack([a, b])
     lo, hi = corners.min(axis=0) - r, corners.max(axis=0) + r
     d = len(lo)
@@ -641,7 +654,7 @@ def test_sausage_kernel_equals_per_grain_reference(d, law, field, mc_points, cou
         assert (est.tolist(), se.tolist()) == tuple(
             x.tolist() for x in sausage_integrals(a, b, h, r, mc_points, seed))
     marks = np.random.default_rng(seed % 2 ** 32)
-    ref = [_reference_sausage(g, h, r, mc_points, seed, k * mc_points, chunk)
+    ref = [_reference_sausage(g.rows(), h, r, mc_points, seed, k * mc_points, chunk)
            for k, g in enumerate(_sampled_grains(q, count, marks))]
     assert est.tolist() == [e for e, _ in ref]
     assert se.tolist() == [s for _, s in ref]
@@ -674,14 +687,12 @@ def test_mark_mean_reads_the_documented_counters():
     u = np.array([[_uniform(key, k * q.uniforms + c) for c in range(q.uniforms)]
                   for k in range(draws)])
     a, b = mark_segments(q, u)
-    h = ShiftedField(f, x)
-    vals = line_integrals(a, b, h, 1)
+    vals = line_integrals(x - a, x - b, f, 1)
     assert exact_density(f, q, x, mark_draws=draws, key=key) == (
         float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(draws)))
-    sampled = [Grain.segment(row) for row in b[:, 0]]
-    vals = np.array([_reference_sausage(g, ShiftedField(MonteCarloField(f), x), 0.3, per_mark,
+    vals = np.array([_reference_sausage((x - ak, x - bk), MonteCarloField(f), 0.3, per_mark,
                                         int(skip(key, u.size)[0]), k * per_mark)[0]
-                     for k, g in enumerate(sampled)])
+                     for k, (ak, bk) in enumerate(zip(a, b))])
     assert hitting_intensity(MonteCarloField(f), q, x, 0.3, mc_points=draws * per_mark,
                              mark_draws=draws, key=key) == (
         float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(draws)))
@@ -743,6 +754,51 @@ def test_line_kernel_equals_per_grain_reference(d, law, field, count, seed):
     h = ShiftedField(f, shape_rng.uniform(-1.0, 1.0, size=d))
     a, b = mark_segments(q, np.random.default_rng(seed).random((q.uniforms, count)).T)
     assert line_integrals(a, b, h, q.n).tolist() == _reference_line_integrals(a, b, h, q.n)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    d=st.sampled_from([1, 2, 3]),
+    law=st.sampled_from(["point", "segment", "polyline", "zero_length", "random"]),
+    field=st.sampled_from(["constant", "quadratic", "affine", "piecewise"]),
+    count=st.integers(1, 6),
+    r=st.floats(0.01, 1.9),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+@example(d=2, law="random", field="quadratic", count=4, r=0.3, seed=0)
+@example(d=3, law="segment", field="affine", count=2, r=1.0, seed=1)
+@example(d=1, law="polyline", field="piecewise", count=3, r=0.1, seed=2)
+def test_translated_rows_equal_the_shifted_field(d, law, field, count, r, seed):
+    """The exact routes integrate f over the translated rows x - a, x - b;
+    they integrated f(x - .) over the rows a, b.  The line kernel and,
+    where it is exact, the sausage kernel give the same values within
+    1e-12 relative, under every field kind, and both sausage routes are
+    exact or neither is."""
+    rng = np.random.default_rng(seed)
+    q = _kernel_law(law, d, rng)
+    if field == "piecewise":
+        cuts = np.sort(rng.uniform(-1.5, 1.5, size=3))
+        f = IntensityField("piecewise", pieces=tuple(
+            (Box(np.r_[lo, np.full(d - 1, -4.0)], np.r_[hi, np.full(d - 1, 4.0)]),
+             float(rng.uniform(0.0, 3.0))) for lo, hi in zip(cuts[:-1], cuts[1:])))
+    else:
+        f = _kernel_field(field, d, rng)
+    x = rng.uniform(-1.0, 1.0, size=d)
+    a, b = mark_segments(q, rng.random((count, q.uniforms)))
+    shifted = ShiftedField(f, x)
+    np.testing.assert_allclose(line_integrals(x - a, x - b, f, q.n),
+                               line_integrals(a, b, shifted, q.n), rtol=1e-12, atol=1e-15)
+
+    def exact_sausages(a, b, h):  # None where they are Monte Carlo: no stream is given
+        try:
+            return sausage_integrals(a, b, h, r, 10, None)[0]
+        except ConfigurationError:
+            return None
+
+    est, ref = exact_sausages(x - a, x - b, f), exact_sausages(a, b, shifted)
+    assert (est is None) == (ref is None)
+    if ref is not None:
+        np.testing.assert_allclose(est, ref, rtol=1e-12, atol=1e-15)
 
 
 def _clipped_affine_integral(f, a, b):

@@ -20,8 +20,9 @@ from meandense import (
     simulate,
 )
 from meandense.cli import _realization_csv, _write_csv
+from meandense.exact import _rule_holds
 from meandense.geometry import Box
-from meandense.grains import ShiftedField, mark_segments
+from meandense.grains import mark_segments
 from meandense.poisson import MAX_EXPECTED_GERMS, expected_germs, poisson_table
 from meandense.streams import block_keys, derive_key, uniforms
 
@@ -77,6 +78,22 @@ def test_affine_field_does_not_depend_on_the_array_layout(d):
     assert np.array_equal(f.values(np.asfortranarray(batch)), by_row)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_quadratic_field_does_not_depend_on_the_array_layout(d):
+    """|y|² sums per coordinate, as the affine field does: C- and F-ordered
+    (1000, d) arrays, a strided view and each row alone give the same bits
+    (an einsum over C-ordered rows paired the coordinates differently in
+    d = 3 than over F-ordered ones)."""
+    rng = np.random.default_rng(d)
+    f = IntensityField("quadratic")
+    batch = rng.normal(size=(1000, d)) * rng.uniform(0.0, 10.0, size=(1000, 1))
+    by_row = np.array([f.values(row[None, :])[0] for row in batch])
+    wide = np.zeros((1000, 2 * d))
+    wide[:, ::2] = batch
+    for layout in (np.ascontiguousarray(batch), np.asfortranarray(batch), wide[:, ::2]):
+        assert f.values(layout).tobytes() == by_row.tobytes()
+
+
 def test_piecewise_field():
     f = IntensityField(
         "piecewise",
@@ -98,9 +115,9 @@ def test_piecewise_field():
 
 def test_polynomial_statement():
     """constant and quadratic are polynomials everywhere, affine where it is
-    positive at every corner of the box, piecewise never; ShiftedField asks
-    its field about the reflected box x - box, and a field without the
-    statement makes none."""
+    positive at every corner of the box, piecewise never; the exact routes
+    ask the field about the box that a grid's translated grains reach,
+    grid ± (l_max + r), and a field without the statement makes none."""
     box = Box([1.0, -1.0], [2.0, 1.0])
     assert IntensityField("constant", c=0.0).polynomial_on(box)
     assert IntensityField("quadratic").polynomial_on(box)
@@ -110,15 +127,18 @@ def test_polynomial_statement():
     assert not ramp.polynomial_on(Box([-1.0, -1.0], [2.0, 1.0]))  # clipped inside
     piecewise = IntensityField("piecewise", pieces=((Box([0.0, -5.0], [5.0, 5.0]), 1.0),))
     assert not piecewise.polynomial_on(box)
-    # f(x - .) on [1, 2] x [-1, 1] reads f on [x1 - 2, x1 - 1] x [x2 - 1, x2 + 1]
-    assert ShiftedField(ramp, np.array([3.5, 0.0])).polynomial_on(box)
-    assert not ShiftedField(ramp, np.array([0.0, 0.0])).polynomial_on(box)
-    assert not ShiftedField(piecewise, np.array([3.5, 0.0])).polynomial_on(box)
+    # a unit segment's 0.5-sausages about x reach x ± 1.5: [2, 5] x [-1.5, 1.5]
+    # at x = (3.5, 0), where y1 > 0, and a box clipped inside at x = 0
+    unit = MarkDistribution("deterministic", grain=Grain.segment([1.0, 0.0]))
+    assert _rule_holds(ramp, unit, np.array([[3.5, 0.0]]), 0.5)
+    assert not _rule_holds(ramp, unit, np.array([[0.0, 0.0]]), 0.5)
+    assert not _rule_holds(ramp, unit, np.array([[3.5, 0.0], [0.0, 0.0]]), 0.5)
+    assert not _rule_holds(piecewise, unit, np.array([[3.5, 0.0]]), 0.5)
 
     class ValuesOnly:
         values = IntensityField("constant", c=1.0).values
 
-    assert not ShiftedField(ValuesOnly(), np.zeros(2)).polynomial_on(box)
+    assert not _rule_holds(ValuesOnly(), unit, np.zeros((1, 2)), 0.5)
 
 
 @pytest.mark.parametrize(

@@ -10,8 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import meandense
-from meandense import (ConfigurationError, Grain, IntensityField, LengthLaw, MarkDistribution,
-                       OrientationLaw, exact_density, sausage_integral)
+from meandense import (Box, ConfigurationError, Grain, IntensityField, LengthLaw,
+                       MarkDistribution, OrientationLaw, exact_density, sausage_integral)
 from meandense.streams import block_keys, derive_key, uniforms
 
 MASK = (1 << 64) - 1
@@ -84,13 +84,15 @@ def test_uniforms_are_splitmix64_outputs(key):
 @pytest.mark.parametrize("key", [-1, 2 ** 64])
 def test_out_of_range_key_is_rejected(key):
     """A caller's key outside [0, 2^64) is refused by name, by uniforms
-    and by every route that reads it, not wrapped or overflowed."""
+    and by every route that reads it, not wrapped or overflowed.  A
+    piecewise field keeps the exact route off the mark rule, on the key."""
     with pytest.raises(ConfigurationError, match="stream key must lie in"):
         uniforms(key, 0)
     q = MarkDistribution("segment", length=LengthLaw("fixed", value=1.0),
                          orientation=OrientationLaw("uniform", dim=2))
     with pytest.raises(ConfigurationError, match="stream key must lie in"):
-        exact_density(IntensityField("quadratic"), q, [0.0, 0.0], mark_draws=10, key=key)
+        piecewise = IntensityField("piecewise", pieces=((Box([-2.0, -2.0], [2.0, 2.0]), 1.0),))
+        exact_density(piecewise, q, [0.0, 0.0], mark_draws=10, key=key)
     with pytest.raises(ConfigurationError, match="stream key must lie in"):
         sausage_integral(Grain.polyline([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]),
                          IntensityField("constant", c=1.0), 0.1, 100, key)

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Run the CLI on 36 (sub-command, bundled config) pairs at --threads 1 and
+# Run the CLI on 37 (sub-command, bundled config) pairs at --threads 1 and
 # 2, with RuntimeWarnings as errors, and check that every CSV is
 # byte-identical across the two thread counts.  segment_quadratic.cfg sets
 # no r, so its estimate pair is the one that runs the bandwidth radius
 # R_N = c0 N^(-beta); every other estimate config sets r, which wins.
+# exact stationary_segment.cfg runs the mark rule under a constant field.
 # parallel_map starts a pool only for work that can pay for one, so most
 # --threads 2 runs here stay in-process; the tier-1 thread-invariance
 # tests (criterion 11 and test_accumulate_hits_thread_invariance) force a
@@ -42,6 +43,7 @@ trap 'rm -rf "$out"' EXIT
 pairs() {  # one "sub-command config" line per pair
   printf '%s\n' \
     "exact segment_quadratic.cfg" "exact minkowski_segment.cfg" \
+    "exact stationary_segment.cfg" \
     "estimate stationary_segment.cfg" "estimate segment_quadratic.cfg" \
     "study study_quadratic.cfg" \
     "minkowski minkowski_segment.cfg" "simulate minkowski_segment.cfg" \
