@@ -11,11 +11,17 @@ zero-length row.  `_sample_block` places the grains of a block of
 `poisson.sample_block` replicates on their germs, with the replicate that
 owns each grain; it builds both a `Realizations` batch (`simulate`) and
 the streaming engine's blocks.  One kernel, `count_hits`, answers every
-hit and count query on either.
+hit and count query on either.  It is a spatial join of the query points
+and the rows' bounding boxes, a cell list (Allen and Tildesley, Computer
+Simulation of Liquids, 1987) whose cells are the points' distinct
+coordinates, axis by axis (`_PointTable`): each box gives per axis the
+index range of the coordinates it covers, and the cells of the ranges'
+product give the (point, row) pairs to measure.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,36 +32,247 @@ from .grains import MarkDistribution
 from .poisson import sample_block
 
 
+# Candidate (point, row) pairs are built and measured this many at a time:
+# few enough for a chunk's arrays to stay in cache.  Of 1024 to 65536,
+# 4096 was fastest on a 2-core x86-64 machine, on the 40 x 40 grid of
+# segment_quadratic.cfg and on the benchmark's dense_estimate block.
+_PAIR_CHUNK = 1 << 12
+# Cells the point table may hold per query point (a lattice needs one);
+# beyond them, consecutive distinct coordinates of an axis share a bucket.
+_CELLS_PER_POINT = 4
+# Up to this many distinct coordinates on every axis, a box corner is
+# compared with each of them: cheaper than the arithmetic guess and its
+# mending.
+_FEW = 6
+
+
+class _PointTable:
+    """Query points xs of shape (P, d), indexed by their coordinates: per
+    axis the sorted distinct coordinates, `width` consecutive ones to a
+    bucket, and per cell (one bucket per axis, row-major) the points
+    members[first[c]:first[c] + occupancy[c]].  It depends on the points
+    only, so one table serves every block of a run."""
+
+    def __init__(self, xs):
+        self.xs = xs = np.asarray(xs, dtype=float)
+        self.bottom, self.top = xs.min(axis=0)[:, None], xs.max(axis=0)[:, None]
+        self.scale = np.abs(xs).max()
+        axes = [col.compress(np.concatenate(([True], col[1:] != col[:-1])))
+                for col in np.sort(xs, axis=0).T]
+        counts = [len(u) for u in axes]
+        self.width = [1] * len(axes)
+        buckets = list(counts)
+        # bounded before the table is allocated
+        while math.prod(buckets) > max(1, _CELLS_PER_POINT * len(xs)):
+            k = int(np.argmax(buckets))
+            self.width[k] *= 2
+            buckets[k] = -(-counts[k] // self.width[k])
+        self.strides = np.array([math.prod(buckets[k + 1:]) for k in range(len(axes))])
+        cell = sum(u.searchsorted(col) // w * st
+                   for u, col, w, st in zip(axes, xs.T, self.width, self.strides))
+        self.occupancy = np.bincount(cell, minlength=math.prod(buckets))
+        self.first = np.cumsum(self.occupancy) - self.occupancy
+        self.members = cell.argsort(kind="stable")
+        # per corner and axis the values a corner is counted against: a
+        # lower corner lo against the coordinates u, an upper one hi against
+        # the float below each u, which is below hi exactly when u <= hi
+        self.sides = [[u, np.nextafter(u, -np.inf)] for u in axes]
+        self.few = None
+        if max(counts) <= _FEW:
+            self.few = np.full((2, len(axes), max(counts)), np.inf)
+            for k, side in enumerate(self.sides):
+                self.few[:, k, :counts[k]] = side
+            return
+        # the sides end to end, each between a -inf and a +inf, so that one
+        # take reads u[g - 1], and one u[g], on every corner and axis
+        flat = [np.concatenate(([-np.inf], side[c], [np.inf])) for c in (0, 1) for side in self.sides]
+        self.flat = np.concatenate(flat)
+        self.offset = np.cumsum([0] + [len(v) for v in flat[:-1]]).reshape(2, -1, 1)
+        self.count = np.array(counts)[:, None]
+        self.step = np.array([(u[-1] - u[0]) / (len(u) - 1) if len(u) > 1 else 1.0
+                              for u in axes])[:, None]
+        self.origin = np.array([u[0] for u in axes])[:, None] - self.step
+        self.irregular = [k for k, u in enumerate(axes) if len(u) > 2 and np.abs(
+            u - np.linspace(u[0], u[-1], len(u))).max() > self.step[k, 0] / 4]
+
+    def ranges(self, box: np.ndarray) -> np.ndarray:
+        """For boxes of shape (2, d, rows), lower and upper corners, the
+        index ranges (j0, j1) of shape (2, d, rows) of each axis' distinct
+        coordinates in the box: j0 counts those below the lower corner, j1
+        those at most the upper one.  With few coordinates they are
+        counted one by one.  On an evenly spaced axis, as np.linspace makes
+        one, the arithmetic guess g is off by at most one, which one
+        comparison each way mends; on another a binary search replaces
+        it."""
+        if self.few is not None:
+            g = (self.few[..., :1] < box).astype(np.intp)
+            for i in range(1, self.few.shape[-1]):
+                g += self.few[..., i:i + 1] < box
+            return g
+        u = box - self.origin
+        u /= self.step
+        np.maximum(u, 0.0, out=u)
+        np.minimum(u, self.count, out=u)
+        g = u.astype(np.intp)
+        g += self.offset
+        g -= self.flat.take(g, out=u) >= box
+        g += self.flat[1:].take(g, out=u) < box
+        del u
+        g -= self.offset
+        for k in self.irregular:
+            for c in (0, 1):
+                g[c, k] = self.sides[k][c].searchsorted(box[c, k])
+        return g
+
+    def pairs(self, box: np.ndarray):
+        """The (point, row) pairs of boxes of shape (2, d, rows) whose box
+        contains the point, in row order and about _PAIR_CHUNK at a time:
+        the points of the cells that a box covers.  With each chunk comes
+        the last row whose cells it holds, or None after the last chunk."""
+        j0, j1 = self.ranges(box)
+        coarse = max(self.width) > 1
+        if coarse:
+            w = np.array(self.width)[:, None]
+            j1 = np.where(j1 > j0, (j1 - 1) // w + 1, j0 // w)
+            j0 //= w
+        else:
+            del box  # only a bucket's points are box-tested again
+        # a box covers the product of its ranges
+        extent = j1 - j0
+        cells = extent.prod(axis=0)
+        live = (cells > 0).nonzero()[0]
+        cells, extent = cells.take(live), extent.take(live, axis=1)
+        base = (j0.take(live, axis=1) * self.strides[:, None]).sum(axis=0)
+        del j0, j1
+        ends = cells.cumsum()
+        starts = ends - cells
+        total = int(ends[-1]) if len(live) else 0
+        step = max(1, _PAIR_CHUNK // int(self.occupancy.max()))
+        for t0 in range(0, total, step):
+            t1 = min(t0 + step, total)
+            # the live rows r0..r1 and their number of cells in t0..t1-1
+            r0, r1 = ends.searchsorted([t0, t1 - 1], side="right")
+            n = cells[r0:r1 + 1].copy()
+            n[0] -= t0 - starts[r0]
+            n[-1] -= ends[r1] - t1
+            rows = np.arange(r0, r1 + 1)
+            cell = base[r0:r1 + 1]
+            if t1 - t0 > len(n) or t0 > starts[r0]:
+                # not every cell is its row's first: its offset into the
+                # row's product of ranges, last axis fastest
+                rows = rows.repeat(n)
+                cell = base.take(rows)
+                off = np.arange(t0, t1) - starts.take(rows)
+                for k in reversed(range(1, len(extent))):
+                    off, o = np.divmod(off, extent[k].take(rows))
+                    cell += o * self.strides[k]
+                cell += off * self.strides[0]
+            # every point of each cell
+            n = self.occupancy.take(cell)
+            rows = live.take(rows).repeat(n)
+            slot = (self.first.take(cell) - n.cumsum() + n).repeat(n)
+            slot += np.arange(len(slot))
+            pts = self.members.take(slot)
+            if coarse:
+                # a bucket also holds points outside the box
+                x = self.xs.T.take(pts, axis=1)
+                inside = np.logical_and.reduce((box[0].take(rows, axis=1) <= x)
+                                               & (x <= box[1].take(rows, axis=1)))
+                pts, rows = pts.compress(inside), rows.compress(inside)
+            yield pts, rows, None if t1 == total else live[r1]
+
+
+def _distinct_first(key: np.ndarray, first: np.ndarray, nr: int):
+    """The distinct keys, each with the least of its `first` values (all
+    below nr)."""
+    k = key * nr + first
+    k.sort()
+    k, f = np.divmod(k, nr)
+    keep = np.ones(len(k), dtype=bool)
+    np.not_equal(k[1:], k[:-1], out=keep[1:])
+    return k.compress(keep), f.compress(keep)
+
+
 def count_hits(a: np.ndarray, b: np.ndarray, owner, xs, rs) -> tuple[np.ndarray, np.ndarray]:
     """Integer totals (ind, cnt) of shape (len(xs), len(rs)) over K grains
     given as segment rows a, b of shape (K, s, d): cnt[i, j] counts the
     grains meeting the closed ball B_rs[j](xs[i]), ind[i, j] the distinct
     owners among them (owner[k] is the owner of grain k).
 
-    Per x, only rows whose bounding box, dilated by a hair over max(rs),
-    contains x are measured; the hair keeps rounding in a box from
-    dropping a grain that the distance test would count.
+    A (point, row) pair is measured only when the row's bounding box,
+    dilated by a hair over max(rs), contains the point; the hair keeps
+    rounding in a box from dropping a grain that the distance test would
+    count.  The pairs come from one spatial join (`_PointTable.pairs`),
+    with no loop over the points, and each chunk of them is measured by
+    one `segment_distances` call.  A pair hits at the sorted radii from
+    the first one at least its distance.  The hit grains and owners are
+    made distinct per point from sorted combined integer keys; between
+    chunks only each chunk's distinct (point, owner) hits and the pairs of
+    its last grain are held.  xs may also be the `_PointTable` of the
+    points, built once for many calls.
     """
-    _, s, d = a.shape
+    k_grains, s, d = a.shape
+    table = xs if isinstance(xs, _PointTable) else _PointTable(np.reshape(xs, (-1, d)))
+    xs = table.xs
+    owner = np.asarray(owner, dtype=np.intp)
     a, b = a.reshape(-1, d), b.reshape(-1, d)
-    # boxes as (d, rows): each comparison runs along a contiguous row, many
-    # times faster than reducing (rows, d) along its short axis
-    lo = np.minimum(a.T, b.T, order="C")
-    hi = np.maximum(a.T, b.T, order="C")
-    scale = max(-lo.min(initial=0.0), hi.max(initial=0.0), np.abs(np.asarray(xs)).max())
+    # boxes as (2, d, rows), lower and upper corners: each comparison runs
+    # along a contiguous row, many times faster than reducing (rows, d)
+    # along its short axis
+    box = np.empty((2, d, len(a)))
+    np.minimum(a.T, b.T, out=box[0])
+    np.maximum(a.T, b.T, out=box[1])
+    scale = max(-box[0].min(initial=0.0), box[1].max(initial=0.0), table.scale)
     pad = max(rs) + 1e-9 * (1.0 + scale)
-    lo -= pad
-    hi += pad
-    ind = np.zeros((len(xs), len(rs)), dtype=np.int64)
-    cnt = np.zeros((len(xs), len(rs)), dtype=np.int64)
-    for i, x in enumerate(xs):
-        col = x[:, None]
-        near = np.flatnonzero(np.all((lo <= col) & (col <= hi), axis=0))
-        dist = segment_distances(x, a[near], b[near])
-        for j, r in enumerate(rs):
-            hit = np.unique(near[dist <= r] // s)
-            cnt[i, j] = hit.size
-            ind[i, j] = np.count_nonzero(np.bincount(owner[hit]))
+    # a row whose box misses the points' hull, dilated by twice the pad,
+    # holds none of them: the margin covers the rounding of the padding
+    near = np.logical_and.reduce(
+        (box[0] <= table.top + 2 * pad) & (table.bottom - 2 * pad <= box[1]), axis=0).nonzero()[0]
+    box = box.take(near, axis=2)
+    box[0] -= pad
+    box[1] += pad
+    chunks = table.pairs(box)
+    del box
+
+    order = sorted(range(len(rs)), key=rs.__getitem__)
+    radii = [rs[j] for j in order]
+    nr, npts = len(radii), len(xs)
+    cnt = np.zeros(npts * nr, dtype=np.int64)
+    owned = []
+    held = (np.zeros(0, dtype=np.intp),) * 3
+    for pts, rows, cont in chunks:
+        rows = near.take(rows)
+        dist = segment_distances(xs.take(pts, axis=0), a.take(rows, axis=0), b.take(rows, axis=0))
+        # the number of radii below the distance: the first one it hits
+        first = np.zeros(len(dist), dtype=np.intp)
+        for r in radii:
+            first += dist > r
+        hit = first < nr
+        pt, grain, first = pts.compress(hit), rows.compress(hit) // s, first.compress(hit)
+        if s > 1:
+            pt, grain, first = (np.concatenate(v) for v in zip(held, (pt, grain, first)))
+            if cont is not None:
+                # the chunk's last grain may have rows in the next
+                keep = grain == near[cont] // s
+                held = pt.compress(keep), grain.compress(keep), first.compress(keep)
+                pt, grain, first = (v.compress(~keep) for v in (pt, grain, first))
+            key, first = _distinct_first(grain * npts + pt, first, nr)
+            grain, pt = np.divmod(key, npts)
+        cnt += np.bincount(pt * nr + first, minlength=npts * nr)
+        owned.append(_distinct_first(owner.take(grain) * npts + pt, first, nr))
+    if len(owned) == 1:
+        key, first = owned[0]
+    elif owned:
+        key, first = _distinct_first(*(np.concatenate(v) for v in zip(*owned)), nr)
+    else:
+        key = first = np.zeros(0, dtype=np.intp)
+    ind = np.bincount(key % npts * nr + first, minlength=npts * nr).reshape(npts, nr)
+    cnt = cnt.reshape(npts, nr)
+    if nr > 1:
+        # a hit at a radius is a hit at every larger one; the columns go
+        # back to the order of rs
+        back = sorted(range(nr), key=order.__getitem__)
+        ind, cnt = (np.cumsum(t, axis=1).take(back, axis=1) for t in (ind, cnt))
     return ind, cnt
 
 

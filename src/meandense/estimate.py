@@ -15,10 +15,10 @@ import math
 
 import numpy as np
 
-from .boolean import Realizations, _sample_block, checked_guard_margin, count_hits
+from .boolean import Realizations, _PointTable, _sample_block, checked_guard_margin, count_hits
 from .errors import ConfigurationError, QueryError
 from .exact import density_grid
-from .geometry import Box, as_point, checked_ball_volume
+from .geometry import Box, checked_ball_volume
 from .grains import MarkDistribution
 from .parallel import parallel_map
 from .poisson import expected_germs
@@ -113,9 +113,10 @@ _BLOCK_SEGMENTS = 1 << 16
 
 def _block_task(args):
     """Worker: the block of replicates start..stop-1 and the kernel's
-    integer hit and grain-count totals on it, of shape (len(xs), len(rs))."""
-    f, q, xs, rs, box, seed, start, stop = args
-    return count_hits(*_sample_block(f, q, box, seed, start, stop), xs, rs)
+    integer hit and grain-count totals on it, of shape (len(xs), len(rs)),
+    at the query points of `table`."""
+    f, q, table, rs, box, seed, start, stop = args
+    return count_hits(*_sample_block(f, q, box, seed, start, stop), table, rs)
 
 
 def accumulate_hits(
@@ -134,17 +135,25 @@ def accumulate_hits(
     independent of the blocking, hence of the thread count."""
     if n_samples < 0:
         raise ConfigurationError(f"n_samples must be nonnegative, got {n_samples}")
-    xs = [as_point(x, dim=q.dim) for x in np.atleast_2d(np.asarray(xs, dtype=float))]
+    # the query points are checked as one (P, d) array, with as_point's
+    # messages
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
     rs = [float(r) for r in np.atleast_1d(rs)]
-    if not xs:
+    if not len(xs):
         raise ConfigurationError("xs: need at least one query point")
+    if xs.ndim != 2:
+        raise ConfigurationError(f"point must be 1-dimensional, got shape {xs.shape[1:]}")
+    if xs.shape[1] != q.dim:
+        raise ConfigurationError(f"dimension mismatch: expected {q.dim}, got {xs.shape[1]}")
+    finite = np.isfinite(xs).all(axis=1)
+    if not finite.all():
+        raise ConfigurationError(f"non-finite point coordinates: {xs[np.argmin(finite)]}")
     if not rs:
         raise ConfigurationError("rs: need at least one radius")
     if not all(r >= 0 for r in rs):
         raise QueryError("query radius must be nonnegative")
     r_max = max(rs)
-    pts = np.stack(xs)
-    window = Box(pts.min(axis=0) - r_max, pts.max(axis=0) + r_max)
+    window = Box(xs.min(axis=0) - r_max, xs.max(axis=0) + r_max)
     box = window.dilate(checked_guard_margin(q, r_max))
     # the germ cap is refused here, before the pool starts
     rows = expected_germs(f, box)[1] * q.segments
@@ -152,8 +161,10 @@ def accumulate_hits(
     if rows * per_block > _BLOCK_SEGMENTS:
         per_block = max(1, int(_BLOCK_SEGMENTS // rows))
     stop = index0 + n_samples
+    # the query points' table is built once, for every block
+    table = _PointTable(xs)
     tasks = [
-        (f, q, xs, rs, box, seed, i, min(i + per_block, stop))
+        (f, q, table, rs, box, seed, i, min(i + per_block, stop))
         for i in range(index0, stop, per_block)
     ]
     ind = np.zeros((len(xs), len(rs)), dtype=np.int64)

@@ -19,7 +19,8 @@ from meandense import (
     Realizations,
     simulate,
 )
-from meandense.boolean import checked_guard_margin
+from meandense import boolean
+from meandense.boolean import checked_guard_margin, count_hits
 from meandense.cli import _realization_csv, _write_csv
 from meandense.geometry import Box, clipped_lengths, segment_distances
 from meandense.grains import mark_segments
@@ -147,6 +148,96 @@ def test_index_matches_brute_force(seed, count, d):
         expected = brute_force_hits(placed, x, r)
         assert hit_count(real, x, r) == expected
         assert hits(real, x, r) == (expected > 0)
+
+
+def loop_count_hits(a, b, owner, xs, rs):
+    """Reference for count_hits: one pass per query point, which box-tests
+    every row, measures the rows whose padded box holds the point with one
+    one-point segment_distances call, and counts per radius the distinct
+    hit grains and their owners."""
+    _, s, d = a.shape
+    a, b = a.reshape(-1, d), b.reshape(-1, d)
+    lo = np.minimum(a.T, b.T, order="C")
+    hi = np.maximum(a.T, b.T, order="C")
+    scale = max(-lo.min(initial=0.0), hi.max(initial=0.0), np.abs(np.asarray(xs)).max())
+    pad = max(rs) + 1e-9 * (1.0 + scale)
+    lo -= pad
+    hi += pad
+    ind = np.zeros((len(xs), len(rs)), dtype=np.int64)
+    cnt = np.zeros((len(xs), len(rs)), dtype=np.int64)
+    for i, x in enumerate(xs):
+        col = x[:, None]
+        near = np.flatnonzero(np.all((lo <= col) & (col <= hi), axis=0))
+        dist = segment_distances(x, a[near], b[near])
+        for j, r in enumerate(rs):
+            hit = np.unique(near[dist <= r] // s)
+            cnt[i, j] = hit.size
+            ind[i, j] = np.count_nonzero(np.bincount(owner[hit]))
+    return ind, cnt
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2 ** 32 - 1),
+    st.sampled_from([1, 2, 3]),
+    st.sampled_from(["point", "segment", "polyline2", "polyline3"]),
+    st.integers(0, 40),
+    st.sampled_from(["lattice", "list", "point"]),
+    st.sampled_from([None, 3]),
+    st.sampled_from([None, 0]),
+    st.sampled_from([None, 0]),
+)
+@example(seed=0, d=3, kind="segment", k=30, grid="lattice", chunk=None, cells=None, few=0)
+@example(seed=1, d=2, kind="polyline3", k=0, grid="list", chunk=3, cells=0, few=None)
+def test_join_matches_per_point_loop(seed, d, kind, k, grid, chunk, cells, few):
+    """count_hits' spatial join gives the per-point loop's int64 totals, on
+    lattices (shape 1 along an axis included), on lists with duplicate
+    points and points outside every box and on one point, with owners that skip values or
+    come unsorted, at radii 0 and at ties equal to a one-point distance,
+    with a chunk of a few pairs, a table of one cell, and the box ranges
+    found by arithmetic and binary search where few coordinates would be
+    counted one by one."""
+    rng = np.random.default_rng(derive_key(seed, 1))
+    s = {"point": 1, "segment": 1, "polyline2": 2, "polyline3": 3}[kind]
+    vertices = np.cumsum(rng.uniform(-0.6, 0.6, size=(k, s + 1, d)), axis=1)
+    vertices += rng.uniform(-0.5, 2.5, size=(k, 1, d))
+    if kind == "point":
+        vertices[:, 1] = vertices[:, 0]
+    a, b = vertices[:, :-1].copy(), vertices[:, 1:].copy()
+    b[::4, 0] = a[::4, 0]  # zero-length rows inside proper grains
+    owner = np.cumsum(rng.integers(0, 3, size=k))
+    if rng.random() < 0.3:
+        rng.shuffle(owner)
+    if grid == "lattice":
+        lo = rng.uniform(-0.5, 1.5, size=d)
+        hi = lo + rng.uniform(0.0, 2.0, size=d)
+        axes = [np.linspace(lo[i], hi[i], rng.integers(1, 10 - 2 * d)) for i in range(d)]
+        xs = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    elif grid == "list":
+        xs = rng.uniform(-0.5, 2.5, size=(rng.integers(1, 8), d))
+        xs = np.concatenate([xs, xs[:rng.integers(0, len(xs) + 1)], [np.full(d, 40.0)]])
+        rng.shuffle(xs)
+    else:
+        xs = rng.uniform(-0.5, 2.5, size=(1, d))
+    rs = [0.0, float(rng.uniform(0.0, 0.6))]
+    if k:
+        # a tie: the radius equals one (point, row) distance
+        x = xs[rng.integers(len(xs))]
+        rows_a, rows_b = a.reshape(-1, d), b.reshape(-1, d)
+        rs.append(float(segment_distances(x, rows_a, rows_b)[rng.integers(len(rows_a))]))
+        rs = [r for r in rs if r <= 1.5]
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk:
+            mp.setattr(boolean, "_PAIR_CHUNK", chunk)
+        if cells is not None:
+            mp.setattr(boolean, "_CELLS_PER_POINT", cells)
+        if few is not None:
+            mp.setattr(boolean, "_FEW", few)
+        ind, cnt = count_hits(a, b, owner, xs, rs)
+    ref_ind, ref_cnt = loop_count_hits(a, b, owner, xs, rs)
+    assert ind.dtype == cnt.dtype == np.int64
+    assert np.array_equal(ind, ref_ind)
+    assert np.array_equal(cnt, ref_cnt)
 
 
 def test_many_segments_match_brute_force():

@@ -226,6 +226,19 @@ def test_histogram_bit_identity_with_point_grain_estimator():
 # streaming counters
 
 
+def test_accumulate_hits_checks_query_points_as_one_array():
+    """The query points are checked once, as one (P, d) array, with the
+    messages of the per-point check: the first bad point is named."""
+    x = [0.5, 0.5]
+    for xs, message in (([[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]],
+                         "dimension mismatch: expected 2, got 3"),
+                        ([x, [0.5, math.nan], [math.inf, 0.0]],
+                         r"non-finite point coordinates: \[0\.5 nan\]"),
+                        (np.zeros((0, 2)), "xs: need at least one query point")):
+        with pytest.raises(ConfigurationError, match=message):
+            accumulate_hits(CONSTANT, RANDOM_SEGMENTS, xs, [0.1], 5, seed=1)
+
+
 def test_accumulate_hits_thread_invariance(monkeypatch, always_pool):
     """Blocks of about 40 replicates: ten tasks for a real pool."""
     monkeypatch.setattr(estimate_module, "_BLOCK_SEGMENTS", 256)

@@ -180,7 +180,8 @@ def test_segment_distances_batch_equals_single_calls(d):
     """A batch of point sets against segments mixing proper and zero-length
     ones gives each set exactly the distances of a call with that set and
     segment alone, and each point exactly those of a one-point call; a
-    zero-length segment's distances are np.linalg.norm's."""
+    zero-length segment's distances are np.linalg.norm's.  So are m points
+    against m rows, pair by pair."""
     rng = np.random.default_rng(d)
     pts = rng.normal(size=(4, 50, d))
     a = rng.normal(size=(4, 1, d))
@@ -196,6 +197,13 @@ def test_segment_distances_batch_equals_single_calls(d):
     rows_a, rows_b = a[:, 0], b[:, 0]
     one = segment_distances(pts[0, 0], rows_a, rows_b)
     assert one[1] == np.linalg.norm(rows_a[1:2] - pts[0, 0], axis=1)[0]
+    # one point per row, as count_hits measures its (point, row) pairs
+    pair_pts = pts.reshape(-1, d)[:40]
+    pair_a, pair_b = rng.normal(size=(2, 40, d))
+    pair_b[::3] = pair_a[::3]
+    pairs = segment_distances(pair_pts, pair_a, pair_b)
+    for i in range(40):
+        assert pairs[i] == segment_distances(pair_pts[i], pair_a, pair_b)[i]
 
 
 def test_clip_segment_box_hand_values():

@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
-# Run the CLI on 37 (sub-command, bundled config) pairs at --threads 1 and
+# Run the CLI on 38 (sub-command, bundled config) pairs at --threads 1 and
 # 2, with RuntimeWarnings as errors, and check that every CSV is
 # byte-identical across the two thread counts.  segment_quadratic.cfg sets
 # no r, so its estimate pair is the one that runs the bandwidth radius
 # R_N = c0 N^(-beta); every other estimate config sets r, which wins.
 # exact stationary_segment.cfg runs the mark rule under a constant field.
+# estimate lattice_3d.cfg runs the hit kernel's lattice arithmetic in
+# d = 3.
 # parallel_map starts a pool only for work that can pay for one, so most
 # --threads 2 runs here stay in-process; the tier-1 thread-invariance
 # tests (criterion 11 and test_accumulate_hits_thread_invariance) force a
@@ -48,7 +50,8 @@ pairs() {  # one "sub-command config" line per pair
     "study study_quadratic.cfg" \
     "minkowski minkowski_segment.cfg" "simulate minkowski_segment.cfg" \
     "oracle stationary_segment.cfg" "oracle segment_quadratic.cfg" \
-    "oracle minkowski_segment.cfg" "simulate stationary_segment.cfg"
+    "oracle minkowski_segment.cfg" "simulate stationary_segment.cfg" \
+    "estimate lattice_3d.cfg"
   # a polyline under a piecewise field (Monte Carlo sausages), spatial
   # point grains, and the line (d = 1) with the paper's n = 0 histogram
   # case, on every sub-command that applies
