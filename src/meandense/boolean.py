@@ -40,10 +40,6 @@ _PAIR_CHUNK = 1 << 12
 # Cells the point table may hold per query point (a lattice needs one);
 # beyond them, consecutive distinct coordinates of an axis share a bucket.
 _CELLS_PER_POINT = 4
-# Up to this many distinct coordinates on every axis, a box corner is
-# compared with each of them: cheaper than the arithmetic guess and its
-# mending.
-_FEW = 6
 
 
 class _PointTable:
@@ -77,18 +73,12 @@ class _PointTable:
         # lower corner lo against the coordinates u, an upper one hi against
         # the float below each u, which is below hi exactly when u <= hi
         self.sides = [[u, np.nextafter(u, -np.inf)] for u in axes]
-        self.few = None
-        if max(counts) <= _FEW:
-            self.few = np.full((2, len(axes), max(counts)), np.inf)
-            for k, side in enumerate(self.sides):
-                self.few[:, k, :counts[k]] = side
-            return
         # the sides end to end, each between a -inf and a +inf, so that one
         # take reads u[g - 1], and one u[g], on every corner and axis
         flat = [np.concatenate(([-np.inf], side[c], [np.inf])) for c in (0, 1) for side in self.sides]
         self.flat = np.concatenate(flat)
         self.offset = np.cumsum([0] + [len(v) for v in flat[:-1]]).reshape(2, -1, 1)
-        self.count = np.array(counts)[:, None]
+        self.count = np.array(counts, dtype=float)[:, None]
         self.step = np.array([(u[-1] - u[0]) / (len(u) - 1) if len(u) > 1 else 1.0
                               for u in axes])[:, None]
         self.origin = np.array([u[0] for u in axes])[:, None] - self.step
@@ -99,24 +89,19 @@ class _PointTable:
         """For boxes of shape (2, d, rows), lower and upper corners, the
         index ranges (j0, j1) of shape (2, d, rows) of each axis' distinct
         coordinates in the box: j0 counts those below the lower corner, j1
-        those at most the upper one.  With few coordinates they are
-        counted one by one.  On an evenly spaced axis, as np.linspace makes
-        one, the arithmetic guess g is off by at most one, which one
-        comparison each way mends; on another a binary search replaces
-        it."""
-        if self.few is not None:
-            g = (self.few[..., :1] < box).astype(np.intp)
-            for i in range(1, self.few.shape[-1]):
-                g += self.few[..., i:i + 1] < box
-            return g
+        those at most the upper one.  On an evenly spaced axis, as
+        np.linspace makes one, the arithmetic guess g is off by at most
+        one, which one comparison each way mends; on another a binary
+        search replaces it."""
         u = box - self.origin
         u /= self.step
         np.maximum(u, 0.0, out=u)
         np.minimum(u, self.count, out=u)
         g = u.astype(np.intp)
         g += self.offset
-        g -= self.flat.take(g, out=u) >= box
-        g += self.flat[1:].take(g, out=u) < box
+        # every index is in range; mode="clip" spares take a checked copy
+        g -= self.flat.take(g, out=u, mode="clip") >= box
+        g += self.flat[1:].take(g, out=u, mode="clip") < box
         del u
         g -= self.offset
         for k in self.irregular:
@@ -126,9 +111,8 @@ class _PointTable:
 
     def pairs(self, box: np.ndarray):
         """The (point, row) pairs of boxes of shape (2, d, rows) whose box
-        contains the point, in row order and about _PAIR_CHUNK at a time:
-        the points of the cells that a box covers.  With each chunk comes
-        the last row whose cells it holds, or None after the last chunk."""
+        contains the point, about _PAIR_CHUNK at a time: the points of the
+        cells that a box covers."""
         j0, j1 = self.ranges(box)
         coarse = max(self.width) > 1
         if coarse:
@@ -179,7 +163,7 @@ class _PointTable:
                 inside = np.logical_and.reduce((box[0].take(rows, axis=1) <= x)
                                                & (x <= box[1].take(rows, axis=1)))
                 pts, rows = pts.compress(inside), rows.compress(inside)
-            yield pts, rows, None if t1 == total else live[r1]
+            yield pts, rows
 
 
 def _distinct_first(key: np.ndarray, first: np.ndarray, nr: int):
@@ -205,14 +189,12 @@ def count_hits(a: np.ndarray, b: np.ndarray, owner, xs, rs) -> tuple[np.ndarray,
     count.  The pairs come from one spatial join (`_PointTable.pairs`),
     with no loop over the points, and each chunk of them is measured by
     one `segment_distances` call.  A pair hits at the sorted radii from
-    the first one at least its distance.  The hit grains and owners are
-    made distinct per point from sorted combined integer keys; between
-    chunks only each chunk's distinct (point, owner) hits and the pairs of
-    its last grain are held.  xs may also be the `_PointTable` of the
-    points, built once for many calls.
+    the first one at least its distance.  The hit (grain, point) pairs of
+    all chunks are made distinct, and then their owners per point, by
+    sorting combined integer keys.
     """
-    k_grains, s, d = a.shape
-    table = xs if isinstance(xs, _PointTable) else _PointTable(np.reshape(xs, (-1, d)))
+    _, s, d = a.shape
+    table = _PointTable(np.reshape(xs, (-1, d)))
     xs = table.xs
     owner = np.asarray(owner, dtype=np.intp)
     a, b = a.reshape(-1, d), b.reshape(-1, d)
@@ -237,10 +219,9 @@ def count_hits(a: np.ndarray, b: np.ndarray, owner, xs, rs) -> tuple[np.ndarray,
     order = sorted(range(len(rs)), key=rs.__getitem__)
     radii = [rs[j] for j in order]
     nr, npts = len(radii), len(xs)
-    cnt = np.zeros(npts * nr, dtype=np.int64)
-    owned = []
-    held = (np.zeros(0, dtype=np.intp),) * 3
-    for pts, rows, cont in chunks:
+    # per hit pair, the key grain * npts + point and the first radius it hits
+    keys, firsts = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    for pts, rows in chunks:
         rows = near.take(rows)
         dist = segment_distances(xs.take(pts, axis=0), a.take(rows, axis=0), b.take(rows, axis=0))
         # the number of radii below the distance: the first one it hits
@@ -248,26 +229,16 @@ def count_hits(a: np.ndarray, b: np.ndarray, owner, xs, rs) -> tuple[np.ndarray,
         for r in radii:
             first += dist > r
         hit = first < nr
-        pt, grain, first = pts.compress(hit), rows.compress(hit) // s, first.compress(hit)
-        if s > 1:
-            pt, grain, first = (np.concatenate(v) for v in zip(held, (pt, grain, first)))
-            if cont is not None:
-                # the chunk's last grain may have rows in the next
-                keep = grain == near[cont] // s
-                held = pt.compress(keep), grain.compress(keep), first.compress(keep)
-                pt, grain, first = (v.compress(~keep) for v in (pt, grain, first))
-            key, first = _distinct_first(grain * npts + pt, first, nr)
-            grain, pt = np.divmod(key, npts)
-        cnt += np.bincount(pt * nr + first, minlength=npts * nr)
-        owned.append(_distinct_first(owner.take(grain) * npts + pt, first, nr))
-    if len(owned) == 1:
-        key, first = owned[0]
-    elif owned:
-        key, first = _distinct_first(*(np.concatenate(v) for v in zip(*owned)), nr)
-    else:
-        key = first = np.zeros(0, dtype=np.intp)
+        keys.append(rows.compress(hit) // s * npts + pts.compress(hit))
+        firsts.append(first.compress(hit))
+    key, first = np.concatenate(keys), np.concatenate(firsts)
+    if s > 1:
+        # a polyline meets a point once, at the first radius of its rows
+        key, first = _distinct_first(key, first, nr)
+    grain, pt = np.divmod(key, npts)
+    cnt = np.bincount(pt * nr + first, minlength=npts * nr).reshape(npts, nr)
+    key, first = _distinct_first(owner.take(grain) * npts + pt, first, nr)
     ind = np.bincount(key % npts * nr + first, minlength=npts * nr).reshape(npts, nr)
-    cnt = cnt.reshape(npts, nr)
     if nr > 1:
         # a hit at a radius is a hit at every larger one; the columns go
         # back to the order of rs

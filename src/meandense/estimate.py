@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .boolean import Realizations, _PointTable, _sample_block, checked_guard_margin, count_hits
+from .boolean import Realizations, _sample_block, checked_guard_margin, count_hits
 from .errors import ConfigurationError, QueryError
 from .exact import density_grid
 from .geometry import Box, checked_ball_volume
@@ -113,10 +113,9 @@ _BLOCK_SEGMENTS = 1 << 16
 
 def _block_task(args):
     """Worker: the block of replicates start..stop-1 and the kernel's
-    integer hit and grain-count totals on it, of shape (len(xs), len(rs)),
-    at the query points of `table`."""
-    f, q, table, rs, box, seed, start, stop = args
-    return count_hits(*_sample_block(f, q, box, seed, start, stop), table, rs)
+    integer hit and grain-count totals on it, of shape (len(xs), len(rs))."""
+    f, q, xs, rs, box, seed, start, stop = args
+    return count_hits(*_sample_block(f, q, box, seed, start, stop), xs, rs)
 
 
 def accumulate_hits(
@@ -161,10 +160,8 @@ def accumulate_hits(
     if rows * per_block > _BLOCK_SEGMENTS:
         per_block = max(1, int(_BLOCK_SEGMENTS // rows))
     stop = index0 + n_samples
-    # the query points' table is built once, for every block
-    table = _PointTable(xs)
     tasks = [
-        (f, q, table, rs, box, seed, i, min(i + per_block, stop))
+        (f, q, xs, rs, box, seed, i, min(i + per_block, stop))
         for i in range(index0, stop, per_block)
     ]
     ind = np.zeros((len(xs), len(rs)), dtype=np.int64)

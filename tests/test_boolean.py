@@ -185,18 +185,15 @@ def loop_count_hits(a, b, owner, xs, rs):
     st.sampled_from(["lattice", "list", "point"]),
     st.sampled_from([None, 3]),
     st.sampled_from([None, 0]),
-    st.sampled_from([None, 0]),
 )
-@example(seed=0, d=3, kind="segment", k=30, grid="lattice", chunk=None, cells=None, few=0)
-@example(seed=1, d=2, kind="polyline3", k=0, grid="list", chunk=3, cells=0, few=None)
-def test_join_matches_per_point_loop(seed, d, kind, k, grid, chunk, cells, few):
+@example(seed=0, d=3, kind="segment", k=30, grid="lattice", chunk=None, cells=None)
+@example(seed=1, d=2, kind="polyline3", k=0, grid="list", chunk=3, cells=0)
+def test_join_matches_per_point_loop(seed, d, kind, k, grid, chunk, cells):
     """count_hits' spatial join gives the per-point loop's int64 totals, on
     lattices (shape 1 along an axis included), on lists with duplicate
     points and points outside every box and on one point, with owners that skip values or
     come unsorted, at radii 0 and at ties equal to a one-point distance,
-    with a chunk of a few pairs, a table of one cell, and the box ranges
-    found by arithmetic and binary search where few coordinates would be
-    counted one by one."""
+    with a chunk of a few pairs and with a table of one cell."""
     rng = np.random.default_rng(derive_key(seed, 1))
     s = {"point": 1, "segment": 1, "polyline2": 2, "polyline3": 3}[kind]
     vertices = np.cumsum(rng.uniform(-0.6, 0.6, size=(k, s + 1, d)), axis=1)
@@ -231,8 +228,6 @@ def test_join_matches_per_point_loop(seed, d, kind, k, grid, chunk, cells, few):
             mp.setattr(boolean, "_PAIR_CHUNK", chunk)
         if cells is not None:
             mp.setattr(boolean, "_CELLS_PER_POINT", cells)
-        if few is not None:
-            mp.setattr(boolean, "_FEW", few)
         ind, cnt = count_hits(a, b, owner, xs, rs)
     ref_ind, ref_cnt = loop_count_hits(a, b, owner, xs, rs)
     assert ind.dtype == cnt.dtype == np.int64
