@@ -9,16 +9,15 @@ Minkowski-content limit of sausage integrals.
 
 __version__ = "0.6.0"
 
-from .boolean import Realizations, simulate
+from .boolean import measure_in_region
 from .config import ScenarioConfig, parse_config
 from .errors import ConfigurationError, NumericError, QueryError
 from .estimate import (
+    accumulate_hits,
     capacity_estimate,
     contact_derivative,
     convergence_study,
     count_estimate,
-    density_estimate,
-    empirical_capacity,
     histogram_reduction,
 )
 from .exact import (

@@ -162,7 +162,7 @@ def run_minkowski(cfg: ScenarioConfig, seed: int, threads: int, out_dir: Path):
 
 def run_simulate(cfg: ScenarioConfig, seed: int, threads: int, out_dir: Path):
     r_max = cfg.r_max if cfg.r_max is not None else (cfg.fixed_r or 0.0)
-    # the germs and marks that simulate() draws, written from their arrays
+    # replicate 0 on the window guarded for r_max, written from its arrays
     box = cfg.window.dilate(checked_guard_margin(cfg.marks, r_max))
     points, a, b, _ = sample_block(cfg.intensity, cfg.marks, box, seed, 0, 1)
     _write_csv(out_dir, "realization.csv", *_realization_csv(points, a, b, cfg.marks.n))

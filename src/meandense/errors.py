@@ -10,8 +10,8 @@ class ConfigurationError(ValueError):
 
 
 class QueryError(ConfigurationError):
-    """A query that the guard zone cannot answer exactly (e.g. ball outside
-    the observation window, or radius above the simulated r_max)."""
+    """A query that the guard zone cannot answer exactly: a negative or NaN
+    radius, or a ball outside the observation window."""
 
 
 class NumericError(ArithmeticError):

@@ -1,8 +1,11 @@
 """Mean-density estimators built on the empirical capacity functional.
 
-The core estimator divides the fraction of realizations hitting a shrinking
-ball B_R(x) by the ball-volume normalizer b_{d-n} R^{d-n}.  Variants use
-germ counts instead of hit indicators, the slope of the empirical contact
+One replicate engine, `accumulate_hits`, totals over N realizations the
+hit indicators and the grain counts of every query ball B_R(x), and every
+estimator is a function of those integer totals.  The core estimator
+divides the fraction of realizations hitting a shrinking ball by the
+ball-volume normalizer b_{d-n} R^{d-n}.  Variants use grain counts
+instead of hit indicators, the slope of the empirical contact
 distribution (n = d-1), and the histogram reduction for the n = 0 case.
 All estimator evaluation is deterministic: randomness enters only through
 the realizations.  Reductions over replicates are integer counts or
@@ -15,7 +18,7 @@ import math
 
 import numpy as np
 
-from .boolean import Realizations, _sample_block, checked_guard_margin, count_hits
+from .boolean import _sample_block, checked_guard_margin, count_hits
 from .errors import ConfigurationError, QueryError
 from .exact import density_grid
 from .geometry import Box, checked_ball_volume
@@ -27,58 +30,54 @@ from .poisson import expected_germs
 _EXACT_STREAM_SALT = 0x45584143
 
 
+def _normalizer(n_samples: int, d: int, n: int, radius: float) -> float:
+    """b_{d-n} R^{d-n}, after checking N = n_samples >= 1 and R > 0."""
+    if not n_samples >= 1:
+        raise ConfigurationError(f"n_samples must be at least 1, got {n_samples}")
+    if not radius > 0:
+        raise ConfigurationError(f"radius must be positive, got {radius}")
+    return checked_ball_volume(d - n, radius)
+
+
 def capacity_estimate(hits, n_samples: int, d: int, n: int, radius: float):
     """λ̂ = hits / N / (b_{d-n} R^{d-n}) from the number of N realizations
     meeting B_R(x), a scalar or an array of totals, and its plug-in
     standard error sqrt(p (1 - p) / N) / (b_{d-n} R^{d-n}), p = hits / N."""
-    if not n_samples >= 1:
-        raise ConfigurationError(f"n_samples must be at least 1, got {n_samples}")
-    norm = checked_ball_volume(d - n, radius)
+    norm = _normalizer(n_samples, d, n, radius)
     p_hat = hits / n_samples
     return p_hat / norm, np.sqrt(p_hat * (1.0 - p_hat) / n_samples) / norm
 
 
-def empirical_capacity(batch: Realizations, x, r: float) -> float:
-    """Fraction of realizations whose set meets the closed ball B_r(x)."""
-    ind, _ = batch.counts(x, [r])
-    return int(ind[0]) / batch.count
+def count_estimate(cnt, n_samples: int, d: int, n: int, radius: float):
+    """Grain-count estimator cnt / N / (b_{d-n} R^{d-n}) from the number of
+    grains meeting B_R(x) over N realizations, a scalar or an array of
+    totals; it dominates capacity_estimate pointwise.  The total can exceed
+    N, so it has no binomial standard error."""
+    norm = _normalizer(n_samples, d, n, radius)
+    return cnt / n_samples / norm
 
 
-def density_estimate(batch: Realizations, x, radius: float) -> tuple[float, float]:
-    """Indicator estimator at x and its standard error (capacity_estimate)."""
-    if not radius > 0:
-        raise ConfigurationError("bandwidth radius must be positive")
-    ind, _ = batch.counts(x, [radius])
-    return capacity_estimate(int(ind[0]), batch.count, batch.dim, batch.n, radius)
-
-
-def count_estimate(batch: Realizations, x, r: float) -> float:
-    """Grain-count estimator: mean number of grains hitting B_r(x) over the
-    same normalizer; dominates the indicator estimator pointwise.  The
-    total can exceed N, so it has no binomial standard error."""
-    if not r > 0:
-        raise ConfigurationError("radius must be positive")
-    norm = checked_ball_volume(batch.dim - batch.n, r)
-    _, cnt = batch.counts(x, [r])
-    return int(cnt[0]) / batch.count / norm
-
-
-def contact_derivative(batch: Realizations, x, r_grid) -> float:
+def contact_derivative(ind, n_samples: int, d: int, n: int, r_grid) -> float:
     """Half the least-squares slope at r = 0 of the empirical contact
-    distribution r -> T^(r); valid for codimension-1 grains only."""
-    if batch.n != batch.dim - 1:
+    distribution r -> T^(r) = ind / N, from the hit totals ind at the radii
+    r_grid over N realizations; valid for codimension-1 grains only."""
+    if n != d - 1:
         raise ConfigurationError(
-            f"contact-distribution route needs n = d - 1 (got n={batch.n}, d={batch.dim})"
+            f"contact-distribution route needs n = d - 1 (got n={n}, d={d})"
         )
-    r_grid = np.asarray(sorted(r_grid, reverse=True), dtype=float)
+    if not n_samples >= 1:
+        raise ConfigurationError(f"n_samples must be at least 1, got {n_samples}")
+    r_grid = np.asarray(r_grid, dtype=float)
     if r_grid.size < 2:
         raise ConfigurationError("r_grid: need at least two radii to fit a slope")
     if np.unique(r_grid).size < r_grid.size:
         raise ConfigurationError(f"r_grid: radii must be distinct, got {r_grid.tolist()}")
-    ind, _ = batch.counts(x, [float(r) for r in r_grid])
-    t_hat = ind / batch.count
-    slope = np.polyfit(r_grid, t_hat, 1)[0]
-    return float(slope) / 2.0
+    t_hat = np.asarray(ind) / n_samples
+    if t_hat.shape != r_grid.shape:
+        raise ConfigurationError(f"ind: need one total per radius, got shape {t_hat.shape}")
+    # the fit sees the radii in descending order
+    order = np.argsort(r_grid)[::-1]
+    return float(np.polyfit(r_grid.take(order), t_hat.take(order), 1)[0]) / 2.0
 
 
 def histogram_reduction(samples, x: float, half_width: float) -> float:
@@ -99,7 +98,7 @@ def histogram_reduction(samples, x: float, half_width: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# streaming engines: simulate-and-count without retaining realizations
+# the replicate engine: simulate-and-count without retaining realizations
 
 
 # A block of replicates is drawn into flat arrays and queried at once.  It
@@ -127,11 +126,14 @@ def accumulate_hits(
     seed: int,
     index0: int = 0,
     threads: int = 1,
+    window: Box | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Simulate `n_samples` replicates (streams derived from consecutive
     indices starting at index0) and total the hit indicators and grain
     counts for every (x, r) pair.  Integer reductions make the result
-    independent of the blocking, hence of the thread count."""
+    independent of the blocking, hence of the thread count.  Replicates are
+    drawn on `window` (by default the points' hull dilated by max(rs)) plus
+    the guard margin for max(rs), so every query ball must lie in it."""
     if n_samples < 0:
         raise ConfigurationError(f"n_samples must be nonnegative, got {n_samples}")
     # the query points are checked as one (P, d) array, with as_point's
@@ -152,7 +154,13 @@ def accumulate_hits(
     if not all(r >= 0 for r in rs):
         raise QueryError("query radius must be nonnegative")
     r_max = max(rs)
-    window = Box(xs.min(axis=0) - r_max, xs.max(axis=0) + r_max)
+    hull = Box(xs.min(axis=0) - r_max, xs.max(axis=0) + r_max)
+    if window is None:
+        window = hull
+    elif window.dim != q.dim:
+        raise ConfigurationError(f"window: dimension mismatch: expected {q.dim}, got {window.dim}")
+    elif not window.contains_box(hull):
+        raise QueryError("query ball is not contained in the observation window")
     box = window.dilate(checked_guard_margin(q, r_max))
     # the germ cap is refused here, before the pool starts
     rows = expected_germs(f, box)[1] * q.segments

@@ -18,25 +18,23 @@ from meandense import (
     LengthLaw,
     MarkDistribution,
     OrientationLaw,
-    Realizations,
     RegularityCertificate,
+    accumulate_hits,
     analytic_segment_density,
     bound_check,
     capacity_estimate,
     contact_derivative,
     content_limit,
     count_estimate,
-    density_estimate,
     density_grid,
-    empirical_capacity,
     exact_density,
     histogram_reduction,
+    measure_in_region,
     sausage_integral,
-    simulate,
 )
+from meandense.boolean import _sample_block, checked_guard_margin, count_hits
 from meandense.cli import main
 from meandense.config import lattice_points
-from meandense.estimate import accumulate_hits
 from meandense.geometry import Box
 from meandense.minkowski import limit_diagnostics
 from meandense.streams import derive_key
@@ -197,7 +195,9 @@ def test_criterion_06_minkowski_content():
 
 
 def _region_measure_mean(f, marks, region, replicates, seed):
-    vals = simulate(f, marks, region, 0.0, replicates, seed).measure_in_region(region)
+    box = region.dilate(checked_guard_margin(marks, 0.0))
+    a, b, owner = _sample_block(f, marks, box, seed, 0, replicates)
+    vals = measure_in_region(a, b, owner, replicates, marks.n, region)
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(replicates))
 
 
@@ -233,16 +233,15 @@ def test_criterion_08_histogram_equivalence():
     random queries; a 1e5-sample uniform histogram is consistent at 0.5."""
     rng = np.random.default_rng(derive_key(808, 0))
     samples = rng.random(200)
-    window = Box([-1.0], [2.0])
     # one point grain per realization, at its sample
     germs, m = samples[:, None, None], samples.size
-    embedded = Realizations(germs, germs, np.arange(m), m, window, r_max=0.5, n=0)
     identical = True
     for _ in range(1000):
         x = float(rng.uniform(0.0, 1.0))
         r = float(rng.uniform(0.01, 0.5))
         a = histogram_reduction(samples, x, r)
-        b = density_estimate(embedded, [x], r)[0]
+        ind, _ = count_hits(germs, germs, np.arange(m), [[x]], [r])
+        b = capacity_estimate(int(ind[0, 0]), m, 1, 0, r)[0]
         identical = identical and (a == b)
 
     big = np.random.default_rng(derive_key(808, 1)).random(100_000)
@@ -281,13 +280,13 @@ def test_criterion_09_grain_count_route():
     above = all(c > 1.0 / 3.0 for c in count_ratios)
     dominates = all(c >= i for c, i in zip(count_ratios, indicator_ratios))
 
-    # small-batch cross-check through the public list-based API
+    # small-batch cross-check through the public estimators on the totals
     window = Box([-0.25, -0.25], [0.25, 0.25])
-    batch = simulate(QUADRATIC, PAPER_MARKS, window, 0.2, 500, seed=910)
-    for r in rs:
+    ind, cnt = accumulate_hits(QUADRATIC, PAPER_MARKS, x, rs, 500, seed=910, window=window)
+    for j, r in enumerate(rs):
         dominates = dominates and (
-            count_estimate(batch, [0.0, 0.0], r)
-            >= density_estimate(batch, [0.0, 0.0], r)[0]
+            count_estimate(int(cnt[0, j]), 500, 2, 1, r)
+            >= capacity_estimate(int(ind[0, j]), 500, 2, 1, r)[0]
         )
 
     # m(r) from the exact route, independent of the simulator; |y|² is
@@ -324,11 +323,12 @@ def test_criterion_10_contact_distribution_route():
     the exact density (= 1) at two grid points of the stationary model."""
     window = Box([0.0, 0.0], [1.0, 1.0])
     r_grid = np.linspace(0.02, 0.1, 5)
-    batch = simulate(CONSTANT_1, PAPER_MARKS, window, float(r_grid.max()), 6000, seed=1010)
+    xs = [[0.5, 0.5], [0.3, 0.6]]
+    ind, _ = accumulate_hits(CONSTANT_1, PAPER_MARKS, xs, r_grid, 6000, seed=1010, window=window)
     details = []
     ok = True
-    for x in ([0.5, 0.5], [0.3, 0.6]):
-        est = contact_derivative(batch, x, r_grid)
+    for x, hits in zip(xs, ind):
+        est = contact_derivative(hits, 6000, 2, 1, r_grid)
         details.append(f"x={tuple(x)}: slope/2 = {est:.3f}")
         ok = ok and abs(est - 1.0) <= 0.1
     report(10, "contact-distribution route within 10% of the density",

@@ -1,5 +1,5 @@
 """Boolean realizations: hit queries, the grain arrays, region measure and
-the one sampler behind batches and the streaming engine's blocks."""
+the one sampler behind the streaming engine's blocks."""
 
 import math
 
@@ -16,11 +16,11 @@ from meandense import (
     MarkDistribution,
     OrientationLaw,
     QueryError,
-    Realizations,
-    simulate,
+    accumulate_hits,
+    measure_in_region,
 )
 from meandense import boolean
-from meandense.boolean import checked_guard_margin, count_hits
+from meandense.boolean import _sample_block, checked_guard_margin, count_hits
 from meandense.cli import _realization_csv, _write_csv
 from meandense.geometry import Box, clipped_lengths, segment_distances
 from meandense.grains import mark_segments
@@ -35,12 +35,12 @@ RANDOM_SEGMENTS = MarkDistribution(
 )
 
 
-def stack_rows(batches) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rows (a, b) of all batches' grains, stacked in order, and the
-    index of the batch each grain comes from."""
-    a = np.concatenate([batch.a for batch in batches])
-    b = np.concatenate([batch.b for batch in batches])
-    return a, b, np.repeat(np.arange(len(batches)), [len(batch.a) for batch in batches])
+def stack_rows(blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows (a, b) of all blocks' grains, stacked in order, and the
+    index of the block each grain comes from."""
+    a = np.concatenate([block[0] for block in blocks])
+    b = np.concatenate([block[1] for block in blocks])
+    return a, b, np.repeat(np.arange(len(blocks)), [len(block[0]) for block in blocks])
 
 
 def rows_of(placed, d=2, s=None):
@@ -58,21 +58,20 @@ def rows_of(placed, d=2, s=None):
     return a, b
 
 
-def manual_realization(germs_and_grains, window, r_max=0.5, n=1, s=None):
-    """A batch of one hand-built realization."""
-    a, b = rows_of(germs_and_grains, window.dim, s)
-    owner = np.zeros(len(a), dtype=int)
-    return Realizations(a, b, owner, 1, window, r_max=r_max, n=n)
+def manual_realization(germs_and_grains, d=2, s=None):
+    """The rows (a, b) and owners of one hand-built realization."""
+    a, b = rows_of(germs_and_grains, d, s)
+    return a, b, np.zeros(len(a), dtype=int)
 
 
-def hit_count(batch, x, r) -> int:
-    """Grains of the batch meeting the closed ball B_r(x)."""
-    return int(batch.counts(x, [r])[1][0])
+def hit_count(real, x, r) -> int:
+    """Grains of the realization meeting the closed ball B_r(x)."""
+    return int(count_hits(*real, [x], [r])[1][0, 0])
 
 
-def hits(batch, x, r) -> int:
-    """Realizations of the batch meeting the closed ball B_r(x)."""
-    return int(batch.counts(x, [r])[0][0])
+def hits(real, x, r) -> int:
+    """1 if the realization meets the closed ball B_r(x), else 0."""
+    return int(count_hits(*real, [x], [r])[0][0, 0])
 
 
 def grain_distance(g, x) -> float:
@@ -92,10 +91,7 @@ def brute_force_hits(placed, x, r):
 
 
 def test_hits_hand_case():
-    window = Box([0.0, 0.0], [4.0, 4.0])
-    real = manual_realization(
-        [([1.0, 1.0], Grain.segment(np.array([1.0, 0.0])))], window, r_max=0.5
-    )
+    real = manual_realization([([1.0, 1.0], Grain.segment(np.array([1.0, 0.0])))])
     assert hits(real, [1.5, 1.2], 0.3)
     assert hit_count(real, [1.5, 1.2], 0.3) == 1
     assert not hits(real, [1.5, 1.6], 0.3)
@@ -104,19 +100,25 @@ def test_hits_hand_case():
 
 
 def test_query_validation():
+    """accumulate_hits refuses what its window cannot answer exactly: a
+    negative or NaN radius, a ball poking out of the window, no radius."""
     window = Box([0.0, 0.0], [2.0, 2.0])
-    real = manual_realization([], window, r_max=0.5, n=1)
+    empty = IntensityField("constant", c=0.0)
+
+    def query(x, rs):
+        return accumulate_hits(empty, UNIT_SEGMENT, [x], rs, 1, seed=0, window=window)
+
     for r in (-0.1, math.nan):
-        with pytest.raises(QueryError, match="nonnegative"):
-            hits(real, [1.0, 1.0], r)
-    with pytest.raises(QueryError):
-        hits(real, [1.0, 1.0], 0.6)  # above r_max
-    with pytest.raises(QueryError):
-        hits(real, [0.1, 1.0], 0.5)  # ball pokes out of the window
-    assert not hits(real, [1.0, 1.0], 0.5)
-    # no radius is refused by name, as the streaming engine refuses it
+        with pytest.raises(QueryError, match="query radius must be nonnegative"):
+            query([1.0, 1.0], [r])
+    with pytest.raises(QueryError, match="query ball is not contained in the observation window"):
+        query([0.1, 1.0], [0.5])  # ball pokes out of the window
+    assert query([1.0, 1.0], [0.5])[0].tolist() == [[0]]
+    # a ball touching the window's faces is answered
+    assert query([0.5, 1.5], [0.5])[0].tolist() == [[0]]
+    # no radius is refused by name
     with pytest.raises(ConfigurationError, match="rs: need at least one radius"):
-        real.counts([1.0, 1.0], [])
+        query([1.0, 1.0], [])
 
 
 @settings(max_examples=30, deadline=None)
@@ -125,7 +127,6 @@ def test_query_validation():
 @example(seed=2, count=40, d=3)
 def test_index_matches_brute_force(seed, count, d):
     rng = np.random.default_rng(derive_key(seed, 0))
-    window = Box(np.zeros(d), np.full(d, 4.0))
     placed = []
     for _ in range(count):
         germ = rng.uniform(-1.0, 5.0, size=d)
@@ -141,7 +142,7 @@ def test_index_matches_brute_force(seed, count, d):
         placed.append((germ, grain))
     # every grain padded to the polyline's two rows, so rows map to grains
     # by // 2
-    real = manual_realization(placed, window, r_max=0.5, s=2)
+    real = manual_realization(placed, d, s=2)
     for _ in range(10):
         x = rng.uniform(0.5, 3.5, size=d)
         r = rng.uniform(0.0, 0.5)
@@ -238,17 +239,21 @@ def test_join_matches_per_point_loop(seed, d, kind, k, grid, chunk, cells):
 def test_many_segments_match_brute_force():
     # 200 segments: the bounding-box prefilter must not change any answer
     rng = np.random.default_rng(derive_key(99, 0))
-    window = Box([0.0, 0.0], [4.0, 4.0])
     placed = [
         (rng.uniform(0.0, 4.0, size=2), Grain.segment(rng.uniform(-1.0, 1.0, size=2)))
         for _ in range(200)
     ]
-    real = manual_realization(placed, window, r_max=0.4)
-    assert real.a.shape[0] > 32
+    real = manual_realization(placed)
+    assert real[0].shape[0] > 32
     for _ in range(50):
         x = rng.uniform(0.4, 3.6, size=2)
         r = rng.uniform(0.0, 0.4)
         assert hit_count(real, x, r) == brute_force_hits(placed, x, r)
+
+
+def measure(real, region, n=1):
+    """H^n inside the region of a hand-built realization."""
+    return measure_in_region(*real, 1, n, region)
 
 
 def test_measure_in_region_segments():
@@ -258,72 +263,61 @@ def test_measure_in_region_segments():
             ([1.0, 1.0], Grain.segment(np.array([1.0, 0.0]))),   # fully inside
             ([3.5, 1.0], Grain.segment(np.array([1.0, 0.0]))),   # half clipped
         ],
-        window,
     )
-    assert real.measure_in_region(window) == pytest.approx([1.5])
-    assert real.measure_in_region(Box([0.0, 0.0], [2.5, 2.0])) == pytest.approx([1.0])
+    assert measure(real, window) == pytest.approx([1.5])
+    assert measure(real, Box([0.0, 0.0], [2.5, 2.0])) == pytest.approx([1.0])
 
 
 def test_measure_in_region_validation():
-    window = Box([0.0, 0.0], [2.0, 2.0])
-    real = manual_realization([], window)
-    with pytest.raises(QueryError):
-        real.measure_in_region(Box([0.0, 0.0], [3.0, 3.0]))
-    with pytest.raises(ConfigurationError):
-        real.measure_in_region(Box([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]))
+    real = manual_realization([])
+    with pytest.raises(ConfigurationError, match="region dimension mismatch"):
+        measure(real, Box([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]))
 
 
 def test_measure_additivity_over_partition():
     f = IntensityField("constant", c=3.0)
     window = Box([0.0, 0.0], [2.0, 2.0])
-    real = simulate(f, RANDOM_SEGMENTS, window, 0.0, 1, seed=17)
+    box = window.dilate(checked_guard_margin(RANDOM_SEGMENTS, 0.0))
+    real = _sample_block(f, RANDOM_SEGMENTS, box, 17, 0, 1)
     quads = [
         Box([0.0, 0.0], [1.0, 1.0]),
         Box([1.0, 0.0], [2.0, 1.0]),
         Box([0.0, 1.0], [1.0, 2.0]),
         Box([1.0, 1.0], [2.0, 2.0]),
     ]
-    total = sum(real.measure_in_region(b) for b in quads)
-    assert total == pytest.approx(real.measure_in_region(window), abs=1e-9)
-    assert real.count == 1 and total.shape == (1,)
+    total = sum(measure(real, b) for b in quads)
+    assert total == pytest.approx(measure(real, window), abs=1e-9)
+    assert total.shape == (1,)
 
 
 def test_point_counting_is_half_open():
     # a germ on the shared face of two cells is counted exactly once
     window = Box([0.0, 0.0], [2.0, 2.0])
-    real = manual_realization([([1.0, 0.5], Grain.point(2))], window, n=0)
+    real = manual_realization([([1.0, 0.5], Grain.point(2))])
     left = Box([0.0, 0.0], [1.0, 1.0])
     right = Box([1.0, 0.0], [2.0, 1.0])
-    assert real.measure_in_region(left).tolist() == [0.0]
-    assert real.measure_in_region(right).tolist() == [1.0]
-    assert real.measure_in_region(window).tolist() == [1.0]
+    assert measure(real, left, n=0).tolist() == [0.0]
+    assert measure(real, right, n=0).tolist() == [1.0]
+    assert measure(real, window, n=0).tolist() == [1.0]
 
 
-def test_simulate_guard_margin_and_validation():
-    f = IntensityField("constant", c=1.0)
-    window = Box([0.0, 0.0], [1.0, 1.0])
-    real = simulate(f, UNIT_SEGMENT, window, 0.3, 1, seed=0)
+def test_guard_margin_and_validation():
     assert checked_guard_margin(UNIT_SEGMENT, 0.3) == 1.3
-    assert real.r_max == 0.3
-    with pytest.raises(ConfigurationError):
-        simulate(f, UNIT_SEGMENT, window, -0.1, 1, seed=0)
-    with pytest.raises(ConfigurationError):
-        simulate(f, UNIT_SEGMENT, window, 2.0, 1, seed=0)
-    # no replicates is an empty batch; fewer are refused by name
-    assert simulate(f, UNIT_SEGMENT, window, 0.1, 0, seed=1).count == 0
-    with pytest.raises(ConfigurationError, match="n_samples"):
-        simulate(f, UNIT_SEGMENT, window, 0.1, -3, seed=1)
+    with pytest.raises(ConfigurationError, match="r_max must be nonnegative"):
+        checked_guard_margin(UNIT_SEGMENT, -0.1)
+    with pytest.raises(ConfigurationError, match="r_max must be below 2"):
+        accumulate_hits(IntensityField("constant", c=1.0), UNIT_SEGMENT, [[0.5, 0.5]], [2.0], 1,
+                        seed=0)
 
 
-def test_simulate_deterministic_in_stream():
+def test_sample_block_deterministic_in_stream():
     f = IntensityField("quadratic")
-    window = Box([-1.0, -1.0], [1.0, 1.0])
-    a = simulate(f, RANDOM_SEGMENTS, window, 0.2, 1, seed=5, index0=9)
-    b = simulate(f, RANDOM_SEGMENTS, window, 0.2, 1, seed=5, index0=9)
-    assert a.a.shape == b.a.shape
-    for field in ("a", "b"):
-        assert np.array_equal(getattr(a, field), getattr(b, field))
-    assert np.array_equal(a.owner, b.owner)
+    box = Box([-1.0, -1.0], [1.0, 1.0]).dilate(checked_guard_margin(RANDOM_SEGMENTS, 0.2))
+    a = _sample_block(f, RANDOM_SEGMENTS, box, 5, 9, 10)
+    b = _sample_block(f, RANDOM_SEGMENTS, box, 5, 9, 10)
+    assert a[0].shape == b[0].shape
+    for x, y in zip(a, b):
+        assert np.array_equal(x, y)
 
 
 def test_guard_zone_eliminates_edge_effects():
@@ -335,8 +329,9 @@ def test_guard_zone_eliminates_edge_effects():
     big_window = Box([-0.5, -0.5], [1.5, 1.5])
     x = np.array([0.15, 0.5])   # near the small window's edge
     r = 0.1
-    hits_small = hits(simulate(f, RANDOM_SEGMENTS, window, r, 4000, seed=31), x, r)
-    hits_big = hits(simulate(f, RANDOM_SEGMENTS, big_window, r, 4000, seed=77), x, r)
+    hits_small, hits_big = (
+        int(accumulate_hits(f, RANDOM_SEGMENTS, [x], [r], 4000, seed=seed, window=w)[0][0, 0])
+        for w, seed in ((window, 31), (big_window, 77)))
     p1, p2 = hits_small / 4000, hits_big / 4000
     se = math.sqrt(p1 * (1 - p1) / 4000 + p2 * (1 - p2) / 4000)
     assert abs(p1 - p2) < 3.5 * se
@@ -364,13 +359,13 @@ def test_batch_equals_concatenated_one_replicate_batches(seed, k, index0, kind):
     index0..index0+k-1, concatenated: the sampler draws replicate by
     replicate on its own stream, and block boundaries change nothing."""
     f = IntensityField("quadratic")
-    window = Box([-0.5, -0.5], [0.5, 0.5])
-    batch = simulate(f, _law(kind), window, 0.2, k, seed, index0)
-    ones = [simulate(f, _law(kind), window, 0.2, 1, seed, index0 + i) for i in range(k)]
+    box = Box([-0.5, -0.5], [0.5, 0.5]).dilate(checked_guard_margin(_law(kind), 0.2))
+    batch = _sample_block(f, _law(kind), box, seed, index0, index0 + k)
+    ones = [_sample_block(f, _law(kind), box, seed, i, i + 1) for i in range(index0, index0 + k)]
     a, b, owner = stack_rows(ones)
-    assert batch.count == k and batch.a.shape == a.shape
-    assert np.array_equal(batch.a, a) and np.array_equal(batch.b, b)
-    assert np.array_equal(batch.owner, owner)
+    assert batch[0].shape == a.shape
+    assert np.array_equal(batch[0], a) and np.array_equal(batch[1], b)
+    assert np.array_equal(batch[2], owner)
 
 
 @pytest.mark.parametrize("kind", ["segment_law", "polyline", "point"])
@@ -378,16 +373,17 @@ def test_batched_measure_equals_per_realization_reference(kind):
     """measure_in_region's one bincount over the batch equals each
     realization's own clipped-length sum within 1e-12, and its own germ
     count exactly for point grains."""
-    batch = simulate(IntensityField("constant", c=3.0), _law(kind), Box([0.0, 0.0], [2.0, 2.0]),
-                     0.0, 40, seed=18)
+    q = _law(kind)
+    window = Box([0.0, 0.0], [2.0, 2.0])
+    a, b, owner = _sample_block(IntensityField("constant", c=3.0), q,
+                                window.dilate(checked_guard_margin(q, 0.0)), 18, 0, 40)
     region = Box([0.3, 0.2], [1.7, 1.1])
-    got = batch.measure_in_region(region)
-    d = batch.dim
+    got = measure_in_region(a, b, owner, 40, q.n, region)
     assert got.shape == (40,) and got.max() > 0.0
     for i in range(40):
-        ai = batch.a[batch.owner == i].reshape(-1, d)
-        bi = batch.b[batch.owner == i].reshape(-1, d)
-        if batch.n == 0:
+        ai = a[owner == i].reshape(-1, 2)
+        bi = b[owner == i].reshape(-1, 2)
+        if q.n == 0:
             assert got[i] == float(np.all((ai >= region.lo) & (ai < region.hi), axis=1).sum())
         else:
             assert abs(got[i] - clipped_lengths(ai, bi, region).sum()) <= 1e-12

@@ -17,19 +17,15 @@ from meandense import (
     MarkDistribution,
     OrientationLaw,
     QueryError,
-    Realizations,
+    accumulate_hits,
     capacity_estimate,
     contact_derivative,
     convergence_study,
     count_estimate,
-    density_estimate,
-    empirical_capacity,
     histogram_reduction,
-    simulate,
 )
 from meandense import estimate as estimate_module
-from meandense.boolean import checked_guard_margin
-from meandense.estimate import accumulate_hits
+from meandense.boolean import _sample_block, checked_guard_margin, count_hits
 from meandense.geometry import Box, ball_volume, segment_distances
 from meandense.poisson import sample_block
 from meandense.streams import derive_key
@@ -43,44 +39,43 @@ RANDOM_SEGMENTS = MarkDistribution(
 )
 
 
-def make_batch(count, seed, window=Box([0.0, 0.0], [1.0, 1.0]), r_max=0.3,
-               f=CONSTANT, q=RANDOM_SEGMENTS):
-    return simulate(f, q, window, r_max, count, seed)
+WINDOW = Box([0.0, 0.0], [1.0, 1.0])
+CENTRE = [0.5, 0.5]
 
 
-def hits(batch, x, r) -> int:
-    """Realizations of the batch meeting the closed ball B_r(x)."""
-    return int(batch.counts(x, [r])[0][0])
+def window_totals(count, seed, rs, q=RANDOM_SEGMENTS, x=CENTRE, r_max=0.3):
+    """Hit and grain-count totals at x, one of each per radius in rs, over
+    `count` replicates on the unit window guarded for r_max: r_max is one
+    more radius column, so the replicates do not depend on rs."""
+    ind, cnt = accumulate_hits(CONSTANT, q, [x], list(rs) + [r_max], count, seed, window=WINDOW)
+    return ind[0, :-1], cnt[0, :-1]
 
 
 # ---------------------------------------------------------------------------
-# list-based estimators
+# estimators on hit and grain-count totals
 
 
-def test_empirical_capacity_monotone_in_radius():
-    batch = make_batch(200, seed=1)
-    x = [0.5, 0.5]
-    caps = [empirical_capacity(batch, x, r) for r in (0.05, 0.1, 0.2, 0.3)]
+def test_capacity_totals_monotone_in_radius():
+    ind, _ = window_totals(200, seed=1, rs=(0.05, 0.1, 0.2, 0.3))
+    caps = (ind / 200).tolist()
     assert all(0.0 <= c <= 1.0 for c in caps)
     assert caps == sorted(caps)
 
 
-def test_density_estimate_matches_manual_count():
-    batch = make_batch(300, seed=2)
-    x, r = [0.5, 0.5], 0.1
-    lam, se = density_estimate(batch, x, r)
-    hit = hits(batch, np.array(x), r)
-    assert lam == capacity_estimate(hit, 300, 2, 1, r)[0]
-    p = hit / 300
+def test_capacity_estimate_matches_manual_count():
+    r = 0.1
+    ind, _ = window_totals(300, seed=2, rs=[r])
+    lam, se = capacity_estimate(int(ind[0]), 300, 2, 1, r)
+    assert lam == int(ind[0]) / 300 / (2 * r)
+    p = int(ind[0]) / 300
     assert se == pytest.approx(math.sqrt(p * (1 - p) / 300) / (2 * r))
 
 
-def test_density_estimate_validation():
-    batch = make_batch(5, seed=3)
+def test_totals_estimators_and_streaming_validation():
     for radius in (0.0, math.nan):
-        with pytest.raises(ConfigurationError, match="radius"):
-            density_estimate(batch, [0.5, 0.5], radius)
-    x = [0.5, 0.5]
+        with pytest.raises(ConfigurationError, match=f"radius must be positive, got {radius}"):
+            capacity_estimate(3, 5, 2, 1, radius)
+    x = CENTRE
     # the streaming counter: zero replicates are zero totals, fewer are refused
     zero = accumulate_hits(CONSTANT, RANDOM_SEGMENTS, [x], [0.1], 0, seed=1)
     assert [t.tolist() for t in zero] == [[[0]], [[0]]]
@@ -91,100 +86,100 @@ def test_density_estimate_validation():
             accumulate_hits(CONSTANT, RANDOM_SEGMENTS, xs, rs, n_samples, seed=1)
     with pytest.raises(QueryError, match="nonnegative"):
         accumulate_hits(CONSTANT, RANDOM_SEGMENTS, [x], [0.1, math.nan], 5, seed=1)
-    empty = make_batch(0, seed=3)
+    # no realization is refused by every estimator
     for query in (
-        lambda: density_estimate(empty, [0.5, 0.5], 0.1),
-        lambda: empirical_capacity(empty, [0.5, 0.5], 0.1),
-        lambda: count_estimate(empty, [0.5, 0.5], 0.1),
-        lambda: contact_derivative(empty, [0.5, 0.5], [0.1, 0.05]),
+        lambda: capacity_estimate(0, 0, 2, 1, 0.1),
+        lambda: count_estimate(0, 0, 2, 1, 0.1),
+        lambda: contact_derivative([0, 0], 0, 2, 1, [0.1, 0.05]),
     ):
-        with pytest.raises(ConfigurationError, match="need at least one realization"):
+        with pytest.raises(ConfigurationError, match="n_samples must be at least 1, got 0"):
             query()
+
+
+def test_window_refuses_balls_outside_it_and_a_wrong_dimension():
+    """A given window must hold the ball of every point at every radius:
+    here only the largest ball of one point pokes out of it.  A window of
+    another dimension is refused by name."""
+    with pytest.raises(QueryError, match="query ball is not contained in the observation window"):
+        accumulate_hits(CONSTANT, RANDOM_SEGMENTS, [CENTRE, [0.5, 0.95]], [0.01, 0.1], 5, seed=1,
+                        window=WINDOW)
+    with pytest.raises(ConfigurationError, match="window: dimension mismatch: expected 2, got 3"):
+        accumulate_hits(CONSTANT, RANDOM_SEGMENTS, [CENTRE], [0.1], 5, seed=1,
+                        window=Box([0, 0, 0], [1, 1, 1]))
 
 
 @settings(max_examples=10, deadline=None)
 @given(st.integers(0, 2 ** 16), st.sampled_from([0.05, 0.1, 0.2]))
 def test_count_dominates_indicator(seed, r):
-    batch = make_batch(100, seed=seed)
-    x = [0.5, 0.5]
-    assert count_estimate(batch, x, r) >= density_estimate(batch, x, r)[0]
+    ind, cnt = window_totals(100, seed, rs=[r])
+    assert cnt[0] >= ind[0]
+    assert count_estimate(cnt[0], 100, 2, 1, r) >= capacity_estimate(ind[0], 100, 2, 1, r)[0]
 
 
 def test_count_estimate_validation():
-    batch = make_batch(3, seed=4)
+    _, cnt = window_totals(3, seed=4, rs=[0.1])
     for r in (-0.1, math.nan):
-        with pytest.raises(ConfigurationError, match="radius"):
-            count_estimate(batch, [0.5, 0.5], r)
+        with pytest.raises(ConfigurationError, match="radius must be positive"):
+            count_estimate(int(cnt[0]), 3, 2, 1, r)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_count_estimate_refuses_a_radius_whose_normalizer_underflows():
     # b_2 r^2 underflows to 0 at r = 1e-200 in d = 3: a ZeroDivisionError
     segment = MarkDistribution("deterministic", grain=Grain.segment([1.0, 0.0, 0.0]))
-    batch = simulate(IntensityField("constant", c=5.0), segment, Box([0, 0, 0], [1, 1, 1]),
-                     0.5, 5, seed=1)
+    _, cnt = accumulate_hits(IntensityField("constant", c=5.0), segment, [[0.5, 0.5, 0.5]],
+                             [1e-200, 0.5], 5, seed=1, window=Box([0, 0, 0], [1, 1, 1]))
     with pytest.raises(ConfigurationError,
                        match=re.escape("radius 1e-200 is too small: b_2 R^2 = 0.0")):
-        count_estimate(batch, [0.5, 0.5, 0.5], 1e-200)
+        count_estimate(int(cnt[0, 0]), 5, 3, 1, 1e-200)
 
 
 def test_contact_derivative_needs_codimension_one():
     q = MarkDistribution("deterministic", grain=Grain.point(2))
-    batch = make_batch(20, seed=5, q=q)
-    with pytest.raises(ConfigurationError):
-        contact_derivative(batch, [0.5, 0.5], [0.1, 0.05])
-    seg_batch = make_batch(20, seed=6)
-    with pytest.raises(ConfigurationError):
-        contact_derivative(seg_batch, [0.5, 0.5], [0.1])  # one radius only
+    ind, _ = window_totals(20, seed=5, rs=[0.1, 0.05], q=q)
+    fault = "contact-distribution route needs n = d - 1 (got n=0, d=2)"
+    with pytest.raises(ConfigurationError, match=re.escape(fault)):
+        contact_derivative(ind, 20, 2, q.n, [0.1, 0.05])
+    ind, _ = window_totals(20, seed=6, rs=[0.1])
+    with pytest.raises(ConfigurationError, match="r_grid: need at least two radii"):
+        contact_derivative(ind, 20, 2, 1, [0.1])  # one radius only
+    # totals of another shape, such as those of several points, are refused
+    for totals in ([3, 1, 2], [[3, 1], [2, 0]]):
+        with pytest.raises(ConfigurationError, match="ind: need one total per radius"):
+            contact_derivative(totals, 20, 2, 1, [0.1, 0.05])
     # a repeated radius made the fit rank-deficient: a RankWarning and a number
     for r_grid in ([0.1, 0.1], [0.2, 0.05, 0.05]):
+        ind, _ = window_totals(20, seed=6, rs=r_grid)
         with pytest.raises(ConfigurationError, match="r_grid: radii must be distinct"):
-            contact_derivative(seg_batch, [0.5, 0.5], r_grid)
-
-
-def test_batch_queries_are_checked_against_its_r_max():
-    window = Box([0.0, 0.0], [1.0, 1.0])
-    batch = simulate(CONSTANT, RANDOM_SEGMENTS, window, 0.1, 3, seed=7)
-    x = [0.5, 0.5]
-    assert 0.0 <= empirical_capacity(batch, x, 0.1) <= 1.0
-    assert count_estimate(batch, x, 0.1) >= density_estimate(batch, x, 0.1)[0]
-    for query in (
-        lambda: empirical_capacity(batch, x, 0.15),
-        lambda: density_estimate(batch, x, 0.15),
-        lambda: count_estimate(batch, x, 0.15),
-        lambda: contact_derivative(batch, x, [0.05, 0.15]),
-    ):
-        with pytest.raises(QueryError, match="exceeds simulated r_max 0.1"):
-            query()
-
-
-def one_realization_batches(batch):
-    """Each realization of the batch as a batch of one."""
-    out = []
-    for i in range(batch.count):
-        mine = batch.owner == i
-        out.append(Realizations(batch.a[mine], batch.b[mine], np.zeros(mine.sum(), dtype=int), 1,
-                                batch.window, batch.r_max, batch.n))
-    return out
+            contact_derivative(ind, 20, 2, 1, r_grid)
 
 
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 30), st.sampled_from(["random_law", "polyline"]))
-def test_list_estimators_equal_per_realization_sums(seed, count, kind):
+def test_totals_estimators_equal_per_realization_sums(seed, count, kind):
+    """The estimators on accumulate_hits' totals equal the per-realization
+    sums of count_hits on the same rows, one realization at a time; the
+    contact fit sees the radii in descending order."""
     rng = np.random.default_rng(seed)
     q = _mark_law(kind, 2, rng)
-    batch = make_batch(count, seed, q=q)
     x = rng.uniform(0.3, 0.7, size=2)
     r_grid = [0.3, 0.2, 0.1, 0.05]
-    per_realization = one_realization_batches(batch)
-    for r in r_grid:
-        hit = sum(hits(real, x, r) for real in per_realization)
-        grains = sum(int(real.counts(x, [r])[1][0]) for real in per_realization)
-        assert empirical_capacity(batch, x, r) == hit / count
-        assert count_estimate(batch, x, r) == grains / count / ball_volume(1, r)
-    t_hat = [sum(hits(real, x, r) for real in per_realization) / count for r in r_grid]
-    slope = np.polyfit(np.array(r_grid), np.array(t_hat), 1)[0]
-    assert contact_derivative(batch, x, r_grid) == float(slope) / 2.0
+    ind, cnt = accumulate_hits(CONSTANT, q, [x], r_grid, count, seed, window=WINDOW)
+    a, b, owner = _sample_block(CONSTANT, q, WINDOW.dilate(checked_guard_margin(q, 0.3)),
+                                seed, 0, count)
+    per_realization = [count_hits(a[owner == i], b[owner == i], owner[owner == i], [x], r_grid)
+                       for i in range(count)]
+    hit = sum(t[0][0] for t in per_realization)
+    grains = sum(t[1][0] for t in per_realization)
+    for j, r in enumerate(r_grid):
+        assert capacity_estimate(ind[0, j], count, 2, 1, r)[0] == hit[j] / count / (2 * r)
+        assert count_estimate(cnt[0, j], count, 2, 1, r) == grains[j] / count / ball_volume(1, r)
+    slope = np.polyfit(np.array(r_grid), hit / count, 1)[0]
+    assert contact_derivative(ind[0], count, 2, 1, r_grid) == float(slope) / 2.0
+    # the same fit on the radii in another order
+    back = [3, 1, 0, 2]
+    assert contact_derivative(ind[0].take(back), count, 2, 1, [r_grid[k] for k in back]) == (
+        float(slope) / 2.0)
 
 
 def test_histogram_reduction_hand_value():
@@ -207,19 +202,15 @@ def test_histogram_reduction_hand_value():
             histogram_reduction([0.1, bad], 0.1, 0.05)
 
 
-def point_batch(samples, window):
-    """A batch of one point grain at each sample of the line (n = 0)."""
-    m = samples.size
-    germs = samples[:, None, None]
-    return Realizations(germs, germs, np.arange(m), m, window, r_max=0.5, n=0)
-
-
 def test_histogram_bit_identity_with_point_grain_estimator():
     rng = np.random.default_rng(derive_key(8, 0))
     samples = rng.random(500)
-    realizations = point_batch(samples, Box([-1.0], [2.0]))
+    # one point grain per realization, at its sample
+    germs, m = samples[:, None, None], samples.size
     for x, r in ((0.5, 0.1), (0.25, 0.05), (0.8, 0.2)):
-        assert histogram_reduction(samples, x, r) == density_estimate(realizations, [x], r)[0]
+        ind, _ = count_hits(germs, germs, np.arange(m), [[x]], [r])
+        lam = capacity_estimate(int(ind[0, 0]), m, 1, 0, r)[0]
+        assert histogram_reduction(samples, x, r) == lam
 
 
 # ---------------------------------------------------------------------------
@@ -327,20 +318,20 @@ def _tie_radii(placed, xs, r_top):
     st.integers(0, 50),
 )
 def test_block_engine_matches_realization_reference(d, kind, field, seed, n_samples, index0):
-    """The block engine's integer totals equal Realizations.counts on a
-    simulate() batch over the same window and streams, with blocks of a few
-    replicates so that one call spans several blocks, and both equal a
-    per-grain loop, with no prefilter and no bincount, over the grain
-    objects of the germs and marks that sample_block draws on those
-    streams, one replicate at a time."""
+    """The block engine's integer totals, with blocks of a few replicates
+    so that one call spans several blocks, equal count_hits on the rows of
+    one _sample_block over all the replicates, on the same window and
+    streams, and both equal a per-grain loop, with no prefilter and no
+    bincount, over the grain objects of the germs and marks that
+    sample_block draws on those streams, one replicate at a time."""
     rng = np.random.default_rng(seed)
     q = _mark_law(kind, d, rng)
     f = CONSTANT if field == "constant" else IntensityField("quadratic")
     xs = rng.uniform(0.0, 1.0, size=(int(rng.integers(1, 4)), d))
     r_top = 0.3
     window = Box(xs.min(axis=0) - r_top, xs.max(axis=0) + r_top)
-    batch = simulate(f, q, window, r_top, n_samples, seed, index0)
     box = window.dilate(checked_guard_margin(q, r_top))
+    rows = _sample_block(f, q, box, seed, index0, index0 + n_samples)
     placed = []
     for i in range(index0, index0 + n_samples):
         points, _, b, _ = sample_block(f, q, box, seed, i, i + 1)
@@ -351,7 +342,7 @@ def test_block_engine_matches_realization_reference(d, kind, field, seed, n_samp
     loop_ind = np.zeros((len(xs), len(rs)), dtype=np.int64)
     loop_cnt = np.zeros((len(xs), len(rs)), dtype=np.int64)
     for i, x in enumerate(xs):
-        ref_ind[i], ref_cnt[i] = batch.counts(x, rs)
+        (ref_ind[i],), (ref_cnt[i],) = count_hits(*rows, [x], rs)
     for grains in placed:
         for i, x in enumerate(xs):
             dists = [_grain_distance(germ, grain, x) for germ, grain in grains]
@@ -398,7 +389,7 @@ def test_expected_germ_count_is_capped_before_drawing(monkeypatch):
     with pytest.raises(ConfigurationError, match=message):
         sample_block(huge, RANDOM_SEGMENTS, box, 1, 0, 10)
     with pytest.raises(ConfigurationError, match="exceeds the cap"):
-        simulate(huge, RANDOM_SEGMENTS, box, 0.1, 10, seed=1)
+        accumulate_hits(huge, RANDOM_SEGMENTS, [[0.5, 0.5]], [0.1], 10, seed=1, window=box)
     with pytest.raises(ConfigurationError, match="exceeds the cap"):
         accumulate_hits(huge, RANDOM_SEGMENTS, [[0.5, 0.5]], [0.1], 10, seed=1)
 
@@ -410,14 +401,15 @@ def _streaming_report(x, n, r, seed):
     return capacity_estimate(int(ind[0, 0]), n, 2, 1, r)
 
 
-def test_streaming_hits_match_list_route():
-    """The streaming estimator must agree exactly with the list-based one
-    when both consume identical realizations (same streams and window)."""
+def test_window_equal_to_the_hull_draws_the_same_replicates():
+    """The streaming estimate equals the one on the totals of the window
+    that just covers the query ball: the same box, hence the same
+    replicates."""
     x, r, n = np.array([0.5, 0.5]), 0.1, 250
     rep = _streaming_report(x, n, r, seed=12)
-    window = Box(x - r, x + r)
-    batch = simulate(CONSTANT, RANDOM_SEGMENTS, window, r, n, seed=12)
-    direct = density_estimate(batch, x, r)
+    ind, _ = accumulate_hits(CONSTANT, RANDOM_SEGMENTS, [x], [r], n, seed=12,
+                             window=Box(x - r, x + r))
+    direct = capacity_estimate(int(ind[0, 0]), n, 2, 1, r)
     assert rep[0] == direct[0]
     assert rep[1] == direct[1]
 

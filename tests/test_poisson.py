@@ -16,8 +16,8 @@ from meandense import (
     MarkDistribution,
     OrientationLaw,
     hitting_intensity,
+    accumulate_hits,
     sample_block,
-    simulate,
 )
 from meandense.cli import _realization_csv, _write_csv
 from meandense.exact import _rule_holds
@@ -375,7 +375,8 @@ def test_replicate_range_past_the_last_key_is_refused_before_drawing(monkeypatch
     with pytest.raises(ConfigurationError, match=message):
         sample_block(f, RANDOM_SEGMENTS, box, 0, 2 ** 64 - 1, 2 ** 64 + 1)
     with pytest.raises(ConfigurationError, match=message):
-        simulate(f, RANDOM_SEGMENTS, box, 0.1, 2, seed=0, index0=2 ** 64 - 1)
+        accumulate_hits(f, RANDOM_SEGMENTS, [[0.5, 0.5]], [0.1], 2, seed=0, index0=2 ** 64 - 1,
+                        window=box)
     with pytest.raises(ConfigurationError, match="stream seed must lie in"):
         sample_block(f, RANDOM_SEGMENTS, box, 2 ** 64, 0, 1)
 

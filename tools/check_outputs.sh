@@ -22,7 +22,9 @@
 # differs, but does not fail: a version bump is how a change declares that
 # it changes the output bytes.  Under each CSV that differs, here or across
 # thread counts, go the columns that differ, each with its largest
-# relative difference |a - b| / max(|a|, |b|) over the rows.
+# relative difference |a - b| / max(|a|, |b|) over the rows.  It also
+# prints the line totals of the Python files under src/ in REV and here,
+# and their difference.
 #
 # usage: tools/check_outputs.sh [--against REV]
 set -euo pipefail
@@ -133,6 +135,10 @@ version() {
   sed -n 's/^__version__ = "\(.*\)"$/\1/p' "$1/src/meandense/__init__.py"
 }
 
+src_lines() {  # package tree: the lines of its Python files under src/
+  find "$1/src" -name '*.py' -exec cat {} + | wc -l
+}
+
 count=$(pairs | wc -l)
 run_all "$root" new
 compare new new 1
@@ -145,6 +151,8 @@ if [ -n "$against" ]; then
   fi
   mkdir "$out/tree"
   git archive "$against" | tar -x -C "$out/tree"
+  before=$(src_lines "$out/tree") after=$(src_lines "$root")
+  echo "src/ lines: $before at $against, $after here ($((after - before)))"
   if [ "$(version "$out/tree")" != "$(version "$root")" ]; then
     # a pair the other version cannot run leaves no CSV there: listed too
     run_all "$out/tree" old || true
