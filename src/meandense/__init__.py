@@ -35,9 +35,8 @@ from .grains import (
     LengthLaw,
     MarkDistribution,
     OrientationLaw,
-    RegularityCertificate,
     hn_measure,
     integrate_along,
 )
-from .minkowski import MinkowskiRun, bound_check, content_limit, sausage_integral
+from .minkowski import MinkowskiRun, content_limit, sausage_integral
 from .poisson import IntensityField, sample_block

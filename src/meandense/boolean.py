@@ -45,8 +45,8 @@ class _PointTable:
     """Query points xs of shape (P, d), indexed by their coordinates: per
     axis the sorted distinct coordinates, `width` consecutive ones to a
     bucket, and per cell (one bucket per axis, row-major) the points
-    members[first[c]:first[c] + occupancy[c]].  It depends on the points
-    only, so one table serves every block of a run."""
+    members[first[c]:first[c] + occupancy[c]].  count_hits builds one per
+    call, from the points alone: one per block of a run."""
 
     def __init__(self, xs):
         self.xs = xs = np.asarray(xs, dtype=float)

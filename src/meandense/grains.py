@@ -1,4 +1,4 @@
-"""Grain families, mark distributions and the regularity certificate.
+"""Grain families and mark distributions.
 
 A grain is its vertex chain anchored at the origin (`Grain`): one vertex
 is a point (n = 0), two a segment and more a polyline (n = 1).  Mark
@@ -34,7 +34,7 @@ from .errors import ConfigurationError, NumericError
 from .geometry import Box, as_point, ball_volume, segment_distances
 from .streams import skip, uniforms
 
-DEFAULT_QUADRATURE_ORDER = 8
+QUADRATURE_ORDER = 8  # Gauss-Legendre nodes per piece of a row
 
 # truncation quantile used when a length law has unbounded support and no
 # explicit cap is given
@@ -123,21 +123,19 @@ def hn_measure(g: Grain) -> float:
     return _unsquared(lambda x: np.linalg.norm(x, axis=1).sum(), b - a)
 
 
-def integrate_along(g: Grain, h, order: int = DEFAULT_QUADRATURE_ORDER) -> float:
+def integrate_along(g: Grain, h) -> float:
     """Line integral of the field h over one grain with respect to H^n:
     line_integrals with K = 1."""
     a, b = g.rows()
-    return float(line_integrals(a[None], b[None], h, g.n, order)[0])
+    return float(line_integrals(a[None], b[None], h, g.n)[0])
 
 
-def line_integrals(
-    a: np.ndarray, b: np.ndarray, h, n: int, order: int = DEFAULT_QUADRATURE_ORDER
-) -> np.ndarray:
+def line_integrals(a: np.ndarray, b: np.ndarray, h, n: int) -> np.ndarray:
     """Integrals of the field h (its `values`) with respect to H^n over
     each of K grains, given as segment rows a, b of shape (K, s, d).
 
-    Fixed-order Gauss-Legendre (exact for polynomials of degree <= 2*order
-    - 1) on each piece of a row between the parameters in [0, 1] where h
+    QUADRATURE_ORDER-point Gauss-Legendre (exact for polynomials of degree
+    <= 15) on each piece of a row between the parameters in [0, 1] where h
     states that it is not smooth along it (`h.splits(a, b)`, none when h
     makes no statement), summed over each grain's rows; for n = 0 the
     grain is the point a[:, 0] and its integral is h there.  A non-finite
@@ -146,9 +144,7 @@ def line_integrals(
     if n == 0:
         pts = a[:, 0]
     else:
-        if order < 1:
-            raise ConfigurationError("quadrature order must be positive")
-        t, weights = _gauss(order, 0.0, 1.0)
+        t, weights = _gauss(QUADRATURE_ORDER)
         statement = getattr(h, "splits", None)
         cuts = statement(a, b) if statement else None
         if cuts is not None:  # the rule on each piece [edge_i, edge_i+1]
@@ -277,10 +273,10 @@ def sausage_integrals(
 
 
 @functools.cache  # leggauss takes about 0.2 ms, a tenth of a 4,000-mark density
-def _gauss(n: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss-Legendre nodes and weights on [lo, hi], read-only."""
+def _gauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on [0, 1], read-only."""
     x, w = np.polynomial.legendre.leggauss(n)
-    nodes, weights = lo + (hi - lo) * (x + 1.0) / 2.0, w * (hi - lo) / 2.0
+    nodes, weights = (x + 1.0) / 2.0, w / 2.0
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
@@ -294,7 +290,7 @@ def _length_rule(law: LengthLaw) -> tuple[np.ndarray, np.ndarray]:
     if law.kind == "fixed":
         nodes, weights = np.array([law.value]), np.ones(1)
     elif law.kind == "uniform":
-        t, weights = _gauss(2, 0.0, 1.0)
+        t, weights = _gauss(2)
         nodes = law.lo + (law.hi - law.lo) * t
     else:
         m1, m2, m3 = (law.moment(k) for k in (1, 2, 3))
@@ -399,11 +395,16 @@ class LengthLaw:
             if self.hi == self.lo:
                 return self.lo ** k
             return (self.hi ** (k + 1) - self.lo ** (k + 1)) / ((k + 1) * (self.hi - self.lo))
-        # truncated exponential: E[L^k] = (k!/rate^k) P(k+1, rate*cap) / P(1, rate*cap);
-        # scipy is imported here, off the CLI's import path
+        # truncated exponential, z = rate*cap: E[L^k] = (k!/rate^k) P(k+1, z) / P(1, z),
+        # whose factors underflow as z -> 0, so below z = 1 the same value as
+        # cap^k 1F1(k+1; k+2; -z) / ((k+1) exprel(-z)), Kummer's integral for
+        # int_0^1 t^k e^(-z t) dt over (1 - e^(-z)) / z; scipy is imported
+        # here, off the CLI's import path
         from scipy import special
 
         z = self.rate * self.cap
+        if z < 1.0:
+            return self.cap ** k * special.hyp1f1(k + 1, k + 2, -z) / ((k + 1) * special.exprel(-z))
         num = math.factorial(k) / self.rate ** k * special.gammainc(k + 1, z)
         return num / special.gammainc(1, z)
 
@@ -414,7 +415,7 @@ class LengthLaw:
             return np.full(len(u), self.value)
         if self.kind == "uniform":
             return self.lo + (self.hi - self.lo) * u[:, 0]
-        return -np.log1p(-(u[:, 0] * (1.0 - math.exp(-self.rate * self.cap)))) / self.rate
+        return -np.log1p(u[:, 0] * math.expm1(-self.rate * self.cap)) / self.rate
 
 
 @dataclass(frozen=True)
@@ -537,49 +538,3 @@ class MarkDistribution:
         if self.kind == "deterministic":
             return hn_measure(self.grain) ** k if self.grain.n == 1 else 0.0
         return self.length.moment(k)
-
-
-# ---------------------------------------------------------------------------
-# regularity certificate
-
-
-@dataclass(frozen=True)
-class RegularityCertificate:
-    """Witness for the lower density bound H^n(Z~_0 ∩ B_r(x)) >= gamma r^n.
-
-    The enlarged grain Z~_0 extends grains of total length below
-    `min_length` along their last segment so the bound holds with gamma = 1
-    down to arbitrarily small grains.  Point grains satisfy the bound
-    trivially (H^0 of the singleton is 1 >= r^0 gamma for gamma <= 1).
-    """
-
-    gamma: float = 1.0
-    min_length: float = 1.0
-
-    def __post_init__(self):
-        if not self.gamma > 0:
-            raise ConfigurationError("gamma must be positive")
-
-    def extend(self, g: Grain) -> Grain:
-        """The enlarged grain Z~_0 containing g: a short segment scaled, a
-        short polyline continued along its last segment."""
-        total = hn_measure(g)
-        if g.n == 0 or total >= self.min_length:
-            return g
-        v = g.vertices
-        if len(v) == 2:
-            if total == 0.0:
-                raise ConfigurationError("cannot extend a zero-length segment")
-            return Grain.segment(v[1] * (self.min_length / total))
-        d = v[-1] - v[-2]
-        norm = np.linalg.norm(d)
-        if norm == 0.0:
-            raise ConfigurationError("cannot extend a degenerate last segment")
-        extra = (self.min_length - total) / norm
-        return Grain(np.vstack([v, v[-1] + extra * d]))
-
-    def normalized_gamma(self, g: Grain) -> float:
-        """gamma after normalizing eta = H^n restricted to Z~_0 to a
-        probability measure (divide by the total mass of eta, 1 for a
-        point)."""
-        return self.gamma / hn_measure(self.extend(g))

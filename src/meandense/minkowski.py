@@ -8,8 +8,10 @@ rule for a segment or point grain under a polynomial intensity and
 chunked Monte Carlo otherwise (polylines, piecewise or clipped fields),
 so on the exact rows the ratios show the convergence itself, free of
 noise.  The limit target is computed by quadrature, independently of the
-sausage route, and the uniform ratio bound (2^n 4^d b_d / (gamma'
-b_{d-n}) with a normalized density witness) is checked with its margin.
+sausage route.  Under f ≡ 1 every ratio with r < 2 lies below the uniform
+bound 2^n 4^d b_d / (gamma b_{d-n}) (`ratio_bound`), gamma the constant of
+the lower density bound H^n(Z~_0 ∩ B_r(x)) >= gamma r^n that the enlarged
+grain Z~_0 meets once its measure is normalized to a probability.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .geometry import ball_volume, checked_ball_volume
-from .grains import Grain, RegularityCertificate, integrate_along, sausage_integral
+from .grains import Grain, hn_measure, integrate_along, sausage_integral
 from .parallel import parallel_map
 from .streams import block_keys
 
@@ -30,7 +32,6 @@ from .streams import block_keys
 class MinkowskiRun:
     """Inputs and results of one convergence run."""
 
-    shape: Grain
     r_grid: np.ndarray           # decreasing radii in (0, 2)
     ratios: np.ndarray           # estimated ratio per radius
     ratio_ses: np.ndarray
@@ -73,7 +74,6 @@ def content_limit(
     limit = v0 - r0 * (v1 - v0) / (r1 - r0)
     target = integrate_along(shape, f)
     return MinkowskiRun(
-        shape=shape,
         r_grid=r_grid,
         ratios=ratios,
         ratio_ses=ses,
@@ -95,22 +95,31 @@ def limit_diagnostics(run: MinkowskiRun) -> dict:
     return {"error": err, "se": se, "band": band, "within": err <= band}
 
 
-def ratio_bound(shape: Grain, cert: RegularityCertificate) -> float:
-    """Uniform upper bound on the ratio for f ≡ 1 and r < 2, using the
-    normalized-measure form of the certificate."""
+def _enlarged(g: Grain) -> Grain:
+    """The enlarged grain Z~_0 containing g, of H^n measure at least 1, so
+    that H^n(Z~_0 ∩ B_r(x)) >= r^n for x on it and r < 1 however short g
+    is: a short segment scaled, a short polyline continued along its last
+    segment.  A point grain meets the bound as it is."""
+    total = hn_measure(g)
+    if g.n == 0 or total >= 1.0:
+        return g
+    v = g.vertices
+    if len(v) == 2:
+        if total == 0.0:
+            raise ConfigurationError("cannot extend a zero-length segment")
+        return Grain.segment(v[1] * (1.0 / total))
+    d = v[-1] - v[-2]
+    norm = np.linalg.norm(d)
+    if norm == 0.0:
+        raise ConfigurationError("cannot extend a degenerate last segment")
+    extra = (1.0 - total) / norm
+    return Grain(np.vstack([v, v[-1] + extra * d]))
+
+
+def ratio_bound(shape: Grain) -> float:
+    """Uniform upper bound on the ratio for f ≡ 1 and r < 2, with gamma =
+    1 / H^n(Z~_0): the lower density constant 1 of the enlarged grain after
+    its measure is normalized to a probability."""
     d, n = shape.dim, shape.n
-    gamma = cert.normalized_gamma(shape)
+    gamma = 1.0 / hn_measure(_enlarged(shape))
     return (1.0 / gamma) * 2 ** n * 4 ** d * ball_volume(d) / ball_volume(d - n)
-
-
-def bound_check(
-    run: MinkowskiRun, cert: RegularityCertificate, constant_value: float = 1.0
-) -> tuple[bool, float]:
-    """True iff every estimated ratio (rescaled to f ≡ 1) stays below the
-    uniform bound; also returns the worst margin (bound - ratio)."""
-    if not constant_value > 0:
-        raise ConfigurationError("constant intensity value must be positive")
-    bound = ratio_bound(run.shape, cert)
-    scaled = run.ratios / constant_value
-    margin = float((bound - scaled).min())
-    return bool(np.all(scaled <= bound)), margin

@@ -18,10 +18,8 @@ from meandense import (
     LengthLaw,
     MarkDistribution,
     OrientationLaw,
-    RegularityCertificate,
     accumulate_hits,
     analytic_segment_density,
-    bound_check,
     capacity_estimate,
     contact_derivative,
     content_limit,
@@ -36,7 +34,7 @@ from meandense.boolean import _sample_block, checked_guard_margin, count_hits
 from meandense.cli import main
 from meandense.config import lattice_points
 from meandense.geometry import Box
-from meandense.minkowski import limit_diagnostics
+from meandense.minkowski import limit_diagnostics, ratio_bound
 from meandense.streams import derive_key
 
 THREADS = 4
@@ -187,8 +185,8 @@ def test_criterion_06_minkowski_content():
         ref = 1.0 + math.pi * r / 2.0
         worst_dev = max(worst_dev, abs(ratio - ref) / ref)
         ok = ok and abs(ratio - ref) <= 3.0 * se + 1e-12 * abs(ref)
-    in_bound, margin = bound_check(const_run, RegularityCertificate())
-    ok = ok and in_bound and margin > 0.0
+    margin = float((ratio_bound(UNIT_SEGMENT_GRAIN) - const_run.ratios).min())
+    ok = ok and margin > 0.0
     report(6, "generalized Minkowski content limit and uniform bound", ok,
            f"limit rel err={rel_err:.3%}, worst ratio rel dev={worst_dev:.1e}, "
            f"bound margin={margin:.1f}")

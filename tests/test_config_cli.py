@@ -19,7 +19,6 @@ from meandense.config import lattice_points
 from meandense.estimate import accumulate_hits, convergence_study
 from meandense.exact import capacity_probability, density_grid
 from meandense.geometry import Box, ball_volume
-from meandense.grains import RegularityCertificate
 from meandense.minkowski import content_limit, ratio_bound
 from meandense.poisson import sample_block
 from meandense.streams import derive_key
@@ -633,6 +632,46 @@ def test_cli_length_moment_past_the_float_range_is_a_named_violation(
         "invalid configuration:", f"  {key}: quadratic intensity needs E[L^3] < infinity"]
 
 
+def _csv_row(path):
+    """The first data row of a CSV as a dict."""
+    return dict(zip(*(line.split(",") for line in path.read_text().splitlines()[:2])))
+
+
+def test_cli_trunc_exp_lengths_at_a_tiny_rate_agree_with_exact(tmp_path):
+    """At rate * cap = 1e-17, 1 - exp(-rate * cap) rounds to 0 and every
+    inverted length with it; the lengths are near uniform on [0, cap], and
+    the estimate agrees with exact's c E[L] = 0.5 within 3 SE."""
+    text = _with_line(_with_line(_with_line(MINI_ESTIMATE, "marks.length.kind = trunc_exp"),
+                                 "marks.length.rate = 1e-17"), "marks.length.cap = 1")
+    cfg = write_cfg(tmp_path, _with_line(text, "N = 2000"))
+    for command in ("exact", "estimate"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / command),
+                     "--threads", "1"]) == 0
+    exact = float(_csv_row(tmp_path / "exact" / "exact.csv")["value"])
+    row = _csv_row(tmp_path / "estimate" / "estimate.csv")
+    assert exact == pytest.approx(0.5, rel=1e-12)
+    assert abs(float(row["lambda_hat"]) - exact) <= 3.0 * float(row["se"])
+
+
+@pytest.mark.parametrize("field, expected", [
+    (("intensity.kind = constant",), 0.5),
+    (("intensity.kind = quadratic",), 0.5 * 0.5 + 1.0 / 12.0),
+], ids=["constant", "quadratic"])
+def test_cli_exact_on_trunc_exp_at_a_vanishing_rate(tmp_path, field, expected):
+    """rate = 1e-300 with cap 1 is the uniform law on [0, 1] up to rounding:
+    exact writes c E[L] = 0.5 under a constant field and |x|^2 E[L] +
+    E[L^3] / 3 = 0.25 + 1/12 at x = (0.5, 0.5) under |y|^2, where the
+    moments k!/rate^k P(k+1, z)/P(1, z) underflowed."""
+    text = MINI_ESTIMATE
+    for line in ("marks.length.kind = trunc_exp", "marks.length.rate = 1e-300",
+                 "marks.length.cap = 1", *field):
+        text = _with_line(text, line)
+    out = tmp_path / "run"
+    assert main(["exact", "--config", write_cfg(tmp_path, text), "--out", str(out),
+                 "--threads", "1"]) == 0
+    assert float(_csv_row(out / "exact.csv")["value"]) == pytest.approx(expected, rel=1e-12)
+
+
 CONFIGS = Path(__file__).parents[1] / "configs"
 PIECEWISE = (CONFIGS / "uniform_piecewise.cfg").read_text()
 LATTICE = ("x_grid.kind = lattice", "x_grid.lo = 0.4, 0.4", "x_grid.hi = 0.6, 0.6")
@@ -881,7 +920,7 @@ def test_cli_minkowski_runs(tmp_path):
     sc = parse_config(constant)
     run = content_limit(sc.marks.grain, sc.intensity, sc.r_grid, mc_points=sc.mc_points,
                         seed=sc.seed)
-    bound = ratio_bound(run.shape, RegularityCertificate())
+    bound = ratio_bound(sc.marks.grain)
     assert (out / "minkowski.csv").read_text() == minkowski_csv_020(run, bound)
 
 
@@ -936,22 +975,30 @@ def test_cli_study_runs(tmp_path):
 def test_cli_import_and_bundled_configs_do_not_load_scipy():
     """scipy takes a few hundred ms to import; only the trunc_exp length
     moment needs it, so importing the CLI and parsing every bundled config
-    must leave it unloaded."""
+    without that law must leave it unloaded, and parsing one with it
+    (trunc_exp_segment.cfg) loads it."""
     configs = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
-    assert configs
+    trunc_exp = [path for path in configs if "trunc_exp" in path.read_text()]
+    others = [path for path in configs if path not in trunc_exp]
+    assert others and trunc_exp
     code = (
         "import sys\n"
         "import meandense.cli\n"
         "from meandense.config import parse_config\n"
-        "for path in sys.argv[1:]:\n"
-        "    with open(path) as fh:\n"
-        "        parse_config(fh.read()).grid_points()\n"
+        "def parse(paths):\n"
+        "    for path in paths:\n"
+        "        with open(path) as fh:\n"
+        "            parse_config(fh.read()).grid_points()\n"
+        "split = sys.argv.index('--')\n"
+        "parse(sys.argv[1:split])\n"
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "assert 'scipy' not in sys.modules, loaded\n"
+        "parse(sys.argv[split + 1:])\n"
+        "assert 'scipy' in sys.modules\n"
     )
     src = str(Path(meandense.__file__).resolve().parents[1])
     done = subprocess.run(
-        [sys.executable, "-c", code, *map(str, configs)],
+        [sys.executable, "-c", code, *map(str, others), "--", *map(str, trunc_exp)],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
     )
     assert done.returncode == 0, done.stderr

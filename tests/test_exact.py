@@ -71,7 +71,7 @@ def test_deterministic_density_vs_quad_oracle():
     x = np.array([0.7, -0.2])
     oracle, _ = integrate.quad(lambda t: math.exp(-((x[0] - t) ** 2)), 0.0, 1.0)
     a, b = UNIT_SEGMENT.grain.rows()
-    val = line_integrals((x - a)[None], (x - b)[None], f, 1, order=24)[0]
+    val = line_integrals((x - a)[None], (x - b)[None], f, 1)[0]
     assert val == pytest.approx(oracle, abs=1e-10)
 
 
@@ -469,9 +469,9 @@ def test_density_grid_makes_one_line_kernel_call_per_chunk(monkeypatch):
 
     calls = []
 
-    def counting(a, b, h, n, order=8):
+    def counting(a, b, h, n):
         calls.append(len(a))
-        return line_integrals(a, b, h, n, order)
+        return line_integrals(a, b, h, n)
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was started")

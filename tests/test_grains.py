@@ -17,7 +17,6 @@ from meandense import (
     MarkDistribution,
     NumericError,
     OrientationLaw,
-    RegularityCertificate,
     hn_measure,
     integrate_along,
 )
@@ -29,6 +28,7 @@ from meandense.grains import (
     sausage_integrals,
 )
 from meandense.exact import capacity_probability, exact_density, hitting_intensity
+from meandense.minkowski import _enlarged
 from meandense.poisson import IntensityField
 from meandense.streams import derive_key, skip, uniforms
 
@@ -167,8 +167,6 @@ def test_integrate_along_point_grain_and_errors():
         integrate_along(g, bad)
     with pytest.raises(NumericError):
         integrate_along(Grain.segment(np.array([1.0, 0.0])), bad)
-    with pytest.raises(ConfigurationError):
-        integrate_along(Grain.segment(np.array([1.0, 0.0])), f, order=0)
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +211,17 @@ def test_length_law_trunc_exp_moments_vs_quad():
         LengthLaw("trunc_exp", rate=math.nan)
     with pytest.raises(ConfigurationError, match="cap"):
         LengthLaw("trunc_exp", rate=1.0, cap=math.nan)
+
+
+@pytest.mark.parametrize("rate", [1e-300, 1e-17])
+def test_length_law_trunc_exp_moments_at_a_vanishing_rate(rate):
+    """As rate * cap -> 0 the law tends to the uniform one on [0, cap], so
+    E[L^k] -> cap^k / (k + 1); k!/rate^k P(k+1, z) / P(1, z) underflows
+    there to 0, or to 0 / 0."""
+    for cap in (1.0, 3.0):
+        law = LengthLaw("trunc_exp", rate=rate, cap=cap)
+        for k in (1, 2, 3):
+            assert law.moment(k) == pytest.approx(cap ** k / (k + 1), rel=1e-14)
 
 
 def test_length_law_samples_match_first_moment():
@@ -386,11 +395,12 @@ def _ball_intersection_length(g: Grain, x: np.ndarray, r: float) -> float:
     return total
 
 
-def check_sampled(cert: RegularityCertificate, q: MarkDistribution, rng: np.random.Generator,
+def check_sampled(gamma: float, q: MarkDistribution, rng: np.random.Generator,
                   trials: int = 1000) -> bool:
-    """Sampled verification of the certificate: for random (grain,
-    x in grain, r in (0,1)), H^n(Z~_0 ∩ B_r(x)) >= gamma r^n exactly
-    (ball/segment intersection lengths are computed in closed form)."""
+    """Sampled verification of the lower density bound of the enlarged
+    grain: for random (grain, x in grain, r in (0,1)), H^n(Z~_0 ∩ B_r(x))
+    >= gamma r^n exactly (ball/segment intersection lengths are computed
+    in closed form)."""
     for _ in range(trials):
         if q.kind == "deterministic":
             g = q.grain
@@ -400,8 +410,8 @@ def check_sampled(cert: RegularityCertificate, q: MarkDistribution, rng: np.rand
             continue  # trivially satisfied
         x = _random_point_on(g, rng)
         r = rng.uniform(1e-6, 1.0 - 1e-6)
-        inter = _ball_intersection_length(cert.extend(g), x, r)
-        if inter < cert.gamma * r - 1e-9:
+        inter = _ball_intersection_length(_enlarged(g), x, r)
+        if inter < gamma * r - 1e-9:
             return False
     return True
 
@@ -417,26 +427,23 @@ def test_ball_intersection_length_hand_values():
 
 
 def test_certificate_extend():
-    cert = RegularityCertificate()
     short = Grain.segment(np.array([0.25, 0.0]))
-    assert hn_measure(cert.extend(short)) == pytest.approx(1.0)
+    assert hn_measure(_enlarged(short)) == pytest.approx(1.0)
     long = Grain.segment(np.array([3.0, 0.0]))
-    assert cert.extend(long) is long
+    assert _enlarged(long) is long
     poly = Grain.polyline([[0.0, 0.0], [0.2, 0.0], [0.2, 0.2]])
-    assert hn_measure(cert.extend(poly)) == pytest.approx(1.0)
-    assert cert.extend(Grain.point(2)).n == 0
+    assert hn_measure(_enlarged(poly)) == pytest.approx(1.0)
+    assert _enlarged(Grain.point(2)).n == 0
     with pytest.raises(ConfigurationError):
-        cert.extend(Grain.segment(np.array([0.0, 0.0])))
-    for gamma in (0.0, math.nan):
-        with pytest.raises(ConfigurationError, match="gamma"):
-            RegularityCertificate(gamma=gamma)
+        _enlarged(Grain.segment(np.array([0.0, 0.0])))
 
 
-def test_certificate_normalized_gamma():
-    cert = RegularityCertificate()
-    assert cert.normalized_gamma(Grain.segment(np.array([1.0, 0.0]))) == pytest.approx(1.0)
-    assert cert.normalized_gamma(Grain.segment(np.array([2.0, 0.0]))) == pytest.approx(0.5)
-    assert cert.normalized_gamma(Grain.point(2)) == pytest.approx(1.0)
+def test_certificate_normalized_constant():
+    """gamma = 1 / H^n(Z~_0) once the enlarged grain's measure is
+    normalized to a probability."""
+    assert 1.0 / hn_measure(_enlarged(Grain.segment(np.array([1.0, 0.0])))) == pytest.approx(1.0)
+    assert 1.0 / hn_measure(_enlarged(Grain.segment(np.array([2.0, 0.0])))) == pytest.approx(0.5)
+    assert 1.0 / hn_measure(_enlarged(Grain.point(2))) == pytest.approx(1.0)
 
 
 def _v020_rows(kind, v):
@@ -458,7 +465,7 @@ def _v020_diameter(kind, v) -> float:
 
 
 def _v020_extended_measure(kind, v, min_length=1.0) -> float:
-    """hn_measure(RegularityCertificate().extend(g)) as 0.2.0 computed it:
+    """hn_measure(_enlarged(g)) as 0.2.0 computed it:
     a short segment scaled, a short polyline given one more vertex."""
     if kind == "point":
         return 1.0
@@ -484,7 +491,6 @@ def test_grain_diameter_and_extension_keep_020_arithmetic(kind, d):
     and an appended vertex, which differ in the last bit on a share of
     short segments."""
     rng = np.random.default_rng(d)
-    cert = RegularityCertificate()
     for _ in range(300):
         if kind == "point":
             g = Grain.point(d)
@@ -496,20 +502,18 @@ def test_grain_diameter_and_extension_keep_020_arithmetic(kind, d):
             g = Grain.polyline(np.vstack([np.zeros(d), np.cumsum(steps, axis=0)]))
         v = g.vertices
         assert g.diameter == _v020_diameter(kind, v)
-        assert hn_measure(cert.extend(g)) == _v020_extended_measure(kind, v)
+        assert hn_measure(_enlarged(g)) == _v020_extended_measure(kind, v)
 
 
 def test_certificate_check_sampled():
-    cert = RegularityCertificate()
     q = MarkDistribution(
         "segment",
         length=LengthLaw("uniform", lo=0.5, hi=1.5),
         orientation=OrientationLaw("uniform", dim=2),
     )
-    assert check_sampled(cert, q, np.random.default_rng(derive_key(0, 0)), trials=500)
+    assert check_sampled(1.0, q, np.random.default_rng(derive_key(0, 0)), trials=500)
     # a gamma that is too large must be caught
-    greedy = RegularityCertificate(gamma=3.0)
-    assert not check_sampled(greedy, q, np.random.default_rng(derive_key(0, 1)), trials=500)
+    assert not check_sampled(3.0, q, np.random.default_rng(derive_key(0, 1)), trials=500)
 
 
 # ---------------------------------------------------------------------------

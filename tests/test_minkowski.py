@@ -1,5 +1,6 @@
 """Weighted Minkowski-content verification: sausage MC, limits and bounds."""
 
+import json
 import math
 import re
 
@@ -10,8 +11,6 @@ from meandense import (
     ConfigurationError,
     Grain,
     IntensityField,
-    RegularityCertificate,
-    bound_check,
     content_limit,
     sausage_integral,
 )
@@ -117,22 +116,44 @@ def test_content_limit_thread_invariance():
 
 
 def test_ratio_bound_formula():
-    cert = RegularityCertificate()
     # d=2, n=1, unit segment: gamma' = 1, bound = 2·16·π/2 = 16π
-    assert ratio_bound(UNIT_SEGMENT, cert) == pytest.approx(16.0 * math.pi)
+    assert ratio_bound(UNIT_SEGMENT) == pytest.approx(16.0 * math.pi)
     # a length-2 segment halves gamma' and doubles the bound
-    assert ratio_bound(Grain.segment(np.array([2.0, 0.0])), cert) == pytest.approx(32.0 * math.pi)
+    assert ratio_bound(Grain.segment(np.array([2.0, 0.0]))) == pytest.approx(32.0 * math.pi)
     # point grain in d=2 (n=0): 1·16·π/π = 16
-    assert ratio_bound(Grain.point(2), cert) == pytest.approx(16.0)
+    assert ratio_bound(Grain.point(2)) == pytest.approx(16.0)
 
 
-def test_bound_check_positive_margin():
+def test_ratio_bound_positive_margin():
     run = content_limit(UNIT_SEGMENT, CONSTANT, [0.2, 0.1, 0.05], mc_points=100_000, seed=6)
-    ok, margin = bound_check(run, RegularityCertificate())
-    assert ok and margin > 0.0
-    for value in (0.0, math.nan):
-        with pytest.raises(ConfigurationError, match="constant intensity"):
-            bound_check(run, RegularityCertificate(), constant_value=value)
+    assert (ratio_bound(UNIT_SEGMENT) - run.ratios).min() > 0.0
+
+
+@pytest.mark.parametrize("excess", [1.5, math.nan], ids=["above", "nan"])
+def test_cli_minkowski_refuses_a_ratio_off_the_bound(tmp_path, capsys, monkeypatch, excess):
+    """Under c = 2 the CLI compares ratio / c with the bound 16 pi and exits
+    2, writing no CSV, when one exceeds it or is NaN, with the worst
+    margin bound - ratio / c."""
+    from meandense import cli
+
+    def off_bound(*args, **kwargs):
+        run = content_limit(*args, **kwargs)
+        run.ratios[-1] = 2.0 * excess * ratio_bound(UNIT_SEGMENT)
+        return run
+
+    monkeypatch.setattr(cli, "content_limit", off_bound)
+    config = tmp_path / "minkowski.cfg"
+    config.write_text(
+        "d = 2\nn = 1\nseed = 7\nintensity.kind = constant\nintensity.c = 2\n"
+        "marks.kind = deterministic\nmarks.grain.kind = segment\nmarks.grain.length = 1\n"
+        "window.lo = 0, 0\nwindow.hi = 1, 1\nr_grid = 0.2, 0.1, 0.05\nmc_points = 2000\n"
+    )
+    out = tmp_path / "run"
+    assert main(["minkowski", "--config", str(config), "--out", str(out), "--threads", "1"]) == 2
+    margin = (1.0 - excess) * ratio_bound(UNIT_SEGMENT)
+    assert json.loads(capsys.readouterr().err)["message"] == (
+        f"uniform ratio bound violated (margin {margin})")
+    assert not (out / "minkowski.csv").exists()
 
 
 def test_minkowski_csv_format(tmp_path):

@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
-# Run the CLI on 38 (sub-command, bundled config) pairs at --threads 1 and
+# Run the CLI on 42 (sub-command, bundled config) pairs at --threads 1 and
 # 2, with RuntimeWarnings as errors, and check that every CSV is
 # byte-identical across the two thread counts.  segment_quadratic.cfg sets
 # no r, so its estimate pair is the one that runs the bandwidth radius
 # R_N = c0 N^(-beta); every other estimate config sets r, which wins.
 # exact stationary_segment.cfg runs the mark rule under a constant field.
 # estimate lattice_3d.cfg runs the hit kernel's lattice arithmetic in
-# d = 3.
+# d = 3.  trunc_exp_segment.cfg is the one truncated-exponential length
+# law: its inversion draws the lengths, its Golub-Welsch rule the exact
+# route's and the oracle's marks.
 # parallel_map starts a pool only for work that can pay for one, so most
 # --threads 2 runs here stay in-process; the tier-1 thread-invariance
 # tests (criterion 11 and test_accumulate_hits_thread_invariance) force a
@@ -65,6 +67,7 @@ pairs() {  # one "sub-command config" line per pair
   for cfg in uniform_piecewise.cfg segments_3d.cfg; do
     for cmd in exact estimate study oracle simulate; do echo "$cmd $cfg"; done
   done
+  for cmd in exact estimate oracle simulate; do echo "$cmd trunc_exp_segment.cfg"; done
 }
 
 run_all() {  # package tree, output label
