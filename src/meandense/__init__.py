@@ -24,10 +24,8 @@ from .exact import (
     DensityField,
     analytic_segment_density,
     capacity_grid,
-    capacity_probability,
     density_grid,
-    exact_density,
-    hitting_intensity,
+    hitting_grid,
 )
 from .geometry import Box, ball_volume
 from .grains import (
@@ -36,7 +34,6 @@ from .grains import (
     MarkDistribution,
     OrientationLaw,
     hn_measure,
-    integrate_along,
 )
-from .minkowski import MinkowskiRun, content_limit, sausage_integral
+from .minkowski import MinkowskiRun, content_limit
 from .poisson import IntensityField, sample_block

@@ -236,7 +236,7 @@ def parse_config(text: str) -> ScenarioConfig:
     if n_samples is not None and n_samples <= 0:
         errors.append("N: must be positive")
     n_grid = get("N_grid", cast=_integer, sep=",")
-    if n_grid is not None and (any(v <= 0 for v in n_grid) or sorted(n_grid) != n_grid):
+    if n_grid is not None and (any(v <= 0 for v in n_grid) or sorted(set(n_grid)) != n_grid):
         errors.append("N_grid: must be increasing positive integers")
 
     bandwidth = None
@@ -375,6 +375,9 @@ def _build_grain(pairs, get, d, errors):
         return Grain.point(d)
     if gkind == "segment":
         length = get("marks.grain.length", 1.0)
+        if length < 0.0:
+            errors.append(f"marks.grain.length: must be nonnegative, got {length}")
+            return None
         law = OrientationLaw(
             "fixed", dim=d,
             angle=get("marks.grain.angle", 0.0),

@@ -211,7 +211,7 @@ def convergence_study(
     n_grid = [int(n) for n in n_grid]
     if any(n < 1 for n in n_grid):
         raise ConfigurationError(f"n_grid: sample sizes must be positive, got {n_grid}")
-    if sorted(n_grid) != n_grid:
+    if sorted(set(n_grid)) != n_grid:
         raise ConfigurationError("n_grid must be increasing")
     xs = np.atleast_2d(np.asarray(x_grid, dtype=float))
     if xs.shape[1] != q.dim:

@@ -9,6 +9,10 @@ against f itself, since ∫_{Z⊕r} f(x - y) dy = ∫_{(x - Z)⊕r} f.  Where th
 rule of `grains.mark_rule` is exact (`_rule_holds`) the mean is its
 weighted sum, one kernel call for all (point, node) rows of a grid, SE 0;
 elsewhere `_mark_mean` takes the Monte Carlo mean per point on its key.
+Each integral has one call, over a grid of points: `density_grid` for the
+line integral and `hitting_grid` for Λ, of which `capacity_grid` is
+1 - exp(-Λ) and `minkowski.content_limit` reads the reflected grain's Λ
+at the origin.
 """
 
 from __future__ import annotations
@@ -108,8 +112,6 @@ def _mark_mean(args) -> tuple[float, float]:
             a, b = mark_segments(q, np.empty((1, 0)))
             vals, ses = integrate(x - a, x - b, key)
             return float(vals[0]), float(ses[0])
-        if key is None:
-            raise ConfigurationError("random mark law needs a random stream")
         after, stride = skip(key, mark_draws * q.uniforms), 0 if r is None else per_grain * q.dim
         count = mean = m2 = 0.0
         for k in range(0, mark_draws, MARK_CHUNK):
@@ -151,15 +153,6 @@ def _means(f, q: MarkDistribution, grid, radii, mc_points: int, mark_draws: int,
     return values, ses
 
 
-def exact_density(f, q: MarkDistribution, x, mark_draws: int = 2000,
-                  key: int | None = None) -> tuple[float, float]:
-    """Mean density at x with its standard error: exact (SE 0) where the
-    mark rule holds, else the Monte Carlo mean of _mark_mean on `key`.  A
-    non-finite value raises NumericError at x."""
-    vals, ses = _means(f, q, [x], [None], 0, mark_draws, [[key]])
-    return float(vals[0, 0]), float(ses[0, 0])
-
-
 def analytic_segment_density(el: float, el3: float, x) -> float:
     """Closed form for the planar segment model with quadratic intensity
     |y|^2 and uniform orientation: (x1^2 + x2^2) E[L] + E[L^3]/3."""
@@ -167,41 +160,27 @@ def analytic_segment_density(el: float, el3: float, x) -> float:
     return float((x[0] ** 2 + x[1] ** 2) * el + el3 / 3.0)
 
 
-def hitting_intensity(f, q: MarkDistribution, x, r: float, mc_points: int = 200_000,
-                      mark_draws: int = 200, key: int | None = None) -> tuple[float, float]:
+def hitting_grid(f, q: MarkDistribution, grid, radii, mc_points: int = 200_000,
+                 mark_draws: int = 200, seed: int = 0,
+                 threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Λ = E_Q[∫_{Z_0⊕r} f(x - y) dy], the mean number of germs whose grain
-    meets the closed ball B_r(x), with its standard error; finite Λ is the
-    hitting-intensity condition.  Exact where the mark rule holds, else
-    _mark_mean's on `key`, each sausage exact where sausage_integrals'
-    moment rule applies."""
-    vals, ses = _means(f, q, [x], [r], mc_points, mark_draws, [[key]])
-    return float(vals[0, 0]), float(ses[0, 0])
-
-
-def _void(lam: float, lam_se: float) -> tuple[float, float]:
-    """1 - exp(-Λ) with the propagated standard error exp(-Λ) SE_Λ."""
-    survival = math.exp(-lam)
-    return 1.0 - survival, survival * lam_se
-
-
-def capacity_probability(f, q: MarkDistribution, x, r: float, mc_points: int = 200_000,
-                         mark_draws: int = 200, key: int | None = None) -> tuple[float, float]:
-    """P(x in Θ⊕r) = 1 - exp(-Λ) for Λ = hitting_intensity(...), with the
-    propagated standard error exp(-Λ) SE_Λ."""
-    return _void(*hitting_intensity(f, q, x, r, mc_points, mark_draws, key))
+    meets the closed ball B_r(x), with its SE at every (point i, radius j)
+    cell, each (m, R), finite at the origin under the hitting-intensity
+    condition: one sausage kernel call per radius where the mark rule
+    holds, else cell (i, j) on derive_key(seed, i R + j)."""
+    grid, radii = np.atleast_2d(np.asarray(grid, dtype=float)), [float(r) for r in radii]
+    keys = block_keys(seed, 0, len(grid) * len(radii)).reshape(len(grid), -1).tolist()
+    return _means(f, q, grid, radii, mc_points, mark_draws, keys, threads)
 
 
 def capacity_grid(f, q: MarkDistribution, grid, radii, mc_points: int = 200_000,
                   mark_draws: int = 200, seed: int = 0,
                   threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """capacity_probability at every (point i, radius j) cell, as (m, R)
-    probabilities and SEs: one sausage kernel call per radius where the
-    mark rule holds, else cell (i, j) on derive_key(seed, i R + j)."""
-    grid, radii = np.atleast_2d(np.asarray(grid, dtype=float)), [float(r) for r in radii]
-    keys = block_keys(seed, 0, len(grid) * len(radii)).reshape(len(grid), -1).tolist()
-    lam, lam_se = _means(f, q, grid, radii, mc_points, mark_draws, keys, threads)
-    probs, ses = np.array([_void(*cell) for cell in zip(lam.ravel(), lam_se.ravel())]).T
-    return probs.reshape(lam.shape), ses.reshape(lam.shape)
+    """P(x in Θ⊕r) = 1 - exp(-Λ) for Λ of hitting_grid at every (point,
+    radius) cell, as (m, R) probabilities and SEs exp(-Λ) SE_Λ."""
+    lam, lam_se = hitting_grid(f, q, grid, radii, mc_points, mark_draws, seed, threads)
+    survival = np.array([math.exp(-v) for v in lam.ravel()]).reshape(lam.shape)
+    return 1.0 - survival, survival * lam_se
 
 
 def density_grid(
@@ -212,9 +191,10 @@ def density_grid(
     seed: int = 0,
     threads: int = 1,
 ) -> DensityField:
-    """exact_density at every point of the grid: one line kernel call per
-    MARK_CHUNK (point, node) rows where the mark rule holds, else point i
-    on derive_key(seed, i), so results are thread-count invariant."""
+    """The mean density and its SE at every point of the grid: exact (SE
+    0) by one line kernel call per MARK_CHUNK (point, node) rows where the
+    mark rule holds, else the Monte Carlo mark mean of point i on
+    derive_key(seed, i), so results are thread-count invariant."""
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     keys = block_keys(seed, 0, len(grid)).reshape(-1, 1).tolist()
     values, ses = _means(f, q, grid, [None], 0, mark_draws, keys, threads)

@@ -19,7 +19,7 @@ smooth (`line_integrals`) and over each grain's r-sausage
 (`sausage_integrals`): exactly, from 2d + 3 field values, for segment and
 point grains under a field that states it is a polynomial of degree <= 2
 there, by chunked Monte Carlo on the uniforms of one key otherwise.
-`integrate_along` and `sausage_integral` are their one-grain calls.
+One grain is K = 1: its `Grain.rows` with a leading axis added.
 """
 
 from __future__ import annotations
@@ -123,13 +123,6 @@ def hn_measure(g: Grain) -> float:
     return _unsquared(lambda x: np.linalg.norm(x, axis=1).sum(), b - a)
 
 
-def integrate_along(g: Grain, h) -> float:
-    """Line integral of the field h over one grain with respect to H^n:
-    line_integrals with K = 1."""
-    a, b = g.rows()
-    return float(line_integrals(a[None], b[None], h, g.n)[0])
-
-
 def line_integrals(a: np.ndarray, b: np.ndarray, h, n: int) -> np.ndarray:
     """Integrals of the field h (its `values`) with respect to H^n over
     each of K grains, given as segment rows a, b of shape (K, s, d).
@@ -206,14 +199,6 @@ def mark_rule(q: MarkDistribution):
         directions, direction_weights = np.kron(np.eye(d), [[1.0], [-1.0]]), np.full(2 * d, 0.5 / d)
     b = (lengths[:, None, None] * directions).reshape(-1, 1, d)
     return np.zeros(b.shape), b, np.outer(length_weights, direction_weights).ravel()
-
-
-def sausage_integral(g: Grain, h, r: float, mc_points: int, key) -> tuple[float, float]:
-    """MC estimate (and SE) of the integral of h over the r-sausage Z⊕r of
-    one grain: sausage_integrals with K = 1."""
-    a, b = g.rows()
-    est, se = sausage_integrals(a[None], b[None], h, r, mc_points, key)
-    return float(est[0]), float(se[0])
 
 
 def sausage_integrals(

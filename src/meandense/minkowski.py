@@ -3,14 +3,16 @@
 For a compact rectifiable set S (a grain used deterministically) and a
 weighted measure with density f, the ratio of the sausage integral
 ∫_{S⊕r} f to b_{d-n} r^{d-n} converges, as r shrinks, to the line
-integral of f over S.  The sausage integral is exact (SE 0) by a moment
-rule for a segment or point grain under a polynomial intensity and
-chunked Monte Carlo otherwise (polylines, piecewise or clipped fields),
-so on the exact rows the ratios show the convergence itself, free of
-noise.  The limit target is computed by quadrature, independently of the
-sausage route.  Under f ≡ 1 every ratio with r < 2 lies below the uniform
-bound 2^n 4^d b_d / (gamma b_{d-n}) (`ratio_bound`), gamma the constant of
-the lower density bound H^n(Z~_0 ∩ B_r(x)) >= gamma r^n that the enlarged
+integral of f over S.  The sausage integral is the oracle's Λ of
+`exact.hitting_grid` at the origin for the reflected grain -S, on the
+same mark-mean engine: exact (SE 0) by a moment rule for a segment or
+point grain under a polynomial intensity and chunked Monte Carlo
+otherwise (polylines, piecewise or clipped fields), so on the exact rows
+the ratios show the convergence itself, free of noise.  The limit target
+is computed by quadrature, independently of the sausage route.  Under
+f ≡ 1 every ratio with r < 2 lies below the uniform bound
+2^n 4^d b_d / (gamma b_{d-n}) (`ratio_bound`), gamma the constant of the
+lower density bound H^n(Z~_0 ∩ B_r(x)) >= gamma r^n that the enlarged
 grain Z~_0 meets once its measure is normalized to a probability.
 """
 
@@ -22,10 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
+from .exact import hitting_grid
 from .geometry import ball_volume, checked_ball_volume
-from .grains import Grain, hn_measure, integrate_along, sausage_integral
-from .parallel import parallel_map
-from .streams import block_keys
+from .grains import Grain, MarkDistribution, hn_measure, line_integrals
 
 
 @dataclass(eq=False)
@@ -39,10 +40,6 @@ class MinkowskiRun:
     limit_estimate: float        # linear extrapolation to r = 0
 
 
-def _radius_task(args):
-    return sausage_integral(*args)
-
-
 def content_limit(
     shape: Grain,
     f,
@@ -53,8 +50,10 @@ def content_limit(
 ) -> MinkowskiRun:
     """Estimate the ratio at every radius and extrapolate linearly in r to
     zero using the two smallest radii; the target side ∫_S f dH^n comes
-    from quadrature, independent of the sausage route; radius i (largest
-    first) reads the key derive_key(seed, i)."""
+    from quadrature, independent of the sausage route.  ∫_{S⊕r} f is Λ of
+    exact.hitting_grid at the origin under the reflected grain -S, since
+    ∫_{S⊕r} f = ∫_{(0 - (-S))⊕r} f; radius i (largest first) reads the
+    key derive_key(seed, i)."""
     r_grid = np.asarray(sorted(r_grid, reverse=True), dtype=float)
     if r_grid.size < 3:
         raise ConfigurationError("r_grid: need at least three radii for the extrapolation")
@@ -62,17 +61,17 @@ def content_limit(
         raise ConfigurationError(f"r_grid: radii must be distinct, got {r_grid.tolist()}")
     if np.any(r_grid <= 0.0) or np.any(r_grid >= 2.0):
         raise ConfigurationError("all radii must lie in (0, 2)")
-    norms = [checked_ball_volume(shape.dim - shape.n, r) for r in r_grid]
-    keys = block_keys(seed, 0, len(r_grid))
-    tasks = [(shape, f, float(r), mc_points, int(k)) for r, k in zip(r_grid, keys)]
-    results = parallel_map(_radius_task, tasks, threads)
-    ratios = np.array([est / norm for (est, _), norm in zip(results, norms)])
-    ses = np.array([se / norm for (_, se), norm in zip(results, norms)])
+    norms = np.array([checked_ball_volume(shape.dim - shape.n, r) for r in r_grid])
+    reflected = MarkDistribution("deterministic", grain=Grain(-shape.vertices))
+    lam, lam_se = hitting_grid(f, reflected, np.zeros((1, shape.dim)), r_grid, mc_points,
+                               seed=seed, threads=threads)
+    ratios, ses = lam[0] / norms, lam_se[0] / norms
     # linear extrapolation through the two smallest radii
     r1, r0 = r_grid[-2], r_grid[-1]
     v1, v0 = ratios[-2], ratios[-1]
     limit = v0 - r0 * (v1 - v0) / (r1 - r0)
-    target = integrate_along(shape, f)
+    a, b = shape.rows()
+    target = float(line_integrals(a[None], b[None], f, shape.n)[0])
     return MinkowskiRun(
         r_grid=r_grid,
         ratios=ratios,

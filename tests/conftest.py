@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from meandense import parallel
@@ -8,3 +10,33 @@ def always_pool(monkeypatch):
     """A pool costs nothing: every parallel_map with two or more tasks and
     threads forks its workers, however light the tasks."""
     monkeypatch.setattr(parallel, "POOL_COST_S", 0.0)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Stand-in for ProcessPoolExecutor that runs in-process; records the
+    size of every pool started and the tasks it was given."""
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            self.record = {"workers": max_workers, "tasks": []}
+            started.append(self.record)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            self.record["tasks"] = list(tasks)
+            return map(fn, tasks)
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", RecordingPool)
+    return started

@@ -25,15 +25,14 @@ from meandense import (
     content_limit,
     count_estimate,
     density_grid,
-    exact_density,
     histogram_reduction,
     measure_in_region,
-    sausage_integral,
 )
 from meandense.boolean import _sample_block, checked_guard_margin, count_hits
 from meandense.cli import main
 from meandense.config import lattice_points
 from meandense.geometry import Box
+from meandense.grains import sausage_integrals
 from meandense.minkowski import limit_diagnostics, ratio_bound
 from meandense.streams import derive_key
 
@@ -153,16 +152,13 @@ def test_criterion_04_stationary_corollary():
 
 
 def test_criterion_05_deterministic_grain_closed_form():
-    """exact_density of the deterministic unit-segment law equals
+    """density_grid of the deterministic unit-segment law equals
     x1² - x1 + 1/3 + x2² to 1e-9 at 20 random points (quadratic intensity)."""
-    rng = np.random.default_rng(derive_key(505, 0))
+    xs = np.random.default_rng(derive_key(505, 0)).uniform(-2.0, 2.0, size=(20, 2))
     unit_segment = MarkDistribution("deterministic", grain=UNIT_SEGMENT_GRAIN)
-    worst = 0.0
-    for _ in range(20):
-        x = rng.uniform(-2.0, 2.0, size=2)
-        val, _ = exact_density(QUADRATIC, unit_segment, x)
-        closed = x[0] ** 2 - x[0] + 1.0 / 3.0 + x[1] ** 2
-        worst = max(worst, abs(val - closed))
+    values = density_grid(QUADRATIC, unit_segment, xs).values
+    closed = xs[:, 0] ** 2 - xs[:, 0] + 1.0 / 3.0 + xs[:, 1] ** 2
+    worst = float(np.abs(values - closed).max())
     ok = worst <= 1e-9
     report(5, "deterministic-grain corollary exact to 1e-9", ok,
            f"worst |error| = {worst:.2e}")
@@ -292,9 +288,10 @@ def test_criterion_09_grain_count_route():
     # It must agree with the hand-derived form within 3 SE + 1e-12 relative.
     means, sausage_devs = [], []
     reference_ok = True
+    a, b = UNIT_SEGMENT_GRAIN.rows()
     for j, r in enumerate(rs):
-        lam, lam_se = sausage_integral(UNIT_SEGMENT_GRAIN, QUADRATIC, r, 1_000_000,
-                                       derive_key(911, j))
+        (lam,), (lam_se,) = sausage_integrals(a[None], b[None], QUADRATIC, r, 1_000_000,
+                                              derive_key(911, j))
         hand = 2.0 * r * (1.0 / 3.0 + math.pi * r / 4.0 + r ** 2 + math.pi * r ** 3 / 4.0)
         reference_ok = reference_ok and abs(lam - hand) <= 3.0 * lam_se + 1e-12 * hand
         sausage_devs.append((lam - hand) / hand)

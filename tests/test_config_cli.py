@@ -17,7 +17,7 @@ from meandense.boolean import checked_guard_margin
 from meandense.cli import main
 from meandense.config import lattice_points
 from meandense.estimate import accumulate_hits, convergence_study
-from meandense.exact import capacity_probability, density_grid
+from meandense.exact import _mark_mean, density_grid
 from meandense.geometry import Box, ball_volume
 from meandense.minkowski import content_limit, ratio_bound
 from meandense.poisson import sample_block
@@ -839,6 +839,8 @@ POINT_GRAIN = ("n = 0", "marks.kind = deterministic", "marks.grain.kind = point"
     ("estimate", MINI_ESTIMATE, ("N = -5",), "N: must be positive"),
     ("study", MINI_ESTIMATE, ("N_grid = 200, 100",), "N_grid: must be increasing positive integers"),
     ("study", MINI_ESTIMATE, ("N_grid = 0, 100",), "N_grid: must be increasing positive integers"),
+    ("study", MINI_ESTIMATE, ("N_grid = 100, 100",),
+     "N_grid: must be increasing positive integers"),
     ("oracle", MINI_ESTIMATE, ("r_grid = 0.1, 2",), "r_grid: all radii must lie in (0, 2)"),
     ("simulate", MINI_ESTIMATE, ("r_max = 2",), "r_max: must lie in [0, 2)"),
     ("simulate", MINI_ESTIMATE, ("r_max = -0.1",), "r_max: must lie in [0, 2)"),
@@ -856,6 +858,8 @@ POINT_GRAIN = ("n = 0", "marks.kind = deterministic", "marks.grain.kind = point"
      "marks.kind: unknown kind 'random'; use deterministic or segment_law"),
     ("estimate", MINI_ESTIMATE, ("marks.kind = deterministic",),
      "marks.grain.kind: required for deterministic marks (point|segment|polyline)"),
+    ("exact", MINI_EXACT, ("marks.grain.length = -1.0",),
+     "marks.grain.length: must be nonnegative, got -1.0"),
     ("estimate", MINI_ESTIMATE, ("-marks.length.kind",),
      "marks.length.kind: required (fixed|uniform|trunc_exp)"),
     ("estimate", MINI_ESTIMATE, ("-marks.orientation.kind",),
@@ -935,11 +939,12 @@ def test_cli_oracle_runs(tmp_path, capsys):
     assert len(lines) == 5  # 2 points x 2 radii
     sc = parse_config(text)
     coords = [(x, r) for x in sc.grid_points() for r in sc.r_grid]
-    results = [  # the task of (point i, radius j) draws on stream index i * len(r_grid) + j
-        capacity_probability(sc.intensity, sc.marks, x, r, mc_points=sc.mc_points,
-                             mark_draws=sc.mark_draws, key=derive_key(sc.seed, index))
+    lams = [  # the task of (point i, radius j) draws on stream index i * len(r_grid) + j
+        _mark_mean((sc.intensity, sc.marks, x, r, sc.mc_points, sc.mark_draws,
+                    derive_key(sc.seed, index)))
         for index, (x, r) in enumerate(coords)
     ]
+    results = [(1.0 - math.exp(-lam), math.exp(-lam) * se) for lam, se in lams]
     assert csv == oracle_csv_020(sc, coords, results)
     # a nan intensity used to write nan in every prob, se and ratio cell and exit 0
     nan = text.replace("intensity.kind = quadratic", "intensity.kind = constant\nintensity.c = nan")

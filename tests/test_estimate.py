@@ -454,6 +454,10 @@ def test_convergence_study_validation():
     with pytest.raises(ConfigurationError, match="n_grid"):
         convergence_study(CONSTANT, RANDOM_SEGMENTS, [[0.5, 0.5]], [1.0, 0.5], [0, 10],
                           replications=2, seed=0)
+    # a repeated size would write its N row twice
+    with pytest.raises(ConfigurationError, match="n_grid must be increasing"):
+        convergence_study(CONSTANT, RANDOM_SEGMENTS, [[0.5, 0.5]], [0.3, 0.3], [100, 100],
+                          replications=2, seed=0)
     # one radius in (0, 2) per sample size, refused before the exact reference
     for radii in ([0.3], [0.3, 2.0], [0.0, 0.2]):
         fault = f"radii: need one in (0, 2) per sample size, got {radii}"

@@ -17,12 +17,10 @@ from meandense import (
     OrientationLaw,
     analytic_segment_density,
     capacity_grid,
-    capacity_probability,
     density_grid,
-    exact_density,
-    hitting_intensity,
-    integrate_along,
+    hitting_grid,
 )
+from meandense import exact
 from meandense.cli import main
 from meandense.config import parse_config
 from meandense.geometry import clipped_lengths
@@ -58,11 +56,9 @@ UNIFORM_SEGMENTS = MarkDistribution(
 
 def test_deterministic_density_closed_form():
     # unit segment along e1, f = |y|²: ∫₀¹ ((x1-t)² + x2²) dt = x1² - x1 + 1/3 + x2²
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        x = rng.uniform(-2.0, 2.0, size=2)
-        expected = x[0] ** 2 - x[0] + 1.0 / 3.0 + x[1] ** 2
-        assert exact_density(QUADRATIC, UNIT_SEGMENT, x)[0] == pytest.approx(expected, abs=1e-12)
+    xs = np.random.default_rng(0).uniform(-2.0, 2.0, size=(10, 2))
+    expected = xs[:, 0] ** 2 - xs[:, 0] + 1.0 / 3.0 + xs[:, 1] ** 2
+    assert density_grid(QUADRATIC, UNIT_SEGMENT, xs).values == pytest.approx(expected, abs=1e-12)
 
 
 def test_deterministic_density_vs_quad_oracle():
@@ -75,21 +71,21 @@ def test_deterministic_density_vs_quad_oracle():
     assert val == pytest.approx(oracle, abs=1e-10)
 
 
-def test_exact_density_deterministic_has_zero_se():
-    val, se = exact_density(QUADRATIC, UNIT_SEGMENT, [0.5, 0.0])
-    assert se == 0.0
-    assert val == pytest.approx(0.25 - 0.5 + 1.0 / 3.0, abs=1e-12)
+def test_density_grid_deterministic_has_zero_se():
+    field = density_grid(QUADRATIC, UNIT_SEGMENT, [[0.5, 0.0]])
+    assert field.standard_errors[0] == 0.0
+    assert field.values[0] == pytest.approx(0.25 - 0.5 + 1.0 / 3.0, abs=1e-12)
 
 
-def test_exact_density_fixed_law_is_deterministic():
+def test_density_grid_fixed_law_is_deterministic():
     q = MarkDistribution(
         "segment",
         length=LengthLaw("fixed", value=1.0),
         orientation=OrientationLaw("fixed", dim=2, angle=0.0),
     )
-    val, se = exact_density(QUADRATIC, q, [0.5, 0.0])
-    assert se == 0.0
-    assert val == pytest.approx(0.25 - 0.5 + 1.0 / 3.0, abs=1e-12)
+    field = density_grid(QUADRATIC, q, [[0.5, 0.0]])
+    assert field.standard_errors[0] == 0.0
+    assert field.values[0] == pytest.approx(0.25 - 0.5 + 1.0 / 3.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("field", [QUADRATIC, MonteCarloField(QUADRATIC)],
@@ -107,32 +103,31 @@ def test_deterministic_grain_and_fixed_law_are_one_path(field):
         length=LengthLaw("fixed", value=0.8),
         orientation=OrientationLaw("fixed", dim=2, angle=0.3),
     )
-    x = [0.4, -0.7]
-    assert exact_density(field, grain, x) == exact_density(field, fixed, x)
-    probs = [capacity_probability(field, q, x, 0.2, mc_points=5000, key=derive_key(12, 0))
+    x = [[0.4, -0.7]]
+    densities = [density_grid(field, q, x) for q in (grain, fixed)]
+    assert np.array_equal(densities[0].values, densities[1].values)
+    assert np.array_equal(densities[0].standard_errors, densities[1].standard_errors)
+    probs = [np.stack(capacity_grid(field, q, x, [0.2], mc_points=5000, seed=12))
              for q in (grain, fixed)]
-    assert probs[0] == probs[1]
-    assert (probs[0][1] == 0.0) == (field is QUADRATIC)
+    assert np.array_equal(probs[0], probs[1])
+    assert (probs[0][1, 0, 0] == 0.0) == (field is QUADRATIC)
 
 
-def test_exact_density_requires_stream_for_random_law():
+def test_density_grid_random_law_needs_two_mark_draws():
     with pytest.raises(ConfigurationError):
-        exact_density(MonteCarloField(QUADRATIC), UNIFORM_SEGMENTS, [0.0, 0.0])
-    with pytest.raises(ConfigurationError):
-        exact_density(MonteCarloField(QUADRATIC), UNIFORM_SEGMENTS, [0.0, 0.0], mark_draws=1,
-                      key=derive_key(0, 0))
+        density_grid(MonteCarloField(QUADRATIC), UNIFORM_SEGMENTS, [[0.0, 0.0]], mark_draws=1)
 
 
-def test_exact_density_matches_closed_form():
+def test_density_grid_matches_closed_form():
     # (x1² + x2²) E[L] + E[L³]/3 for unit-length uniform-orientation segments
-    for x in ([0.0, 0.0], [1.0, 0.0], [0.5, -0.5]):
-        val, se = exact_density(QUADRATIC, UNIFORM_SEGMENTS, x, mark_draws=4000,
-                                key=derive_key(1, 0))
+    xs = [[0.0, 0.0], [1.0, 0.0], [0.5, -0.5]]
+    field = density_grid(QUADRATIC, UNIFORM_SEGMENTS, xs, mark_draws=4000, seed=1)
+    for x, val, se in zip(xs, field.values, field.standard_errors):
         expected = analytic_segment_density(1.0, 1.0, x)
         assert abs(val - expected) < max(3 * se, 1e-3)
 
 
-def test_exact_density_random_lengths():
+def test_density_grid_random_lengths():
     q = MarkDistribution(
         "segment",
         length=LengthLaw("uniform", lo=0.5, hi=1.5),
@@ -141,8 +136,8 @@ def test_exact_density_random_lengths():
     el = q.length.moment(1)
     el3 = q.length.moment(3)
     x = [0.5, 0.5]
-    val, se = exact_density(MonteCarloField(QUADRATIC), q, x, mark_draws=20_000,
-                            key=derive_key(2, 0))
+    field = density_grid(MonteCarloField(QUADRATIC), q, [x], mark_draws=20_000, seed=2)
+    val, se = field.values[0], field.standard_errors[0]
     assert se > 0.0
     assert abs(val - analytic_segment_density(el, el3, x)) < 3 * se
 
@@ -153,23 +148,20 @@ def test_analytic_segment_density_values():
     assert analytic_segment_density(2.0, 5.0, [1.0, 1.0]) == pytest.approx(4.0 + 5.0 / 3.0)
 
 
-def test_capacity_probability_stationary_oracle():
+def test_capacity_grid_stationary_oracle():
     # c = 1, L ≡ 1: Λ(sausage) = 2r + πr², P = 1 - exp(-Λ)
     r = 0.1
-    prob, se = capacity_probability(
-        CONSTANT, UNIT_SEGMENT, [0.0, 0.0], r, mc_points=400_000, key=derive_key(3, 0)
-    )
+    prob, se = (v[0, 0] for v in capacity_grid(CONSTANT, UNIT_SEGMENT, [[0.0, 0.0]], [r],
+                                                mc_points=400_000, seed=3))
     expected = 1.0 - math.exp(-(2 * r + math.pi * r * r))
     assert se == 0.0
     assert abs(prob - expected) <= 3 * se + 1e-12 * abs(expected)
 
 
-def test_capacity_probability_random_marks():
+def test_capacity_grid_random_marks():
     r = 0.1
-    prob, se = capacity_probability(
-        CONSTANT, UNIFORM_SEGMENTS, [0.3, 0.3], r,
-        mc_points=200_000, mark_draws=100, key=derive_key(4, 0),
-    )
+    prob, se = (v[0, 0] for v in capacity_grid(CONSTANT, UNIFORM_SEGMENTS, [[0.3, 0.3]], [r],
+                                                mc_points=200_000, mark_draws=100, seed=4))
     expected = 1.0 - math.exp(-(2 * r + math.pi * r * r))
     assert abs(prob - expected) < max(3 * se, 2e-3)
 
@@ -193,14 +185,15 @@ def test_sausage_proposals_are_drawn_one_chunk_at_a_time(monkeypatch):
     and under f ≡ 1 every piece's sums are whole numbers."""
     from meandense import grains
 
-    args = (MonteCarloField(CONSTANT), UNIT_SEGMENT, [0.0, 0.0], 0.1)
-    whole = capacity_probability(*args, mc_points=1_000_000, key=derive_key(5, 0))
+    args = (MonteCarloField(CONSTANT), UNIT_SEGMENT, [[0.0, 0.0]], [0.1])
+    whole = np.stack(capacity_grid(*args, mc_points=1_000_000, seed=5))
     chunk = 300_000
     monkeypatch.setattr(grains, "SAUSAGE_CHUNK", chunk)
     sizes = _recording_uniforms(monkeypatch, grains)
-    prob, se = capacity_probability(*args, mc_points=1_000_000, key=derive_key(5, 0))
+    prob, se = capacity_grid(*args, mc_points=1_000_000, seed=5)
     assert [n // 2 for n in sizes] == [chunk, chunk, chunk, 100_000]
-    assert (prob, se) == whole
+    assert np.array_equal(np.stack([prob, se]), whole)
+    prob, se = prob[0, 0], se[0, 0]
     expected = 1.0 - math.exp(-(0.2 + math.pi * 0.01))
     assert abs(prob - expected) < 3 * se
 
@@ -213,31 +206,30 @@ def test_random_mark_oracle_draws_one_chunk_at_a_time(monkeypatch, draws, per_ma
     """The batched mark sum reads its marks' uniforms in one call and its
     draws × per_mark proposals in calls of at most one chunk, and a small
     chunk changes no value (under f ≡ 1 also where it splits a mark)."""
-    from meandense import exact, grains
+    from meandense import grains
 
-    args = (MonteCarloField(CONSTANT), UNIFORM_SEGMENTS, [0.3, 0.3], 0.1)
-    kwargs = dict(mc_points=draws * per_mark, mark_draws=draws, key=derive_key(6, 0))
-    whole = capacity_probability(*args, **kwargs)
+    args = (MonteCarloField(CONSTANT), UNIFORM_SEGMENTS, [[0.3, 0.3]], [0.1])
+    kwargs = dict(mc_points=draws * per_mark, mark_draws=draws, seed=6)
+    whole = np.stack(capacity_grid(*args, **kwargs))
     monkeypatch.setattr(grains, "SAUSAGE_CHUNK", 1000)
     marks = _recording_uniforms(monkeypatch, exact)
     proposals = _recording_uniforms(monkeypatch, grains)
-    assert capacity_probability(*args, **kwargs) == whole
+    assert np.array_equal(np.stack(capacity_grid(*args, **kwargs)), whole)
     assert marks == [UNIFORM_SEGMENTS.uniforms * draws]
     assert [n // 2 for n in proposals] == sizes
 
 
-def test_capacity_probability_radius_validation():
+def test_capacity_grid_radius_validation():
     for r in (0.0, -0.1, 2.0, 2.5):
         with pytest.raises(ConfigurationError):
-            capacity_probability(CONSTANT, UNIT_SEGMENT, [0.0, 0.0], r)
-    # a random law needs two mark draws for a standard error, as in exact_density
+            capacity_grid(CONSTANT, UNIT_SEGMENT, [[0.0, 0.0]], [r])
+    # a random law needs two mark draws for a standard error, as in density_grid
     with pytest.raises(ConfigurationError, match="mark_draws"):
-        capacity_probability(CONSTANT, UNIFORM_SEGMENTS, [0.0, 0.0], 0.1, mark_draws=1,
-                             key=derive_key(0, 0))
+        capacity_grid(CONSTANT, UNIFORM_SEGMENTS, [[0.0, 0.0]], [0.1], mark_draws=1)
 
 
 def _former_check_finiteness(f, q, radius, key, mark_draws, points_per_mark):
-    """The finiteness check that hitting_intensity at the origin replaced:
+    """The finiteness check that Λ at the origin replaced:
     the mean sausage integral of f over the reflected grains -Z of
     `mark_draws` marks of Q (a deterministic law's grain repeated),
     `points_per_mark` proposals each, the marks on the first
@@ -267,8 +259,9 @@ def _finiteness_law(law, d):
 @pytest.mark.parametrize("field", [QUADRATIC, MonteCarloField(QUADRATIC)],
                          ids=["cubature", "monte_carlo"])
 @pytest.mark.parametrize("d", [2, 3])
-def test_hitting_intensity_at_origin_equals_former_finiteness_check(d, field, law):
-    """With mc_points = mark_draws × points_per_mark, a random law off the
+def test_mark_means_at_origin_equal_former_finiteness_check(d, field, law):
+    """Λ of the mark-mean engine at the origin, on the check's key: with
+    mc_points = mark_draws × points_per_mark, a random law off the
     mark rule makes the former check's draws and gets its value bit for
     bit; on the rule (|y|² is a polynomial) it is exact, within 4 SE of
     the check's mark mean.  A deterministic law is one term over the same
@@ -276,8 +269,8 @@ def test_hitting_intensity_at_origin_equals_former_finiteness_check(d, field, la
     one grain), equal within 1e-15 relative."""
     q = _finiteness_law(law, d)
     draws, per_mark = 50, 64
-    est, est_se = hitting_intensity(field, q, np.zeros(d), 0.3, mc_points=draws * per_mark,
-                                    mark_draws=draws, key=derive_key(21, d))
+    est, est_se = (v[0, 0] for v in exact._means(field, q, np.zeros((1, d)), [0.3],
+                                                 draws * per_mark, draws, [[derive_key(21, d)]]))
     ref, ref_se = _former_check_finiteness(field, q, 0.3, derive_key(21, d), draws, per_mark)
     if q.is_deterministic:
         assert abs(est - ref) <= 1e-15 * abs(ref)
@@ -288,32 +281,28 @@ def test_hitting_intensity_at_origin_equals_former_finiteness_check(d, field, la
         assert est == ref
 
 
-def test_capacity_probability_is_one_minus_exp_of_hitting_intensity():
+def test_capacity_grid_is_one_minus_exp_of_hitting_grid():
     for field in (QUADRATIC, MonteCarloField(QUADRATIC)):
         for q in (UNIT_SEGMENT, UNIFORM_SEGMENTS):
-            args = (field, q, [0.3, -0.2], 0.15, 4000, 40)
-            lam, lam_se = hitting_intensity(*args, key=derive_key(22, 0))
-            prob = capacity_probability(*args, key=derive_key(22, 0))
+            args = (field, q, [[0.3, -0.2]], [0.15], 4000, 40, 22)
+            lam, lam_se = (v[0, 0] for v in hitting_grid(*args))
+            prob = tuple(v[0, 0] for v in capacity_grid(*args))
             assert prob == (1.0 - math.exp(-lam), math.exp(-lam) * lam_se)
 
 
-def test_hitting_intensity_refusals():
-    """A random law needs at least two mark draws and a stream; the
-    refusal comes before any draw."""
+def test_hitting_grid_refusals():
+    """A random law needs at least two mark draws; the refusal comes
+    before any draw."""
     for draws in (0, 1):
         with pytest.raises(ConfigurationError, match="mark_draws"):
-            hitting_intensity(CONSTANT, UNIFORM_SEGMENTS, [0.0, 0.0], 0.1, mark_draws=draws,
-                              key=derive_key(0, 0))
-    with pytest.raises(ConfigurationError, match="random mark law needs a random stream"):
-        hitting_intensity(MonteCarloField(CONSTANT), UNIFORM_SEGMENTS, [0.0, 0.0], 0.1)
-    with pytest.raises(ConfigurationError, match="random mark law needs a random stream"):
-        capacity_probability(MonteCarloField(CONSTANT), UNIFORM_SEGMENTS, [0.0, 0.0], 0.1)
+            hitting_grid(CONSTANT, UNIFORM_SEGMENTS, [[0.0, 0.0]], [0.1], mark_draws=draws)
     for r in (0.0, math.nan, 2.0):
         with pytest.raises(ConfigurationError, match="radius"):
-            hitting_intensity(CONSTANT, UNIT_SEGMENT, [0.0, 0.0], r)
-    # a deterministic law off the cubature draws its sausage proposals
+            hitting_grid(CONSTANT, UNIT_SEGMENT, [[0.0, 0.0]], [r])
+    # a sausage off the cubature draws its proposals, which need a key
+    a, b = UNIT_SEGMENT.grain.rows()
     with pytest.raises(ConfigurationError, match="needs a random stream"):
-        capacity_probability(MonteCarloField(CONSTANT), UNIT_SEGMENT, [0.0, 0.0], 0.1)
+        sausage_integrals(a[None], b[None], MonteCarloField(CONSTANT), 0.1, 100, None)
 
 
 def test_density_grid_thread_invariance():
@@ -440,7 +429,7 @@ def _direction_reference(d):
 @pytest.mark.parametrize("field", ["constant", "quadratic", "affine"])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_mark_rule_equals_a_64_node_reference(d, field, law):
-    """exact_density and hitting_intensity on the rule (no key: no draw)
+    """density_grid and hitting_grid on the rule (no key read: no draw)
     equal the mark means over a 64-node length rule times a 64-node
     direction rule within 1e-12 relative: the integrands are polynomials
     of degree <= 3 in L and <= 2 in the direction."""
@@ -455,9 +444,11 @@ def test_mark_rule_equals_a_64_node_reference(d, field, law):
     a = np.zeros(b.shape)
     line = line_integrals(x - a, x - b, f, 1) @ weights
     sausage = sausage_integrals(x - a, x - b, f, 0.3, 10, None)[0] @ weights
-    assert exact_density(f, q, x)[1] == hitting_intensity(f, q, x, 0.3)[1] == 0.0
-    assert abs(exact_density(f, q, x)[0] - line) <= 1e-12 * line
-    assert abs(hitting_intensity(f, q, x, 0.3)[0] - sausage) <= 1e-12 * sausage
+    density = density_grid(f, q, [x])
+    lam, lam_se = (v[0, 0] for v in hitting_grid(f, q, [x], [0.3]))
+    assert density.standard_errors[0] == lam_se == 0.0
+    assert abs(density.values[0] - line) <= 1e-12 * line
+    assert abs(lam - sausage) <= 1e-12 * sausage
 
 
 def test_density_grid_makes_one_line_kernel_call_per_chunk(monkeypatch):
@@ -465,7 +456,7 @@ def test_density_grid_makes_one_line_kernel_call_per_chunk(monkeypatch):
     (point, node) rows, whatever its size: the unit segment law has 4
     nodes in d = 2, so a chunk of 40 rows holds 10 points.  No pool is
     started."""
-    from meandense import exact, parallel
+    from meandense import parallel
 
     calls = []
 
@@ -490,18 +481,20 @@ def test_density_grid_makes_one_line_kernel_call_per_chunk(monkeypatch):
         assert np.allclose(field.values, ref, rtol=1e-12, atol=0.0)
 
 
-def test_capacity_grid_is_capacity_probability_per_cell():
-    """capacity_grid's cells equal capacity_probability at each (point,
-    radius), on the rule (SE 0) and off it (cell i R + j on the key
-    derive_key(seed, i R + j)), to the bit."""
+def test_capacity_grid_cells_are_the_mark_means_alone():
+    """capacity_grid's cells equal 1 - exp(-Λ) of the mark-mean engine at
+    each (point, radius) alone, on the rule (SE 0) and off it (cell i R + j
+    on the key derive_key(seed, i R + j)), to the bit."""
     grid = np.array([[0.3, 0.3], [-0.5, 0.2]])
     radii = [0.2, 0.05]
     for f in (QUADRATIC, MonteCarloField(QUADRATIC)):
         probs, ses = capacity_grid(f, UNIFORM_SEGMENTS, grid, radii, 2000, 20, seed=3)
         for i, x in enumerate(grid):
             for j, r in enumerate(radii):
-                cell = capacity_probability(f, UNIFORM_SEGMENTS, x, r, 2000, 20,
-                                            key=derive_key(3, i * len(radii) + j))
+                key = derive_key(3, i * len(radii) + j)
+                lam, lam_se = (v[0, 0] for v in exact._means(f, UNIFORM_SEGMENTS, [x], [r],
+                                                             2000, 20, [[key]]))
+                cell = (1.0 - math.exp(-lam), math.exp(-lam) * lam_se)
                 assert (probs[i, j], ses[i, j]) == cell
                 assert (cell[1] == 0.0) == (f is QUADRATIC)
 
@@ -514,18 +507,18 @@ def test_mark_draws_go_one_chunk_at_a_time(monkeypatch, route):
     unchunked ones within 1e-12 relative, the marks on their counters."""
     import tracemalloc
 
-    from meandense import exact
-
     f = IntensityField("piecewise", pieces=((Box([-2.0, -2.0], [0.5, 3.0]), 2.0),
                                             (Box([0.5, -2.0], [3.0, 3.0]), 0.75)))
     q = MarkDistribution("segment", length=LengthLaw("uniform", lo=0.0, hi=0.7),
                          orientation=OrientationLaw("uniform", dim=2))
-    x, key = [0.25, 0.75], derive_key(41, 0)
+    x, seed = [[0.25, 0.75]], 41
 
     def mean(draws):
         if route == "line":
-            return exact_density(f, q, x, mark_draws=draws, key=key)
-        return hitting_intensity(f, q, x, 0.1, mc_points=draws * 16, mark_draws=draws, key=key)
+            field = density_grid(f, q, x, mark_draws=draws, seed=seed)
+            return field.values[0], field.standard_errors[0]
+        return tuple(v[0, 0] for v in hitting_grid(f, q, x, [0.1], mc_points=draws * 16,
+                                                    mark_draws=draws, seed=seed))
 
     def peak(draws):
         tracemalloc.start()

@@ -18,7 +18,6 @@ from meandense import (
     NumericError,
     OrientationLaw,
     hn_measure,
-    integrate_along,
 )
 from meandense import grains
 from meandense.geometry import Box, as_point, clipped_lengths, segment_distances
@@ -27,7 +26,7 @@ from meandense.grains import (
     mark_segments,
     sausage_integrals,
 )
-from meandense.exact import capacity_probability, exact_density, hitting_intensity
+from meandense.exact import _mark_mean, capacity_grid, hitting_grid
 from meandense.minkowski import _enlarged
 from meandense.poisson import IntensityField
 from meandense.streams import derive_key, skip, uniforms
@@ -139,34 +138,36 @@ def quad_field(coeffs):
     return Field(fn)
 
 
-def test_integrate_along_matches_quad_oracle():
-    g = Grain.segment(np.array([1.0, 1.0]))
+def test_line_integral_matches_quad_oracle():
+    a, b = Grain.segment(np.array([1.0, 1.0])).rows()
     f = quad_field((0.5, -1.0, 2.0))
     # parameterize: y(t) = t * (1, 1), speed sqrt(2)
     oracle, err = integrate.quad(
         lambda t: (0.5 - t + 2.0 * t ** 2 + t ** 2) * math.sqrt(2.0), 0.0, 1.0
     )
-    assert integrate_along(g, f) == pytest.approx(oracle, abs=1e-10)
+    assert line_integrals(a[None], b[None], f, 1)[0] == pytest.approx(oracle, abs=1e-10)
 
 
-def test_integrate_along_polyline_additive():
-    poly = Grain.polyline([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
+def test_line_integral_polyline_additive():
+    a, b = Grain.polyline([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]).rows()
     f = quad_field((1.0, 0.0, 1.0))
-    leg1 = integrate_along(Grain.segment(np.array([1.0, 0.0])), f)
+    sa, sb = Grain.segment(np.array([1.0, 0.0])).rows()
+    leg1 = line_integrals(sa[None], sb[None], f, 1)[0]
     # second leg from (1,0) to (1,1): f = 1 + x^2 + y^2 = 2 + t^2 along it
     leg2, _ = integrate.quad(lambda t: 2.0 + t ** 2, 0.0, 1.0)
-    assert integrate_along(poly, f) == pytest.approx(leg1 + leg2, abs=1e-10)
+    assert line_integrals(a[None], b[None], f, 1)[0] == pytest.approx(leg1 + leg2, abs=1e-10)
 
 
-def test_integrate_along_point_grain_and_errors():
-    g = Grain.point(2)
+def test_line_integral_point_grain_and_errors():
+    a, b = Grain.point(2).rows()
     f = quad_field((3.0, 0.0, 0.0))
-    assert integrate_along(g, f) == pytest.approx(3.0)
+    assert line_integrals(a[None], b[None], f, 0)[0] == pytest.approx(3.0)
     bad = Field(lambda pts: np.full(np.atleast_2d(pts).shape[0], np.nan))
     with pytest.raises(NumericError):
-        integrate_along(g, bad)
+        line_integrals(a[None], b[None], bad, 0)
+    a, b = Grain.segment(np.array([1.0, 0.0])).rows()
     with pytest.raises(NumericError):
-        integrate_along(Grain.segment(np.array([1.0, 0.0])), bad)
+        line_integrals(a[None], b[None], bad, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -674,14 +675,16 @@ def test_sausage_kernel_rejects_fewer_than_two_points():
             with pytest.raises(ConfigurationError, match="mc_points"):
                 sausage_integrals(a, b, f, 1.0, 1, derive_key(0, 0))
     assert sizes == []
+    a, b = Grain.segment([1.0, 0.0]).rows()
     with pytest.raises(ConfigurationError, match="mc_points"):
-        grains.sausage_integral(Grain.segment([1.0, 0.0]), MonteCarloField(IntensityField(
-            "constant", c=1.0)), 0.2, 1, derive_key(0, 0))
+        sausage_integrals(a[None], b[None], MonteCarloField(IntensityField("constant", c=1.0)),
+                          0.2, 1, derive_key(0, 0))
 
 
 def test_mark_mean_reads_the_documented_counters():
-    """exact_density and hitting_intensity under a random law equal, to
-    the bit, the scalar reference on the documented counters of the key:
+    """The Monte Carlo mark mean of the line and the sausage integral
+    under a random law equals, to the bit, the scalar reference on the
+    documented counters of the key:
     column c of mark k at counter k U + c, then, for the Monte Carlo
     sausages, coordinate c of proposal j of mark k at counter
     K U + (k m + j) d + c, m = max(16, mc_points // K) per mark."""
@@ -692,13 +695,12 @@ def test_mark_mean_reads_the_documented_counters():
                   for k in range(draws)])
     a, b = mark_segments(q, u)
     vals = line_integrals(x - a, x - b, f, 1)
-    assert exact_density(f, q, x, mark_draws=draws, key=key) == (
+    assert _mark_mean((f, q, x, None, 0, draws, key)) == (
         float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(draws)))
     vals = np.array([_reference_sausage((x - ak, x - bk), MonteCarloField(f), 0.3, per_mark,
                                         int(skip(key, u.size)[0]), k * per_mark)[0]
                      for k, (ak, bk) in enumerate(zip(a, b))])
-    assert hitting_intensity(MonteCarloField(f), q, x, 0.3, mc_points=draws * per_mark,
-                             mark_draws=draws, key=key) == (
+    assert _mark_mean((MonteCarloField(f), q, x, 0.3, draws * per_mark, draws, key)) == (
         float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(draws)))
 
 
@@ -864,7 +866,8 @@ def test_piecewise_field_without_pieces_states_no_split():
     """A piecewise field with no piece is 0 everywhere and splits no row."""
     f = IntensityField("piecewise", pieces=())
     assert f.splits(np.zeros((1, 1, 2)), np.ones((1, 1, 2))) is None
-    assert integrate_along(Grain.segment([1.0, 0.0]), f) == 0.0
+    a, b = Grain.segment([1.0, 0.0]).rows()
+    assert line_integrals(a[None], b[None], f, 1)[0] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -916,7 +919,8 @@ def test_sausage_cubature_closed_forms(d, length, r):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_point_grain_sausage_is_the_ball(d):
-    est, se = grains.sausage_integral(Grain.point(d), IntensityField("constant", c=2.0),
+    a, b = Grain.point(d).rows()
+    (est,), (se,) = sausage_integrals(a[None], b[None], IntensityField("constant", c=2.0),
                                       0.3, 10, None)
     assert se == 0.0
     assert abs(est - 2.0 * BALL_VOLUME[d] * 0.3 ** d) <= 1e-12 * est
@@ -1071,7 +1075,7 @@ def test_moment_rule_is_inf_where_the_field_overflows(d):
     est, se = sausage_integrals(a, b, ShiftedField(f, x), 0.2, 10, None)
     assert est.tolist() == [math.inf, math.inf] and se.tolist() == [0.0, 0.0]
     unit = MarkDistribution("deterministic", grain=Grain.segment(np.eye(d)[0]))
-    assert capacity_probability(f, unit, x, 0.2) == (1.0, 0.0)
+    assert tuple(v[0, 0] for v in capacity_grid(f, unit, [x], [0.2])) == (1.0, 0.0)
 
 
 @pytest.mark.parametrize("field", ["constant", "quadratic", "affine"])
@@ -1107,30 +1111,29 @@ def test_sausage_cubature_makes_no_draw():
     mark_draws (0 included), and no key needed."""
     unit = MarkDistribution("deterministic", grain=Grain.segment([1.0, 0.0]))
     f = IntensityField("quadratic")
-    key = derive_key(8, 0)
     with _recording_uniforms() as sizes:
-        _, se = capacity_probability(f, unit, [0.2, 0.1], 0.1, mc_points=50_000, key=key)
-        est, _ = hitting_intensity(f, unit, [0.0, 0.0], 0.5, mc_points=100 * 64, mark_draws=100,
-                                   key=key)
-        assert sizes == [] and se == 0.0 and est > 0.0
-        for stream in (key, None):
-            assert hitting_intensity(f, unit, [0.0, 0.0], 0.5, mark_draws=0,
-                                     key=stream) == (est, 0.0)
+        _, se = capacity_grid(f, unit, [[0.2, 0.1]], [0.1], mc_points=50_000, seed=8)
+        est, _ = hitting_grid(f, unit, [[0.0, 0.0]], [0.5], mc_points=100 * 64, mark_draws=100,
+                              seed=8)
+        assert sizes == [] and se[0, 0] == 0.0 and est[0, 0] > 0.0
+        lam = hitting_grid(f, unit, [[0.0, 0.0]], [0.5], mark_draws=0, seed=8)
+        assert tuple(v[0, 0] for v in lam) == (est[0, 0], 0.0)
+        assert _mark_mean((f, unit, np.zeros(2), 0.5, 200_000, 0, None)) == (est[0, 0], 0.0)
         assert sizes == []
         # the same calls on a field without the polynomial statement draw
-        capacity_probability(MonteCarloField(f), unit, [0.2, 0.1], 0.1, mc_points=50_000,
-                             key=key)
+        capacity_grid(MonteCarloField(f), unit, [[0.2, 0.1]], [0.1], mc_points=50_000, seed=8)
         assert sizes == [50_000 * 2]
 
 
 def test_clipped_affine_field_falls_back_to_monte_carlo():
     """max(0, y1) changes sign inside the unit segment's sausage: the kernel
     draws, bit for bit as for a field that makes no polynomial statement."""
-    g = Grain.segment([1.0, 0.0])
+    a, b = Grain.segment([1.0, 0.0]).rows()
     clipped = IntensityField("affine", a=0.0, b=[1.0, 0.0])
-    est, se = grains.sausage_integral(g, clipped, 0.2, 30_000, derive_key(9, 0))
-    ref = grains.sausage_integral(g, MonteCarloField(clipped), 0.2, 30_000, derive_key(9, 0))
-    assert (est, se) == ref and se > 0.0
+    (est,), (se,) = sausage_integrals(a[None], b[None], clipped, 0.2, 30_000, derive_key(9, 0))
+    ref = sausage_integrals(a[None], b[None], MonteCarloField(clipped), 0.2, 30_000,
+                            derive_key(9, 0))
+    assert (est, se) == (ref[0][0], ref[1][0]) and se > 0.0
     # shifted to where it is positive on the whole sausage, it is exact
     shifted = IntensityField("affine", a=0.5, b=[1.0, 0.0])
-    assert grains.sausage_integral(g, shifted, 0.2, 30_000, None)[1] == 0.0
+    assert sausage_integrals(a[None], b[None], shifted, 0.2, 30_000, None)[1][0] == 0.0

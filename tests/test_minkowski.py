@@ -12,10 +12,10 @@ from meandense import (
     Grain,
     IntensityField,
     content_limit,
-    sausage_integral,
 )
 from meandense.cli import main
 from meandense.geometry import ball_volume
+from meandense.grains import sausage_integrals
 from meandense.minkowski import limit_diagnostics, ratio_bound
 from meandense.streams import derive_key
 
@@ -33,27 +33,30 @@ QUADRATIC = IntensityField("quadratic")
 UNIT_SEGMENT = Grain.segment(np.array([1.0, 0.0]))
 
 
-def test_sausage_integral_matches_stadium_area():
+def test_sausage_integrals_matches_stadium_area():
     # f ≡ 1 on a unit segment: area = 2r + πr² exactly
+    a, b = UNIT_SEGMENT.rows()
     for r in (0.2, 0.05):
-        est, se = sausage_integral(UNIT_SEGMENT, MonteCarloField(CONSTANT), r, 400_000,
-                                   derive_key(0, 0))
+        (est,), (se,) = sausage_integrals(a[None], b[None], MonteCarloField(CONSTANT), r,
+                                          400_000, derive_key(0, 0))
         expected = 2 * r + math.pi * r * r
         assert se > 0.0
         assert abs(est - expected) < 3.5 * se
 
 
-def test_sausage_integral_point_grain_ball():
+def test_sausage_integrals_point_grain_ball():
     # point grain: the sausage is the ball itself
-    g = Grain.point(2)
-    est, se = sausage_integral(g, MonteCarloField(CONSTANT), 0.3, 200_000, derive_key(1, 0))
+    a, b = Grain.point(2).rows()
+    (est,), (se,) = sausage_integrals(a[None], b[None], MonteCarloField(CONSTANT), 0.3, 200_000,
+                                      derive_key(1, 0))
     assert abs(est - math.pi * 0.09) < 3.5 * se
 
 
-def test_sausage_integral_radius_validation():
+def test_sausage_integrals_radius_validation():
+    a, b = UNIT_SEGMENT.rows()
     for r in (0.0, -0.5, 2.0):
         with pytest.raises(ConfigurationError):
-            sausage_integral(UNIT_SEGMENT, CONSTANT, r, 100, derive_key(0, 0))
+            sausage_integrals(a[None], b[None], CONSTANT, r, 100, derive_key(0, 0))
 
 
 def test_content_limit_constant_intensity():
@@ -113,6 +116,41 @@ def test_content_limit_thread_invariance():
                         seed=5, threads=3)
     assert np.array_equal(one.ratios, two.ratios)
     assert one.limit_estimate == two.limit_estimate
+
+
+@pytest.mark.parametrize("shape, f, cubature", [
+    (Grain.segment([0.8, 0.3]), IntensityField("affine", a=2.0, b=[1.0, -0.5]), True),
+    (Grain.polyline([[0.0, 0.0, 0.0], [0.6, 0.0, 0.0], [0.6, 0.5, 0.2]]),
+     IntensityField("affine", a=2.0, b=[1.0, -0.5, 0.25]), False),
+], ids=["segment_2d_cubature", "polyline_3d_monte_carlo"])
+def test_content_limit_is_hitting_grid_on_the_reflected_grain(
+        always_pool, two_cpus, pools, shape, f, cubature):
+    """content_limit's ∫_{S⊕r} f is Λ at the origin for the reflected grain
+    -S: under an affine field, which is not symmetric, each ratio is the
+    sausage integral over S's own rows on key derive_key(seed, i) divided
+    by b_{d-n} r^{d-n}, bit for bit, and S's mirror image gives other
+    values.  A forced pool runs one mark-mean task per radius on -S off
+    the cubature and none on it, and changes no bit."""
+    radii, seed, mc_points = [0.2, 0.1, 0.05], 11, 2000
+    a, b = shape.rows()
+    one = content_limit(shape, f, radii, mc_points, seed=seed, threads=1)
+    assert pools == [] and (one.ratio_ses == 0.0).all() == cubature
+    for i, r in enumerate(radii):
+        norm = ball_volume(shape.dim - shape.n, r)
+        (est,), (se,) = sausage_integrals(a[None], b[None], f, r, mc_points, derive_key(seed, i))
+        assert (one.ratios[i], one.ratio_ses[i]) == (est / norm, se / norm)
+        (mirror,), _ = sausage_integrals(-a[None], -b[None], f, r, mc_points, derive_key(seed, i))
+        assert mirror != est
+    two = content_limit(shape, f, radii, mc_points, seed=seed, threads=2)
+    assert np.array_equal(one.ratios, two.ratios)
+    assert np.array_equal(one.ratio_ses, two.ratio_ses)
+    if cubature:
+        assert pools == []
+    else:  # one pool, one (f, q, x, r, ...) task per radius on q = -S
+        assert [p["workers"] for p in pools] == [2]
+        tasks = pools[0]["tasks"]
+        assert [task[3] for task in tasks] == radii
+        assert all(np.array_equal(task[1].grain.vertices, -shape.vertices) for task in tasks)
 
 
 def test_ratio_bound_formula():

@@ -1,17 +1,10 @@
 """Worker pools: thread requests are validated and clamped before any pool
 starts, and a pool starts only where the tasks can pay for it."""
 
-import os
-
 import pytest
 
 from meandense import ConfigurationError, parallel
 from meandense.parallel import parallel_map, pool_size, usable_cpus
-
-
-@pytest.fixture
-def two_cpus(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
 
 def test_pool_size_is_clamped_to_tasks_and_cpus(two_cpus):
@@ -52,31 +45,6 @@ def clock(monkeypatch):
     fake = FakeClock()
     monkeypatch.setattr(parallel, "perf_counter", fake)
     return fake
-
-
-@pytest.fixture
-def pools(monkeypatch):
-    """Stand-in for ProcessPoolExecutor that runs in-process; records the
-    size of every pool started and the tasks it was given."""
-    started = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            self.record = {"workers": max_workers, "tasks": []}
-            started.append(self.record)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks, chunksize=1):
-            self.record["tasks"] = list(tasks)
-            return map(fn, tasks)
-
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", RecordingPool)
-    return started
 
 
 def test_parallel_map_starts_the_clamped_pool(two_cpus, clock, pools):

@@ -15,8 +15,8 @@ from meandense import (
     LengthLaw,
     MarkDistribution,
     OrientationLaw,
-    hitting_intensity,
     accumulate_hits,
+    hitting_grid,
     sample_block,
 )
 from meandense.cli import _realization_csv, _write_csv
@@ -429,31 +429,29 @@ def test_sample_germs_spatial_density_follows_f():
 # finiteness of the hitting intensity at the origin
 
 
-def test_check_finiteness_matches_stadium_area():
+def test_hitting_grid_at_origin_matches_stadium_area():
     # constant f = 1, deterministic unit segment: the sausage integral is
     # the stadium area 2 l r + π r²
     f = IntensityField("constant", c=1.0)
-    est, _ = hitting_intensity(
-        f, UNIT_SEGMENT, [0.0, 0.0], 1.0, mc_points=2000 * 64, mark_draws=2000,
-        key=derive_key(0, 0),
-    )
+    est = hitting_grid(f, UNIT_SEGMENT, [[0.0, 0.0]], [1.0], mc_points=2000 * 64,
+                       mark_draws=2000, seed=0)[0][0, 0]
     assert math.isfinite(est)
     assert est == pytest.approx(2.0 + math.pi, rel=0.02)
 
 
-def test_check_finiteness_point_grain():
+def test_hitting_grid_at_origin_point_grain():
     f = IntensityField("constant", c=2.0)
     q = MarkDistribution("deterministic", grain=Grain.point(2))
-    est, _ = hitting_intensity(f, q, [0.0, 0.0], 0.5, mc_points=500 * 64, mark_draws=500,
-                               key=derive_key(1, 0))
+    est = hitting_grid(f, q, [[0.0, 0.0]], [0.5], mc_points=500 * 64, mark_draws=500,
+                       seed=1)[0][0, 0]
     assert math.isfinite(est)
     assert est == pytest.approx(2.0 * math.pi * 0.25, rel=0.05)
 
 
-def test_check_finiteness_random_marks():
+def test_hitting_grid_at_origin_random_marks():
     f = IntensityField("constant", c=1.0)
-    est, _ = hitting_intensity(f, RANDOM_SEGMENTS, [0.0, 0.0], 0.1, mc_points=4000 * 64,
-                               mark_draws=4000, key=derive_key(2, 0))
+    est = hitting_grid(f, RANDOM_SEGMENTS, [[0.0, 0.0]], [0.1], mc_points=4000 * 64,
+                       mark_draws=4000, seed=2)[0][0, 0]
     # E[2 L r + π r²] with E[L] = 1
     assert math.isfinite(est)
     assert est == pytest.approx(0.2 + math.pi * 0.01, rel=0.05)

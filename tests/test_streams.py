@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 import meandense
 from meandense import (Box, ConfigurationError, Grain, IntensityField, LengthLaw,
-                       MarkDistribution, OrientationLaw, exact_density, sausage_integral)
+                       MarkDistribution, OrientationLaw)
+from meandense.exact import _mark_mean
+from meandense.grains import sausage_integrals
 from meandense.streams import block_keys, derive_key, uniforms
 
 MASK = (1 << 64) - 1
@@ -92,10 +94,10 @@ def test_out_of_range_key_is_rejected(key):
                          orientation=OrientationLaw("uniform", dim=2))
     with pytest.raises(ConfigurationError, match="stream key must lie in"):
         piecewise = IntensityField("piecewise", pieces=((Box([-2.0, -2.0], [2.0, 2.0]), 1.0),))
-        exact_density(piecewise, q, [0.0, 0.0], mark_draws=10, key=key)
+        _mark_mean((piecewise, q, np.zeros(2), None, 0, 10, key))
+    a, b = Grain.polyline([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]).rows()
     with pytest.raises(ConfigurationError, match="stream key must lie in"):
-        sausage_integral(Grain.polyline([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]),
-                         IntensityField("constant", c=1.0), 0.1, 100, key)
+        sausage_integrals(a[None], b[None], IntensityField("constant", c=1.0), 0.1, 100, key)
 
 
 def test_uniforms_are_the_only_random_source():

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Run the CLI on 42 (sub-command, bundled config) pairs at --threads 1 and
+# Run the CLI on 47 (sub-command, bundled config) pairs at --threads 1 and
 # 2, with RuntimeWarnings as errors, and check that every CSV is
 # byte-identical across the two thread counts.  segment_quadratic.cfg sets
 # no r, so its estimate pair is the one that runs the bandwidth radius
@@ -8,7 +8,10 @@
 # estimate lattice_3d.cfg runs the hit kernel's lattice arithmetic in
 # d = 3.  trunc_exp_segment.cfg is the one truncated-exponential length
 # law: its inversion draws the lengths, its Golub-Welsch rule the exact
-# route's and the oracle's marks.
+# route's and the oracle's marks.  polyline_3d.cfg is a polyline in d = 3
+# under an affine field, which is not symmetric: the oracle and the
+# Minkowski route run Monte Carlo sausages in space, and a Minkowski ratio
+# that missed the reflection of the grain would change.
 # parallel_map starts a pool only for work that can pay for one, so most
 # --threads 2 runs here stay in-process; the tier-1 thread-invariance
 # tests (criterion 11 and test_accumulate_hits_thread_invariance) force a
@@ -56,10 +59,11 @@ pairs() {  # one "sub-command config" line per pair
     "oracle stationary_segment.cfg" "oracle segment_quadratic.cfg" \
     "oracle minkowski_segment.cfg" "simulate stationary_segment.cfg" \
     "estimate lattice_3d.cfg"
-  # a polyline under a piecewise field (Monte Carlo sausages), spatial
-  # point grains, and the line (d = 1) with the paper's n = 0 histogram
-  # case, on every sub-command that applies
-  for cfg in polyline_piecewise.cfg point_quadratic.cfg points_1d.cfg; do
+  # a polyline under a piecewise field (Monte Carlo sausages), a polyline
+  # in space under an affine field, spatial point grains, and the line
+  # (d = 1) with the paper's n = 0 histogram case, on every sub-command
+  # that applies
+  for cfg in polyline_piecewise.cfg polyline_3d.cfg point_quadratic.cfg points_1d.cfg; do
     for cmd in exact estimate oracle minkowski simulate; do echo "$cmd $cfg"; done
   done
   # random segment lengths under a piecewise field (mark Monte Carlo in
