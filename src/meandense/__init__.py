@@ -7,7 +7,7 @@ empirical capacity functional of simulated realizations, and the weighted
 Minkowski-content limit of sausage integrals.
 """
 
-__version__ = "0.6.0"
+__version__ = "0.6.1"
 
 from .boolean import measure_in_region
 from .config import ScenarioConfig, parse_config
@@ -21,7 +21,6 @@ from .estimate import (
     histogram_reduction,
 )
 from .exact import (
-    DensityField,
     analytic_segment_density,
     capacity_grid,
     density_grid,

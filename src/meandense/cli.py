@@ -90,13 +90,13 @@ def _realization_csv(points, a, b, n: int) -> tuple[list[str], list[list]]:
 
 def run_exact(cfg: ScenarioConfig, seed: int, threads: int, out_dir: Path):
     grid = cfg.grid_points()
-    field = density_grid(
+    values, ses, methods = density_grid(
         cfg.intensity, cfg.marks, grid,
         mark_draws=cfg.mark_draws, seed=seed, threads=threads,
     )
     header = [f"x{k + 1}" for k in range(cfg.d)] + ["value", "standard_error", "method"]
     _write_csv(out_dir, "exact.csv", header, [
-        [*x, v, se, field.method] for x, v, se in zip(grid, field.values, field.standard_errors)
+        [*x, v, se, method] for x, v, se, method in zip(grid, values, ses, methods)
     ])
 
 

@@ -220,7 +220,7 @@ def convergence_study(
     if len(radii) != len(n_grid) or not all(0.0 < r < 2.0 for r in radii):
         raise ConfigurationError(f"radii: need one in (0, 2) per sample size, got {radii}")
 
-    exact = density_grid(
+    exact, _, _ = density_grid(
         f, q, xs, mark_draws=mark_draws, seed=seed ^ _EXACT_STREAM_SALT, threads=threads
     )
     rows = []
@@ -239,11 +239,11 @@ def convergence_study(
             if inside.any():
                 cell = region.volume / int(inside.sum())
                 region_hat = math.fsum(lam_hats.mean(axis=0)[inside]) * cell
-                region_exact = math.fsum(exact.values[inside]) * cell
+                region_exact = math.fsum(exact[inside]) * cell
         for i in range(xs.shape[0]):
             vals = lam_hats[:, i]
             mean = math.fsum(vals) / replications
-            lam = exact.values[i]
+            lam = exact[i]
             rows.append(
                 {
                     "x": xs[i],

@@ -5,10 +5,10 @@ f(x - .) over the typical grain, E_Q[∫_{Z_0} f(x - y) H^n(dy)].  The
 finite-radius route evaluates the Poisson void probability
 P(x in Θ⊕r) = 1 - exp(-Λ(sausage)) with Λ = E_Q[∫_{Z_0⊕r} f(x - y) dy].
 Both are mark means of one kernel on the translated rows x - a, x - b
-against f itself, since ∫_{Z⊕r} f(x - y) dy = ∫_{(x - Z)⊕r} f.  Where the
-rule of `grains.mark_rule` is exact (`_rule_holds`) the mean is its
-weighted sum, one kernel call for all (point, node) rows of a grid, SE 0;
-elsewhere `_mark_mean` takes the Monte Carlo mean per point on its key.
+against f itself, since ∫_{Z⊕r} f(x - y) dy = ∫_{(x - Z)⊕r} f.  Each
+(point, radius) cell where the rule of `grains.mark_rule` is exact for it
+alone takes the rule's weighted sum, one kernel call for a radius's rule
+cells, SE 0; every other cell the `_mark_mean` Monte Carlo on its key.
 Each integral has one call, over a grid of points: `density_grid` for the
 line integral and `hitting_grid` for Λ, of which `capacity_grid` is
 1 - exp(-Λ) and `minkowski.content_limit` reads the reflected grain's Λ
@@ -18,12 +18,12 @@ at the origin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigurationError, NumericError
-from .geometry import Box, as_point
+from .geometry import as_point
 from .grains import MarkDistribution, line_integrals, mark_rule, mark_segments, sausage_integrals
 from .parallel import parallel_map
 from .streams import block_keys, skip, uniforms
@@ -33,13 +33,12 @@ from .streams import block_keys, skip, uniforms
 MARK_CHUNK = 10_000
 
 
-@dataclass(eq=False)
-class DensityField:
-    """Exact or estimated density values at the points of a grid, in order."""
+class _Densities(NamedTuple):
+    """density_grid's values, SEs and methods at the grid's points, in order."""
 
-    values: np.ndarray          # (m,)
+    values: np.ndarray           # (m,)
     standard_errors: np.ndarray  # (m,)
-    method: str
+    methods: np.ndarray          # (m,) labels
 
 
 def _kernel(f, n: int, r: float | None, mc_points: int):
@@ -57,25 +56,12 @@ def _kernel(f, n: int, r: float | None, mc_points: int):
     return line
 
 
-def _rule_holds(f, q: MarkDistribution, grid: np.ndarray, r: float | None) -> bool:
-    """Whether mark_rule(q) is exact at every point of the grid: for the
-    line kernel under a deterministic law, and where f states that it is a
-    polynomial of degree <= 2 on the box grid ± (l_max + r) that the marks
-    reach, the sausage kernel needing one segment row per grain."""
-    if r is None and q.is_deterministic:
-        return True
-    statement = getattr(f, "polynomial_on", None)
-    if statement is None or (r is not None and q.segments > 1):
-        return False
-    reach = q.l_max + (r or 0.0)
-    return bool(statement(Box(grid.min(axis=0) - reach, grid.max(axis=0) + reach)))
-
-
-def _rule_means(integrate, q: MarkDistribution, grid: np.ndarray) -> np.ndarray:
-    """Σ_k w_k integrate(x - a_k, x - b_k) over mark_rule(q) at every point
-    x of the grid, one call per MARK_CHUNK (point, node) rows.  A
-    NumericError names the first point whose own rows raise it."""
-    a, b, w = mark_rule(q)
+def _rule_means(integrate, rule, grid: np.ndarray) -> np.ndarray:
+    """Σ_k w_k integrate(x - a_k, x - b_k) over the rows and weights
+    (a, b, w) of mark_rule at every point x of the grid, one call per
+    MARK_CHUNK (point, node) rows.  A NumericError names the first point
+    whose own rows raise it."""
+    a, b, w = rule
     per_call = max(1, MARK_CHUNK // len(w))
     out = np.empty(len(grid))
     for i in range(0, len(grid), per_call):
@@ -128,29 +114,41 @@ def _mark_mean(args) -> tuple[float, float]:
 
 
 def _means(f, q: MarkDistribution, grid, radii, mc_points: int, mark_draws: int, keys,
-           threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Mark means and SEs, each (m, R), of the line (radius None) or
-    sausage integral at every (point, radius) cell: _rule_means at a
-    radius where _rule_holds on the grid, else a _mark_mean task per cell,
-    cell (i, j) on keys[i][j], so no value depends on the thread count."""
+           threads: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mark means, SEs and whether mark_rule(q) gave them, each (m, R), of
+    the line (radius None) or sausage integral at every (point, radius)
+    cell.  The rule holds for cell (i, j) by itself: for the line kernel
+    under a deterministic law, and where f states that it is a polynomial
+    of degree <= 2 on the box x_i ± (l_max + r_j) that the cell's grains
+    reach, the sausage kernel needing one segment row per grain.  Other
+    cells are _mark_mean tasks on keys[i][j]: no value depends on another
+    cell or on the thread count."""
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     if grid.shape[1] != q.dim or not np.all(np.isfinite(grid)):
         raise ConfigurationError(f"points must be finite and of dimension {q.dim}")
+    if not len(grid):
+        raise ConfigurationError("grid: need at least one point")
+    if not radii:
+        raise ConfigurationError("radii: need at least one radius")
     if any(r is not None and not 0.0 < r < 2.0 for r in radii):
         raise ConfigurationError("radius must lie in (0, 2)")
     if not q.is_deterministic and mark_draws < 2:  # also where the rule draws none
         raise ConfigurationError("mark_draws must be at least 2 for a standard error")
-    values, ses = np.empty((len(grid), len(radii))), np.zeros((len(grid), len(radii)))
-    cells = []
+    line = radii[0] is None
+    on_rule = np.full((len(grid), len(radii)), line and q.is_deterministic)
+    statement = getattr(f, "polynomial_on", None)
+    if statement is not None and not on_rule.all() and (line or q.segments == 1):
+        reach = q.l_max + np.array([r or 0.0 for r in radii])[:, None]
+        on_rule = statement(grid[:, None] - reach, grid[:, None] + reach)
+    values, ses, rule = np.empty(on_rule.shape), np.zeros(on_rule.shape), mark_rule(q)
     for j, r in enumerate(radii):
-        if _rule_holds(f, q, grid, r):
-            values[:, j] = _rule_means(_kernel(f, q.n, r, mc_points), q, grid)
-        else:
-            cells += [(i, j) for i in range(len(grid))]
+        on = on_rule[:, j]
+        values[on, j] = _rule_means(_kernel(f, q.n, r, mc_points), rule, grid[on])
+    cells = np.argwhere(~on_rule).tolist()
     tasks = [(f, q, grid[i], radii[j], mc_points, mark_draws, keys[i][j]) for i, j in cells]
     for (i, j), (v, s) in zip(cells, parallel_map(_mark_mean, tasks, threads)):
         values[i, j], ses[i, j] = v, s
-    return values, ses
+    return values, ses, on_rule
 
 
 def analytic_segment_density(el: float, el3: float, x) -> float:
@@ -166,11 +164,11 @@ def hitting_grid(f, q: MarkDistribution, grid, radii, mc_points: int = 200_000,
     """Λ = E_Q[∫_{Z_0⊕r} f(x - y) dy], the mean number of germs whose grain
     meets the closed ball B_r(x), with its SE at every (point i, radius j)
     cell, each (m, R), finite at the origin under the hitting-intensity
-    condition: one sausage kernel call per radius where the mark rule
-    holds, else cell (i, j) on derive_key(seed, i R + j)."""
+    condition: the cells on the mark rule exact (SE 0), every other cell
+    (i, j) on derive_key(seed, i R + j)."""
     grid, radii = np.atleast_2d(np.asarray(grid, dtype=float)), [float(r) for r in radii]
-    keys = block_keys(seed, 0, len(grid) * len(radii)).reshape(len(grid), -1).tolist()
-    return _means(f, q, grid, radii, mc_points, mark_draws, keys, threads)
+    keys = block_keys(seed, 0, len(grid) * len(radii)).reshape(len(grid), len(radii)).tolist()
+    return _means(f, q, grid, radii, mc_points, mark_draws, keys, threads)[:2]
 
 
 def capacity_grid(f, q: MarkDistribution, grid, radii, mc_points: int = 200_000,
@@ -190,18 +188,15 @@ def density_grid(
     mark_draws: int = 2000,
     seed: int = 0,
     threads: int = 1,
-) -> DensityField:
-    """The mean density and its SE at every point of the grid: exact (SE
-    0) by one line kernel call per MARK_CHUNK (point, node) rows where the
-    mark rule holds, else the Monte Carlo mark mean of point i on
-    derive_key(seed, i), so results are thread-count invariant."""
+) -> _Densities:
+    """(values, standard_errors, methods) of the mean density at the grid's
+    points: `exact_quadrature` under a deterministic law, else
+    `exact_quadrature_mark_rule` (SE 0) where the mark rule holds at the
+    point and `exact_quadrature_mark_mc`, the Monte Carlo mark mean of
+    point i on derive_key(seed, i), elsewhere; thread-count invariant."""
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    keys = block_keys(seed, 0, len(grid)).reshape(-1, 1).tolist()
-    values, ses = _means(f, q, grid, [None], 0, mark_draws, keys, threads)
-    if q.is_deterministic:
-        method = "exact_quadrature"
-    elif _rule_holds(f, q, grid, None):
-        method = "exact_quadrature_mark_rule"
-    else:
-        method = "exact_quadrature_mark_mc"
-    return DensityField(values[:, 0], ses[:, 0], method)
+    keys = block_keys(seed, 0, len(grid)).reshape(len(grid), 1).tolist()
+    values, ses, on_rule = _means(f, q, grid, [None], 0, mark_draws, keys, threads)
+    rule = "exact_quadrature" if q.is_deterministic else "exact_quadrature_mark_rule"
+    return _Densities(values[:, 0], ses[:, 0],
+                     np.where(on_rule[:, 0], rule, "exact_quadrature_mark_mc"))

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NumericError
-from .geometry import Box, as_point, ball_volume, segment_distances
+from .geometry import as_point, ball_volume, segment_distances
 from .streams import skip, uniforms
 
 QUADRATURE_ORDER = 8  # Gauss-Legendre nodes per piece of a row
@@ -208,9 +208,9 @@ def sausage_integrals(
     each of K grains, given as segment rows a, b of shape (K, s, d).
 
     When every grain is one segment row and h states that it is a
-    polynomial of degree <= 2 on the sausages' bounding box
-    (`h.polynomial_on(box)`), the integrals are exact cubature: no draw,
-    SE 0.  Otherwise grain k gets `mc_points` (at least 2) uniform
+    polynomial of degree <= 2 on each grain's r-dilated bounding box
+    (`h.polynomial_on(lo, hi)`), the integrals are exact cubature: no
+    draw, SE 0.  Otherwise grain k gets `mc_points` (at least 2) uniform
     proposals on its bounding box dilated by r, coordinate c of proposal j
     on counter (k mc_points + j) d + c of `key`.  A chunk holds whole
     grains or a piece of one, at most SAUSAGE_CHUNK // s proposals, each
@@ -224,8 +224,7 @@ def sausage_integrals(
     lo = np.minimum(a.min(axis=1), b.min(axis=1)) - r
     hi = np.maximum(a.max(axis=1), b.max(axis=1)) + r
     statement = getattr(h, "polynomial_on", None)
-    if (segments == 1 and n_grains and statement
-            and statement(Box(lo.min(axis=0), hi.max(axis=0)))):
+    if segments == 1 and statement and np.all(statement(lo, hi)):
         return _sausage_cubature(a[:, 0], b[:, 0], h, r), np.zeros(n_grains)
     if key is None:
         raise ConfigurationError("Monte Carlo sausage integral needs a random stream")

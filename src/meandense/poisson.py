@@ -4,10 +4,10 @@ The intensity measure factorizes as f(y) dy ⊗ Q(ds): germ locations follow
 an inhomogeneous Poisson process with density f and every germ carries an
 independent mark.  A field is anything with `values(pts)`, its values at
 the rows of an (m, d) array, and `sup(box)`, an upper bound on a box;
-it may also state `polynomial_on(box)`, which lets the sausage kernel
-integrate it exactly, and `splits(a, b)`, where it is not smooth along
-segment rows, which keeps the line kernel exact.  `IntensityField` is the
-one implementation.
+it may also state `polynomial_on(lo, hi)` per box of corners (..., d),
+which lets the mark rule and the sausage kernel integrate it exactly,
+and `splits(a, b)`, where it is not smooth along segment rows, which
+keeps the line kernel exact.  `IntensityField` is the one implementation.
 Thinning (acceptance-rejection against the box bound) is exact for any
 bounded f.  `sample_block` is the one replicate draw: a block of
 replicates, each on counter-based uniforms of its own key, as arrays of
@@ -95,13 +95,14 @@ class IntensityField:
                 vals.append(val)
         return float(max(vals))
 
-    def polynomial_on(self, box: Box) -> bool:
-        """True when f is a polynomial of degree <= 2 on the box: constant
-        and quadratic always, affine when positive at every corner (its
+    def polynomial_on(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Whether f is a polynomial of degree <= 2 on each box of corners
+        lo, hi (..., d), shape (...): constant and quadratic always, affine
+        where a + Σ_k min(b_k lo_k, b_k hi_k) > 0, at its lowest corner (its
         clip at 0 is inactive there), piecewise never."""
         if self.kind == "affine":
-            return bool(np.all(self.a + box.corners() @ self.b > 0.0))
-        return self.kind in ("constant", "quadratic")
+            return self.a + np.minimum(lo * self.b, hi * self.b).sum(axis=-1) > 0.0
+        return np.full(np.shape(lo)[:-1], self.kind in ("constant", "quadratic"))
 
     def splits(self, a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
         """Parameters t, shape (..., m), of the rows a + t (b - a), shape

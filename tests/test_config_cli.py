@@ -229,9 +229,10 @@ def write_cfg(tmp_path, text, name="scenario.cfg"):
     return str(path)
 
 
-# The 0.2.0 CSV writers, copied as references: DensityField.to_csv,
-# MinkowskiRun.to_csv, MarkedGermSample.to_csv and the CLI's estimate,
-# study and oracle loops, each applied to the library results of a run.
+# The 0.2.0 CSV writers, copied as references: DensityField.to_csv (its
+# method now read per row), MinkowskiRun.to_csv, MarkedGermSample.to_csv
+# and the CLI's estimate, study and oracle loops, each applied to the
+# library results of a run.
 
 
 def _coord_header(d: int) -> str:
@@ -242,9 +243,9 @@ def exact_csv_020(grid, field) -> str:
     d = grid.shape[1]
     cols = ",".join(f"x{k + 1}" for k in range(d))
     out = f"{cols},value,standard_error,method\n"
-    for pt, v, se in zip(grid, field.values, field.standard_errors):
+    for pt, v, se, method in zip(grid, *field):
         coords = ",".join(repr(float(c)) for c in pt)
-        out += f"{coords},{float(v)!r},{float(se)!r},{field.method}\n"
+        out += f"{coords},{float(v)!r},{float(se)!r},{method}\n"
     return out
 
 

@@ -269,8 +269,8 @@ def test_mark_means_at_origin_equal_former_finiteness_check(d, field, law):
     one grain), equal within 1e-15 relative."""
     q = _finiteness_law(law, d)
     draws, per_mark = 50, 64
-    est, est_se = (v[0, 0] for v in exact._means(field, q, np.zeros((1, d)), [0.3],
-                                                 draws * per_mark, draws, [[derive_key(21, d)]]))
+    est, est_se, _ = (v[0, 0] for v in exact._means(field, q, np.zeros((1, d)), [0.3],
+                                                    draws * per_mark, draws, [[derive_key(21, d)]]))
     ref, ref_se = _former_check_finiteness(field, q, 0.3, derive_key(21, d), draws, per_mark)
     if q.is_deterministic:
         assert abs(est - ref) <= 1e-15 * abs(ref)
@@ -305,6 +305,28 @@ def test_hitting_grid_refusals():
         sausage_integrals(a[None], b[None], MonteCarloField(CONSTANT), 0.1, 100, None)
 
 
+def test_grid_calls_refuse_empty_inputs(monkeypatch):
+    """An empty grid or radius list is a ConfigurationError, not a numpy
+    error or an empty result, and no key is derived for it."""
+    derived, block_keys = [], exact.block_keys
+
+    def counting(seed, start, stop):
+        derived.append(stop - start)
+        return block_keys(seed, start, stop)
+
+    monkeypatch.setattr(exact, "block_keys", counting)
+    empty = np.empty((0, 2))
+    for call in (lambda: density_grid(QUADRATIC, UNIFORM_SEGMENTS, empty),
+                 lambda: hitting_grid(QUADRATIC, UNIFORM_SEGMENTS, empty, [0.1]),
+                 lambda: capacity_grid(QUADRATIC, UNIFORM_SEGMENTS, empty, [0.1])):
+        with pytest.raises(ConfigurationError, match="grid: need at least one point"):
+            call()
+    for f in (QUADRATIC, MonteCarloField(QUADRATIC)):
+        with pytest.raises(ConfigurationError, match="radii: need at least one radius"):
+            hitting_grid(f, UNIFORM_SEGMENTS, [[0.0, 0.0]], [])
+    assert sum(derived) == 0
+
+
 def test_density_grid_thread_invariance():
     grid = np.array([[0.0, 0.0], [0.5, 0.5], [1.0, 0.0], [-0.5, 0.25]])
     f = MonteCarloField(QUADRATIC)
@@ -312,7 +334,7 @@ def test_density_grid_thread_invariance():
     two = density_grid(f, UNIFORM_SEGMENTS, grid, mark_draws=500, seed=9, threads=2)
     assert np.array_equal(one.values, two.values)
     assert np.array_equal(one.standard_errors, two.standard_errors)
-    assert one.method == "exact_quadrature_mark_mc"
+    assert one.methods.tolist() == ["exact_quadrature_mark_mc"] * len(grid)
 
 
 def test_density_grid_csv_format(tmp_path):
@@ -372,12 +394,60 @@ def test_rule_rows_are_the_closed_form_on_the_quadratic_configs(name):
     (x1² + x2²) E[L] + E[L³]/3 within 1e-12 relative, with SE 0."""
     cfg = parse_config((CONFIGS / name).read_text())
     field = density_grid(cfg.intensity, cfg.marks, cfg.grid_points(), cfg.mark_draws, cfg.seed)
-    assert field.method == "exact_quadrature_mark_rule"
+    assert field.methods.tolist() == ["exact_quadrature_mark_rule"] * len(field.values)
     assert field.standard_errors.tolist() == [0.0] * len(field.values)
     el, el3 = cfg.marks.length_moment(1), cfg.marks.length_moment(3)
     for x, value in zip(cfg.grid_points(), field.values):
         ref = analytic_segment_density(el, el3, x)
         assert abs(value - ref) <= 1e-12 * ref, (x, value, ref)
+
+
+def test_a_cell_does_not_depend_on_its_neighbours():
+    """On affine_clipped.cfg, f = max(0, 1 + y1), the mark rule is exact
+    at the four right-hand points, whose grains and sausages stay where
+    f > 0: their rows read 1 + x1 with SE 0 and equal the one-point
+    calls, in density_grid and hitting_grid.  The two left-hand rows keep
+    the Monte Carlo marks on their own keys, equal to a call on the first
+    two points alone."""
+    cfg = parse_config((CONFIGS / "affine_clipped.cfg").read_text())
+    f, q, grid = cfg.intensity, cfg.marks, cfg.grid_points()
+
+    def density(points):
+        return density_grid(f, q, points, cfg.mark_draws, cfg.seed)
+
+    def hitting(points):
+        return hitting_grid(f, q, points, cfg.r_grid, cfg.mc_points, cfg.mark_draws, cfg.seed)
+
+    values, ses, methods = density(grid)
+    lam, lam_se = hitting(grid)
+    rule = methods == "exact_quadrature_mark_rule"
+    assert rule.tolist() == [False, False, True, True, True, True]
+    assert np.allclose(values[rule], [1.5, 2.0, 2.5, 3.0], rtol=0.0, atol=1e-12)
+    assert not ses[rule].any() and not lam_se[rule].any()
+    for i in np.flatnonzero(rule):
+        one_values, one_ses, one_methods = density(grid[i:i + 1])
+        assert (one_values[0], one_ses[0], one_methods[0]) == (values[i], 0.0, methods[i])
+        one_lam, _ = hitting(grid[i:i + 1])
+        assert one_lam[0].tolist() == lam[i].tolist()
+    head_values, head_ses, head_methods = density(grid[:2])
+    assert head_methods.tolist() == methods[:2].tolist() == ["exact_quadrature_mark_mc"] * 2
+    assert head_values.tolist() == values[:2].tolist() and head_ses.tolist() == ses[:2].tolist()
+    assert (ses[:2] > 0.0).all() and (lam_se[:2] > 0.0).all()
+    head_lam, head_lam_se = hitting(grid[:2])
+    assert np.array_equal(head_lam, lam[:2]) and np.array_equal(head_lam_se, lam_se[:2])
+
+
+def test_rule_cells_need_not_share_a_polynomial_box():
+    """Two cells each on the rule under f = max(0, 1 + y1 + y2), whose
+    reach boxes x ± 1.2 lie where f > 0 though the box around both does
+    not: the sausage kernel integrates each grain on its own box, so the
+    pair equals the two one-point calls, exactly and with SE 0."""
+    f = IntensityField("affine", a=1.0, b=np.array([1.0, 1.0]))
+    grid = np.array([[6.0, -3.0], [-3.0, 6.0]])
+    lam, lam_se = hitting_grid(f, UNIFORM_SEGMENTS, grid, [0.2])
+    assert not lam_se.any()
+    for x, row in zip(grid, lam):
+        assert hitting_grid(f, UNIFORM_SEGMENTS, [x], [0.2])[0][0].tolist() == row.tolist()
 
 
 def test_study_exact_column_is_the_closed_form(tmp_path):
@@ -492,8 +562,8 @@ def test_capacity_grid_cells_are_the_mark_means_alone():
         for i, x in enumerate(grid):
             for j, r in enumerate(radii):
                 key = derive_key(3, i * len(radii) + j)
-                lam, lam_se = (v[0, 0] for v in exact._means(f, UNIFORM_SEGMENTS, [x], [r],
-                                                             2000, 20, [[key]]))
+                lam, lam_se, _ = (v[0, 0] for v in exact._means(f, UNIFORM_SEGMENTS, [x], [r],
+                                                                2000, 20, [[key]]))
                 cell = (1.0 - math.exp(-lam), math.exp(-lam) * lam_se)
                 assert (probs[i, j], ses[i, j]) == cell
                 assert (cell[1] == 0.0) == (f is QUADRATIC)

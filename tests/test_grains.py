@@ -48,7 +48,7 @@ class ShiftedField:
     def __init__(self, f, x):
         self.values = lambda pts: f.values(x - np.atleast_2d(pts))
         if hasattr(f, "polynomial_on"):
-            self.polynomial_on = lambda box: f.polynomial_on(Box(x - box.hi, x - box.lo))
+            self.polynomial_on = lambda lo, hi: f.polynomial_on(x - hi, x - lo)
         if hasattr(f, "splits"):
             self.splits = lambda a, b: f.splits(x - a, x - b)
 

@@ -20,7 +20,7 @@ from meandense import (
     sample_block,
 )
 from meandense.cli import _realization_csv, _write_csv
-from meandense.exact import _rule_holds
+from meandense.exact import _means
 from meandense.geometry import Box
 from meandense.grains import mark_segments
 from meandense.poisson import MAX_EXPECTED_GERMS, expected_germs, poisson_table
@@ -115,30 +115,69 @@ def test_piecewise_field():
 
 def test_polynomial_statement():
     """constant and quadratic are polynomials everywhere, affine where it is
-    positive at every corner of the box, piecewise never; the exact routes
-    ask the field about the box that a grid's translated grains reach,
-    grid ± (l_max + r), and a field without the statement makes none."""
-    box = Box([1.0, -1.0], [2.0, 1.0])
-    assert IntensityField("constant", c=0.0).polynomial_on(box)
-    assert IntensityField("quadratic").polynomial_on(box)
+    positive at every corner of the box, piecewise never, one answer per
+    box of corner arrays lo, hi; the exact routes ask the field about the
+    box that each cell's translated grains reach, x ± (l_max + r), and a
+    field without the statement makes none."""
+    lo, hi = np.array([1.0, -1.0]), np.array([2.0, 1.0])
+    assert IntensityField("constant", c=0.0).polynomial_on(lo, hi)
+    assert IntensityField("quadratic").polynomial_on(lo, hi)
     ramp = IntensityField("affine", a=0.0, b=np.array([1.0, 0.0]))  # max(0, y1)
-    assert ramp.polynomial_on(box)
-    assert not ramp.polynomial_on(Box([0.0, -1.0], [2.0, 1.0]))   # zero at a corner
-    assert not ramp.polynomial_on(Box([-1.0, -1.0], [2.0, 1.0]))  # clipped inside
+    assert ramp.polynomial_on(lo, hi)
+    assert not ramp.polynomial_on(np.array([0.0, -1.0]), hi)   # zero at a corner
+    assert not ramp.polynomial_on(np.array([-1.0, -1.0]), hi)  # clipped inside
     piecewise = IntensityField("piecewise", pieces=((Box([0.0, -5.0], [5.0, 5.0]), 1.0),))
-    assert not piecewise.polynomial_on(box)
+    assert not piecewise.polynomial_on(lo, hi)
+    boxes = np.array([[1.0, -1.0], [0.0, -1.0], [-1.0, -1.0]]), np.tile(hi, (3, 1))
+    for f, expected in ((ramp, [True, False, False]), (IntensityField("quadratic"), [True] * 3),
+                        (piecewise, [False] * 3)):
+        assert f.polynomial_on(*boxes).tolist() == expected
     # a unit segment's 0.5-sausages about x reach x ± 1.5: [2, 5] x [-1.5, 1.5]
-    # at x = (3.5, 0), where y1 > 0, and a box clipped inside at x = 0
+    # at x = (3.5, 0), where y1 > 0, and a box clipped inside at x = 0; each
+    # cell is decided by itself, also beside a cell off the rule
     unit = MarkDistribution("deterministic", grain=Grain.segment([1.0, 0.0]))
-    assert _rule_holds(ramp, unit, np.array([[3.5, 0.0]]), 0.5)
-    assert not _rule_holds(ramp, unit, np.array([[0.0, 0.0]]), 0.5)
-    assert not _rule_holds(ramp, unit, np.array([[3.5, 0.0], [0.0, 0.0]]), 0.5)
-    assert not _rule_holds(piecewise, unit, np.array([[3.5, 0.0]]), 0.5)
+
+    def on_rule(f, grid):
+        keys = [[derive_key(0, i)] for i in range(len(grid))]
+        return _means(f, unit, np.array(grid), [0.5], 100, 2, keys)[2][:, 0].tolist()
+
+    assert on_rule(ramp, [[3.5, 0.0]]) == [True]
+    assert on_rule(ramp, [[0.0, 0.0]]) == [False]
+    assert on_rule(ramp, [[3.5, 0.0], [0.0, 0.0]]) == [True, False]
+    assert on_rule(piecewise, [[3.5, 0.0]]) == [False]
 
     class ValuesOnly:
         values = IntensityField("constant", c=1.0).values
 
-    assert not _rule_holds(ValuesOnly(), unit, np.zeros((1, 2)), 0.5)
+    assert on_rule(ValuesOnly(), [[0.0, 0.0]]) == [False]
+
+
+def _corner_test(f, lo, hi) -> bool:
+    """The affine statement as a test of every corner of one box, a + c·b
+    > 0, the reference for the array form's lowest corner."""
+    return bool(np.all(f.a + Box(lo, hi).corners() @ f.b > 0.0))
+
+
+QUARTERS = st.integers(-12, 12).map(lambda k: k / 4.0)  # exact sums and products
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_affine_statement_equals_the_corner_test(data):
+    """On stacked boxes in d = 1, 2 and 3 the array form answers, box by
+    box, as the corner test does, also with a lowest corner on the zero
+    line of a + b·y (f = 0 there: not a polynomial on the box)."""
+    d = data.draw(st.integers(1, 3), label="d")
+    vector = st.lists(QUARTERS, min_size=d, max_size=d).map(np.array)
+    b = data.draw(vector, label="b")
+    lo = np.array(data.draw(st.lists(vector, min_size=1, max_size=4), label="lo"))
+    hi = lo + np.abs(data.draw(st.lists(vector, min_size=len(lo), max_size=len(lo)),
+                               label="widths"))
+    lowest = np.minimum(lo * b, hi * b).sum(axis=1)
+    a = data.draw(QUARTERS | st.sampled_from((-lowest).tolist()), label="a")
+    f = IntensityField("affine", a=a, b=b)
+    reference = [_corner_test(f, l, h) for l, h in zip(lo, hi)]
+    assert f.polynomial_on(lo, hi).tolist() == reference
 
 
 @pytest.mark.parametrize(
