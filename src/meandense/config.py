@@ -214,7 +214,7 @@ def parse_config(text: str) -> ScenarioConfig:
     if d is None or d not in (1, 2, 3):
         errors.append("d: required, must be in {1, 2, 3}")
         d = 2
-    if n is None or not (0 <= n < d):
+    if not (n_valid := n is not None and 0 <= n < d):
         errors.append(f"n: required, must satisfy 0 <= n < d (d={d}); "
                       "the n = d case is out of estimator scope")
         n = max(0, d - 1)
@@ -222,7 +222,7 @@ def parse_config(text: str) -> ScenarioConfig:
     intensity = _build_intensity(pairs, get, d, errors)
     marks = _build_marks(pairs, get, d, errors)
 
-    if marks is not None and marks.n != n:
+    if marks is not None and n_valid and marks.n != n:
         errors.append(f"marks: grain family has Hausdorff dimension {marks.n}, config says n = {n}")
 
     window = _build_box(pairs, get, "window", d, errors, required=True)

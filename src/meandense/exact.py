@@ -5,10 +5,10 @@ f(x - .) over the typical grain, E_Q[∫_{Z_0} f(x - y) H^n(dy)].  The
 finite-radius route evaluates the Poisson void probability
 P(x in Θ⊕r) = 1 - exp(-Λ(sausage)) with Λ = E_Q[∫_{Z_0⊕r} f(x - y) dy].
 Both are mark means of one kernel on the translated rows x - a, x - b
-against f itself, since ∫_{Z⊕r} f(x - y) dy = ∫_{(x - Z)⊕r} f.  Each
-(point, radius) cell where the rule of `grains.mark_rule` is exact for it
-alone takes the rule's weighted sum, one kernel call for a radius's rule
-cells, SE 0; every other cell the `_mark_mean` Monte Carlo on its key.
+against f itself, since ∫_{Z⊕r} f(x - y) dy = ∫_{(x - Z)⊕r} f.  `_means`
+alone decides per (point, radius) cell whether `grains.mark_rule` is exact
+there: a rule cell is its weighted sum of `line_integrals` or
+`grains.sausage_moment_rule`, SE 0, any other the `_mark_mean` Monte Carlo.
 Each integral has one call, over a grid of points: `density_grid` for the
 line integral and `hitting_grid` for Λ, of which `capacity_grid` is
 1 - exp(-Λ) and `minkowski.content_limit` reads the reflected grain's Λ
@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericError
 from .geometry import as_point
-from .grains import MarkDistribution, line_integrals, mark_rule, mark_segments, sausage_integrals
+from .grains import (MarkDistribution, line_integrals, mark_rule, mark_segments, sausage_integrals,
+                     sausage_moment_rule)
 from .parallel import parallel_map
 from .streams import block_keys, skip, uniforms
 
@@ -41,38 +42,34 @@ class _Densities(NamedTuple):
     methods: np.ndarray          # (m,) labels
 
 
-def _kernel(f, n: int, r: float | None, mc_points: int):
-    """integrate(a, b, key) -> (values, ses) over segment rows: the H^n
-    line integrals of f when r is None, else its r-sausage integrals with
-    mc_points proposals per grain where they are Monte Carlo."""
-    if r is not None:
-        return lambda a, b, key: sausage_integrals(a, b, f, r, mc_points, key)
-
-    def line(a, b, _):
-        vals = line_integrals(a, b, f, n)
-        if not np.all(np.isfinite(vals)):
-            raise NumericError("non-finite inner integral")
-        return vals, np.zeros(vals.shape)
-    return line
+def _line(f, n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The H^n line integrals of f over the segment rows, refusing a
+    non-finite one."""
+    vals = line_integrals(a, b, f, n)
+    if not np.all(np.isfinite(vals)):
+        raise NumericError("non-finite inner integral")
+    return vals
 
 
-def _rule_means(integrate, rule, grid: np.ndarray) -> np.ndarray:
-    """Σ_k w_k integrate(x - a_k, x - b_k) over the rows and weights
-    (a, b, w) of mark_rule at every point x of the grid, one call per
-    MARK_CHUNK (point, node) rows.  A NumericError names the first point
-    whose own rows raise it."""
+def _rule_means(f, n: int, r: float | None, rule, grid: np.ndarray) -> np.ndarray:
+    """Σ_k w_k I(x - a_k, x - b_k) over the rows and weights (a, b, w) of
+    mark_rule at every point x of the grid, I the line integral (r None) or
+    sausage_moment_rule, one call per MARK_CHUNK (point, node) rows.  A
+    NumericError names the first point whose own rows raise it."""
     a, b, w = rule
+
+    def integrate(a, b):
+        return _line(f, n, a, b) if r is None else sausage_moment_rule(a[:, 0], b[:, 0], f, r)
     per_call = max(1, MARK_CHUNK // len(w))
     out = np.empty(len(grid))
     for i in range(0, len(grid), per_call):
         xs = grid[i:i + per_call, None, None]
         try:
-            vals, _ = integrate((xs - a).reshape(-1, *a.shape[1:]),
-                                (xs - b).reshape(-1, *b.shape[1:]), None)
+            vals = integrate((xs - a).reshape(-1, *a.shape[1:]), (xs - b).reshape(-1, *b.shape[1:]))
         except NumericError as exc:
             for x in xs[:, 0, 0]:
                 try:
-                    integrate(x - a, x - b, None)
+                    integrate(x - a, x - b)
                 except NumericError:
                     raise NumericError(str(exc), point=x) from exc
             raise
@@ -91,19 +88,19 @@ def _mark_mean(args) -> tuple[float, float]:
     means and squared deviations merged (Chan, Golub and LeVeque, 1979).
     A NumericError names x."""
     f, q, x, r, mc_points, mark_draws, key = args
-    per_grain = mc_points if q.is_deterministic else max(16, mc_points // mark_draws)
-    integrate = _kernel(f, q.n, r, per_grain)
     try:
-        if q.is_deterministic:
+        if q.is_deterministic:  # only with a radius: its line integral is on the rule
             a, b = mark_segments(q, np.empty((1, 0)))
-            vals, ses = integrate(x - a, x - b, key)
+            vals, ses = sausage_integrals(x - a, x - b, f, r, mc_points, key)
             return float(vals[0]), float(ses[0])
+        per_grain = max(16, mc_points // mark_draws)
         after, stride = skip(key, mark_draws * q.uniforms), 0 if r is None else per_grain * q.dim
         count = mean = m2 = 0.0
         for k in range(0, mark_draws, MARK_CHUNK):
             u = np.arange(k * q.uniforms, min(mark_draws, k + MARK_CHUNK) * q.uniforms)
             a, b = mark_segments(q, uniforms(key, u.reshape(-1, q.uniforms)))
-            vals, _ = integrate(x - a, x - b, skip(after, k * stride))
+            vals = (_line(f, q.n, x - a, x - b) if r is None else
+                    sausage_integrals(x - a, x - b, f, r, per_grain, skip(after, k * stride))[0])
             part, n = vals.mean(), len(vals)
             delta, count = part - mean, count + n
             mean += delta * (n / count)
@@ -134,6 +131,8 @@ def _means(f, q: MarkDistribution, grid, radii, mc_points: int, mark_draws: int,
         raise ConfigurationError("radius must lie in (0, 2)")
     if not q.is_deterministic and mark_draws < 2:  # also where the rule draws none
         raise ConfigurationError("mark_draws must be at least 2 for a standard error")
+    if radii[0] is not None and mc_points < 2:  # likewise
+        raise ConfigurationError("mc_points must be at least 2 for a standard error")
     line = radii[0] is None
     on_rule = np.full((len(grid), len(radii)), line and q.is_deterministic)
     statement = getattr(f, "polynomial_on", None)
@@ -143,7 +142,7 @@ def _means(f, q: MarkDistribution, grid, radii, mc_points: int, mark_draws: int,
     values, ses, rule = np.empty(on_rule.shape), np.zeros(on_rule.shape), mark_rule(q)
     for j, r in enumerate(radii):
         on = on_rule[:, j]
-        values[on, j] = _rule_means(_kernel(f, q.n, r, mc_points), rule, grid[on])
+        values[on, j] = _rule_means(f, q.n, r, rule, grid[on])
     cells = np.argwhere(~on_rule).tolist()
     tasks = [(f, q, grid[i], radii[j], mc_points, mark_draws, keys[i][j]) for i, j in cells]
     for (i, j), (v, s) in zip(cells, parallel_map(_mark_mean, tasks, threads)):

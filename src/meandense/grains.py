@@ -15,10 +15,10 @@ repeated; `mark_rule` is the one mark quadrature, rows and weights whose
 weighted sum is exact for integrands of low degree in the length and the
 direction.  A field is integrated over each grain with respect to H^n by
 Gauss-Legendre quadrature between the points where it states it is not
-smooth (`line_integrals`) and over each grain's r-sausage
-(`sausage_integrals`): exactly, from 2d + 3 field values, for segment and
-point grains under a field that states it is a polynomial of degree <= 2
-there, by chunked Monte Carlo on the uniforms of one key otherwise.
+smooth (`line_integrals`) and over each grain's r-sausage: exactly from
+2d + 3 field values of a polynomial of degree <= 2 over a segment or point
+grain (`sausage_moment_rule`), or by `sausage_integrals`: that rule where
+the field states it is one there, chunked Monte Carlo on one key otherwise.
 One grain is K = 1: its `Grain.rows` with a leading axis added.
 """
 
@@ -209,13 +209,13 @@ def sausage_integrals(
 
     When every grain is one segment row and h states that it is a
     polynomial of degree <= 2 on each grain's r-dilated bounding box
-    (`h.polynomial_on(lo, hi)`), the integrals are exact cubature: no
-    draw, SE 0.  Otherwise grain k gets `mc_points` (at least 2) uniform
-    proposals on its bounding box dilated by r, coordinate c of proposal j
-    on counter (k mc_points + j) d + c of `key`.  A chunk holds whole
-    grains or a piece of one, at most SAUSAGE_CHUNK // s proposals, each
-    measured against all s rows of its grain at once; a grain's sums add
-    its pieces' sums, so a chunk that splits no grain changes no bit."""
+    (`h.polynomial_on(lo, hi)`), they are sausage_moment_rule's, SE 0,
+    which the exact route's rule cells call directly.  Else grain k gets
+    `mc_points` (>= 2) uniform proposals on that box, coordinate c of
+    proposal j on counter (k mc_points + j) d + c of `key`.  A chunk holds
+    whole grains or a piece of one, at most SAUSAGE_CHUNK // s proposals,
+    each measured against all s rows of its grain at once; a grain's sums
+    add its pieces' sums, so a chunk that splits no grain changes no bit."""
     if not (0.0 < r < 2.0):
         raise ConfigurationError("radius must lie in (0, 2)")
     if mc_points < 2:
@@ -225,7 +225,7 @@ def sausage_integrals(
     hi = np.maximum(a.max(axis=1), b.max(axis=1)) + r
     statement = getattr(h, "polynomial_on", None)
     if segments == 1 and statement and np.all(statement(lo, hi)):
-        return _sausage_cubature(a[:, 0], b[:, 0], h, r), np.zeros(n_grains)
+        return sausage_moment_rule(a[:, 0], b[:, 0], h, r), np.zeros(n_grains)
     if key is None:
         raise ConfigurationError("Monte Carlo sausage integral needs a random stream")
     span = hi - lo
@@ -287,7 +287,7 @@ def _length_rule(law: LengthLaw) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _sausage_cubature(a: np.ndarray, b: np.ndarray, h, r: float) -> np.ndarray:
+def sausage_moment_rule(a: np.ndarray, b: np.ndarray, h, r: float) -> np.ndarray:
     """Exact integrals of a polynomial h of degree <= 2 over the r-sausages
     of K segments (a, b), each of shape (K, d), a point's being the ball.
     A sausage is symmetric about its midpoint m, so ∫ h = V h(m) + (B tr H

@@ -717,6 +717,31 @@ def test_cli_length_past_the_kernel_bound_is_a_named_violation(
                   [f"{key}: L_max = 1e+200 must be below 1e75"])
 
 
+def test_cli_refused_n_is_one_violation(tmp_path, capsys):
+    """n = -1 on segments_3d.cfg is refused once: the grain family's
+    dimension is not checked against the default that stands in for n."""
+    text = _edited((CONFIGS / "segments_3d.cfg").read_text(), ["n = -1"])
+    _assert_fault(tmp_path, capsys, "exact", text, [
+        "n: required, must satisfy 0 <= n < d (d=3); the n = d case is out of estimator scope"])
+
+
+def test_cli_oracle_on_the_cell_at_the_clip(tmp_path):
+    """affine_clipped.cfg at x = (0.15, 0) and r = 0.15, where the cell's
+    box corner x1 - (1 + r) rounds to -0.9999999999999999 and puts it on
+    the mark rule: oracle writes prob = 1 - exp(-Λ), Λ = (2r + πr²)(1 + x1),
+    SE 0, where it once exited 1 asking for a random stream."""
+    text = _edited((CONFIGS / "affine_clipped.cfg").read_text(), [
+        "-x_grid.lo", "-x_grid.hi", "-x_grid.shape", "x_grid.kind = list",
+        "x_grid.points = 0.15, 0", "r_grid = 0.15"])
+    out = tmp_path / "run"
+    assert main(["oracle", "--config", write_cfg(tmp_path, text), "--out", str(out),
+                 "--threads", "1"]) == 0
+    row = _csv_row(out / "oracle.csv")
+    lam = (2.0 * 0.15 + math.pi * 0.15 ** 2) * 1.15
+    assert float(row["prob"]) == pytest.approx(1.0 - math.exp(-lam), rel=1e-12)
+    assert float(row["se"]) == 0.0
+
+
 def test_cli_radius_whose_normalizer_underflows_is_a_named_violation(tmp_path, capsys):
     """b_{d-n} r^{d-n} below the smallest normal float cannot divide a
     probability: an r or r_grid entry that makes it so is a violation

@@ -25,6 +25,7 @@ from meandense.cli import main
 from meandense.config import parse_config
 from meandense.geometry import clipped_lengths
 from meandense.grains import line_integrals, mark_segments, sausage_integrals
+from meandense.minkowski import content_limit
 from meandense.streams import derive_key, skip, uniforms
 
 
@@ -440,14 +441,70 @@ def test_a_cell_does_not_depend_on_its_neighbours():
 def test_rule_cells_need_not_share_a_polynomial_box():
     """Two cells each on the rule under f = max(0, 1 + y1 + y2), whose
     reach boxes x ± 1.2 lie where f > 0 though the box around both does
-    not: the sausage kernel integrates each grain on its own box, so the
-    pair equals the two one-point calls, exactly and with SE 0."""
+    not: each cell is decided on its own box and its rows go to the moment
+    rule without a second question, so the pair equals the two one-point
+    calls, exactly and with SE 0."""
     f = IntensityField("affine", a=1.0, b=np.array([1.0, 1.0]))
     grid = np.array([[6.0, -3.0], [-3.0, 6.0]])
     lam, lam_se = hitting_grid(f, UNIFORM_SEGMENTS, grid, [0.2])
     assert not lam_se.any()
     for x, row in zip(grid, lam):
         assert hitting_grid(f, UNIFORM_SEGMENTS, [x], [0.2])[0][0].tolist() == row.tolist()
+
+
+CLIPPED = IntensityField("affine", a=1.0, b=np.array([1.0, 0.0]))
+
+
+def test_no_cell_at_the_clip_is_refused():
+    """Under f = max(0, 1 + y1), unit segments of uniform direction and
+    x = (x1, 0): the cells with x1 > r reach where f > 0 only, so they are
+    on the rule, SE 0, and every SE-0 cell is (2r + πr²)(1 + x1).  At
+    x1 = r = 0.15 the cell's box corner rounds to -0.9999999999999999, so
+    the cell is on the rule, though each grain's own box corner rounds to
+    -1.0: no cell is refused."""
+    x1 = np.arange(11) / 20.0
+    radii = [0.05, 0.1, 0.15, 0.2, 0.25, 0.3]
+    grid = np.column_stack([x1, np.zeros(11)])
+    lam, lam_se = hitting_grid(CLIPPED, UNIFORM_SEGMENTS, grid, radii, 3200, 20, seed=5)
+    r = np.array(radii)
+    assert not lam_se[x1[:, None] > r].any()
+    exact_cells = lam_se == 0.0
+    assert exact_cells[3, 2] and exact_cells.sum() >= 40
+    closed = (2.0 * r + math.pi * r * r) * (1.0 + x1[:, None])
+    assert np.all(np.abs(lam - closed)[exact_cells] <= 1e-12 * closed[exact_cells])
+
+
+def test_rule_cells_call_the_moment_rule_directly(monkeypatch):
+    """The rule cells of hitting_grid and of content_limit never reach
+    sausage_integrals: the grid call has decided them once.  A cell off
+    the rule, under a piecewise field, still does."""
+    calls = []
+
+    def refuse(*args):
+        calls.append(args)
+        raise AssertionError("sausage_integrals called")
+    monkeypatch.setattr(exact, "sausage_integrals", refuse)
+    lam, lam_se = hitting_grid(QUADRATIC, UNIFORM_SEGMENTS, [[0.3, -0.2], [1.0, 0.5]],
+                               [0.3, 0.2, 0.1])
+    assert lam.shape == (2, 3) and not lam_se.any()
+    run = content_limit(UNIT_SEGMENT.grain, CONSTANT, [0.3, 0.2, 0.1])
+    assert run.ratios.tolist() == pytest.approx([1.0 + math.pi * r / 2.0 for r in (0.3, 0.2, 0.1)],
+                                                rel=1e-12)
+    assert not calls
+    piecewise = IntensityField("piecewise", pieces=((Box([-2.0, -2.0], [0.5, 3.0]), 2.0),
+                                                    (Box([0.5, -2.0], [3.0, 3.0]), 0.75)))
+    with pytest.raises(AssertionError, match="sausage_integrals called"):
+        hitting_grid(piecewise, UNIT_SEGMENT, [[0.5, 0.0]], [0.1])
+    assert len(calls) == 1
+
+
+def test_mc_points_below_two_is_refused_on_all_rule_grids():
+    """The rule draws no proposal, yet a sausage grid refuses mc_points < 2
+    as a Monte Carlo cell would."""
+    with pytest.raises(ConfigurationError, match="mc_points must be at least 2"):
+        hitting_grid(QUADRATIC, UNIFORM_SEGMENTS, [[0.3, -0.2]], [0.1], mc_points=1)
+    with pytest.raises(ConfigurationError, match="mc_points must be at least 2"):
+        content_limit(UNIT_SEGMENT.grain, CONSTANT, [0.3, 0.2, 0.1], mc_points=1)
 
 
 def test_study_exact_column_is_the_closed_form(tmp_path):

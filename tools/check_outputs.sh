@@ -17,7 +17,9 @@
 # parallel_map starts a pool only for work that can pay for one, so most
 # --threads 2 runs here stay in-process; the tier-1 thread-invariance
 # tests (criterion 11 and test_accumulate_hits_thread_invariance) force a
-# real pool instead.
+# real pool instead.  A CLI run that exits non-zero is named, as
+# "failed: <cmd> <cfg> at --threads <t> (<tree>)", and once every run has
+# been tried the script exits 1.
 #
 # With --against REV, also unpack `git archive REV` into a temporary
 # directory, run the same pairs with that tree's package (on this tree's
@@ -77,14 +79,18 @@ pairs() {  # one "sub-command config" line per pair
   for cmd in exact oracle; do echo "$cmd affine_clipped.cfg"; done
 }
 
-run_all() {  # package tree, output label
-  local cmd cfg t
+run_all() {  # package tree, output label, tree name: names each run that fails
+  local cmd cfg t status=0
   while read -r cmd cfg; do
     for t in 1 2; do
-      PYTHONPATH="$1/src" python -m meandense.cli "$cmd" --config "configs/$cfg" \
-        --threads "$t" --out "$out/$2/$cmd-$cfg-$t" >/dev/null
+      if ! PYTHONPATH="$1/src" python -m meandense.cli "$cmd" --config "configs/$cfg" \
+        --threads "$t" --out "$out/$2/$cmd-$cfg-$t" >/dev/null; then
+        echo "failed: $cmd $cfg at --threads $t ($3)"
+        status=1
+      fi
     done
   done < <(pairs)
+  return $status
 }
 
 columns() {  # CSV a, CSV b: each column that differs, and by how much
@@ -150,7 +156,7 @@ src_lines() {  # package tree: the lines of its Python files under src/
 }
 
 count=$(pairs | wc -l)
-run_all "$root" new
+run_all "$root" new "this tree" || exit 1
 compare new new 1
 echo "$count pairs: every CSV identical at --threads 1 and 2"
 
@@ -165,13 +171,13 @@ if [ -n "$against" ]; then
   echo "src/ lines: $before at $against, $after here ($((after - before)))"
   if [ "$(version "$out/tree")" != "$(version "$root")" ]; then
     # a pair the other version cannot run leaves no CSV there: listed too
-    run_all "$out/tree" old || true
+    run_all "$out/tree" old "$against" || true
     echo "__version__ $(version "$out/tree") at $against, $(version "$root") here:" \
       "CSVs that differ are listed, not failed"
     compare new old || true
     exit 0
   fi
-  run_all "$out/tree" old
+  run_all "$out/tree" old "$against" || exit 1
   compare new old
   echo "$count pairs: every CSV identical to $against at --threads 1 and 2"
 fi
