@@ -142,17 +142,22 @@ def _floats(text: str) -> list[float]:
 
 
 class _Violations(list):
-    """Violation lines, one per fault.  Once `get` has reported a key, a
-    later line about that key or its section follows from the default that
-    `get` returned, and is dropped."""
+    """Violation lines, one per fault.  A line that follows from a default
+    is dropped: once `get` has reported a key, a later line about that key
+    or its section; once d is refused, a `count` of components against d."""
 
     def __init__(self, lines):
         super().__init__(lines)
         self.reported = set()
+        self.d_refused = False
 
     def append(self, line):
         if line.split(":", 1)[0] not in self.reported:
             super().append(line)
+
+    def count(self, line):
+        if not self.d_refused:
+            self.append(line)
 
 
 def _tokenize(text: str) -> tuple[dict[str, str], list[str]]:
@@ -213,7 +218,7 @@ def parse_config(text: str) -> ScenarioConfig:
     n = get("n", cast=_integer)
     if d is None or d not in (1, 2, 3):
         errors.append("d: required, must be in {1, 2, 3}")
-        d = 2
+        d, errors.d_refused = 2, True
     if not (n_valid := n is not None and 0 <= n < d):
         errors.append(f"n: required, must satisfy 0 <= n < d (d={d}); "
                       "the n = d case is out of estimator scope")
@@ -323,7 +328,7 @@ def _build_intensity(pairs, get, d, errors) -> IntensityField | None:
             a = get("intensity.a", 0.0)
             b = get("intensity.b", [], sep=",")
             if len(b) != d:
-                errors.append(f"intensity.b: needs {d} components")
+                errors.count(f"intensity.b: needs {d} components")
                 return None
             return IntensityField("affine", a=a, b=np.array(b, dtype=float))
         if kind == "piecewise":
@@ -338,7 +343,7 @@ def _build_intensity(pairs, get, d, errors) -> IntensityField | None:
                 hi = get(f"intensity.piece{k}.hi", [], sep=",")
                 val = get(f"intensity.piece{k}.value", 0.0)
                 if len(lo) != d or len(hi) != d:
-                    errors.append(f"intensity.piece{k}: lo/hi need {d} components")
+                    errors.count(f"intensity.piece{k}: lo/hi need {d} components")
                     return None
                 pieces.append((Box(np.array(lo, float), np.array(hi, float)), val))
             return IntensityField("piecewise", pieces=tuple(pieces))
@@ -388,7 +393,7 @@ def _build_grain(pairs, get, d, errors):
     if gkind == "polyline":
         pts = get("marks.grain.vertices", [], cast=_floats, sep=";")
         if not pts or any(len(p) != d for p in pts):
-            errors.append(f"marks.grain.vertices: needs {d}-d points separated by ';'")
+            errors.count(f"marks.grain.vertices: needs {d}-d points separated by ';'")
             return None
         return Grain.polyline(np.array(pts))
     fault = "required for deterministic marks" if gkind is None else f"unknown kind {gkind!r}"
@@ -440,7 +445,7 @@ def _build_box(pairs, get, prefix, d, errors, required) -> Box | None:
     lo = get(lo_key, [], sep=",")
     hi = get(hi_key, [], sep=",")
     if len(lo) != d or len(hi) != d:
-        errors.append(f"{prefix}: lo and hi need {d} components each")
+        errors.count(f"{prefix}: lo and hi need {d} components each")
         return None
     try:
         return Box(np.array(lo, float), np.array(hi, float))
@@ -456,7 +461,7 @@ def _build_x_grid(pairs, get, d, errors) -> np.ndarray | None:
     if kind == "list":
         pts = get("x_grid.points", [], cast=_floats, sep=";")
         if not pts or any(len(p) != d for p in pts):
-            errors.append(f"x_grid.points: needs {d}-d points separated by ';'")
+            errors.count(f"x_grid.points: needs {d}-d points separated by ';'")
             return None
         return np.array(pts)
     if kind == "lattice":
@@ -464,7 +469,7 @@ def _build_x_grid(pairs, get, d, errors) -> np.ndarray | None:
         hi = get("x_grid.hi", [], sep=",")
         shape = get("x_grid.shape", [], cast=_integer, sep=",")
         if len(lo) != d or len(hi) != d or len(shape) != d:
-            errors.append(f"x_grid: lo, hi and shape need {d} components each")
+            errors.count(f"x_grid: lo, hi and shape need {d} components each")
             return None
         if any(s < 1 for s in shape):
             errors.append("x_grid.shape: all counts must be >= 1")

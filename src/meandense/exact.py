@@ -114,12 +114,13 @@ def _means(f, q: MarkDistribution, grid, radii, mc_points: int, mark_draws: int,
            threads: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mark means, SEs and whether mark_rule(q) gave them, each (m, R), of
     the line (radius None) or sausage integral at every (point, radius)
-    cell.  The rule holds for cell (i, j) by itself: for the line kernel
-    under a deterministic law, and where f states that it is a polynomial
-    of degree <= 2 on the box x_i ± (l_max + r_j) that the cell's grains
-    reach, the sausage kernel needing one segment row per grain.  Other
-    cells are _mark_mean tasks on keys[i][j]: no value depends on another
-    cell or on the thread count."""
+    cell, the one exactness decision, for cell (i, j) by itself: the rule
+    holds for the line kernel under a deterministic law, and where f states
+    that it is a polynomial of degree <= 2 on the box that every grain of
+    the cell reaches, x_i - Z dilated by r_j for a fixed grain Z, else
+    x_i ± (l_max + r_j), the sausage kernel needing one segment row per
+    grain.  Other cells are _mark_mean tasks on keys[i][j]: no value
+    depends on another cell or on the thread count."""
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     if grid.shape[1] != q.dim or not np.all(np.isfinite(grid)):
         raise ConfigurationError(f"points must be finite and of dimension {q.dim}")
@@ -133,13 +134,17 @@ def _means(f, q: MarkDistribution, grid, radii, mc_points: int, mark_draws: int,
         raise ConfigurationError("mark_draws must be at least 2 for a standard error")
     if radii[0] is not None and mc_points < 2:  # likewise
         raise ConfigurationError("mc_points must be at least 2 for a standard error")
-    line = radii[0] is None
+    line, rule = radii[0] is None, mark_rule(q)
     on_rule = np.full((len(grid), len(radii)), line and q.is_deterministic)
     statement = getattr(f, "polynomial_on", None)
     if statement is not None and not on_rule.all() and (line or q.segments == 1):
-        reach = q.l_max + np.array([r or 0.0 for r in radii])[:, None]
-        on_rule = statement(grid[:, None] - reach, grid[:, None] + reach)
-    values, ses, rule = np.empty(on_rule.shape), np.zeros(on_rule.shape), mark_rule(q)
+        # x - Z spans x - max(ends) .. x - min(ends): a fixed grain's own, else ± l_max
+        ends = (np.concatenate(rule[:2], 1)[0] if q.is_deterministic
+                else np.array([[q.l_max], [-q.l_max]]))
+        dilation = np.array([r or 0.0 for r in radii])[:, None]
+        on_rule = statement(grid[:, None] - (ends.max(0) + dilation),
+                            grid[:, None] + (dilation - ends.min(0)))
+    values, ses = np.empty(on_rule.shape), np.zeros(on_rule.shape)
     for j, r in enumerate(radii):
         on = on_rule[:, j]
         values[on, j] = _rule_means(f, q.n, r, rule, grid[on])

@@ -17,8 +17,9 @@ direction.  A field is integrated over each grain with respect to H^n by
 Gauss-Legendre quadrature between the points where it states it is not
 smooth (`line_integrals`) and over each grain's r-sausage: exactly from
 2d + 3 field values of a polynomial of degree <= 2 over a segment or point
-grain (`sausage_moment_rule`), or by `sausage_integrals`: that rule where
-the field states it is one there, chunked Monte Carlo on one key otherwise.
+grain (`sausage_moment_rule`), or by chunked Monte Carlo on one key
+(`sausage_integrals`).  Which one a cell takes is decided by its caller,
+`exact._means`, the one reader of a field's `polynomial_on`.
 One grain is K = 1: its `Grain.rows` with a leading axis added.
 """
 
@@ -204,15 +205,11 @@ def mark_rule(q: MarkDistribution):
 def sausage_integrals(
     a: np.ndarray, b: np.ndarray, h, r: float, mc_points: int, key
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Estimates (and SEs) of the integral of h over the r-sausage of
-    each of K grains, given as segment rows a, b of shape (K, s, d).
-
-    When every grain is one segment row and h states that it is a
-    polynomial of degree <= 2 on each grain's r-dilated bounding box
-    (`h.polynomial_on(lo, hi)`), they are sausage_moment_rule's, SE 0,
-    which the exact route's rule cells call directly.  Else grain k gets
-    `mc_points` (>= 2) uniform proposals on that box, coordinate c of
-    proposal j on counter (k mc_points + j) d + c of `key`.  A chunk holds
+    """Monte Carlo estimates (and SEs) of the integral of h over the
+    r-sausage of each of K grains, given as segment rows a, b of shape
+    (K, s, d).  Grain k gets `mc_points` (>= 2) uniform proposals on its
+    r-dilated bounding box, coordinate c of proposal j on counter
+    (k mc_points + j) d + c of `key`.  A chunk holds
     whole grains or a piece of one, at most SAUSAGE_CHUNK // s proposals,
     each measured against all s rows of its grain at once; a grain's sums
     add its pieces' sums, so a chunk that splits no grain changes no bit."""
@@ -220,14 +217,11 @@ def sausage_integrals(
         raise ConfigurationError("radius must lie in (0, 2)")
     if mc_points < 2:
         raise ConfigurationError("mc_points must be at least 2 for a standard error")
+    if key is None:
+        raise ConfigurationError("Monte Carlo sausage integral needs a random stream")
     n_grains, segments, d = a.shape
     lo = np.minimum(a.min(axis=1), b.min(axis=1)) - r
     hi = np.maximum(a.max(axis=1), b.max(axis=1)) + r
-    statement = getattr(h, "polynomial_on", None)
-    if segments == 1 and statement and np.all(statement(lo, hi)):
-        return sausage_moment_rule(a[:, 0], b[:, 0], h, r), np.zeros(n_grains)
-    if key is None:
-        raise ConfigurationError("Monte Carlo sausage integral needs a random stream")
     span = hi - lo
     volume = np.prod(span, axis=1)
     sums = np.zeros(n_grains)
@@ -294,8 +288,8 @@ def sausage_moment_rule(a: np.ndarray, b: np.ndarray, h, r: float) -> np.ndarray
     + (A - B) u'Hu) / 2 for h's Hessian H, its volume V and its second
     moments A along the axis u and B across it.  The Hessian terms are
     second differences at m ± r e_i and m ± s u, s² = A / V <= (L/2 + r)²:
-    2d + 3 nodes in the grain's r-dilated bounding box.  Grains go
-    SAUSAGE_CHUNK field points at a time."""
+    2d + 3 nodes in the grain's r-dilated bounding box, all K at once: the
+    exact route hands it at most exact.MARK_CHUNK segments."""
     n_grains, d = a.shape
     ab = b - a
     length = np.linalg.norm(ab, axis=1)
@@ -309,21 +303,16 @@ def sausage_moment_rule(a: np.ndarray, b: np.ndarray, h, r: float) -> np.ndarray
     # weights of the second differences: B / r² at each e_i, V (A - B) / A at u
     w_cross, w_axis = across / (r * r), volume * excess / (across + excess)
     offsets = np.kron(np.eye(d), [[r], [-r]])  # m ± r e_i, in pairs
-    out = np.empty(n_grains)
-    per_chunk = max(1, SAUSAGE_CHUNK // (2 * d + 3))
-    for k in range(0, n_grains, per_chunk):
-        ks = slice(k, k + per_chunk)
-        mid = 0.5 * (a[ks] + b[ks])
-        pts = np.concatenate([mid[:, None], mid[:, None] + offsets, (mid + step[ks])[:, None],
-                              (mid - step[ks])[:, None]], axis=1)
-        vals = h.values(pts.reshape(-1, d)).reshape(len(mid), 2 * d + 3)
-        centre = vals[:, :1]
-        with np.errstate(invalid="ignore"):  # inf - inf and inf·0 where h overflows
-            diffs = (vals[:, 1::2] - centre) + (vals[:, 2::2] - centre)  # one per pair
-            sums = volume[ks] * centre[:, 0] + 0.5 * (
-                w_cross[ks] * diffs[:, :-1].sum(axis=1) + w_axis[ks] * diffs[:, -1])
-        out[ks] = np.where(np.isinf(vals).any(axis=1), np.inf, sums)  # an intensity is >= 0
-    return out
+    mid = 0.5 * (a + b)
+    pts = np.concatenate([mid[:, None], mid[:, None] + offsets, (mid + step)[:, None],
+                          (mid - step)[:, None]], axis=1)
+    vals = h.values(pts.reshape(-1, d)).reshape(n_grains, 2 * d + 3)
+    centre = vals[:, :1]
+    with np.errstate(invalid="ignore"):  # inf - inf and inf·0 where h overflows
+        diffs = (vals[:, 1::2] - centre) + (vals[:, 2::2] - centre)  # one per pair
+        sums = volume * centre[:, 0] + 0.5 * (
+            w_cross * diffs[:, :-1].sum(axis=1) + w_axis * diffs[:, -1])
+    return np.where(np.isinf(vals).any(axis=1), np.inf, sums)  # an intensity is >= 0
 
 
 # ---------------------------------------------------------------------------

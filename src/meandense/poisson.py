@@ -5,7 +5,7 @@ an inhomogeneous Poisson process with density f and every germ carries an
 independent mark.  A field is anything with `values(pts)`, its values at
 the rows of an (m, d) array, and `sup(box)`, an upper bound on a box;
 it may also state `polynomial_on(lo, hi)` per box of corners (..., d),
-which lets the mark rule and the sausage kernel integrate it exactly,
+which lets the exact routes take the mark rule and the moment rule there,
 and `splits(a, b)`, where it is not smooth along segment rows, which
 keeps the line kernel exact.  `IntensityField` is the one implementation.
 Thinning (acceptance-rejection against the box bound) is exact for any

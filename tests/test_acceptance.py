@@ -32,7 +32,7 @@ from meandense.boolean import _sample_block, checked_guard_margin, count_hits
 from meandense.cli import main
 from meandense.config import lattice_points
 from meandense.geometry import Box
-from meandense.grains import sausage_integrals
+from meandense.grains import sausage_moment_rule
 from meandense.minkowski import limit_diagnostics, ratio_bound
 from meandense.streams import derive_key
 
@@ -283,17 +283,17 @@ def test_criterion_09_grain_count_route():
             >= capacity_estimate(int(ind[0, j]), 500, 2, 1, r)[0]
         )
 
-    # m(r) from the exact route, independent of the simulator; |y|² is
-    # rotation invariant, so one orientation stands for the uniform law.
-    # It must agree with the hand-derived form within 3 SE + 1e-12 relative.
+    # m(r) from the exact route's moment rule, independent of the
+    # simulator; |y|² is rotation invariant, so one orientation stands for
+    # the uniform law.  The rule is exact for |y|², so it must agree with
+    # the hand-derived form within 1e-12 relative.
     means, sausage_devs = [], []
     reference_ok = True
     a, b = UNIT_SEGMENT_GRAIN.rows()
-    for j, r in enumerate(rs):
-        (lam,), (lam_se,) = sausage_integrals(a[None], b[None], QUADRATIC, r, 1_000_000,
-                                              derive_key(911, j))
+    for r in rs:
+        lam = sausage_moment_rule(a, b, QUADRATIC, r)[0]
         hand = 2.0 * r * (1.0 / 3.0 + math.pi * r / 4.0 + r ** 2 + math.pi * r ** 3 / 4.0)
-        reference_ok = reference_ok and abs(lam - hand) <= 3.0 * lam_se + 1e-12 * hand
+        reference_ok = reference_ok and abs(lam - hand) <= 1e-12 * hand
         sausage_devs.append((lam - hand) / hand)
         means.append(lam / (2.0 * r))
     zs = [(c - m) / math.sqrt(m / (2.0 * r * n_samples))

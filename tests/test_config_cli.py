@@ -17,11 +17,11 @@ from meandense.boolean import checked_guard_margin
 from meandense.cli import main
 from meandense.config import lattice_points
 from meandense.estimate import accumulate_hits, convergence_study
-from meandense.exact import _mark_mean, density_grid
+from meandense.exact import density_grid
 from meandense.geometry import Box, ball_volume
+from meandense.grains import sausage_moment_rule
 from meandense.minkowski import content_limit, ratio_bound
 from meandense.poisson import sample_block
-from meandense.streams import derive_key
 
 FULL_CONFIG = """
 # exercise every common key
@@ -725,6 +725,17 @@ def test_cli_refused_n_is_one_violation(tmp_path, capsys):
         "n: required, must satisfy 0 <= n < d (d=3); the n = d case is out of estimator scope"])
 
 
+def test_cli_refused_d_is_one_violation(tmp_path, capsys):
+    """d = 4 on segments_3d.cfg is refused once: its window and points are
+    not counted against the d = 2 that stands in for d.  A valid d still
+    counts them: a window of two components in d = 3 gets its line."""
+    text = (CONFIGS / "segments_3d.cfg").read_text()
+    _assert_fault(tmp_path, capsys, "exact", _edited(text, ["d = 4"]),
+                  ["d: required, must be in {1, 2, 3}"])
+    _assert_fault(tmp_path, capsys, "exact", _edited(text, ["window.lo = 0.5, 0.5"]),
+                  ["window: lo and hi need 3 components each"])
+
+
 def test_cli_oracle_on_the_cell_at_the_clip(tmp_path):
     """affine_clipped.cfg at x = (0.15, 0) and r = 0.15, where the cell's
     box corner x1 - (1 + r) rounds to -0.9999999999999999 and puts it on
@@ -965,10 +976,9 @@ def test_cli_oracle_runs(tmp_path, capsys):
     assert len(lines) == 5  # 2 points x 2 radii
     sc = parse_config(text)
     coords = [(x, r) for x in sc.grid_points() for r in sc.r_grid]
-    lams = [  # the task of (point i, radius j) draws on stream index i * len(r_grid) + j
-        _mark_mean((sc.intensity, sc.marks, x, r, sc.mc_points, sc.mark_draws,
-                    derive_key(sc.seed, index)))
-        for index, (x, r) in enumerate(coords)
+    a, b = sc.marks.grain.rows()
+    lams = [  # |y|² under a fixed segment: every cell is on the moment rule, SE 0
+        (sausage_moment_rule(x - a, x - b, sc.intensity, r)[0], 0.0) for x, r in coords
     ]
     results = [(1.0 - math.exp(-lam), math.exp(-lam) * se) for lam, se in lams]
     assert csv == oracle_csv_020(sc, coords, results)

@@ -24,7 +24,7 @@ from meandense import exact
 from meandense.cli import main
 from meandense.config import parse_config
 from meandense.geometry import clipped_lengths
-from meandense.grains import line_integrals, mark_segments, sausage_integrals
+from meandense.grains import line_integrals, mark_segments, sausage_integrals, sausage_moment_rule
 from meandense.minkowski import content_limit
 from meandense.streams import derive_key, skip, uniforms
 
@@ -38,7 +38,7 @@ class Field:
 
 class MonteCarloField:
     """A field's values and sup without its polynomial statement, so the
-    sausage kernel integrates it by Monte Carlo."""
+    grid calls integrate it by Monte Carlo."""
 
     def __init__(self, f):
         self.values = f.values
@@ -235,12 +235,16 @@ def _former_check_finiteness(f, q, radius, key, mark_draws, points_per_mark):
     `mark_draws` marks of Q (a deterministic law's grain repeated),
     `points_per_mark` proposals each, the marks on the first
     mark_draws × U counters of the key and the proposals on the ones
-    after; with the SE of that mean."""
+    after; with the SE of that mean.  A one-row grain under a field that
+    states it is a polynomial (|y|² does everywhere) took the moment rule."""
     counters = np.arange(mark_draws * q.uniforms).reshape(mark_draws, q.uniforms)
     a, b = mark_segments(q, uniforms(key, counters))
     x = np.zeros(q.dim)
-    totals, _ = sausage_integrals(x - a, x - b, f, radius, points_per_mark,
-                                  skip(key, counters.size))
+    if q.segments == 1 and hasattr(f, "polynomial_on"):
+        totals = sausage_moment_rule((x - a)[:, 0], (x - b)[:, 0], f, radius)
+    else:
+        totals, _ = sausage_integrals(x - a, x - b, f, radius, points_per_mark,
+                                      skip(key, counters.size))
     return float(totals.mean()), float(totals.std(ddof=1) / math.sqrt(mark_draws))
 
 
@@ -300,7 +304,7 @@ def test_hitting_grid_refusals():
     for r in (0.0, math.nan, 2.0):
         with pytest.raises(ConfigurationError, match="radius"):
             hitting_grid(CONSTANT, UNIT_SEGMENT, [[0.0, 0.0]], [r])
-    # a sausage off the cubature draws its proposals, which need a key
+    # the Monte Carlo sausage kernel draws its proposals, which need a key
     a, b = UNIT_SEGMENT.grain.rows()
     with pytest.raises(ConfigurationError, match="needs a random stream"):
         sausage_integrals(a[None], b[None], MonteCarloField(CONSTANT), 0.1, 100, None)
@@ -476,8 +480,9 @@ def test_no_cell_at_the_clip_is_refused():
 
 def test_rule_cells_call_the_moment_rule_directly(monkeypatch):
     """The rule cells of hitting_grid and of content_limit never reach
-    sausage_integrals: the grid call has decided them once.  A cell off
-    the rule, under a piecewise field, still does."""
+    sausage_integrals: the grid call has decided them once, a fixed grain
+    on its own dilated box.  A cell off the rule, under a piecewise field,
+    still does."""
     calls = []
 
     def refuse(*args):
@@ -490,6 +495,20 @@ def test_rule_cells_call_the_moment_rule_directly(monkeypatch):
     run = content_limit(UNIT_SEGMENT.grain, CONSTANT, [0.3, 0.2, 0.1])
     assert run.ratios.tolist() == pytest.approx([1.0 + math.pi * r / 2.0 for r in (0.3, 0.2, 0.1)],
                                                 rel=1e-12)
+    # a fixed segment along e1 under max(0, 1 + y2) at x2 = 0 and -0.5: the
+    # clip y2 = -1 lies in the reach box x ± (1 + r), not in x - Z dilated
+    segment = MarkDistribution("deterministic", grain=Grain.segment([1.0, 0.0]))
+    radii = [0.3, 0.2, 0.1]
+    lam, lam_se = hitting_grid(IntensityField("affine", a=1.0, b=[0.0, 1.0]), segment,
+                               [[0.0, 0.0], [0.0, -0.5]], radii)
+    assert not lam_se.any()
+    volumes = [2.0 * r + math.pi * r * r for r in radii]
+    np.testing.assert_allclose(lam, np.outer([1.0, 0.5], volumes), rtol=1e-12)
+    for a in (1.0, 0.5):  # the same cells as Λ at the origin under max(0, a + y2)
+        run = content_limit(segment.grain, IntensityField("affine", a=a, b=[0.0, 1.0]), radii)
+        assert not run.ratio_ses.any()
+        np.testing.assert_allclose(run.ratios, [a * (1.0 + math.pi * r / 2.0) for r in radii],
+                                   rtol=1e-12)
     assert not calls
     piecewise = IntensityField("piecewise", pieces=((Box([-2.0, -2.0], [0.5, 3.0]), 2.0),
                                                     (Box([0.5, -2.0], [3.0, 3.0]), 0.75)))
@@ -570,7 +589,7 @@ def test_mark_rule_equals_a_64_node_reference(d, field, law):
     weights = np.outer(length_weights, dir_weights).ravel()
     a = np.zeros(b.shape)
     line = line_integrals(x - a, x - b, f, 1) @ weights
-    sausage = sausage_integrals(x - a, x - b, f, 0.3, 10, None)[0] @ weights
+    sausage = sausage_moment_rule((x - a)[:, 0], (x - b)[:, 0], f, 0.3) @ weights
     density = density_grid(f, q, [x])
     lam, lam_se = (v[0, 0] for v in hitting_grid(f, q, [x], [0.3]))
     assert density.standard_errors[0] == lam_se == 0.0

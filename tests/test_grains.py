@@ -25,6 +25,7 @@ from meandense.grains import (
     line_integrals,
     mark_segments,
     sausage_integrals,
+    sausage_moment_rule,
 )
 from meandense.exact import _mark_mean, capacity_grid, hitting_grid
 from meandense.minkowski import _enlarged
@@ -523,7 +524,7 @@ def test_certificate_check_sampled():
 
 class MonteCarloField:
     """A field's values and sup without its polynomial statement, so the
-    sausage kernel integrates it by Monte Carlo."""
+    grid calls integrate it by Monte Carlo."""
 
     def __init__(self, f):
         self.values = f.values
@@ -777,9 +778,9 @@ def test_line_kernel_equals_per_grain_reference(d, law, field, count, seed):
 def test_translated_rows_equal_the_shifted_field(d, law, field, count, r, seed):
     """The exact routes integrate f over the translated rows x - a, x - b;
     they integrated f(x - .) over the rows a, b.  The line kernel and,
-    where it is exact, the sausage kernel give the same values within
-    1e-12 relative, under every field kind, and both sausage routes are
-    exact or neither is."""
+    where the field states that it is exact, the moment rule give the same
+    values within 1e-12 relative, under every field kind, and both sausage
+    routes are exact or neither is."""
     rng = np.random.default_rng(seed)
     q = _kernel_law(law, d, rng)
     if field == "piecewise":
@@ -795,11 +796,12 @@ def test_translated_rows_equal_the_shifted_field(d, law, field, count, r, seed):
     np.testing.assert_allclose(line_integrals(x - a, x - b, f, q.n),
                                line_integrals(a, b, shifted, q.n), rtol=1e-12, atol=1e-15)
 
-    def exact_sausages(a, b, h):  # None where they are Monte Carlo: no stream is given
-        try:
-            return sausage_integrals(a, b, h, r, 10, None)[0]
-        except ConfigurationError:
+    def exact_sausages(a, b, h):  # the moment rule where h states it is exact, else None
+        lo = np.minimum(a.min(axis=1), b.min(axis=1)) - r
+        hi = np.maximum(a.max(axis=1), b.max(axis=1)) + r
+        if a.shape[1] > 1 or not np.all(h.polynomial_on(lo, hi)):
             return None
+        return sausage_moment_rule(a[:, 0], b[:, 0], h, r)
 
     est, ref = exact_sausages(x - a, x - b, f), exact_sausages(a, b, shifted)
     assert (est is None) == (ref is None)
@@ -876,6 +878,16 @@ def test_piecewise_field_without_pieces_states_no_split():
 BALL_VOLUME = {0: 1.0, 1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}
 
 
+def _grid_sausages(a, b, h, r):
+    """Λ and its SE from hitting_grid for each one-row grain (a_k, b_k) of
+    rows (K, 1, d) under h: the fixed segment 0 -> a_k - b_k at the point
+    a_k, whose x - Z is the grain.  SE 0 where the grid call put the cell
+    on the moment rule, which it decides on the grain's own box."""
+    cells = [hitting_grid(h, MarkDistribution("deterministic", grain=Grain.segment(ak - bk)),
+                          [ak], [r]) for ak, bk in zip(a[:, 0], b[:, 0])]
+    return np.array([lam[0, 0] for lam, _ in cells]), np.array([se[0, 0] for _, se in cells])
+
+
 def _quadratic_sausage(d, length, r):
     """Integral of |y|² over the r-sausage of a segment of the given length
     from the origin (any direction: |y|² is rotation invariant)."""
@@ -897,7 +909,7 @@ def test_sausage_cubature_closed_forms(d, length, r):
     """Interval L + 2r, stadium 2rL + πr², capsule πr²L + 4πr³/3 and the
     ball b_d r^d (L = 0) for f ≡ 1; |S|·f(midpoint) for an unclipped affine
     f; the |y|² integral (2r·m(r) for the unit segment in d = 2): all to
-    1e-12 relative, with SE 0 and no draw (the stream is None)."""
+    1e-12 relative, with SE 0 from the grid call."""
     direction = np.random.default_rng(d).normal(size=d)
     vec = length * direction / np.linalg.norm(direction)
     a, b = np.zeros((1, 1, d)), vec[None, None]
@@ -908,20 +920,19 @@ def test_sausage_cubature_closed_forms(d, length, r):
         (affine, volume * affine.values(vec / 2.0)[0]),
         (IntensityField("quadratic"), _quadratic_sausage(d, length, r)),
     ):
-        est, se = sausage_integrals(a, b, f, r, 10, None)
+        est, se = _grid_sausages(a, b, f, r)
         assert se.tolist() == [0.0]
         assert abs(est[0] - ref) <= 1e-12 * ref
     if d == 2 and length == 1.0:
         m = 1.0 / 3.0 + math.pi * r / 4.0 + r ** 2 + math.pi * r ** 3 / 4.0
-        est, _ = sausage_integrals(a, b, IntensityField("quadratic"), r, 10, None)
+        est, _ = _grid_sausages(a, b, IntensityField("quadratic"), r)
         assert abs(est[0] - 2.0 * r * m) <= 1e-12 * 2.0 * r * m
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_point_grain_sausage_is_the_ball(d):
     a, b = Grain.point(d).rows()
-    (est,), (se,) = sausage_integrals(a[None], b[None], IntensityField("constant", c=2.0),
-                                      0.3, 10, None)
+    (est,), (se,) = _grid_sausages(a[None], b[None], IntensityField("constant", c=2.0), 0.3)
     assert se == 0.0
     assert abs(est - 2.0 * BALL_VOLUME[d] * 0.3 ** d) <= 1e-12 * est
 
@@ -1013,10 +1024,10 @@ def _product_sausage_cubature(a, b, h, r):
 @example(d=2, lengths=[1.0], r=1.9, field="affine", shift=5.0, seed=1)
 @example(d=1, lengths=[0.0, 2.0], r=0.01, field="affine", shift=0.0, seed=2)
 def test_moment_rule_equals_product_cubature(d, lengths, r, field, shift, seed):
-    """The kernel's 2d + 3 field values per segment give what the product
-    Gauss cubature gave, within 1e-12 relative, on the exact path (SE 0,
-    no stream): segments of the given lengths in random directions from
-    random starts in [-1, 1]^d, under f(x - .) with |x| = shift.  The
+    """The moment rule's 2d + 3 field values per segment give what the
+    product Gauss cubature gave, within 1e-12 relative, on the grid call's
+    exact path (SE 0): segments of the given lengths in random directions
+    from random starts in [-1, 1]^d, under f(x - .) with |x| = shift.  The
     affine field's intercept keeps it positive on every sausage's box."""
     rng = np.random.default_rng(seed)
     direction = rng.normal(size=(len(lengths), d))
@@ -1030,7 +1041,7 @@ def test_moment_rule_equals_product_cubature(d, lengths, r, field, shift, seed):
         "affine": IntensityField("affine", a=40.0, b=rng.uniform(-1.0, 1.0, size=d)),
     }[field]
     h = ShiftedField(f, x)
-    est, se = sausage_integrals(a[:, None], b[:, None], h, r, 10, None)
+    est, se = _grid_sausages(a[:, None], b[:, None], h, r)
     assert se.tolist() == [0.0] * len(lengths)
     ref = _product_sausage_cubature(a, b, h, r)
     assert np.all(np.abs(est - ref) <= 1e-12 * np.abs(ref)), (est, ref)
@@ -1040,9 +1051,10 @@ def test_moment_rule_equals_product_cubature(d, lengths, r, field, shift, seed):
 def test_moment_rule_nodes_stay_in_the_bounding_box(d):
     """An affine field that is positive on a segment's r-dilated bounding
     box, 1e-9 at its lowest corner, is clipped at 0 just beyond it.  The
-    kernel takes the exact path there and must give |S| f(midpoint), the
-    integral of an unclipped affine field: a node outside the box would
-    read the clip instead of the affine value."""
+    grid call, which decides on the grain's own box and not on the
+    symmetric x ± (L + r), takes the exact path there and must give
+    |S| f(midpoint), the integral of an unclipped affine field: a node
+    outside the box would read the clip instead of the affine value."""
     rng = np.random.default_rng(d)
     slope = np.array([1.0, 0.7, 0.4])[:d]
     diagonal = np.ones(d) / math.sqrt(d)
@@ -1053,7 +1065,7 @@ def test_moment_rule_nodes_stay_in_the_bounding_box(d):
                 b = a + length * direction / np.linalg.norm(direction)
                 f = IntensityField("affine", a=1e-9 - slope @ (np.minimum(a, b)[0, 0] - r),
                                    b=slope)
-                est, se = sausage_integrals(a, b, f, r, 10, None)
+                est, se = _grid_sausages(a, b, f, r)
                 volume = length * BALL_VOLUME[d - 1] * r ** (d - 1) + BALL_VOLUME[d] * r ** d
                 ref = volume * f.values((a[0] + b[0]) / 2.0)[0]
                 assert se.tolist() == [0.0]
@@ -1072,7 +1084,7 @@ def test_moment_rule_is_inf_where_the_field_overflows(d):
     x = np.eye(d)[0] * 1e160
     a, b = np.zeros((2, 1, d)), np.zeros((2, 1, d))
     b[0, 0, 0] = 1.0
-    est, se = sausage_integrals(a, b, ShiftedField(f, x), 0.2, 10, None)
+    est, se = _grid_sausages(a, b, ShiftedField(f, x), 0.2)
     assert est.tolist() == [math.inf, math.inf] and se.tolist() == [0.0, 0.0]
     unit = MarkDistribution("deterministic", grain=Grain.segment(np.eye(d)[0]))
     assert tuple(v[0, 0] for v in capacity_grid(f, unit, [x], [0.2])) == (1.0, 0.0)
@@ -1096,7 +1108,7 @@ def test_sausage_cubature_agrees_with_monte_carlo(d, law, field):
     }[field]
     x = shape_rng.uniform(-1.0, 1.0, size=d)
     a, b = mark_segments(q, np.random.default_rng(0).random((q.uniforms, 4)).T)
-    exact, exact_se = sausage_integrals(a, b, ShiftedField(f, x), 0.3, 20_000, 0)
+    exact, exact_se = _grid_sausages(a, b, ShiftedField(f, x), 0.3)
     mc, mc_se = sausage_integrals(a, b, ShiftedField(MonteCarloField(f), x), 0.3, 20_000, 0)
     assert exact_se.tolist() == [0.0] * 4
     se = np.sqrt((mc_se ** 2).sum()) / 4
@@ -1118,22 +1130,39 @@ def test_sausage_cubature_makes_no_draw():
         assert sizes == [] and se[0, 0] == 0.0 and est[0, 0] > 0.0
         lam = hitting_grid(f, unit, [[0.0, 0.0]], [0.5], mark_draws=0, seed=8)
         assert tuple(v[0, 0] for v in lam) == (est[0, 0], 0.0)
-        assert _mark_mean((f, unit, np.zeros(2), 0.5, 200_000, 0, None)) == (est[0, 0], 0.0)
+        a, b = unit.grain.rows()  # the moment rule at the cell, without a key
+        assert sausage_moment_rule(np.zeros(2) - a, np.zeros(2) - b, f, 0.5).tolist() == [est[0, 0]]
         assert sizes == []
         # the same calls on a field without the polynomial statement draw
         capacity_grid(MonteCarloField(f), unit, [[0.2, 0.1]], [0.1], mc_points=50_000, seed=8)
         assert sizes == [50_000 * 2]
 
 
-def test_clipped_affine_field_falls_back_to_monte_carlo():
-    """max(0, y1) changes sign inside the unit segment's sausage: the kernel
-    draws, bit for bit as for a field that makes no polynomial statement."""
+def test_sausage_kernel_is_monte_carlo_only():
+    """sausage_integrals asks the field no question: under |y|², a
+    polynomial everywhere, it draws bit for bit as for a field that makes
+    no statement, and without a key it refuses."""
     a, b = Grain.segment([1.0, 0.0]).rows()
+    f = IntensityField("quadratic")
+    est, se = sausage_integrals(a[None], b[None], f, 0.2, 1000, derive_key(3, 0))
+    ref = sausage_integrals(a[None], b[None], MonteCarloField(f), 0.2, 1000, derive_key(3, 0))
+    assert (est.tolist(), se.tolist()) == (ref[0].tolist(), ref[1].tolist()) and se[0] > 0.0
+    with pytest.raises(ConfigurationError, match="needs a random stream"):
+        sausage_integrals(a[None], b[None], f, 0.2, 1000, None)
+
+
+def test_clipped_affine_field_falls_back_to_monte_carlo():
+    """max(0, y1) changes sign inside the unit segment's sausage: the grid
+    call draws, bit for bit as the kernel on the cell's key for a field
+    that makes no polynomial statement."""
+    a, b = Grain.segment([1.0, 0.0]).rows()
+    reflected = MarkDistribution("deterministic", grain=Grain.segment([-1.0, 0.0]))
     clipped = IntensityField("affine", a=0.0, b=[1.0, 0.0])
-    (est,), (se,) = sausage_integrals(a[None], b[None], clipped, 0.2, 30_000, derive_key(9, 0))
+    est, se = (v[0, 0] for v in hitting_grid(clipped, reflected, [[0.0, 0.0]], [0.2], 30_000,
+                                             seed=9))
     ref = sausage_integrals(a[None], b[None], MonteCarloField(clipped), 0.2, 30_000,
                             derive_key(9, 0))
     assert (est, se) == (ref[0][0], ref[1][0]) and se > 0.0
     # shifted to where it is positive on the whole sausage, it is exact
     shifted = IntensityField("affine", a=0.5, b=[1.0, 0.0])
-    assert sausage_integrals(a[None], b[None], shifted, 0.2, 30_000, None)[1][0] == 0.0
+    assert _grid_sausages(a[None], b[None], shifted, 0.2)[1][0] == 0.0

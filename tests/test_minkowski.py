@@ -15,13 +15,13 @@ from meandense import (
 )
 from meandense.cli import main
 from meandense.geometry import ball_volume
-from meandense.grains import sausage_integrals
+from meandense.grains import sausage_integrals, sausage_moment_rule
 from meandense.minkowski import limit_diagnostics, ratio_bound
 from meandense.streams import derive_key
 
 class MonteCarloField:
     """A field's values and sup without its polynomial statement, so the
-    sausage kernel integrates it by Monte Carlo."""
+    grid calls integrate it by Monte Carlo."""
 
     def __init__(self, f):
         self.values = f.values
@@ -129,17 +129,25 @@ def test_content_limit_is_hitting_grid_on_the_reflected_grain(
     -S: under an affine field, which is not symmetric, each ratio is the
     sausage integral over S's own rows on key derive_key(seed, i) divided
     by b_{d-n} r^{d-n}, bit for bit, and S's mirror image gives other
-    values.  A forced pool runs one mark-mean task per radius on -S off
-    the cubature and none on it, and changes no bit."""
+    values.  That integral is the moment rule's (SE 0) on the cubature
+    case and the Monte Carlo kernel's otherwise.  A forced pool runs one
+    mark-mean task per radius on -S off the cubature and none on it, and
+    changes no bit."""
     radii, seed, mc_points = [0.2, 0.1, 0.05], 11, 2000
     a, b = shape.rows()
+
+    def sausage(a, b, r, i):
+        if cubature:
+            return sausage_moment_rule(a, b, f, r)[0], 0.0
+        (est,), (se,) = sausage_integrals(a[None], b[None], f, r, mc_points, derive_key(seed, i))
+        return est, se
     one = content_limit(shape, f, radii, mc_points, seed=seed, threads=1)
     assert pools == [] and (one.ratio_ses == 0.0).all() == cubature
     for i, r in enumerate(radii):
         norm = ball_volume(shape.dim - shape.n, r)
-        (est,), (se,) = sausage_integrals(a[None], b[None], f, r, mc_points, derive_key(seed, i))
+        est, se = sausage(a, b, r, i)
         assert (one.ratios[i], one.ratio_ses[i]) == (est / norm, se / norm)
-        (mirror,), _ = sausage_integrals(-a[None], -b[None], f, r, mc_points, derive_key(seed, i))
+        mirror, _ = sausage(-a, -b, r, i)
         assert mirror != est
     two = content_limit(shape, f, radii, mc_points, seed=seed, threads=2)
     assert np.array_equal(one.ratios, two.ratios)

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Run the CLI on 49 (sub-command, bundled config) pairs at --threads 1 and
+# Run the CLI on 52 (sub-command, bundled config) pairs at --threads 1 and
 # 2, with RuntimeWarnings as errors, and check that every CSV is
 # byte-identical across the two thread counts.  segment_quadratic.cfg sets
 # no r, so its estimate pair is the one that runs the bandwidth radius
@@ -14,6 +14,7 @@
 # that missed the reflection of the grain would change.
 # affine_clipped.cfg is the one grid that mixes cells on the mark rule and
 # off it: its exact and oracle rows are decided point by point.
+# segment_clipped.cfg's fixed segment is exact on its own box, not x ± (1 + r).
 # parallel_map starts a pool only for work that can pay for one, so most
 # --threads 2 runs here stay in-process; the tier-1 thread-invariance
 # tests (criterion 11 and test_accumulate_hits_thread_invariance) force a
@@ -77,6 +78,7 @@ pairs() {  # one "sub-command config" line per pair
   done
   for cmd in exact estimate oracle simulate; do echo "$cmd trunc_exp_segment.cfg"; done
   for cmd in exact oracle; do echo "$cmd affine_clipped.cfg"; done
+  for cmd in exact oracle minkowski; do echo "$cmd segment_clipped.cfg"; done
 }
 
 run_all() {  # package tree, output label, tree name: names each run that fails
