@@ -192,18 +192,17 @@ _RUNNERS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="meandense")
-    parser.add_argument("command", choices=_RUNNERS)
-    parser.add_argument("--config", required=True)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=None)
-    parser.add_argument("--out", default=None)
-    return parser
+# built once: parse_args keeps no state between calls
+_PARSER = argparse.ArgumentParser(prog="meandense")
+_PARSER.add_argument("command", choices=_RUNNERS)
+_PARSER.add_argument("--config", required=True)
+_PARSER.add_argument("--seed", type=int, default=None)
+_PARSER.add_argument("--threads", type=int, default=None)
+_PARSER.add_argument("--out", default=None)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         text = Path(args.config).read_text()
     except OSError as exc:

@@ -144,7 +144,8 @@ def _floats(text: str) -> list[float]:
 class _Violations(list):
     """Violation lines, one per fault.  A line that follows from a default
     is dropped: once `get` has reported a key, a later line about that key
-    or its section; once d is refused, a `count` of components against d."""
+    or its section; once d is refused, a `count` of components against d
+    and an n in {0, 1, 2} measured against the d that stands in for it."""
 
     def __init__(self, lines):
         super().__init__(lines)
@@ -220,8 +221,9 @@ def parse_config(text: str) -> ScenarioConfig:
         errors.append("d: required, must be in {1, 2, 3}")
         d, errors.d_refused = 2, True
     if not (n_valid := n is not None and 0 <= n < d):
-        errors.append(f"n: required, must satisfy 0 <= n < d (d={d}); "
-                      "the n = d case is out of estimator scope")
+        if n not in range(3) or not errors.d_refused:  # n < 3 may hold for the refused d
+            errors.append(f"n: required, must satisfy 0 <= n < d (d={d}); "
+                          "the n = d case is out of estimator scope")
         n = max(0, d - 1)
 
     intensity = _build_intensity(pairs, get, d, errors)

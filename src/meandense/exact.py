@@ -51,29 +51,32 @@ def _line(f, n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _rule_means(f, n: int, r: float | None, rule, grid: np.ndarray) -> np.ndarray:
+def _rule_means(f, n: int, rule, xs: np.ndarray, rs: np.ndarray | None) -> np.ndarray:
     """Σ_k w_k I(x - a_k, x - b_k) over the rows and weights (a, b, w) of
-    mark_rule at every point x of the grid, I the line integral (r None) or
-    sausage_moment_rule, one call per MARK_CHUNK (point, node) rows.  A
-    NumericError names the first point whose own rows raise it."""
+    mark_rule at every cell (x, r) of the points xs and radii rs, I the
+    line integral (rs None) or sausage_moment_rule, one call per MARK_CHUNK
+    (cell, node) rows whatever their radii.  A NumericError names the first
+    point whose own rows raise it."""
     a, b, w = rule
 
-    def integrate(a, b):
-        return _line(f, n, a, b) if r is None else sausage_moment_rule(a[:, 0], b[:, 0], f, r)
+    def integrate(xs, rs):
+        xa, xb = ((xs[:, None, None] - e).reshape(-1, *e.shape[1:]) for e in (a, b))
+        return _line(f, n, xa, xb) if rs is None else sausage_moment_rule(
+            xa[:, 0], xb[:, 0], f, np.repeat(rs, len(w)))
     per_call = max(1, MARK_CHUNK // len(w))
-    out = np.empty(len(grid))
-    for i in range(0, len(grid), per_call):
-        xs = grid[i:i + per_call, None, None]
+    out = np.empty(len(xs))
+    for i in range(0, len(xs), per_call):
+        cells = slice(i, i + per_call)
         try:
-            vals = integrate((xs - a).reshape(-1, *a.shape[1:]), (xs - b).reshape(-1, *b.shape[1:]))
-        except NumericError as exc:
-            for x in xs[:, 0, 0]:
+            vals = integrate(xs[cells], None if rs is None else rs[cells])
+        except NumericError as exc:  # only the line integral raises
+            for x in xs[cells]:
                 try:
-                    integrate(x - a, x - b)
+                    integrate(x[None], None)
                 except NumericError:
                     raise NumericError(str(exc), point=x) from exc
             raise
-        out[i:i + per_call] = (vals.reshape(len(xs), -1) * w).sum(axis=1)
+        out[cells] = (vals.reshape(-1, len(w)) * w).sum(axis=1)
     return out
 
 
@@ -145,9 +148,8 @@ def _means(f, q: MarkDistribution, grid, radii, mc_points: int, mark_draws: int,
         on_rule = statement(grid[:, None] - (ends.max(0) + dilation),
                             grid[:, None] + (dilation - ends.min(0)))
     values, ses = np.empty(on_rule.shape), np.zeros(on_rule.shape)
-    for j, r in enumerate(radii):
-        on = on_rule[:, j]
-        values[on, j] = _rule_means(f, q.n, r, rule, grid[on])
+    i, j = np.nonzero(on_rule)  # every radius's rule cells in one pass
+    values[i, j] = _rule_means(f, q.n, rule, grid[i], None if line else np.array(radii)[j])
     cells = np.argwhere(~on_rule).tolist()
     tasks = [(f, q, grid[i], radii[j], mc_points, mark_draws, keys[i][j]) for i, j in cells]
     for (i, j), (v, s) in zip(cells, parallel_map(_mark_mean, tasks, threads)):

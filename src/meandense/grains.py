@@ -41,6 +41,9 @@ QUADRATURE_ORDER = 8  # Gauss-Legendre nodes per piece of a row
 # explicit cap is given
 DEFAULT_TRUNCATION_QUANTILE = 0.9999
 
+# ±e_i in pairs, rows e_0, -e_0, e_1, ...: mark_rule's directions and the moment rule's offsets
+_AXES = {d: np.stack([np.eye(d), -np.eye(d)], 1).reshape(2 * d, d) for d in (1, 2, 3)}
+
 
 # ---------------------------------------------------------------------------
 # grains
@@ -197,7 +200,7 @@ def mark_rule(q: MarkDistribution):
     if q.orientation.kind == "fixed":
         directions, direction_weights = q.orientation.fixed_direction()[None], np.ones(1)
     else:
-        directions, direction_weights = np.kron(np.eye(d), [[1.0], [-1.0]]), np.full(2 * d, 0.5 / d)
+        directions, direction_weights = _AXES[d], np.full(2 * d, 0.5 / d)
     b = (lengths[:, None, None] * directions).reshape(-1, 1, d)
     return np.zeros(b.shape), b, np.outer(length_weights, direction_weights).ravel()
 
@@ -281,20 +284,23 @@ def _length_rule(law: LengthLaw) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def sausage_moment_rule(a: np.ndarray, b: np.ndarray, h, r: float) -> np.ndarray:
+def sausage_moment_rule(a: np.ndarray, b: np.ndarray, h, r) -> np.ndarray:
     """Exact integrals of a polynomial h of degree <= 2 over the r-sausages
-    of K segments (a, b), each of shape (K, d), a point's being the ball.
-    A sausage is symmetric about its midpoint m, so ∫ h = V h(m) + (B tr H
-    + (A - B) u'Hu) / 2 for h's Hessian H, its volume V and its second
-    moments A along the axis u and B across it.  The Hessian terms are
-    second differences at m ± r e_i and m ± s u, s² = A / V <= (L/2 + r)²:
-    2d + 3 nodes in the grain's r-dilated bounding box, all K at once: the
-    exact route hands it at most exact.MARK_CHUNK segments."""
+    of K segments (a, b), each of shape (K, d), a point's being the ball, at
+    one radius r or one per segment.  A sausage is symmetric about its
+    midpoint m, so ∫ h = V h(m) + (B tr H + (A - B) u'Hu) / 2 for h's
+    Hessian H, its volume V and its second moments A along the axis u and B
+    across it.  The Hessian terms are second differences at m ± r e_i and
+    m ± s u, s² = A / V <= (L/2 + r)²: 2d + 3 nodes in the grain's
+    r-dilated bounding box, all K at once: the exact route hands it at most
+    exact.MARK_CHUNK segments, whatever their radii."""
     n_grains, d = a.shape
     ab = b - a
     length = np.linalg.norm(ab, axis=1)
-    # cross-section b_{d-1} r^{d-1} (1 in d = 1) and ball b_d r^d
-    cross, ball = ball_volume(d - 1, r) if d > 1 else 1.0, ball_volume(d, r)
+    # r, cross-section b_{d-1} r^{d-1} (1 in d = 1) and ball b_d r^d per row, floats per radius
+    radii, row = np.unique(np.broadcast_to(r, n_grains), return_inverse=True)
+    r, cross, ball = np.array([(s, ball_volume(d - 1, s) if d > 1 else 1.0, ball_volume(d, s))
+                               for s in radii.tolist()]).reshape(-1, 3).T[:, row]
     volume = length * cross + ball
     across = (length * cross / (d + 1) + ball / (d + 2)) * r * r
     excess = length * (cross * (length * length / 12.0 + r * r / (d + 1)) + ball * length / 4.0)
@@ -302,7 +308,7 @@ def sausage_moment_rule(a: np.ndarray, b: np.ndarray, h, r: float) -> np.ndarray
     step = (np.sqrt((across + excess) / volume) / np.where(length > 0.0, length, 1.0))[:, None] * ab
     # weights of the second differences: B / r² at each e_i, V (A - B) / A at u
     w_cross, w_axis = across / (r * r), volume * excess / (across + excess)
-    offsets = np.kron(np.eye(d), [[r], [-r]])  # m ± r e_i, in pairs
+    offsets = r[:, None, None] * _AXES[d]  # m ± r e_i, in pairs
     mid = 0.5 * (a + b)
     pts = np.concatenate([mid[:, None], mid[:, None] + offsets, (mid + step)[:, None],
                           (mid - step)[:, None]], axis=1)

@@ -11,7 +11,6 @@ workers if (w − 1)/w of their predicted time exceeds it.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from time import perf_counter
 
 from .errors import ConfigurationError
@@ -45,5 +44,6 @@ def parallel_map(fn, tasks, threads: int = 1) -> list:
     saved = (perf_counter() - start) * len(rest) * (workers - 1) / (workers * max(1, len(results)))
     if workers == 1 or saved < POOL_COST_S:
         return results + [fn(t) for t in rest]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    import concurrent.futures  # multiprocessing and its imports, only for a pool
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return results + list(pool.map(fn, rest, chunksize=max(1, len(rest) // (4 * workers))))

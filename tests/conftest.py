@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 
 import pytest
@@ -19,8 +20,9 @@ def two_cpus(monkeypatch):
 
 @pytest.fixture
 def pools(monkeypatch):
-    """Stand-in for ProcessPoolExecutor that runs in-process; records the
-    size of every pool started and the tasks it was given."""
+    """Stand-in for concurrent.futures.ProcessPoolExecutor, which
+    parallel_map looks up when it starts a pool, that runs in-process;
+    records the size of every pool started and the tasks it was given."""
     started = []
 
     class RecordingPool:
@@ -38,5 +40,5 @@ def pools(monkeypatch):
             self.record["tasks"] = list(tasks)
             return map(fn, tasks)
 
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return started

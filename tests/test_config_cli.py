@@ -727,13 +727,46 @@ def test_cli_refused_n_is_one_violation(tmp_path, capsys):
 
 def test_cli_refused_d_is_one_violation(tmp_path, capsys):
     """d = 4 on segments_3d.cfg is refused once: its window and points are
-    not counted against the d = 2 that stands in for d.  A valid d still
-    counts them: a window of two components in d = 3 gets its line."""
+    not counted against the d = 2 that stands in for d, nor is an n in
+    {0, 1, 2}, which may suit the d that is meant (n = 0 against its
+    segments is a fault of its own).  A missing n, n < 0 or n >= 3 fits no
+    d and is still refused.  A valid d still counts components: a window
+    of two components in d = 3 gets its line."""
     text = (CONFIGS / "segments_3d.cfg").read_text()
-    _assert_fault(tmp_path, capsys, "exact", _edited(text, ["d = 4"]),
-                  ["d: required, must be in {1, 2, 3}"])
+    refused_d = "d: required, must be in {1, 2, 3}"
+    refused_n = ("n: required, must satisfy 0 <= n < d (d=2); "
+                 "the n = d case is out of estimator scope")
+    family = "marks: grain family has Hausdorff dimension 1, config says n = 0"
+    for n, faults in (("n = 1", []), ("n = 2", []), ("n = 0", [family]), ("-n", [refused_n]),
+                      ("n = -1", [refused_n]), ("n = 3", [refused_n])):
+        _assert_fault(tmp_path, capsys, "exact", _edited(text, ["d = 4", n]), [refused_d, *faults])
     _assert_fault(tmp_path, capsys, "exact", _edited(text, ["window.lo = 0.5, 0.5"]),
                   ["window: lo and hi need 3 components each"])
+
+
+def test_cli_main_parses_each_call_afresh(tmp_path, capsys):
+    """main reuses one parser: oracle with --seed and --threads 2, a bad
+    sub-command (exit 2), then exact with neither flag, all in one process,
+    write the CSVs of separate processes, and exact reads the config's seed."""
+    cfg = str(CONFIGS / "affine_clipped.cfg")
+    runs = [["oracle", "--config", cfg, "--seed", "5", "--threads", "2"],
+            ["exact", "--config", cfg]]
+    assert main([*runs[0], "--out", str(tmp_path / "in" / "oracle")]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["bogus", "--config", cfg])
+    assert exc.value.code == 2
+    assert main([*runs[1], "--out", str(tmp_path / "in" / "exact")]) == 0
+    capsys.readouterr()
+    src = str(Path(meandense.__file__).resolve().parents[1])
+    for argv in runs:
+        out = tmp_path / "alone" / argv[0]
+        done = subprocess.run([sys.executable, "-m", "meandense.cli", *argv, "--out", str(out)],
+                              env={**os.environ, "PYTHONPATH": src}, capture_output=True)
+        assert done.returncode == 0, done.stderr
+        name = f"{argv[0]}.csv"
+        assert (tmp_path / "in" / argv[0] / name).read_bytes() == (out / name).read_bytes()
+    manifest = json.loads((tmp_path / "in" / "exact" / "manifest.json").read_text())
+    assert manifest["seed"] == parse_config(Path(cfg).read_text()).seed != 5
 
 
 def test_cli_oracle_on_the_cell_at_the_clip(tmp_path):

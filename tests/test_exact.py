@@ -602,7 +602,7 @@ def test_density_grid_makes_one_line_kernel_call_per_chunk(monkeypatch):
     (point, node) rows, whatever its size: the unit segment law has 4
     nodes in d = 2, so a chunk of 40 rows holds 10 points.  No pool is
     started."""
-    from meandense import parallel
+    import concurrent.futures
 
     calls = []
 
@@ -614,7 +614,7 @@ def test_density_grid_makes_one_line_kernel_call_per_chunk(monkeypatch):
         raise AssertionError("a pool was started")
 
     monkeypatch.setattr(exact, "line_integrals", counting)
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     rng = np.random.default_rng(0)
     for chunk, points, expected in ((40, 1, 1), (40, 10, 1), (40, 11, 2), (40, 95, 10),
                                     (exact.MARK_CHUNK, 2500, 1)):
@@ -625,6 +625,62 @@ def test_density_grid_makes_one_line_kernel_call_per_chunk(monkeypatch):
         assert len(calls) == expected and max(calls) <= chunk
         ref = [analytic_segment_density(1.0, 1.0, x) for x in grid]
         assert np.allclose(field.values, ref, rtol=1e-12, atol=0.0)
+
+
+def test_hitting_grid_makes_one_moment_rule_call_for_all_radii(monkeypatch):
+    """On the rule a grid of 10 points and 3 radii is 30 cells of the 4
+    nodes of the unit segment law in d = 2, 120 rows that fit in
+    MARK_CHUNK: one sausage_moment_rule call takes them all, one radius
+    per row.  A chunk of 40 rows (10 cells) takes three calls.  Every cell
+    equals the one-radius grid's to the bit, with SE 0."""
+    calls = []
+
+    def counting(a, b, h, r):
+        calls.append((len(a), np.unique(r).size))
+        return sausage_moment_rule(a, b, h, r)
+
+    monkeypatch.setattr(exact, "sausage_moment_rule", counting)
+    grid = np.random.default_rng(5).uniform(-1.0, 1.0, size=(10, 2))
+    radii = [0.2, 0.1, 0.05]
+    lam, lam_se = hitting_grid(QUADRATIC, UNIFORM_SEGMENTS, grid, radii, seed=0)
+    assert calls == [(120, 3)] and not lam_se.any()
+    for j, r in enumerate(radii):
+        one_radius, _ = hitting_grid(QUADRATIC, UNIFORM_SEGMENTS, grid, [r])
+        assert one_radius[:, 0].tolist() == lam[:, j].tolist()
+    monkeypatch.setattr(exact, "MARK_CHUNK", 40)
+    calls.clear()
+    chunked, _ = hitting_grid(QUADRATIC, UNIFORM_SEGMENTS, grid, radii, seed=0)
+    assert [rows for rows, _ in calls] == [40, 40, 40] and chunked.tolist() == lam.tolist()
+
+
+def test_affine_clipped_keeps_its_rule_and_monte_carlo_cells(monkeypatch):
+    """affine_clipped.cfg's oracle cells keep their split with every radius
+    in one rule pass: the four right-hand points at both radii are 8 rule
+    cells in one sausage_moment_rule call, Λ = (2r + πr²)(1 + x1) with SE
+    0, and the two left-hand points at both radii are the 4 _mark_mean
+    tasks, with SE > 0."""
+    cfg = parse_config((CONFIGS / "affine_clipped.cfg").read_text())
+    rule_rows, tasks, mean = [], [], exact._mark_mean
+
+    def counting_rule(a, b, h, r):
+        rule_rows.append(len(a))
+        return sausage_moment_rule(a, b, h, r)
+
+    def recording_mean(args):
+        tasks.append((args[2].tolist(), args[3]))
+        return mean(args)
+
+    monkeypatch.setattr(exact, "sausage_moment_rule", counting_rule)
+    monkeypatch.setattr(exact, "_mark_mean", recording_mean)
+    grid = cfg.grid_points()
+    lam, lam_se = hitting_grid(cfg.intensity, cfg.marks, grid, cfg.r_grid, cfg.mc_points,
+                               cfg.mark_draws, cfg.seed)
+    assert rule_rows == [8 * 4]
+    assert tasks == [([x1, 0.0], r) for x1 in (-0.5, 0.0) for r in cfg.r_grid]
+    assert (lam_se[:2] > 0.0).all() and not lam_se[2:].any()
+    for x, row in zip(grid[2:], lam[2:]):
+        ref = [(2.0 * r + math.pi * r * r) * (1.0 + x[0]) for r in cfg.r_grid]
+        assert np.allclose(row, ref, rtol=1e-12, atol=0.0)
 
 
 def test_capacity_grid_cells_are_the_mark_means_alone():

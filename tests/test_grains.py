@@ -1073,6 +1073,24 @@ def test_moment_rule_nodes_stay_in_the_bounding_box(d):
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
+def test_moment_rule_takes_one_radius_per_row(d):
+    """One call with a radius per row gives, under ==, what the one-radius
+    calls give on each radius's rows: segments and zero-length (point)
+    grains, three radii interleaved, under a quadratic and an affine
+    field."""
+    rng = np.random.default_rng(d)
+    a = rng.uniform(-1.0, 1.0, size=(12, d))
+    b = a + rng.uniform(-1.0, 1.0, size=(12, d))
+    b[::3] = a[::3]
+    radii = np.tile([0.2, 0.05, 1.3], 4)
+    for f in (IntensityField("quadratic"), IntensityField("affine", a=5.0, b=rng.normal(size=d))):
+        mixed = sausage_moment_rule(a, b, f, radii)
+        for r in (0.2, 0.05, 1.3):
+            rows = radii == r
+            assert mixed[rows].tolist() == sausage_moment_rule(a[rows], b[rows], f, r).tolist()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
 def test_moment_rule_is_inf_where_the_field_overflows(d):
     """|x - y|² at |x| = 1e160 is past the float range at every node: the
     integral over a segment's and a point's sausage is inf, with no

@@ -1,6 +1,11 @@
 """Worker pools: thread requests are validated and clamped before any pool
 starts, and a pool starts only where the tasks can pay for it."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from meandense import ConfigurationError, parallel
@@ -98,3 +103,17 @@ def test_an_error_in_the_head_propagates_unchanged(two_cpus, clock, pools):
         parallel_map(fn, range(10), threads=2)
     assert raised.value is error
     assert pools == []
+
+
+def test_cli_import_loads_no_process_pool():
+    """parallel_map imports concurrent.futures only when it starts a pool,
+    so importing the CLI leaves multiprocessing and the modules it brings
+    (socket, subprocess, logging) unloaded."""
+    code = ("import sys, meandense.cli\n"
+            "print([m for m in ('concurrent.futures', 'multiprocessing', 'socket', 'subprocess',"
+            " 'logging') if m in sys.modules])\n")
+    src = str(Path(parallel.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
