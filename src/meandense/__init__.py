@@ -7,7 +7,7 @@ empirical capacity functional of simulated realizations, and the weighted
 Minkowski-content limit of sausage integrals.
 """
 
-__version__ = "0.6.1"
+__version__ = "0.6.2"
 
 from .boolean import measure_in_region
 from .config import ScenarioConfig, parse_config

@@ -204,9 +204,10 @@ _PARSER.add_argument("--out", default=None)
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        text = Path(args.config).read_text()
-    except OSError as exc:
-        print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)
+        text = Path(args.config).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:  # a decode error does not name the file
+        message = str(exc) if isinstance(exc, OSError) else f"{args.config}: {exc}"
+        print(json.dumps({"error": "config", "message": message}), file=sys.stderr)
         return 1
     try:
         cfg = parse_config(text)

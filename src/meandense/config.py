@@ -8,6 +8,7 @@ the whole file and reports every violation, not just the first.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import math
 import re
@@ -69,7 +70,7 @@ class ScenarioConfig:
     output: str = "out"
     raw_text: str = ""
 
-    @property
+    @functools.cached_property  # once per run: study.csv repeats it on every row
     def scenario_id(self) -> str:
         canon = "\n".join(
             sorted(

@@ -29,8 +29,8 @@ from .grains import (MarkDistribution, line_integrals, mark_rule, mark_segments,
 from .parallel import parallel_map
 from .streams import block_keys, skip, uniforms
 
-# grains per kernel call of a mark mean, marks or (point, rule node) rows:
-# its memory is bounded whatever mark_draws or the grid's size is
+# grains per kernel call of a mark mean, marks or (point, rule node, segment)
+# rows: its memory is bounded whatever mark_draws, the grid or the grain is
 MARK_CHUNK = 10_000
 
 
@@ -55,15 +55,15 @@ def _rule_means(f, n: int, rule, xs: np.ndarray, rs: np.ndarray | None) -> np.nd
     """Σ_k w_k I(x - a_k, x - b_k) over the rows and weights (a, b, w) of
     mark_rule at every cell (x, r) of the points xs and radii rs, I the
     line integral (rs None) or sausage_moment_rule, one call per MARK_CHUNK
-    (cell, node) rows whatever their radii.  A NumericError names the first
-    point whose own rows raise it."""
+    (cell, node, segment) rows whatever their radii.  A NumericError names
+    the first point whose own rows raise it."""
     a, b, w = rule
 
     def integrate(xs, rs):
         xa, xb = ((xs[:, None, None] - e).reshape(-1, *e.shape[1:]) for e in (a, b))
         return _line(f, n, xa, xb) if rs is None else sausage_moment_rule(
             xa[:, 0], xb[:, 0], f, np.repeat(rs, len(w)))
-    per_call = max(1, MARK_CHUNK // len(w))
+    per_call = max(1, MARK_CHUNK // a[..., 0].size)
     out = np.empty(len(xs))
     for i in range(0, len(xs), per_call):
         cells = slice(i, i + per_call)

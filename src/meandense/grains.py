@@ -99,8 +99,8 @@ class Grain:
         v = self.vertices
         if len(v) == 2:
             return _unsquared(np.linalg.norm, v[1])  # a segment's length
-        diffs = v[:, None, :] - v[None, :, :]
-        return _unsquared(lambda x: np.sqrt((x ** 2).sum(-1)).max(), diffs)
+        # one vertex at a time: (k, d) temporaries for k vertices, not (k, k, d)
+        return max(_unsquared(lambda x: np.sqrt((x ** 2).sum(-1)).max(), v - p) for p in v)
 
     def rows(self) -> tuple[np.ndarray, np.ndarray]:
         """Segment rows (a, b), each of shape (s, d); a point is one
@@ -367,25 +367,29 @@ class LengthLaw:
         return {"fixed": self.value, "uniform": self.hi, "trunc_exp": self.cap}[self.kind]
 
     def moment(self, k: int) -> float:
-        """E[L^k] under the (truncated) law."""
+        """E[L^k] under the (truncated) law.  trunc_exp's is cap^k J_k / J_0
+        for J_k = int_0^1 t^k e^(-z t) dt, z = rate cap: up to z = 3, J_k =
+        k! e^(-z) sum_j z^j / (k+1+j)!, positive terms whose e^(-z) cancels,
+        so accurate as z -> 0; above it, where that sum's rounding grows,
+        J_k = k! z^(-k-1) (1 - e^(-z) sum_{j<=k} z^j / j!), the subtraction
+        costing a bit or two."""
         if self.kind == "fixed":
             return self.value ** k
         if self.kind == "uniform":
             if self.hi == self.lo:
                 return self.lo ** k
             return (self.hi ** (k + 1) - self.lo ** (k + 1)) / ((k + 1) * (self.hi - self.lo))
-        # truncated exponential, z = rate*cap: E[L^k] = (k!/rate^k) P(k+1, z) / P(1, z),
-        # whose factors underflow as z -> 0, so below z = 1 the same value as
-        # cap^k 1F1(k+1; k+2; -z) / ((k+1) exprel(-z)), Kummer's integral for
-        # int_0^1 t^k e^(-z t) dt over (1 - e^(-z)) / z; scipy is imported
-        # here, off the CLI's import path
-        from scipy import special
-
         z = self.rate * self.cap
-        if z < 1.0:
-            return self.cap ** k * special.hyp1f1(k + 1, k + 2, -z) / ((k + 1) * special.exprel(-z))
-        num = math.factorial(k) / self.rate ** k * special.gammainc(k + 1, z)
-        return num / special.gammainc(1, z)
+        if z > 3.0:  # e^(-z) is 0 past z = 745, where z^j may overflow
+            e = math.exp(-z)
+            tail = e and e * sum(z ** j / math.factorial(j) for j in range(k + 1))
+            return math.factorial(k) / self.rate ** k * (1.0 - tail) / -math.expm1(-z)
+        # the terms of sum_j z^j / (1+j)! stop mattering after those of k's
+        sk, s0, tk, t0, j = 0.0, 0.0, 1.0 / math.factorial(k + 1), 1.0, 0
+        while s0 + t0 != s0:
+            sk, s0, j = sk + tk, s0 + t0, j + 1
+            tk, t0 = tk * z / (k + 1 + j), t0 * z / (1 + j)
+        return self.cap ** k * math.factorial(k) * sk / s0
 
     def sample(self, u: np.ndarray) -> np.ndarray:
         """Lengths from the first column of an (m, k) array of uniforms (none

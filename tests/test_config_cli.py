@@ -1,10 +1,12 @@
 """Config parsing/validation and command-line orchestration."""
 
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import types
 import warnings
 from pathlib import Path
 
@@ -13,6 +15,7 @@ import pytest
 
 import meandense
 from meandense import ConfigurationError, hn_measure, parse_config
+from meandense import config as config_module
 from meandense.boolean import checked_guard_margin
 from meandense.cli import main
 from meandense.config import lattice_points
@@ -674,6 +677,7 @@ def test_cli_exact_on_trunc_exp_at_a_vanishing_rate(tmp_path, field, expected):
 
 
 CONFIGS = Path(__file__).parents[1] / "configs"
+SRC = str(Path(meandense.__file__).resolve().parents[1])
 PIECEWISE = (CONFIGS / "uniform_piecewise.cfg").read_text()
 LATTICE = ("x_grid.kind = lattice", "x_grid.lo = 0.4, 0.4", "x_grid.hi = 0.6, 0.6")
 
@@ -1025,7 +1029,9 @@ def test_cli_oracle_runs(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_cli_study_runs(tmp_path):
+def test_cli_study_runs(tmp_path, monkeypatch):
+    """study.csv repeats the scenario_id on every row, and the manifest
+    holds it too: one run hashes the config text once."""
     text = MINI_ESTIMATE + (
         "N_grid = 100, 200\nreplications = 2\n"
         "bandwidth.c0 = 1.0\nbandwidth.beta = 0.25\nmark_draws = 50\n"
@@ -1033,7 +1039,16 @@ def test_cli_study_runs(tmp_path):
     )
     cfg = write_cfg(tmp_path, text)
     out = tmp_path / "run"
+    hashed = []
+
+    def sha256(data):
+        hashed.append(data)
+        return hashlib.sha256(data)
+
+    monkeypatch.setattr(config_module, "hashlib", types.SimpleNamespace(sha256=sha256))
     assert main(["study", "--config", cfg, "--out", str(out), "--threads", "1"]) == 0
+    assert len(hashed) == 1
+    monkeypatch.undo()
     csv = (out / "study.csv").read_text()
     lines = csv.strip().splitlines()
     assert lines[0].startswith("scenario_id,x1,x2,N,R_N,lambda_hat")
@@ -1047,32 +1062,76 @@ def test_cli_study_runs(tmp_path):
 
 
 def test_cli_import_and_bundled_configs_do_not_load_scipy():
-    """scipy takes a few hundred ms to import; only the trunc_exp length
-    moment needs it, so importing the CLI and parsing every bundled config
-    without that law must leave it unloaded, and parsing one with it
-    (trunc_exp_segment.cfg) loads it."""
-    configs = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
-    trunc_exp = [path for path in configs if "trunc_exp" in path.read_text()]
-    others = [path for path in configs if path not in trunc_exp]
-    assert others and trunc_exp
+    """scipy takes a few hundred ms to import and the engine needs none of
+    it: importing the CLI and parsing every bundled config, the truncated
+    exponential law of trunc_exp_segment.cfg included, leaves it unloaded."""
+    configs = sorted(CONFIGS.glob("*.cfg"))
+    assert any("trunc_exp" in path.read_text(encoding="utf-8") for path in configs)
     code = (
         "import sys\n"
         "import meandense.cli\n"
         "from meandense.config import parse_config\n"
-        "def parse(paths):\n"
-        "    for path in paths:\n"
-        "        with open(path) as fh:\n"
-        "            parse_config(fh.read()).grid_points()\n"
-        "split = sys.argv.index('--')\n"
-        "parse(sys.argv[1:split])\n"
+        "for path in sys.argv[1:]:\n"
+        "    with open(path, encoding='utf-8') as fh:\n"
+        "        parse_config(fh.read()).grid_points()\n"
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "assert 'scipy' not in sys.modules, loaded\n"
-        "parse(sys.argv[split + 1:])\n"
-        "assert 'scipy' in sys.modules\n"
+        "assert not loaded, loaded\n"
     )
-    src = str(Path(meandense.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code, *map(str, configs)],
+                          env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+def test_cli_runs_trunc_exp_without_scipy(tmp_path):
+    """With scipy unimportable (sys.modules["scipy"] = None), exact,
+    oracle, estimate and simulate each exit 0 on trunc_exp_segment.cfg and
+    write their CSV: its moments and its inversion need numpy alone."""
+    commands = ("exact", "oracle", "estimate", "simulate")
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from meandense.cli import main\n"
+        "cfg, out = sys.argv[1:]\n"
+        f"for command in {commands!r}:\n"
+        "    args = [command, '--config', cfg, '--out', f'{out}/{command}', '--threads', '1']\n"
+        "    assert main(args) == 0, command\n"
+    )
     done = subprocess.run(
-        [sys.executable, "-c", code, *map(str, others), "--", *map(str, trunc_exp)],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        [sys.executable, "-c", code, str(CONFIGS / "trunc_exp_segment.cfg"), str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True,
     )
     assert done.returncode == 0, done.stderr
+    for command in commands:
+        assert list((tmp_path / command).glob("*.csv")), command
+
+
+def test_cli_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    """A config holding byte 0xff exits 1 with the JSON error line, which
+    names the file, not with a traceback, and writes nothing."""
+    path = tmp_path / "scenario.cfg"
+    path.write_bytes(MINI_EXACT.encode() + b"# \xff\n")
+    out = tmp_path / "run"
+    assert main(["exact", "--config", str(path), "--out", str(out), "--threads", "1"]) == 1
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "config"
+    assert str(path) in error["message"] and "0xff" in error["message"]
+    assert not out.exists()
+
+
+def test_cli_reads_a_config_as_utf8_under_the_c_locale(tmp_path):
+    """segment_clipped.cfg has a "±" in a comment.  Under LC_ALL=C with
+    Python's UTF-8 mode off, the locale's encoding is ASCII on Linux; the
+    CLI still reads the config as UTF-8, exits 0 and writes the bytes of a
+    run here."""
+    cfg = CONFIGS / "segment_clipped.cfg"
+    assert not cfg.read_bytes().isascii()
+    args = ["exact", "--config", str(cfg), "--threads", "1"]
+    done = subprocess.run(
+        [sys.executable, "-m", "meandense.cli", *args, "--out", str(tmp_path / "c")],
+        env={**os.environ, "PYTHONPATH": SRC, "LC_ALL": "C", "PYTHONUTF8": "0"},
+        capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert main([*args, "--out", str(tmp_path / "here")]) == 0
+    for csv in (tmp_path / "here").glob("*.csv"):
+        assert (tmp_path / "c" / csv.name).read_bytes() == csv.read_bytes()

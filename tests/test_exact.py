@@ -627,6 +627,61 @@ def test_density_grid_makes_one_line_kernel_call_per_chunk(monkeypatch):
         assert np.allclose(field.values, ref, rtol=1e-12, atol=0.0)
 
 
+def _zigzag(vertices: int) -> MarkDistribution:
+    """A deterministic polyline of the given vertex count in the plane."""
+    steps = np.tile([[0.02, 0.01], [0.02, -0.01]], (vertices, 1))[:vertices - 1]
+    return MarkDistribution("deterministic", grain=Grain.polyline(
+        np.vstack([np.zeros(2), np.cumsum(steps, axis=0)])))
+
+
+def test_line_kernel_calls_hold_at_most_mark_chunk_segment_rows(monkeypatch):
+    """MARK_CHUNK bounds the (point, node, segment) rows of a line_integrals
+    call, not the points: at a chunk of 1,000 rows, on a 20 x 20 lattice
+    under polyline_piecewise's field, a 4-vertex polyline (3 rows a point)
+    takes 2 calls of 333 points and a 40-vertex one (39 rows) 16 calls of
+    25, and the latter's tracemalloc peak is within 1.5 times the former's."""
+    import tracemalloc
+
+    rows = []
+
+    def counting(a, b, h, n):
+        rows.append(a.shape[0] * a.shape[1])
+        return line_integrals(a, b, h, n)
+
+    monkeypatch.setattr(exact, "line_integrals", counting)
+    monkeypatch.setattr(exact, "MARK_CHUNK", 1000)
+    f = parse_config((CONFIGS / "polyline_piecewise.cfg").read_text()).intensity
+    axis = np.linspace(0.0, 1.0, 20)
+    grid = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
+    peaks, calls = {}, {}
+    for vertices in (4, 40):
+        q = _zigzag(vertices)
+        rows.clear()
+        tracemalloc.start()
+        try:
+            density_grid(f, q, grid)
+            peaks[vertices] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        calls[vertices] = len(rows)
+        assert max(rows) <= exact.MARK_CHUNK and sum(rows) == len(grid) * (vertices - 1)
+    assert calls == {4: 2, 40: 16}
+    assert peaks[40] <= 1.5 * peaks[4]
+
+
+def test_chunked_line_kernel_values_equal_one_call(monkeypatch):
+    """Each point's rows are integrated alike in any chunk: a 40-vertex
+    polyline's densities over 300 points equal to the bit those of one
+    call holding every row, and those of one point per call."""
+    f = parse_config((CONFIGS / "polyline_piecewise.cfg").read_text()).intensity
+    grid = np.random.default_rng(11).uniform(-0.5, 1.5, size=(300, 2))
+    q = _zigzag(40)
+    chunked = density_grid(f, q, grid).values.tolist()
+    for chunk in (10 ** 9, 1):
+        monkeypatch.setattr(exact, "MARK_CHUNK", chunk)
+        assert density_grid(f, q, grid).values.tolist() == chunked
+
+
 def test_hitting_grid_makes_one_moment_rule_call_for_all_radii(monkeypatch):
     """On the rule a grid of 10 points and 3 radii is 30 cells of the 4
     nodes of the unit segment law in d = 2, 120 rows that fit in

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
 from meandense import (
     ConfigurationError,
@@ -224,6 +224,33 @@ def test_length_law_trunc_exp_moments_at_a_vanishing_rate(rate):
         law = LengthLaw("trunc_exp", rate=rate, cap=cap)
         for k in (1, 2, 3):
             assert law.moment(k) == pytest.approx(cap ** k / (k + 1), rel=1e-14)
+
+
+def _scipy_trunc_exp_moment(rate, cap, k):
+    """E[L^k] of the truncated exponential law as 0.6.1 computed it with
+    scipy.special: Kummer's 1F1 below z = rate cap = 1, the regularized
+    incomplete gamma ratio above."""
+    z = rate * cap
+    if z < 1.0:
+        return cap ** k * special.hyp1f1(k + 1, k + 2, -z) / ((k + 1) * special.exprel(-z))
+    return math.factorial(k) / rate ** k * special.gammainc(k + 1, z) / special.gammainc(1, z)
+
+
+def test_length_law_trunc_exp_moments_match_the_former_scipy_formula():
+    """The moments from math alone lie within 5e-15 relative of scipy's
+    for k = 1, 2, 3 and z = rate cap from 1e-300 to 1e6, on both sides of
+    the switch at z = 3 and of z = 40."""
+    zs = np.concatenate([np.logspace(-300, 6, 1500), np.linspace(2.5, 3.5, 101),
+                         np.linspace(35.0, 45.0, 101),
+                         [np.nextafter(3.0, 0.0), 3.0, np.nextafter(3.0, 4.0)]])
+    worst = 0.0
+    for z in zs:
+        for cap in (1.0, 1.5):
+            law = LengthLaw("trunc_exp", rate=z / cap, cap=cap)
+            for k in (1, 2, 3):
+                ref = _scipy_trunc_exp_moment(law.rate, cap, k)
+                worst = max(worst, abs(law.moment(k) - ref) / ref)
+    assert worst <= 5e-15
 
 
 def test_length_law_samples_match_first_moment():
@@ -505,6 +532,28 @@ def test_grain_diameter_and_extension_keep_020_arithmetic(kind, d):
         v = g.vertices
         assert g.diameter == _v020_diameter(kind, v)
         assert hn_measure(_enlarged(g)) == _v020_extended_measure(kind, v)
+
+
+def test_polyline_diameter_takes_one_vertex_at_a_time():
+    """A polyline's diameter is 0.2.0's pairwise one to the bit at 200
+    vertices, and a 1,000-vertex polyline in d = 3 gets it without the
+    (k, k, d) differences (24 MB): its tracemalloc peak stays below 1 MB."""
+    import tracemalloc
+
+    rng = np.random.default_rng(9)
+
+    def walk(k):
+        return np.vstack([np.zeros(3), np.cumsum(rng.uniform(-0.4, 0.4, (k - 1, 3)), axis=0)])
+
+    v = walk(200)
+    assert Grain.polyline(v).diameter == _v020_diameter("polyline", v)
+    g = Grain.polyline(walk(1000))
+    tracemalloc.start()
+    try:
+        assert g.diameter > 0.0
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
 
 
 def test_certificate_check_sampled():
