@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -32,15 +33,33 @@ from .parallel import usable_cpus
 from .poisson import sample_block
 
 
+def _unwritable(path: Path, exc: OSError) -> ConfigurationError:
+    return ConfigurationError(
+        f"--out (or the config's output key): cannot write {path}: {exc.strerror or exc}"
+    )
+
+
 def _write(out_dir: Path, name: str, text: str) -> Path:
-    path = out_dir / name
+    """Write text to out_dir/name in place: open without O_TRUNC (following
+    a symlink, keeping the inode), write every byte, then truncate to the
+    written length.  On ext4 (auto_da_alloc) closing a file that O_TRUNC
+    cut to 0 starts its writeback; cutting it to its new length does not.
+    Not atomic, as O_TRUNC was not: a crash mid-write leaves a partial file.
+    Only a longer old file is truncated, so a device such as /dev/null
+    (behind a symlink), whose size reads 0, is written and left as it is."""
+    path, data = out_dir / name, text.encode()
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            view = memoryview(data)
+            while view:  # os.write may write less than it is given
+                view = view[os.write(fd, view):]
+            if os.fstat(fd).st_size > len(data):
+                os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
     except OSError as exc:
-        raise ConfigurationError(
-            f"--out (or the config's output key): cannot write {path}: {exc.strerror or exc}"
-        ) from exc
+        raise _unwritable(path, exc) from exc
     return path
 
 
@@ -59,14 +78,21 @@ def _manifest(out_dir: Path, command: str, cfg: ScenarioConfig, seed: int, threa
 
 def _cell(v) -> str:
     """A float cell is its shortest round-trip repr; any other cell (an
-    integer, a label, an empty bound) is its str."""
+    integer, a label, an empty bound) is its str.  A Python float, as the
+    callers' .tolist() gives, needs no conversion."""
+    if type(v) is float:
+        return repr(v)
     return repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
 
 
 def _write_csv(out_dir: Path, name: str, header, rows) -> Path:
     """Every CSV of the CLI: the header and each row of cells joined with
     commas, one line each, ending with a newline."""
-    lines = [",".join(header)] + [",".join(_cell(v) for v in row) for row in rows]
+    lines = [",".join(header)] + [",".join(map(_cell, row)) for row in rows]
+    try:  # every run's first file, so the one mkdir of a run
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _unwritable(out_dir / name, exc) from exc
     return _write(out_dir, name, "\n".join(lines) + "\n")
 
 
@@ -79,13 +105,13 @@ def _realization_csv(points, a, b, n: int) -> tuple[list[str], list[list]]:
     if n == 0:
         kind, params = "point", [""] * len(points)
     elif b.shape[1] == 1:
-        kind, params = "segment", [";".join(map(_cell, v)) for v in b[:, 0]]
+        kind, params = "segment", [";".join(map(_cell, v)) for v in b[:, 0].tolist()]
     else:
         kind = "polyline"
         params = [";".join(" ".join(map(_cell, vertex)) for vertex in (ai[0], *bi))
-                  for ai, bi in zip(a, b)]
+                  for ai, bi in zip(a.tolist(), b.tolist())]
     header = [f"germ_{k}" for k in range(points.shape[1])] + ["kind", "params"]
-    return header, [[*p, kind, ps] for p, ps in zip(points, params)]
+    return header, [[*p, kind, ps] for p, ps in zip(points.tolist(), params)]
 
 
 def run_exact(cfg: ScenarioConfig, seed: int, threads: int, out_dir: Path):
@@ -96,7 +122,8 @@ def run_exact(cfg: ScenarioConfig, seed: int, threads: int, out_dir: Path):
     )
     header = [f"x{k + 1}" for k in range(cfg.d)] + ["value", "standard_error", "method"]
     _write_csv(out_dir, "exact.csv", header, [
-        [*x, v, se, method] for x, v, se, method in zip(grid, values, ses, methods)
+        [*x, v, se, method] for x, v, se, method in zip(
+            grid.tolist(), values.tolist(), ses.tolist(), methods.tolist())
     ])
 
 
@@ -111,7 +138,8 @@ def run_estimate(cfg: ScenarioConfig, seed: int, threads: int, out_dir: Path):
     lam, se = capacity_estimate(ind[:, 0], cfg.n_samples, cfg.d, cfg.n, radius)
     header = [f"x{k + 1}" for k in range(cfg.d)] + ["N", "R_N", "lambda_hat", "se"]
     _write_csv(out_dir, "estimate.csv", header, [
-        [*x, cfg.n_samples, radius, v, e] for x, v, e in zip(xs, lam, se)
+        [*x, cfg.n_samples, radius, v, e]
+        for x, v, e in zip(xs.tolist(), lam.tolist(), se.tolist())
     ])
 
 
@@ -128,7 +156,8 @@ def run_study(cfg: ScenarioConfig, seed: int, threads: int, out_dir: Path):
               "region_hat", "region_exact")
     header = ["scenario_id", *(f"x{k + 1}" for k in range(cfg.d)), "N", *values]
     _write_csv(out_dir, "study.csv", header, [
-        [cfg.scenario_id, *row["x"], row["N"], *(row[k] for k in values)] for row in rows
+        [cfg.scenario_id, *row["x"].tolist(), row["N"], *(row[k] for k in values)]
+        for row in rows
     ])
 
 
@@ -156,7 +185,7 @@ def run_minkowski(cfg: ScenarioConfig, seed: int, threads: int, out_dir: Path):
     header = ["r", "ratio", "se", "bound", "target", "limit_estimate"]
     _write_csv(out_dir, "minkowski.csv", header, [
         [r, ratio, se, bound, run.target, run.limit_estimate]
-        for r, ratio, se in zip(run.r_grid, run.ratios, run.ratio_ses)
+        for r, ratio, se in zip(run.r_grid.tolist(), run.ratios.tolist(), run.ratio_ses.tolist())
     ])
 
 
@@ -177,7 +206,7 @@ def run_oracle(cfg: ScenarioConfig, seed: int, threads: int, out_dir: Path):
     header = [f"x{k + 1}" for k in range(cfg.d)] + ["r", "prob", "se", "ratio"]
     _write_csv(out_dir, "oracle.csv", header, [
         [*x, r, prob, se, prob / ball_volume(cfg.d - cfg.n, r)]
-        for x, row_probs, row_ses in zip(xs, probs, ses)
+        for x, row_probs, row_ses in zip(xs.tolist(), probs.tolist(), ses.tolist())
         for r, prob, se in zip(cfg.r_grid, row_probs, row_ses)
     ])
 

@@ -126,6 +126,24 @@ def _underflow(key: str, radii, codim: int) -> list[str]:
             for r in radii if (norm := ball_volume(codim, r)) < sys.float_info.min]
 
 
+def _length_rule_fault(marks: MarkDistribution) -> str | None:
+    """The violation of a truncated exponential length law whose E[L^k],
+    k <= 3, lie below the float range, so that the exact route's two-node
+    length rule cannot be built from them: rate^k overflows in k! / rate^k
+    when rate * cap > 3, cap^k underflows below it, and the variance rounds
+    to 0.  A law reaching 1e75 is L_max's violation: its moments overflow."""
+    law = marks.length
+    if marks.kind != "segment" or law.kind != "trunc_exp" or law.cap >= 1e75:
+        return None
+    with contextlib.suppress(OverflowError, ZeroDivisionError):
+        m1, m2, _ = (law.moment(k) for k in (1, 2, 3))  # E[L^3] may raise alone
+        if m2 - m1 * m1 > 0.0:
+            return None
+    key = "marks.length.rate" if law.rate * law.cap > 3.0 else "marks.length.cap"
+    return (f"{key}: rate {law.rate!r} with cap {law.cap!r} puts E[L^k], k <= 3, below "
+            "the float range, and the exact route's length rule reads them")
+
+
 class _NotFinite(ValueError):
     """A number that parses but is nan or infinite."""
 
@@ -300,6 +318,8 @@ def parse_config(text: str) -> ScenarioConfig:
             errors.append(f"{key}: the law needs a finite diameter bound L_max")
         elif not math.isfinite(mean):
             errors.append(f"{key}: E_Q[H^n(Z_0)] must be finite")
+        elif fault := _length_rule_fault(marks):  # before E[L^3], which may have underflowed
+            errors.append(fault)
         elif not math.isfinite(third):
             errors.append(f"{key}: quadratic intensity needs E[L^3] < infinity")
         elif marks.l_max >= 1e75:  # the sausage moment rule's products grow like L^4

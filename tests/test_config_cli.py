@@ -548,6 +548,43 @@ def test_cli_unwritable_out_is_a_validation_error(tmp_path, capsys, monkeypatch)
         main(["exact", "--config", cfg, "--out", str(tmp_path / "ok"), "--threads", "1"])
 
 
+def test_cli_rewrites_longer_outputs_in_place(tmp_path):
+    """A run into an --out whose exact.csv and manifest.json are longer than
+    what it writes leaves the fresh run's CSV bytes and a manifest that
+    parses: each file is truncated to its new length, on the same inode."""
+    cfg = write_cfg(tmp_path, MINI_EXACT)
+    fresh, out = tmp_path / "fresh", tmp_path / "run"
+    assert main(["exact", "--config", cfg, "--out", str(fresh), "--threads", "1"]) == 0
+    out.mkdir()
+    for name in ("exact.csv", "manifest.json"):
+        old = (fresh / name).read_bytes()
+        (out / name).write_bytes(b"9" * (2 * len(old) + 100))
+    inode = (out / "exact.csv").stat().st_ino
+    assert main(["exact", "--config", cfg, "--out", str(out), "--threads", "1"]) == 0
+    assert (out / "exact.csv").read_bytes() == (fresh / "exact.csv").read_bytes()
+    assert (out / "exact.csv").stat().st_ino == inode
+    assert json.loads((out / "manifest.json").read_text())["command"] == "exact"
+
+
+def test_cli_rewrites_through_a_symlinked_output(tmp_path):
+    """An --out file that is a symlink is followed: its target gets the new
+    bytes and the link stays a link.  A link to /dev/null is written but
+    not truncated, which a device refuses."""
+    cfg = write_cfg(tmp_path, MINI_EXACT)
+    fresh, out, elsewhere = tmp_path / "fresh", tmp_path / "run", tmp_path / "elsewhere"
+    assert main(["exact", "--config", cfg, "--out", str(fresh), "--threads", "1"]) == 0
+    out.mkdir()
+    elsewhere.mkdir()
+    target = elsewhere / "kept.csv"
+    target.write_bytes(b"stale\n" * 1000)
+    (out / "exact.csv").symlink_to(target)
+    (out / "manifest.json").symlink_to(os.devnull)
+    assert main(["exact", "--config", cfg, "--out", str(out), "--threads", "1"]) == 0
+    assert (out / "exact.csv").is_symlink() and (out / "manifest.json").is_symlink()
+    assert os.readlink(out / "exact.csv") == str(target)
+    assert target.read_bytes() == (fresh / "exact.csv").read_bytes()
+
+
 def test_cli_invalid_config(tmp_path):
     cfg = write_cfg(tmp_path, "d = 7\n")
     assert main(["exact", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
@@ -634,6 +671,34 @@ def test_cli_length_moment_past_the_float_range_is_a_named_violation(
     message = _validation_error(capsys, "exact", write_cfg(tmp_path, text), tmp_path / "run")
     assert message.splitlines() == [
         "invalid configuration:", f"  {key}: quadratic intensity needs E[L^3] < infinity"]
+
+
+@pytest.mark.parametrize("field, rate, cap, key", [
+    ("constant", "1e300", "1e-299", "marks.length.rate"),
+    ("quadratic", "1e300", "1e-299", "marks.length.rate"),
+    ("constant", "1e103", None, "marks.length.rate"),
+    ("constant", "1", "1e-200", "marks.length.cap"),
+], ids=["rate", "rate-quadratic", "rate-default-cap", "cap"])
+@pytest.mark.parametrize("command", ["exact", "oracle", "estimate"])
+def test_cli_trunc_exp_moments_below_the_float_range_are_a_named_violation(
+        tmp_path, capsys, command, field, rate, cap, key):
+    """The length rule reads E[L^k], k <= 3.  Past rate * cap = 3 they are
+    k! / rate^k, whose rate^k overflows (rate^3 at rate 1e103); below it
+    cap^k E[(L / cap)^k], whose cap^2 underflows and rounds the variance to
+    0.  Under every field, f = 1 included, each is one violation naming the
+    key, at parse time, not a traceback; under |y|^2 it is not reported as
+    an E[L^3] = infinity (the moment is tiny)."""
+    text = MINI_ESTIMATE
+    for line in (f"intensity.kind = {field}", "marks.length.kind = trunc_exp",
+                 f"marks.length.rate = {rate}", "r_grid = 0.2, 0.1"):
+        text = _with_line(text, line)
+    if cap is not None:
+        text = _with_line(text, f"marks.length.cap = {cap}")
+    message = _validation_error(capsys, command, write_cfg(tmp_path, text), tmp_path / "run")
+    lines = message.splitlines()
+    assert lines[0] == "invalid configuration:" and len(lines) == 2
+    assert lines[1].startswith(f"  {key}: rate {float(rate)!r} with cap ")
+    assert "below the float range" in lines[1]
 
 
 def _csv_row(path):
