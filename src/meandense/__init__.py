@@ -18,14 +18,8 @@ from .estimate import (
     contact_derivative,
     convergence_study,
     count_estimate,
-    histogram_reduction,
 )
-from .exact import (
-    analytic_segment_density,
-    capacity_grid,
-    density_grid,
-    hitting_grid,
-)
+from .exact import capacity_grid, density_grid, hitting_grid
 from .geometry import Box, ball_volume
 from .grains import (
     Grain,

@@ -29,7 +29,7 @@ from .estimate import accumulate_hits, capacity_estimate, convergence_study
 from .exact import capacity_grid, density_grid
 from .geometry import ball_volume
 from .minkowski import content_limit, ratio_bound
-from .parallel import usable_cpus
+from .parallel import keep_freed_memory, usable_cpus
 from .poisson import sample_block
 
 
@@ -73,7 +73,10 @@ def _manifest(out_dir: Path, command: str, cfg: ScenarioConfig, seed: int, threa
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "config": cfg.raw_text,
     }
-    _write(out_dir, "manifest.json", json.dumps(manifest, indent=2) + "\n")
+    # the bytes of json.dumps(manifest, indent=2), whose indent takes the
+    # pure-Python encoder, from C-encoded values; no key needs escaping
+    _write(out_dir, "manifest.json", "{\n" + ",\n".join(
+        [f'  "{k}": {json.dumps(v)}' for k, v in manifest.items()]) + "\n}\n")
 
 
 def _cell(v) -> str:
@@ -231,6 +234,7 @@ _PARSER.add_argument("--out", default=None)
 
 
 def main(argv=None) -> int:
+    keep_freed_memory()
     args = _PARSER.parse_args(argv)
     try:
         text = Path(args.config).read_text(encoding="utf-8")

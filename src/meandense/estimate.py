@@ -80,23 +80,6 @@ def contact_derivative(ind, n_samples: int, d: int, n: int, r_grid) -> float:
     return float(np.polyfit(r_grid.take(order), t_hat.take(order), 1)[0]) / 2.0
 
 
-def histogram_reduction(samples, x: float, half_width: float) -> float:
-    """Classical histogram density value: the fraction of samples in the
-    closed interval [x - R, x + R] divided by its length 2R (d=1, n=0)."""
-    if not half_width > 0:
-        raise ConfigurationError("half_width must be positive")
-    if not math.isfinite(x):
-        raise ConfigurationError(f"x must be finite, got {x}")
-    samples = np.asarray(samples, dtype=float)
-    if samples.size == 0:
-        raise ConfigurationError("need at least one sample")
-    bad = samples[~np.isfinite(samples)]
-    if bad.size:
-        raise ConfigurationError(f"samples must be finite, got {bad[0]}")
-    count = int(np.count_nonzero(np.abs(samples - x) <= half_width))
-    return capacity_estimate(count, samples.size, 1, 0, half_width)[0]
-
-
 # ---------------------------------------------------------------------------
 # the replicate engine: simulate-and-count without retaining realizations
 

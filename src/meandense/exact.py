@@ -23,7 +23,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, NumericError
-from .geometry import as_point
 from .grains import (MarkDistribution, line_integrals, mark_rule, mark_segments, sausage_integrals,
                      sausage_moment_rule)
 from .parallel import parallel_map
@@ -155,13 +154,6 @@ def _means(f, q: MarkDistribution, grid, radii, mc_points: int, mark_draws: int,
     for (i, j), (v, s) in zip(cells, parallel_map(_mark_mean, tasks, threads)):
         values[i, j], ses[i, j] = v, s
     return values, ses, on_rule
-
-
-def analytic_segment_density(el: float, el3: float, x) -> float:
-    """Closed form for the planar segment model with quadratic intensity
-    |y|^2 and uniform orientation: (x1^2 + x2^2) E[L] + E[L^3]/3."""
-    x = as_point(x, dim=2)
-    return float((x[0] ** 2 + x[1] ** 2) * el + el3 / 3.0)
 
 
 def hitting_grid(f, q: MarkDistribution, grid, radii, mc_points: int = 200_000,

@@ -10,6 +10,7 @@ workers if (w − 1)/w of their predicted time exceeds it.
 
 from __future__ import annotations
 
+import functools
 import os
 from time import perf_counter
 
@@ -32,6 +33,31 @@ def pool_size(threads: int, tasks: int) -> int:
     return max(1, min(threads, tasks, usable_cpus()))
 
 
+@functools.cache  # one lookup per process
+def _glibc():
+    """The C library with glibc's mallopt and malloc_trim, or None."""
+    try:
+        import ctypes  # only here, so importing the package stays as cheap
+        libc = ctypes.CDLL(None)
+        libc.mallopt.argtypes, libc.mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        libc.malloc_trim.argtypes, libc.malloc_trim.restype = (ctypes.c_size_t,), ctypes.c_int
+        return libc
+    except (ImportError, OSError, AttributeError, TypeError):
+        return None
+
+
+@functools.cache  # once per process
+def keep_freed_memory() -> None:
+    """Keep freed memory in the process under glibc: blocks of up to 32 MiB
+    (its largest mmap threshold on 64-bit) come from the heap, and the heap
+    is trimmed only past 256 MiB free, so each replicate block reuses the
+    pages the last one freed rather than faulting in fresh ones.  Does
+    nothing where mallopt is missing."""
+    if (libc := _glibc()) is not None:
+        libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        libc.mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
+
+
 def parallel_map(fn, tasks, threads: int = 1) -> list:
     tasks = list(tasks)
     if pool_size(threads, len(tasks)) == 1:
@@ -44,6 +70,9 @@ def parallel_map(fn, tasks, threads: int = 1) -> list:
     saved = (perf_counter() - start) * len(rest) * (workers - 1) / (workers * max(1, len(results)))
     if workers == 1 or saved < POOL_COST_S:
         return results + [fn(t) for t in rest]
+    if (libc := _glibc()) is not None:  # the workers draw the rest: return what the head kept
+        libc.malloc_trim(0)
     import concurrent.futures  # multiprocessing and its imports, only for a pool
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers,
+                                                initializer=keep_freed_memory) as pool:
         return results + list(pool.map(fn, rest, chunksize=max(1, len(rest) // (4 * workers))))

@@ -26,7 +26,7 @@ def pools(monkeypatch):
     started = []
 
     class RecordingPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None):
             self.record = {"workers": max_workers, "tasks": []}
             started.append(self.record)
 

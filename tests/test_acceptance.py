@@ -19,13 +19,11 @@ from meandense import (
     MarkDistribution,
     OrientationLaw,
     accumulate_hits,
-    analytic_segment_density,
     capacity_estimate,
     contact_derivative,
     content_limit,
     count_estimate,
     density_grid,
-    histogram_reduction,
     measure_in_region,
 )
 from meandense.boolean import _sample_block, checked_guard_margin, count_hits
@@ -35,6 +33,7 @@ from meandense.geometry import Box
 from meandense.grains import sausage_moment_rule
 from meandense.minkowski import limit_diagnostics, ratio_bound
 from meandense.streams import derive_key
+from references import analytic_segment_density, histogram_reduction
 
 THREADS = 4
 

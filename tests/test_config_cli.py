@@ -343,6 +343,27 @@ def test_cli_exact_writes_csv_and_manifest(tmp_path):
     assert manifest["scenario_id"]
 
 
+@pytest.mark.parametrize("comment", [
+    "",
+    "# ASCII only: \"quoted\", C:\\path\\to\\file, a tab\there\n",
+    "# non-ASCII: café, Ω, 単位, 😀 and \"quotes\" \\ \\n \\u00e9 \x7f\n# second line\r\n",
+])
+def test_manifest_bytes_are_json_dumps_with_indent_2(tmp_path, comment):
+    """The manifest is built value by value, yet its bytes are those of
+    json.dumps(manifest, indent=2) plus a newline, whatever the config text
+    echoed in it holds."""
+    path = tmp_path / "scenario.cfg"
+    path.write_text(comment + MINI_EXACT + comment, encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(["exact", "--config", str(path), "--out", str(out), "--threads", "1"]) == 0
+    data = (out / "manifest.json").read_bytes()
+    manifest = json.loads(data)
+    assert list(manifest) == ["command", "seed", "threads", "scenario_id", "version",
+                              "timestamp", "config"]
+    assert manifest["config"] == path.read_text(encoding="utf-8")
+    assert data == (json.dumps(manifest, indent=2) + "\n").encode()
+
+
 def test_cli_estimate_runs(tmp_path):
     cfg = write_cfg(tmp_path, MINI_ESTIMATE)
     out = tmp_path / "run"

@@ -22,13 +22,13 @@ from meandense import (
     contact_derivative,
     convergence_study,
     count_estimate,
-    histogram_reduction,
 )
 from meandense import estimate as estimate_module
 from meandense.boolean import _sample_block, checked_guard_margin, count_hits
 from meandense.geometry import Box, ball_volume, segment_distances
 from meandense.poisson import sample_block
 from meandense.streams import derive_key
+from references import histogram_reduction
 
 CONSTANT = IntensityField("constant", c=1.0)
 UNIT_SEGMENT = MarkDistribution("deterministic", grain=Grain.segment(np.array([1.0, 0.0])))

@@ -15,7 +15,6 @@ from meandense import (
     LengthLaw,
     MarkDistribution,
     OrientationLaw,
-    analytic_segment_density,
     capacity_grid,
     density_grid,
     hitting_grid,
@@ -27,6 +26,7 @@ from meandense.geometry import clipped_lengths
 from meandense.grains import line_integrals, mark_segments, sausage_integrals, sausage_moment_rule
 from meandense.minkowski import content_limit
 from meandense.streams import derive_key, skip, uniforms
+from references import analytic_segment_density
 
 
 class Field:

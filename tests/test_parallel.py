@@ -1,7 +1,9 @@
 """Worker pools: thread requests are validated and clamped before any pool
 starts, and a pool starts only where the tasks can pay for it."""
 
+import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -105,6 +107,91 @@ def test_an_error_in_the_head_propagates_unchanged(two_cpus, clock, pools):
     assert pools == []
 
 
+def test_a_pool_start_returns_the_memory_the_head_kept(two_cpus, clock, pools, monkeypatch):
+    """The workers draw the tasks left after the head, so the parent hands
+    the heap that keep_freed_memory keeps back to the kernel once, before
+    the pool's imports and workers would stack on it; a map with no pool
+    trims nothing."""
+    trims = []
+
+    class Glibc:
+        def malloc_trim(self, pad):
+            trims.append((pad, len(pools)))
+            return 1
+
+    monkeypatch.setattr(parallel, "_glibc", Glibc)
+    heavy = clock.task(2 * parallel.POOL_COST_S)
+    assert parallel_map(heavy, [-1, 2, -3], threads=2) == [1, 2, 3]
+    assert parallel_map(heavy, [-4], threads=2) == [4]
+    assert trims == [(0, 0)] and len(pools) == 1
+
+
+def _kept(_):
+    """Pool task: how often keep_freed_memory's cache was filled in this
+    process, 1 once it has run."""
+    return parallel.keep_freed_memory.cache_info().currsize
+
+
+def test_pool_workers_run_keep_freed_memory(two_cpus, always_pool):
+    """A real pool: its workers run keep_freed_memory as their initializer,
+    so spawned or forkserver workers keep freed memory too.  The parent's
+    cache is cleared first, so a forked worker cannot inherit a call."""
+    parallel.keep_freed_memory.cache_clear()
+    try:
+        assert parallel_map(_kept, range(4), threads=2) == [1, 1, 1, 1]
+    finally:
+        parallel.keep_freed_memory()
+
+
+def _run(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports meandense from this tree."""
+    src = str(Path(parallel.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True)
+
+
+def test_cli_import_needs_no_ctypes():
+    """keep_freed_memory imports ctypes only when called (numpy may load it
+    anyway), so the CLI imports where ctypes cannot, and the call then does
+    nothing."""
+    done = _run("import sys\n"
+                "sys.modules['ctypes'] = None  # every import of ctypes now fails\n"
+                "import meandense.cli\n"
+                "print(meandense.cli.keep_freed_memory())\n")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "None"
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="mallopt's thresholds are glibc's")
+def test_kept_memory_stops_block_page_faults():
+    """Once keep_freed_memory has run, a dense replicate run (about 6.5k
+    segments per realization) reuses the block temporaries the last run
+    freed: a few minor faults per call, where glibc's default thresholds
+    return them to the kernel and fault in about 900 fresh pages per call."""
+    done = _run(
+        "import resource\n"
+        "import numpy as np\n"
+        "from meandense import (Box, IntensityField, LengthLaw, MarkDistribution,"
+        " OrientationLaw, accumulate_hits)\n"
+        "from meandense.parallel import keep_freed_memory\n"
+        "keep_freed_memory()\n"
+        "q = MarkDistribution('segment', length=LengthLaw('fixed', value=1.0),"
+        " orientation=OrientationLaw('uniform', dim=2))\n"
+        "side = np.linspace(0.5, 9.5, 10)\n"
+        "xs = np.stack(np.meshgrid(side, side), axis=-1).reshape(-1, 2)\n"
+        "faults = []\n"
+        "for _ in range(5):\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    accumulate_hits(IntensityField('constant', c=50.0), q, xs, [0.1], 4, seed=1,"
+        " window=Box([0.0, 0.0], [10.0, 10.0]))\n"
+        "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        "print(faults[1:])  # the first call warms up\n")
+    assert done.returncode == 0, done.stderr
+    faults = json.loads(done.stdout)
+    assert len(faults) == 4 and max(faults) < 100, faults
+
+
 def test_cli_import_loads_no_process_pool():
     """parallel_map imports concurrent.futures only when it starts a pool,
     so importing the CLI leaves multiprocessing and the modules it brings
@@ -112,8 +199,6 @@ def test_cli_import_loads_no_process_pool():
     code = ("import sys, meandense.cli\n"
             "print([m for m in ('concurrent.futures', 'multiprocessing', 'socket', 'subprocess',"
             " 'logging') if m in sys.modules])\n")
-    src = str(Path(parallel.__file__).resolve().parents[1])
-    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
-                          capture_output=True, text=True)
+    done = _run(code)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
