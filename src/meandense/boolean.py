@@ -262,7 +262,7 @@ def measure_in_region(a: np.ndarray, b: np.ndarray, owner, count: int, n: int,
         raise ConfigurationError("region dimension mismatch")
     a = a.reshape(-1, d)
     if n == 0:
-        weights = np.all((a >= region.lo) & (a < region.hi), axis=1)
+        weights = ((a >= region.lo) & (a < region.hi)).all(axis=1)
     else:
         weights = clipped_lengths(a, b.reshape(-1, d), region)
     return np.bincount(np.repeat(owner, s), weights=weights, minlength=count)

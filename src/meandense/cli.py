@@ -182,7 +182,7 @@ def run_minkowski(cfg: ScenarioConfig, seed: int, threads: int, out_dir: Path):
     )
     if checked:
         scaled = run.ratios / cfg.intensity.c  # the ratios of f ≡ 1; NaN fails
-        if not np.all(scaled <= bound):
+        if not (scaled <= bound).all():
             margin = float((bound - scaled).min())
             raise NumericError(f"uniform ratio bound violated (margin {margin})")
     header = ["r", "ratio", "se", "bound", "target", "limit_estimate"]

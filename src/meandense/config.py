@@ -500,9 +500,12 @@ def _build_x_grid(pairs, get, d, errors) -> np.ndarray | None:
         if (count := math.prod(shape)) > MAX_GRID_POINTS:
             errors.append(f"x_grid.shape: {count} lattice points exceed the cap {MAX_GRID_POINTS}")
             return None
-        axes = [np.linspace(lo[k], hi[k], shape[k]) for k in range(d)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=1)
+        # point (i_1, ..., i_d) in C order, coordinate k from axis k's linspace
+        points = np.empty((*shape, d))
+        for k in range(d):
+            points[..., k] = np.linspace(lo[k], hi[k], shape[k]).reshape(
+                [-1 if i == k else 1 for i in range(d)])
+        return points.reshape(-1, d)
     errors.append("x_grid.kind: must be lattice or list")
     return None
 

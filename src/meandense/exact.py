@@ -26,7 +26,7 @@ from .errors import ConfigurationError, NumericError
 from .grains import (MarkDistribution, line_integrals, mark_rule, mark_segments, sausage_integrals,
                      sausage_moment_rule)
 from .parallel import parallel_map
-from .streams import block_keys, skip, uniforms
+from .streams import block_keys, check_seed, skip, uniforms
 
 # grains per kernel call of a mark mean, marks or (point, rule node, segment)
 # rows: its memory is bounded whatever mark_draws, the grid or the grain is
@@ -45,7 +45,7 @@ def _line(f, n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The H^n line integrals of f over the segment rows, refusing a
     non-finite one."""
     vals = line_integrals(a, b, f, n)
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise NumericError("non-finite inner integral")
     return vals
 
@@ -77,6 +77,14 @@ def _rule_means(f, n: int, rule, xs: np.ndarray, rs: np.ndarray | None) -> np.nd
             raise
         out[cells] = (vals.reshape(-1, len(w)) * w).sum(axis=1)
     return out
+
+
+def _keys(seed: int):
+    """The keys derive_key(seed, k) of an array of cell indices k, as a
+    function: the seed is checked now, and a key derived only for a cell
+    that draws."""
+    check_seed(seed)
+    return lambda index: block_keys(seed, 0, index[-1] + 1)[index].tolist()
 
 
 def _mark_mean(args) -> tuple[float, float]:
@@ -121,10 +129,12 @@ def _means(f, q: MarkDistribution, grid, radii, mc_points: int, mark_draws: int,
     that it is a polynomial of degree <= 2 on the box that every grain of
     the cell reaches, x_i - Z dilated by r_j for a fixed grain Z, else
     x_i ± (l_max + r_j), the sausage kernel needing one segment row per
-    grain.  Other cells are _mark_mean tasks on keys[i][j]: no value
-    depends on another cell or on the thread count."""
+    grain.  Other cells are _mark_mean tasks, cell (i, j) on the key that
+    keys(index) gives for its index i R + j, called once with the indices
+    of every such cell and never where none draws: no value depends on
+    another cell or on the thread count."""
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    if grid.shape[1] != q.dim or not np.all(np.isfinite(grid)):
+    if grid.shape[1] != q.dim or not np.isfinite(grid).all():
         raise ConfigurationError(f"points must be finite and of dimension {q.dim}")
     if not len(grid):
         raise ConfigurationError("grid: need at least one point")
@@ -149,10 +159,10 @@ def _means(f, q: MarkDistribution, grid, radii, mc_points: int, mark_draws: int,
     values, ses = np.empty(on_rule.shape), np.zeros(on_rule.shape)
     i, j = np.nonzero(on_rule)  # every radius's rule cells in one pass
     values[i, j] = _rule_means(f, q.n, rule, grid[i], None if line else np.array(radii)[j])
-    cells = np.argwhere(~on_rule).tolist()
-    tasks = [(f, q, grid[i], radii[j], mc_points, mark_draws, keys[i][j]) for i, j in cells]
-    for (i, j), (v, s) in zip(cells, parallel_map(_mark_mean, tasks, threads)):
-        values[i, j], ses[i, j] = v, s
+    i, j = np.nonzero(~on_rule)
+    tasks = [(f, q, grid[k], radii[r], mc_points, mark_draws, key) for k, r, key in
+             zip(i.tolist(), j.tolist(), keys(i * len(radii) + j) if len(i) else ())]
+    values[i, j], ses[i, j] = np.reshape(parallel_map(_mark_mean, tasks, threads), (-1, 2)).T
     return values, ses, on_rule
 
 
@@ -165,8 +175,7 @@ def hitting_grid(f, q: MarkDistribution, grid, radii, mc_points: int = 200_000,
     condition: the cells on the mark rule exact (SE 0), every other cell
     (i, j) on derive_key(seed, i R + j)."""
     grid, radii = np.atleast_2d(np.asarray(grid, dtype=float)), [float(r) for r in radii]
-    keys = block_keys(seed, 0, len(grid) * len(radii)).reshape(len(grid), len(radii)).tolist()
-    return _means(f, q, grid, radii, mc_points, mark_draws, keys, threads)[:2]
+    return _means(f, q, grid, radii, mc_points, mark_draws, _keys(seed), threads)[:2]
 
 
 def capacity_grid(f, q: MarkDistribution, grid, radii, mc_points: int = 200_000,
@@ -192,9 +201,7 @@ def density_grid(
     `exact_quadrature_mark_rule` (SE 0) where the mark rule holds at the
     point and `exact_quadrature_mark_mc`, the Monte Carlo mark mean of
     point i on derive_key(seed, i), elsewhere; thread-count invariant."""
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    keys = block_keys(seed, 0, len(grid)).reshape(len(grid), 1).tolist()
-    values, ses, on_rule = _means(f, q, grid, [None], 0, mark_draws, keys, threads)
+    values, ses, on_rule = _means(f, q, grid, [None], 0, mark_draws, _keys(seed), threads)
     rule = "exact_quadrature" if q.is_deterministic else "exact_quadrature_mark_rule"
     return _Densities(values[:, 0], ses[:, 0],
                      np.where(on_rule[:, 0], rule, "exact_quadrature_mark_mc"))

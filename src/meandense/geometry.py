@@ -49,7 +49,7 @@ def as_point(p, dim: int | None = None) -> np.ndarray:
         raise ConfigurationError(f"dimension mismatch: expected {dim}, got {a.shape[0]}")
     if a.shape[0] not in SUPPORTED_DIMS:
         raise ConfigurationError(f"unsupported dimension {a.shape[0]}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ConfigurationError(f"non-finite point coordinates: {a}")
     return a
 
@@ -64,7 +64,7 @@ class Box:
     def __post_init__(self):
         object.__setattr__(self, "lo", as_point(self.lo))
         object.__setattr__(self, "hi", as_point(self.hi, dim=self.lo.shape[0]))
-        if np.any(self.lo > self.hi):
+        if (self.lo > self.hi).any():
             raise ConfigurationError(f"box with lo > hi: {self.lo} / {self.hi}")
 
     @property
@@ -85,10 +85,10 @@ class Box:
     def contains(self, pts: np.ndarray) -> np.ndarray:
         """Closed membership; pts of shape (d,) or (m, d)."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return np.all((pts >= self.lo) & (pts <= self.hi), axis=1)
+        return ((pts >= self.lo) & (pts <= self.hi)).all(axis=1)
 
     def contains_box(self, other: "Box") -> bool:
-        return bool(np.all(other.lo >= self.lo) and np.all(other.hi <= self.hi))
+        return bool((other.lo >= self.lo).all() and (other.hi <= self.hi).all())
 
     def sample(self, u: np.ndarray) -> np.ndarray:
         """The points lo + (hi - lo) u for uniforms u of shape (m, d)."""
@@ -146,5 +146,5 @@ def clipped_lengths(a: np.ndarray, b: np.ndarray, box: Box) -> np.ndarray:
     d = b - a
     t0, t1 = clip_parameters(a, b, box)
     # a segment parallel to an axis lies in that slab or misses the box
-    inside = np.all((d != 0.0) | ((a >= box.lo) & (a <= box.hi)), axis=1)
+    inside = ((d != 0.0) | ((a >= box.lo) & (a <= box.hi))).all(axis=1)
     return np.where(inside & (t1 >= t0), t1 - t0, 0.0) * np.linalg.norm(d, axis=1)

@@ -63,9 +63,9 @@ class Grain:
             raise ConfigurationError("grain needs a (k, d) vertex array with k >= 1")
         if v.shape[1] not in (1, 2, 3):
             raise ConfigurationError(f"unsupported dimension {v.shape[1]}")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ConfigurationError("non-finite polyline vertices")
-        if np.any(v[0] != 0.0):
+        if (v[0] != 0.0).any():
             raise ConfigurationError("polyline must be anchored at the origin")
         object.__setattr__(self, "vertices", v)
 
@@ -157,7 +157,7 @@ def line_integrals(a: np.ndarray, b: np.ndarray, h, n: int) -> np.ndarray:
         pts += a[:, :, None, :]
         pts = pts.reshape(-1, d)
     vals = h.values(pts)
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise NumericError("non-finite field value", point=pts[~np.isfinite(vals)][0])
     if n == 0:
         return vals
@@ -298,9 +298,10 @@ def sausage_moment_rule(a: np.ndarray, b: np.ndarray, h, r) -> np.ndarray:
     ab = b - a
     length = np.linalg.norm(ab, axis=1)
     # r, cross-section b_{d-1} r^{d-1} (1 in d = 1) and ball b_d r^d per row, floats per radius
-    radii, row = np.unique(np.broadcast_to(r, n_grains), return_inverse=True)
+    rows = np.broadcast_to(r, n_grains)
+    radii = sorted(set(rows.tolist()))
     r, cross, ball = np.array([(s, ball_volume(d - 1, s) if d > 1 else 1.0, ball_volume(d, s))
-                               for s in radii.tolist()]).reshape(-1, 3).T[:, row]
+                               for s in radii]).reshape(-1, 3)[np.searchsorted(radii, rows)].T
     volume = length * cross + ball
     across = (length * cross / (d + 1) + ball / (d + 2)) * r * r
     excess = length * (cross * (length * length / 12.0 + r * r / (d + 1)) + ball * length / 4.0)
@@ -504,7 +505,7 @@ class MarkDistribution:
         """Segment rows per grain, s, in the rows of mark_segments."""
         return len(self.grain.rows()[0]) if self.kind == "deterministic" else 1
 
-    @property
+    @functools.cached_property  # once per law: a grain's diameter takes a norm per vertex
     def l_max(self) -> float:
         """Almost sure diameter bound for sampled grains."""
         return self.grain.diameter if self.kind == "deterministic" else self.length.l_max

@@ -59,7 +59,7 @@ def content_limit(
         raise ConfigurationError("r_grid: need at least three radii for the extrapolation")
     if np.unique(r_grid).size < r_grid.size:
         raise ConfigurationError(f"r_grid: radii must be distinct, got {r_grid.tolist()}")
-    if np.any(r_grid <= 0.0) or np.any(r_grid >= 2.0):
+    if (r_grid <= 0.0).any() or (r_grid >= 2.0).any():
         raise ConfigurationError("all radii must lie in (0, 2)")
     norms = np.array([checked_ball_volume(shape.dim - shape.n, r) for r in r_grid])
     reflected = MarkDistribution("deterministic", grain=Grain(-shape.vertices))

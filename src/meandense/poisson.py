@@ -52,7 +52,7 @@ class IntensityField:
     def __post_init__(self):
         if self.kind not in INTENSITY_KINDS:
             raise ConfigurationError(f"unknown intensity kind {self.kind!r}")
-        if not np.all(np.isfinite([self.c, self.a, *(val for _, val in self.pieces)])):
+        if not all(map(math.isfinite, (self.c, self.a, *(val for _, val in self.pieces)))):
             raise ConfigurationError("intensity c, a and piece values must be finite")
         if self.kind == "constant" and self.c < 0:
             raise ConfigurationError("constant intensity must be nonnegative")
@@ -91,7 +91,7 @@ class IntensityField:
             return float(self.values(box.corners()).max())
         vals = [0.0]
         for piece_box, val in self.pieces:
-            if np.all(piece_box.hi >= box.lo) and np.all(piece_box.lo <= box.hi):
+            if (piece_box.hi >= box.lo).all() and (piece_box.lo <= box.hi).all():
                 vals.append(val)
         return float(max(vals))
 

@@ -20,21 +20,24 @@ _MASK = (1 << 64) - 1
 # splitmix64's increment: output k of a key's stream mixes key + (k + 1) GAMMA
 GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _PIECE = 1 << 14  # uniforms mixed per pass, so that a pass stays in cache
+# the finalizer's shifts and multipliers, built once rather than per call
+_S11, _S27, _S30, _S31 = map(np.uint64, (11, 27, 30, 31))
+_M1, _M2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
     """The splitmix64 step of a uint64 array, in place: add gamma, then
     finalize."""
     z += GAMMA
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
+    z ^= z >> _S30
+    z *= _M1
+    z ^= z >> _S27
+    z *= _M2
+    z ^= z >> _S31
     return z
 
 
-def _check(seed: int, *indices: int) -> None:
+def check_seed(seed: int, *indices: int) -> None:
     """Refuse a seed or index outside [0, 2^64), naming it: masking would
     alias it with an in-range one."""
     for name, value in (("seed", seed), *(("index", i) for i in indices)):
@@ -53,7 +56,7 @@ def block_keys(seed: int, start: int, stop: int) -> np.ndarray:
     being derive_key(seed, i); the seed and every index are checked before
     anything is allocated."""
     seed, start, stop = int(seed), int(start), int(stop)
-    _check(seed, start, max(start, stop - 1))
+    check_seed(seed, start, max(start, stop - 1))
     index = np.arange(max(0, stop - start), dtype=np.uint64) + np.uint64(start)
     index *= GAMMA
     index ^= _mix(np.array([seed], dtype=np.uint64))
@@ -81,6 +84,6 @@ def uniforms(keys, k) -> np.ndarray:
     z, flat = z.reshape(-1), out.reshape(-1)
     for i in range(0, z.size, _PIECE):
         part = _mix(z[i:i + _PIECE])
-        part >>= np.uint64(11)  # below 2^53: the signed view converts faster
+        part >>= _S11  # below 2^53: the signed view converts faster
         np.multiply(part.view(np.int64), 2.0 ** -53, out=flat[i:i + _PIECE])
     return out

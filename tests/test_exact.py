@@ -275,7 +275,8 @@ def test_mark_means_at_origin_equal_former_finiteness_check(d, field, law):
     q = _finiteness_law(law, d)
     draws, per_mark = 50, 64
     est, est_se, _ = (v[0, 0] for v in exact._means(field, q, np.zeros((1, d)), [0.3],
-                                                    draws * per_mark, draws, [[derive_key(21, d)]]))
+                                                    draws * per_mark, draws,
+                                                    lambda index: [derive_key(21, d)]))
     ref, ref_se = _former_check_finiteness(field, q, 0.3, derive_key(21, d), draws, per_mark)
     if q.is_deterministic:
         assert abs(est - ref) <= 1e-15 * abs(ref)
@@ -750,7 +751,7 @@ def test_capacity_grid_cells_are_the_mark_means_alone():
             for j, r in enumerate(radii):
                 key = derive_key(3, i * len(radii) + j)
                 lam, lam_se, _ = (v[0, 0] for v in exact._means(f, UNIFORM_SEGMENTS, [x], [r],
-                                                                2000, 20, [[key]]))
+                                                                2000, 20, lambda index: [key]))
                 cell = (1.0 - math.exp(-lam), math.exp(-lam) * lam_se)
                 assert (probs[i, j], ses[i, j]) == cell
                 assert (cell[1] == 0.0) == (f is QUADRATIC)

@@ -138,7 +138,7 @@ def test_polynomial_statement():
     unit = MarkDistribution("deterministic", grain=Grain.segment([1.0, 0.0]))
 
     def on_rule(f, grid):
-        keys = [[derive_key(0, i)] for i in range(len(grid))]
+        keys = lambda index: [derive_key(0, i) for i in index]  # cell i of one radius
         return _means(f, unit, np.array(grid), [0.5], 100, 2, keys)[2][:, 0].tolist()
 
     assert on_rule(ramp, [[3.5, 0.0]]) == [True]
