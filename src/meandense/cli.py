@@ -46,10 +46,17 @@ def _write(out_dir: Path, name: str, text: str) -> Path:
     cut to 0 starts its writeback; cutting it to its new length does not.
     Not atomic, as O_TRUNC was not: a crash mid-write leaves a partial file.
     Only a longer old file is truncated, so a device such as /dev/null
-    (behind a symlink), whose size reads 0, is written and left as it is."""
+    (behind a symlink), whose size reads 0, is written and left as it is.
+    Where the open fails, out_dir is made as `mkdir -p` would, raising its
+    own error, and the open is tried once more: a run into an existing
+    directory makes no mkdir call."""
     path, data = out_dir / name, text.encode()
     try:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        except OSError:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
         try:
             view = memoryview(data)
             while view:  # os.write may write less than it is given
@@ -64,19 +71,14 @@ def _write(out_dir: Path, name: str, text: str) -> Path:
 
 
 def _manifest(out_dir: Path, command: str, cfg: ScenarioConfig, seed: int, threads: int):
-    manifest = {
-        "command": command,
-        "seed": seed,
-        "threads": threads,
-        "scenario_id": cfg.scenario_id,
-        "version": __version__,
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "config": cfg.raw_text,
-    }
-    # the bytes of json.dumps(manifest, indent=2), whose indent takes the
-    # pure-Python encoder, from C-encoded values; no key needs escaping
-    _write(out_dir, "manifest.json", "{\n" + ",\n".join(
-        [f'  "{k}": {json.dumps(v)}' for k, v in manifest.items()]) + "\n}\n")
+    """manifest.json: the bytes of json.dumps(manifest, indent=2), whose
+    indent takes the pure-Python encoder, from C-encoded values; no key
+    needs escaping, and the two integers are their repr, as in json."""
+    stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    _write(out_dir, "manifest.json", (
+        f'{{\n  "command": {json.dumps(command)},\n  "seed": {seed:d},\n  "threads": {threads:d},\n'
+        f'  "scenario_id": {json.dumps(cfg.scenario_id)},\n  "version": {json.dumps(__version__)},\n'
+        f'  "timestamp": {json.dumps(stamp)},\n  "config": {json.dumps(cfg.raw_text)}\n}}\n'))
 
 
 def _cell(v) -> str:
@@ -90,12 +92,10 @@ def _cell(v) -> str:
 
 def _write_csv(out_dir: Path, name: str, header, rows) -> Path:
     """Every CSV of the CLI: the header and each row of cells joined with
-    commas, one line each, ending with a newline."""
-    lines = [",".join(header)] + [",".join(map(_cell, row)) for row in rows]
-    try:  # every run's first file, so the one mkdir of a run
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise _unwritable(out_dir / name, exc) from exc
+    commas, one line each, ending with a newline; a Python float, the
+    common cell, takes _cell's first branch inline."""
+    lines = [",".join(header)] + [
+        ",".join([repr(v) if type(v) is float else _cell(v) for v in row]) for row in rows]
     return _write(out_dir, name, "\n".join(lines) + "\n")
 
 

@@ -72,13 +72,9 @@ class ScenarioConfig:
 
     @functools.cached_property  # once per run: study.csv repeats it on every row
     def scenario_id(self) -> str:
-        canon = "\n".join(
-            sorted(
-                line.split("#", 1)[0].strip()
-                for line in self.raw_text.splitlines()
-                if line.split("#", 1)[0].strip()
-            )
-        )
+        canon = "\n".join(sorted(
+            stripped for line in self.raw_text.splitlines()
+            if (stripped := line.partition("#")[0].strip())))
         return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
     def grid_points(self) -> np.ndarray:
@@ -187,13 +183,13 @@ def _tokenize(text: str) -> tuple[dict[str, str], list[str]]:
     seen: dict[str, int] = {}
     errors = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
+        stripped = line.partition("#")[0].strip()
         if not stripped:
             continue
-        if "=" not in stripped:
+        key, equals, val = stripped.partition("=")
+        if not equals:
             errors.append(f"line {lineno}: expected 'key = value', got {stripped!r}")
             continue
-        key, val = stripped.split("=", 1)
         key = key.strip()
         if key in seen:
             errors.append(f"{key}: repeated on line {lineno}, first given on line {seen[key]}")

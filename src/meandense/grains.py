@@ -77,7 +77,9 @@ class Grain:
     def segment(cls, vec) -> "Grain":
         """The segment from the origin to `vec`."""
         vec = as_point(vec)
-        return cls(np.vstack([np.zeros_like(vec), vec]))
+        vertices = np.zeros((2, len(vec)))
+        vertices[1] = vec
+        return cls(vertices)
 
     @classmethod
     def polyline(cls, vertices) -> "Grain":
@@ -102,6 +104,14 @@ class Grain:
         # one vertex at a time: (k, d) temporaries for k vertices, not (k, k, d)
         return max(_unsquared(lambda x: np.sqrt((x ** 2).sum(-1)).max(), v - p) for p in v)
 
+    @functools.cached_property  # once per grain: a run may read it three times
+    def measure(self) -> float:
+        """H^n measure: 1 for a point, total length otherwise."""
+        if self.n == 0:
+            return 1.0
+        a, b = self.rows()
+        return _unsquared(lambda x: np.linalg.norm(x, axis=1).sum(), b - a)
+
     def rows(self) -> tuple[np.ndarray, np.ndarray]:
         """Segment rows (a, b), each of shape (s, d); a point is one
         zero-length row at the origin."""
@@ -121,10 +131,7 @@ def _unsquared(norm, x: np.ndarray) -> float:
 
 def hn_measure(g: Grain) -> float:
     """H^n measure of the grain: 1 for a point, total length otherwise."""
-    if g.n == 0:
-        return 1.0
-    a, b = g.rows()
-    return _unsquared(lambda x: np.linalg.norm(x, axis=1).sum(), b - a)
+    return g.measure
 
 
 def line_integrals(a: np.ndarray, b: np.ndarray, h, n: int) -> np.ndarray:
@@ -162,7 +169,7 @@ def line_integrals(a: np.ndarray, b: np.ndarray, h, n: int) -> np.ndarray:
     if n == 0:
         return vals
     vals = vals.reshape(n_grains, segments, -1)
-    return ((vals * weights).sum(axis=2) * np.linalg.norm(ab, axis=2)).sum(axis=1)
+    return ((vals * weights).sum(axis=2) * np.sqrt((ab * ab).sum(axis=2))).sum(axis=1)
 
 
 # point-row pairs measured at once by sausage_integrals: its memory is
@@ -193,6 +200,8 @@ def mark_rule(q: MarkDistribution):
     four equal angles in d = 2 (exact below trigonometric degree 4), and
     in d = 3 exact for spherical polynomials of degree <= 3.  A
     deterministic law is its grain with weight 1."""
+    if q.kind == "deterministic":  # its grain's rows, without a broadcast view
+        return *(v[None] for v in q.grain.rows()), np.ones(1)
     if q.is_deterministic:
         return *mark_segments(q, np.empty((1, 0))), np.ones(1)
     lengths, length_weights = _length_rule(q.length)
@@ -296,19 +305,21 @@ def sausage_moment_rule(a: np.ndarray, b: np.ndarray, h, r) -> np.ndarray:
     exact.MARK_CHUNK segments, whatever their radii."""
     n_grains, d = a.shape
     ab = b - a
-    length = np.linalg.norm(ab, axis=1)
+    length = np.sqrt((ab * ab).sum(axis=1))  # np.linalg.norm's own sum and root
     # r, cross-section b_{d-1} r^{d-1} (1 in d = 1) and ball b_d r^d per row, floats per radius
-    rows = np.broadcast_to(r, n_grains)
+    rows = np.full(n_grains, r)
     radii = sorted(set(rows.tolist()))
     r, cross, ball = np.array([(s, ball_volume(d - 1, s) if d > 1 else 1.0, ball_volume(d, s))
                                for s in radii]).reshape(-1, 3)[np.searchsorted(radii, rows)].T
-    volume = length * cross + ball
-    across = (length * cross / (d + 1) + ball / (d + 2)) * r * r
-    excess = length * (cross * (length * length / 12.0 + r * r / (d + 1)) + ball * length / 4.0)
+    tube, r2 = length * cross, r * r
+    volume = tube + ball
+    across = (tube / (d + 1) + ball / (d + 2)) * r * r
+    excess = length * (cross * (length * length / 12.0 + r2 / (d + 1)) + ball * length / 4.0)
+    second = across + excess  # A
     # s u with s² = A / V, A = B + excess; a ball has A = B and takes u = 0
-    step = (np.sqrt((across + excess) / volume) / np.where(length > 0.0, length, 1.0))[:, None] * ab
+    step = (np.sqrt(second / volume) / np.where(length > 0.0, length, 1.0))[:, None] * ab
     # weights of the second differences: B / r² at each e_i, V (A - B) / A at u
-    w_cross, w_axis = across / (r * r), volume * excess / (across + excess)
+    w_cross, w_axis = across / r2, volume * excess / second
     offsets = r[:, None, None] * _AXES[d]  # m ± r e_i, in pairs
     mid = 0.5 * (a + b)
     pts = np.concatenate([mid[:, None], mid[:, None] + offsets, (mid + step)[:, None],

@@ -57,7 +57,7 @@ def content_limit(
     r_grid = np.asarray(sorted(r_grid, reverse=True), dtype=float)
     if r_grid.size < 3:
         raise ConfigurationError("r_grid: need at least three radii for the extrapolation")
-    if np.unique(r_grid).size < r_grid.size:
+    if len(set(r_grid.tolist())) < r_grid.size:
         raise ConfigurationError(f"r_grid: radii must be distinct, got {r_grid.tolist()}")
     if (r_grid <= 0.0).any() or (r_grid >= 2.0).any():
         raise ConfigurationError("all radii must lie in (0, 2)")
