@@ -47,9 +47,7 @@ def _write(out_dir: Path, name: str, text: str) -> Path:
     Not atomic, as O_TRUNC was not: a crash mid-write leaves a partial file.
     Only a longer old file is truncated, so a device such as /dev/null
     (behind a symlink), whose size reads 0, is written and left as it is.
-    Where the open fails, out_dir is made as `mkdir -p` would, raising its
-    own error, and the open is tried once more: a run into an existing
-    directory makes no mkdir call."""
+    A failed open makes out_dir (mkdir -p, raising its error) and retries."""
     path, data = out_dir / name, text.encode()
     try:
         try:
@@ -76,9 +74,10 @@ def _manifest(out_dir: Path, command: str, cfg: ScenarioConfig, seed: int, threa
     needs escaping, and the two integers are their repr, as in json."""
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
     _write(out_dir, "manifest.json", (
-        f'{{\n  "command": {json.dumps(command)},\n  "seed": {seed:d},\n  "threads": {threads:d},\n'
-        f'  "scenario_id": {json.dumps(cfg.scenario_id)},\n  "version": {json.dumps(__version__)},\n'
-        f'  "timestamp": {json.dumps(stamp)},\n  "config": {json.dumps(cfg.raw_text)}\n}}\n'))
+        f'{{\n  "command": {json.dumps(command)},\n  "seed": {seed:d},\n'
+        f'  "threads": {threads:d},\n  "scenario_id": {json.dumps(cfg.scenario_id)},\n'
+        f'  "version": {json.dumps(__version__)},\n  "timestamp": {json.dumps(stamp)},\n'
+        f'  "config": {json.dumps(cfg.raw_text)}\n}}\n'))
 
 
 def _cell(v) -> str:
@@ -92,8 +91,7 @@ def _cell(v) -> str:
 
 def _write_csv(out_dir: Path, name: str, header, rows) -> Path:
     """Every CSV of the CLI: the header and each row of cells joined with
-    commas, one line each, ending with a newline; a Python float, the
-    common cell, takes _cell's first branch inline."""
+    commas, one line each, ending with a newline (_cell's float branch inline)."""
     lines = [",".join(header)] + [
         ",".join([repr(v) if type(v) is float else _cell(v) for v in row]) for row in rows]
     return _write(out_dir, name, "\n".join(lines) + "\n")

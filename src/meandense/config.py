@@ -496,22 +496,10 @@ def _build_x_grid(pairs, get, d, errors) -> np.ndarray | None:
         if (count := math.prod(shape)) > MAX_GRID_POINTS:
             errors.append(f"x_grid.shape: {count} lattice points exceed the cap {MAX_GRID_POINTS}")
             return None
-        # point (i_1, ..., i_d) in C order, coordinate k from axis k's linspace
-        points = np.empty((*shape, d))
-        for k in range(d):
-            points[..., k] = np.linspace(lo[k], hi[k], shape[k]).reshape(
-                [-1 if i == k else 1 for i in range(d)])
+        points = np.empty((*shape, d))  # point (i_1, ..., i_d) in C order
+        for k in range(d):  # coordinate k from axis k's linspace
+            points[..., k] = np.linspace(lo[k], hi[k], shape[k]).reshape(-1, *[1] * (d - 1 - k))
         return points.reshape(-1, d)
     errors.append("x_grid.kind: must be lattice or list")
     return None
 
-
-def lattice_points(box: Box, counts) -> np.ndarray:
-    """Cell-centered lattice over a box (used for region-level checks)."""
-    counts = np.atleast_1d(np.asarray(counts, dtype=int))
-    axes = []
-    for k in range(box.dim):
-        edges = np.linspace(box.lo[k], box.hi[k], counts[k] + 1)
-        axes.append((edges[:-1] + edges[1:]) / 2.0)
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)

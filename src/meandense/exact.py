@@ -80,9 +80,7 @@ def _rule_means(f, n: int, rule, xs: np.ndarray, rs: np.ndarray | None) -> np.nd
 
 
 def _keys(seed: int):
-    """The keys derive_key(seed, k) of an array of cell indices k, as a
-    function: the seed is checked now, and a key derived only for a cell
-    that draws."""
+    """index -> derive_key(seed, index) for the cells that draw; the seed is checked now."""
     check_seed(seed)
     return lambda index: block_keys(seed, 0, index[-1] + 1)[index].tolist()
 
@@ -129,9 +127,8 @@ def _means(f, q: MarkDistribution, grid, radii, mc_points: int, mark_draws: int,
     that it is a polynomial of degree <= 2 on the box that every grain of
     the cell reaches, x_i - Z dilated by r_j for a fixed grain Z, else
     x_i ± (l_max + r_j), the sausage kernel needing one segment row per
-    grain.  Other cells are _mark_mean tasks, cell (i, j) on the key that
-    keys(index) gives for its index i R + j, called once with the indices
-    of every such cell and never where none draws: no value depends on
+    grain.  Other cells are _mark_mean tasks, cell (i, j) on keys(index)
+    at its index i R + j, called only if a cell draws: no value depends on
     another cell or on the thread count."""
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     if grid.shape[1] != q.dim or not np.isfinite(grid).all():

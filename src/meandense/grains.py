@@ -77,9 +77,7 @@ class Grain:
     def segment(cls, vec) -> "Grain":
         """The segment from the origin to `vec`."""
         vec = as_point(vec)
-        vertices = np.zeros((2, len(vec)))
-        vertices[1] = vec
-        return cls(vertices)
+        return cls(np.array([np.zeros(len(vec)), vec]))
 
     @classmethod
     def polyline(cls, vertices) -> "Grain":

@@ -21,8 +21,8 @@ _MASK = (1 << 64) - 1
 GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _PIECE = 1 << 14  # uniforms mixed per pass, so that a pass stays in cache
 # the finalizer's shifts and multipliers, built once rather than per call
-_S11, _S27, _S30, _S31 = map(np.uint64, (11, 27, 30, 31))
-_M1, _M2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_S11, _S27, _S30, _S31, _M1, _M2 = map(np.uint64, (11, 27, 30, 31, 0xBF58476D1CE4E5B9,
+                                                  0x94D049BB133111EB))
 
 
 def _mix(z: np.ndarray) -> np.ndarray:

@@ -1,13 +1,14 @@
 """Reference values that the tests check meandense against and that no CLI
-route reads: the classical histogram (the paper's n = 0 reduction) and the
-closed-form density of the planar segment model under |y|^2."""
+route reads: the classical histogram (the paper's n = 0 reduction), the
+closed-form density of the planar segment model under |y|^2 and the
+cell-centred lattice of a box."""
 
 import math
 
 import numpy as np
 
 from meandense import ConfigurationError, capacity_estimate
-from meandense.geometry import as_point
+from meandense.geometry import Box, as_point
 
 
 def histogram_reduction(samples, x: float, half_width: float) -> float:
@@ -32,3 +33,14 @@ def analytic_segment_density(el: float, el3: float, x) -> float:
     |y|^2 and uniform orientation: (x1^2 + x2^2) E[L] + E[L^3]/3."""
     x = as_point(x, dim=2)
     return float((x[0] ** 2 + x[1] ** 2) * el + el3 / 3.0)
+
+
+def lattice_points(box: Box, counts) -> np.ndarray:
+    """Cell-centered lattice over a box (used for region-level checks)."""
+    counts = np.atleast_1d(np.asarray(counts, dtype=int))
+    axes = []
+    for k in range(box.dim):
+        edges = np.linspace(box.lo[k], box.hi[k], counts[k] + 1)
+        axes.append((edges[:-1] + edges[1:]) / 2.0)
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)

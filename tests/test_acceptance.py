@@ -28,12 +28,11 @@ from meandense import (
 )
 from meandense.boolean import _sample_block, checked_guard_margin, count_hits
 from meandense.cli import main
-from meandense.config import lattice_points
 from meandense.geometry import Box
 from meandense.grains import sausage_moment_rule
 from meandense.minkowski import limit_diagnostics, ratio_bound
 from meandense.streams import derive_key
-from references import analytic_segment_density, histogram_reduction
+from references import analytic_segment_density, histogram_reduction, lattice_points
 
 THREADS = 4
 

@@ -18,13 +18,13 @@ from meandense import ConfigurationError, hn_measure, parse_config
 from meandense import config as config_module
 from meandense.boolean import checked_guard_margin
 from meandense.cli import main
-from meandense.config import lattice_points
 from meandense.estimate import accumulate_hits, convergence_study
 from meandense.exact import density_grid
 from meandense.geometry import Box, ball_volume
 from meandense.grains import sausage_moment_rule
 from meandense.minkowski import content_limit, ratio_bound
 from meandense.poisson import sample_block
+from references import lattice_points
 
 FULL_CONFIG = """
 # exercise every common key
