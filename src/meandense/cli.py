@@ -205,10 +205,11 @@ def run_oracle(cfg: ScenarioConfig, seed: int, threads: int, out_dir: Path):
     probs, ses = capacity_grid(cfg.intensity, cfg.marks, xs, cfg.r_grid, cfg.mc_points,
                                cfg.mark_draws, seed, threads)
     header = [f"x{k + 1}" for k in range(cfg.d)] + ["r", "prob", "se", "ratio"]
+    norms = [ball_volume(cfg.d - cfg.n, r) for r in cfg.r_grid]
     _write_csv(out_dir, "oracle.csv", header, [
-        [*x, r, prob, se, prob / ball_volume(cfg.d - cfg.n, r)]
+        [*x, r, prob, se, prob / norm]
         for x, row_probs, row_ses in zip(xs.tolist(), probs.tolist(), ses.tolist())
-        for r, prob, se in zip(cfg.r_grid, row_probs, row_ses)
+        for r, norm, prob, se in zip(cfg.r_grid, norms, row_probs, row_ses)
     ])
 
 

@@ -154,9 +154,9 @@ def _means(f, q: MarkDistribution, grid, radii, mc_points: int, mark_draws: int,
         on_rule = statement(grid[:, None] - (ends.max(0) + dilation),
                             grid[:, None] + (dilation - ends.min(0)))
     values, ses = np.empty(on_rule.shape), np.zeros(on_rule.shape)
-    i, j = np.nonzero(on_rule)  # every radius's rule cells in one pass
+    i, j = on_rule.nonzero()  # every radius's rule cells in one pass
     values[i, j] = _rule_means(f, q.n, rule, grid[i], None if line else np.array(radii)[j])
-    i, j = np.nonzero(~on_rule)
+    i, j = (~on_rule).nonzero()
     tasks = [(f, q, grid[k], radii[r], mc_points, mark_draws, key) for k, r, key in
              zip(i.tolist(), j.tolist(), keys(i * len(radii) + j) if len(i) else ())]
     values[i, j], ses[i, j] = np.reshape(parallel_map(_mark_mean, tasks, threads), (-1, 2)).T
@@ -181,7 +181,7 @@ def capacity_grid(f, q: MarkDistribution, grid, radii, mc_points: int = 200_000,
     """P(x in Θ⊕r) = 1 - exp(-Λ) for Λ of hitting_grid at every (point,
     radius) cell, as (m, R) probabilities and SEs exp(-Λ) SE_Λ."""
     lam, lam_se = hitting_grid(f, q, grid, radii, mc_points, mark_draws, seed, threads)
-    survival = np.array([math.exp(-v) for v in lam.ravel()]).reshape(lam.shape)
+    survival = np.array([math.exp(-v) for v in lam.ravel().tolist()]).reshape(lam.shape)
     return 1.0 - survival, survival * lam_se
 
 

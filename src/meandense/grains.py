@@ -209,7 +209,7 @@ def mark_rule(q: MarkDistribution):
     else:
         directions, direction_weights = _AXES[d], np.full(2 * d, 0.5 / d)
     b = (lengths[:, None, None] * directions).reshape(-1, 1, d)
-    return np.zeros(b.shape), b, np.outer(length_weights, direction_weights).ravel()
+    return np.zeros(b.shape), b, (length_weights[:, None] * direction_weights).ravel()
 
 
 def sausage_integrals(
