@@ -187,6 +187,47 @@ def test_lattice_points_cell_centered():
     assert np.allclose(sorted(set(pts[:, 1])), [0.5, 1.5])
 
 
+def _lattice_config(shape) -> str:
+    d = len(shape)
+    lo, hi = [-1.25, 0.1, 2.0][:d], [0.75, 0.3, 2.9][:d]
+    return "\n".join([
+        f"d = {d}", "n = 0", "intensity.kind = constant", "intensity.c = 1",
+        "marks.kind = deterministic", "marks.grain.kind = point",
+        f"window.lo = {', '.join(['-3'] * d)}", f"window.hi = {', '.join(['3'] * d)}",
+        "x_grid.kind = lattice", f"x_grid.lo = {', '.join(map(str, lo))}",
+        f"x_grid.hi = {', '.join(map(str, hi))}", f"x_grid.shape = {', '.join(map(str, shape))}",
+    ]) + "\n"
+
+
+@pytest.mark.parametrize("shape", [(4,), (1, 6), (6, 1), (2, 5), (3, 3, 3)])
+def test_lattice_is_the_former_meshgrid_stack_bit_for_bit(shape):
+    """x_grid, filled axis by axis, is the array that np.meshgrid (indexing
+    "ij") and np.stack built from the same linspace axes, to the bit and in
+    the same (C) order, also along an axis of one point."""
+    sc = parse_config(_lattice_config(shape))
+    axes = [np.linspace(lo, hi, count) for lo, hi, count in
+            zip([-1.25, 0.1, 2.0], [0.75, 0.3, 2.9], shape)]
+    former = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    assert sc.x_grid.shape == former.shape == (math.prod(shape), len(shape))
+    assert sc.x_grid.tobytes() == former.tobytes()
+
+
+def test_lattice_over_the_cap_is_refused_before_any_allocation():
+    """A shape over MAX_GRID_POINTS is a violation before a point is built:
+    parsing a 16 MB lattice, or one of 10^18 points, allocates under 1 MB."""
+    import tracemalloc
+
+    for shape in ((1001, 1000), (10 ** 9, 10 ** 9)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigurationError, match="lattice points exceed the cap"):
+                parse_config(_lattice_config(shape))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
 # ---------------------------------------------------------------------------
 # CLI
 

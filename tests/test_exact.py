@@ -333,6 +333,36 @@ def test_grid_calls_refuse_empty_inputs(monkeypatch):
     assert sum(derived) == 0
 
 
+
+def test_all_rule_grids_derive_no_key_and_still_check_the_seed(monkeypatch):
+    """A grid whose every cell is on the mark rule draws nothing, so it
+    calls block_keys not once, for any law, radius count or field of
+    degree <= 2; the seed is refused out of [0, 2^64) all the same, before
+    any work.  A grid with a Monte Carlo cell derives its keys once."""
+    calls, block_keys = [], exact.block_keys
+
+    def counting(seed, start, stop):
+        calls.append((start, stop))
+        return block_keys(seed, start, stop)
+
+    monkeypatch.setattr(exact, "block_keys", counting)
+    grid = [[0.3, -0.2], [1.1, 0.4], [-0.7, 0.0]]
+    for q in (UNIT_SEGMENT, UNIFORM_SEGMENTS):
+        for f in (QUADRATIC, CONSTANT):
+            assert not capacity_grid(f, q, grid, [0.2, 0.05], 100, 20, seed=7)[1].any()
+            assert not hitting_grid(f, q, grid, [0.1], 100, 20, seed=7)[1].any()
+            assert not density_grid(f, q, grid, mark_draws=20, seed=7).standard_errors.any()
+    assert calls == []
+    for seed in (-1, 2 ** 64):
+        for call in (lambda: capacity_grid(QUADRATIC, UNIFORM_SEGMENTS, grid, [0.1], seed=seed),
+                     lambda: hitting_grid(QUADRATIC, UNIT_SEGMENT, grid, [0.1], seed=seed),
+                     lambda: density_grid(QUADRATIC, UNIFORM_SEGMENTS, grid, seed=seed)):
+            with pytest.raises(ConfigurationError, match="stream seed must lie in"):
+                call()
+    assert calls == []
+    density_grid(MonteCarloField(QUADRATIC), UNIFORM_SEGMENTS, grid, mark_draws=20, seed=7)
+    assert calls == [(0, 3)]
+
 def test_density_grid_thread_invariance():
     grid = np.array([[0.0, 0.0], [0.5, 0.5], [1.0, 0.0], [-0.5, 0.25]])
     f = MonteCarloField(QUADRATIC)
