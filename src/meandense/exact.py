@@ -81,7 +81,7 @@ def _rule_means(f, n: int, rule, xs: np.ndarray, rs: np.ndarray | None) -> np.nd
 
 def _keys(seed: int):
     """index -> derive_key(seed, index) for the cells that draw; the seed is checked now."""
-    check_seed(seed)
+    check_seed(int(seed))
     return lambda index: block_keys(seed, 0, index[-1] + 1)[index].tolist()
 
 
