@@ -91,9 +91,8 @@ def _cell(v) -> str:
 
 def _write_csv(out_dir: Path, name: str, header, rows) -> Path:
     """Every CSV of the CLI: the header and each row of cells joined with
-    commas, one line each, ending with a newline (_cell's float branch inline)."""
-    lines = [",".join(header)] + [
-        ",".join([repr(v) if type(v) is float else _cell(v) for v in row]) for row in rows]
+    commas, one line each, ending with a newline."""
+    lines = [",".join(header)] + [",".join(map(_cell, row)) for row in rows]
     return _write(out_dir, name, "\n".join(lines) + "\n")
 
 

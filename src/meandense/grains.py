@@ -200,8 +200,6 @@ def mark_rule(q: MarkDistribution):
     deterministic law is its grain with weight 1."""
     if q.kind == "deterministic":  # its grain's rows, without a broadcast view
         return *(v[None] for v in q.grain.rows()), np.ones(1)
-    if q.is_deterministic:
-        return *mark_segments(q, np.empty((1, 0))), np.ones(1)
     lengths, length_weights = _length_rule(q.length)
     d = q.dim
     if q.orientation.kind == "fixed":

@@ -333,7 +333,6 @@ def test_grid_calls_refuse_empty_inputs(monkeypatch):
     assert sum(derived) == 0
 
 
-
 def test_all_rule_grids_derive_no_key_and_still_check_the_seed(monkeypatch):
     """A grid whose every cell is on the mark rule draws nothing, so it
     calls block_keys not once, for any law, radius count or field of
@@ -362,6 +361,7 @@ def test_all_rule_grids_derive_no_key_and_still_check_the_seed(monkeypatch):
     assert calls == []
     density_grid(MonteCarloField(QUADRATIC), UNIFORM_SEGMENTS, grid, mark_draws=20, seed=7)
     assert calls == [(0, 3)]
+
 
 def test_density_grid_thread_invariance():
     grid = np.array([[0.0, 0.0], [0.5, 0.5], [1.0, 0.0], [-0.5, 0.25]])
