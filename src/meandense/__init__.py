@@ -21,12 +21,6 @@ from .estimate import (
 )
 from .exact import capacity_grid, density_grid, hitting_grid
 from .geometry import Box, ball_volume
-from .grains import (
-    Grain,
-    LengthLaw,
-    MarkDistribution,
-    OrientationLaw,
-    hn_measure,
-)
+from .grains import Grain, LengthLaw, MarkDistribution, OrientationLaw
 from .minkowski import MinkowskiRun, content_limit
 from .poisson import IntensityField, sample_block

@@ -5,8 +5,8 @@ hit indicators and the grain counts of every query ball B_R(x), and every
 estimator is a function of those integer totals.  The core estimator
 divides the fraction of realizations hitting a shrinking ball by the
 ball-volume normalizer b_{d-n} R^{d-n}.  Variants use grain counts
-instead of hit indicators, the slope of the empirical contact
-distribution (n = d-1), and the histogram reduction for the n = 0 case.
+instead of hit indicators and the slope of the empirical contact
+distribution (n = d-1).
 All estimator evaluation is deterministic: randomness enters only through
 the realizations.  Reductions over replicates are integer counts or
 compensated sums, so results do not depend on aggregation order.

@@ -8,7 +8,8 @@ Both are mark means of one kernel on the translated rows x - a, x - b
 against f itself, since ∫_{Z⊕r} f(x - y) dy = ∫_{(x - Z)⊕r} f.  `_means`
 alone decides per (point, radius) cell whether `grains.mark_rule` is exact
 there: a rule cell is its weighted sum of `line_integrals` or
-`grains.sausage_moment_rule`, SE 0, any other the `_mark_mean` Monte Carlo.
+`grains.sausage_moment_rule`, SE 0, any other the `_mark_mean` Monte Carlo;
+it alone refuses a non-finite value, once every cell is filled.
 Each integral has one call, over a grid of points: `density_grid` for the
 line integral and `hitting_grid` for Λ, of which `capacity_grid` is
 1 - exp(-Λ) and `minkowski.content_limit` reads the reflected grain's Λ
@@ -41,40 +42,19 @@ class _Densities(NamedTuple):
     methods: np.ndarray          # (m,) labels
 
 
-def _line(f, n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The H^n line integrals of f over the segment rows, refusing a
-    non-finite one."""
-    vals = line_integrals(a, b, f, n)
-    if not np.isfinite(vals).all():
-        raise NumericError("non-finite inner integral")
-    return vals
-
-
 def _rule_means(f, n: int, rule, xs: np.ndarray, rs: np.ndarray | None) -> np.ndarray:
     """Σ_k w_k I(x - a_k, x - b_k) over the rows and weights (a, b, w) of
     mark_rule at every cell (x, r) of the points xs and radii rs, I the
     line integral (rs None) or sausage_moment_rule, one call per MARK_CHUNK
-    (cell, node, segment) rows whatever their radii.  A NumericError names
-    the first point whose own rows raise it."""
+    (cell, node, segment) rows whatever their radii."""
     a, b, w = rule
-
-    def integrate(xs, rs):
-        xa, xb = ((xs[:, None, None] - e).reshape(-1, *e.shape[1:]) for e in (a, b))
-        return _line(f, n, xa, xb) if rs is None else sausage_moment_rule(
-            xa[:, 0], xb[:, 0], f, np.repeat(rs, len(w)))
     per_call = max(1, MARK_CHUNK // a[..., 0].size)
     out = np.empty(len(xs))
     for i in range(0, len(xs), per_call):
         cells = slice(i, i + per_call)
-        try:
-            vals = integrate(xs[cells], None if rs is None else rs[cells])
-        except NumericError as exc:  # only the line integral raises
-            for x in xs[cells]:
-                try:
-                    integrate(x[None], None)
-                except NumericError:
-                    raise NumericError(str(exc), point=x) from exc
-            raise
+        xa, xb = ((xs[cells, None, None] - e).reshape(-1, *e.shape[1:]) for e in (a, b))
+        vals = line_integrals(xa, xb, f, n) if rs is None else sausage_moment_rule(
+            xa[:, 0], xb[:, 0], f, np.repeat(rs[cells], len(w)))
         out[cells] = (vals.reshape(-1, len(w)) * w).sum(axis=1)
     return out
 
@@ -93,28 +73,27 @@ def _mark_mean(args) -> tuple[float, float]:
     reads counters k U + c, c < U = q.uniforms, of the key and gets
     m = max(16, mc_points // K) proposals, coordinate c of proposal j on
     counter K U + (k m + j) d + c; marks go MARK_CHUNK at a time, their
-    means and squared deviations merged (Chan, Golub and LeVeque, 1979).
-    A NumericError names x."""
+    means and squared deviations merged (Chan, Golub and LeVeque, 1979);
+    a chunk whose mean is not finite is returned as it is, with SE 0."""
     f, q, x, r, mc_points, mark_draws, key = args
-    try:
-        if q.is_deterministic:  # only with a radius: its line integral is on the rule
-            a, b = mark_segments(q, np.empty((1, 0)))
-            vals, ses = sausage_integrals(x - a, x - b, f, r, mc_points, key)
-            return float(vals[0]), float(ses[0])
-        per_grain = max(16, mc_points // mark_draws)
-        after, stride = skip(key, mark_draws * q.uniforms), 0 if r is None else per_grain * q.dim
-        count = mean = m2 = 0.0
-        for k in range(0, mark_draws, MARK_CHUNK):
-            u = np.arange(k * q.uniforms, min(mark_draws, k + MARK_CHUNK) * q.uniforms)
-            a, b = mark_segments(q, uniforms(key, u.reshape(-1, q.uniforms)))
-            vals = (_line(f, q.n, x - a, x - b) if r is None else
-                    sausage_integrals(x - a, x - b, f, r, per_grain, skip(after, k * stride))[0])
-            part, n = vals.mean(), len(vals)
-            delta, count = part - mean, count + n
-            mean += delta * (n / count)
-            m2 += ((vals - part) ** 2).sum() + delta * delta * n * (count - n) / count
-    except NumericError as exc:
-        raise NumericError(str(exc), point=x) from exc
+    if q.is_deterministic:  # only with a radius: its line integral is on the rule
+        a, b = mark_segments(q, np.empty((1, 0)))
+        vals, ses = sausage_integrals(x - a, x - b, f, r, mc_points, key)
+        return float(vals[0]), float(ses[0])
+    per_grain = max(16, mc_points // mark_draws)
+    after, stride = skip(key, mark_draws * q.uniforms), 0 if r is None else per_grain * q.dim
+    count = mean = m2 = 0.0
+    for k in range(0, mark_draws, MARK_CHUNK):
+        u = np.arange(k * q.uniforms, min(mark_draws, k + MARK_CHUNK) * q.uniforms)
+        a, b = mark_segments(q, uniforms(key, u.reshape(-1, q.uniforms)))
+        vals = (line_integrals(x - a, x - b, f, q.n) if r is None else
+                sausage_integrals(x - a, x - b, f, r, per_grain, skip(after, k * stride))[0])
+        part, n = vals.mean(), len(vals)
+        if not math.isfinite(part):
+            return float(part), 0.0
+        delta, count = part - mean, count + n
+        mean += delta * (n / count)
+        m2 += ((vals - part) ** 2).sum() + delta * delta * n * (count - n) / count
     return float(mean), math.sqrt(m2 / (mark_draws - 1)) / math.sqrt(mark_draws)
 
 
@@ -129,7 +108,9 @@ def _means(f, q: MarkDistribution, grid, radii, mc_points: int, mark_draws: int,
     x_i ± (l_max + r_j), the sausage kernel needing one segment row per
     grain.  Other cells are _mark_mean tasks, cell (i, j) on keys(index)
     at its index i R + j, called only if a cell draws: no value depends on
-    another cell or on the thread count."""
+    another cell or on the thread count.  Once every cell is filled, a
+    non-finite mean density or a NaN Λ raises NumericError naming the
+    first such cell's point; Λ = inf stays, a probability of 1."""
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     if grid.shape[1] != q.dim or not np.isfinite(grid).all():
         raise ConfigurationError(f"points must be finite and of dimension {q.dim}")
@@ -160,6 +141,11 @@ def _means(f, q: MarkDistribution, grid, radii, mc_points: int, mark_draws: int,
     tasks = [(f, q, grid[k], radii[r], mc_points, mark_draws, key) for k, r, key in
              zip(i.tolist(), j.tolist(), keys(i * len(radii) + j) if len(i) else ())]
     values[i, j], ses[i, j] = np.reshape(parallel_map(_mark_mean, tasks, threads), (-1, 2)).T
+    bad = ~np.isfinite(values) if line else ~(values > -np.inf)  # NaN or -inf: Λ = inf stays
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise NumericError("non-finite mean density" if line else
+                           f"non-finite hitting intensity at radius {radii[j]}", point=grid[i])
     return values, ses, on_rule
 
 

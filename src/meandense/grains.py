@@ -19,7 +19,9 @@ smooth (`line_integrals`) and over each grain's r-sausage: exactly from
 2d + 3 field values of a polynomial of degree <= 2 over a segment or point
 grain (`sausage_moment_rule`), or by chunked Monte Carlo on one key
 (`sausage_integrals`).  Which one a cell takes is decided by its caller,
-`exact._means`, the one reader of a field's `polynomial_on`.
+`exact._means`, the one reader of a field's `polynomial_on`, which also
+judges their values: the kernels never raise on a field value, and a
+grain's integral is inf wherever a field value it reads is.
 One grain is K = 1: its `Grain.rows` with a leading axis added.
 """
 
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericError
+from .errors import ConfigurationError
 from .geometry import as_point, ball_volume, segment_distances
 from .streams import skip, uniforms
 
@@ -127,11 +129,6 @@ def _unsquared(norm, x: np.ndarray) -> float:
     return float(out)
 
 
-def hn_measure(g: Grain) -> float:
-    """H^n measure of the grain: 1 for a point, total length otherwise."""
-    return g.measure
-
-
 def line_integrals(a: np.ndarray, b: np.ndarray, h, n: int) -> np.ndarray:
     """Integrals of the field h (its `values`) with respect to H^n over
     each of K grains, given as segment rows a, b of shape (K, s, d).
@@ -140,8 +137,9 @@ def line_integrals(a: np.ndarray, b: np.ndarray, h, n: int) -> np.ndarray:
     <= 15) on each piece of a row between the parameters in [0, 1] where h
     states that it is not smooth along it (`h.splits(a, b)`, none when h
     makes no statement), summed over each grain's rows; for n = 0 the
-    grain is the point a[:, 0] and its integral is h there.  A non-finite
-    field value raises NumericError at its node."""
+    grain is the point a[:, 0] and its integral is h there.  A grain's
+    integral is inf wherever a field value it reads is: the caller judges
+    a non-finite one."""
     n_grains, segments, d = a.shape
     if n == 0:
         pts = a[:, 0]
@@ -162,12 +160,12 @@ def line_integrals(a: np.ndarray, b: np.ndarray, h, n: int) -> np.ndarray:
         pts += a[:, :, None, :]
         pts = pts.reshape(-1, d)
     vals = h.values(pts)
-    if not np.isfinite(vals).all():
-        raise NumericError("non-finite field value", point=pts[~np.isfinite(vals)][0])
     if n == 0:
         return vals
     vals = vals.reshape(n_grains, segments, -1)
-    return ((vals * weights).sum(axis=2) * np.sqrt((ab * ab).sum(axis=2))).sum(axis=1)
+    with np.errstate(invalid="ignore"):  # inf·0 on an empty piece or a zero-length row
+        sums = ((vals * weights).sum(axis=2) * np.sqrt((ab * ab).sum(axis=2))).sum(axis=1)
+    return np.where((vals == np.inf).any(axis=(1, 2)), np.inf, sums)
 
 
 # point-row pairs measured at once by sausage_integrals: its memory is
@@ -220,7 +218,8 @@ def sausage_integrals(
     (k mc_points + j) d + c of `key`.  A chunk holds
     whole grains or a piece of one, at most SAUSAGE_CHUNK // s proposals,
     each measured against all s rows of its grain at once; a grain's sums
-    add its pieces' sums, so a chunk that splits no grain changes no bit."""
+    add its pieces' sums, so a chunk that splits no grain changes no bit.
+    A grain whose sausage holds an inf field value gets inf, with SE 0."""
     if not (0.0 < r < 2.0):
         raise ConfigurationError("radius must lie in (0, 2)")
     if mc_points < 2:
@@ -250,12 +249,13 @@ def sausage_integrals(
             pts += lo_k
             # (count, s, m): a min over a trailing s axis is 1.6x slower
             dist = segment_distances(pts[:, None], a[ks, :, None], b[ks, :, None]).min(axis=1)
-            vals = h.values(pts.reshape(-1, d)).reshape(count, m) * (dist <= r)
+            vals = np.where(dist <= r, h.values(pts.reshape(-1, d)).reshape(count, m), 0.0)
             sums[ks] += vals.sum(axis=1)
             squares[ks] += (vals * vals).sum(axis=1)
     mean = sums / mc_points
-    var = np.maximum(squares / mc_points - mean * mean, 0.0)
-    return volume * mean, volume * np.sqrt(var / mc_points)
+    with np.errstate(invalid="ignore"):  # inf - inf where the mean is inf
+        var = np.maximum(squares / mc_points - mean * mean, 0.0)
+    return volume * mean, np.where(mean == np.inf, 0.0, volume * np.sqrt(var / mc_points))
 
 
 @functools.cache  # leggauss takes about 0.2 ms, a tenth of a 4,000-mark density
@@ -326,7 +326,7 @@ def sausage_moment_rule(a: np.ndarray, b: np.ndarray, h, r) -> np.ndarray:
         diffs = (vals[:, 1::2] - centre) + (vals[:, 2::2] - centre)  # one per pair
         sums = volume * centre[:, 0] + 0.5 * (
             w_cross * diffs[:, :-1].sum(axis=1) + w_axis * diffs[:, -1])
-    return np.where(np.isinf(vals).any(axis=1), np.inf, sums)  # an intensity is >= 0
+    return np.where((vals == np.inf).any(axis=1), np.inf, sums)
 
 
 # ---------------------------------------------------------------------------
@@ -523,9 +523,9 @@ class MarkDistribution:
 
     def mean_hn(self) -> float:
         """E_Q[H^n(Z_0)] (exact for all built-in laws)."""
-        return hn_measure(self.grain) if self.kind == "deterministic" else self.length.moment(1)
+        return self.grain.measure if self.kind == "deterministic" else self.length.moment(1)
 
     def length_moment(self, k: int) -> float:
         if self.kind == "deterministic":
-            return hn_measure(self.grain) ** k if self.grain.n == 1 else 0.0
+            return self.grain.measure ** k if self.grain.n == 1 else 0.0
         return self.length.moment(k)

@@ -23,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericError
 from .exact import hitting_grid
 from .geometry import ball_volume, checked_ball_volume
-from .grains import Grain, MarkDistribution, hn_measure, line_integrals
+from .grains import Grain, MarkDistribution, line_integrals
 
 
 @dataclass(eq=False)
@@ -62,6 +62,10 @@ def content_limit(
     if (r_grid <= 0.0).any() or (r_grid >= 2.0).any():
         raise ConfigurationError("all radii must lie in (0, 2)")
     norms = np.array([checked_ball_volume(shape.dim - shape.n, r) for r in r_grid])
+    a, b = shape.rows()
+    target = float(line_integrals(a[None], b[None], f, shape.n)[0])
+    if not math.isfinite(target):
+        raise NumericError(f"non-finite target: the integral of f over the grain is {target}")
     reflected = MarkDistribution("deterministic", grain=Grain(-shape.vertices))
     lam, lam_se = hitting_grid(f, reflected, np.zeros((1, shape.dim)), r_grid, mc_points,
                                seed=seed, threads=threads)
@@ -70,8 +74,6 @@ def content_limit(
     r1, r0 = r_grid[-2], r_grid[-1]
     v1, v0 = ratios[-2], ratios[-1]
     limit = v0 - r0 * (v1 - v0) / (r1 - r0)
-    a, b = shape.rows()
-    target = float(line_integrals(a[None], b[None], f, shape.n)[0])
     return MinkowskiRun(
         r_grid=r_grid,
         ratios=ratios,
@@ -99,7 +101,7 @@ def _enlarged(g: Grain) -> Grain:
     that H^n(Z~_0 ∩ B_r(x)) >= r^n for x on it and r < 1 however short g
     is: a short segment scaled, a short polyline continued along its last
     segment.  A point grain meets the bound as it is."""
-    total = hn_measure(g)
+    total = g.measure
     if g.n == 0 or total >= 1.0:
         return g
     v = g.vertices
@@ -120,5 +122,5 @@ def ratio_bound(shape: Grain) -> float:
     1 / H^n(Z~_0): the lower density constant 1 of the enlarged grain after
     its measure is normalized to a probability."""
     d, n = shape.dim, shape.n
-    gamma = 1.0 / hn_measure(_enlarged(shape))
+    gamma = 1.0 / _enlarged(shape).measure
     return (1.0 / gamma) * 2 ** n * 4 ** d * ball_volume(d) / ball_volume(d - n)

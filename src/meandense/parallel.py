@@ -60,8 +60,6 @@ def keep_freed_memory() -> None:
 
 def parallel_map(fn, tasks, threads: int = 1) -> list:
     tasks = list(tasks)
-    if pool_size(threads, len(tasks)) == 1:
-        return [fn(t) for t in tasks]
     results, start = [], perf_counter()
     while len(results) < len(tasks) and perf_counter() - start < POOL_COST_S:
         results.append(fn(tasks[len(results)]))

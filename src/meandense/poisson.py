@@ -74,8 +74,10 @@ class IntensityField:
         if self.kind == "quadratic":  # inf past the float range, as einsum gave
             with np.errstate(over="ignore"):
                 return sum(pts[:, k] * pts[:, k] for k in range(pts.shape[1]))
-        if self.kind == "affine":
-            return np.clip(sum((pts[:, k] * bk for k, bk in enumerate(self.b)), self.a), 0.0, None)
+        if self.kind == "affine":  # inf past the float range, as quadratic; NaN from inf - inf
+            with np.errstate(over="ignore", invalid="ignore"):
+                return np.clip(sum((pts[:, k] * bk for k, bk in enumerate(self.b)), self.a),
+                               0.0, None)
         out = np.zeros(pts.shape[0])
         for box, val in self.pieces:
             out = np.where(box.contains(pts), val, out)
@@ -100,8 +102,9 @@ class IntensityField:
         lo, hi (..., d), shape (...): constant and quadratic always, affine
         where a + Σ_k min(b_k lo_k, b_k hi_k) > 0, at its lowest corner (its
         clip at 0 is inactive there), piecewise never."""
-        if self.kind == "affine":
-            return self.a + np.minimum(lo * self.b, hi * self.b).sum(axis=-1) > 0.0
+        if self.kind == "affine":  # a NaN from inf - inf is not a polynomial
+            with np.errstate(over="ignore", invalid="ignore"):
+                return self.a + np.minimum(lo * self.b, hi * self.b).sum(axis=-1) > 0.0
         return np.full(np.shape(lo)[:-1], self.kind in ("constant", "quadratic"))
 
     def splits(self, a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
@@ -114,7 +117,8 @@ class IntensityField:
                              for t in clip_parameters(a, b, box)], axis=-1)
         if self.kind != "affine":
             return None
-        with np.errstate(divide="ignore", invalid="ignore"):  # a row along a level set
+        # a row along a level set, or one whose a + b·y overflows
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             zero = -(self.a + a @ self.b) / ((b - a) @ self.b)
         return np.nan_to_num(zero, nan=0.0)[..., None]
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import meandense
-from meandense import ConfigurationError, hn_measure, parse_config
+from meandense import ConfigurationError, parse_config
 from meandense import config as config_module
 from meandense.boolean import checked_guard_margin
 from meandense.cli import main
@@ -103,7 +103,7 @@ window.hi = 1, 1
 marks.kind = deterministic
 """
     seg = parse_config(base + "marks.grain.kind = segment\nmarks.grain.length = 2\n")
-    assert hn_measure(seg.marks.grain) == pytest.approx(2.0)
+    assert seg.marks.grain.measure == pytest.approx(2.0)
     poly = parse_config(
         base + "marks.grain.kind = polyline\nmarks.grain.vertices = 0,0; 1,0; 1,1\n"
     )
@@ -682,6 +682,27 @@ def test_cli_numeric_error_reports_the_point(tmp_path, capsys):
         assert len(error["point"]) == 2
         assert all(isinstance(c, float) and math.isfinite(c) for c in error["point"])
         assert error["point"] == [1e160, 0.0]  # the grid point, not a quadrature node
+
+
+def test_cli_field_past_the_float_range(tmp_path, capsys):
+    """f(y) = max(0, 1 + 1e307 y1) is inf on every grain about x = (40, 0):
+    the oracle writes P = 1 with SE 0 for a segment (the moment rule) and
+    a polyline (Monte Carlo sausages), and exact exits 2 naming x."""
+    text = MINI_EXACT.replace("intensity.kind = quadratic", (
+        "intensity.kind = affine\nintensity.a = 1\nintensity.b = 1e307, 0")).replace(
+        "0,0; 0.5,0.5", "40, 0") + "r_grid = 0.2, 0.1\nmc_points = 400\n"
+    polyline = text.replace("marks.grain.kind = segment\nmarks.grain.length = 1", (
+        "marks.grain.kind = polyline\nmarks.grain.vertices = 0,0; 0.5,0; 0.5,0.5"))
+    assert polyline != text
+    for name, grain in (("segment", text), ("polyline", polyline)):
+        cfg, out = write_cfg(tmp_path, grain, f"{name}.cfg"), tmp_path / name
+        assert main(["oracle", "--config", cfg, "--out", str(out), "--threads", "1"]) == 0
+        rows = (out / "oracle.csv").read_text().splitlines()  # x1,x2,r,prob,se,ratio
+        assert [row.split(",")[3:5] for row in rows[1:]] == [["1.0", "0.0"]] * 2
+        assert main(["exact", "--config", cfg, "--out", str(out), "--threads", "1"]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "numeric" and "non-finite" in error["message"]
+        assert error["point"] == [40.0, 0.0]
 
 
 def test_cli_window_of_overflowing_volume_hits_the_germ_cap(tmp_path, capsys):

@@ -14,6 +14,7 @@ from meandense import (
     IntensityField,
     LengthLaw,
     MarkDistribution,
+    NumericError,
     OrientationLaw,
     capacity_grid,
     density_grid,
@@ -309,6 +310,57 @@ def test_hitting_grid_refusals():
     a, b = UNIT_SEGMENT.grain.rows()
     with pytest.raises(ConfigurationError, match="needs a random stream"):
         sausage_integrals(a[None], b[None], MonteCarloField(CONSTANT), 0.1, 100, None)
+
+
+class NanBeyond:
+    """|y|², NaN where y1 > 5; stated a polynomial everywhere when `rule`,
+    so that the grid calls take the mark rule and the moment rule on it."""
+
+    def __init__(self, rule):
+        self.sup = QUADRATIC.sup
+        if rule:
+            self.polynomial_on = QUADRATIC.polynomial_on
+
+    def values(self, pts):
+        pts = np.atleast_2d(pts)
+        return np.where(pts[:, 0] > 5.0, np.nan, QUADRATIC.values(pts))
+
+
+@pytest.mark.parametrize("rule", [True, False], ids=["rule", "monte_carlo"])
+@pytest.mark.parametrize("q", [UNIT_SEGMENT, UNIFORM_SEGMENTS], ids=["deterministic", "random"])
+def test_a_nan_field_value_is_refused_at_its_grid_point(rule, q):
+    """A NaN mean density or Λ is refused once every cell is filled, as a
+    NumericError naming the grid point of the first cell that gives it,
+    on the mark rule and off it."""
+    f, grid = NanBeyond(rule), [[0.0, 0.0], [10.0, 0.0], [20.0, 0.0]]
+    for call, message in ((lambda: density_grid(f, q, grid, mark_draws=20),
+                           "non-finite mean density"),
+                          (lambda: hitting_grid(f, q, grid, [0.2, 0.1], 400, 20),
+                           r"non-finite hitting intensity at radius 0\.2")):
+        with pytest.raises(NumericError, match=message) as info:
+            call()
+        assert info.value.point.tolist() == [10.0, 0.0]
+
+
+def test_an_overflowing_field_hits_with_probability_one():
+    """An affine field past the float range on every grain about x gives
+    Λ = inf, so P = 1 with SE 0, on a rule cell (the moment rule on a
+    segment) and on Monte Carlo cells (a polyline's sausage, and random
+    marks under a field that states no polynomial), with no
+    RuntimeWarning; the mean density there is refused at x."""
+    f, x = IntensityField("affine", a=1.0, b=np.array([1e307, 0.0])), [[40.0, 0.0]]
+    polyline = MarkDistribution("deterministic",
+                                grain=Grain.polyline([[0.0, 0.0], [0.5, 0.0], [0.5, 0.5]]))
+    for field, q, on_rule in ((f, UNIT_SEGMENT, True), (f, polyline, False),
+                              (MonteCarloField(f), UNIFORM_SEGMENTS, False)):
+        lam, lam_se, rule = exact._means(field, q, x, [0.2, 0.1], 400, 20, exact._keys(0))
+        assert (rule == on_rule).all()
+        assert lam.tolist() == [[math.inf] * 2] and lam_se.tolist() == [[0.0] * 2]
+        probs, ses = capacity_grid(field, q, x, [0.2, 0.1], 400, 20)
+        assert probs.tolist() == [[1.0] * 2] and ses.tolist() == [[0.0] * 2]
+        with pytest.raises(NumericError, match="non-finite mean density") as info:
+            density_grid(field, q, x, mark_draws=20)
+        assert info.value.point.tolist() == [40.0, 0.0]
 
 
 def test_grid_calls_refuse_empty_inputs(monkeypatch):

@@ -11,6 +11,7 @@ from meandense import (
     ConfigurationError,
     Grain,
     IntensityField,
+    NumericError,
     content_limit,
 )
 from meandense.cli import main
@@ -223,3 +224,11 @@ def test_minkowski_csv_format(tmp_path):
     first = lines[1].split(",")
     assert float(first[0]) == 0.2
     assert float(first[3]) == pytest.approx(16.0 * math.pi)
+
+
+def test_content_limit_refuses_a_non_finite_target():
+    """∫_S f dH^n past the float range, an affine field along a segment
+    40 long, is refused as a NumericError."""
+    f = IntensityField("affine", a=1.0, b=np.array([1e307, 0.0]))
+    with pytest.raises(NumericError, match="non-finite target"):
+        content_limit(Grain.segment(np.array([40.0, 0.0])), f, [0.2, 0.1, 0.05], mc_points=100)
